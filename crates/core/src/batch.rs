@@ -12,6 +12,7 @@
 use crate::dispatch::DispatchMode;
 use crate::gemm::GemmConfig;
 use crate::matrix::{MatrixView, MatrixViewMut};
+use crate::microkernel::KernelSet;
 use crate::parallel::{run_layer3, run_layer3_scoped, Layer3Params};
 use crate::pool::{gemm_pooled, Parallelism, PoolScalar};
 use crate::tile::TileMut;
@@ -117,6 +118,7 @@ pub(crate) fn gemm_batch_with_cache(
             a_batch.len(),
             &cfg.blocks,
             cfg.kernel.nr(),
+            cfg.kernel.flops_per_cycle(),
             cfg.parallelism.degree(),
             prepacked.is_some(),
         )),

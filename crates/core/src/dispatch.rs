@@ -211,9 +211,15 @@ pub fn last_decision() -> Option<DispatchDecision> {
 
 /// Decide runtime and grid geometry for one call.
 ///
-/// `degree` is the configured parallel degree ([`Parallelism::degree`]),
-/// `cached` whether a [`crate::prepack::PrepackedB`] will serve B (its
-/// pack traffic then costs nothing per call). Must not be called with
+/// `flops_per_cycle` is the peak of the ISA level the register kernel
+/// actually runs at ([`crate::microkernel::KernelSet::flops_per_cycle`]);
+/// its reciprocal is the model's compute cost `μ`. The pack, barrier and
+/// task terms do not scale with the kernel, so a prior that prices compute
+/// for the wrong level mis-proportions them and no single EWMA scalar per
+/// runtime can repair that. `degree` is the configured parallel degree
+/// ([`Parallelism::degree`]), `cached` whether a
+/// [`crate::prepack::PrepackedB`] will serve B (its pack traffic then
+/// costs nothing per call). Must not be called with
 /// [`DispatchMode::Fixed`] — Fixed means "no decision".
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide(
@@ -224,6 +230,39 @@ pub(crate) fn decide(
     batch: usize,
     blocks: &BlockSizes,
     nr: usize,
+    flops_per_cycle: f64,
+    degree: usize,
+    cached: bool,
+) -> DispatchDecision {
+    decide_calibrated(
+        calibration_ratios(),
+        mode,
+        m,
+        n,
+        k,
+        batch,
+        blocks,
+        nr,
+        flops_per_cycle,
+        degree,
+        cached,
+    )
+}
+
+/// [`decide`] with the `(serial, pool)` calibration ratios passed in, so
+/// the model's own choice can be tested apart from whatever the process
+/// has learned so far.
+#[allow(clippy::too_many_arguments)]
+fn decide_calibrated(
+    (cal_serial, cal_pool): (f64, f64),
+    mode: DispatchMode,
+    m: usize,
+    n: usize,
+    k: usize,
+    batch: usize,
+    blocks: &BlockSizes,
+    nr: usize,
+    flops_per_cycle: f64,
     degree: usize,
     cached: bool,
 ) -> DispatchDecision {
@@ -252,7 +291,10 @@ pub(crate) fn decide(
     let f = 2.0 * (m * n * k * batch) as f64;
     let w_a = (m * k * jj_panels * batch) as f64;
     let w_b = if cached { 0.0 } else { (k * n) as f64 };
-    let costs = MachineCosts::xgene_cycles();
+    let costs = MachineCosts {
+        mu: 1.0 / flops_per_cycle,
+        ..MachineCosts::xgene_cycles()
+    };
     let psi = OverlapFactor::Rational { c: 0.4 };
     let overheads = PoolOverheads::xgene_cycles();
     let serial_cycles = time_bound(f, w_a + w_b, &costs, &psi);
@@ -267,8 +309,8 @@ pub(crate) fn decide(
         &psi,
         &overheads,
     );
-    let predicted_serial_ms = cycles_to_ms(serial_cycles) * calibration(false);
-    let predicted_pool_ms = cycles_to_ms(pool_cycles) * calibration(true);
+    let predicted_serial_ms = cycles_to_ms(serial_cycles) * cal_serial;
+    let predicted_pool_ms = cycles_to_ms(pool_cycles) * cal_pool;
 
     let (runtime, forced) = match mode {
         DispatchMode::Serial => (Parallelism::Serial, true),
@@ -361,6 +403,66 @@ mod tests {
 
     fn blocks(kc: usize, mc: usize, nc: usize) -> BlockSizes {
         BlockSizes::custom(8, 6, kc, mc, nc)
+    }
+
+    /// [`super::decide`] at the portable prior (`μ = 0.5`) the shape
+    /// tests below were written against.
+    #[allow(clippy::too_many_arguments)]
+    fn decide(
+        mode: DispatchMode,
+        m: usize,
+        n: usize,
+        k: usize,
+        batch: usize,
+        blocks: &BlockSizes,
+        nr: usize,
+        degree: usize,
+        cached: bool,
+    ) -> DispatchDecision {
+        super::decide(mode, m, n, k, batch, blocks, nr, 2.0, degree, cached)
+    }
+
+    #[test]
+    fn compute_is_priced_at_the_kernels_isa_level() {
+        // The two shapes the benchmark's dispatch rung races, under the
+        // default blocking at degree 2 and a neutral calibration. With μ
+        // stuck at the portable 0.5 the pack, barrier and task terms
+        // vanish next to compute, so a 10x faster kernel kept sending
+        // the skinny shape to the pool (auto_vs_best_ratio 1.5-2.7).
+        let b = blocks(512, 56, 1920);
+        let at = |isa: crate::simd::Isa, m: usize| {
+            let fpc = isa.flops_per_cycle();
+            decide_calibrated(
+                (1.0, 1.0),
+                DispatchMode::Auto,
+                m,
+                512,
+                512,
+                1,
+                &b,
+                6,
+                fpc,
+                2,
+                false,
+            )
+        };
+        let mut last_ratio = 0.0;
+        for isa in crate::simd::Isa::ALL {
+            assert_eq!(at(isa, 512).runtime, Parallelism::Pool(2), "{isa:?}");
+            // A faster kernel only ever moves a shape away from the pool.
+            let skinny = at(isa, 8);
+            let ratio = skinny.predicted_pool_ms / skinny.predicted_serial_ms;
+            assert!(ratio > last_ratio, "{isa:?}: {ratio} <= {last_ratio}");
+            last_ratio = ratio;
+        }
+        // At the portable level the pool halves 0.7 ms of compute and is
+        // the right call; at the level this host's kernel runs at, the
+        // 8x512x512 call is pack-B-bound and must stay serial.
+        assert_eq!(
+            at(crate::simd::Isa::Portable, 8).runtime,
+            Parallelism::Pool(2)
+        );
+        assert_eq!(at(crate::simd::Isa::Avx512, 8).runtime, Parallelism::Serial);
     }
 
     #[test]

@@ -425,6 +425,7 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
                 1,
                 &blocks,
                 kernel.nr(),
+                kernel.flops_per_cycle(),
                 parallelism.degree(),
                 prepacked.is_some(),
             );

@@ -1,10 +1,12 @@
 //! # dgemm-core
 //!
-//! A portable, production-quality implementation of the paper's DGEMM:
-//! the layered Goto algorithm (Figure 2, layers 1–7) with packing,
-//! analytically blocked for the ARMv8 memory hierarchy, with the paper's
-//! 8×6 register kernel (plus the 8×4, 4×4 comparison kernels and a 5×5
-//! ATLAS-like baseline) and layer-3 multi-threading.
+//! A production-quality implementation of the paper's DGEMM: the layered
+//! Goto algorithm (Figure 2, layers 1–7) with packing, analytically
+//! blocked for the ARMv8 memory hierarchy, with the paper's 8×6 register
+//! kernel (plus the 8×4, 4×4 comparison kernels and a 5×5 ATLAS-like
+//! baseline) and layer-3 multi-threading. The register kernels run as
+//! AVX-512 / AVX2+FMA code where the host has it and as portable Rust
+//! everywhere else.
 //!
 //! The library computes `C := α·op(A)·op(B) + β·C` for column-major
 //! double-precision matrices, exactly like BLAS `dgemm`.
@@ -35,6 +37,7 @@
 //! | [`matrix`] | — | column-major owned/borrowed matrix types |
 //! | [`pack`] | layer 4 | packing A into `mr`-slivers, B into `nr`-slivers |
 //! | [`microkernel`] | layer 7 | the `mr×nr` rank-1-update register kernels |
+//! | [`simd`] | layer 7 | the same kernels as runtime-detected `std::arch` SIMD+FMA code |
 //! | [`gebp`] | layers 4–6 | GEBP / GEBS / GESS loop nest over packed data |
 //! | [`gemm`] | layers 1–3 | `nc`/`kc`/`mc` blocking, β-scaling, driver |
 //! | [`parallel`] | layer 3 | serial walk + static band partitioning (Section IV-C) |
@@ -54,8 +57,11 @@
 //! | [`mod@reference`] | — | naive triple-loop oracle for validation |
 
 #![warn(missing_docs)]
-// unsafe is confined to `tile` (the C-tile splitter whose checked API
-// expresses the threaded path's disjoint row-band writes); every other
+// unsafe is confined to two modules: `tile` (the C-tile splitter whose
+// checked API expresses the threaded path's disjoint row-band writes)
+// and `simd` (the `std::arch` register kernels: called only after
+// feature detection, A/B read through chunked slices, C reached only
+// through `TileMut::col_seg_mut` with a masked store). Every other
 // module carries `#![forbid(unsafe_code)]`.
 #![deny(unsafe_op_in_unsafe_fn)]
 // Library code must propagate failures as typed errors; panicking
@@ -83,6 +89,7 @@ pub mod reference;
 pub mod scalar;
 pub mod service;
 pub mod sgemm;
+pub mod simd;
 pub mod store;
 pub mod telemetry;
 pub mod tile;

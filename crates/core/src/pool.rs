@@ -10,7 +10,9 @@
 //! workers and per-caller-thread buffer arenas:
 //!
 //! - **[`WorkerPool`]**: lazily started, detached worker threads parked
-//!   on an MPMC channel. A GEMM call enqueues one *job* per grid cell
+//!   on an MPMC channel — after polling it for two milliseconds, so
+//!   back-to-back calls find their workers awake. A GEMM call enqueues
+//!   one *job* per grid cell
 //!   (or per static band) and workers race to pull them — dynamic
 //!   scheduling that load-balances ragged tails, falling back to the
 //!   static contiguous-band assignment of [`crate::parallel::partition_rows`]
@@ -314,9 +316,45 @@ impl Drop for WorkerGuard {
     }
 }
 
+/// How long an idle pool thread polls its channel before it parks on it.
+///
+/// Restarting a parked thread costs a futex wake, and on a virtual CPU
+/// that went idle meanwhile the wake also waits for the host to schedule
+/// that CPU back in: tens of microseconds on a quiet host, up to a
+/// millisecond on a busy one, and different from run to run. Against the
+/// 27 ms of a pooled 512³ call on the portable kernel that was nothing;
+/// against the 5 ms it takes on the SIMD kernels it is what made ten runs
+/// spread over 10 % (EXPERIMENTS.md, "Steadying the pooled path"). So a
+/// worker stays runnable across the serial stretch between two epochs
+/// (stage-out, the caller's own code, stage-in, the B pack: about 1.3 ms
+/// for that shape), and the caller across the tail of a worker's band.
+/// The poll yields on every turn, so on an oversubscribed host whoever
+/// has real work gets the processor.
+const POLL_BEFORE_PARK: Duration = Duration::from_millis(2);
+
+/// Poll `rx` until it holds a message or `limit` has passed. `true` when
+/// a message is waiting — which another receiver may still take first,
+/// so the caller follows up with a blocking receive either way.
+fn poll_ready<T>(rx: &Receiver<T>, limit: Duration) -> bool {
+    let start = Instant::now();
+    loop {
+        if !rx.is_empty() {
+            return true;
+        }
+        if start.elapsed() >= limit {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
+
 fn worker_main(stealer: Receiver<Task>, shared: Arc<PoolShared>) {
     let _guard = WorkerGuard(shared);
-    for task in stealer.iter() {
+    loop {
+        poll_ready(&stealer, POLL_BEFORE_PARK);
+        let Ok(task) = stealer.recv() else {
+            break; // the pool is gone (a retired shard's workers leave here)
+        };
         // Containment: a panicking job must not kill the worker (nor
         // reach the detached thread boundary and abort the process).
         let _ = catch_unwind(AssertUnwindSafe(task));
@@ -879,6 +917,7 @@ fn drain_epoch<T: Scalar>(
         match deadline {
             None => {
                 let parked = telemetry::span(Phase::Barrier);
+                poll_ready(done_rx, POLL_BEFORE_PARK);
                 let received_done = done_rx.recv();
                 drop(parked);
                 match received_done {
@@ -898,7 +937,10 @@ fn drain_epoch<T: Scalar>(
                     break;
                 };
                 let parked = telemetry::span(Phase::Barrier);
-                let received_done = done_rx.recv_timeout(remaining);
+                let polled = Instant::now();
+                poll_ready(done_rx, remaining.min(POLL_BEFORE_PARK));
+                let received_done =
+                    done_rx.recv_timeout(remaining.saturating_sub(polled.elapsed()));
                 drop(parked);
                 match received_done {
                     Ok(done) => {
@@ -2172,5 +2214,32 @@ mod tests {
             0,
             "clean retirement must not count as deaths"
         );
+    }
+
+    /// The poll ahead of every park: over at once when a message waits,
+    /// over at its limit when none comes, and it consumes nothing.
+    #[test]
+    fn poll_ready_returns_on_a_message_or_at_its_limit() {
+        let (tx, rx) = channel::unbounded::<u32>();
+        let limit = Duration::from_millis(20);
+        let t0 = Instant::now();
+        assert!(!poll_ready(&rx, limit));
+        assert!(t0.elapsed() >= limit);
+
+        tx.send(7).unwrap();
+        let t0 = Instant::now();
+        assert!(poll_ready(&rx, Duration::from_secs(30)));
+        assert!(t0.elapsed() < Duration::from_secs(30));
+        assert_eq!(rx.try_recv(), Ok(7));
+
+        // a message sent while the poll is under way ends it
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                tx.send(8).unwrap();
+            });
+            assert!(poll_ready(&rx, Duration::from_secs(30)));
+        });
+        assert_eq!(rx.try_recv(), Ok(8));
     }
 }

@@ -573,6 +573,74 @@ fn dispatch_modes_conform_on_ragged_grid_cells() {
     }
 }
 
+/// The race the register kernels' masked store exists to prevent, named.
+///
+/// The pool's threads own disjoint `mc`-row bands of one C. A SIMD
+/// kernel that wrote back a full vector on a ragged `m_eff < mr` tile
+/// would spill into the rows below: with `m = 4·mc + 3` that is the
+/// parent matrix's border under the last band, and with an `mc` that is
+/// not a multiple of `mr` it is the first rows of the *next thread's*
+/// band — a data race, not just a wrong answer. C is a window of a
+/// parent matrix (`ld > rows`) whose border is `-0.0`: the packed
+/// slivers are zero-padded, so a stray lane adds `α·(+0.0)`, which
+/// leaves every value but `-0.0` (and a NaN payload) bit-intact. A stray
+/// lane into the border therefore flips a sign bit deterministically;
+/// one into a neighbour's band shows only as a lost update, which is why
+/// the dense-sliver unit tests in `simd.rs` are the exhaustive check and
+/// this one names the race at the level it would happen.
+#[test]
+fn pooled_ragged_tiles_stay_inside_their_bands_and_inside_c() {
+    const POISON: u64 = 0x8000_0000_0000_0000;
+    const PAD: usize = 8; // one full zmm of rows above and below C
+    let kind = MicroKernelKind::Mk8x6;
+    let base = GemmConfig::default();
+    assert_eq!(base.kernel, kind);
+    let ragged_bands = base.with_blocks(16, kind.mr() + kind.mr() / 2, 2 * kind.nr());
+    for cfg in [base, ragged_bands] {
+        let mc = cfg.blocks.mc;
+        let (m, n, k) = (4 * mc + 3, 2 * kind.nr() + 1, 37);
+        let a = Matrix::random(m, k, 141);
+        let b = Matrix::random(k, n, 142);
+        let c0 = Matrix::random(m, n, 143);
+        let run = |par: Parallelism| {
+            let mut parent = Matrix::from_fn(m + 2 * PAD, n + 2, |i, j| {
+                if (PAD..PAD + m).contains(&i) && (1..=n).contains(&j) {
+                    c0.get(i - PAD, j - 1)
+                } else {
+                    f64::from_bits(POISON)
+                }
+            });
+            try_gemm(
+                Transpose::No,
+                Transpose::No,
+                1.25,
+                &a.view(),
+                &b.view(),
+                -0.5,
+                &mut parent.view_mut().sub_mut(PAD, 1, m, n),
+                &cfg.with_parallelism(par),
+            )
+            .unwrap_or_else(|e| panic!("{par:?} mc={mc}: {e}"));
+            let bits: Vec<u64> = parent.as_slice().iter().map(|x| x.to_bits()).collect();
+            for j in 0..n + 2 {
+                for i in 0..m + 2 * PAD {
+                    let inside = (PAD..PAD + m).contains(&i) && (1..=n).contains(&j);
+                    assert!(
+                        inside || bits[i + j * (m + 2 * PAD)] == POISON,
+                        "{par:?} mc={mc}: parent border written at ({i},{j})"
+                    );
+                }
+            }
+            bits
+        };
+        assert_eq!(
+            run(Parallelism::Pool(4)),
+            run(Parallelism::Serial),
+            "mc={mc} ({m}x{n}x{k}): pooled C differs bitwise from serial"
+        );
+    }
+}
+
 /// The environment-driven configuration (what the CI conformance and
 /// dispatch matrices vary: `DGEMM_NUM_THREADS`, `DGEMM_PACK_CACHE`,
 /// `DGEMM_DISPATCH`) conforms on a shape large enough to engage

@@ -21,6 +21,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+
 fn service_cfg() -> ServiceConfig {
     ServiceConfig {
         gemm: GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1),
@@ -511,13 +513,14 @@ fn sheds_land_in_the_health_journal_with_trace_ids() {
         ..service_cfg()
     });
     // Park the scheduler on a big request so follow-ups provably queue.
+    let n = common::filler_edge();
     let busy = svc
         .submit(
             "filler",
             1.0,
-            Arc::new(Matrix::random(600, 600, 31)),
+            Arc::new(Matrix::random(n, n, 31)),
             Transpose::No,
-            Arc::new(Matrix::random(600, 600, 32)),
+            Arc::new(Matrix::random(n, n, 32)),
         )
         .expect("filler admitted");
     std::thread::sleep(Duration::from_millis(30));

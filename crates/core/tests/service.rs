@@ -18,6 +18,8 @@ use dgemm_core::Transpose;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
+mod common;
+
 fn env_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -59,13 +61,14 @@ fn reference(alpha: f64, a: &Matrix, transb: Transpose, b: &Matrix) -> Matrix {
 /// Start a service and park its scheduler on a deliberately large
 /// serial multiplication, so follow-up submissions provably queue.
 fn occupy(svc: &GemmService) -> dgemm_core::service::Ticket {
-    let a = Arc::new(Matrix::random(600, 600, 901));
-    let b = Arc::new(Matrix::random(600, 600, 902));
+    let n = common::filler_edge();
+    let a = Arc::new(Matrix::random(n, n, 901));
+    let b = Arc::new(Matrix::random(n, n, 902));
     let t = svc
         .submit("busy-filler", 1.0, a, Transpose::No, b)
         .expect("filler admitted");
     // Give the scheduler time to dequeue the filler; it then computes
-    // for tens of milliseconds while the test enqueues behind it.
+    // for a few hundred milliseconds while the test enqueues behind it.
     std::thread::sleep(Duration::from_millis(30));
     t
 }

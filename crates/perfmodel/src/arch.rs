@@ -89,6 +89,32 @@ impl MachineDesc {
         }
     }
 
+    /// The register file of an x86-64 core with AVX2 + FMA: 16 `ymm`
+    /// registers of 32 bytes, two FMA pipes (16 flops/cycle). Only the
+    /// register-level fields describe the x86 core; the cache geometry
+    /// stays the paper's until a probed description exists.
+    #[must_use]
+    pub fn x86_avx2() -> Self {
+        MachineDesc {
+            nf: 16,
+            vreg_bytes: 32,
+            flops_per_cycle: 16.0,
+            ..Self::xgene()
+        }
+    }
+
+    /// As [`MachineDesc::x86_avx2`] for AVX-512F: 32 `zmm` registers of
+    /// 64 bytes, two FMA pipes (32 flops/cycle).
+    #[must_use]
+    pub fn x86_avx512() -> Self {
+        MachineDesc {
+            nf: 32,
+            vreg_bytes: 64,
+            flops_per_cycle: 32.0,
+            ..Self::xgene()
+        }
+    }
+
     /// Peak double-precision Gflops of one core.
     #[must_use]
     pub fn peak_gflops_per_core(&self) -> f64 {

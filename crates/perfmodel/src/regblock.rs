@@ -103,6 +103,64 @@ pub fn optimize_register_block(m: &MachineDesc) -> RegisterBlockChoice {
     best.expect("register file too small for any 2x2 block")
 }
 
+/// The register budget of the *broadcast-B* kernel form used on x86
+/// (`dgemm-core::simd`), beside the by-element form of (9)–(11).
+///
+/// The NEON kernel holds B sub-slivers as vectors and multiplies by one
+/// lane (`fmla v.2d, v.2d, v.d[i]`), so both `mr` and `nr` are lane
+/// multiples and A and B compete for registers. AVX has no by-element
+/// FMA; the kernel instead keeps C as `nr` columns of `mr/lanes` vectors,
+/// loads the A sub-sliver as `mr/lanes` vectors and broadcasts one B
+/// element at a time:
+///
+/// ```text
+/// (mr/lanes)·nr + mr/lanes + 1 ≤ nf,   mr = lanes·i
+/// ```
+///
+/// `nr` is unconstrained by the lane count, and no registers are spent
+/// on double buffering — the out-of-order core renames the A vectors and
+/// the broadcast across iterations.
+#[must_use]
+pub fn broadcast_b_constraints_ok(mr: usize, nr: usize, m: &MachineDesc) -> bool {
+    let lanes = (m.vreg_bytes / m.element_bytes).max(1);
+    let mv = mr / lanes;
+    // accumulators + A vectors + the one broadcast register
+    let demand = mv * nr + mv + 1;
+    mr > 0 && nr > 0 && mr.is_multiple_of(lanes) && demand <= m.nf
+}
+
+/// Maximize γ (equation (8)) under [`broadcast_b_constraints_ok`]; of
+/// equal-γ blocks the one with the smallest `mr` is kept. `nrf` is 0:
+/// this form rotates no registers.
+///
+/// ```
+/// use perfmodel::{regblock::optimize_broadcast_b_block, MachineDesc};
+/// let best = optimize_broadcast_b_block(&MachineDesc::x86_avx2());
+/// assert_eq!((best.mr, best.nr), (8, 6)); // the paper's tile, on 16 ymm
+/// ```
+#[must_use]
+pub fn optimize_broadcast_b_block(m: &MachineDesc) -> RegisterBlockChoice {
+    let lanes = (m.vreg_bytes / m.element_bytes).max(1);
+    let mut best: Option<RegisterBlockChoice> = None;
+    for mr in (lanes..=lanes * m.nf).step_by(lanes) {
+        for nr in 1..=m.nf {
+            if !broadcast_b_constraints_ok(mr, nr, m) {
+                continue;
+            }
+            let gamma = gamma_register(mr, nr);
+            if best.is_none_or(|b| gamma > b.gamma + 1e-12) {
+                best = Some(RegisterBlockChoice {
+                    mr,
+                    nr,
+                    nrf: 0,
+                    gamma,
+                });
+            }
+        }
+    }
+    best.expect("register file too small for a one-vector column")
+}
+
 /// One point of the Figure 5 surface.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SurfacePoint {
@@ -250,6 +308,39 @@ mod tests {
         // odd-lane blocks rejected
         assert!(!register_constraints_ok(10, 8, 0, &m));
         assert!(!register_constraints_ok(12, 6, 0, &m));
+    }
+
+    #[test]
+    fn broadcast_b_argmax_on_avx2_is_the_papers_tile() {
+        // 16 ymm x 4 lanes: (mr/4)·(nr+1) ≤ 15 admits 4x14 (γ 6.22),
+        // 8x6 (γ 6.857) and 12x4 (γ 6.0) — the paper's 8x6 survives the
+        // move to x86, which is why no packed layout had to change.
+        let m = MachineDesc::x86_avx2();
+        let c = optimize_broadcast_b_block(&m);
+        assert_eq!((c.mr, c.nr), (8, 6));
+        assert!((c.gamma - 48.0 / 7.0).abs() < 1e-12);
+        // 2·6 accumulators + 2 A vectors + 1 broadcast = 15 of 16.
+        assert!(broadcast_b_constraints_ok(8, 6, &m));
+        assert!(!broadcast_b_constraints_ok(8, 7, &m));
+        assert!(!broadcast_b_constraints_ok(12, 5, &m));
+        // nr need not be a lane multiple; mr must be.
+        assert!(broadcast_b_constraints_ok(4, 5, &m));
+        assert!(!broadcast_b_constraints_ok(6, 4, &m));
+    }
+
+    #[test]
+    fn broadcast_b_argmax_on_avx512_is_the_follow_up_tile() {
+        // 32 zmm x 8 lanes: (mr/8)·(nr+1) ≤ 31 peaks at 16x14, γ = 14.93.
+        // This is the *follow-up* tile, not wired into any config: a new
+        // default shape changes every packed layout and store blob and
+        // wants the probed blocking first. Today's AVX-512 kernels run
+        // the 8x6 shape in 1 zmm x 6 (7 of 32 registers).
+        let m = MachineDesc::x86_avx512();
+        let c = optimize_broadcast_b_block(&m);
+        assert_eq!((c.mr, c.nr), (16, 14));
+        assert!((c.gamma - 14.933).abs() < 1e-3);
+        assert!(broadcast_b_constraints_ok(8, 6, &m));
+        assert!(!broadcast_b_constraints_ok(16, 15, &m));
     }
 
     #[test]
