@@ -69,19 +69,23 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
     let _span = crate::telemetry::span(crate::telemetry::Phase::Compute);
     crate::telemetry::count_block(2 * (mc as u64) * (cols as u64) * (kc as u64));
 
+    let slivers = packed_a.slivers();
+    let group = kind.row_group().max(1);
     // layer 5 (GEBS): over the cell's kc×nr slivers of B
     for jt in 0..cols.div_ceil(nr.max(1)) {
         let j0 = jt * nr;
         let n_eff = nr.min(cols - j0);
         let b_sliver = packed_b.sliver(s0 + jt);
-        // layer 6 (GESS): over mr×kc slivers of A
-        for it in 0..packed_a.slivers() {
+        // layer 6 (GESS): over mr×kc slivers of A, a row group at a time
+        // (the tail of the block gets the slivers that are left)
+        for it in (0..slivers).step_by(group) {
             let i0 = it * mr;
-            let m_eff = mr.min(mc - i0);
-            let a_sliver = packed_a.sliver(it);
+            let in_group = group.min(slivers - it);
+            let m_eff = (in_group * mr).min(mc - i0);
+            let a_group = packed_a.sliver_group(it, in_group);
             let mut tile = c.sub_tile(i0, j0, m_eff, n_eff);
             // layer 7: the register kernel
-            kind.run(kc, a_sliver, b_sliver, alpha, &mut tile, m_eff, n_eff);
+            kind.run_group(kc, a_group, b_sliver, alpha, &mut tile, m_eff, n_eff);
         }
     }
 }
@@ -206,6 +210,52 @@ mod tests {
                 "{} mc={mc} nc={nc}: sliver ranges diverge from full GEBP",
                 kind.label()
             );
+        }
+    }
+
+    #[test]
+    fn row_groups_match_single_sliver_kernel_calls_bitwise() {
+        // GESS hands the kernel up to row_group() slivers at a time; the
+        // result must be the bits of one `run` per (A sliver, B sliver)
+        // pair. 56 = a full group + a tail group (4 + 3 on AVX-512), 53
+        // adds a ragged last sliver, 9 is a group of 2 with one row in
+        // its second sliver, 33 a full group + one single-row sliver.
+        for kind in MicroKernelKind::ALL {
+            let (mr, nr) = (kind.mr(), kind.nr());
+            let (kc, nc) = (37, 3 * nr - 1);
+            for mc in [56, 53, 9, 33] {
+                let a = Matrix::random(mc, kc, 21);
+                let b = Matrix::random(kc, nc, 22);
+                let mut pa = PackedA::new(mr);
+                pa.pack(&a.view(), Transpose::No, 0, 0, mc, kc);
+                let mut pb = PackedB::new(nr);
+                pb.pack(&b.view(), Transpose::No, 0, 0, kc, nc);
+
+                let c0 = Matrix::random(mc, nc, 23);
+                let mut grouped = c0.clone();
+                let mut single = c0.clone();
+                {
+                    let mut tile = TileMut::from_slice(mc, nc, mc, grouped.as_mut_slice());
+                    gebp(kind, -1.5, &pa, &pb, &mut tile);
+                }
+                let mut tile = TileMut::from_slice(mc, nc, mc, single.as_mut_slice());
+                for jt in 0..pb.slivers() {
+                    let n_eff = nr.min(nc - jt * nr);
+                    for it in 0..pa.slivers() {
+                        let m_eff = mr.min(mc - it * mr);
+                        let mut sub = tile.sub_tile(it * mr, jt * nr, m_eff, n_eff);
+                        let (a, b) = (pa.sliver(it), pb.sliver(jt));
+                        kind.run(kc, a, b, -1.5, &mut sub, m_eff, n_eff);
+                    }
+                }
+                assert_eq!(
+                    grouped.max_abs_diff(&single),
+                    0.0,
+                    "{} mc={mc}: row group of {} diverges from single slivers",
+                    kind.label(),
+                    kind.row_group()
+                );
+            }
         }
     }
 

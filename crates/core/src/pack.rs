@@ -20,6 +20,46 @@ use crate::scalar::Scalar;
 use crate::{GemmError, Transpose};
 use std::sync::{Mutex, PoisonError};
 
+/// The fallible half of `try_pack`: one `faults::fail_alloc()` draw per
+/// call, then capacity for `needed` elements. The contents are kept (the
+/// pack that follows overwrites them; zero-filling 2 MiB per skinny call
+/// first cost more than the pack's own writes) unless this fails, which
+/// leaves the buffer empty.
+fn try_grow<T: Scalar>(
+    buf: &mut Vec<T>,
+    needed: usize,
+    what: &'static str,
+) -> Result<(), GemmError> {
+    let additional = needed.saturating_sub(buf.len());
+    if crate::faults::fail_alloc() || buf.try_reserve(additional).is_err() {
+        buf.clear();
+        return Err(GemmError::AllocFailure { what });
+    }
+    Ok(())
+}
+
+/// Columns `c0..c0 + N` of a row-major `kc×nr` B sliver from the `N`
+/// source columns `src(0..N)`, each of length `kc`, the sliver's row
+/// outermost: the sources are read as `N` concurrent streams and the
+/// sliver is written in order.
+fn interleave<'a, T: Scalar, const N: usize>(
+    sliver: &mut [T],
+    nr: usize,
+    c0: usize,
+    src: impl Fn(usize) -> &'a [T],
+) {
+    let srcs: [&[T]; N] = core::array::from_fn(src);
+    for (k, row) in sliver.chunks_exact_mut(nr).enumerate() {
+        for (dst, src) in row[c0..c0 + N].iter_mut().zip(&srcs) {
+            *dst = src[k];
+        }
+    }
+}
+
+/// Most source columns [`interleave`] is instantiated for; wider slivers
+/// take several passes of this many streams.
+const MAX_STREAMS: usize = 8;
+
 /// A packed `mc×kc` block of A in `mr`-sliver layout.
 #[derive(Clone, Debug)]
 pub struct PackedA<T: Scalar = f64> {
@@ -60,7 +100,8 @@ impl<T: Scalar> PackedA<T> {
         self.mc = mc;
         self.kc = kc;
         let slivers = mc.div_ceil(mr);
-        self.buf.clear();
+        // every element below is written, padding included, so only a
+        // length change touches the buffer here
         self.buf.resize(slivers * mr * kc, T::ZERO);
         crate::telemetry::add_packed_a_bytes((self.buf.len() * core::mem::size_of::<T>()) as u64);
         for s in 0..slivers {
@@ -85,7 +126,6 @@ impl<T: Scalar> PackedA<T> {
                     }
                 }
             }
-            // padding rows are already zero from resize
             if rows < mr {
                 for k in 0..kc {
                     for r in rows..mr {
@@ -110,10 +150,7 @@ impl<T: Scalar> PackedA<T> {
         kc: usize,
     ) -> Result<(), GemmError> {
         let needed = mc.div_ceil(self.mr) * self.mr * kc;
-        self.buf.clear();
-        if crate::faults::fail_alloc() || self.buf.try_reserve(needed).is_err() {
-            return Err(GemmError::AllocFailure { what: "packed A" });
-        }
+        try_grow(&mut self.buf, needed, "packed A")?;
         // capacity is in hand: the resize inside `pack` cannot allocate
         self.pack(a, trans, i0, k0, mc, kc);
         Ok(())
@@ -139,6 +176,14 @@ impl<T: Scalar> PackedA<T> {
     #[must_use]
     pub fn sliver(&self, s: usize) -> &[T] {
         &self.buf[s * self.mr * self.kc..(s + 1) * self.mr * self.kc]
+    }
+
+    /// `n` adjacent slivers starting at sliver `s`: they sit back to
+    /// back, which is what lets a register kernel take a row group of
+    /// them as one taller tile ([`crate::microkernel::KernelSet::run_group`]).
+    #[must_use]
+    pub fn sliver_group(&self, s: usize, n: usize) -> &[T] {
+        &self.buf[s * self.mr * self.kc..(s + n) * self.mr * self.kc]
     }
 
     /// Number of slivers (`⌈mc/mr⌉`).
@@ -231,7 +276,8 @@ impl<T: Scalar> PackedB<T> {
         self.kc = kc;
         self.nc = nc;
         let slivers = nc.div_ceil(nr);
-        self.buf.clear();
+        // every element below is written, padding included, so only a
+        // length change touches the buffer here
         self.buf.resize(slivers * nr * kc, T::ZERO);
         crate::telemetry::add_packed_b_bytes((self.buf.len() * core::mem::size_of::<T>()) as u64);
         if kc == 0 || slivers == 0 {
@@ -243,11 +289,19 @@ impl<T: Scalar> PackedB<T> {
             let cols = nr.min(nc - col_base);
             match trans {
                 Transpose::No => {
-                    // op(B)(k, j) = B(k, j): row-of-sliver gather
-                    for c in 0..cols {
-                        let src = b.col(j0 + col_base + c);
-                        for k in 0..kc {
-                            sliver[k * nr + c] = src[k0 + k];
+                    // op(B)(k, j) = B(k, j): row-of-sliver gather, up to
+                    // MAX_STREAMS source columns at a time
+                    for c0 in (0..cols).step_by(MAX_STREAMS) {
+                        let src = |c: usize| &b.col(j0 + col_base + c0 + c)[k0..k0 + kc];
+                        match (cols - c0).min(MAX_STREAMS) {
+                            1 => interleave::<T, 1>(sliver, nr, c0, src),
+                            2 => interleave::<T, 2>(sliver, nr, c0, src),
+                            3 => interleave::<T, 3>(sliver, nr, c0, src),
+                            4 => interleave::<T, 4>(sliver, nr, c0, src),
+                            5 => interleave::<T, 5>(sliver, nr, c0, src),
+                            6 => interleave::<T, 6>(sliver, nr, c0, src),
+                            7 => interleave::<T, 7>(sliver, nr, c0, src),
+                            _ => interleave::<T, 8>(sliver, nr, c0, src),
                         }
                     }
                 }
@@ -258,6 +312,12 @@ impl<T: Scalar> PackedB<T> {
                         let dst = &mut sliver[k * nr..k * nr + cols];
                         dst.copy_from_slice(&src[j0 + col_base..j0 + col_base + cols]);
                     }
+                }
+            }
+            // the ragged sliver's padding columns
+            if cols < nr {
+                for row in sliver.chunks_exact_mut(nr) {
+                    row[cols..].fill(T::ZERO);
                 }
             }
         };
@@ -327,10 +387,7 @@ impl<T: Scalar> PackedB<T> {
         nc: usize,
     ) -> Result<(), GemmError> {
         let needed = nc.div_ceil(self.nr) * self.nr * kc;
-        self.buf.clear();
-        if crate::faults::fail_alloc() || self.buf.try_reserve(needed).is_err() {
-            return Err(GemmError::AllocFailure { what: "packed B" });
-        }
+        try_grow(&mut self.buf, needed, "packed B")?;
         self.pack(b, trans, k0, j0, kc, nc);
         Ok(())
     }
@@ -497,6 +554,65 @@ mod tests {
         assert_eq!(p.buf().len(), 32 * 16);
         p.pack(&a.view(), Transpose::No, 0, 0, 64, 64);
         assert_eq!(p.buf(), &first[..]);
+    }
+
+    #[test]
+    fn repacking_over_stale_contents_rewrites_the_padding() {
+        // A pack of unchanged padded length touches no element it does
+        // not write, so the ragged sliver's padding must be written, not
+        // inherited: fill the buffer with a full pack, then pack a ragged
+        // shape of the same padded length over it.
+        let m: Matrix = Matrix::from_fn(20, 20, |i, j| 1.0 + (i * 20 + j) as f64);
+        for trans in [Transpose::No, Transpose::Yes] {
+            let mut b = PackedB::new(6);
+            b.pack(&m.view(), trans, 1, 2, 5, 12);
+            b.pack(&m.view(), trans, 1, 2, 5, 8); // 2 slivers, 4 padding columns
+            let mut fresh = PackedB::new(6);
+            fresh.pack(&m.view(), trans, 1, 2, 5, 8);
+            assert_eq!(b.buf(), fresh.buf(), "B {trans:?}");
+            assert_eq!(b.sliver(1)[2..6], [0.0; 4]);
+
+            let mut a = PackedA::new(8);
+            a.pack(&m.view(), trans, 2, 1, 16, 5);
+            a.pack(&m.view(), trans, 2, 1, 11, 5); // 2 slivers, 5 padding rows
+            let mut fresh = PackedA::new(8);
+            fresh.pack(&m.view(), trans, 2, 1, 11, 5);
+            assert_eq!(a.buf(), fresh.buf(), "A {trans:?}");
+            assert_eq!(a.sliver(1)[3..8], [0.0; 5]);
+        }
+    }
+
+    #[test]
+    fn wide_slivers_interleave_in_several_passes() {
+        // nr above MAX_STREAMS: two passes over the sliver, then padding
+        let b = Matrix::from_fn(3, 20, |k, j| (k * 100 + j) as f64);
+        let mut p = PackedB::new(11);
+        p.pack(&b.view(), Transpose::No, 0, 0, 3, 20);
+        for k in 0..3 {
+            for j in 0..22 {
+                let want = if j < 20 { (k * 100 + j) as f64 } else { 0.0 };
+                assert_eq!(p.sliver(j / 11)[k * 11 + j % 11], want, "({k}, {j})");
+            }
+        }
+    }
+
+    #[test]
+    fn try_pack_keeps_its_contract_without_the_prefill() {
+        let m: Matrix = Matrix::random(16, 16, 9);
+        let (mut a, mut b) = (PackedA::new(8), PackedB::new(6));
+        a.try_pack(&m.view(), Transpose::No, 0, 0, 16, 16).unwrap();
+        b.try_pack(&m.view(), Transpose::No, 0, 0, 16, 16).unwrap();
+        let (mut fa, mut fb) = (PackedA::new(8), PackedB::new(6));
+        fa.pack(&m.view(), Transpose::No, 0, 0, 11, 7);
+        fb.pack(&m.view(), Transpose::No, 0, 0, 7, 11);
+        // smaller, ragged, over the old contents: as a fresh pack
+        a.try_pack(&m.view(), Transpose::No, 0, 0, 11, 7).unwrap();
+        b.try_pack(&m.view(), Transpose::No, 0, 0, 7, 11).unwrap();
+        assert_eq!((a.buf(), b.buf()), (fa.buf(), fb.buf()));
+        // an impossible request leaves the buffer empty, not stale
+        let huge = usize::MAX / 16;
+        assert!(try_grow(&mut a.buf, huge, "packed A").is_err());
+        assert!(a.buf().is_empty());
     }
 
     #[test]

@@ -308,11 +308,16 @@ struct WorkerGuard(Arc<PoolShared>);
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        self.0.alive.fetch_sub(1, Ordering::AcqRel);
+        // The death before the vacancy: `ensure_workers` acquires `alive`
+        // and only then compares deaths with respawns, so a health check
+        // that sees the free slot also sees why it is free. The other
+        // order let a caller whose next epoch started inside the gap
+        // refill the slot without counting a respawn.
         if !self.0.retired.load(Ordering::Acquire) {
             self.0.deaths.fetch_add(1, Ordering::Relaxed);
             RT.deaths.fetch_add(1, Ordering::Relaxed);
         }
+        self.0.alive.fetch_sub(1, Ordering::AcqRel);
     }
 }
 

@@ -655,8 +655,20 @@ pub fn snapshot() -> Snapshot {
 /// `pool::status()` reports totals since process start. Call before a
 /// measured region; pair with [`snapshot`] after it.
 pub fn reset() {
+    #[cfg(test)]
+    let _gate = reset_gate();
     record::reset_slots();
     cache_reset();
+}
+
+/// The unit tests share one process and these counters: a test that
+/// reads back what it just recorded holds this gate while it does, and
+/// so does [`reset`], so no sibling's reset lands in between.
+#[cfg(test)]
+pub(crate) fn reset_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------
@@ -1006,7 +1018,8 @@ mod record {
         fn ring_overwrites_oldest() {
             // More spans than RING_LEN on one thread: the ring holds the
             // newest RING_LEN, totals hold everything.
-            super::super::reset();
+            let _gate = super::super::reset_gate();
+            reset_slots();
             for _ in 0..RING_LEN + 64 {
                 drop(span(Phase::Compute));
             }
@@ -1021,6 +1034,7 @@ mod record {
 
         #[test]
         fn spans_carry_context() {
+            let _gate = super::super::reset_gate();
             set_gepp(7);
             set_cell(112, 48);
             drop(span(Phase::PackA));

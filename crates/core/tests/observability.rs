@@ -458,9 +458,13 @@ fn trace_chain_covers_the_ticket_lifecycle() {
         return; // `trace` feature off / DGEMM_TRACE=off: ring is empty.
     }
     let svc = GemmService::new(service_cfg());
-    // Large enough that compute dominates the bridged span accounting.
-    let a = Arc::new(Matrix::random(200, 200, 7));
-    let b = Arc::new(Matrix::random(200, 200, 8));
+    // Large enough that compute dominates the bridged span accounting
+    // on whatever kernel runs: an eighth of the filler's work, tens of
+    // milliseconds against the tens of microseconds between the spans
+    // (a literal 200³ is 0.3 ms on the row-grouped AVX-512 kernel).
+    let n = common::filler_edge() / 2;
+    let a = Arc::new(Matrix::random(n, n, 7));
+    let b = Arc::new(Matrix::random(n, n, 8));
     let t = svc
         .submit("traced", 1.0, a, Transpose::No, b)
         .expect("admitted");

@@ -161,6 +161,41 @@ pub fn optimize_broadcast_b_block(m: &MachineDesc) -> RegisterBlockChoice {
     best.expect("register file too small for a one-vector column")
 }
 
+/// The tallest register tile a broadcast-B kernel can build from whole
+/// `mr×kc` slivers of the *existing* packed-A layout: the largest `g`
+/// for which `g` adjacent slivers against one B sliver — a `(g·mr)×nr`
+/// accumulator — still satisfy [`broadcast_b_constraints_ok`]. `mr` and
+/// `nr` of the result are those of the grouped tile, `gamma` its ratio;
+/// `None` when not even one sliver fits.
+///
+/// This is how `dgemm-core::simd` fills a register file wider than the
+/// one the packed shape was derived for without changing the shape:
+///
+/// ```
+/// use perfmodel::{regblock::max_row_group, MachineDesc};
+/// let (g, tile) = max_row_group(8, 6, &MachineDesc::x86_avx512()).unwrap();
+/// assert_eq!((g, tile.mr, tile.nr), (4, 32, 6)); // 24 + 4 + 1 = 29 of 32 zmm
+/// assert_eq!(max_row_group(8, 6, &MachineDesc::x86_avx2()).unwrap().0, 1);
+/// ```
+#[must_use]
+pub fn max_row_group(
+    mr: usize,
+    nr: usize,
+    m: &MachineDesc,
+) -> Option<(usize, RegisterBlockChoice)> {
+    // demand grows with g, so the feasible set is a prefix of 1..=nf
+    let g = (1..=m.nf)
+        .take_while(|&g| broadcast_b_constraints_ok(g * mr, nr, m))
+        .last()?;
+    let tile = RegisterBlockChoice {
+        mr: g * mr,
+        nr,
+        nrf: 0,
+        gamma: gamma_register(g * mr, nr),
+    };
+    Some((g, tile))
+}
+
 /// One point of the Figure 5 surface.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SurfacePoint {
@@ -333,14 +368,41 @@ mod tests {
         // 32 zmm x 8 lanes: (mr/8)·(nr+1) ≤ 31 peaks at 16x14, γ = 14.93.
         // This is the *follow-up* tile, not wired into any config: a new
         // default shape changes every packed layout and store blob and
-        // wants the probed blocking first. Today's AVX-512 kernels run
-        // the 8x6 shape in 1 zmm x 6 (7 of 32 registers).
+        // wants the probed blocking first. The AVX-512 kernels instead
+        // run the packed 8x6 shape four slivers at a time (32x6, 29 of
+        // 32 registers, γ = 10.1): see `max_row_group`.
         let m = MachineDesc::x86_avx512();
         let c = optimize_broadcast_b_block(&m);
         assert_eq!((c.mr, c.nr), (16, 14));
         assert!((c.gamma - 14.933).abs() < 1e-3);
         assert!(broadcast_b_constraints_ok(8, 6, &m));
         assert!(!broadcast_b_constraints_ok(16, 15, &m));
+    }
+
+    #[test]
+    fn row_group_fills_the_register_file_from_whole_slivers() {
+        let (avx512, avx2) = (MachineDesc::x86_avx512(), MachineDesc::x86_avx2());
+        // 8x6 on 32 zmm: g·6 + g + 1 ≤ 32 gives g = 4, a 32x6 tile.
+        let (g, tile) = max_row_group(8, 6, &avx512).unwrap();
+        assert_eq!((g, tile.mr, tile.nr, tile.nrf), (4, 32, 6, 0));
+        assert!((tile.gamma - 10.105).abs() < 1e-3);
+        assert!(broadcast_b_constraints_ok(32, 6, &avx512));
+        assert!(!broadcast_b_constraints_ok(40, 6, &avx512));
+        // 8x4: g·4 + g + 1 ≤ 32 gives g = 6 (48x4, 31 registers).
+        let (g, tile) = max_row_group(8, 4, &avx512).unwrap();
+        assert_eq!((g, tile.mr), (6, 48));
+        // 16 ymm: 8x6 already takes 15, 8x4 takes 11 and a second sliver
+        // would take 21; only the one-vector 4x4 column has room (12x4).
+        assert_eq!(max_row_group(8, 6, &avx2).unwrap().0, 1);
+        assert_eq!(max_row_group(8, 4, &avx2).unwrap().0, 1);
+        assert_eq!(max_row_group(4, 4, &avx2).unwrap().0, 3);
+        // a sliver that is not a whole number of vectors has no group,
+        // nor has one whose single column overflows the file
+        assert!(max_row_group(5, 5, &avx2).is_none());
+        assert!(max_row_group(8, 16, &avx2).is_none());
+        // the group never beats the unconstrained argmax of the same form
+        let best = optimize_broadcast_b_block(&avx512);
+        assert!(max_row_group(8, 6, &avx512).unwrap().1.gamma < best.gamma);
     }
 
     #[test]
