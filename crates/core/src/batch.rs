@@ -120,6 +120,7 @@ pub(crate) fn gemm_batch_with_cache(
             cfg.kernel.nr(),
             cfg.kernel.flops_per_cycle(),
             cfg.parallelism.degree(),
+            transb,
             prepacked.is_some(),
         )),
     };

@@ -32,6 +32,7 @@
 
 use crate::pool::Parallelism;
 use crate::telemetry::RT;
+use crate::Transpose;
 use perfmodel::cacheblock::BlockSizes;
 use perfmodel::model::{pooled_time_bound, time_bound, MachineCosts, OverlapFactor, PoolOverheads};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,7 +224,9 @@ pub fn last_decision() -> Option<DispatchDecision> {
 /// runtime can repair that. `degree` is the configured parallel degree
 /// ([`Parallelism::degree`]), `cached` whether a
 /// [`crate::prepack::PrepackedB`] will serve B (its pack traffic then
-/// costs nothing per call). Must not be called with
+/// costs nothing per call); `transb` and `cached` also tell whether the
+/// serial walk packs B at all ([`crate::gemm::packs_b`]). Must not be
+/// called with
 /// [`DispatchMode::Fixed`] — Fixed means "no decision".
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide(
@@ -236,6 +239,7 @@ pub(crate) fn decide(
     nr: usize,
     flops_per_cycle: f64,
     degree: usize,
+    transb: Transpose,
     cached: bool,
 ) -> DispatchDecision {
     decide_calibrated(
@@ -249,6 +253,7 @@ pub(crate) fn decide(
         nr,
         flops_per_cycle,
         degree,
+        transb,
         cached,
     )
 }
@@ -268,6 +273,7 @@ fn decide_calibrated(
     nr: usize,
     flops_per_cycle: f64,
     degree: usize,
+    transb: Transpose,
     cached: bool,
 ) -> DispatchDecision {
     debug_assert!(mode != DispatchMode::Fixed, "Fixed means no dispatch");
@@ -289,19 +295,26 @@ fn decide_calibrated(
     // Model inputs, in the units of perfmodel::model (flops, words,
     // cycles). A repacks once per jj panel (and once per column chunk
     // on the grid — each cell owns its packed-A copy); B packs once
-    // per epoch unless cached; the pool additionally stages C in/out.
+    // per epoch unless cached — and, on the serial walk, unless a single
+    // GEBP per panel leaves the pack nothing to be amortized over; the
+    // pool additionally stages C in/out.
     let jj_panels = n.div_ceil(nc);
     let epochs = jj_panels * k.div_ceil(kc);
     let f = 2.0 * (m * n * k * batch) as f64;
     let w_a = (m * k * jj_panels * batch) as f64;
     let w_b = if cached { 0.0 } else { (k * n) as f64 };
+    let w_b_serial = if crate::gemm::packs_b(m_tasks, transb, cached) {
+        w_b
+    } else {
+        0.0
+    };
     let costs = MachineCosts {
         mu: 1.0 / flops_per_cycle,
         ..MachineCosts::xgene_cycles()
     };
     let psi = OverlapFactor::Rational { c: 0.4 };
     let overheads = PoolOverheads::xgene_cycles();
-    let serial_cycles = time_bound(f, w_a + w_b, &costs, &psi);
+    let serial_cycles = time_bound(f, w_a + w_b_serial, &costs, &psi);
     let w_caller = w_a * n_split as f64 + w_b + 2.0 * (m * n * batch) as f64;
     let pool_cycles = pooled_time_bound(
         f,
@@ -423,7 +436,8 @@ mod tests {
         degree: usize,
         cached: bool,
     ) -> DispatchDecision {
-        super::decide(mode, m, n, k, batch, blocks, nr, 2.0, degree, cached)
+        let tb = Transpose::No;
+        super::decide(mode, m, n, k, batch, blocks, nr, 2.0, degree, tb, cached)
     }
 
     #[test]
@@ -447,6 +461,7 @@ mod tests {
                 6,
                 fpc,
                 2,
+                Transpose::No,
                 false,
             )
         };
@@ -467,6 +482,74 @@ mod tests {
             Parallelism::Pool(2)
         );
         assert_eq!(at(crate::simd::Isa::Avx512, 8).runtime, Parallelism::Serial);
+    }
+
+    #[test]
+    fn a_single_block_serial_plan_carries_no_pack_b_term() {
+        // The serial walk reads B in place when one GEBP per panel would
+        // be all that used the packed copy (gemm::packs_b), so its
+        // prediction must lose exactly the words of that pack: what is
+        // left is eq. (4) over the pack-A words alone, which is also what
+        // a cached B is charged. A transposed B and a second mc block
+        // keep the pack and its term; the pooled plan packs always.
+        let b = blocks(512, 56, 1920);
+        let at = |m: usize, transb: Transpose, cached: bool| {
+            let mode = DispatchMode::Auto;
+            decide_calibrated(
+                (1.0, 1.0),
+                mode,
+                m,
+                512,
+                512,
+                1,
+                &b,
+                6,
+                32.0,
+                2,
+                transb,
+                cached,
+            )
+        };
+        let model_ms = |m: usize, words: usize| {
+            let costs = MachineCosts {
+                mu: 1.0 / 32.0,
+                ..MachineCosts::xgene_cycles()
+            };
+            let f = 2.0 * (m * 512 * 512) as f64;
+            let psi = OverlapFactor::Rational { c: 0.4 };
+            cycles_to_ms(time_bound(f, words as f64, &costs, &psi))
+        };
+        let (w_a, w_b) = (8 * 512, 512 * 512);
+        let skinny = at(8, Transpose::No, false);
+        assert_eq!(skinny.predicted_serial_ms, model_ms(8, w_a));
+        assert_eq!(
+            at(8, Transpose::Yes, false).predicted_serial_ms,
+            model_ms(8, w_a + w_b)
+        );
+        assert_eq!(
+            skinny.predicted_serial_ms,
+            at(8, Transpose::No, true).predicted_serial_ms
+        );
+        assert_eq!(
+            skinny.predicted_pool_ms,
+            at(8, Transpose::Yes, false).predicted_pool_ms
+        );
+        assert_eq!(
+            at(56, Transpose::No, false).predicted_serial_ms,
+            model_ms(56, 56 * 512)
+        );
+        // 512^3 has ten blocks per panel: unchanged, either transpose.
+        for transb in [Transpose::No, Transpose::Yes] {
+            let square = at(512, transb, false);
+            assert_eq!(square.predicted_serial_ms, model_ms(512, 512 * 512 + w_b));
+            assert!(square.predicted_serial_ms > at(512, transb, true).predicted_serial_ms);
+        }
+        // a batch of single-block entries shares the packed panel
+        let mode = DispatchMode::Auto;
+        let tb = Transpose::No;
+        let pair = decide_calibrated((1.0, 1.0), mode, 8, 512, 512, 2, &b, 6, 32.0, 2, tb, false);
+        let alone = decide_calibrated((1.0, 1.0), mode, 8, 512, 512, 2, &b, 6, 32.0, 2, tb, true);
+        assert!(pair.predicted_serial_ms > alone.predicted_serial_ms);
     }
 
     #[test]

@@ -1,35 +1,147 @@
 //! Layers 4–6 of Figure 2: GEBP, decomposed into GEBS (loop over B
 //! slivers) and GESS (loop over A slivers, i.e. the BLIS micro-kernel
-//! loop), operating entirely on packed data.
+//! loop).
 //!
 //! One GEBP call multiplies an `mc×kc` packed block of A with a `kc×nc`
-//! packed panel of B and accumulates `α·A·B` into an `mc×nc` tile of C.
+//! panel of B and accumulates `α·A·B` into an `mc×nc` tile of C. The
+//! panel is a [`BPanel`]: a [`PackedB`], or — when no second GEBP would
+//! reuse the packed copy (DESIGN.md, "When B is packed") — a [`BWindow`]
+//! on the caller's own matrix, which the same register kernels read
+//! through its strides.
 
 #![forbid(unsafe_code)]
 
-use crate::microkernel::KernelSet;
+use crate::matrix::MatrixView;
+use crate::microkernel::{BLayout, KernelSet};
 use crate::pack::{PackedA, PackedB};
 use crate::scalar::Scalar;
 use crate::tile::TileMut;
+use crate::Transpose;
 
-/// GEBP (layer 4): `C_tile += α · packed_a · packed_b` — generic over
-/// the scalar type and kernel family.
+/// A `kc×nc` panel of `op(B)` as GEBP consumes it: `⌈nc/nr⌉` slivers of
+/// `nr` columns (the last one possibly narrower), each handed to a
+/// register kernel as a slice plus the strides that address it.
+pub trait BPanel<T: Scalar> {
+    /// Depth of the panel.
+    fn kc(&self) -> usize;
+    /// Unpadded columns of the panel.
+    fn nc(&self) -> usize;
+    /// Sliver width.
+    fn nr(&self) -> usize;
+    /// How a kernel addresses one sliver.
+    fn layout(&self) -> BLayout;
+    /// Sliver `s`, starting at its element `(0, 0)`.
+    fn sliver(&self, s: usize) -> &[T];
+}
+
+impl<T: Scalar> BPanel<T> for PackedB<T> {
+    fn kc(&self) -> usize {
+        PackedB::kc(self)
+    }
+    fn nc(&self) -> usize {
+        PackedB::nc(self)
+    }
+    fn nr(&self) -> usize {
+        PackedB::nr(self)
+    }
+    fn layout(&self) -> BLayout {
+        BLayout::Packed
+    }
+    fn sliver(&self, s: usize) -> &[T] {
+        PackedB::sliver(self, s)
+    }
+}
+
+/// Rows `k0..k0+kc`, columns `j0..j0+nc` of `op(b)`, read where the
+/// caller stored them.
+#[derive(Clone, Copy, Debug)]
+pub struct BWindow<'a, T: Scalar = f64> {
+    /// From element `(k0, j0)` of `op(b)` to the end of the view's slice.
+    data: &'a [T],
+    ks: usize,
+    cs: usize,
+    kc: usize,
+    nc: usize,
+    nr: usize,
+}
+
+impl<'a, T: Scalar> BWindow<'a, T> {
+    /// The window, cut into slivers of `nr` columns. Panics unless it
+    /// lies inside `op(b)`.
+    #[must_use]
+    pub fn new(
+        b: &MatrixView<'a, T>,
+        trans: Transpose,
+        k0: usize,
+        j0: usize,
+        kc: usize,
+        nc: usize,
+        nr: usize,
+    ) -> Self {
+        let (k, n) = trans.apply_dims(b.rows(), b.cols());
+        assert!(
+            k0 <= k && kc <= k - k0 && j0 <= n && nc <= n - j0,
+            "B window outside op(B)"
+        );
+        assert!(nr > 0, "sliver width must be positive");
+        // op(B)(k, j) is B(k, j) or B(j, k), at `row + col·ld`
+        let (ks, cs) = match trans {
+            Transpose::No => (1, b.ld()),
+            Transpose::Yes => (b.ld(), 1),
+        };
+        // (an empty window may start past the last element: clamp)
+        let start = (k0 * ks + j0 * cs).min(b.data().len());
+        BWindow {
+            data: &b.data()[start..],
+            ks,
+            cs,
+            kc,
+            nc,
+            nr,
+        }
+    }
+}
+
+impl<T: Scalar> BPanel<T> for BWindow<'_, T> {
+    fn kc(&self) -> usize {
+        self.kc
+    }
+    fn nc(&self) -> usize {
+        self.nc
+    }
+    fn nr(&self) -> usize {
+        self.nr
+    }
+    fn layout(&self) -> BLayout {
+        BLayout::Strided {
+            ks: self.ks,
+            cs: self.cs,
+        }
+    }
+    fn sliver(&self, s: usize) -> &[T] {
+        assert!(s * self.nr < self.nc, "sliver index out of range");
+        &self.data[s * self.nr * self.cs..]
+    }
+}
+
+/// GEBP (layer 4): `C_tile += α · packed_a · b` — generic over the scalar
+/// type, the kernel family and where the B panel lives.
 ///
-/// The tile must be `packed_a.mc() × packed_b.nc()`; the packed operands
-/// must share the same `kc`.
+/// The tile must be `packed_a.mc() × b.nc()`; the operands must share the
+/// same `kc`.
 pub fn gebp<T: Scalar, K: KernelSet<T>>(
     kind: K,
     alpha: T,
     packed_a: &PackedA<T>,
-    packed_b: &PackedB<T>,
+    b: &impl BPanel<T>,
     c: &mut TileMut<'_, T>,
 ) {
-    assert_eq!(c.cols(), packed_b.nc(), "tile cols != nc");
-    gebp_slivers(kind, alpha, packed_a, packed_b, 0, packed_b.nc(), c);
+    assert_eq!(c.cols(), b.nc(), "tile cols != nc");
+    gebp_slivers(kind, alpha, packed_a, b, 0, b.nc(), c);
 }
 
-/// GEBP over a *sliver range* of the packed panel: accumulates
-/// `α · packed_a · packed_b[:, s0·nr .. s0·nr + cols]` into the
+/// GEBP over a *sliver range* of the panel: accumulates
+/// `α · packed_a · b[:, s0·nr .. s0·nr + cols]` into the
 /// `packed_a.mc() × cols` tile `c`.
 ///
 /// This is the compute half of a 2-D grid cell (DESIGN.md §13): several
@@ -43,14 +155,14 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
     kind: K,
     alpha: T,
     packed_a: &PackedA<T>,
-    packed_b: &PackedB<T>,
+    b: &impl BPanel<T>,
     s0: usize,
     cols: usize,
     c: &mut TileMut<'_, T>,
 ) {
-    assert_eq!(packed_a.kc(), packed_b.kc(), "packed depths differ");
+    assert_eq!(packed_a.kc(), b.kc(), "packed depths differ");
     assert_eq!(packed_a.mr(), kind.mr(), "A packed for a different kernel");
-    assert_eq!(packed_b.nr(), kind.nr(), "B packed for a different kernel");
+    assert_eq!(b.nr(), kind.nr(), "B packed for a different kernel");
     assert_eq!(c.rows(), packed_a.mc(), "tile rows != mc");
     assert_eq!(c.cols(), cols, "tile cols != sliver-range width");
 
@@ -58,16 +170,22 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
     let (mr, nr) = (kind.mr(), kind.nr());
     let mc = packed_a.mc();
     assert!(
-        s0 * nr.max(1) + cols <= packed_b.nc(),
+        s0 * nr.max(1) + cols <= b.nc(),
         "sliver range exceeds panel"
     );
 
     // Telemetry choke point: every runtime (serial, scoped, pool,
     // recovery replay) funnels through this call, and the unpadded
     // mc·cols·kc product counts only useful flops — totals come out
-    // exact to the last operation.
+    // exact to the last operation. B elements consumed without having
+    // passed through a pack are counted here too, equally unpadded.
     let _span = crate::telemetry::span(crate::telemetry::Phase::Compute);
-    crate::telemetry::count_block(2 * (mc as u64) * (cols as u64) * (kc as u64));
+    let layout = b.layout();
+    let b_in_place = match layout {
+        BLayout::Packed => 0,
+        BLayout::Strided { .. } => (kc * cols * core::mem::size_of::<T>()) as u64,
+    };
+    crate::telemetry::count_block(2 * (mc as u64) * (cols as u64) * (kc as u64), b_in_place);
 
     let slivers = packed_a.slivers();
     let group = kind.row_group().max(1);
@@ -75,7 +193,7 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
     for jt in 0..cols.div_ceil(nr.max(1)) {
         let j0 = jt * nr;
         let n_eff = nr.min(cols - j0);
-        let b_sliver = packed_b.sliver(s0 + jt);
+        let b_sliver = b.sliver(s0 + jt);
         // layer 6 (GESS): over mr×kc slivers of A, a row group at a time
         // (the tail of the block gets the slivers that are left)
         for it in (0..slivers).step_by(group) {
@@ -85,7 +203,9 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
             let a_group = packed_a.sliver_group(it, in_group);
             let mut tile = c.sub_tile(i0, j0, m_eff, n_eff);
             // layer 7: the register kernel
-            kind.run_group(kc, a_group, b_sliver, alpha, &mut tile, m_eff, n_eff);
+            kind.run_group_with(
+                kc, a_group, b_sliver, layout, alpha, &mut tile, m_eff, n_eff,
+            );
         }
     }
 }
@@ -257,6 +377,124 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// GEBP over `op(b)[k0.., j0..]` read in place and over its packed
+    /// copy, from the same C: the two results.
+    fn in_place_and_packed<T: Scalar, K: KernelSet<T>>(
+        kind: K,
+        a: &Matrix<T>,
+        b: &MatrixView<'_, T>,
+        trans: Transpose,
+        (k0, j0, kc, nc): (usize, usize, usize, usize),
+        c0: &Matrix<T>,
+    ) -> (Matrix<T>, Matrix<T>) {
+        let mc = a.rows();
+        let mut pa = PackedA::new(kind.mr());
+        pa.pack(&a.view(), Transpose::No, 0, 0, mc, kc);
+        let mut pb = PackedB::new(kind.nr());
+        pb.pack(b, trans, k0, j0, kc, nc);
+        let window = BWindow::new(b, trans, k0, j0, kc, nc, kind.nr());
+        let (mut in_place, mut packed) = (c0.clone(), c0.clone());
+        let alpha = T::from_f64(-1.5);
+        let mut tile = TileMut::from_slice(mc, nc, mc, in_place.as_mut_slice());
+        gebp(kind, alpha, &pa, &window, &mut tile);
+        let mut tile = TileMut::from_slice(mc, nc, mc, packed.as_mut_slice());
+        gebp(kind, alpha, &pa, &pb, &mut tile);
+        (in_place, packed)
+    }
+
+    #[test]
+    fn b_read_in_place_matches_the_packed_panel_bitwise() {
+        // The window is a sub-view with ld > rows whose last column ends
+        // the allocation, surrounded by NaN: a kernel that read one
+        // element outside it would poison C or index past the slice. mc
+        // 56 and 53 are two row groups on AVX-512 (the second ragged), 9
+        // a group of two, 1 a single row; nc is ragged in its last sliver.
+        let (kc, k0, j0) = (37, 2, 3);
+        for kind in MicroKernelKind::ALL {
+            let nc = 3 * kind.nr() - 1;
+            for trans in [Transpose::No, Transpose::Yes] {
+                // op(B) is (k0 + kc) x (j0 + nc), stored with ld = rows + 3
+                let (rows, cols) = trans.apply_dims(k0 + kc, j0 + nc);
+                let ld = rows + 3;
+                let mut store = vec![f64::NAN; (cols - 1) * ld + rows];
+                let values = Matrix::random(rows, cols, 31);
+                for j in 0..cols {
+                    store[j * ld..j * ld + rows].copy_from_slice(values.view().col(j));
+                }
+                let b = MatrixView::from_slice(rows, cols, ld, &store);
+                for mc in [56, 53, 9, 1] {
+                    let a = Matrix::random(mc, kc, 32);
+                    let c0 = Matrix::random(mc, nc, 33);
+                    let window = (k0, j0, kc, nc);
+                    let (in_place, packed) = in_place_and_packed(kind, &a, &b, trans, window, &c0);
+                    assert_eq!(
+                        in_place.as_slice(),
+                        packed.as_slice(),
+                        "{} {trans:?} mc={mc}",
+                        kind.label()
+                    );
+                    assert!(in_place.as_slice().iter().all(|x| x.is_finite()));
+                }
+            }
+        }
+        // the single-precision kernels read in place through the same
+        // portable body
+        for kind in crate::microkernel::SgemmKernelKind::ALL {
+            let nc = 2 * kind.nr() + 3;
+            let b: Matrix<f32> = Matrix::random(kc + k0, nc + j0, 34);
+            let a: Matrix<f32> = Matrix::random(13, kc, 35);
+            let c0: Matrix<f32> = Matrix::random(13, nc, 36);
+            let window = (k0, j0, kc, nc);
+            let (in_place, packed) =
+                in_place_and_packed(kind, &a, &b.view(), Transpose::No, window, &c0);
+            assert_eq!(in_place.as_slice(), packed.as_slice(), "{}", kind.label());
+        }
+    }
+
+    #[test]
+    fn a_kernel_family_without_a_strided_body_packs_the_sliver_itself() {
+        // KernelSet::run_group_with's default: what a kernel set written
+        // against the packed layout only gets when GEBP hands it a window.
+        #[derive(Clone, Copy)]
+        struct PackedOnly(MicroKernelKind);
+        impl KernelSet<f64> for PackedOnly {
+            fn mr(&self) -> usize {
+                self.0.mr()
+            }
+            fn nr(&self) -> usize {
+                self.0.nr()
+            }
+            fn label(&self) -> &'static str {
+                "packed-only"
+            }
+            fn run(
+                &self,
+                kc: usize,
+                a: &[f64],
+                b: &[f64],
+                alpha: f64,
+                c: &mut TileMut<'_>,
+                m_eff: usize,
+                n_eff: usize,
+            ) {
+                self.0.run(kc, a, b, alpha, c, m_eff, n_eff);
+            }
+        }
+        let kind = PackedOnly(MicroKernelKind::Mk8x6);
+        let (a, c0) = (Matrix::random(13, 9, 41), Matrix::random(13, 11, 43));
+        let b = Matrix::random(11, 9, 42);
+        let (in_place, packed) =
+            in_place_and_packed(kind, &a, &b.view(), Transpose::Yes, (0, 0, 9, 11), &c0);
+        assert_eq!(in_place.as_slice(), packed.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "B window outside op(B)")]
+    fn a_window_past_the_view_is_rejected() {
+        let b = Matrix::<f64>::zeros(8, 6);
+        let _ = BWindow::new(&b.view(), Transpose::No, 1, 0, 8, 6, 6);
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! ```
 //!
 //! β is applied to C exactly once up front; α is folded into the
-//! micro-kernel write-back.
+//! micro-kernel write-back. The B pack is there for layer 3 to amortize:
+//! a serial call whose layer 3 is a single GEBP reads B in place instead
+//! ([`packs_b`]).
 
 #![forbid(unsafe_code)]
 
 use crate::autotune::AutotuneMode;
 use crate::dispatch::DispatchMode;
+use crate::gebp::BWindow;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
 use crate::parallel::{run_layer3, run_layer3_scoped, Layer3Params};
@@ -427,6 +430,7 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
                 kernel.nr(),
                 kernel.flops_per_cycle(),
                 parallelism.degree(),
+                transb,
                 prepacked.is_some(),
             );
             let start = Instant::now();
@@ -456,6 +460,21 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
     }
 }
 
+/// Whether the serial walk packs each `kc×nc` panel of B before layer 3
+/// runs over it — the one place that decision lives (DESIGN.md, "When B
+/// is packed"). The pack's traffic is amortized over the `gebps` GEBP
+/// calls that share the panel (`⌈m/mc⌉`, times the entries of a batch);
+/// with one there is nothing to amortize it over and the kernels read B
+/// where the caller stored it. A transposed B keeps its pack: read in
+/// place its `nr` elements of one `k` are adjacent but consecutive `k`
+/// are `ldb` apart, which measured slower than pack-then-compute on a
+/// full `mc` block (EXPERIMENTS.md, "In-place B for single-block calls").
+/// A [`crate::prepack::PrepackedB`] serving the call is packed already.
+#[must_use]
+pub(crate) fn packs_b(gebps: usize, transb: Transpose, prepacked: bool) -> bool {
+    !prepacked && (gebps > 1 || transb == Transpose::Yes)
+}
+
 /// Serial layers 1–3, drawing the hoisted packed-A block and packed-B
 /// panel from the thread-local arena so repeated calls (and every
 /// macro-iteration within one) reuse the same two buffers.
@@ -474,6 +493,7 @@ fn gemm_serial<T: PoolScalar, K: KernelSet<T>>(
     let (m, k) = transa.apply_dims(a.rows(), a.cols());
     let n = c.cols();
     let BlockSizes { kc, mc, nc, .. } = blocks;
+    let pack_b = packs_b(m.div_ceil(mc), transb, prepacked.is_some());
     T::with_arena(|arena| {
         let mut slot = arena.take_slot(kernel.mr());
         let mut packed_b = arena.take_panel(kernel.nr());
@@ -486,15 +506,6 @@ fn gemm_serial<T: PoolScalar, K: KernelSet<T>>(
                 let kc_eff = kc.min(k - kk);
                 gepp += 1;
                 crate::telemetry::set_gepp(gepp);
-                // cached tiles are laid out exactly as `pack` would
-                // produce, so layer 3 is oblivious to their origin
-                let pb = match prepacked {
-                    Some(pp) => pp.panel(jj, kk),
-                    None => {
-                        packed_b.pack(b, transb, kk, jj, kc_eff, nc_eff);
-                        &packed_b
-                    }
-                };
                 let params = Layer3Params {
                     a,
                     transa,
@@ -508,7 +519,21 @@ fn gemm_serial<T: PoolScalar, K: KernelSet<T>>(
                 let mut panel_view = c.sub_mut(0, jj, m, nc_eff);
                 let ld = panel_view.ld();
                 let panel = TileMut::from_slice(m, nc_eff, ld, panel_view.data_mut());
-                run_layer3(params, pb, panel, slot.pa_mut());
+                let pa = slot.pa_mut();
+                // cached tiles are laid out exactly as `pack` would
+                // produce, and a window is addressed by the same kernels,
+                // so layer 3 is oblivious to the panel's origin
+                match prepacked {
+                    Some(pp) => run_layer3(params, pp.panel(jj, kk), panel, pa),
+                    None if pack_b => {
+                        packed_b.pack(b, transb, kk, jj, kc_eff, nc_eff);
+                        run_layer3(params, &packed_b, panel, pa);
+                    }
+                    None => {
+                        let window = BWindow::new(b, transb, kk, jj, kc_eff, nc_eff, kernel.nr());
+                        run_layer3(params, &window, panel, pa);
+                    }
+                }
                 kk += kc_eff;
             }
             jj += nc_eff;
@@ -939,6 +964,22 @@ mod tests {
                     "runtime diverges from serial on {m}x{n}x{k}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_pack_b_rule_is_one_block_and_no_transpose() {
+        use Transpose::{No, Yes};
+        // one GEBP per panel and B as stored: nothing would reuse a pack
+        assert!(!packs_b(1, No, false));
+        // layer 3 amortizes it over the blocks (or batch entries)
+        assert!(packs_b(2, No, false));
+        assert!(packs_b(10, No, false));
+        // read in place a transposed B measured slower on a full block
+        assert!(packs_b(1, Yes, false));
+        // a cached panel is packed already, whatever the shape
+        for gebps in [1, 2, 10] {
+            assert!(!packs_b(gebps, No, true) && !packs_b(gebps, Yes, true));
         }
     }
 

@@ -144,6 +144,26 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
+/// Panics unless `ld ≥ rows` and a slice of `len` elements reaches the
+/// last element of a `rows×cols` column-major region with leading
+/// dimension `ld` — the invariant every view and tile constructor
+/// establishes, and the one the kernels' pointer reads rest on. The
+/// extent `(cols − 1)·ld + rows` is computed with checked arithmetic: in
+/// a release build the wrapping product of a hostile `ld` near
+/// `usize::MAX / cols` would pass any length test.
+pub(crate) fn assert_region_fits(rows: usize, cols: usize, ld: usize, len: usize) {
+    assert!(ld >= rows.max(1), "leading dimension below row count");
+    if rows > 0 && cols > 0 {
+        let extent = (cols - 1)
+            .checked_mul(ld)
+            .and_then(|before_last| before_last.checked_add(rows));
+        assert!(
+            extent.is_some_and(|extent| len >= extent),
+            "slice too short for {rows}x{cols} ld {ld}"
+        );
+    }
+}
+
 /// Immutable borrowed view of a column-major matrix region.
 #[derive(Clone, Copy, Debug)]
 pub struct MatrixView<'a, T: Scalar = f64> {
@@ -159,13 +179,7 @@ impl<'a, T: Scalar> MatrixView<'a, T> {
     /// Panics unless `ld ≥ rows` and `data` covers the last element.
     #[must_use]
     pub fn from_slice(rows: usize, cols: usize, ld: usize, data: &'a [T]) -> Self {
-        assert!(ld >= rows.max(1), "leading dimension below row count");
-        if rows > 0 && cols > 0 {
-            assert!(
-                data.len() >= (cols - 1) * ld + rows,
-                "slice too short for {rows}x{cols} ld {ld}"
-            );
-        }
+        assert_region_fits(rows, cols, ld, data.len());
         MatrixView {
             rows,
             cols,
@@ -247,13 +261,7 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
     /// Mutable view over raw column-major storage.
     #[must_use]
     pub fn from_slice(rows: usize, cols: usize, ld: usize, data: &'a mut [T]) -> Self {
-        assert!(ld >= rows.max(1), "leading dimension below row count");
-        if rows > 0 && cols > 0 {
-            assert!(
-                data.len() >= (cols - 1) * ld + rows,
-                "slice too short for {rows}x{cols} ld {ld}"
-            );
-        }
+        assert_region_fits(rows, cols, ld, data.len());
         MatrixViewMut {
             rows,
             cols,
@@ -476,6 +484,51 @@ mod tests {
     fn bad_ld_rejected() {
         let data = [0.0f64; 4];
         let _ = MatrixView::from_slice(3, 1, 2, &data);
+    }
+
+    #[test]
+    fn an_extent_that_overflows_is_rejected_not_wrapped() {
+        // (cols - 1)·ld + rows wraps to a small number for each of these
+        // in release arithmetic, which a 16-element slice would satisfy.
+        let hostile = [
+            (2, 3, usize::MAX / 2 + 1), // 2·ld wraps to 0
+            (4, 5, usize::MAX / 4 + 1), // 4·ld wraps to 0
+            (8, 2, usize::MAX - 3),     // ld + rows wraps to 4
+            (1, usize::MAX, 2),         // (cols - 1)·2 wraps
+        ];
+        for (rows, cols, ld) in hostile {
+            let mut data = [0.0f64; 16];
+            let view = std::panic::catch_unwind(|| {
+                let _ = MatrixView::from_slice(rows, cols, ld, &[0.0f64; 16]);
+            });
+            assert!(view.is_err(), "MatrixView accepted {rows}x{cols} ld {ld}");
+            let view_mut = std::panic::catch_unwind(move || {
+                let _ = MatrixViewMut::from_slice(rows, cols, ld, &mut data);
+            });
+            assert!(
+                view_mut.is_err(),
+                "MatrixViewMut accepted {rows}x{cols} ld {ld}"
+            );
+        }
+        // the largest extents that do not overflow are still measured
+        let data = [0.0f64; 16];
+        let refused = std::panic::catch_unwind(|| {
+            let _ = MatrixView::from_slice(1, 2, usize::MAX - 1, &data);
+        });
+        assert!(refused.is_err());
+        // and a legal view with the slice ending at its last element is not
+        let v = MatrixView::from_slice(4, 3, 6, &data);
+        assert_eq!((v.rows(), v.cols(), v.ld()), (4, 3, 6));
+        // zero-sized views never compute an extent
+        let _ = MatrixView::from_slice(0, usize::MAX, usize::MAX, &data);
+        let _ = MatrixView::from_slice(3, 0, usize::MAX, &data);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice too short for 2x3")]
+    fn overflowing_extent_keeps_the_short_slice_message() {
+        let data = [0.0f64; 16];
+        let _ = MatrixView::from_slice(2, 3, usize::MAX / 2 + 1, &data);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!
 //! Transposition is folded into packing (reading `op(X)` element-wise
 //! costs the same strided traversal either way), so the compute layers
-//! never see transpose flags.
+//! never see transpose flags. What they do see, when a B panel is not
+//! packed at all ([`crate::gebp::BWindow`]), is the pair of strides a
+//! transpose flag turns into.
 
 #![forbid(unsafe_code)]
 
@@ -38,27 +40,50 @@ fn try_grow<T: Scalar>(
     Ok(())
 }
 
-/// Columns `c0..c0 + N` of a row-major `kc×nr` B sliver from the `N`
-/// source columns `src(0..N)`, each of length `kc`, the sliver's row
-/// outermost: the sources are read as `N` concurrent streams and the
-/// sliver is written in order.
+/// Positions `c0..c0 + N` of every `width`-long row of a sliver from the
+/// `N` sources `src(c0..c0 + N)`, each as long as the sliver has rows, the
+/// sliver's row outermost: the sources are read as `N` concurrent
+/// streams and the sliver is written in order.
 fn interleave<'a, T: Scalar, const N: usize>(
     sliver: &mut [T],
-    nr: usize,
+    width: usize,
     c0: usize,
     src: impl Fn(usize) -> &'a [T],
 ) {
-    let srcs: [&[T]; N] = core::array::from_fn(src);
-    for (k, row) in sliver.chunks_exact_mut(nr).enumerate() {
+    let srcs: [&[T]; N] = core::array::from_fn(|c| src(c0 + c));
+    for (k, row) in sliver.chunks_exact_mut(width).enumerate() {
         for (dst, src) in row[c0..c0 + N].iter_mut().zip(&srcs) {
             *dst = src[k];
         }
     }
 }
 
-/// Most source columns [`interleave`] is instantiated for; wider slivers
-/// take several passes of this many streams.
+/// Most sources [`interleave`] is instantiated for; wider slivers take
+/// several passes of this many streams.
 const MAX_STREAMS: usize = 8;
+
+/// The first `cols` positions of every `width`-long row of a sliver from
+/// the sources `src(0..cols)`: a B sliver's `nr`-rows from columns of B,
+/// or an A sliver's `mr`-columns from columns of a transposed A.
+fn interleave_all<'a, T: Scalar>(
+    sliver: &mut [T],
+    width: usize,
+    cols: usize,
+    src: impl Fn(usize) -> &'a [T] + Copy,
+) {
+    for c0 in (0..cols).step_by(MAX_STREAMS) {
+        match (cols - c0).min(MAX_STREAMS) {
+            1 => interleave::<T, 1>(sliver, width, c0, src),
+            2 => interleave::<T, 2>(sliver, width, c0, src),
+            3 => interleave::<T, 3>(sliver, width, c0, src),
+            4 => interleave::<T, 4>(sliver, width, c0, src),
+            5 => interleave::<T, 5>(sliver, width, c0, src),
+            6 => interleave::<T, 6>(sliver, width, c0, src),
+            7 => interleave::<T, 7>(sliver, width, c0, src),
+            _ => interleave::<T, 8>(sliver, width, c0, src),
+        }
+    }
+}
 
 /// A packed `mc×kc` block of A in `mr`-sliver layout.
 #[derive(Clone, Debug)]
@@ -118,12 +143,10 @@ impl<T: Scalar> PackedA<T> {
                     }
                 }
                 Transpose::Yes => {
-                    // op(A)(i, k) = A(k, i): strided gather
-                    for k in 0..kc {
-                        for r in 0..rows {
-                            sliver[k * mr + r] = a.get(k0 + k, i0 + row_base + r);
-                        }
-                    }
+                    // op(A)(i, k) = A(k, i): the sliver's rows are columns
+                    // of A, read as concurrent streams
+                    let src = |r: usize| &a.col(i0 + row_base + r)[k0..k0 + kc];
+                    interleave_all(sliver, mr, rows, src);
                 }
             }
             if rows < mr {
@@ -289,21 +312,10 @@ impl<T: Scalar> PackedB<T> {
             let cols = nr.min(nc - col_base);
             match trans {
                 Transpose::No => {
-                    // op(B)(k, j) = B(k, j): row-of-sliver gather, up to
-                    // MAX_STREAMS source columns at a time
-                    for c0 in (0..cols).step_by(MAX_STREAMS) {
-                        let src = |c: usize| &b.col(j0 + col_base + c0 + c)[k0..k0 + kc];
-                        match (cols - c0).min(MAX_STREAMS) {
-                            1 => interleave::<T, 1>(sliver, nr, c0, src),
-                            2 => interleave::<T, 2>(sliver, nr, c0, src),
-                            3 => interleave::<T, 3>(sliver, nr, c0, src),
-                            4 => interleave::<T, 4>(sliver, nr, c0, src),
-                            5 => interleave::<T, 5>(sliver, nr, c0, src),
-                            6 => interleave::<T, 6>(sliver, nr, c0, src),
-                            7 => interleave::<T, 7>(sliver, nr, c0, src),
-                            _ => interleave::<T, 8>(sliver, nr, c0, src),
-                        }
-                    }
+                    // op(B)(k, j) = B(k, j): row-of-sliver gather, the
+                    // source columns read as concurrent streams
+                    let src = |c: usize| &b.col(j0 + col_base + c)[k0..k0 + kc];
+                    interleave_all(sliver, nr, cols, src);
                 }
                 Transpose::Yes => {
                     // op(B)(k, j) = B(j, k): columns of B become rows
@@ -594,6 +606,13 @@ mod tests {
                 assert_eq!(p.sliver(j / 11)[k * 11 + j % 11], want, "({k}, {j})");
             }
         }
+        // a transposed A takes the same path: mr = 12 source columns in
+        // two passes, then a ragged second sliver of 8 rows and 4 of padding
+        let a: Matrix = Matrix::random(7, 20, 4);
+        let (mut p1, mut p2) = (PackedA::new(12), PackedA::new(12));
+        p1.pack(&a.view(), Transpose::Yes, 0, 1, 20, 5);
+        p2.pack(&a.transposed().view(), Transpose::No, 0, 1, 20, 5);
+        assert_eq!(p1.buf(), p2.buf());
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 #![forbid(unsafe_code)]
 
+use crate::gebp::BPanel;
 use crate::matrix::MatrixView;
 use crate::microkernel::KernelSet;
 use crate::pack::{PackedA, PackedB};
@@ -73,20 +74,20 @@ pub struct Layer3Params<'a, T: Scalar = f64, K = crate::microkernel::MicroKernel
 
 /// Run layer 3 serially over the whole M dimension on the calling
 /// thread. `c_panel` is the `m × nc_eff` band of C this macro-iteration
-/// updates; `packed_b` is the shared packed panel of B; `pa` is the
-/// caller's (arena-recycled) packed-A buffer, reused across every
-/// `mc`-block, macro-iteration and GEMM call so the steady-state serial
-/// path allocates nothing.
+/// updates; `b` is the panel of B every block multiplies (packed, or the
+/// caller's matrix in place); `pa` is the caller's (arena-recycled)
+/// packed-A buffer, reused across every `mc`-block, macro-iteration and
+/// GEMM call so the steady-state serial path allocates nothing.
 pub fn run_layer3<T: Scalar, K: KernelSet<T>>(
     params: Layer3Params<'_, T, K>,
-    packed_b: &PackedB<T>,
+    b: &impl BPanel<T>,
     c_panel: TileMut<'_, T>,
     pa: &mut PackedA<T>,
 ) {
-    if c_panel.rows() == 0 || packed_b.nc() == 0 {
+    if c_panel.rows() == 0 || b.nc() == 0 {
         return;
     }
-    band(params, packed_b, 0, c_panel, pa);
+    band(params, b, 0, c_panel, pa);
 }
 
 /// The original spawn-per-GEPP parallel path: one `thread::scope` of up
@@ -163,13 +164,13 @@ pub fn run_layer3_scoped<T: Scalar, K: KernelSet<T>>(
 /// `op(A)`, writing into `tile` (whose row 0 corresponds to `row0`).
 fn band<T: Scalar, K: KernelSet<T>>(
     params: Layer3Params<'_, T, K>,
-    packed_b: &PackedB<T>,
+    b: &impl BPanel<T>,
     row0: usize,
     mut tile: TileMut<'_, T>,
     pa: &mut PackedA<T>,
 ) {
     let rows = tile.rows();
-    let nc_eff = packed_b.nc();
+    let nc_eff = b.nc();
     let mut ii = 0usize;
     while ii < rows {
         let mc_eff = params.mc.min(rows - ii);
@@ -183,7 +184,7 @@ fn band<T: Scalar, K: KernelSet<T>>(
             params.kc_eff,
         );
         let mut sub = tile.sub_tile(ii, 0, mc_eff, nc_eff);
-        crate::gebp::gebp(params.kernel, params.alpha, pa, packed_b, &mut sub);
+        crate::gebp::gebp(params.kernel, params.alpha, pa, b, &mut sub);
         ii += mc_eff;
     }
 }

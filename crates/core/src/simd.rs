@@ -35,25 +35,98 @@
 //!
 //! 1. a `#[target_feature]` kernel is only ever called from [`run_at`],
 //!    after `is_x86_feature_detected!` confirmed the feature on this host;
-//! 2. B is read through `chunks_exact(nr)` of the caller's slice and, in
-//!    the `ymm` kernel, A through `chunks_exact(mr)`, so every vector load
-//!    covers exactly one chunk; the `zmm` kernel reads its `G` slivers by
-//!    pointer at `g·8·kc + 8·k` for `k < kc`, behind a real
-//!    `assert!(a.len() >= G·8·kc)` at its top;
+//! 2. B is read by pointer at `k·ks + j·cs` for `k < kc` and `j` below the
+//!    number of columns the sliver stores (`nr` packed, `n_eff` in place;
+//!    accumulator columns past them re-read the last stored one), behind a
+//!    real, overflow-checked `assert!` at the kernel's top that the last
+//!    such offset, `(kc−1)·ks + (cols−1)·cs` ([`BLayout::last_offset`]),
+//!    is inside the caller's slice.
+//!    A is read through `chunks_exact(mr)` in the `ymm` kernel, so every
+//!    vector load covers exactly one chunk; the `zmm` kernel reads its `G`
+//!    slivers by pointer at `g·8·kc + 8·k` for `k < kc`, behind a real
+//!    `assert!(a.len() >= G·8·kc)` next to B's;
 //! 3. C is reached only through [`TileMut::col_seg_mut`], and the masked
 //!    load/store touches exactly the `m_eff` lanes of the segment it
 //!    returned — never a full vector on a ragged tile, because the pool's
 //!    threads own disjoint row bands of one C and a stray lane would be a
 //!    data race, not just a wrong answer.
 //!
-//! Every element sees the same arithmetic on full and edge tiles and in
-//! every group size: one FMA chain over ascending `k`, then one fused
+//! Every element sees the same arithmetic on full and edge tiles, in
+//! every group size and wherever B is read from ([`BLayout`]: each body
+//! is compiled once with the packed strides as constants and once with
+//! them as arguments): one FMA chain over ascending `k`, then one fused
 //! `c + α·acc`. Results are therefore bit-identical per kernel across
 //! every runtime, and differ from the portable kernel (separate multiply
 //! and add) only by rounding.
 
 use crate::tile::TileMut;
 use perfmodel::MachineDesc;
+
+/// Where a register kernel finds its `kc×nr` sliver of `op(B)` in the
+/// slice it is handed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BLayout {
+    /// As [`crate::pack::PackedB`] writes it: element `(k, j)` at
+    /// `k·nr + j`, all `nr` columns stored (zero-padded on a ragged
+    /// sliver) and all of them read.
+    Packed,
+    /// Where the caller stored it: element `(k, j)` at `k·ks + j·cs`.
+    /// Only the tile's `n_eff` columns have storage; the kernel reads
+    /// nothing outside them.
+    Strided {
+        /// Distance between consecutive `k` (rows of the sliver).
+        ks: usize,
+        /// Distance between consecutive columns of the sliver.
+        cs: usize,
+    },
+}
+
+impl BLayout {
+    /// `(ks, cs, cols)`: the strides, and how many columns of an
+    /// `nr`-wide sliver a kernel updating `n_eff` of them reads.
+    #[must_use]
+    pub fn addressing(self, nr: usize, n_eff: usize) -> (usize, usize, usize) {
+        match self {
+            BLayout::Packed => (nr, 1, nr),
+            BLayout::Strided { ks, cs } => (ks, cs, n_eff.min(nr)),
+        }
+    }
+
+    /// Offset of the last element a kernel reads of a sliver `kc` deep
+    /// (that of row 0's last column when `kc == 0`, which reads nothing):
+    /// `(kc−1)·ks + (cols−1)·cs`. `None` when the sliver has no column or
+    /// the offset overflows.
+    #[must_use]
+    pub fn last_offset(self, nr: usize, kc: usize, n_eff: usize) -> Option<usize> {
+        let (ks, cs, cols) = self.addressing(nr, n_eff);
+        let col = cols.checked_sub(1)?.checked_mul(cs)?;
+        kc.saturating_sub(1).checked_mul(ks)?.checked_add(col)
+    }
+
+    /// What a kernel body with `NR` accumulator columns opens with: the
+    /// `k` stride and each column's offset within one `k`, after
+    /// asserting that every `k·ks + off[j]` for `k < kc` is inside a
+    /// slice of `len` elements. `None` when the sliver has no column,
+    /// hence nothing to update. The accumulator columns past the ones a
+    /// strided sliver stores re-read the last stored one; they are never
+    /// written back.
+    #[inline(always)]
+    pub(crate) fn offsets<const NR: usize>(
+        self,
+        kc: usize,
+        n_eff: usize,
+        len: usize,
+    ) -> Option<(usize, [usize; NR])> {
+        let (ks, cs, cols) = self.addressing(NR, n_eff);
+        let last_col = cols.checked_sub(1)?;
+        let last = self.last_offset(NR, kc, n_eff);
+        assert!(
+            last.is_some_and(|last| kc == 0 || last < len),
+            "B sliver ends outside its slice"
+        );
+        Some((ks, core::array::from_fn(|j| j.min(last_col) * cs)))
+    }
+}
 
 /// The instruction-set level a register kernel runs at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -166,6 +239,38 @@ pub fn run_at(
     m_eff: usize,
     n_eff: usize,
 ) -> bool {
+    run_at_with(
+        isa,
+        mr,
+        nr,
+        kc,
+        a,
+        b,
+        BLayout::Packed,
+        alpha,
+        c,
+        m_eff,
+        n_eff,
+    )
+}
+
+/// [`run_at`] with the B sliver laid out as `layout` says: `b` starts at
+/// the sliver's element `(0, 0)` and must reach the last one the layout
+/// stores ([`BLayout::last_offset`]). The kernel asserts it.
+#[allow(clippy::too_many_arguments)]
+pub fn run_at_with(
+    isa: Isa,
+    mr: usize,
+    nr: usize,
+    kc: usize,
+    a: &[f64],
+    b: &[f64],
+    layout: BLayout,
+    alpha: f64,
+    c: &mut TileMut<'_>,
+    m_eff: usize,
+    n_eff: usize,
+) -> bool {
     if isa > Isa::detect() {
         return false;
     }
@@ -176,23 +281,37 @@ pub fn run_at(
     let g = m_eff.div_ceil(mr).max(1);
     // Real asserts, not debug ones: a short sliver would silently shorten
     // the k loop, and an oversized n_eff would index past the accumulator
-    // (an oversized m_eff has no kernel: the match below refuses it).
+    // (an oversized m_eff has no kernel: the match below refuses it; a
+    // short B is refused by the kernel, which knows how it is addressed).
     assert!(a.len() >= g * mr * kc, "A shorter than its slivers' mr*kc");
-    assert!(b.len() >= nr * kc, "B sliver shorter than nr*kc");
     assert!(n_eff <= nr, "effective tile exceeds nr columns");
+    let packed = layout == BLayout::Packed;
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (every arm): `level <= isa <= Isa::detect()`, so the
         // target features the callee is compiled with were detected on
         // this host.
+        macro_rules! kernel {
+            ($kernel:ident, $v:literal, $nr:literal) => {
+                if packed {
+                    unsafe {
+                        x86::$kernel::<$v, $nr, true>(kc, a, b, layout, alpha, c, m_eff, n_eff)
+                    }
+                } else {
+                    unsafe {
+                        x86::$kernel::<$v, $nr, false>(kc, a, b, layout, alpha, c, m_eff, n_eff)
+                    }
+                }
+            };
+        }
         macro_rules! zmm {
             ($g:literal, $nr:literal) => {
-                unsafe { x86::kernel_zmm::<$g, $nr>(kc, a, b, alpha, c, m_eff, n_eff) }
+                kernel!(kernel_zmm, $g, $nr)
             };
         }
         macro_rules! ymm {
             ($mv:literal, $nr:literal) => {
-                unsafe { x86::kernel_ymm::<$mv, $nr>(kc, a, b, alpha, c, m_eff, n_eff) }
+                kernel!(kernel_ymm, $mv, $nr)
             };
         }
         match (level, mr, nr, g) {
@@ -217,7 +336,7 @@ pub fn run_at(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (alpha, c);
+        let _ = (b, packed, alpha, c);
         false
     }
 }
@@ -228,6 +347,7 @@ pub fn run_at(
 // iterator adaptors with a run-time `take`.
 #[allow(clippy::needless_range_loop)]
 mod x86 {
+    use super::BLayout;
     use crate::tile::TileMut;
     use core::arch::x86_64::*;
 
@@ -241,10 +361,12 @@ mod x86 {
     /// buys nothing end to end on 8×6 (EXPERIMENTS.md, "ISA-specific
     /// register kernels"), and a full group leaves no registers for it.
     #[target_feature(enable = "avx512f")]
-    pub(super) fn kernel_zmm<const G: usize, const NR: usize>(
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn kernel_zmm<const G: usize, const NR: usize, const PACKED: bool>(
         kc: usize,
         a: &[f64],
         b: &[f64],
+        layout: BLayout,
         alpha: f64,
         c: &mut TileMut<'_>,
         m_eff: usize,
@@ -253,8 +375,13 @@ mod x86 {
         const LANES: usize = 8;
         let sliver = LANES * kc;
         assert!(a.len() >= G * sliver, "A shorter than G slivers");
+        // a constant layout makes the strides and offsets constants
+        let layout = if PACKED { BLayout::Packed } else { layout };
+        let Some((ks, off)) = layout.offsets::<NR>(kc, n_eff, b.len()) else {
+            return;
+        };
         let mut acc = [[_mm512_setzero_pd(); G]; NR];
-        for (k, bc) in b.chunks_exact(NR).take(kc).enumerate() {
+        for k in 0..kc {
             let mut av = [_mm512_setzero_pd(); G];
             for g in 0..G {
                 // SAFETY: `k < kc` and `g < G`, so the eight lanes at
@@ -263,7 +390,10 @@ mod x86 {
                 av[g] = unsafe { _mm512_loadu_pd(a.as_ptr().add(g * sliver + k * LANES)) };
             }
             for j in 0..NR {
-                let bj = _mm512_set1_pd(bc[j]);
+                debug_assert!(k * ks + off[j] < b.len());
+                // SAFETY: `k < kc`, and `offsets` asserted that
+                // `(kc-1)*ks` plus the largest of `off` is inside `b`.
+                let bj = _mm512_set1_pd(unsafe { *b.as_ptr().add(k * ks + off[j]) });
                 for g in 0..G {
                     acc[j][g] = _mm512_fmadd_pd(av[g], bj, acc[j][g]);
                 }
@@ -296,18 +426,25 @@ mod x86 {
 
     /// `4·MV × NR` kernel on 256-bit registers; see [`kernel_zmm`].
     #[target_feature(enable = "avx2,fma")]
-    pub(super) fn kernel_ymm<const MV: usize, const NR: usize>(
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn kernel_ymm<const MV: usize, const NR: usize, const PACKED: bool>(
         kc: usize,
         a: &[f64],
         b: &[f64],
+        layout: BLayout,
         alpha: f64,
         c: &mut TileMut<'_>,
         m_eff: usize,
         n_eff: usize,
     ) {
         const LANES: usize = 4;
+        // a constant layout makes the strides and offsets constants
+        let layout = if PACKED { BLayout::Packed } else { layout };
+        let Some((ks, off)) = layout.offsets::<NR>(kc, n_eff, b.len()) else {
+            return;
+        };
         let mut acc = [[_mm256_setzero_pd(); MV]; NR];
-        for (ac, bc) in a.chunks_exact(LANES * MV).zip(b.chunks_exact(NR)).take(kc) {
+        for (k, ac) in a.chunks_exact(LANES * MV).take(kc).enumerate() {
             let mut av = [_mm256_setzero_pd(); MV];
             for (v, av) in av.iter_mut().enumerate() {
                 // SAFETY: `ac` is exactly LANES*MV long, so lanes
@@ -315,7 +452,10 @@ mod x86 {
                 *av = unsafe { _mm256_loadu_pd(ac.as_ptr().add(v * LANES)) };
             }
             for j in 0..NR {
-                let bj = _mm256_set1_pd(bc[j]);
+                debug_assert!(k * ks + off[j] < b.len());
+                // SAFETY: as in `kernel_zmm` — `k < kc`, and `offsets`
+                // asserted the largest offset read is inside `b`.
+                let bj = _mm256_set1_pd(unsafe { *b.as_ptr().add(k * ks + off[j]) });
                 for v in 0..MV {
                     acc[j][v] = _mm256_fmadd_pd(av[v], bj, acc[j][v]);
                 }
@@ -354,6 +494,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::microkernel::{run_portable, MicroKernelKind};
+    use crate::Transpose;
 
     const KCS: [usize; 6] = [0, 1, 2, 7, 256, 513];
     const ALPHAS: [f64; 3] = [1.0, -2.5, 0.0];
@@ -408,11 +549,81 @@ mod tests {
         Portable,
     }
 
+    /// Where [`run_embedded`] puts the B sliver it hands the kernel.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum BAt {
+        /// The packed `kc x nr` sliver itself.
+        Packed,
+        /// In place as `trans` stores it: the sliver's `n_eff` columns
+        /// (`No`) or `kc` rows (`Yes`) `pad` further apart than they are
+        /// long, in a buffer that ends with the sliver's last element.
+        Stored { trans: Transpose, pad: usize },
+    }
+
+    /// `op(B)` where a column-major matrix of leading dimension `ld`
+    /// stores it (the mapping [`crate::gebp::BWindow`] applies).
+    fn stored(trans: Transpose, ld: usize) -> BLayout {
+        match trans {
+            Transpose::No => BLayout::Strided { ks: 1, cs: ld },
+            Transpose::Yes => BLayout::Strided { ks: ld, cs: 1 },
+        }
+    }
+
+    impl BAt {
+        const ALL: [BAt; 5] = [
+            BAt::Packed,
+            BAt::Stored {
+                trans: Transpose::No,
+                pad: 0,
+            },
+            BAt::Stored {
+                trans: Transpose::No,
+                pad: 3,
+            },
+            BAt::Stored {
+                trans: Transpose::Yes,
+                pad: 0,
+            },
+            BAt::Stored {
+                trans: Transpose::Yes,
+                pad: 3,
+            },
+        ];
+
+        /// Columns `0..n_eff` of the packed sliver `b` laid out here.
+        /// What lies between the stored elements is NaN, and nothing lies
+        /// after the last one: a kernel that strays reads past the end or
+        /// poisons C.
+        fn lay_out(self, b: &[f64], nr: usize, kc: usize, n_eff: usize) -> (Vec<f64>, BLayout) {
+            let BAt::Stored { trans, pad } = self else {
+                return (b.to_vec(), BLayout::Packed);
+            };
+            let ld = match trans {
+                Transpose::No => kc + pad,
+                Transpose::Yes => n_eff + pad,
+            };
+            let layout = stored(trans, ld.max(1));
+            let (ks, cs, _) = layout.addressing(nr, n_eff);
+            let len = if kc == 0 || n_eff == 0 {
+                0
+            } else {
+                layout.last_offset(nr, kc, n_eff).unwrap() + 1
+            };
+            let mut buf = vec![f64::NAN; len];
+            for k in 0..kc {
+                for j in 0..n_eff {
+                    buf[k * ks + j * cs] = b[k * nr + j];
+                }
+            }
+            (buf, layout)
+        }
+    }
+
     /// Run one kernel on an `m_eff x n_eff` tile under `g` adjacent A
-    /// slivers, embedded at (1, 1) of a poisoned buffer with `ld > rows`,
-    /// assert that nothing outside the tile changed by a single bit, and
-    /// return the `g*mr x nr` result (column-major, `ld = g*mr`, poison
-    /// outside `m_eff x n_eff`).
+    /// slivers and the B sliver `b` laid out at `at`, embedded at (1, 1)
+    /// of a poisoned buffer with `ld > rows`, assert that nothing outside
+    /// the tile changed by a single bit, and return the `g*mr x nr` result
+    /// (column-major, `ld = g*mr`, poison outside `m_eff x n_eff`).
     #[allow(clippy::too_many_arguments)]
     fn run_embedded(
         via: Via,
@@ -421,6 +632,7 @@ mod tests {
         kc: usize,
         a: &[f64],
         b: &[f64],
+        at: BAt,
         alpha: f64,
         c0: &[f64],
         m_eff: usize,
@@ -436,12 +648,14 @@ mod tests {
                 buf[i + j * ld] = c0[(i - 1) + (j - 1) * rows];
             }
         }
+        let (b, layout) = at.lay_out(b, nr, kc, n_eff);
+        let b = b.as_slice();
         {
             let mut tile = TileMut::from_slice(m_eff, n_eff, ld, &mut buf[1 + ld..]);
             let what = kind.label();
             if let Via::Group(isa) = via {
                 assert!(
-                    run_at(isa, mr, nr, kc, a, b, alpha, &mut tile, m_eff, n_eff),
+                    run_at_with(isa, mr, nr, kc, a, b, layout, alpha, &mut tile, m_eff, n_eff),
                     "{what} has no {isa:?} path"
                 );
             } else {
@@ -449,12 +663,13 @@ mod tests {
                     let sliver = &a[s * mr * kc..(s + 1) * mr * kc];
                     let m = mr.min(m_eff - s * mr);
                     let mut sub = tile.sub_tile(s * mr, 0, m, n_eff);
+                    let sub = &mut sub;
                     match via {
                         Via::Slivers(isa) => assert!(
-                            run_at(isa, mr, nr, kc, sliver, b, alpha, &mut sub, m, n_eff),
+                            run_at_with(isa, mr, nr, kc, sliver, b, layout, alpha, sub, m, n_eff),
                             "{what} has no {isa:?} path"
                         ),
-                        _ => run_portable(kind, kc, sliver, b, alpha, &mut sub, m, n_eff),
+                        _ => run_portable(kind, kc, sliver, b, layout, alpha, sub, m, n_eff),
                     }
                 }
             }
@@ -468,7 +683,7 @@ mod tests {
                     assert_eq!(
                         buf[i + j * ld].to_bits(),
                         POISON,
-                        "{} {via:?} g={g} kc={kc} {m_eff}x{n_eff}: wrote outside the tile at ({i}, {j})",
+                        "{} {via:?} g={g} kc={kc} {at:?} {m_eff}x{n_eff}: wrote outside the tile at ({i}, {j})",
                         kind.label()
                     );
                 }
@@ -513,6 +728,7 @@ mod tests {
         kind: MicroKernelKind,
         g: usize,
         kc: usize,
+        at: BAt,
         alpha: f64,
     ) {
         let (mr, nr) = (kind.mr(), kind.nr());
@@ -520,7 +736,7 @@ mod tests {
         let a = random_vec(rows * kc, 1 + kc as u64);
         let b = random_vec(nr * kc, 2 + kc as u64);
         let c0 = random_vec(rows * nr, 3);
-        let got = run_embedded(via, kind, g, kc, &a, &b, alpha, &c0, rows, nr);
+        let got = run_embedded(via, kind, g, kc, &a, &b, at, alpha, &c0, rows, nr);
         for j in 0..nr {
             for i in 0..rows {
                 let terms = || (0..kc).map(|k| (a_at(&a, mr, kc, i, k), b[k * nr + j]));
@@ -533,7 +749,7 @@ mod tests {
                 let err = (got[i + j * rows] - exact).abs();
                 assert!(
                     err <= bound,
-                    "{} {via:?} g={g} kc={kc} alpha={alpha} ({i},{j}): |{} - {exact}| = {err} > {bound}",
+                    "{} {via:?} g={g} kc={kc} {at:?} alpha={alpha} ({i},{j}): |{} - {exact}| = {err} > {bound}",
                     kind.label(),
                     got[i + j * rows]
                 );
@@ -545,47 +761,59 @@ mod tests {
     fn forward_error_within_bound_of_compensated_oracle() {
         for kc in KCS {
             for alpha in ALPHAS {
-                for (kind, isa, g) in grouped_paths() {
-                    assert_within_forward_bound(Via::Group(isa), kind, g, kc, alpha);
-                }
-                // The portable kernel is held to the same bound, on every
-                // host, for every shape.
-                for kind in MicroKernelKind::ALL {
-                    assert_within_forward_bound(Via::Portable, kind, 1, kc, alpha);
+                for at in BAt::ALL {
+                    for (kind, isa, g) in grouped_paths() {
+                        assert_within_forward_bound(Via::Group(isa), kind, g, kc, at, alpha);
+                    }
+                    // The portable kernel is held to the same bound, on
+                    // every host, for every shape.
+                    for kind in MicroKernelKind::ALL {
+                        assert_within_forward_bound(Via::Portable, kind, 1, kc, at, alpha);
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn edge_tiles_store_exactly_m_eff_by_n_eff_and_match_the_full_tile_bitwise() {
+    fn edge_tiles_and_in_place_b_match_the_full_packed_tile_bitwise() {
         // (ii) is asserted inside run_embedded on every call; (iii) here:
         // the elements an edge tile computes carry the same bits as the
-        // same elements of the full tile. A group of g is ragged inside
-        // its last sliver (m_eff in 8(g-1)+1 ..= 8g); fewer rows than
-        // that are the next smaller group's case.
-        for (kind, isa, g) in grouped_paths() {
+        // same elements of the full tile — wherever the kernel reads B
+        // from, so a sliver read in place (either stride order, columns
+        // or rows further apart than they are long, every n_eff) gives
+        // the bits of the packed call. A group of g is ragged inside its
+        // last sliver (m_eff in 8(g-1)+1 ..= 8g); fewer rows than that
+        // are the next smaller group's case.
+        let simd = grouped_paths()
+            .into_iter()
+            .map(|(kind, isa, g)| (kind, Via::Group(isa), g));
+        let portable = MicroKernelKind::ALL.map(|kind| (kind, Via::Portable, 1));
+        for (kind, via, g) in simd.chain(portable) {
             let (mr, nr) = (kind.mr(), kind.nr());
             let rows = g * mr;
-            let via = Via::Group(isa);
             let c0 = random_vec(rows * nr, 7);
             for kc in KCS {
                 let a = random_vec(rows * kc, 11 + kc as u64);
                 let b = random_vec(nr * kc, 13 + kc as u64);
                 for alpha in ALPHAS {
-                    let full = run_embedded(via, kind, g, kc, &a, &b, alpha, &c0, rows, nr);
-                    for m_eff in rows - mr + 1..=rows {
-                        for n_eff in 1..=nr {
-                            let edge =
-                                run_embedded(via, kind, g, kc, &a, &b, alpha, &c0, m_eff, n_eff);
-                            for j in 0..n_eff {
-                                for i in 0..m_eff {
-                                    assert_eq!(
-                                        edge[i + j * rows].to_bits(),
-                                        full[i + j * rows].to_bits(),
-                                        "{} {isa:?} g={g} kc={kc} alpha={alpha} {m_eff}x{n_eff} at ({i},{j})",
-                                        kind.label()
-                                    );
+                    let packed = BAt::Packed;
+                    let full = run_embedded(via, kind, g, kc, &a, &b, packed, alpha, &c0, rows, nr);
+                    for at in BAt::ALL {
+                        for m_eff in rows - mr + 1..=rows {
+                            for n_eff in 1..=nr {
+                                let edge = run_embedded(
+                                    via, kind, g, kc, &a, &b, at, alpha, &c0, m_eff, n_eff,
+                                );
+                                for j in 0..n_eff {
+                                    for i in 0..m_eff {
+                                        assert_eq!(
+                                            edge[i + j * rows].to_bits(),
+                                            full[i + j * rows].to_bits(),
+                                            "{} {via:?} g={g} kc={kc} {at:?} alpha={alpha} {m_eff}x{n_eff} at ({i},{j})",
+                                            kind.label()
+                                        );
+                                    }
                                 }
                             }
                         }
@@ -609,8 +837,10 @@ mod tests {
                 let b = random_vec(nr * kc, 37 + kc as u64);
                 for alpha in ALPHAS {
                     for (m_eff, n_eff) in [(rows, nr), (rows - mr + 3, nr - 1)] {
-                        let run =
-                            |via| run_embedded(via, kind, g, kc, &a, &b, alpha, &c0, m_eff, n_eff);
+                        let run = |via| {
+                            let at = BAt::Packed;
+                            run_embedded(via, kind, g, kc, &a, &b, at, alpha, &c0, m_eff, n_eff)
+                        };
                         let (group, single) = (run(Via::Group(isa)), run(Via::Slivers(isa)));
                         let same = group
                             .iter()
@@ -710,7 +940,8 @@ mod tests {
                         // out, and one that keeps it on the last edge
                         for (m_eff, n_eff) in [(mr, nr), (mr - 2, nr - 2), (mr - 1, nr - 1)] {
                             let run = |via| {
-                                run_embedded(via, kind, 1, kc, &a, &b, alpha, &c0, m_eff, n_eff)
+                                let at = BAt::Packed;
+                                run_embedded(via, kind, 1, kc, &a, &b, at, alpha, &c0, m_eff, n_eff)
                             };
                             let (got, want) = (run(Via::Group(isa)), run(Via::Portable));
                             for j in 0..n_eff {
@@ -781,5 +1012,74 @@ mod tests {
                 "a {a_len}/{b_len} sliver pair was accepted"
             );
         }
+    }
+
+    #[test]
+    fn a_b_window_one_element_short_is_rejected_in_release_builds_too() {
+        // The in-place reads are by pointer: the kernel's own assert is
+        // all that stands between a short slice and a read past its end.
+        // Shortest legal slices: 3 rows of 5 columns 9 apart end at
+        // 2 + 4*9, and 3 rows 9 apart of 5 columns at 2*9 + 4.
+        for (kind, isa) in paths() {
+            let (mr, nr) = (kind.mr(), kind.nr());
+            let (kc, n_eff) = (3, nr - 1);
+            let a = vec![0.5; mr * kc];
+            for trans in [Transpose::No, Transpose::Yes] {
+                let layout = stored(trans, 9);
+                let need = layout.last_offset(nr, kc, n_eff).unwrap() + 1;
+                for (len, ok) in [(need, true), (need - 1, false)] {
+                    let b = vec![0.5; len];
+                    let ran = std::panic::catch_unwind(|| {
+                        let mut c = vec![0.0f64; mr * nr];
+                        let mut tile = TileMut::from_slice(mr, nr, mr, &mut c);
+                        run_at_with(isa, mr, nr, kc, &a, &b, layout, 1.0, &mut tile, mr, n_eff)
+                    });
+                    assert_eq!(
+                        ran.is_ok(),
+                        ok,
+                        "{} {isa:?} {trans:?} len {len}",
+                        kind.label()
+                    );
+                }
+            }
+            // strides whose last offset overflows are refused, not wrapped
+            let huge = BLayout::Strided {
+                ks: usize::MAX / 2,
+                cs: 1,
+            };
+            let refused = std::panic::catch_unwind(|| {
+                let mut c = vec![0.0f64; mr * nr];
+                let mut tile = TileMut::from_slice(mr, nr, mr, &mut c);
+                run_at_with(
+                    isa, mr, nr, kc, &a, &[0.5; 64], huge, 1.0, &mut tile, mr, nr,
+                )
+            });
+            assert!(
+                refused.is_err(),
+                "{} {isa:?}: overflowing strides",
+                kind.label()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "B sliver ends outside its slice")]
+    fn the_portable_kernel_rejects_a_short_b_window_too() {
+        let (a, b) = (vec![0.5; 5 * 3], vec![0.5; 2 + 3 * 9]);
+        let mut c = vec![0.0f64; 25];
+        let mut tile = TileMut::from_slice(5, 5, 5, &mut c);
+        let layout = stored(Transpose::No, 9);
+        // 5 columns 9 apart, 3 deep, end at 2 + 4*9
+        run_portable(
+            MicroKernelKind::Mk5x5,
+            3,
+            &a,
+            &b,
+            layout,
+            1.0,
+            &mut tile,
+            5,
+            5,
+        );
     }
 }

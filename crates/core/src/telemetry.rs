@@ -6,11 +6,12 @@
 //! the runtime report where they actually went, in three tiers:
 //!
 //! 1. **Counters** — per-thread monotone totals: FLOPs retired, bytes
-//!    packed (A and B separately), GEBP blocks executed, caller steals,
-//!    arena hits vs fresh allocations. Recorded at the single choke
-//!    points of each quantity ([`crate::gebp::gebp`] for FLOPs and
-//!    blocks, [`crate::pack`] for bytes), so totals are exact to the
-//!    last operation for every runtime (Serial/Scoped/Pool).
+//!    packed (A and B separately), bytes of B read in place, GEBP blocks
+//!    executed, caller steals, arena hits vs fresh allocations. Recorded
+//!    at the single choke points of each quantity ([`crate::gebp::gebp`]
+//!    for FLOPs, blocks and in-place B, [`crate::pack`] for packed
+//!    bytes), so totals are exact to the last operation for every
+//!    runtime (Serial/Scoped/Pool).
 //! 2. **Phase spans** — monotonic-clock timings of pack-A, pack-B,
 //!    GEBP compute, barrier wait, epoch watchdog settling and serial
 //!    recovery, tagged with the current (GEPP iteration, `mc`-block)
@@ -45,6 +46,11 @@
 //! - Packed-byte totals are **buffer bytes** including the zero padding
 //!   to `mr`/`nr` sliver boundaries — the same quantity `pack.rs`
 //!   allocates and the kernels stream.
+//! - `packed_b_bytes` means bytes *written into a packed panel*. A serial
+//!   call with a single `mc` block packs none ([`crate::gemm`] reads B
+//!   where the caller stored it, with no `PackB` span); its kernels'
+//!   reads are `b_in_place_bytes`, unpadded `kc·cols` elements per GEBP.
+//!   Every B element a kernel consumed came through one of the two.
 //! - [`reset`] zeroes the per-thread counters/spans/rings but *not* the
 //!   lifetime runtime counters: `pool::status()` reports totals since
 //!   process start.
@@ -517,6 +523,9 @@ pub struct ThreadSnapshot {
     pub packed_a_bytes: u64,
     /// Bytes written into packed-B buffers (padded sliver layout).
     pub packed_b_bytes: u64,
+    /// Bytes of B the kernels read from the caller's matrix without a
+    /// pack (`kc·cols` elements per GEBP, unpadded).
+    pub b_in_place_bytes: u64,
     /// GEBP block invocations executed on this lane.
     pub blocks: u64,
     /// Queued jobs this lane ran while parked at an epoch barrier.
@@ -593,6 +602,12 @@ impl Snapshot {
     #[must_use]
     pub fn total_packed_b_bytes(&self) -> u64 {
         self.threads.iter().map(|t| t.packed_b_bytes).sum()
+    }
+
+    /// Bytes of B read in place across all lanes.
+    #[must_use]
+    pub fn total_b_in_place_bytes(&self) -> u64 {
+        self.threads.iter().map(|t| t.b_in_place_bytes).sum()
     }
 
     /// GEBP blocks executed across all lanes.
@@ -708,6 +723,7 @@ mod record {
         flops: AtomicU64,
         packed_a_bytes: AtomicU64,
         packed_b_bytes: AtomicU64,
+        b_in_place_bytes: AtomicU64,
         blocks: AtomicU64,
         steals: AtomicU64,
         arena_hits: AtomicU64,
@@ -730,6 +746,7 @@ mod record {
                 flops: AtomicU64::new(0),
                 packed_a_bytes: AtomicU64::new(0),
                 packed_b_bytes: AtomicU64::new(0),
+                b_in_place_bytes: AtomicU64::new(0),
                 blocks: AtomicU64::new(0),
                 steals: AtomicU64::new(0),
                 arena_hits: AtomicU64::new(0),
@@ -748,6 +765,7 @@ mod record {
             self.flops.store(0, Ordering::Relaxed);
             self.packed_a_bytes.store(0, Ordering::Relaxed);
             self.packed_b_bytes.store(0, Ordering::Relaxed);
+            self.b_in_place_bytes.store(0, Ordering::Relaxed);
             self.blocks.store(0, Ordering::Relaxed);
             self.steals.store(0, Ordering::Relaxed);
             self.arena_hits.store(0, Ordering::Relaxed);
@@ -856,13 +874,16 @@ mod record {
         });
     }
 
-    /// One GEBP block retired: `n` flops and the block count, in a
-    /// single lane access (this is the hottest recording site).
+    /// One GEBP block retired: `n` flops, the block count and the bytes
+    /// of B its kernels read in place, in a single lane access (this is
+    /// the hottest recording site).
     #[inline]
-    pub(crate) fn count_block(n: u64) {
+    pub(crate) fn count_block(n: u64, b_in_place_bytes: u64) {
         with_slot(|s| {
             s.flops.fetch_add(n, Ordering::Relaxed);
             s.blocks.fetch_add(1, Ordering::Relaxed);
+            s.b_in_place_bytes
+                .fetch_add(b_in_place_bytes, Ordering::Relaxed);
         });
     }
 
@@ -988,6 +1009,7 @@ mod record {
                     flops: s.flops.load(Ordering::Relaxed),
                     packed_a_bytes: s.packed_a_bytes.load(Ordering::Relaxed),
                     packed_b_bytes: s.packed_b_bytes.load(Ordering::Relaxed),
+                    b_in_place_bytes: s.b_in_place_bytes.load(Ordering::Relaxed),
                     blocks: s.blocks.load(Ordering::Relaxed),
                     steals: s.steals.load(Ordering::Relaxed),
                     arena_hits: s.arena_hits.load(Ordering::Relaxed),
@@ -1069,7 +1091,7 @@ mod record {
     #[inline(always)]
     pub(crate) fn add_packed_b_bytes(_n: u64) {}
     #[inline(always)]
-    pub(crate) fn count_block(_n: u64) {}
+    pub(crate) fn count_block(_n: u64, _b_in_place_bytes: u64) {}
     #[inline(always)]
     pub(crate) fn count_steal() {}
     #[inline(always)]
@@ -1141,6 +1163,8 @@ pub struct GemmReport {
     pub packed_a_bytes: u64,
     /// Counted packed-B bytes.
     pub packed_b_bytes: u64,
+    /// Counted bytes of B the kernels read in place, without a pack.
+    pub b_in_place_bytes: u64,
     /// Pack-cache hits over the interval.
     pub pack_cache_hits: u64,
     /// Pack-cache misses over the interval.
@@ -1268,6 +1292,7 @@ impl GemmReport {
             gflops,
             packed_a_bytes,
             packed_b_bytes,
+            b_in_place_bytes: snap.total_b_in_place_bytes(),
             pack_cache_hits: snap.cache.hits,
             pack_cache_misses: snap.cache.misses,
             pack_b_bytes_saved: snap.cache.bytes_saved,
@@ -1381,11 +1406,13 @@ impl GemmReport {
             }
             threads_json.push_str(&format!(
                 "{{\"name\":\"{}\",\"flops\":{},\"packed_a_bytes\":{},\"packed_b_bytes\":{},\
+                 \"b_in_place_bytes\":{},\
                  \"blocks\":{},\"steals\":{},\"arena_hits\":{},\"arena_fresh\":{},{}}}",
                 esc(&t.name),
                 t.flops,
                 t.packed_a_bytes,
                 t.packed_b_bytes,
+                t.b_in_place_bytes,
                 t.blocks,
                 t.steals,
                 t.arena_hits,
@@ -1404,7 +1431,7 @@ impl GemmReport {
             "{{\"schema\":\"dgemm-telem-v1\",\"m\":{},\"n\":{},\"k\":{},\"calls\":{},\
              \"threads\":{},\"elapsed_s\":{:.6},\"flops\":{},\"flops_counted\":{},\
              \"gflops\":{:.6},\"packed_a_bytes\":{},\"packed_b_bytes\":{},\
-             \"pack_b_bytes_saved\":{},\
+             \"b_in_place_bytes\":{},\"pack_b_bytes_saved\":{},\
              \"gamma_measured\":{},\"gamma_model\":{:.6},\"pack_frac\":{:.6},\
              \"compute_frac\":{:.6},\"wait_frac\":{:.6},\"model_time_cycles\":{:.3},\
              \"model_flops_per_cycle\":{:.6},\"model_efficiency_bound\":{:.6},\
@@ -1430,6 +1457,7 @@ impl GemmReport {
             self.gflops,
             self.packed_a_bytes,
             self.packed_b_bytes,
+            self.b_in_place_bytes,
             self.pack_b_bytes_saved,
             opt(self.gamma_measured),
             self.gamma_model,

@@ -40,13 +40,8 @@ impl<'a, T: Scalar> TileMut<'a, T> {
     /// Panics if the buffer is too short.
     #[must_use]
     pub fn from_slice(rows: usize, cols: usize, ld: usize, data: &'a mut [T]) -> Self {
-        assert!(ld >= rows.max(1), "leading dimension below row count");
-        if rows > 0 && cols > 0 {
-            assert!(
-                data.len() >= (cols - 1) * ld + rows,
-                "slice too short for {rows}x{cols} ld {ld}"
-            );
-        }
+        // checked arithmetic: every pointer offset below rests on it
+        crate::matrix::assert_region_fits(rows, cols, ld, data.len());
         TileMut {
             ptr: data.as_mut_ptr(),
             rows,
@@ -187,6 +182,15 @@ mod tests {
         // column-major: rows 0-1 band 1, rows 2-4 band 2, row 5 band 3
         assert_eq!(buf[..6], [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]);
         assert_eq!(buf[6..], [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice too short for 2x3")]
+    fn an_extent_that_overflows_is_rejected_not_wrapped() {
+        // 2·ld wraps to 0 in release arithmetic; the tile would then hand
+        // out column segments far outside its 16 elements
+        let mut buf = vec![0.0f64; 16];
+        let _ = TileMut::from_slice(2, 3, usize::MAX / 2 + 1, &mut buf);
     }
 
     #[test]

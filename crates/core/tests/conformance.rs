@@ -26,7 +26,7 @@
 
 use dgemm_core::dispatch::DispatchMode;
 use dgemm_core::gemm::{try_gemm, GemmConfig};
-use dgemm_core::matrix::Matrix;
+use dgemm_core::matrix::{Matrix, MatrixView};
 use dgemm_core::microkernel::MicroKernelKind;
 use dgemm_core::pool::PoolScalar;
 use dgemm_core::prepack::PrepackedB;
@@ -488,6 +488,133 @@ fn store_loaded_panels_conform() {
             Some((kc, 2 * mr, nc)),
             k,
         );
+    }
+}
+
+/// The "B source" axis: where the register kernels read B from must not
+/// change a bit. A serial, uncached call whose layer 3 is one `mc` block
+/// reads a non-transposed B in place, through strides; the same call
+/// with the pack cache on, on the scoped runtime or on the pool — and
+/// any call with a second block or a transposed B — reads a packed
+/// panel. All of them must agree bitwise and with the oracle.
+///
+/// B and C are windows of larger parents (`ld > rows`) whose last
+/// column ends the allocation. Everything of B's parent outside the
+/// window is NaN/Inf, so one element read from outside it — a ragged
+/// sliver's missing columns, the rows under a column — poisons C or
+/// runs off the slice. C's parent border is `-0.0`, which any stray
+/// read-modify-write flips; under β = 0 the window itself starts as
+/// NaN/Inf and must be overwritten.
+#[test]
+fn b_source_axis_conforms() {
+    const POISON: u64 = 0x8000_0000_0000_0000;
+    let junk = |i: usize, j: usize| {
+        if (i ^ j) & 1 == 0 {
+            f64::NAN
+        } else {
+            f64::INFINITY
+        }
+    };
+    // a window at (2, 1) of a parent it shares its last element with
+    let windowed = |inner: &Matrix, outside: &dyn Fn(usize, usize) -> f64| {
+        let (rows, cols) = (inner.rows(), inner.cols());
+        Matrix::from_fn(rows + 2, cols + 1, |i, j| {
+            if i >= 2 && j >= 1 {
+                inner.get(i - 2, j - 1)
+            } else {
+                outside(i, j)
+            }
+        })
+    };
+    let sources = [
+        (Parallelism::Serial, false),
+        (Parallelism::Serial, true),
+        (Parallelism::Scoped(3), false),
+        (Parallelism::Pool(4), false),
+    ];
+    let transposes = [Transpose::No, Transpose::Yes];
+    for kind in MicroKernelKind::ALL {
+        let (mr, nr) = (kind.mr(), kind.nr());
+        let (kc, mc, nc) = (16, 2 * mr, 2 * nr);
+        let n = nc + nr + 1; // two panels, the second with a ragged sliver
+        for (ta, tb) in transposes
+            .iter()
+            .flat_map(|&ta| transposes.map(|tb| (ta, tb)))
+        {
+            for (alpha, beta) in [(1.0, 0.0), (-1.5, 0.5), (0.0, 2.0)] {
+                for k in [1, kc, kc + 7] {
+                    // one ragged block, one full block, two blocks
+                    for m in [mr + 3, mc, mc + 3] {
+                        let what = format!(
+                            "{kind:?} ta={ta:?} tb={tb:?} alpha={alpha} beta={beta} {m}x{n}x{k}"
+                        );
+                        let (ar, ac) = stored_dims(ta, m, k);
+                        let (br, bc) = stored_dims(tb, k, n);
+                        let a = Matrix::random(ar, ac, 151);
+                        let b_parent = windowed(&Matrix::random(br, bc, 152), &junk);
+                        let b: MatrixView<'_> = b_parent.view().sub(2, 1, br, bc);
+                        assert!(b.ld() > b.rows() && b.data().len() == (bc - 1) * b.ld() + br);
+                        let c0 = if beta == 0.0 {
+                            Matrix::from_fn(m, n, junk)
+                        } else {
+                            Matrix::random(m, n, 153)
+                        };
+                        let c_parent = windowed(&c0, &|_, _| f64::from_bits(POISON));
+
+                        let mut want = if beta == 0.0 {
+                            Matrix::zeros(m, n)
+                        } else {
+                            c0.clone()
+                        };
+                        naive_gemm(ta, tb, alpha, &a.view(), &b, beta, &mut want.view_mut());
+                        let tol = gemm_tolerance(k, 4.0);
+
+                        let mut baseline: Option<Vec<u64>> = None;
+                        for (par, cached) in sources {
+                            let cfg = GemmConfig::for_kernel(kind, 1)
+                                .with_blocks(kc, mc, nc)
+                                .with_parallelism(par)
+                                .with_pack_cache(cached);
+                            let mut parent = c_parent.clone();
+                            let mut c = parent.view_mut();
+                            let mut c = c.sub_mut(2, 1, m, n);
+                            try_gemm(ta, tb, alpha, &a.view(), &b, beta, &mut c, &cfg)
+                                .unwrap_or_else(|e| panic!("{what} {par:?} cached={cached}: {e}"));
+                            for j in 0..n {
+                                for i in 0..m {
+                                    let (got, oracle) = (c.get(i, j), want.get(i, j));
+                                    assert!(
+                                        (got - oracle).abs() <= tol,
+                                        "{what} {par:?} cached={cached}: C[{i},{j}] = {got} \
+                                         vs oracle {oracle}"
+                                    );
+                                }
+                            }
+                            let bits: Vec<u64> =
+                                parent.as_slice().iter().map(|x| x.to_bits()).collect();
+                            for j in 0..n + 1 {
+                                for i in 0..m + 2 {
+                                    assert!(
+                                        (i >= 2 && j >= 1) || bits[i + j * (m + 2)] == POISON,
+                                        "{what} {par:?} cached={cached}: C's border written \
+                                         at ({i},{j})"
+                                    );
+                                }
+                            }
+                            match &baseline {
+                                None => baseline = Some(bits),
+                                Some(base) => assert_eq!(
+                                    &bits, base,
+                                    "{what} {par:?} cached={cached}: not bit-identical to \
+                                     serial uncached"
+                                ),
+                            }
+                        }
+                        f64::pack_cache().invalidate(&b);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -3,7 +3,9 @@
 //! runtime, and packed-byte counters must reproduce the padded-buffer
 //! arithmetic of `pack.rs` (`ceil(mc/mr)·mr·kc` slivers of A,
 //! `ceil(nc/nr)·nr·kc` slivers of B) summed over the exact macro-loop
-//! decomposition each runtime performs.
+//! decomposition each runtime performs. B bytes are *packed* bytes only
+//! where a pack ran: a serial call with a single `mc` block reads B in
+//! place, and the same elements show up, unpadded, as in-place bytes.
 //!
 //! Telemetry counters are process-global, so every test serializes on
 //! one lock and starts from `telemetry::reset()`.
@@ -61,23 +63,36 @@ fn run(par: Parallelism, m: usize, n: usize, k: usize) {
 /// `jj` over `nc` panels, `kk` over `kc` depths, then `mc` blocks of A
 /// walked within each row band (`bands` is `[(0, m)]` for the serial
 /// and pooled decompositions, `partition_rows` for the scoped one).
-/// Returns `(flops, a_bytes, b_bytes, blocks)`.
-fn expected(n: usize, k: usize, bands: &[(usize, usize)]) -> (u64, u64, u64, u64) {
+/// `b_in_place` says the runtime reads B where the caller stored it
+/// (serial, `m ≤ mc`): its bytes are then the `kc·nc` elements each GEBP
+/// consumed, not a padded panel.
+/// Returns `(flops, a_bytes, [packed_b_bytes, b_in_place_bytes], blocks)`.
+fn expected(
+    n: usize,
+    k: usize,
+    bands: &[(usize, usize)],
+    b_in_place: bool,
+) -> (u64, u64, [u64; 2], u64) {
     let w = core::mem::size_of::<f64>() as u64;
-    let (mut flops, mut a_bytes, mut b_bytes, mut blocks) = (0u64, 0u64, 0u64, 0u64);
+    let (mut flops, mut a_bytes, mut b_bytes, mut blocks) = (0u64, 0u64, [0u64; 2], 0u64);
     let mut jj = 0;
     while jj < n {
         let nc_eff = NC.min(n - jj);
         let mut kk = 0;
         while kk < k {
             let kc_eff = KC.min(k - kk);
-            b_bytes += (nc_eff.div_ceil(NR) * NR * kc_eff) as u64 * w;
+            if !b_in_place {
+                b_bytes[0] += (nc_eff.div_ceil(NR) * NR * kc_eff) as u64 * w;
+            }
             for &(_, len) in bands {
                 let mut ii = 0;
                 while ii < len {
                     let mc_eff = MC.min(len - ii);
                     a_bytes += (mc_eff.div_ceil(MR) * MR * kc_eff) as u64 * w;
                     flops += 2 * (mc_eff * nc_eff * kc_eff) as u64;
+                    if b_in_place {
+                        b_bytes[1] += (nc_eff * kc_eff) as u64 * w;
+                    }
                     blocks += 1;
                     ii += mc_eff;
                 }
@@ -98,7 +113,9 @@ mod enabled {
     fn check(par: Parallelism, bands: &[(usize, usize)], m: usize, n: usize, k: usize) {
         run(par, m, n, k);
         let snap = telemetry::snapshot();
-        let (flops, a_bytes, b_bytes, blocks) = expected(n, k, bands);
+        // the one runtime and shape class that skips the B pack
+        let b_in_place = par == Parallelism::Serial && m <= MC;
+        let (flops, a_bytes, b_bytes, blocks) = expected(n, k, bands, b_in_place);
         assert_eq!(
             flops,
             2 * (m * n * k) as u64,
@@ -111,9 +128,16 @@ mod enabled {
             "{par:?} {m}x{n}x{k}: packed-A bytes"
         );
         assert_eq!(
-            snap.total_packed_b_bytes(),
+            [snap.total_packed_b_bytes(), snap.total_b_in_place_bytes()],
             b_bytes,
-            "{par:?} {m}x{n}x{k}: packed-B bytes"
+            "{par:?} {m}x{n}x{k}: [packed, in-place] B bytes"
+        );
+        let pack_b = Phase::ALL.iter().position(|p| *p == Phase::PackB).unwrap();
+        let pack_b_spans: u64 = snap.threads.iter().map(|t| t.phase_hits[pack_b]).sum();
+        assert_eq!(
+            pack_b_spans == 0,
+            b_in_place,
+            "{par:?} {m}x{n}x{k}: a PackB span iff a pack"
         );
         assert_eq!(
             snap.total_blocks(),
@@ -124,16 +148,71 @@ mod enabled {
 
     #[test]
     fn serial_counters_are_exact() {
+        // 13, 24 (= mc) and 1 row are single-block shapes: B in place
         for (m, n, k) in [
             (64, 48, 40),
             (130, 70, 50),
             (13, 7, 9),
             (24, 16, 20),
+            (24, 70, 50),
+            (25, 16, 20),
             (1, 1, 1),
         ] {
             let _g = lock_and_reset();
             check(Parallelism::Serial, &[(0, m)], m, n, k);
         }
+    }
+
+    #[test]
+    fn other_runtimes_pack_b_on_single_block_shapes() {
+        // They have a cached or shared panel to fill; only the serial
+        // walk reads B in place.
+        for par in [Parallelism::Scoped(3), Parallelism::Pool(3)] {
+            let _g = lock_and_reset();
+            check(par, &[(0, 13)], 13, 33, 41);
+        }
+    }
+
+    /// The call the benchmark's `skinny_fresh` makes, under the default
+    /// blocking, by its exact counters: nothing written into a packed
+    /// panel, every B element read once in place, A packed as before —
+    /// and the pool, which has a shared panel to fill, still packing it
+    /// (padded to `nr`) into the same bits of C.
+    #[test]
+    fn the_default_skinny_call_reads_b_in_place_and_says_so() {
+        let _g = lock_and_reset();
+        let (m, n, k) = (8, 512, 512);
+        let a = Matrix::random(m, k, 61);
+        let b = Matrix::random(k, n, 62);
+        let run = |par: Parallelism| {
+            let mut c = Matrix::zeros(m, n);
+            telemetry::reset();
+            let (ta, tb) = (Transpose::No, Transpose::No);
+            let cfg = GemmConfig::default().with_parallelism(par);
+            gemm(
+                ta,
+                tb,
+                1.0,
+                &a.view(),
+                &b.view(),
+                0.0,
+                &mut c.view_mut(),
+                &cfg,
+            );
+            let snap = telemetry::snapshot();
+            let counts = [
+                snap.total_flops(),
+                snap.total_packed_a_bytes(),
+                snap.total_packed_b_bytes(),
+                snap.total_b_in_place_bytes(),
+            ];
+            (c, counts)
+        };
+        let (in_place, counts) = run(Parallelism::Serial);
+        assert_eq!(counts, [4_194_304, 32_768, 0, 512 * 512 * 8]);
+        let (pooled, counts) = run(Parallelism::Pool(2));
+        assert_eq!(counts, [4_194_304, 32_768, 512 * 516 * 8, 0]);
+        assert_eq!(in_place.as_slice(), pooled.as_slice());
     }
 
     #[test]
@@ -269,7 +348,7 @@ mod disabled {
         assert_eq!(report.flops, 2 * 96 * 48 * 40);
         // The expected-counter arithmetic stays callable (and nonzero)
         // so enabling the feature changes measurements, not the suite.
-        let (flops, ..) = expected(48, 40, &[(0, 96)]);
+        let (flops, ..) = expected(48, 40, &[(0, 96)], false);
         assert_eq!(flops, 2 * 96 * 48 * 40);
     }
 }
