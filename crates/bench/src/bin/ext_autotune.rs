@@ -1,7 +1,7 @@
 //! Extension — the closed-loop autotuner on the native engine
 //! (DESIGN.md §14): for each swept shape class, measure the analytic
 //! (untuned) configuration, run the model-seeded sweep
-//! ([`dgemm_core::autotune::tune_and_store_f64`]), persist the winner
+//! ([`dgemm_core::autotune::tune_and_store`]), persist the winner
 //! in the tuning DB, then re-measure with the tuned configuration the
 //! DB now serves to `GemmConfig::auto()`.
 //!
@@ -152,16 +152,14 @@ fn main() {
         let class = ShapeClass::of(m, n, k);
         let untuned_cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, threads);
 
-        let Some(entry) =
-            autotune::tune_and_store_f64(&db, untuned_cfg.kernel, threads, class, &opts)
+        let Some(entry) = autotune::tune_and_store(&db, untuned_cfg.kernel, threads, class, &opts)
         else {
             eprintln!("sweep produced no winner for {}", class.label());
             continue;
         };
         // Measure exactly what auto() will now serve for this class,
         // interleaved against the untuned baseline.
-        let tuned_cfg =
-            autotune::tuned_f64(&untuned_cfg.with_autotune(AutotuneMode::Read), m, n, k);
+        let tuned_cfg = autotune::tuned(&untuned_cfg.with_autotune(AutotuneMode::Read), m, n, k);
         let (untuned, tuned) = measure_pair(&untuned_cfg, &tuned_cfg, m, n, k, reps);
 
         let winner = format!("{} {}", tuned_cfg.blocks.label(), entry.runtime);

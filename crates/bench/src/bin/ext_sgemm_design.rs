@@ -51,11 +51,8 @@ fn main() {
     );
     let dgemm = MachineDesc::xgene();
     design("DGEMM (the paper)", &dgemm);
-    let mut sgemm = MachineDesc::xgene();
-    sgemm.element_bytes = 4;
     // one 128-bit FMA now does 8 flops: 4 flops/cycle at II=2
-    sgemm.flops_per_cycle = 4.0;
-    design("SGEMM (derived here)", &sgemm);
+    design("SGEMM (derived here)", &dgemm_core::sgemm::machine_f32());
 
     println!("Observations:");
     println!("- four f32 lanes per register relax eq. (9): the optimal block grows");

@@ -2,7 +2,7 @@
 //! tuning DB (DESIGN.md §14).
 //!
 //! The paper derives its blocking analytically for one machine (the
-//! X-Gene). On any other host, [`crate::gemm::GemmConfig::for_kernel`]
+//! X-Gene). On any other host, [`crate::gemm::Config::for_kernel`]
 //! still solves eqs. (15)–(20) against the *paper's* cache geometry —
 //! the model is a diagnostic, not a feedback loop. This module closes
 //! the loop, following the "model prunes the empirical search"
@@ -26,8 +26,8 @@
 //!    dispatcher's per-runtime EWMA calibration ratios so a new process
 //!    predicts accurately from its first call
 //!    ([`crate::dispatch::seed_calibration_ratios`]).
-//! 4. **Consultation**: [`crate::gemm::GemmConfig::auto`] /
-//!    [`crate::sgemm::SgemmConfig::auto`] read `DGEMM_AUTOTUNE`:
+//! 4. **Consultation**: [`crate::gemm::Config::auto`] (either kernel
+//!    family) reads `DGEMM_AUTOTUNE`:
 //!    `off` (default) changes nothing, `read` applies stored winners,
 //!    `full` additionally tunes on the first miss of each shape class.
 //!
@@ -37,13 +37,13 @@
 #![forbid(unsafe_code)]
 
 use crate::dispatch::DispatchMode;
-use crate::microkernel::{KernelSet, MicroKernelKind, SgemmKernelKind};
-use crate::pool::{Parallelism, PoolScalar, WorkerPool};
+use crate::gemm::{Config, KernelFamily};
+use crate::pool::{Parallelism, WorkerPool};
+use crate::scalar::Scalar;
 use crate::telemetry::GemmReport;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::tuning::{self, ShapeClass};
-use perfmodel::MachineDesc;
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, Once, OnceLock, PoisonError};
@@ -221,7 +221,7 @@ pub fn db_path() -> Result<Option<PathBuf>, GemmError> {
 /// Age bound on tuned entries: `DGEMM_TUNE_MAX_AGE_DAYS` as a day
 /// count (`None` when unset — entries never expire by age, the
 /// pre-existing behavior). `0` expires every dated entry immediately;
-/// garbage is a typed error ([`crate::gemm::GemmConfig::auto`]
+/// garbage is a typed error ([`crate::gemm::Config::auto`]
 /// validates this eagerly so a bad value fails config construction,
 /// not a later consultation).
 pub fn max_age_from_env() -> Result<Option<u64>, GemmError> {
@@ -842,25 +842,25 @@ struct SweepBest<K> {
 /// early-skip probe), then `reps` timed calls through the telemetry
 /// interval. Returns `(gflops, achieved_vs_bound, seconds_per_call)`.
 #[allow(clippy::too_many_arguments)]
-fn measure_config<T: PoolScalar, K: KernelSet<T>>(
+fn measure_config<K: KernelFamily>(
     kernel: K,
     blocks: &BlockSizes,
     runtime: Parallelism,
-    a: &crate::matrix::Matrix<T>,
-    b: &crate::matrix::Matrix<T>,
-    c: &mut crate::matrix::Matrix<T>,
+    a: &crate::matrix::Matrix<K::Elem>,
+    b: &crate::matrix::Matrix<K::Elem>,
+    c: &mut crate::matrix::Matrix<K::Elem>,
     dims: (usize, usize, usize),
     reps: usize,
     skip_above_s: Option<f64>,
 ) -> Option<(f64, f64, f64)> {
-    let run = |c: &mut crate::matrix::Matrix<T>| {
+    let run = |c: &mut crate::matrix::Matrix<K::Elem>| {
         crate::gemm::gemm_with(
             Transpose::No,
             Transpose::No,
-            T::ONE,
+            K::Elem::ONE,
             &a.view(),
             &b.view(),
-            T::ZERO,
+            K::Elem::ZERO,
             &mut c.view_mut(),
             kernel,
             *blocks,
@@ -896,19 +896,19 @@ fn measure_config<T: PoolScalar, K: KernelSet<T>>(
     Some((report.gflops, report.achieved_vs_bound(SCORE_GHZ), per_call))
 }
 
-/// The closed loop for one dtype/kernel family: assemble the
-/// model-seeded candidate set, measure through telemetry, return the
-/// winner. `kernels[0]` is the configured kernel (its analytic blocking
-/// is the untuned baseline); later entries contribute one analytic
-/// candidate each when the budget is rich enough.
-fn sweep<T: PoolScalar, K: KernelSet<T>>(
+/// The closed loop for one kernel family: assemble the model-seeded
+/// candidate set, measure through telemetry, return the winner.
+/// `kernels[0]` is the configured kernel (its analytic blocking is the
+/// untuned baseline); later entries contribute one analytic candidate
+/// each when the budget is rich enough.
+fn sweep<K: KernelFamily>(
     kernels: &[K],
     threads: usize,
-    machine: &MachineDesc,
     dims: (usize, usize, usize),
     opts: &TuneOptions,
 ) -> Option<SweepBest<K>> {
     let (m, n, k) = dims;
+    let machine = &K::machine();
     let main = *kernels.first()?;
     if m == 0 || n == 0 || k == 0 {
         return None;
@@ -967,9 +967,9 @@ fn sweep<T: PoolScalar, K: KernelSet<T>>(
     }
     configs.truncate(budget);
 
-    let a = crate::matrix::Matrix::<T>::random(m, k, 0xA5);
-    let b = crate::matrix::Matrix::<T>::random(k, n, 0xB6);
-    let mut c = crate::matrix::Matrix::<T>::zeros(m, n);
+    let a = crate::matrix::Matrix::<K::Elem>::random(m, k, 0xA5);
+    let b = crate::matrix::Matrix::<K::Elem>::random(k, n, 0xB6);
+    let mut c = crate::matrix::Matrix::<K::Elem>::zeros(m, n);
 
     let candidates = configs.len();
     let mut best: Option<SweepBest<K>> = None;
@@ -1016,23 +1016,17 @@ fn sweep<T: PoolScalar, K: KernelSet<T>>(
     Some(best)
 }
 
-fn entry_from_best<K: Copy>(
-    best: &SweepBest<K>,
-    dtype: &str,
-    class: &ShapeClass,
-    mr: usize,
-    nr: usize,
-) -> TuneEntry {
+fn entry_from_best<K: KernelFamily>(best: &SweepBest<K>, class: &ShapeClass) -> TuneEntry {
     let (runtime, threads) = match best.runtime {
-        Parallelism::Pool(p) | Parallelism::Scoped(p) if p > 1 => ("pool", p),
+        Parallelism::Pool(p) if p > 1 => ("pool", p),
         _ => ("serial", 1),
     };
     TuneEntry {
         cpu: cpu_id().to_owned(),
-        dtype: dtype.to_owned(),
+        dtype: K::DTYPE.to_owned(),
         class: class.label(),
-        mr,
-        nr,
+        mr: best.kernel.mr(),
+        nr: best.kernel.nr(),
         kc: best.blocks.kc,
         mc: best.blocks.mc,
         nc: best.blocks.nc,
@@ -1049,70 +1043,22 @@ fn entry_from_best<K: Copy>(
     }
 }
 
-/// Run one f64 tuning sweep at `class`'s representative shape and
-/// return the winner (not yet persisted). `kernel` is the configured
-/// kernel whose analytic blocking anchors the candidate set and the
-/// untuned baseline. `None` when nothing could be measured.
+/// Run one tuning sweep for `kernel`'s family at `class`'s
+/// representative shape and return the winner (not yet persisted).
+/// `kernel` is the configured kernel whose analytic blocking anchors the
+/// candidate set and the untuned baseline. `None` when nothing could be
+/// measured.
 #[must_use]
-pub fn tune_f64(
-    kernel: MicroKernelKind,
+pub fn tune<K: KernelFamily>(
+    kernel: K,
     threads: usize,
     class: ShapeClass,
     opts: &TuneOptions,
 ) -> Option<TuneEntry> {
     let mut kernels = vec![kernel];
-    kernels.extend(
-        MicroKernelKind::ALL
-            .iter()
-            .copied()
-            .filter(|k| *k != kernel),
-    );
-    let best = sweep::<f64, _>(
-        &kernels,
-        threads,
-        &MachineDesc::xgene(),
-        class.representative(),
-        opts,
-    )?;
-    Some(entry_from_best(
-        &best,
-        "f64",
-        &class,
-        best.kernel.mr(),
-        best.kernel.nr(),
-    ))
-}
-
-/// [`tune_f64`] for f32 (the `machine_f32` description and the SGEMM
-/// kernel family).
-#[must_use]
-pub fn tune_f32(
-    kernel: SgemmKernelKind,
-    threads: usize,
-    class: ShapeClass,
-    opts: &TuneOptions,
-) -> Option<TuneEntry> {
-    let mut kernels = vec![kernel];
-    kernels.extend(
-        SgemmKernelKind::ALL
-            .iter()
-            .copied()
-            .filter(|k| *k != kernel),
-    );
-    let best = sweep::<f32, _>(
-        &kernels,
-        threads,
-        &crate::sgemm::machine_f32(),
-        class.representative(),
-        opts,
-    )?;
-    Some(entry_from_best(
-        &best,
-        "f32",
-        &class,
-        best.kernel.mr(),
-        best.kernel.nr(),
-    ))
+    kernels.extend(K::ALL.iter().copied().filter(|k| *k != kernel));
+    let best = sweep(&kernels, threads, class.representative(), opts)?;
+    Some(entry_from_best(&best, &class))
 }
 
 /// Tune and persist: run the sweep, upsert the winner and this host's
@@ -1120,28 +1066,14 @@ pub fn tune_f32(
 /// the stored entry; `None` when the sweep measured nothing (the DB is
 /// then left untouched).
 #[must_use]
-pub fn tune_and_store_f64(
+pub fn tune_and_store<K: KernelFamily>(
     path: &Path,
-    kernel: MicroKernelKind,
+    kernel: K,
     threads: usize,
     class: ShapeClass,
     opts: &TuneOptions,
 ) -> Option<TuneEntry> {
-    let entry = tune_f64(kernel, threads, class, opts)?;
-    store_entry(path, entry.clone());
-    Some(entry)
-}
-
-/// [`tune_and_store_f64`] for f32.
-#[must_use]
-pub fn tune_and_store_f32(
-    path: &Path,
-    kernel: SgemmKernelKind,
-    threads: usize,
-    class: ShapeClass,
-    opts: &TuneOptions,
-) -> Option<TuneEntry> {
-    let entry = tune_f32(kernel, threads, class, opts)?;
+    let entry = tune(kernel, threads, class, opts)?;
     store_entry(path, entry.clone());
     Some(entry)
 }
@@ -1204,7 +1136,7 @@ pub fn wait_for_background_tuning() {
 
 /// Launch one tuning sweep on a warm-up thread so the triggering
 /// `gemm()` call is never blocked behind a multi-second sweep. The
-/// sweep persists through the same `tune_and_store_*` path the
+/// sweep persists through the same [`tune_and_store`] path the
 /// synchronous `dgemm-autotune` tool uses, so the per-path DB cache is
 /// refreshed and the *next* call of the class picks the winner up.
 /// Options are captured in the caller (environment reads stay on the
@@ -1239,20 +1171,15 @@ fn runtime_from_entry(entry: &TuneEntry) -> Parallelism {
     }
 }
 
-/// Resolve the tuned configuration for one f64 GEMM call — exactly what
-/// [`crate::gemm::try_gemm`] will run for an `m×n×k` problem: the
-/// stored winner if the DB has one, else (Full mode, first miss of the
-/// class) tune now and apply the fresh winner. Every failure path
-/// returns the config unchanged. The stored runtime only overrides
-/// [`DispatchMode::Fixed`] configs — an explicit dispatch mode keeps
-/// runtime authority with the dispatcher.
+/// Resolve the tuned configuration for one GEMM call of `cfg`'s kernel
+/// family — exactly what [`crate::gemm::try_gemm`] will run for an
+/// `m×n×k` problem: the stored winner if the DB has one, else (Full mode,
+/// first miss of the class) the analytic config now and a sweep on a
+/// warm-up thread. Every failure path returns the config unchanged. The
+/// stored runtime only overrides [`DispatchMode::Fixed`] configs — an
+/// explicit dispatch mode keeps runtime authority with the dispatcher.
 #[must_use]
-pub fn tuned_f64(
-    cfg: &crate::gemm::GemmConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-) -> crate::gemm::GemmConfig {
+pub fn tuned<K: KernelFamily>(cfg: &Config<K>, m: usize, n: usize, k: usize) -> Config<K> {
     if cfg.autotune == AutotuneMode::Off || m == 0 || n == 0 || k == 0 {
         return *cfg;
     }
@@ -1261,7 +1188,7 @@ pub fn tuned_f64(
     };
     let class = ShapeClass::of(m, n, k);
     let mut entry = load_db(&path)
-        .find(cpu_id(), "f64", &class.label())
+        .find(cpu_id(), K::DTYPE, &class.label())
         .cloned();
     // Age expiry (DGEMM_TUNE_MAX_AGE_DAYS): under Full an over-age
     // entry is a miss — drop it so the background re-tune below fires
@@ -1274,76 +1201,23 @@ pub fn tuned_f64(
     {
         entry = None;
     }
-    if entry.is_none() && cfg.autotune == AutotuneMode::Full && first_attempt("f64", &class) {
+    if entry.is_none() && cfg.autotune == AutotuneMode::Full && first_attempt(K::DTYPE, &class) {
         // First miss of this class under Full mode: tune on a warm-up
         // thread and serve the analytic config *now* — the triggering
         // call must not stall behind a multi-second sweep. Subsequent
-        // calls pick the winner up once `tune_and_store_f64` lands it
-        // in the DB (and its in-memory cache).
+        // calls pick the winner up once `tune_and_store` lands it in the
+        // DB (and its in-memory cache).
         let opts = TuneOptions::from_env().unwrap_or_default();
         let (kernel, threads) = (cfg.kernel, cfg.threads());
         spawn_background_tune(path, opts, move |p, o| {
-            let _ = tune_and_store_f64(p, kernel, threads, class, o);
+            let _ = tune_and_store(p, kernel, threads, class, o);
         });
         return *cfg;
     }
     let Some(entry) = entry else {
         return *cfg;
     };
-    let Some(kernel) = MicroKernelKind::ALL
-        .iter()
-        .copied()
-        .find(|kk| kk.mr() == entry.mr && kk.nr() == entry.nr)
-    else {
-        return *cfg;
-    };
-    let mut out = *cfg;
-    out.kernel = kernel;
-    out.blocks = entry.blocks();
-    if out.dispatch == DispatchMode::Fixed {
-        out.parallelism = runtime_from_entry(&entry);
-    }
-    out
-}
-
-/// [`tuned_f64`] for the SGEMM path.
-#[must_use]
-pub fn tuned_f32(
-    cfg: &crate::sgemm::SgemmConfig,
-    m: usize,
-    n: usize,
-    k: usize,
-) -> crate::sgemm::SgemmConfig {
-    if cfg.autotune == AutotuneMode::Off || m == 0 || n == 0 || k == 0 {
-        return *cfg;
-    }
-    let Ok(Some(path)) = db_path() else {
-        return *cfg;
-    };
-    let class = ShapeClass::of(m, n, k);
-    let mut entry = load_db(&path)
-        .find(cpu_id(), "f32", &class.label())
-        .cloned();
-    // Same age-expiry contract as the f64 path above.
-    let max_age = max_age_from_env().unwrap_or(None);
-    if cfg.autotune == AutotuneMode::Full
-        && entry.as_ref().is_some_and(|e| entry_expired(e, max_age))
-    {
-        entry = None;
-    }
-    if entry.is_none() && cfg.autotune == AutotuneMode::Full && first_attempt("f32", &class) {
-        // Same warm-up-thread contract as the f64 path above.
-        let opts = TuneOptions::from_env().unwrap_or_default();
-        let (kernel, threads) = (cfg.kernel, cfg.threads());
-        spawn_background_tune(path, opts, move |p, o| {
-            let _ = tune_and_store_f32(p, kernel, threads, class, o);
-        });
-        return *cfg;
-    }
-    let Some(entry) = entry else {
-        return *cfg;
-    };
-    let Some(kernel) = SgemmKernelKind::ALL
+    let Some(kernel) = K::ALL
         .iter()
         .copied()
         .find(|kk| kk.mr() == entry.mr && kk.nr() == entry.nr)
@@ -1362,6 +1236,7 @@ pub fn tuned_f32(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microkernel::MicroKernelKind;
 
     fn sample_entry() -> TuneEntry {
         TuneEntry {
@@ -1570,6 +1445,32 @@ mod tests {
         if let Some(p) = default {
             assert!(p.ends_with("dgemm/tune.json"), "{}", p.display());
         }
+
+        // DGEMM_TUNE_MAX_AGE_DAYS: a day count, or a typed error from
+        // `auto()` of either kernel family as soon as a mode consults the
+        // DB; with the tuner off it is never read.
+        let bad_age = GemmError::BadConfig("DGEMM_TUNE_MAX_AGE_DAYS must be an integer day count");
+        std::env::set_var("DGEMM_TUNE_MAX_AGE_DAYS", "30");
+        assert_eq!(max_age_from_env().unwrap(), Some(30));
+        std::env::set_var("DGEMM_TUNE_MAX_AGE_DAYS", "a fortnight");
+        assert_eq!(max_age_from_env().unwrap_err(), bad_age);
+        assert!(crate::gemm::GemmConfig::auto().is_ok());
+        assert!(crate::sgemm::SgemmConfig::auto().is_ok());
+        for mode in ["read", "full"] {
+            std::env::set_var("DGEMM_AUTOTUNE", mode);
+            assert_eq!(
+                crate::gemm::GemmConfig::auto().unwrap_err(),
+                bad_age,
+                "f64 {mode}"
+            );
+            assert_eq!(
+                crate::sgemm::SgemmConfig::auto().unwrap_err(),
+                bad_age,
+                "f32 {mode}"
+            );
+        }
+        std::env::remove_var("DGEMM_AUTOTUNE");
+        std::env::remove_var("DGEMM_TUNE_MAX_AGE_DAYS");
     }
 
     #[test]
@@ -1593,7 +1494,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let class = ShapeClass::of(48, 48, 48);
         let opts = TuneOptions { budget: 4, reps: 1 };
-        let entry = tune_and_store_f64(&path, MicroKernelKind::Mk8x6, 2, class, &opts)
+        let entry = tune_and_store(&path, MicroKernelKind::Mk8x6, 2, class, &opts)
             .expect("sweep measured something");
         assert_eq!(entry.dtype, "f64");
         assert_eq!(entry.class, class.label());

@@ -13,7 +13,7 @@ use crate::dispatch::DispatchMode;
 use crate::gemm::GemmConfig;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::KernelSet;
-use crate::parallel::{run_layer3, run_layer3_scoped, Layer3Params};
+use crate::parallel::{run_layer3, Layer3Params};
 use crate::pool::{gemm_pooled, Parallelism, PoolScalar};
 use crate::tile::TileMut;
 use crate::{GemmError, Transpose};
@@ -106,8 +106,7 @@ pub(crate) fn gemm_batch_with_cache(
 
     // Shape-adaptive dispatch (DESIGN.md §13): the whole batch shares
     // one decision — every entry contributes `m_tasks`, so the grid
-    // accounts for the real per-epoch cell count. A non-Fixed mode
-    // resolves to Serial or Pool (the Scoped baseline is never chosen).
+    // accounts for the real per-epoch cell count.
     let plan = match cfg.dispatch {
         DispatchMode::Fixed => None,
         mode => Some(crate::dispatch::decide(
@@ -151,119 +150,86 @@ fn run_batch(
     n_split: usize,
 ) -> Result<(), GemmError> {
     match runtime {
-        Parallelism::Pool(threads) => {
-            // every entry's mc-blocks are dispatched into the same epoch,
-            // all sharing one Arc'd packed panel of B
-            gemm_pooled(
-                Transpose::No,
-                transb,
-                alpha,
-                a_batch,
-                b,
-                c_batch,
-                cfg.kernel,
-                cfg.blocks,
-                threads,
-                n_split,
-                cfg.epoch_timeout,
-                prepacked,
-            )?;
-        }
-        Parallelism::Scoped(threads) if threads > 1 => {
-            f64::with_arena(|arena| {
-                let mut packed_b = arena.take_panel(cfg.kernel.nr());
-                batch_layer12(
-                    alpha,
-                    a_batch,
-                    transb,
-                    b,
-                    c_batch,
-                    cfg,
-                    &mut packed_b,
-                    prepacked,
-                    |params, pb, panel| run_layer3_scoped(params, pb, panel, threads),
-                );
-                arena.put_panel(packed_b);
-            });
-        }
-        Parallelism::Serial | Parallelism::Scoped(_) => {
-            f64::with_arena(|arena| {
-                // ONE packed-A block buffer and ONE packed-B panel across
-                // blocks, macro-iterations and batch entries
-                let mut slot = arena.take_slot(cfg.kernel.mr());
-                let mut packed_b = arena.take_panel(cfg.kernel.nr());
-                batch_layer12(
-                    alpha,
-                    a_batch,
-                    transb,
-                    b,
-                    c_batch,
-                    cfg,
-                    &mut packed_b,
-                    prepacked,
-                    |params, pb, panel| run_layer3(params, pb, panel, slot.pa_mut()),
-                );
-                arena.put_slot(slot);
-                arena.put_panel(packed_b);
-            });
+        // every entry's mc-blocks are dispatched into the same epoch,
+        // all sharing one Arc'd packed panel of B
+        Parallelism::Pool(threads) => gemm_pooled(
+            Transpose::No,
+            transb,
+            alpha,
+            a_batch,
+            b,
+            c_batch,
+            cfg.kernel,
+            cfg.blocks,
+            threads,
+            n_split,
+            cfg.epoch_timeout,
+            prepacked,
+        ),
+        Parallelism::Serial => {
+            batch_serial(alpha, a_batch, transb, b, c_batch, cfg, prepacked);
+            Ok(())
         }
     }
-    Ok(())
 }
 
-/// Layers 1–2 of the non-pooled batched driver: the shared operand is
-/// packed once per `(jj, kk)` macro-iteration into the caller's recycled
-/// panel (or borrowed from a pre-packed cache entry) and `run` executes
-/// layer 3 for each batch entry against it.
-#[allow(clippy::too_many_arguments)] // internal driver mirroring the entry point
-fn batch_layer12(
+/// The serial batched driver: the shared operand is packed once per
+/// `(jj, kk)` macro-iteration (or borrowed from a pre-packed cache entry)
+/// and layer 3 runs for each batch entry against it — ONE packed-A block
+/// buffer and ONE packed-B panel, both from the caller's arena, across
+/// blocks, macro-iterations and batch entries.
+fn batch_serial(
     alpha: f64,
     a_batch: &[MatrixView<'_>],
     transb: Transpose,
     b: &MatrixView<'_>,
     c_batch: &mut [MatrixViewMut<'_>],
     cfg: &GemmConfig,
-    packed_b: &mut crate::pack::PackedB,
     prepacked: Option<&crate::prepack::PrepackedB>,
-    mut run: impl FnMut(Layer3Params<'_>, &crate::pack::PackedB, TileMut<'_>),
 ) {
     let (m, k) = (a_batch[0].rows(), a_batch[0].cols());
     let n = c_batch[0].cols();
     let (kc, mc, nc) = (cfg.blocks.kc, cfg.blocks.mc, cfg.blocks.nc);
-    let mut jj = 0usize;
-    while jj < n {
-        let nc_eff = nc.min(n - jj);
-        let mut kk = 0usize;
-        while kk < k {
-            let kc_eff = kc.min(k - kk);
-            // pack the shared operand ONCE for the whole batch — or skip
-            // even that when a pre-packed tile is available
-            let pb: &crate::pack::PackedB = match prepacked {
-                Some(pp) => pp.panel(jj, kk),
-                None => {
-                    packed_b.pack(b, transb, kk, jj, kc_eff, nc_eff);
-                    &*packed_b
-                }
-            };
-            for (a, c) in a_batch.iter().zip(c_batch.iter_mut()) {
-                let params = Layer3Params {
-                    a,
-                    transa: Transpose::No,
-                    kk,
-                    kc_eff,
-                    alpha,
-                    kernel: cfg.kernel,
-                    mc,
+    f64::with_arena(|arena| {
+        let mut slot = arena.take_slot(cfg.kernel.mr());
+        let mut packed_b = arena.take_panel(cfg.kernel.nr());
+        let mut jj = 0usize;
+        while jj < n {
+            let nc_eff = nc.min(n - jj);
+            let mut kk = 0usize;
+            while kk < k {
+                let kc_eff = kc.min(k - kk);
+                // pack the shared operand ONCE for the whole batch — or
+                // skip even that when a pre-packed tile is available
+                let pb: &crate::pack::PackedB = match prepacked {
+                    Some(pp) => pp.panel(jj, kk),
+                    None => {
+                        packed_b.pack(b, transb, kk, jj, kc_eff, nc_eff);
+                        &packed_b
+                    }
                 };
-                let mut panel_view = c.sub_mut(0, jj, m, nc_eff);
-                let ld = panel_view.ld();
-                let panel = TileMut::from_slice(m, nc_eff, ld, panel_view.data_mut());
-                run(params, pb, panel);
+                for (a, c) in a_batch.iter().zip(c_batch.iter_mut()) {
+                    let params = Layer3Params {
+                        a,
+                        transa: Transpose::No,
+                        kk,
+                        kc_eff,
+                        alpha,
+                        kernel: cfg.kernel,
+                        mc,
+                    };
+                    let mut panel_view = c.sub_mut(0, jj, m, nc_eff);
+                    let ld = panel_view.ld();
+                    let panel = TileMut::from_slice(m, nc_eff, ld, panel_view.data_mut());
+                    run_layer3(params, pb, panel, slot.pa_mut());
+                }
+                kk += kc_eff;
             }
-            kk += kc_eff;
+            jj += nc_eff;
         }
-        jj += nc_eff;
-    }
+        arena.put_slot(slot);
+        arena.put_panel(packed_b);
+    });
 }
 
 #[cfg(test)]

@@ -1,27 +1,30 @@
 //! BLAS-style checked entry points.
 //!
-//! [`dgemm`] mirrors cblas `cblas_dgemm` for column-major `f64` operands,
-//! returning structured errors instead of `XERBLA` aborts; [`dgemm_slice`]
-//! accepts raw column-major slices with explicit leading dimensions for
-//! drop-in use from FFI-shaped code.
+//! [`checked_gemm`] is the one checked entry of the library, generic over
+//! the kernel family: it returns structured errors instead of `XERBLA`
+//! aborts. [`dgemm`] is it at the paper's kernels, mirroring cblas
+//! `cblas_dgemm` for column-major `f64` operands ([`crate::sgemm::sgemm`]
+//! is the `f32` one); the `_slice` variants accept raw column-major slices
+//! with explicit leading dimensions for drop-in use from FFI-shaped code.
 
 #![forbid(unsafe_code)]
 
-use crate::gemm::{try_gemm, GemmConfig};
+use crate::gemm::{try_gemm, Config, GemmConfig, KernelFamily};
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::{GemmError, Transpose};
 
-/// `C := α·op(A)·op(B) + β·C` with full dimension checking.
-#[allow(clippy::too_many_arguments)] // canonical BLAS dgemm signature
-pub fn dgemm(
+/// `C := α·op(A)·op(B) + β·C` with full dimension checking, in the
+/// precision of `cfg`'s kernel family.
+#[allow(clippy::too_many_arguments)] // canonical BLAS gemm signature
+pub fn checked_gemm<K: KernelFamily>(
     transa: Transpose,
     transb: Transpose,
-    alpha: f64,
-    a: &MatrixView<'_>,
-    b: &MatrixView<'_>,
-    beta: f64,
-    c: &mut MatrixViewMut<'_>,
-    cfg: &GemmConfig,
+    alpha: K::Elem,
+    a: &MatrixView<'_, K::Elem>,
+    b: &MatrixView<'_, K::Elem>,
+    beta: K::Elem,
+    c: &mut MatrixViewMut<'_, K::Elem>,
+    cfg: &Config<K>,
 ) -> Result<(), GemmError> {
     let (m, ka) = transa.apply_dims(a.rows(), a.cols());
     let (kb, n) = transb.apply_dims(b.rows(), b.cols());
@@ -49,8 +52,56 @@ pub fn dgemm(
     try_gemm(transa, transb, alpha, a, b, beta, c, cfg)
 }
 
-/// Raw-slice variant: column-major `a` (`lda ≥ rows(A)`), `b`, `c`
-/// analogous; `m, n, k` are the dimensions of `op(A)·op(B)`.
+/// Raw-slice variant of [`checked_gemm`]: column-major `a`
+/// (`lda ≥ rows(A)`), `b`, `c` analogous; `m, n, k` are the dimensions of
+/// `op(A)·op(B)`.
+#[allow(clippy::too_many_arguments)]
+pub fn checked_gemm_slice<K: KernelFamily>(
+    transa: Transpose,
+    transb: Transpose,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: K::Elem,
+    a: &[K::Elem],
+    lda: usize,
+    b: &[K::Elem],
+    ldb: usize,
+    beta: K::Elem,
+    c: &mut [K::Elem],
+    ldc: usize,
+    cfg: &Config<K>,
+) -> Result<(), GemmError> {
+    let (ar, ac) = match transa {
+        Transpose::No => (m, k),
+        Transpose::Yes => (k, m),
+    };
+    let (br, bc) = match transb {
+        Transpose::No => (k, n),
+        Transpose::Yes => (n, k),
+    };
+    let av = MatrixView::from_slice(ar, ac, lda, a);
+    let bv = MatrixView::from_slice(br, bc, ldb, b);
+    let mut cv = MatrixViewMut::from_slice(m, n, ldc, c);
+    checked_gemm(transa, transb, alpha, &av, &bv, beta, &mut cv, cfg)
+}
+
+/// [`checked_gemm`] in double precision.
+#[allow(clippy::too_many_arguments)] // canonical BLAS dgemm signature
+pub fn dgemm(
+    transa: Transpose,
+    transb: Transpose,
+    alpha: f64,
+    a: &MatrixView<'_>,
+    b: &MatrixView<'_>,
+    beta: f64,
+    c: &mut MatrixViewMut<'_>,
+    cfg: &GemmConfig,
+) -> Result<(), GemmError> {
+    checked_gemm(transa, transb, alpha, a, b, beta, c, cfg)
+}
+
+/// [`checked_gemm_slice`] in double precision.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm_slice(
     transa: Transpose,
@@ -68,18 +119,9 @@ pub fn dgemm_slice(
     ldc: usize,
     cfg: &GemmConfig,
 ) -> Result<(), GemmError> {
-    let (ar, ac) = match transa {
-        Transpose::No => (m, k),
-        Transpose::Yes => (k, m),
-    };
-    let (br, bc) = match transb {
-        Transpose::No => (k, n),
-        Transpose::Yes => (n, k),
-    };
-    let av = MatrixView::from_slice(ar, ac, lda, a);
-    let bv = MatrixView::from_slice(br, bc, ldb, b);
-    let mut cv = MatrixViewMut::from_slice(m, n, ldc, c);
-    dgemm(transa, transb, alpha, &av, &bv, beta, &mut cv, cfg)
+    checked_gemm_slice(
+        transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, cfg,
+    )
 }
 
 #[cfg(test)]
@@ -87,6 +129,7 @@ mod tests {
     use super::*;
     use crate::matrix::Matrix;
     use crate::reference::naive_gemm;
+    use crate::scalar::Scalar;
     use crate::util::gemm_tolerance;
 
     #[test]
@@ -119,51 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_dim_mismatch_detected() {
-        let a = Matrix::zeros(4, 5);
-        let b = Matrix::zeros(6, 3);
-        let mut c = Matrix::zeros(4, 3);
-        let err = dgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &GemmConfig::default(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            GemmError::InnerDimMismatch {
-                a_cols: 5,
-                b_rows: 6
-            }
-        );
-    }
-
-    #[test]
-    fn output_shape_mismatch_detected() {
-        let a = Matrix::zeros(4, 5);
-        let b = Matrix::zeros(5, 3);
-        let mut c = Matrix::zeros(4, 4);
-        let err = dgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &GemmConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::OutputDimMismatch { .. }));
-        assert!(err.to_string().contains("4x4"));
-    }
-
-    #[test]
     fn transpose_changes_required_shapes() {
         let a = Matrix::zeros(5, 4); // op(A) = A^T is 4x5
         let b = Matrix::zeros(5, 3);
@@ -181,60 +179,68 @@ mod tests {
         .unwrap();
     }
 
-    #[test]
-    fn bad_config_detected() {
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 2);
-        let mut c = Matrix::zeros(2, 2);
-        let mut cfg = GemmConfig::default().with_blocks(0, 8, 8);
-        let err = dgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &cfg,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::BadConfig(_)));
-        cfg = GemmConfig::default();
-        cfg.parallelism = crate::pool::Parallelism::Pool(0);
-        let err = dgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &cfg,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::BadConfig(_)));
+    /// A checked entry at one kernel family, as `dgemm` and `sgemm` are.
+    type Entry<K> = fn(
+        Transpose,
+        Transpose,
+        <K as KernelFamily>::Elem,
+        &MatrixView<'_, <K as KernelFamily>::Elem>,
+        &MatrixView<'_, <K as KernelFamily>::Elem>,
+        <K as KernelFamily>::Elem,
+        &mut MatrixViewMut<'_, <K as KernelFamily>::Elem>,
+        &Config<K>,
+    ) -> Result<(), GemmError>;
+
+    /// What `entry` answers to each kind of bad input, in a fixed order.
+    /// `other` is a kernel of the family that is not its default.
+    fn bad_input_errors<K: KernelFamily>(other: K, entry: Entry<K>) -> Vec<GemmError> {
+        let zeros = Matrix::<K::Elem>::zeros;
+        let run = |(ar, ac), (br, bc), (cr, cc), cfg: Config<K>| {
+            let (a, b, mut c) = (zeros(ar, ac), zeros(br, bc), zeros(cr, cc));
+            let (one, zero) = (K::Elem::ONE, K::Elem::ZERO);
+            let (no, mut cv) = (Transpose::No, c.view_mut());
+            entry(no, no, one, &a.view(), &b.view(), zero, &mut cv, &cfg).unwrap_err()
+        };
+        let good = Config::<K>::default();
+        let mut wrong_shape = good;
+        wrong_shape.kernel = other; // the blocking still says the default's
+        vec![
+            run((4, 5), (6, 3), (4, 3), good),
+            run((4, 5), (5, 3), (4, 4), good),
+            run((2, 2), (2, 2), (2, 2), good.with_blocks(0, 8, 8)),
+            run((2, 2), (2, 2), (2, 2), wrong_shape),
+            run(
+                (2, 2),
+                (2, 2),
+                (2, 2),
+                good.with_parallelism(crate::pool::Parallelism::Pool(0)),
+            ),
+        ]
     }
 
     #[test]
-    fn mismatched_kernel_blocking_rejected() {
-        use crate::microkernel::MicroKernelKind;
-        let a = Matrix::zeros(2, 2);
-        let b = Matrix::zeros(2, 2);
-        let mut c = Matrix::zeros(2, 2);
-        let mut cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1);
-        cfg.kernel = MicroKernelKind::Mk4x4; // blocks still say 8x6
-        let err = dgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &cfg,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::BadConfig(_)));
+    fn dgemm_and_sgemm_answer_bad_input_with_the_same_error() {
+        use crate::microkernel::{MicroKernelKind, SgemmKernelKind};
+        let double = bad_input_errors(MicroKernelKind::Mk4x4, dgemm);
+        let single = bad_input_errors(SgemmKernelKind::Sk4x4, crate::sgemm::sgemm);
+        assert_eq!(double, single);
+        assert_eq!(
+            double,
+            [
+                GemmError::InnerDimMismatch {
+                    a_cols: 5,
+                    b_rows: 6
+                },
+                GemmError::OutputDimMismatch {
+                    expected: (4, 3),
+                    actual: (4, 4)
+                },
+                GemmError::BadConfig("block sizes must be positive"),
+                GemmError::BadConfig("blocking register shape != kernel shape"),
+                GemmError::BadConfig("thread count must be positive"),
+            ]
+        );
+        assert!(double[1].to_string().contains("4x4"));
     }
 
     #[test]

@@ -174,8 +174,8 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
         "sliver range exceeds panel"
     );
 
-    // Telemetry choke point: every runtime (serial, scoped, pool,
-    // recovery replay) funnels through this call, and the unpadded
+    // Telemetry choke point: every runtime (serial, pool, recovery
+    // replay) funnels through this call, and the unpadded
     // mc·cols·kc product counts only useful flops — totals come out
     // exact to the last operation. B elements consumed without having
     // passed through a pack are counted here too, equally unpadded.
@@ -451,43 +451,6 @@ mod tests {
                 in_place_and_packed(kind, &a, &b.view(), Transpose::No, window, &c0);
             assert_eq!(in_place.as_slice(), packed.as_slice(), "{}", kind.label());
         }
-    }
-
-    #[test]
-    fn a_kernel_family_without_a_strided_body_packs_the_sliver_itself() {
-        // KernelSet::run_group_with's default: what a kernel set written
-        // against the packed layout only gets when GEBP hands it a window.
-        #[derive(Clone, Copy)]
-        struct PackedOnly(MicroKernelKind);
-        impl KernelSet<f64> for PackedOnly {
-            fn mr(&self) -> usize {
-                self.0.mr()
-            }
-            fn nr(&self) -> usize {
-                self.0.nr()
-            }
-            fn label(&self) -> &'static str {
-                "packed-only"
-            }
-            fn run(
-                &self,
-                kc: usize,
-                a: &[f64],
-                b: &[f64],
-                alpha: f64,
-                c: &mut TileMut<'_>,
-                m_eff: usize,
-                n_eff: usize,
-            ) {
-                self.0.run(kc, a, b, alpha, c, m_eff, n_eff);
-            }
-        }
-        let kind = PackedOnly(MicroKernelKind::Mk8x6);
-        let (a, c0) = (Matrix::random(13, 9, 41), Matrix::random(13, 11, 43));
-        let b = Matrix::random(11, 9, 42);
-        let (in_place, packed) =
-            in_place_and_packed(kind, &a, &b.view(), Transpose::Yes, (0, 0, 9, 11), &c0);
-        assert_eq!(in_place.as_slice(), packed.as_slice());
     }
 
     #[test]

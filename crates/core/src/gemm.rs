@@ -21,7 +21,7 @@ use crate::dispatch::DispatchMode;
 use crate::gebp::BWindow;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
-use crate::parallel::{run_layer3, run_layer3_scoped, Layer3Params};
+use crate::parallel::{run_layer3, Layer3Params};
 use crate::pool::{gemm_pooled, Parallelism, PoolScalar, WorkerPool};
 use crate::tile::TileMut;
 use crate::{GemmError, Transpose};
@@ -34,51 +34,91 @@ use std::time::{Duration, Instant};
 /// clamp keeps an absurd value from overflowing deadline arithmetic.
 const MAX_EPOCH_TIMEOUT_MS: u64 = 3_600_000;
 
+/// A family of register kernels as a [`Config`] sees it: a
+/// [`KernelSet`] over one element type, plus the four things that differ
+/// between the paper's DGEMM and the SGEMM its method yields when re-run
+/// at four bytes per element ([`crate::sgemm`]).
+pub trait KernelFamily: KernelSet<Self::Elem> + PartialEq + core::fmt::Debug {
+    /// The element type the family multiplies.
+    type Elem: PoolScalar;
+    /// Every kernel of the family: the candidates of the autotuner's
+    /// kernel axis, and what a tune-DB row's `mr×nr` is resolved against.
+    const ALL: &'static [Self];
+    /// The kernel [`Config::default`] and [`Config::auto`] run: the
+    /// family's analytic optimum.
+    const DEFAULT: Self;
+    /// The family's `dtype` key in the tune DB.
+    const DTYPE: &'static str;
+    /// The machine the analytic blocking is solved for, described at this
+    /// family's element size.
+    fn machine() -> MachineDesc;
+}
+
+impl KernelFamily for MicroKernelKind {
+    type Elem = f64;
+    const ALL: &'static [Self] = &MicroKernelKind::ALL;
+    const DEFAULT: Self = MicroKernelKind::Mk8x6;
+    const DTYPE: &'static str = "f64";
+
+    fn machine() -> MachineDesc {
+        MachineDesc::xgene()
+    }
+}
+
 /// Configuration of one GEMM invocation: register kernel, blocking and
-/// threading runtime.
+/// threading runtime. [`GemmConfig`] and [`crate::sgemm::SgemmConfig`]
+/// are this type at the two kernel families.
 #[derive(Clone, Copy, Debug)]
-pub struct GemmConfig {
+pub struct Config<K: KernelFamily> {
     /// Register kernel to use (layer 7).
-    pub kernel: MicroKernelKind,
-    /// Cache blocking (layers 1–6). [`GemmConfig::for_kernel`] derives it
-    /// analytically for the paper's machine.
+    pub kernel: K,
+    /// Cache blocking (layers 1–6). [`Config::for_kernel`] derives it
+    /// analytically for the family's machine ([`KernelFamily::machine`]).
     pub blocks: BlockSizes,
-    /// How layer 3 executes: serial, legacy spawn-per-GEPP, or the
-    /// persistent worker pool.
+    /// How layer 3 executes: serial, or the persistent worker pool (one
+    /// pool serves both precisions, each with its own thread-local
+    /// arena).
     pub parallelism: Parallelism,
     /// Watchdog deadline per layer-3 epoch on the pool runtime. `None`
     /// (the default) waits indefinitely; with a deadline, a stalled
     /// epoch is abandoned, its blocks recomputed serially, and the call
     /// reports [`GemmError::EpochTimeout`] (C still holds the bit-exact
-    /// result). [`GemmConfig::auto`] reads `DGEMM_EPOCH_TIMEOUT_MS`.
+    /// result). [`Config::auto`] reads `DGEMM_EPOCH_TIMEOUT_MS`.
     pub epoch_timeout: Option<Duration>,
-    /// Consult the process-wide [`crate::prepack::PackCache`] for a
-    /// pre-packed B (packing it on first use), so repeated GEMMs
-    /// against the same operand pack it once instead of per call.
-    /// Off by default; see the [`crate::prepack`] coherence contract
-    /// before enabling. [`GemmConfig::auto`] reads `DGEMM_PACK_CACHE`.
+    /// Consult the process-wide [`crate::prepack::PackCache`] of the
+    /// element type for a pre-packed B (packing it on first use), so
+    /// repeated GEMMs against the same operand pack it once instead of
+    /// per call. Off by default; see the [`crate::prepack`] coherence
+    /// contract before enabling. [`Config::auto`] reads
+    /// `DGEMM_PACK_CACHE`.
     pub pack_cache: bool,
     /// Shape-adaptive dispatch (DESIGN.md §13): with the default
     /// [`DispatchMode::Fixed`] the configured [`Parallelism`] runs
     /// unchanged; `Auto` picks Serial vs Pool (and the 2-D grid split)
     /// per call from the cost model, `Serial`/`Pool` force a runtime.
-    /// [`GemmConfig::auto`] reads `DGEMM_DISPATCH`.
+    /// The calibration is shared by both precisions. [`Config::auto`]
+    /// reads `DGEMM_DISPATCH`.
     pub dispatch: DispatchMode,
     /// Closed-loop autotuning (DESIGN.md §14): with the default
     /// [`AutotuneMode::Off`] the analytic blocking runs unchanged;
-    /// `Read` applies winners stored in the per-host tuning DB, `Full`
-    /// additionally tunes on the first miss of each shape class.
-    /// [`GemmConfig::auto`] reads `DGEMM_AUTOTUNE`.
+    /// `Read` applies winners stored in the per-host tuning DB under the
+    /// family's [`KernelFamily::DTYPE`], `Full` additionally tunes on the
+    /// first miss of each shape class. [`Config::auto`] reads
+    /// `DGEMM_AUTOTUNE`.
     pub autotune: AutotuneMode,
 }
 
-impl GemmConfig {
+/// Configuration of one DGEMM invocation: the paper's kernels, blocked
+/// for the paper's machine (Table III).
+pub type GemmConfig = Config<MicroKernelKind>;
+
+impl<K: KernelFamily> Config<K> {
     /// Analytic configuration for a kernel and thread count on the
-    /// paper's machine (Table III). `threads > 1` selects the persistent
-    /// worker pool ([`Parallelism::from_threads`]).
+    /// family's machine. `threads > 1` selects the persistent worker
+    /// pool ([`Parallelism::from_threads`]).
     #[must_use]
-    pub fn for_kernel(kernel: MicroKernelKind, threads: usize) -> Self {
-        let m = MachineDesc::xgene();
+    pub fn for_kernel(kernel: K, threads: usize) -> Self {
+        let m = K::machine();
         // The paper machine is always solvable; the fallback covers a
         // hypothetical unsolvable register shape without panicking in
         // library code (conservative L1/L2-sized blocks).
@@ -92,7 +132,7 @@ impl GemmConfig {
                     64 * kernel.nr(),
                 )
             });
-        GemmConfig {
+        Config {
             kernel,
             blocks,
             parallelism: Parallelism::from_threads(threads),
@@ -111,7 +151,9 @@ impl GemmConfig {
     /// absurdly large one is clamped to [`WorkerPool::max_workers`].
     /// `DGEMM_EPOCH_TIMEOUT_MS=0` disables the watchdog; an unparsable
     /// value is a [`GemmError::BadConfig`]; a huge one is clamped to an
-    /// hour.
+    /// hour. `DGEMM_PACK_CACHE`, `DGEMM_DISPATCH` and `DGEMM_AUTOTUNE`
+    /// (with the tuning-DB variables it brings in) are read the same
+    /// way, for both families.
     pub fn auto() -> Result<Self, GemmError> {
         let threads = threads_from_env()?;
         let autotune = AutotuneMode::from_env()?;
@@ -124,7 +166,7 @@ impl GemmConfig {
             crate::autotune::max_age_from_env()?;
             crate::autotune::seed_dispatch_calibration();
         }
-        Ok(GemmConfig::for_kernel(MicroKernelKind::Mk8x6, threads)
+        Ok(Self::for_kernel(K::DEFAULT, threads)
             .with_epoch_timeout(epoch_timeout_from_env()?)
             .with_pack_cache(pack_cache_from_env()?)
             .with_dispatch(DispatchMode::from_env()?)
@@ -186,11 +228,18 @@ impl GemmConfig {
     }
 }
 
+impl<K: KernelFamily> Default for Config<K> {
+    /// The family's best serial configuration: for DGEMM the paper's 8×6
+    /// kernel with `kc×mc×nc = 512×56×1920`.
+    fn default() -> Self {
+        Self::for_kernel(K::DEFAULT, 1)
+    }
+}
+
 /// Parse `DGEMM_NUM_THREADS`: absent falls back to the host's available
 /// parallelism, zero/garbage is a typed error, a huge value clamps to
-/// [`WorkerPool::max_workers`]. Shared by [`GemmConfig::auto`] and
-/// [`crate::sgemm::SgemmConfig::auto`].
-pub(crate) fn threads_from_env() -> Result<usize, GemmError> {
+/// [`WorkerPool::max_workers`].
+fn threads_from_env() -> Result<usize, GemmError> {
     match std::env::var("DGEMM_NUM_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             // Over-subscribing beyond the pool's own cap only queues
@@ -211,7 +260,7 @@ pub(crate) fn threads_from_env() -> Result<usize, GemmError> {
 
 /// Parse `DGEMM_EPOCH_TIMEOUT_MS`: absent or `0` disables the watchdog,
 /// a huge value clamps to one hour, garbage is a typed error.
-pub(crate) fn epoch_timeout_from_env() -> Result<Option<Duration>, GemmError> {
+fn epoch_timeout_from_env() -> Result<Option<Duration>, GemmError> {
     match std::env::var("DGEMM_EPOCH_TIMEOUT_MS") {
         Ok(v) => match v.trim().parse::<u64>() {
             Ok(0) => Ok(None),
@@ -229,7 +278,7 @@ pub(crate) fn epoch_timeout_from_env() -> Result<Option<Duration>, GemmError> {
 
 /// Parse `DGEMM_PACK_CACHE`: absent/`0`/`false` disables the pack
 /// cache, `1`/`true` enables it, anything else is a typed error.
-pub(crate) fn pack_cache_from_env() -> Result<bool, GemmError> {
+fn pack_cache_from_env() -> Result<bool, GemmError> {
     match std::env::var("DGEMM_PACK_CACHE") {
         Ok(v) => match v.trim() {
             "1" | "true" => Ok(true),
@@ -262,14 +311,6 @@ pub(crate) fn env_u64(name: &str, err: &'static str) -> Result<Option<u64>, Gemm
     }
 }
 
-impl Default for GemmConfig {
-    /// The paper's best serial configuration: 8×6 kernel,
-    /// `kc×mc×nc = 512×56×1920`.
-    fn default() -> Self {
-        GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1)
-    }
-}
-
 /// Unchecked GEMM core: `C := α·op(A)·op(B) + β·C`.
 ///
 /// Dimensions are asserted (use [`crate::blas::dgemm`] for `Result`-based
@@ -297,30 +338,33 @@ pub fn gemm(
     }
 }
 
-/// [`gemm`] with runtime faults reported as typed errors: worker double
-/// faults, watchdog timeouts and allocation failures surface as
-/// `Err` instead of panics. Dimensions are still asserted (this is the
-/// unchecked core; [`crate::blas::dgemm`] validates shapes too).
+/// [`gemm`] with runtime faults reported as typed errors, for either
+/// kernel family: worker double faults, watchdog timeouts and allocation
+/// failures surface as `Err` instead of panics. Dimensions are still
+/// asserted (this is the unchecked core; [`crate::blas::checked_gemm`]
+/// validates shapes too).
 #[allow(clippy::too_many_arguments)] // canonical BLAS gemm signature
-pub fn try_gemm(
+pub fn try_gemm<K: KernelFamily>(
     transa: Transpose,
     transb: Transpose,
-    alpha: f64,
-    a: &MatrixView<'_>,
-    b: &MatrixView<'_>,
-    beta: f64,
-    c: &mut MatrixViewMut<'_>,
-    cfg: &GemmConfig,
+    alpha: K::Elem,
+    a: &MatrixView<'_, K::Elem>,
+    b: &MatrixView<'_, K::Elem>,
+    beta: K::Elem,
+    c: &mut MatrixViewMut<'_, K::Elem>,
+    cfg: &Config<K>,
 ) -> Result<(), GemmError> {
     // Consult the tuning DB (DESIGN.md §14) before committing to a
     // blocking; AutotuneMode::Off returns the config untouched and any
-    // tuning failure degrades silently to the analytic defaults.
-    let cfg = if cfg.autotune == crate::autotune::AutotuneMode::Off {
+    // tuning failure degrades silently to the analytic defaults. The
+    // tuned config swaps kernel and blocking together, so a checked
+    // caller's shape invariants keep holding for it.
+    let cfg = if cfg.autotune == AutotuneMode::Off {
         *cfg
     } else {
         let (m, k) = transa.apply_dims(a.rows(), a.cols());
         let (_, n) = transb.apply_dims(b.rows(), b.cols());
-        crate::autotune::tuned_f64(cfg, m, n, k)
+        crate::autotune::tuned(cfg, m, n, k)
     };
     gemm_with(
         transa,
@@ -408,13 +452,7 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
                 epoch_timeout,
                 prepacked,
             ),
-            Parallelism::Scoped(threads) if threads > 1 => {
-                gemm_scoped(
-                    transa, transb, alpha, a, b, c, kernel, blocks, threads, prepacked,
-                );
-                Ok(())
-            }
-            Parallelism::Serial | Parallelism::Scoped(_) => {
+            Parallelism::Serial => {
                 gemm_serial(transa, transb, alpha, a, b, c, kernel, blocks, prepacked);
                 Ok(())
             }
@@ -541,60 +579,6 @@ fn gemm_serial<T: PoolScalar, K: KernelSet<T>>(
         arena.put_slot(slot);
         arena.put_panel(packed_b);
     });
-}
-
-/// The seed's spawn-per-GEPP path, kept verbatim behind
-/// [`Parallelism::Scoped`] as the pool's measurement baseline.
-#[allow(clippy::too_many_arguments)]
-fn gemm_scoped<T: PoolScalar, K: KernelSet<T>>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    c: &mut MatrixViewMut<'_, T>,
-    kernel: K,
-    blocks: BlockSizes,
-    threads: usize,
-    prepacked: Option<&crate::prepack::PrepackedB<T>>,
-) {
-    let (m, k) = transa.apply_dims(a.rows(), a.cols());
-    let n = c.cols();
-    let BlockSizes { kc, mc, nc, .. } = blocks;
-    let mut packed_b = crate::pack::PackedB::new(kernel.nr());
-    let mut gepp: u64 = 0;
-    let mut jj = 0usize;
-    while jj < n {
-        let nc_eff = nc.min(n - jj);
-        let mut kk = 0usize;
-        while kk < k {
-            let kc_eff = kc.min(k - kk);
-            gepp += 1;
-            crate::telemetry::set_gepp(gepp);
-            let pb = match prepacked {
-                Some(pp) => pp.panel(jj, kk),
-                None => {
-                    packed_b.pack_parallel(b, transb, kk, jj, kc_eff, nc_eff, threads);
-                    &packed_b
-                }
-            };
-            let params = Layer3Params {
-                a,
-                transa,
-                kk,
-                kc_eff,
-                alpha,
-                kernel,
-                mc,
-            };
-            let mut panel_view = c.sub_mut(0, jj, m, nc_eff);
-            let ld = panel_view.ld();
-            let panel = TileMut::from_slice(m, nc_eff, ld, panel_view.data_mut());
-            run_layer3_scoped(params, pb, panel, threads);
-            kk += kc_eff;
-        }
-        jj += nc_eff;
-    }
 }
 
 #[cfg(test)]
@@ -920,7 +904,7 @@ mod tests {
 
     /// The pool reorders nothing that matters: each C element's
     /// accumulation order is fixed by the (jj, kk) epoch walk, so the
-    /// pooled and scoped runtimes must match the serial walk bit for bit.
+    /// pooled runtime must match the serial walk bit for bit.
     #[test]
     fn runtimes_are_bitwise_identical() {
         for (m, n, k) in [(120, 70, 45), (61, 33, 29), (8, 96, 512)] {
@@ -931,7 +915,6 @@ mod tests {
             let mut out = Vec::new();
             for cfg in [
                 base.with_parallelism(Parallelism::Serial),
-                base.with_parallelism(Parallelism::Scoped(3)),
                 base.with_parallelism(Parallelism::Pool(3)),
                 // ragged: blocks % workers != 0
                 base.with_parallelism(Parallelism::Pool(5)),

@@ -57,9 +57,9 @@
 //! | [`mod@reference`] | — | naive triple-loop oracle for validation |
 
 #![warn(missing_docs)]
-// unsafe is confined to two modules: `tile` (the C-tile splitter whose
-// checked API expresses the threaded path's disjoint row-band writes)
-// and `simd` (the `std::arch` register kernels: called only after
+// unsafe is confined to two modules: `tile` (the C-tile view whose
+// checked API hands out one column segment of a rectangle of C at a
+// time) and `simd` (the `std::arch` register kernels: called only after
 // feature detection, A/B read through chunked slices, C reached only
 // through `TileMut::col_seg_mut` with a masked store). Every other
 // module carries `#![forbid(unsafe_code)]`.

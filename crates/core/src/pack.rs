@@ -20,7 +20,6 @@
 use crate::matrix::MatrixView;
 use crate::scalar::Scalar;
 use crate::{GemmError, Transpose};
-use std::sync::{Mutex, PoisonError};
 
 /// The fallible half of `try_pack`: one `faults::fail_alloc()` draw per
 /// call, then capacity for `needed` elements. The contents are kept (the
@@ -256,6 +255,14 @@ impl<T: Scalar> PackedB<T> {
     }
 
     /// Pack rows `k0..k0+kc`, columns `j0..j0+nc` of `op(b)`.
+    ///
+    /// This is the single choke point through which *every* B element
+    /// enters packed form — `try_pack` and the pre-packed tiles of
+    /// [`crate::prepack::PrepackedB`] funnel here — so the PackB
+    /// telemetry span and `packed_b_bytes` counter below account for all
+    /// packing work in the process. A pack-cache hit re-uses tiles built
+    /// here earlier and therefore records *zero* additional B bytes,
+    /// which is exactly how the telemetry exposes the cache's savings.
     pub fn pack(
         &mut self,
         b: &MatrixView<'_, T>,
@@ -265,35 +272,6 @@ impl<T: Scalar> PackedB<T> {
         kc: usize,
         nc: usize,
     ) {
-        self.pack_parallel(b, trans, k0, j0, kc, nc, 1);
-    }
-
-    /// Like [`PackedB::pack`], but with the slivers packed cooperatively
-    /// by up to `threads` OS threads — how OpenBLAS amortizes the B-panel
-    /// packing across the team instead of serializing it before layer 3.
-    /// Slivers are disjoint regions of the buffer, so the split is safe
-    /// by construction.
-    ///
-    /// This is the single choke point through which *every* B element
-    /// enters packed form — `pack`, `try_pack`, and the pre-packed tiles
-    /// of [`crate::prepack::PrepackedB`] all funnel here — so the PackB
-    /// telemetry span and `packed_b_bytes` counter below account for all
-    /// packing work in the process. A pack-cache hit re-uses tiles built
-    /// here earlier and therefore records *zero* additional B bytes,
-    /// which is exactly how the telemetry exposes the cache's savings.
-    #[allow(clippy::too_many_arguments)] // pack site mirrors the BLAS call
-    pub fn pack_parallel(
-        &mut self,
-        b: &MatrixView<'_, T>,
-        trans: Transpose,
-        k0: usize,
-        j0: usize,
-        kc: usize,
-        nc: usize,
-        threads: usize,
-    ) {
-        // Single telemetry site for B: `pack` delegates here, so serial
-        // and cooperative packs record once, on the calling thread.
         let _span = crate::telemetry::span(crate::telemetry::Phase::PackB);
         let nr = self.nr;
         self.kc = kc;
@@ -333,56 +311,10 @@ impl<T: Scalar> PackedB<T> {
                 }
             }
         };
-
-        let workers = threads.max(1).min(slivers.max(1));
-        if workers <= 1 || slivers < 2 {
-            for (s, sliver) in self.buf.chunks_mut(nr * kc).enumerate() {
-                pack_one(s, sliver);
-            }
-            return;
+        // slivers are disjoint regions of the buffer, each packed on its own
+        for (s, sliver) in self.buf.chunks_mut(nr * kc).enumerate() {
+            pack_one(s, sliver);
         }
-        // Hand each worker a contiguous run of whole slivers. Chunks sit
-        // in take-once cells so that when an OS thread cannot be spawned
-        // (resource exhaustion, or injected), the caller packs that
-        // chunk itself instead of panicking — same output either way.
-        let per = slivers.div_ceil(workers);
-        type Cell<'c, T> = Mutex<Option<(usize, &'c mut [T])>>;
-        let cells: Vec<Cell<'_, T>> = self
-            .buf
-            .chunks_mut(per * nr * kc)
-            .enumerate()
-            .map(|(w, chunk)| Mutex::new(Some((w, chunk))))
-            .collect();
-        let pack_chunk = |w: usize, chunk: &mut [T]| {
-            for (i, sliver) in chunk.chunks_mut(nr * kc).enumerate() {
-                pack_one(w * per + i, sliver);
-            }
-        };
-        std::thread::scope(|scope| {
-            let mut orphaned = Vec::new();
-            for cell in &cells {
-                let pack_chunk = &pack_chunk;
-                let work = move || {
-                    let taken = cell.lock().unwrap_or_else(PoisonError::into_inner).take();
-                    if let Some((w, chunk)) = taken {
-                        pack_chunk(w, chunk);
-                    }
-                };
-                if crate::faults::fail_spawn()
-                    || std::thread::Builder::new()
-                        .spawn_scoped(scope, work)
-                        .is_err()
-                {
-                    orphaned.push(cell);
-                }
-            }
-            for cell in orphaned {
-                let taken = cell.lock().unwrap_or_else(PoisonError::into_inner).take();
-                if let Some((w, chunk)) = taken {
-                    pack_chunk(w, chunk);
-                }
-            }
-        });
     }
 
     /// Fallible sibling of [`PackedB::pack`]: grows the buffer with
@@ -632,26 +564,6 @@ mod tests {
         let huge = usize::MAX / 16;
         assert!(try_grow(&mut a.buf, huge, "packed A").is_err());
         assert!(a.buf().is_empty());
-    }
-
-    #[test]
-    fn parallel_pack_matches_serial() {
-        let b: Matrix = Matrix::random(100, 90, 5);
-        for (kc, nc) in [(64usize, 60usize), (37, 41), (100, 90), (1, 1)] {
-            let mut serial = PackedB::new(6);
-            serial.pack(&b.view(), Transpose::No, 0, 0, kc, nc);
-            for threads in [2usize, 3, 8] {
-                let mut par = PackedB::new(6);
-                par.pack_parallel(&b.view(), Transpose::No, 0, 0, kc, nc, threads);
-                assert_eq!(serial.buf(), par.buf(), "kc={kc} nc={nc} t={threads}");
-            }
-        }
-        // transposed path too
-        let mut serial = PackedB::new(4);
-        serial.pack(&b.view(), Transpose::Yes, 2, 3, 50, 70);
-        let mut par = PackedB::new(4);
-        par.pack_parallel(&b.view(), Transpose::Yes, 2, 3, 50, 70, 4);
-        assert_eq!(serial.buf(), par.buf());
     }
 
     #[test]

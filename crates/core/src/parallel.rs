@@ -4,26 +4,23 @@
 //! packs and multiplies its own `mc×kc` block of A while **all threads
 //! share the same packed `kc×nc` panel of B** — the strategy of \[15\] that
 //! maximizes locality in the shared L3, where the B panel lives. Threads
-//! update disjoint row bands of C, which [`TileMut::split_rows`] expresses
-//! safely.
+//! update disjoint row bands of C.
 //!
-//! This module holds the serial layer-3 walk ([`run_layer3`]), the
-//! static band partitioner ([`partition_rows`]) and the legacy
-//! spawn-per-GEPP parallel path ([`run_layer3_scoped`]). The default
-//! parallel path now lives in [`crate::pool`]: a persistent worker pool
-//! that schedules `mc`-blocks dynamically and recycles every packing
-//! buffer, with this module's static bands as its even-split fallback.
+//! This module holds the serial layer-3 walk ([`run_layer3`]) and the
+//! static band partitioner ([`partition_rows`]). The parallel walk lives
+//! in [`crate::pool`]: a persistent worker pool that schedules
+//! `mc`-blocks dynamically and recycles every packing buffer, with this
+//! module's static bands as its even-split fallback.
 
 #![forbid(unsafe_code)]
 
 use crate::gebp::BPanel;
 use crate::matrix::MatrixView;
 use crate::microkernel::KernelSet;
-use crate::pack::{PackedA, PackedB};
+use crate::pack::PackedA;
 use crate::scalar::Scalar;
 use crate::tile::TileMut;
 use crate::Transpose;
-use std::sync::{Mutex, PoisonError};
 
 /// Split `m` rows into at most `threads` contiguous bands of whole
 /// `unit`-row blocks (the register-block height `mr`, so no thread ever
@@ -53,7 +50,7 @@ pub fn partition_rows(m: usize, unit: usize, threads: usize) -> Vec<(usize, usiz
     bands
 }
 
-/// Parameters of one (jj, kk) macro-iteration, shared by all bands.
+/// Parameters of one (jj, kk) macro-iteration, shared by all its blocks.
 #[derive(Clone, Copy)]
 pub struct Layer3Params<'a, T: Scalar = f64, K = crate::microkernel::MicroKernelKind> {
     /// The full stored A operand (packing reads from it directly).
@@ -81,109 +78,27 @@ pub struct Layer3Params<'a, T: Scalar = f64, K = crate::microkernel::MicroKernel
 pub fn run_layer3<T: Scalar, K: KernelSet<T>>(
     params: Layer3Params<'_, T, K>,
     b: &impl BPanel<T>,
-    c_panel: TileMut<'_, T>,
+    mut c_panel: TileMut<'_, T>,
     pa: &mut PackedA<T>,
 ) {
-    if c_panel.rows() == 0 || b.nc() == 0 {
-        return;
-    }
-    band(params, b, 0, c_panel, pa);
-}
-
-/// The original spawn-per-GEPP parallel path: one `thread::scope` of up
-/// to `threads` threads per macro-iteration, each allocating its own
-/// packed-A buffer. Kept as the baseline behind
-/// [`crate::pool::Parallelism::Scoped`] so the persistent pool's
-/// amortization is measurable against it
-/// (`crates/bench/benches/pool_overhead.rs`).
-pub fn run_layer3_scoped<T: Scalar, K: KernelSet<T>>(
-    params: Layer3Params<'_, T, K>,
-    packed_b: &PackedB<T>,
-    c_panel: TileMut<'_, T>,
-    threads: usize,
-) {
-    let m = c_panel.rows();
-    if m == 0 || packed_b.nc() == 0 {
-        return;
-    }
-    if threads <= 1 || m <= params.mc {
-        let mut pa = PackedA::new(params.kernel.mr());
-        band(params, packed_b, 0, c_panel, &mut pa);
-        return;
-    }
-    // partition at mr granularity: best balance while keeping whole
-    // slivers per thread (each band still walks its rows in mc blocks)
-    let bands = partition_rows(m, params.kernel.mr(), threads);
-    let tiles = c_panel.split_rows(&bands);
-    // Each band lives in a take-once cell: `Builder::spawn_scoped` drops
-    // its closure on failure, so the band must not be owned by the
-    // closure — whoever takes the cell (spawned thread or the caller
-    // below) computes it, and a failed spawn degrades to inline
-    // execution instead of losing the band or panicking.
-    type Cell<'c, T> = Mutex<Option<(usize, TileMut<'c, T>)>>;
-    let cells: Vec<Cell<'_, T>> = bands
-        .iter()
-        .zip(tiles)
-        .map(|(&(start, _), tile)| Mutex::new(Some((start, tile))))
-        .collect();
-    // Carry the caller's request-trace context onto the scoped band
-    // threads so bridged pack/compute phase spans attribute to the
-    // request that caused them (DESIGN.md §16), matching the persistent
-    // pool's `submit_run` propagation.
-    let trace_ctx = crate::trace::capture();
-    std::thread::scope(|scope| {
-        let mut orphaned = Vec::new();
-        for cell in &cells {
-            let work = || {
-                let _trace = crate::trace::adopt(trace_ctx.clone());
-                let taken = cell.lock().unwrap_or_else(PoisonError::into_inner).take();
-                if let Some((start, tile)) = taken {
-                    let mut pa = PackedA::new(params.kernel.mr());
-                    band(params, packed_b, start, tile, &mut pa);
-                }
-            };
-            if crate::faults::fail_spawn()
-                || std::thread::Builder::new()
-                    .spawn_scoped(scope, work)
-                    .is_err()
-            {
-                orphaned.push(cell);
-            }
-        }
-        let mut pa = PackedA::new(params.kernel.mr());
-        for cell in orphaned {
-            let taken = cell.lock().unwrap_or_else(PoisonError::into_inner).take();
-            if let Some((start, tile)) = taken {
-                band(params, packed_b, start, tile, &mut pa);
-            }
-        }
-    });
-}
-
-/// Process one contiguous row band: rows `row0 .. row0 + tile.rows()` of
-/// `op(A)`, writing into `tile` (whose row 0 corresponds to `row0`).
-fn band<T: Scalar, K: KernelSet<T>>(
-    params: Layer3Params<'_, T, K>,
-    b: &impl BPanel<T>,
-    row0: usize,
-    mut tile: TileMut<'_, T>,
-    pa: &mut PackedA<T>,
-) {
-    let rows = tile.rows();
+    let rows = c_panel.rows();
     let nc_eff = b.nc();
+    if nc_eff == 0 {
+        return;
+    }
     let mut ii = 0usize;
     while ii < rows {
         let mc_eff = params.mc.min(rows - ii);
-        crate::telemetry::set_block(row0 + ii);
+        crate::telemetry::set_block(ii);
         pa.pack(
             params.a,
             params.transa,
-            row0 + ii,
+            ii,
             params.kk,
             mc_eff,
             params.kc_eff,
         );
-        let mut sub = tile.sub_tile(ii, 0, mc_eff, nc_eff);
+        let mut sub = c_panel.sub_tile(ii, 0, mc_eff, nc_eff);
         crate::gebp::gebp(params.kernel, params.alpha, pa, b, &mut sub);
         ii += mc_eff;
     }

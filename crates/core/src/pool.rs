@@ -1,13 +1,12 @@
 //! Persistent worker-pool runtime for layer 3 (Section IV-C, Figure 9).
 //!
-//! The original parallel path spawned a fresh set of OS threads for
-//! *every* `(jj, kk)` macro-iteration — one `thread::scope` per GEPP —
-//! and every band allocated its own packed-A buffer. For the large
-//! problems of the paper's evaluation that overhead vanishes, but for
-//! the small/batched GEMMs layered workloads issue (LU panels, im2col
-//! convolutions, batched inference) the spawn + allocate cost dominates.
-//! This module replaces that with a process-wide pool of persistent
-//! workers and per-caller-thread buffer arenas:
+//! The paper's layer 3 keeps one team of threads for the whole
+//! multiplication. For its large problems how the team is kept hardly
+//! matters, but for the small/batched GEMMs layered workloads issue (LU
+//! panels, im2col convolutions, batched inference) a thread spawned or a
+//! packing buffer allocated per `(jj, kk)` macro-iteration costs more
+//! than the arithmetic. So the parallel runtime is a process-wide pool
+//! of persistent workers and per-caller-thread buffer arenas:
 //!
 //! - **[`WorkerPool`]**: lazily started, detached worker threads parked
 //!   on an MPMC channel — after polling it for two milliseconds, so
@@ -109,10 +108,6 @@ pub enum Parallelism {
     /// Single-threaded on the calling thread, no staging copies.
     #[default]
     Serial,
-    /// Legacy spawn-per-GEPP path: a `thread::scope` of `n` threads per
-    /// macro-iteration (kept as the baseline the pool is measured
-    /// against; see `crates/bench/benches/pool_overhead.rs`).
-    Scoped(usize),
     /// The persistent worker pool with `n`-way parallelism (the calling
     /// thread participates, so `Pool(n)` keeps at most `n − 1` workers
     /// busy plus itself).
@@ -136,17 +131,15 @@ impl Parallelism {
     pub fn degree(self) -> usize {
         match self {
             Parallelism::Serial => 1,
-            Parallelism::Scoped(n) | Parallelism::Pool(n) => n.max(1),
+            Parallelism::Pool(n) => n.max(1),
         }
     }
 
-    /// Reject degenerate configurations (`Scoped(0)` / `Pool(0)`), the
-    /// checked entry points' counterpart of the old `threads == 0` test.
+    /// Reject the degenerate `Pool(0)`: the checked entry points'
+    /// thread-count test.
     pub fn validate(self) -> Result<(), GemmError> {
         match self {
-            Parallelism::Scoped(0) | Parallelism::Pool(0) => {
-                Err(GemmError::BadConfig("thread count must be positive"))
-            }
+            Parallelism::Pool(0) => Err(GemmError::BadConfig("thread count must be positive")),
             _ => Ok(()),
         }
     }
@@ -223,23 +216,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A snapshot of the pool's scheduling counters (see [`stats`]).
-#[deprecated(
-    since = "0.4.0",
-    note = "use `telemetry::snapshot().runtime` — one counter system"
-)]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Worker threads currently alive.
-    pub workers: usize,
-    /// Jobs enqueued over the pool's lifetime.
-    pub tasks: u64,
-    /// Epochs scheduled dynamically (workers race per `mc`-block).
-    pub dynamic_epochs: u64,
-    /// Epochs that fell back to static contiguous-band assignment.
-    pub static_epochs: u64,
-}
-
 /// Health snapshot of the pool runtime (see [`WorkerPool::status`]):
 /// the observability half of the fault-tolerance layer.
 ///
@@ -270,29 +246,6 @@ pub struct PoolStatus {
     /// runtime, predicted vs measured time) — `None` until a call runs
     /// with a non-`Fixed` [`crate::dispatch::DispatchMode`].
     pub last_dispatch: Option<crate::dispatch::DispatchDecision>,
-}
-
-/// Counter snapshot of the global pool — observability for tests and
-/// the steady-state acceptance criteria (worker count must stabilize
-/// after warm-up).
-///
-/// Deprecated shim over the telemetry counters: the scheduling counters
-/// now live in [`crate::telemetry`] (one counter system, not two); this
-/// reads the same atomics [`telemetry::snapshot`] reports.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `telemetry::snapshot().runtime` — one counter system"
-)]
-#[allow(deprecated)] // the shim itself must still name PoolStats
-#[must_use]
-pub fn stats() -> PoolStats {
-    let rt = crate::telemetry::snapshot().runtime;
-    PoolStats {
-        workers: WorkerPool::global().workers(),
-        tasks: rt.tasks,
-        dynamic_epochs: rt.dynamic_epochs,
-        static_epochs: rt.static_epochs,
-    }
 }
 
 /// Health snapshot of the global pool ([`WorkerPool::status`]).
@@ -1915,10 +1868,8 @@ mod tests {
     #[test]
     fn degree_and_validate() {
         assert_eq!(Parallelism::Serial.degree(), 1);
-        assert_eq!(Parallelism::Scoped(3).degree(), 3);
         assert_eq!(Parallelism::Pool(8).degree(), 8);
         assert!(Parallelism::Pool(0).validate().is_err());
-        assert!(Parallelism::Scoped(0).validate().is_err());
         assert!(Parallelism::Serial.validate().is_ok());
         assert!(Parallelism::Pool(2).validate().is_ok());
     }

@@ -7,7 +7,7 @@
 //! provides the two pieces:
 //!
 //! - [`PrepackedB`]: an immutable, `Arc`-shared set of `kc×nc` panel
-//!   tiles laid out exactly as [`PackedB::pack_parallel`] would produce
+//!   tiles laid out exactly as [`PackedB::pack`] would produce
 //!   them inside one GEMM call, built once per weight matrix.
 //! - [`PackCache`]: a bounded LRU cache of [`PrepackedB`] sets keyed by
 //!   the operand's identity (data pointer, dimensions, leading

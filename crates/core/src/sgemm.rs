@@ -9,50 +9,21 @@
 //!   machine (equations (15), (17), (18) in bytes, so halving the
 //!   element size roughly doubles `kc`).
 //!
-//! See the `ext_sgemm_design` study for the full derivation. The compute
-//! path is the same generic GEBP engine as DGEMM
-//! ([`crate::gemm::gemm_with`]); only the kernel family and the machine
-//! description's element size differ.
+//! See the `ext_sgemm_design` study for the full derivation. Nothing here
+//! is a second implementation: the configuration is [`Config`] and the
+//! checked entry [`crate::blas::checked_gemm`], both at the f32
+//! [`KernelFamily`] this module defines — the kernel table, the `"f32"`
+//! tune-DB key and the machine description's element size are all that
+//! differ from DGEMM.
 
 #![forbid(unsafe_code)]
 
-use crate::autotune::AutotuneMode;
-use crate::dispatch::DispatchMode;
-use crate::gemm::gemm_with;
+use crate::blas::{checked_gemm, checked_gemm_slice};
+use crate::gemm::{Config, KernelFamily};
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::SgemmKernelKind;
-use crate::pool::Parallelism;
 use crate::{GemmError, Transpose};
-use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::MachineDesc;
-use std::time::Duration;
-
-/// Configuration of one SGEMM invocation.
-#[derive(Clone, Copy, Debug)]
-pub struct SgemmConfig {
-    /// Single-precision register kernel.
-    pub kernel: SgemmKernelKind,
-    /// Cache blocking (derived with `element = 4`).
-    pub blocks: BlockSizes,
-    /// How layer 3 executes (shared with DGEMM — the same pool serves
-    /// both precisions, each with its own thread-local arena).
-    pub parallelism: Parallelism,
-    /// Watchdog deadline per layer-3 epoch on the pool runtime (see
-    /// [`crate::gemm::GemmConfig::epoch_timeout`]).
-    pub epoch_timeout: Option<Duration>,
-    /// Consult the f32 [`crate::prepack::PackCache`] for a pre-packed
-    /// B (see [`crate::gemm::GemmConfig::pack_cache`]); each element
-    /// type has its own process-wide cache.
-    pub pack_cache: bool,
-    /// Shape-adaptive dispatch (see
-    /// [`crate::gemm::GemmConfig::dispatch`]); the calibration and
-    /// decision machinery is shared with DGEMM.
-    pub dispatch: DispatchMode,
-    /// Closed-loop autotuning (see
-    /// [`crate::gemm::GemmConfig::autotune`]); the tuning DB is shared
-    /// with DGEMM, with f32 winners stored under `dtype = "f32"`.
-    pub autotune: AutotuneMode,
-}
 
 /// The paper's machine re-described for f32 elements.
 #[must_use]
@@ -64,114 +35,23 @@ pub fn machine_f32() -> MachineDesc {
     m
 }
 
-impl SgemmConfig {
-    /// Analytic configuration for a kernel and thread count.
-    #[must_use]
-    pub fn for_kernel(kernel: SgemmKernelKind, threads: usize) -> Self {
-        let m = machine_f32();
-        // Always solvable for the paper machine; the fallback keeps
-        // library code panic-free on a hypothetical unsolvable shape.
-        let blocks = solve_blocking(kernel.mr(), kernel.nr(), threads.clamp(1, m.cores), &m)
-            .unwrap_or_else(|_| {
-                BlockSizes::custom(
-                    kernel.mr(),
-                    kernel.nr(),
-                    256,
-                    8 * kernel.mr(),
-                    64 * kernel.nr(),
-                )
-            });
-        SgemmConfig {
-            kernel,
-            blocks,
-            parallelism: Parallelism::from_threads(threads),
-            epoch_timeout: None,
-            pack_cache: false,
-            dispatch: DispatchMode::Fixed,
-            autotune: AutotuneMode::Off,
-        }
-    }
+impl KernelFamily for SgemmKernelKind {
+    type Elem = f32;
+    const ALL: &'static [Self] = &SgemmKernelKind::ALL;
+    const DEFAULT: Self = SgemmKernelKind::Sk12x8;
+    const DTYPE: &'static str = "f32";
 
-    /// Configuration for the host at hand — the f32 sibling of
-    /// [`crate::gemm::GemmConfig::auto`], reading the same environment
-    /// variables (`DGEMM_NUM_THREADS`, `DGEMM_EPOCH_TIMEOUT_MS`,
-    /// `DGEMM_PACK_CACHE`, `DGEMM_DISPATCH`, `DGEMM_AUTOTUNE`,
-    /// `DGEMM_TUNE_DB`) with the same typed errors.
-    pub fn auto() -> Result<Self, GemmError> {
-        let threads = crate::gemm::threads_from_env()?;
-        let autotune = AutotuneMode::from_env()?;
-        if autotune != AutotuneMode::Off {
-            crate::autotune::db_path()?;
-            crate::autotune::TuneOptions::from_env()?;
-            crate::autotune::seed_dispatch_calibration();
-        }
-        Ok(SgemmConfig::for_kernel(SgemmKernelKind::Sk12x8, threads)
-            .with_epoch_timeout(crate::gemm::epoch_timeout_from_env()?)
-            .with_pack_cache(crate::gemm::pack_cache_from_env()?)
-            .with_dispatch(DispatchMode::from_env()?)
-            .with_autotune(autotune))
-    }
-
-    /// Explicit `kc×mc×nc` (sensitivity studies).
-    #[must_use]
-    pub fn with_blocks(mut self, kc: usize, mc: usize, nc: usize) -> Self {
-        self.blocks = BlockSizes::custom(self.kernel.mr(), self.kernel.nr(), kc, mc, nc);
-        self
-    }
-
-    /// Same kernel/blocking but an explicit threading runtime.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Same configuration with an explicit epoch watchdog deadline
-    /// (`None` disables it).
-    #[must_use]
-    pub fn with_epoch_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.epoch_timeout = timeout;
-        self
-    }
-
-    /// Same configuration with the transparent pre-packed-B cache
-    /// enabled or disabled.
-    #[must_use]
-    pub fn with_pack_cache(mut self, enabled: bool) -> Self {
-        self.pack_cache = enabled;
-        self
-    }
-
-    /// Same configuration with an explicit [`DispatchMode`].
-    #[must_use]
-    pub fn with_dispatch(mut self, dispatch: DispatchMode) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// Same configuration with an explicit [`AutotuneMode`].
-    #[must_use]
-    pub fn with_autotune(mut self, autotune: AutotuneMode) -> Self {
-        self.autotune = autotune;
-        self
-    }
-
-    /// The configured parallel degree (1 for serial).
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.parallelism.degree()
+    fn machine() -> MachineDesc {
+        machine_f32()
     }
 }
 
-impl Default for SgemmConfig {
-    /// The analytically optimal serial configuration: 12×8 kernel.
-    fn default() -> Self {
-        SgemmConfig::for_kernel(SgemmKernelKind::Sk12x8, 1)
-    }
-}
+/// Configuration of one SGEMM invocation: the single-precision kernels,
+/// blocked with `element = 4`.
+pub type SgemmConfig = Config<SgemmKernelKind>;
 
-/// `C := α·op(A)·op(B) + β·C` in single precision, with full dimension
-/// checking — the f32 sibling of [`crate::blas::dgemm`].
+/// [`checked_gemm`] in single precision — the f32 sibling of
+/// [`crate::blas::dgemm`].
 #[allow(clippy::too_many_arguments)] // canonical BLAS signature
 pub fn sgemm(
     transa: Transpose,
@@ -183,57 +63,11 @@ pub fn sgemm(
     c: &mut MatrixViewMut<'_, f32>,
     cfg: &SgemmConfig,
 ) -> Result<(), GemmError> {
-    let (m, ka) = transa.apply_dims(a.rows(), a.cols());
-    let (kb, n) = transb.apply_dims(b.rows(), b.cols());
-    if ka != kb {
-        return Err(GemmError::InnerDimMismatch {
-            a_cols: ka,
-            b_rows: kb,
-        });
-    }
-    if (c.rows(), c.cols()) != (m, n) {
-        return Err(GemmError::OutputDimMismatch {
-            expected: (m, n),
-            actual: (c.rows(), c.cols()),
-        });
-    }
-    if cfg.blocks.kc == 0 || cfg.blocks.mc == 0 || cfg.blocks.nc == 0 {
-        return Err(GemmError::BadConfig("block sizes must be positive"));
-    }
-    if cfg.blocks.mr != cfg.kernel.mr() || cfg.blocks.nr != cfg.kernel.nr() {
-        return Err(GemmError::BadConfig(
-            "blocking register shape != kernel shape",
-        ));
-    }
-    cfg.parallelism.validate()?;
-    // Consult the tuning DB after validation: the tuned config swaps
-    // kernel and blocking together, so the shape invariants above keep
-    // holding for it; Off (the default) is a no-op.
-    let cfg = if cfg.autotune == AutotuneMode::Off {
-        *cfg
-    } else {
-        crate::autotune::tuned_f32(cfg, m, n, ka)
-    };
-    gemm_with(
-        transa,
-        transb,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        cfg.kernel,
-        cfg.blocks,
-        cfg.parallelism,
-        cfg.epoch_timeout,
-        cfg.pack_cache,
-        cfg.dispatch,
-    )
+    checked_gemm(transa, transb, alpha, a, b, beta, c, cfg)
 }
 
-/// Raw-slice variant of [`sgemm`]: column-major `a` (`lda ≥ rows(A)`),
-/// `b`, `c` analogous; `m, n, k` are the dimensions of `op(A)·op(B)` —
-/// the f32 sibling of [`crate::blas::dgemm_slice`].
+/// [`checked_gemm_slice`] in single precision — the f32 sibling of
+/// [`crate::blas::dgemm_slice`].
 #[allow(clippy::too_many_arguments)]
 pub fn sgemm_slice(
     transa: Transpose,
@@ -251,18 +85,9 @@ pub fn sgemm_slice(
     ldc: usize,
     cfg: &SgemmConfig,
 ) -> Result<(), GemmError> {
-    let (ar, ac) = match transa {
-        Transpose::No => (m, k),
-        Transpose::Yes => (k, m),
-    };
-    let (br, bc) = match transb {
-        Transpose::No => (k, n),
-        Transpose::Yes => (n, k),
-    };
-    let av = MatrixView::from_slice(ar, ac, lda, a);
-    let bv = MatrixView::from_slice(br, bc, ldb, b);
-    let mut cv = MatrixViewMut::from_slice(m, n, ldc, c);
-    sgemm(transa, transb, alpha, &av, &bv, beta, &mut cv, cfg)
+    checked_gemm_slice(
+        transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, cfg,
+    )
 }
 
 #[cfg(test)]
@@ -406,100 +231,6 @@ mod tests {
         )
         .unwrap();
         assert!(got.max_abs_diff(&want) < tol32(k));
-    }
-
-    #[test]
-    fn shape_errors_detected() {
-        let a: Matrix<f32> = Matrix::zeros(4, 5);
-        let b: Matrix<f32> = Matrix::zeros(6, 3);
-        let mut c: Matrix<f32> = Matrix::zeros(4, 3);
-        assert!(matches!(
-            sgemm(
-                Transpose::No,
-                Transpose::No,
-                1.0,
-                &a.view(),
-                &b.view(),
-                0.0,
-                &mut c.view_mut(),
-                &SgemmConfig::default()
-            ),
-            Err(GemmError::InnerDimMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn output_shape_mismatch_detected() {
-        let a: Matrix<f32> = Matrix::zeros(4, 5);
-        let b: Matrix<f32> = Matrix::zeros(5, 3);
-        let mut c: Matrix<f32> = Matrix::zeros(4, 4);
-        let err = sgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &SgemmConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::OutputDimMismatch { .. }));
-        assert!(err.to_string().contains("4x4"));
-    }
-
-    #[test]
-    fn bad_config_detected() {
-        let a: Matrix<f32> = Matrix::zeros(2, 2);
-        let b: Matrix<f32> = Matrix::zeros(2, 2);
-        let mut c: Matrix<f32> = Matrix::zeros(2, 2);
-        let cfg = SgemmConfig::default().with_blocks(0, 8, 8);
-        let err = sgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &cfg,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::BadConfig(_)));
-        let cfg = SgemmConfig::default().with_parallelism(Parallelism::Pool(0));
-        let err = sgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &cfg,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::BadConfig(_)));
-    }
-
-    #[test]
-    fn mismatched_kernel_blocking_rejected() {
-        let a: Matrix<f32> = Matrix::zeros(2, 2);
-        let b: Matrix<f32> = Matrix::zeros(2, 2);
-        let mut c: Matrix<f32> = Matrix::zeros(2, 2);
-        let mut cfg = SgemmConfig::for_kernel(SgemmKernelKind::Sk12x8, 1);
-        cfg.kernel = SgemmKernelKind::Sk8x8; // blocks still say 12x8
-        let err = sgemm(
-            Transpose::No,
-            Transpose::No,
-            1.0,
-            &a.view(),
-            &b.view(),
-            0.0,
-            &mut c.view_mut(),
-            &cfg,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GemmError::BadConfig(_)));
     }
 
     #[test]

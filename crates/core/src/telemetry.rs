@@ -11,7 +11,7 @@
 //!    at the single choke points of each quantity ([`crate::gebp::gebp`]
 //!    for FLOPs, blocks and in-place B, [`crate::pack`] for packed
 //!    bytes), so totals are exact to the last operation for every
-//!    runtime (Serial/Scoped/Pool).
+//!    runtime (Serial/Pool).
 //! 2. **Phase spans** — monotonic-clock timings of pack-A, pack-B,
 //!    GEBP compute, barrier wait, epoch watchdog settling and serial
 //!    recovery, tagged with the current (GEPP iteration, `mc`-block)
@@ -130,11 +130,10 @@ impl Phase {
 // ---------------------------------------------------------------------
 // Always-on pool lifecycle counters.
 //
-// These existed as fields of `WorkerPool` before this module; they live
-// here now so `pool::stats()` / `pool::status()` and the telemetry
-// snapshot read one counter system. They are deliberately *outside* the
-// `telemetry` feature: the fault-tolerance observability must survive a
-// no-default-features build.
+// They live here rather than in `WorkerPool` so `pool::status()` and the
+// telemetry snapshot read one counter system. They are deliberately
+// *outside* the `telemetry` feature: the fault-tolerance observability
+// must survive a no-default-features build.
 // ---------------------------------------------------------------------
 
 pub(crate) struct RuntimeCounters {
@@ -790,8 +789,9 @@ mod record {
     struct Registry {
         slots: Vec<Arc<Slot>>,
         /// Lanes whose occupant thread exited, available for reuse so
-        /// short-lived threads (the Scoped runtime spawns per GEPP)
-        /// don't grow the registry without bound.
+        /// short-lived caller threads (a request handler spawned per
+        /// connection, a test's worker) don't grow the registry without
+        /// bound.
         free: Vec<usize>,
     }
 

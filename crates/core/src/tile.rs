@@ -1,19 +1,20 @@
 //! `TileMut` — the mutable C-tile abstraction shared by the serial and
 //! parallel paths.
 //!
-//! The paper parallelizes layer 3 (Figure 9): threads update *disjoint row
-//! bands* of the same C matrix. In column-major storage those bands are
-//! interleaved in memory (band 0 of column j, band 1 of column j, …), so
-//! they cannot be expressed as disjoint `&mut [f64]` sub-slices. `TileMut`
-//! holds a raw base pointer plus the tile geometry and hands out one
-//! *column segment* at a time as a safe `&mut [f64]`; two `TileMut`s over
-//! disjoint row/column ranges never materialize overlapping references.
+//! Every layer below the driver updates a rectangle of C: the `m × nc`
+//! panel of a macro-iteration, an `mc`-block's rows of it, one register
+//! tile. In column-major storage the rows of such a rectangle are
+//! interleaved in memory with the rows around it, so it cannot be
+//! expressed as a `&mut [f64]` sub-slice. `TileMut` holds a raw base
+//! pointer plus the tile geometry and hands out one *column segment* at a
+//! time as a safe `&mut [f64]`.
 //!
 //! Safety is established at construction: [`TileMut::from_slice`] is safe
-//! (unique borrow of the whole buffer), [`TileMut::split_rows`] safely
-//! partitions a tile into disjoint row bands, and that is the *only* way
-//! the parallel path obtains its tiles — so the unsafe code is confined to
-//! this module and checked by its invariants.
+//! (unique borrow of the whole buffer) and [`TileMut::sub_tile`] reborrows
+//! its parent, so no two live tiles cover the same element — the unsafe
+//! code is confined to this module and checked by its invariants. A tile
+//! never crosses a thread (it is neither `Send` nor `Sync`): the pool's
+//! workers build theirs over staging buffers they own ([`crate::pool`]).
 
 use crate::scalar::Scalar;
 use core::marker::PhantomData;
@@ -27,11 +28,6 @@ pub struct TileMut<'a, T: Scalar = f64> {
     ld: usize,
     _marker: PhantomData<&'a mut [T]>,
 }
-
-// SAFETY: a TileMut is an exclusive borrow of the elements it covers
-// (guaranteed by its constructors); sending it to another thread moves
-// that exclusive access.
-unsafe impl<T: Scalar> Send for TileMut<'_, T> {}
 
 impl<'a, T: Scalar> TileMut<'a, T> {
     /// Tile covering `rows × cols` of a column-major buffer with leading
@@ -106,35 +102,6 @@ impl<'a, T: Scalar> TileMut<'a, T> {
             _marker: PhantomData,
         }
     }
-
-    /// Split the tile into disjoint row bands: band `t` covers rows
-    /// `bands[t].0 .. bands[t].0 + bands[t].1`. Panics unless the bands
-    /// are sorted, non-overlapping and in range — this is the safe gateway
-    /// the parallel layer-3 loop uses (Figure 9: each thread owns an
-    /// `mc`-aligned row band of C).
-    #[must_use]
-    pub fn split_rows(self, bands: &[(usize, usize)]) -> Vec<TileMut<'a, T>> {
-        let mut prev_end = 0usize;
-        for &(start, len) in bands {
-            assert!(start >= prev_end, "bands must be sorted and disjoint");
-            prev_end = start + len;
-        }
-        assert!(prev_end <= self.rows, "bands exceed tile rows");
-        bands
-            .iter()
-            .map(|&(start, len)| TileMut {
-                // SAFETY: each band covers a distinct set of elements
-                // (rows start..start+len of every column) of the region
-                // this tile exclusively borrows; `self` is consumed, so
-                // only the bands can access it afterwards.
-                ptr: unsafe { self.ptr.add(start) },
-                rows: len,
-                cols: self.cols,
-                ld: self.ld,
-                _marker: PhantomData,
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -166,39 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn split_rows_disjoint_bands() {
-        let mut buf = vec![0.0f64; 6 * 2]; // 6x2 ld 6
-        let t = TileMut::from_slice(6, 2, 6, &mut buf);
-        let mut bands = t.split_rows(&[(0, 2), (2, 3), (5, 1)]);
-        for (idx, band) in bands.iter_mut().enumerate() {
-            for j in 0..2 {
-                let rows = band.rows();
-                for x in band.col_seg_mut(j, 0, rows) {
-                    *x = idx as f64 + 1.0;
-                }
-            }
-        }
-        drop(bands);
-        // column-major: rows 0-1 band 1, rows 2-4 band 2, row 5 band 3
-        assert_eq!(buf[..6], [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]);
-        assert_eq!(buf[6..], [1.0, 1.0, 2.0, 2.0, 2.0, 3.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "slice too short for 2x3")]
     fn an_extent_that_overflows_is_rejected_not_wrapped() {
         // 2·ld wraps to 0 in release arithmetic; the tile would then hand
         // out column segments far outside its 16 elements
         let mut buf = vec![0.0f64; 16];
         let _ = TileMut::from_slice(2, 3, usize::MAX / 2 + 1, &mut buf);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and disjoint")]
-    fn overlapping_bands_rejected() {
-        let mut buf = vec![0.0f64; 8];
-        let t = TileMut::from_slice(4, 2, 4, &mut buf);
-        let _ = t.split_rows(&[(0, 3), (2, 2)]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Integration tests for the closed-loop autotuner (DESIGN.md §14):
 //! the persistent tuning DB round-trips through disk, corrupt or
 //! stale-version DBs degrade silently to the analytic defaults, a
-//! populated DB drives `GemmConfig::auto()`'s blocking selection, and a
-//! tuned blocking stays bitwise identical across every runtime.
+//! populated DB drives `auto()`'s kernel and blocking selection for both
+//! kernel families, and a tuned blocking stays bitwise identical across
+//! every runtime.
 //!
 //! Environment-touching tests in this binary serialize on a local lock
 //! (each one restores the variables it sets); the pure-DB and
@@ -10,10 +11,11 @@
 
 use dgemm_core::autotune::{self, AutotuneMode, HostCalibration, TuneDb, TuneEntry, TuneOptions};
 use dgemm_core::dispatch::DispatchMode;
-use dgemm_core::gemm::{try_gemm, GemmConfig};
+use dgemm_core::gemm::{try_gemm, Config, GemmConfig, KernelFamily};
 use dgemm_core::matrix::Matrix;
-use dgemm_core::microkernel::MicroKernelKind;
+use dgemm_core::microkernel::{MicroKernelKind, SgemmKernelKind};
 use dgemm_core::reference::naive_gemm;
+use dgemm_core::scalar::Scalar;
 use dgemm_core::util::gemm_tolerance;
 use dgemm_core::{Parallelism, Transpose};
 use perfmodel::tuning::ShapeClass;
@@ -34,13 +36,21 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-fn entry_for(class: &ShapeClass, kc: usize, mc: usize, nc: usize) -> TuneEntry {
+/// A stored winner for `kernel`'s family at `class`: serial, dated
+/// November 2023.
+fn entry_for<K: KernelFamily>(
+    kernel: K,
+    class: &ShapeClass,
+    kc: usize,
+    mc: usize,
+    nc: usize,
+) -> TuneEntry {
     TuneEntry {
         cpu: autotune::cpu_id().to_owned(),
-        dtype: "f64".to_owned(),
+        dtype: K::DTYPE.to_owned(),
         class: class.label(),
-        mr: 8,
-        nr: 6,
+        mr: kernel.mr(),
+        nr: kernel.nr(),
         kc,
         mc,
         nc,
@@ -56,34 +66,36 @@ fn entry_for(class: &ShapeClass, kc: usize, mc: usize, nc: usize) -> TuneEntry {
 }
 
 /// Oracle check: `cfg` computes the right answer for a modest problem.
-fn assert_correct(cfg: &GemmConfig, m: usize, n: usize, k: usize) {
-    let a = Matrix::random(m, k, 11);
-    let b = Matrix::random(k, n, 12);
-    let mut want = Matrix::zeros(m, n);
+fn assert_correct<K: KernelFamily>(cfg: &Config<K>, m: usize, n: usize, k: usize) {
+    let (one, zero) = (K::Elem::ONE, K::Elem::ZERO);
+    let a = Matrix::<K::Elem>::random(m, k, 11);
+    let b = Matrix::<K::Elem>::random(k, n, 12);
+    let mut want = Matrix::<K::Elem>::zeros(m, n);
     naive_gemm(
         Transpose::No,
         Transpose::No,
-        1.0,
+        one,
         &a.view(),
         &b.view(),
-        0.0,
+        zero,
         &mut want.view_mut(),
     );
-    let mut got = Matrix::zeros(m, n);
+    let mut got = Matrix::<K::Elem>::zeros(m, n);
     try_gemm(
         Transpose::No,
         Transpose::No,
-        1.0,
+        one,
         &a.view(),
         &b.view(),
-        0.0,
+        zero,
         &mut got.view_mut(),
         cfg,
     )
     .expect("gemm must succeed");
     let err = got.max_abs_diff(&want);
-    let tol = gemm_tolerance(k, 1.0);
-    assert!(err <= tol, "err {err} > tol {tol}");
+    // the f64 tolerance at this element type's unit roundoff
+    let tol = gemm_tolerance(k, 1.0) * (K::Elem::EPSILON.to_f64() / f64::EPSILON);
+    assert!(err <= tol, "{}: err {err} > tol {tol}", K::DTYPE);
 }
 
 #[test]
@@ -92,7 +104,7 @@ fn db_round_trips_through_disk() {
     let _ = std::fs::remove_file(&path);
     let mut db = TuneDb::default();
     let class = ShapeClass::of(512, 512, 512);
-    db.upsert(entry_for(&class, 384, 48, 960));
+    db.upsert(entry_for(MicroKernelKind::Mk8x6, &class, 384, 48, 960));
     db.upsert_host(HostCalibration {
         cpu: autotune::cpu_id().to_owned(),
         serial_cal: 1.5,
@@ -128,7 +140,7 @@ fn corrupt_and_stale_dbs_fall_back_without_panic() {
         // contents silently degrade to the analytic blocking …
         let cfg = GemmConfig::auto().expect("auto with unreadable DB");
         assert_eq!(cfg.autotune, AutotuneMode::Read);
-        let tuned = autotune::tuned_f64(&cfg, 96, 96, 96);
+        let tuned = autotune::tuned(&cfg, 96, 96, 96);
         assert_eq!(tuned.blocks.label(), cfg.blocks.label(), "{name}");
         // … and GEMM still computes the right answer.
         assert_correct(&cfg, 96, 64, 48);
@@ -159,41 +171,99 @@ fn malformed_autotune_env_is_a_typed_error() {
     std::env::remove_var("DGEMM_TUNE_DB");
 }
 
-#[test]
-fn populated_db_drives_auto_config_selection() {
-    let _guard = env_lock();
-    let path = scratch("selected.json");
+/// A stored winner reaches the calls of its class through `auto()`:
+/// kernel and blocking always, the runtime only where the config left it
+/// to the tuner. `Read` applies what is stored and never measures.
+fn stored_winner_drives_selection<K: KernelFamily>() {
+    let path = scratch(&format!("selected-{}.json", K::DTYPE));
     let _ = std::fs::remove_file(&path);
     let class = ShapeClass::of(200, 200, 200);
-    // A distinctive (but valid) blocking no analytic solve produces.
+    // A winner no analytic solve produces: a kernel that is not the
+    // family's default, a distinctive (but valid) blocking for it, and a
+    // runtime the environment below does not ask for.
+    let kernel = K::ALL[1];
+    assert_ne!(kernel, K::DEFAULT);
+    let (mc, nc) = (5 * kernel.mr(), 21 * kernel.nr());
+    let mut stored = entry_for(kernel, &class, 96, mc, nc);
+    stored.runtime = "pool".to_owned();
+    stored.threads = 3;
     let mut db = TuneDb::default();
-    db.upsert(entry_for(&class, 96, 40, 126));
+    db.upsert(stored);
     autotune::store_db(&path, &db).expect("store");
     autotune::invalidate_db_cache();
 
     std::env::set_var("DGEMM_TUNE_DB", &path);
     std::env::set_var("DGEMM_AUTOTUNE", "read");
-    std::env::remove_var("DGEMM_NUM_THREADS");
-    let cfg = GemmConfig::auto().expect("auto");
+    std::env::set_var("DGEMM_NUM_THREADS", "1");
+    let cfg = Config::<K>::auto().expect("auto");
+    assert_eq!(
+        (cfg.kernel, cfg.parallelism),
+        (K::DEFAULT, Parallelism::Serial)
+    );
     // The stored winner is selected for shapes in its class …
-    let tuned = autotune::tuned_f64(&cfg, 200, 200, 200);
-    assert_eq!(tuned.blocks.label(), "8x6x96x40x126");
-    assert_eq!(tuned.kernel, MicroKernelKind::Mk8x6);
+    let label = format!("{}x{}x96x{mc}x{nc}", kernel.mr(), kernel.nr());
+    let tuned = autotune::tuned(&cfg, 200, 200, 200);
+    assert_eq!(tuned.kernel, kernel);
+    assert_eq!(tuned.blocks.label(), label);
     assert_eq!(
         tuned.parallelism,
-        Parallelism::Serial,
+        Parallelism::Pool(3),
         "stored runtime applied"
     );
     // … but an explicit dispatch mode keeps runtime authority.
     let dispatched = cfg.with_dispatch(DispatchMode::Auto);
-    let tuned2 = autotune::tuned_f64(&dispatched, 200, 200, 200);
-    assert_eq!(tuned2.blocks.label(), "8x6x96x40x126");
+    let tuned2 = autotune::tuned(&dispatched, 200, 200, 200);
+    assert_eq!(tuned2.blocks.label(), label);
     assert_eq!(tuned2.parallelism, cfg.parallelism);
-    // … other classes fall through to the analytic blocking.
-    let other = autotune::tuned_f64(&cfg, 2500, 2500, 2500);
+    // … other classes fall through to the analytic blocking, and a miss
+    // under Read starts no sweep: the DB on disk is what was stored.
+    let other = autotune::tuned(&cfg, 2500, 2500, 2500);
     assert_eq!(other.blocks.label(), cfg.blocks.label());
+    autotune::wait_for_background_tuning();
+    autotune::invalidate_db_cache();
+    assert_eq!(autotune::load_db(&path), db, "Read measured something");
     // And the tuned path computes the right answer end to end.
     assert_correct(&cfg, 200, 200, 200);
+    std::env::remove_var("DGEMM_TUNE_DB");
+    std::env::remove_var("DGEMM_AUTOTUNE");
+    std::env::remove_var("DGEMM_NUM_THREADS");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn populated_db_drives_auto_config_selection() {
+    let _guard = env_lock();
+    stored_winner_drives_selection::<MicroKernelKind>();
+    stored_winner_drives_selection::<SgemmKernelKind>();
+}
+
+/// The closed loop end to end: a sweep through the public API (explicitly,
+/// with a tiny budget — the transparent Full-mode path shares this code
+/// and is exercised per-process by the CI smoke job) lands a winner under
+/// the family's dtype, and a fresh Read-mode config serves it.
+fn sweep_persists_and_rereads<K: KernelFamily>() {
+    let path = scratch(&format!("full-loop-{}.json", K::DTYPE));
+    let _ = std::fs::remove_file(&path);
+    autotune::invalidate_db_cache();
+    std::env::set_var("DGEMM_TUNE_DB", &path);
+    let class = ShapeClass::of(64, 64, 64);
+    let opts = TuneOptions { budget: 3, reps: 1 };
+    let entry = autotune::tune_and_store(&path, K::DEFAULT, 1, class, &opts)
+        .expect("sweep produced a winner");
+    assert_eq!(entry.dtype, K::DTYPE);
+    assert!(entry.candidates <= 3);
+    assert!(entry.gflops >= entry.untuned_gflops - 1e-12);
+    // The DB on disk now feeds a fresh Read-mode config.
+    autotune::invalidate_db_cache();
+    std::env::set_var("DGEMM_AUTOTUNE", "read");
+    std::env::remove_var("DGEMM_NUM_THREADS");
+    let cfg = Config::<K>::auto().expect("auto");
+    let tuned = autotune::tuned(&cfg, 64, 64, 64);
+    assert_eq!(tuned.blocks.label(), entry.blocks().label());
+    assert_eq!((tuned.kernel.mr(), tuned.kernel.nr()), (entry.mr, entry.nr));
+    // Calibration ratios were persisted alongside the winner.
+    let db = autotune::load_db(&path);
+    assert!(db.host(autotune::cpu_id()).is_some());
     std::env::remove_var("DGEMM_TUNE_DB");
     std::env::remove_var("DGEMM_AUTOTUNE");
     let _ = std::fs::remove_file(&path);
@@ -202,32 +272,8 @@ fn populated_db_drives_auto_config_selection() {
 #[test]
 fn full_mode_tunes_persists_and_rereads() {
     let _guard = env_lock();
-    let path = scratch("full-loop.json");
-    let _ = std::fs::remove_file(&path);
-    autotune::invalidate_db_cache();
-    std::env::set_var("DGEMM_TUNE_DB", &path);
-    // Drive the sweep through the public API (explicitly, with a tiny
-    // budget — the transparent Full-mode path shares this code and is
-    // exercised per-process by the CI smoke job).
-    let class = ShapeClass::of(64, 64, 64);
-    let opts = TuneOptions { budget: 3, reps: 1 };
-    let entry = autotune::tune_and_store_f64(&path, MicroKernelKind::Mk8x6, 1, class, &opts)
-        .expect("sweep produced a winner");
-    assert!(entry.candidates <= 3);
-    assert!(entry.gflops >= entry.untuned_gflops - 1e-12);
-    // The DB on disk now feeds a fresh Read-mode config.
-    autotune::invalidate_db_cache();
-    std::env::set_var("DGEMM_AUTOTUNE", "read");
-    std::env::remove_var("DGEMM_NUM_THREADS");
-    let cfg = GemmConfig::auto().expect("auto");
-    let tuned = autotune::tuned_f64(&cfg, 64, 64, 64);
-    assert_eq!(tuned.blocks.label(), entry.blocks().label());
-    // Calibration ratios were persisted alongside the winner.
-    let db = autotune::load_db(&path);
-    assert!(db.host(autotune::cpu_id()).is_some());
-    std::env::remove_var("DGEMM_TUNE_DB");
-    std::env::remove_var("DGEMM_AUTOTUNE");
-    let _ = std::fs::remove_file(&path);
+    sweep_persists_and_rereads::<MicroKernelKind>();
+    sweep_persists_and_rereads::<SgemmKernelKind>();
 }
 
 /// The first Full-mode miss of a shape class must not stall the caller
@@ -245,7 +291,7 @@ fn full_mode_first_miss_tunes_in_the_background() {
     std::env::set_var("DGEMM_AUTOTUNE_REPS", "1");
     let mut cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1);
     cfg.autotune = AutotuneMode::Full;
-    let first = autotune::tuned_f64(&cfg, 64, 64, 64);
+    let first = autotune::tuned(&cfg, 64, 64, 64);
     // Served analytically, unchanged: the sweep is off-thread.
     assert_eq!(first.blocks.label(), cfg.blocks.label());
     assert_eq!(first.kernel, cfg.kernel);
@@ -259,7 +305,7 @@ fn full_mode_first_miss_tunes_in_the_background() {
     assert_eq!(entry.version, autotune::LIB_VERSION);
     assert!(entry.tuned_at > 0, "sweep stamps its wall-clock time");
     // The next call of the class picks the stored winner up.
-    let second = autotune::tuned_f64(&cfg, 64, 64, 64);
+    let second = autotune::tuned(&cfg, 64, 64, 64);
     assert_eq!(second.blocks.label(), entry.blocks().label());
     std::env::remove_var("DGEMM_TUNE_DB");
     std::env::remove_var("DGEMM_AUTOTUNE_BUDGET");
@@ -280,7 +326,7 @@ fn over_age_entries_retune_under_full_but_apply_under_read() {
     // A class no other Full-mode test touches: the per-process
     // first-attempt gate must still be open for it here.
     let class = ShapeClass::of(32, 32, 32);
-    let stale = entry_for(&class, 96, 40, 126); // tuned_at ≈ Nov 2023
+    let stale = entry_for(MicroKernelKind::Mk8x6, &class, 96, 40, 126); // tuned_at ≈ Nov 2023
     let mut db = TuneDb::default();
     db.upsert(stale.clone());
     autotune::store_db(&path, &db).expect("store");
@@ -293,12 +339,12 @@ fn over_age_entries_retune_under_full_but_apply_under_read() {
     // Read mode: the over-age entry still applies.
     let mut cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1);
     cfg.autotune = AutotuneMode::Read;
-    let read = autotune::tuned_f64(&cfg, 32, 32, 32);
+    let read = autotune::tuned(&cfg, 32, 32, 32);
     assert_eq!(read.blocks.label(), "8x6x96x40x126");
 
     // Full mode: expired ⇒ miss ⇒ analytic now, re-tune off-thread.
     cfg.autotune = AutotuneMode::Full;
-    let first = autotune::tuned_f64(&cfg, 32, 32, 32);
+    let first = autotune::tuned(&cfg, 32, 32, 32);
     assert_eq!(
         first.blocks.label(),
         cfg.blocks.label(),
@@ -313,7 +359,7 @@ fn over_age_entries_retune_under_full_but_apply_under_read() {
     assert!(entry.tuned_at > stale.tuned_at, "tuned_at was re-stamped");
     // The refreshed winner is inside the age window: the next Full-mode
     // call serves it instead of the analytic fallback.
-    let second = autotune::tuned_f64(&cfg, 32, 32, 32);
+    let second = autotune::tuned(&cfg, 32, 32, 32);
     assert_eq!(second.blocks.label(), entry.blocks().label());
 
     std::env::remove_var("DGEMM_TUNE_DB");
@@ -324,7 +370,7 @@ fn over_age_entries_retune_under_full_but_apply_under_read() {
 }
 
 /// A tuned blocking must preserve the bitwise cross-runtime contract:
-/// for one fixed `(kernel, blocking)`, Serial, Scoped and Pool runs are
+/// for one fixed `(kernel, blocking)`, Serial and Pool runs are
 /// bit-identical (the `(jj, kk)` epoch walk fixes accumulation order).
 #[test]
 fn tuned_blocking_is_bitwise_identical_across_runtimes() {
@@ -335,11 +381,7 @@ fn tuned_blocking_is_bitwise_identical_across_runtimes() {
     // a "tuned" blocking the analytic solver would not pick
     let base = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1).with_blocks(96, 40, 126);
     let mut reference: Option<Matrix<f64>> = None;
-    for runtime in [
-        Parallelism::Serial,
-        Parallelism::Scoped(3),
-        Parallelism::Pool(4),
-    ] {
+    for runtime in [Parallelism::Serial, Parallelism::Pool(4)] {
         let cfg = base.with_parallelism(runtime);
         let mut got = c0.clone();
         try_gemm(

@@ -291,11 +291,7 @@ fn disabled_by_default_moves_nothing() {
     telemetry::reset();
     let s0 = cache.stats();
     let len0 = cache.len();
-    for par in [
-        Parallelism::Serial,
-        Parallelism::Scoped(2),
-        Parallelism::Pool(2),
-    ] {
+    for par in [Parallelism::Serial, Parallelism::Pool(2)] {
         run_gemm(&a, &b, &c0, &GemmConfig::default().with_parallelism(par));
     }
     assert_eq!(cache.stats(), s0);

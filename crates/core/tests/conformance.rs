@@ -2,7 +2,7 @@
 //! execution configuration.
 //!
 //! Every case is run through the full matrix of
-//! `{Serial, Scoped, Pool} × {pack cache off, pack cache on}` (and, in
+//! `{Serial, Pool} × {pack cache off, pack cache on}` (and, in
 //! the property test, every register kernel) and must satisfy two
 //! contracts simultaneously:
 //!
@@ -36,13 +36,9 @@ use dgemm_core::util::gemm_tolerance;
 use dgemm_core::{Parallelism, Transpose};
 use proptest::prelude::*;
 
-/// The runtime sweep: serial, scoped threads, and the persistent pool
-/// (4 workers so `blocks % workers != 0` shows up on most shapes).
-const RUNTIMES: [Parallelism; 3] = [
-    Parallelism::Serial,
-    Parallelism::Scoped(3),
-    Parallelism::Pool(4),
-];
+/// The runtime sweep: serial and the persistent pool (4 workers so
+/// `blocks % workers != 0` shows up on most shapes).
+const RUNTIMES: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Pool(4)];
 
 fn stored_dims(t: Transpose, rows: usize, cols: usize) -> (usize, usize) {
     match t {
@@ -494,9 +490,9 @@ fn store_loaded_panels_conform() {
 /// The "B source" axis: where the register kernels read B from must not
 /// change a bit. A serial, uncached call whose layer 3 is one `mc` block
 /// reads a non-transposed B in place, through strides; the same call
-/// with the pack cache on, on the scoped runtime or on the pool — and
-/// any call with a second block or a transposed B — reads a packed
-/// panel. All of them must agree bitwise and with the oracle.
+/// with the pack cache on or on the pool — and any call with a second
+/// block or a transposed B — reads a packed panel. All of them must
+/// agree bitwise and with the oracle.
 ///
 /// B and C are windows of larger parents (`ld > rows`) whose last
 /// column ends the allocation. Everything of B's parent outside the
@@ -529,7 +525,6 @@ fn b_source_axis_conforms() {
     let sources = [
         (Parallelism::Serial, false),
         (Parallelism::Serial, true),
-        (Parallelism::Scoped(3), false),
         (Parallelism::Pool(4), false),
     ];
     let transposes = [Transpose::No, Transpose::Yes];

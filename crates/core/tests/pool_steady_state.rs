@@ -75,16 +75,4 @@ fn no_spawns_and_no_allocations_after_warmup() {
         "pooled work must flow through the shared queue"
     );
     assert!(rt.epochs_served() > 0, "layer-3 epochs must be counted");
-
-    // The deprecated shim must stay consistent with the counters it
-    // wraps (it is the compatibility surface for older callers).
-    #[allow(deprecated)]
-    {
-        let shim = dgemm_core::pool::stats();
-        let now = telemetry::snapshot().runtime;
-        assert_eq!(shim.workers, WorkerPool::global().workers());
-        assert_eq!(shim.dynamic_epochs, now.dynamic_epochs);
-        assert_eq!(shim.static_epochs, now.static_epochs);
-        assert!(shim.tasks >= rt.tasks);
-    }
 }

@@ -12,7 +12,7 @@
 //!    read of the live matrix, and re-encoding the loaded panels
 //!    reproduces the original blob byte for byte.
 //! 2. **GEMM transparency** — a decoded blob seeded into the pack
-//!    cache serves Serial/Scoped/Pool runs bit-identical to the serial
+//!    cache serves Serial/Pool runs bit-identical to the serial
 //!    uncached baseline (the conformance contract extends to loaded
 //!    panels).
 //! 3. **Corruption battery** — a seeded fuzzer over byte flips,
@@ -35,11 +35,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const RUNTIMES: [Parallelism; 3] = [
-    Parallelism::Serial,
-    Parallelism::Scoped(3),
-    Parallelism::Pool(4),
-];
+const RUNTIMES: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Pool(4)];
 
 fn stored_dims(t: Transpose, rows: usize, cols: usize) -> (usize, usize) {
     match t {

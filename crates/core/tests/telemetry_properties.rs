@@ -61,18 +61,12 @@ fn run(par: Parallelism, m: usize, n: usize, k: usize) {
 
 /// Expected exact counters for one GEMM, replicating the macro loops:
 /// `jj` over `nc` panels, `kk` over `kc` depths, then `mc` blocks of A
-/// walked within each row band (`bands` is `[(0, m)]` for the serial
-/// and pooled decompositions, `partition_rows` for the scoped one).
-/// `b_in_place` says the runtime reads B where the caller stored it
+/// over the `m` rows (the serial walk and the pooled driver stage the
+/// same decomposition). `b_in_place` says the runtime reads B where the caller stored it
 /// (serial, `m ≤ mc`): its bytes are then the `kc·nc` elements each GEBP
 /// consumed, not a padded panel.
 /// Returns `(flops, a_bytes, [packed_b_bytes, b_in_place_bytes], blocks)`.
-fn expected(
-    n: usize,
-    k: usize,
-    bands: &[(usize, usize)],
-    b_in_place: bool,
-) -> (u64, u64, [u64; 2], u64) {
+fn expected(m: usize, n: usize, k: usize, b_in_place: bool) -> (u64, u64, [u64; 2], u64) {
     let w = core::mem::size_of::<f64>() as u64;
     let (mut flops, mut a_bytes, mut b_bytes, mut blocks) = (0u64, 0u64, [0u64; 2], 0u64);
     let mut jj = 0;
@@ -84,18 +78,16 @@ fn expected(
             if !b_in_place {
                 b_bytes[0] += (nc_eff.div_ceil(NR) * NR * kc_eff) as u64 * w;
             }
-            for &(_, len) in bands {
-                let mut ii = 0;
-                while ii < len {
-                    let mc_eff = MC.min(len - ii);
-                    a_bytes += (mc_eff.div_ceil(MR) * MR * kc_eff) as u64 * w;
-                    flops += 2 * (mc_eff * nc_eff * kc_eff) as u64;
-                    if b_in_place {
-                        b_bytes[1] += (nc_eff * kc_eff) as u64 * w;
-                    }
-                    blocks += 1;
-                    ii += mc_eff;
+            let mut ii = 0;
+            while ii < m {
+                let mc_eff = MC.min(m - ii);
+                a_bytes += (mc_eff.div_ceil(MR) * MR * kc_eff) as u64 * w;
+                flops += 2 * (mc_eff * nc_eff * kc_eff) as u64;
+                if b_in_place {
+                    b_bytes[1] += (nc_eff * kc_eff) as u64 * w;
                 }
+                blocks += 1;
+                ii += mc_eff;
             }
             kk += kc_eff;
         }
@@ -107,20 +99,15 @@ fn expected(
 #[cfg(feature = "telemetry")]
 mod enabled {
     use super::*;
-    use dgemm_core::parallel::partition_rows;
     use dgemm_core::telemetry::{BlockSizes, GemmReport, Phase, TelemetryMode};
 
-    fn check(par: Parallelism, bands: &[(usize, usize)], m: usize, n: usize, k: usize) {
+    fn check(par: Parallelism, m: usize, n: usize, k: usize) {
         run(par, m, n, k);
         let snap = telemetry::snapshot();
         // the one runtime and shape class that skips the B pack
         let b_in_place = par == Parallelism::Serial && m <= MC;
-        let (flops, a_bytes, b_bytes, blocks) = expected(n, k, bands, b_in_place);
-        assert_eq!(
-            flops,
-            2 * (m * n * k) as u64,
-            "band decomposition must cover mnk"
-        );
+        let (flops, a_bytes, b_bytes, blocks) = expected(m, n, k, b_in_place);
+        assert_eq!(flops, 2 * (m * n * k) as u64, "blocks must cover mnk");
         assert_eq!(snap.total_flops(), flops, "{par:?} {m}x{n}x{k}: flops");
         assert_eq!(
             snap.total_packed_a_bytes(),
@@ -159,18 +146,16 @@ mod enabled {
             (1, 1, 1),
         ] {
             let _g = lock_and_reset();
-            check(Parallelism::Serial, &[(0, m)], m, n, k);
+            check(Parallelism::Serial, m, n, k);
         }
     }
 
     #[test]
-    fn other_runtimes_pack_b_on_single_block_shapes() {
-        // They have a cached or shared panel to fill; only the serial
-        // walk reads B in place.
-        for par in [Parallelism::Scoped(3), Parallelism::Pool(3)] {
-            let _g = lock_and_reset();
-            check(par, &[(0, 13)], 13, 33, 41);
-        }
+    fn the_pool_packs_b_on_single_block_shapes() {
+        // It has a shared panel to fill; only the serial walk reads B in
+        // place.
+        let _g = lock_and_reset();
+        check(Parallelism::Pool(3), 13, 33, 41);
     }
 
     /// The call the benchmark's `skinny_fresh` makes, under the default
@@ -216,22 +201,12 @@ mod enabled {
     }
 
     #[test]
-    fn scoped_counters_are_exact() {
-        // m > mc so run_layer3_scoped actually partitions into bands.
-        for (m, n, k) in [(130, 70, 50), (96, 33, 41)] {
-            let _g = lock_and_reset();
-            let bands = partition_rows(m, MR, 3);
-            check(Parallelism::Scoped(3), &bands, m, n, k);
-        }
-    }
-
-    #[test]
     fn pooled_counters_are_exact() {
         // The pooled driver stages the same mc-block decomposition as
         // the serial walk (one slot per block over the whole M range).
         for (m, n, k) in [(130, 70, 50), (96, 33, 41)] {
             let _g = lock_and_reset();
-            check(Parallelism::Pool(3), &[(0, m)], m, n, k);
+            check(Parallelism::Pool(3), m, n, k);
         }
     }
 
@@ -348,7 +323,7 @@ mod disabled {
         assert_eq!(report.flops, 2 * 96 * 48 * 40);
         // The expected-counter arithmetic stays callable (and nonzero)
         // so enabling the feature changes measurements, not the suite.
-        let (flops, ..) = expected(48, 40, &[(0, 96)], false);
+        let (flops, ..) = expected(96, 48, 40, false);
         assert_eq!(flops, 2 * 96 * 48 * 40);
     }
 }

@@ -70,59 +70,6 @@ fn main() {
         println!("    {}", report.summary_line());
         telemetry::emit(&report, &snap);
     }
-
-    // the persistent pool vs the legacy spawn-per-GEPP runtime, same
-    // degree: the gap is the amortized thread-spawn + buffer-alloc cost
-    println!();
-    println!("runtime comparison at 4-way parallelism (n = {n}):");
-    for (label, par) in [
-        ("pool (persistent)", Parallelism::Pool(4)),
-        ("scoped (spawning)", Parallelism::Scoped(4)),
-    ] {
-        let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 4).with_parallelism(par);
-        let mut c = Matrix::zeros(n, n);
-        // warm-up populates the pool and the packing arenas
-        for _ in 0..2 {
-            dgemm(
-                Transpose::No,
-                Transpose::No,
-                1.0,
-                &a.view(),
-                &b.view(),
-                0.0,
-                &mut c.view_mut(),
-                &cfg,
-            )
-            .unwrap();
-        }
-        telemetry::reset();
-        let t0 = Instant::now();
-        let reps = 5;
-        for _ in 0..reps {
-            dgemm(
-                Transpose::No,
-                Transpose::No,
-                1.0,
-                &a.view(),
-                &b.view(),
-                0.0,
-                &mut c.view_mut(),
-                &cfg,
-            )
-            .unwrap();
-        }
-        let elapsed = t0.elapsed();
-        let dt = elapsed.as_secs_f64() / reps as f64;
-        println!(
-            "  {label}: {:7.1} ms  {:6.2} Gflops",
-            dt * 1e3,
-            gemm_flops(n, n, n) / dt / 1e9
-        );
-        let snap = telemetry::snapshot();
-        let report = GemmReport::from_run((n, n, n), reps, 4, elapsed, &cfg.blocks, &snap);
-        println!("    {}", report.summary_line());
-        telemetry::emit(&report, &snap);
-    }
     println!(
         "  (host parallel speedup is bounded by this machine's core count: {})",
         std::thread::available_parallelism().map_or(1, |p| p.get())
