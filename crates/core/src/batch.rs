@@ -88,10 +88,10 @@ pub(crate) fn gemm_batch_with_cache(
         ));
     }
 
-    for c in c_batch.iter_mut() {
-        c.scale(beta);
-    }
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+        for c in c_batch.iter_mut() {
+            c.scale(beta);
+        }
         return Ok(());
     }
 
@@ -105,8 +105,8 @@ pub(crate) fn gemm_batch_with_cache(
     let prepacked = prepacked.as_deref();
 
     // Shape-adaptive dispatch (DESIGN.md §13): the whole batch shares
-    // one decision — every entry contributes `m_tasks`, so the grid
-    // accounts for the real per-epoch cell count.
+    // one decision — every entry contributes its row tasks to the one
+    // grid.
     let plan = match cfg.dispatch {
         DispatchMode::Fixed => None,
         mode => Some(crate::dispatch::decide(
@@ -123,54 +123,35 @@ pub(crate) fn gemm_batch_with_cache(
             prepacked.is_some(),
         )),
     };
-    let runtime = plan.map_or(cfg.parallelism, |p| p.runtime);
-    let n_split = plan.map_or(1, |p| p.n_split);
     let start = Instant::now();
-    let result = run_batch(
-        alpha, a_batch, transb, b, c_batch, cfg, prepacked, runtime, n_split,
-    );
-    if let Some(plan) = plan {
-        crate::dispatch::record(plan, start.elapsed());
-    }
-    result
-}
-
-/// Execute the batch on a resolved runtime (the configured one, or the
-/// dispatcher's choice with its 2-D grid split).
-#[allow(clippy::too_many_arguments)] // internal driver mirroring the entry point
-fn run_batch(
-    alpha: f64,
-    a_batch: &[MatrixView<'_>],
-    transb: Transpose,
-    b: &MatrixView<'_>,
-    c_batch: &mut [MatrixViewMut<'_>],
-    cfg: &GemmConfig,
-    prepacked: Option<&crate::prepack::PrepackedB>,
-    runtime: Parallelism,
-    n_split: usize,
-) -> Result<(), GemmError> {
-    match runtime {
-        // every entry's mc-blocks are dispatched into the same epoch,
-        // all sharing one Arc'd packed panel of B
+    let result = match plan.map_or(cfg.parallelism, |p| p.runtime) {
+        // every entry's mc-blocks are row tasks of the same grid
         Parallelism::Pool(threads) => gemm_pooled(
             Transpose::No,
             transb,
             alpha,
             a_batch,
             b,
+            beta,
             c_batch,
             cfg.kernel,
             cfg.blocks,
             threads,
-            n_split,
             cfg.epoch_timeout,
             prepacked,
         ),
         Parallelism::Serial => {
+            for c in c_batch.iter_mut() {
+                c.scale(beta);
+            }
             batch_serial(alpha, a_batch, transb, b, c_batch, cfg, prepacked);
             Ok(())
         }
+    };
+    if let Some(plan) = plan {
+        crate::dispatch::record(plan, start.elapsed());
     }
+    result
 }
 
 /// The serial batched driver: the shared operand is packed once per

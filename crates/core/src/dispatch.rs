@@ -1,23 +1,25 @@
 //! Shape-adaptive runtime dispatch (DESIGN.md §13).
 //!
-//! Layer 3's schedule used to be fixed by [`crate::gemm::GemmConfig`]
-//! alone: `Parallelism::Pool(p)` always ran the pool over M-bands, no
-//! matter the shape. That loses to serial exactly where the pre-packed
-//! cache shines — skinny-m/fat-n GEMMs have one or two M-bands and tiny
-//! epochs, so the barrier overhead swamps the parallel compute. This
+//! Whether layer 3 runs on the pool is a per-shape question: a
+//! skinny-m/fat-n GEMM against a cached B has microseconds of compute
+//! per panel, and a barrier costs more than the threads save. This
 //! module decides, per `gemm()` call:
 //!
 //! 1. **runtime** — Serial or Pool — by comparing the analytic
-//!    predictions of `perfmodel::model` eq. (4) ([`model::time_bound`])
-//!    and its pooled extension ([`model::pooled_time_bound`]: epoch
-//!    barriers + per-cell task costs on top of divided compute);
-//! 2. **grid geometry** — the column split `n_split` handed to
-//!    [`crate::pool::gemm_pooled`], so shapes with too few mc-row
-//!    blocks parallelize over N instead (2-D `(mc × nc)` task grid);
-//! 3. **calibration** — the model is a bound, not a stopwatch, so each
+//!    prediction of `perfmodel::model` eq. (4) ([`time_bound`])
+//!    for the serial walk with the same bound for the plan the pool
+//!    would run: the grid of [`crate::pool::cell_grid`], every cell
+//!    packing its own operands and staging its own part of C, a thread's
+//!    share of that work plus one barrier per panel and one job per cell
+//!    ([`pooled_time_bound`]);
+//! 2. **calibration** — the model is a bound, not a stopwatch, so each
 //!    runtime keeps an EWMA ratio of measured/predicted time from past
 //!    calls (live telemetry) and predictions are scaled by it before
 //!    the comparison.
+//!
+//! Which loop is parallel — rows, columns or both — is not decided
+//! here: the grid is a pure function of the shape that the pool owns,
+//! and the decision only reports it.
 //!
 //! The decision is overridable per call via
 //! [`crate::gemm::GemmConfig::with_dispatch`] and process-wide via
@@ -42,19 +44,18 @@ use std::time::Duration;
 /// How the dispatcher treats one GEMM call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DispatchMode {
-    /// No dispatch: run exactly the configured [`Parallelism`] with the
-    /// historical 1-D M-band schedule. The default — zero overhead,
-    /// bit-for-bit the pre-dispatch behavior.
+    /// No dispatch: run exactly the configured [`Parallelism`]. The
+    /// default — no decision, no timing.
     #[default]
     Fixed,
     /// Force the serial runtime regardless of the configured degree.
     Serial,
-    /// Force the pool runtime (with the dispatcher's 2-D grid), even
-    /// where the model predicts serial would win.
+    /// Force the pool runtime, even where the model predicts serial
+    /// would win.
     Pool,
     /// Pick the runtime per call from the cost model + calibration,
-    /// with the serial fallback whenever the grid is too coarse to
-    /// occupy the workers.
+    /// with the serial fallback whenever the shape has fewer cells than
+    /// the pool has threads.
     Auto,
 }
 
@@ -98,9 +99,12 @@ pub struct DispatchDecision {
     /// The runtime chosen: [`Parallelism::Serial`] or
     /// [`Parallelism::Pool`] with the dispatched degree.
     pub runtime: Parallelism,
-    /// mc-row tasks per epoch across the batch (the 1-D grid size).
+    /// Row ranges of the grid the pool runs for this shape
+    /// ([`crate::pool::cell_grid`]): runs of `mc`-row tasks across the
+    /// batch.
     pub m_tasks: usize,
-    /// Column-wise grid factor handed to the pool (1 = M-bands only).
+    /// Column chunks of that grid; the pool's cells per `jj` panel are
+    /// `m_tasks · n_split`.
     pub n_split: usize,
     /// Calibrated predicted serial time, milliseconds.
     pub predicted_serial_ms: f64,
@@ -224,10 +228,9 @@ pub fn last_decision() -> Option<DispatchDecision> {
 /// runtime can repair that. `degree` is the configured parallel degree
 /// ([`Parallelism::degree`]), `cached` whether a
 /// [`crate::prepack::PrepackedB`] will serve B (its pack traffic then
-/// costs nothing per call); `transb` and `cached` also tell whether the
-/// serial walk packs B at all ([`crate::gemm::packs_b`]). Must not be
-/// called with
-/// [`DispatchMode::Fixed`] — Fixed means "no decision".
+/// costs nothing per call); `transb` and `cached` also tell whether
+/// either walk packs B at all ([`crate::gemm::packs_b`]). Must not be
+/// called with [`DispatchMode::Fixed`] — Fixed means "no decision".
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn decide(
     mode: DispatchMode,
@@ -277,51 +280,46 @@ fn decide_calibrated(
     cached: bool,
 ) -> DispatchDecision {
     debug_assert!(mode != DispatchMode::Fixed, "Fixed means no dispatch");
-    let (kc, mc, nc) = (blocks.kc.max(1), blocks.mc.max(1), blocks.nc.max(1));
+    let (mc, nc) = (blocks.mc.max(1), blocks.nc.max(1));
     let degree = degree.max(1);
     let batch = batch.max(1);
 
-    // Grid geometry: split over N only when M-bands alone cannot give
-    // every worker two cells to race for (dynamic-scheduling slack).
-    let m_tasks = m.div_ceil(mc) * batch;
-    let slivers = nc.min(n.max(1)).div_ceil(nr.max(1)).max(1);
-    let n_split = if m_tasks >= 2 * degree {
-        1
-    } else {
-        (2 * degree).div_ceil(m_tasks).min(slivers)
-    };
-    let cells = m_tasks * n_split;
+    // The grid the pool would run ([`crate::pool::cell_grid`], for a
+    // full-width panel) and whether either walk packs B at all: not when
+    // it is cached, and not when a single GEBP per panel leaves the pack
+    // nothing to be amortized over.
+    let row_tasks = m.div_ceil(mc) * batch;
+    let pack_b = crate::gemm::packs_b(row_tasks, transb, cached);
+    let (row_ranges, col_chunks) =
+        crate::pool::cell_grid(m, batch, nc.min(n), mc, nr, degree, pack_b);
+    let cells = row_ranges * col_chunks;
 
     // Model inputs, in the units of perfmodel::model (flops, words,
-    // cycles). A repacks once per jj panel (and once per column chunk
-    // on the grid — each cell owns its packed-A copy); B packs once
-    // per epoch unless cached — and, on the serial walk, unless a single
-    // GEBP per panel leaves the pack nothing to be amortized over; the
-    // pool additionally stages C in/out.
+    // cycles). The serial walk packs A once per jj panel and B once. On
+    // the pool every cell packs its own operands — A once per column
+    // chunk, B once per row range — and stages its part of C in and out;
+    // all of it is divided work: a thread's share is the cells it runs
+    // (one, or as many rounds as the grid has cells per thread), with
+    // one barrier per panel and a job for every cell but the caller's.
     let jj_panels = n.div_ceil(nc);
-    let epochs = jj_panels * k.div_ceil(kc);
     let f = 2.0 * (m * n * k * batch) as f64;
     let w_a = (m * k * jj_panels * batch) as f64;
-    let w_b = if cached { 0.0 } else { (k * n) as f64 };
-    let w_b_serial = if crate::gemm::packs_b(m_tasks, transb, cached) {
-        w_b
-    } else {
-        0.0
-    };
+    let w_b = if pack_b { (k * n) as f64 } else { 0.0 };
     let costs = MachineCosts {
         mu: 1.0 / flops_per_cycle,
         ..MachineCosts::xgene_cycles()
     };
     let psi = OverlapFactor::Rational { c: 0.4 };
     let overheads = PoolOverheads::xgene_cycles();
-    let serial_cycles = time_bound(f, w_a + w_b_serial, &costs, &psi);
-    let w_caller = w_a * n_split as f64 + w_b + 2.0 * (m * n * batch) as f64;
+    let serial_cycles = time_bound(f, w_a + w_b, &costs, &psi);
+    let w_pool = w_a * col_chunks as f64 + w_b * row_ranges as f64 + 2.0 * (m * n * batch) as f64;
+    let share = cells.div_ceil(degree) as f64 / cells as f64;
     let pool_cycles = pooled_time_bound(
-        f,
-        w_caller,
-        degree,
-        epochs as f64,
-        (cells * epochs) as f64,
+        f * share,
+        w_pool * share,
+        1,
+        jj_panels as f64,
+        ((cells - 1) * jj_panels) as f64,
         &costs,
         &psi,
         &overheads,
@@ -333,12 +331,12 @@ fn decide_calibrated(
         DispatchMode::Serial => (Parallelism::Serial, true),
         DispatchMode::Pool => (Parallelism::Pool(degree), true),
         // Auto: serial when the pool cannot help (one participant), when
-        // the grid is too coarse to occupy the workers (the medium-shape
-        // fallback), or unless the calibrated model predicts a pooled
-        // win clearing the hysteresis margin.
+        // the shape has fewer cells than threads, or unless the
+        // calibrated model predicts a pooled win clearing the hysteresis
+        // margin.
         DispatchMode::Auto | DispatchMode::Fixed => {
             if degree <= 1
-                || cells < 2 * degree
+                || cells < degree
                 || predicted_serial_ms <= predicted_pool_ms * POOL_MARGIN
             {
                 (Parallelism::Serial, false)
@@ -358,8 +356,8 @@ fn decide_calibrated(
         k,
         batch,
         runtime,
-        m_tasks,
-        n_split,
+        m_tasks: row_ranges,
+        n_split: col_chunks,
         predicted_serial_ms,
         predicted_pool_ms,
         measured_ms: None,
@@ -475,8 +473,12 @@ mod tests {
             last_ratio = ratio;
         }
         // At the portable level the pool halves 0.7 ms of compute and is
-        // the right call; at the level this host's kernel runs at, the
-        // 8x512x512 call is pack-B-bound and must stay serial.
+        // the right call. At the level this host's kernel runs at the
+        // whole 8x512x512 call is 55 µs of compute, read in place on
+        // either runtime: the two column cells halve it, but the one
+        // barrier and the one job they cost are priced at 27 µs, so the
+        // pooled prediction ties the serial one and the margin keeps it
+        // serial.
         assert_eq!(
             at(crate::simd::Isa::Portable, 8).runtime,
             Parallelism::Pool(2)
@@ -491,7 +493,7 @@ mod tests {
         // prediction must lose exactly the words of that pack: what is
         // left is eq. (4) over the pack-A words alone, which is also what
         // a cached B is charged. A transposed B and a second mc block
-        // keep the pack and its term; the pooled plan packs always.
+        // keep the pack and its term, on the pool as on the serial walk.
         let b = blocks(512, 56, 1920);
         let at = |m: usize, transb: Transpose, cached: bool| {
             let mode = DispatchMode::Auto;
@@ -530,9 +532,10 @@ mod tests {
             skinny.predicted_serial_ms,
             at(8, Transpose::No, true).predicted_serial_ms
         );
+        assert!(skinny.predicted_pool_ms < at(8, Transpose::Yes, false).predicted_pool_ms);
         assert_eq!(
             skinny.predicted_pool_ms,
-            at(8, Transpose::Yes, false).predicted_pool_ms
+            at(8, Transpose::No, true).predicted_pool_ms
         );
         assert_eq!(
             at(56, Transpose::No, false).predicted_serial_ms,
@@ -566,36 +569,75 @@ mod tests {
 
     #[test]
     fn coarse_grid_falls_back_to_serial() {
-        // n too narrow to split (one sliver) and a single M-band: the
-        // grid cannot occupy 8 workers, so auto must go serial without
+        // n too narrow to split (one sliver) and a single mc block: one
+        // cell cannot occupy 8 threads, so auto must go serial without
         // consulting the model.
         let b = blocks(256, 64, 1792);
         let d = decide(DispatchMode::Auto, 48, 6, 4096, 1, &b, 6, 8, false);
         assert_eq!(d.runtime, Parallelism::Serial);
         assert_eq!(d.n_split, 1, "one sliver cannot split");
-        assert!(d.m_tasks * d.n_split < 2 * 8);
+        assert!(d.m_tasks * d.n_split < 8);
     }
 
     #[test]
     fn skinny_m_gets_a_column_grid() {
-        // Few M-bands but a wide N: the dispatcher must manufacture
-        // enough cells by splitting columns, and big-k compute must
-        // make the pool worth it.
+        // Two mc blocks but a wide N: the cells come from splitting
+        // columns (48 rows of A per cell cost less to pack than 2048
+        // columns of B), and big-k compute must make the pool worth it.
         let b = blocks(512, 24, 1792);
         let d = decide(DispatchMode::Auto, 48, 4096, 4096, 1, &b, 6, 8, false);
-        assert_eq!(d.m_tasks, 2);
-        assert!(d.n_split >= 8, "2 bands × split must reach 2×8 cells");
+        assert_eq!((d.m_tasks, d.n_split), (1, 8));
         assert_eq!(d.runtime, Parallelism::Pool(8));
     }
 
     #[test]
-    fn square_pooled_shape_keeps_m_bands() {
-        // 1024³ on 8 threads: plenty of M-bands, no column split, pool
-        // wins in the model.
+    fn square_pooled_shape_gets_one_cell_per_thread() {
+        // 1024³ on 8 threads: a 4×2 grid packs the fewest words per cell
+        // (264 rows of A and 516 columns of B, against all 1024 rows and
+        // 132 columns for 1×8), and the pool wins in the model.
         let b = blocks(512, 24, 1792);
         let d = decide(DispatchMode::Auto, 1024, 1024, 1024, 1, &b, 6, 8, false);
-        assert_eq!(d.n_split, 1);
+        assert_eq!((d.m_tasks, d.n_split), (4, 2));
         assert_eq!(d.runtime, Parallelism::Pool(8));
+    }
+
+    #[test]
+    fn the_plan_priced_is_the_plan_the_pool_runs() {
+        // The shapes of the benchmark ladder under the default blocking
+        // at degree 2, priced at the AVX-512 μ and a neutral calibration.
+        let b = blocks(512, 56, 1920);
+        let at = |m: usize, batch: usize, cached: bool| {
+            let (mode, tb) = (DispatchMode::Auto, Transpose::No);
+            decide_calibrated(
+                (1.0, 1.0),
+                mode,
+                m,
+                512,
+                512,
+                batch,
+                &b,
+                6,
+                32.0,
+                2,
+                tb,
+                cached,
+            )
+        };
+        // 512³: two column cells, each packing all of A and its half of
+        // B. Nothing is left serial on the caller, so the prediction is
+        // half the serial one plus one barrier.
+        let square = at(512, 1, false);
+        assert_eq!((square.m_tasks, square.n_split), (1, 2));
+        assert_eq!(square.runtime, Parallelism::Pool(2));
+        assert!(square.predicted_pool_ms < 0.65 * square.predicted_serial_ms);
+        // A batch against a PrepackedB has no B pack to duplicate: split
+        // the entries, so each thread packs half of the A blocks.
+        let batch = at(16, 8, true);
+        assert_eq!((batch.m_tasks, batch.n_split), (2, 1));
+        // Without the cache the same batch packs B, and a row split
+        // would pack it twice: columns.
+        let fresh = at(16, 8, false);
+        assert_eq!((fresh.m_tasks, fresh.n_split), (1, 2));
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! Compiled under the `fault-injection` feature, this module lets tests
 //! install a [`FaultPlan`] describing *which* failure to provoke and
 //! *when* (the nth occurrence of the corresponding injection site).
-//! Four sites exist, matching the failure model in DESIGN.md §10:
+//! These sites exist, matching the failure model in DESIGN.md §10:
 //!
 //! | site | hook | effect when fired |
 //! |------|------|-------------------|
 //! | job execution | `panic_in_job` | the GEBP job panics mid-epoch |
-//! | job execution | `slow_job_delay` | the job sleeps past the watchdog deadline (pool threads only) |
+//! | job execution | `slow_job_delay` | the job sleeps *before* it claims its cell, past the watchdog deadline (pool threads only) |
+//! | job execution | `stall_in_cell` | the job sleeps *after* the claim, holding the caller's operands (pool threads only) |
 //! | worker spawn  | `fail_spawn` | `thread::Builder::spawn` is treated as failed |
 //! | buffer growth | `fail_alloc` | `try_reserve` is treated as failed |
 //! | service queue | `service_stall_delay` | the service scheduler stalls before executing a group |
@@ -24,8 +25,9 @@
 //! exercises the retry/degrade ladder above the pool's own
 //! containment. [`FaultPlan::from_seed`] keeps its historical 5-fault
 //! pool mapping (the property suite's seeds stay meaningful);
-//! [`FaultPlan::from_seed_service`] sweeps all seven sites and is what
-//! the chaos-soak suite drives through `DGEMM_FAULT_SEED`.
+//! [`FaultPlan::from_seed_service`] adds the two service sites and is
+//! what the chaos-soak suite drives through `DGEMM_FAULT_SEED`. No seed
+//! draws `stall_in_cell`: a plan names it.
 //!
 //! Occurrence counters are global atomics, so plans are deterministic
 //! for a fixed interleaving of calls: "fail the 3rd allocation" always
@@ -81,9 +83,15 @@ mod enabled {
     pub struct FaultPlan {
         /// Panic inside a pool job (a GEBP block run).
         pub worker_panic: Option<Trigger>,
-        /// Delay a pool job by the given duration (fires only on pool
-        /// worker threads, never on the help-draining caller).
+        /// Delay a pool job by the given duration before it claims its
+        /// cell (fires only on pool worker threads, never on the
+        /// help-draining caller): the caller's watchdog can take the
+        /// cell back.
         pub slow_worker: Option<(Trigger, Duration)>,
+        /// Delay a pool job by the given duration right after it claimed
+        /// its cell (pool worker threads only): the cell cannot be taken
+        /// back, so the call lasts at least this long. Drawn by no seed.
+        pub cell_stall: Option<(Trigger, Duration)>,
         /// Report worker-thread spawn as failed.
         pub spawn_fail: Option<Trigger>,
         /// Report buffer allocation (`try_reserve`) as failed.
@@ -129,7 +137,7 @@ mod enabled {
         }
 
         /// [`FaultPlan::from_seed`] extended over the service-layer
-        /// sites: seeds map onto all seven faults. Used by the
+        /// sites: seeds map onto those five and these two. Used by the
         /// chaos-soak suite so one `DGEMM_FAULT_SEED` sweep covers pool
         /// faults *and* scheduler stalls / service-level panics.
         #[must_use]
@@ -164,6 +172,7 @@ mod enabled {
     static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
     static PANIC_HITS: AtomicU64 = AtomicU64::new(0);
     static SLOW_HITS: AtomicU64 = AtomicU64::new(0);
+    static CELL_STALL_HITS: AtomicU64 = AtomicU64::new(0);
     static SPAWN_HITS: AtomicU64 = AtomicU64::new(0);
     static ALLOC_HITS: AtomicU64 = AtomicU64::new(0);
     static KILL_HITS: AtomicU64 = AtomicU64::new(0);
@@ -173,6 +182,7 @@ mod enabled {
     fn reset_counters() {
         PANIC_HITS.store(0, Ordering::SeqCst);
         SLOW_HITS.store(0, Ordering::SeqCst);
+        CELL_STALL_HITS.store(0, Ordering::SeqCst);
         SPAWN_HITS.store(0, Ordering::SeqCst);
         ALLOC_HITS.store(0, Ordering::SeqCst);
         KILL_HITS.store(0, Ordering::SeqCst);
@@ -242,14 +252,33 @@ mod enabled {
         }
     }
 
-    /// Injection site: start of a pool job on a worker thread. Sleeps
-    /// past the watchdog deadline when the plan says so.
+    /// Injection site: start of a pool job on a worker thread, before
+    /// it claims its cell. Sleeps past the watchdog deadline when the
+    /// plan says so.
     pub(crate) fn slow_job_delay() {
-        let Some((trigger, delay)) = plan().and_then(|p| p.slow_worker) else {
+        stall(
+            &SLOW_HITS,
+            plan().and_then(|p| p.slow_worker),
+            "slow_worker",
+        );
+    }
+
+    /// Injection site: a pool job on a worker thread, right after it
+    /// claimed its cell. Sleeps when the plan says so.
+    pub(crate) fn stall_in_cell() {
+        stall(
+            &CELL_STALL_HITS,
+            plan().and_then(|p| p.cell_stall),
+            "cell_stall",
+        );
+    }
+
+    fn stall(counter: &AtomicU64, armed: Option<(Trigger, Duration)>, site: &'static str) {
+        let Some((trigger, delay)) = armed else {
             return;
         };
-        if on_pool_thread() && fired(&SLOW_HITS, Some(trigger)) {
-            injected("slow_worker");
+        if on_pool_thread() && fired(counter, Some(trigger)) {
+            injected(site);
             std::thread::sleep(delay);
         }
     }
@@ -313,6 +342,8 @@ mod disabled {
     #[inline(always)]
     pub(crate) fn slow_job_delay() {}
     #[inline(always)]
+    pub(crate) fn stall_in_cell() {}
+    #[inline(always)]
     pub(crate) fn fail_spawn() -> bool {
         false
     }
@@ -359,6 +390,7 @@ mod tests {
     fn armed_sites(p: &FaultPlan) -> usize {
         usize::from(p.worker_panic.is_some())
             + usize::from(p.slow_worker.is_some())
+            + usize::from(p.cell_stall.is_some())
             + usize::from(p.spawn_fail.is_some())
             + usize::from(p.alloc_fail.is_some())
             + usize::from(p.worker_kill.is_some())

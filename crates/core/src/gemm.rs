@@ -79,11 +79,15 @@ pub struct Config<K: KernelFamily> {
     /// pool serves both precisions, each with its own thread-local
     /// arena).
     pub parallelism: Parallelism,
-    /// Watchdog deadline per layer-3 epoch on the pool runtime. `None`
-    /// (the default) waits indefinitely; with a deadline, a stalled
-    /// epoch is abandoned, its blocks recomputed serially, and the call
+    /// Watchdog deadline per layer-3 epoch (one `jj` panel) on the pool
+    /// runtime. `None` (the default) waits indefinitely; with a
+    /// deadline, every cell of the epoch that no thread has begun by
+    /// then is taken back and recomputed by the caller, and the call
     /// reports [`GemmError::EpochTimeout`] (C still holds the bit-exact
-    /// result). [`Config::auto`] reads `DGEMM_EPOCH_TIMEOUT_MS`.
+    /// result). A cell already begun cannot be abandoned — its thread
+    /// holds the call's operands — so a thread descheduled *mid-cell*
+    /// delays the call instead of being abandoned. [`Config::auto`]
+    /// reads `DGEMM_EPOCH_TIMEOUT_MS`.
     pub epoch_timeout: Option<Duration>,
     /// Consult the process-wide [`crate::prepack::PackCache`] of the
     /// element type for a pre-packed B (packing it on first use), so
@@ -94,8 +98,8 @@ pub struct Config<K: KernelFamily> {
     pub pack_cache: bool,
     /// Shape-adaptive dispatch (DESIGN.md §13): with the default
     /// [`DispatchMode::Fixed`] the configured [`Parallelism`] runs
-    /// unchanged; `Auto` picks Serial vs Pool (and the 2-D grid split)
-    /// per call from the cost model, `Serial`/`Pool` force a runtime.
+    /// unchanged; `Auto` picks Serial vs Pool per call from the cost
+    /// model, `Serial`/`Pool` force a runtime.
     /// The calibration is shared by both precisions. [`Config::auto`]
     /// reads `DGEMM_DISPATCH`.
     pub dispatch: DispatchMode,
@@ -417,9 +421,9 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
         "block sizes must be positive"
     );
 
-    // β once, up front (also handles alpha == 0 / k == 0 fully).
-    c.scale(beta);
+    // α = 0 or an empty product: the call is β·C and nothing else.
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
+        c.scale(beta);
         return Ok(());
     }
 
@@ -434,68 +438,52 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
     };
     let prepacked = prepacked.as_deref();
 
-    match dispatch {
-        // Fixed: run exactly the configured runtime on the historical
-        // 1-D M-band schedule — no decision, no timing, no grid.
-        DispatchMode::Fixed => match parallelism {
-            Parallelism::Pool(threads) => gemm_pooled(
-                transa,
-                transb,
-                alpha,
-                core::slice::from_ref(a),
-                b,
-                core::slice::from_mut(c),
-                kernel,
-                blocks,
-                threads,
-                1,
-                epoch_timeout,
-                prepacked,
-            ),
-            Parallelism::Serial => {
-                gemm_serial(transa, transb, alpha, a, b, c, kernel, blocks, prepacked);
-                Ok(())
-            }
-        },
-        mode => {
-            let plan = crate::dispatch::decide(
-                mode,
-                m,
-                n,
-                k,
-                1,
-                &blocks,
-                kernel.nr(),
-                kernel.flops_per_cycle(),
-                parallelism.degree(),
-                transb,
-                prepacked.is_some(),
-            );
-            let start = Instant::now();
-            let result = match plan.runtime {
-                Parallelism::Pool(threads) => gemm_pooled(
-                    transa,
-                    transb,
-                    alpha,
-                    core::slice::from_ref(a),
-                    b,
-                    core::slice::from_mut(c),
-                    kernel,
-                    blocks,
-                    threads,
-                    plan.n_split,
-                    epoch_timeout,
-                    prepacked,
-                ),
-                _ => {
-                    gemm_serial(transa, transb, alpha, a, b, c, kernel, blocks, prepacked);
-                    Ok(())
-                }
-            };
-            crate::dispatch::record(plan, start.elapsed());
-            result
+    // Fixed runs the configured runtime with no decision and no timing;
+    // any other mode asks the dispatcher. The pool's grid is the pool's
+    // own either way ([`crate::pool::cell_grid`]).
+    let plan = match dispatch {
+        DispatchMode::Fixed => None,
+        mode => Some(crate::dispatch::decide(
+            mode,
+            m,
+            n,
+            k,
+            1,
+            &blocks,
+            kernel.nr(),
+            kernel.flops_per_cycle(),
+            parallelism.degree(),
+            transb,
+            prepacked.is_some(),
+        )),
+    };
+    let timed = plan.map(|plan| (plan, Instant::now()));
+    let result = match plan.map_or(parallelism, |p| p.runtime) {
+        Parallelism::Pool(threads) => gemm_pooled(
+            transa,
+            transb,
+            alpha,
+            core::slice::from_ref(a),
+            b,
+            beta,
+            core::slice::from_mut(c),
+            kernel,
+            blocks,
+            threads,
+            epoch_timeout,
+            prepacked,
+        ),
+        Parallelism::Serial => {
+            // β once, up front; the pool's cells apply it as they stage
+            c.scale(beta);
+            gemm_serial(transa, transb, alpha, a, b, c, kernel, blocks, prepacked);
+            Ok(())
         }
+    };
+    if let Some((plan, start)) = timed {
+        crate::dispatch::record(plan, start.elapsed());
     }
+    result
 }
 
 /// Whether the serial walk packs each `kc×nc` panel of B before layer 3

@@ -40,8 +40,8 @@
 //! | [`simd`] | layer 7 | the same kernels as runtime-detected `std::arch` SIMD+FMA code |
 //! | [`gebp`] | layers 4–6 | GEBP / GEBS / GESS loop nest over packed data |
 //! | [`gemm`] | layers 1–3 | `nc`/`kc`/`mc` blocking, β-scaling, driver |
-//! | [`parallel`] | layer 3 | serial walk + static band partitioning (Section IV-C) |
-//! | [`pool`] | layer 3 | persistent worker pool, dynamic `mc`-block scheduling, buffer arenas |
+//! | [`parallel`] | layer 3 | serial walk + balanced band partitioning (Section IV-C) |
+//! | [`pool`] | layer 3 | persistent worker pool, the cell grid every thread packs and computes its share of, buffer arenas |
 //! | [`prepack`] | layer 4 | pre-packed B operands and the weight-reuse pack cache |
 //! | [`blas`] | — | BLAS-style checked entry points |
 //! | [`level3`] | — | DSYRK/DSYMM/DTRSM built on the same GEBP engine |
@@ -57,12 +57,14 @@
 //! | [`mod@reference`] | — | naive triple-loop oracle for validation |
 
 #![warn(missing_docs)]
-// unsafe is confined to two modules: `tile` (the C-tile view whose
+// unsafe is confined to three modules: `tile` (the C-tile view whose
 // checked API hands out one column segment of a rectangle of C at a
-// time) and `simd` (the `std::arch` register kernels: called only after
+// time), `simd` (the `std::arch` register kernels: called only after
 // feature detection, A/B read through chunked slices, C reached only
-// through `TileMut::col_seg_mut` with a masked store). Every other
-// module carries `#![forbid(unsafe_code)]`.
+// through `TileMut::col_seg_mut` with a masked store) and `lease` (the
+// one lifetime erasure: a call's operands lent to pool jobs behind a
+// gate the call cannot return past). Every other module carries
+// `#![forbid(unsafe_code)]`.
 #![deny(unsafe_op_in_unsafe_fn)]
 // Library code must propagate failures as typed errors; panicking
 // shortcuts are reserved for tests.
@@ -76,6 +78,7 @@ pub mod dispatch;
 pub mod faults;
 pub mod gebp;
 pub mod gemm;
+mod lease;
 pub mod level3;
 pub mod lu;
 pub mod matrix;

@@ -355,6 +355,23 @@ impl<'a, T: Scalar> MatrixViewMut<'a, T> {
         }
     }
 
+    /// Split into the first `j` columns and the rest: two views that
+    /// share nothing, so each can go to its own thread.
+    #[must_use]
+    pub fn split_cols(self, j: usize) -> (MatrixViewMut<'a, T>, MatrixViewMut<'a, T>) {
+        assert!(j <= self.cols, "split past the last column");
+        // (the view of the last columns may end before `j·ld`)
+        let at = j.saturating_mul(self.ld).min(self.data.len());
+        let (head, tail) = self.data.split_at_mut(at);
+        let view = |cols, data| MatrixViewMut {
+            rows: self.rows,
+            cols,
+            ld: self.ld,
+            data,
+        };
+        (view(j, head), view(self.cols - j, tail))
+    }
+
     /// One mutable column.
     #[must_use]
     pub fn col_mut(&mut self, j: usize) -> &mut [T] {
@@ -456,6 +473,25 @@ mod tests {
         assert_eq!(m.get(1, 1), 7.0);
         assert_eq!(m.get(2, 2), 9.0);
         assert_eq!(m.get(0, 0), 0.0);
+    }
+
+    #[test]
+    fn split_cols_gives_disjoint_views_of_a_window() {
+        // a window whose slice ends at its last element (ld > rows)
+        let mut m = Matrix::from_fn(6, 5, |i, j| (i * 10 + j) as f64);
+        let mut v = m.view_mut();
+        let window = v.sub_mut(1, 1, 4, 4);
+        let (mut head, rest) = window.split_cols(1);
+        let (mut mid, mut tail) = rest.split_cols(3);
+        assert_eq!((head.cols(), mid.cols(), tail.cols()), (1, 3, 0));
+        assert_eq!((head.rows(), mid.rows(), mid.ld()), (4, 4, 6));
+        assert_eq!(tail.data_mut().len(), 0);
+        assert_eq!(head.get(3, 0), 41.0);
+        assert_eq!(mid.get(0, 2), 14.0);
+        head.col_mut(0)[0] = -1.0;
+        mid.col_mut(2)[3] = -2.0;
+        assert_eq!(m.get(1, 1), -1.0);
+        assert_eq!(m.get(4, 4), -2.0);
     }
 
     #[test]

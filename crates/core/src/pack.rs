@@ -84,6 +84,39 @@ fn interleave_all<'a, T: Scalar>(
     }
 }
 
+/// A non-transposed `mc×kc` block of A into `mr`-slivers, the source
+/// column outermost: each column's `mc` rows are read once, front to
+/// back, and dealt out to the slivers' `k`-th rows, the ragged last
+/// sliver's padding included. Sliver-outermost, every `mr`-element copy
+/// would start on a new page of A and each page be revisited once per
+/// sliver — half the rate. `MR` is `mr` as a constant, or 0 for "use
+/// `mr`".
+#[inline(always)]
+fn deal<T: Scalar, const MR: usize>(
+    buf: &mut [T],
+    a: &MatrixView<'_, T>,
+    mr: usize,
+    i0: usize,
+    k0: usize,
+    mc: usize,
+    kc: usize,
+) {
+    let mr = if MR == 0 { mr } else { MR };
+    for k in 0..kc {
+        let src = &a.col(k0 + k)[i0..i0 + mc];
+        for (s, rows) in src.chunks(mr).enumerate() {
+            let at = (s * kc + k) * mr;
+            let dst = &mut buf[at..at + mr];
+            if rows.len() == mr {
+                dst.copy_from_slice(rows);
+            } else {
+                dst[..rows.len()].copy_from_slice(rows);
+                dst[rows.len()..].fill(T::ZERO);
+            }
+        }
+    }
+}
+
 /// A packed `mc×kc` block of A in `mr`-sliver layout.
 #[derive(Clone, Debug)]
 pub struct PackedA<T: Scalar = f64> {
@@ -128,30 +161,31 @@ impl<T: Scalar> PackedA<T> {
         // length change touches the buffer here
         self.buf.resize(slivers * mr * kc, T::ZERO);
         crate::telemetry::add_packed_a_bytes((self.buf.len() * core::mem::size_of::<T>()) as u64);
-        for s in 0..slivers {
-            let row_base = s * mr;
-            let rows = mr.min(mc - row_base);
-            let sliver = &mut self.buf[s * mr * kc..(s + 1) * mr * kc];
-            match trans {
-                Transpose::No => {
-                    // op(A)(i, k) = A(i, k): copy column segments
-                    for k in 0..kc {
-                        let src = a.col(k0 + k);
-                        let dst = &mut sliver[k * mr..k * mr + rows];
-                        dst.copy_from_slice(&src[i0 + row_base..i0 + row_base + rows]);
-                    }
-                }
-                Transpose::Yes => {
+        if kc == 0 {
+            return;
+        }
+        match trans {
+            // op(A)(i, k) = A(i, k). The sliver heights in use get a copy
+            // of compile-time length (a run-time one costs a `memcpy`
+            // call per 64 bytes); any other height takes the same loop.
+            Transpose::No => match mr {
+                4 => deal::<T, 4>(&mut self.buf, a, mr, i0, k0, mc, kc),
+                8 => deal::<T, 8>(&mut self.buf, a, mr, i0, k0, mc, kc),
+                12 => deal::<T, 12>(&mut self.buf, a, mr, i0, k0, mc, kc),
+                _ => deal::<T, 0>(&mut self.buf, a, mr, i0, k0, mc, kc),
+            },
+            Transpose::Yes => {
+                for (s, sliver) in self.buf.chunks_exact_mut(mr * kc).enumerate() {
+                    let row_base = s * mr;
+                    let rows = mr.min(mc - row_base);
                     // op(A)(i, k) = A(k, i): the sliver's rows are columns
                     // of A, read as concurrent streams
                     let src = |r: usize| &a.col(i0 + row_base + r)[k0..k0 + kc];
                     interleave_all(sliver, mr, rows, src);
-                }
-            }
-            if rows < mr {
-                for k in 0..kc {
-                    for r in rows..mr {
-                        sliver[k * mr + r] = T::ZERO;
+                    if rows < mr {
+                        for row in sliver.chunks_exact_mut(mr) {
+                            row[rows..].fill(T::ZERO);
+                        }
                     }
                 }
             }
@@ -434,6 +468,54 @@ mod tests {
         assert_eq!(p.sliver(1), &[3.0, 0.0, 6.0, 0.0]);
     }
 
+    /// The order `PackedA::pack` walked a non-transposed A in before it
+    /// went column-outermost: the layout's definition, sliver by sliver.
+    fn pack_a_sliver_outermost(
+        a: &MatrixView<'_>,
+        mr: usize,
+        (i0, k0, mc, kc): (usize, usize, usize, usize),
+    ) -> Vec<f64> {
+        // stale contents, so unwritten padding would show
+        let mut buf = vec![f64::NAN; mc.div_ceil(mr) * mr * kc];
+        for (s, sliver) in buf.chunks_mut(mr * kc).enumerate() {
+            let rows = mr.min(mc - s * mr);
+            for k in 0..kc {
+                let src = &a.col(k0 + k)[i0 + s * mr..i0 + s * mr + rows];
+                sliver[k * mr..k * mr + rows].copy_from_slice(src);
+                sliver[k * mr + rows..(k + 1) * mr].fill(0.0);
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn pack_a_column_outermost_is_byte_identical_to_sliver_outermost() {
+        // a window of a taller parent (lda > mc), blocks off its origin
+        let parent: Matrix = Matrix::random(70, 40, 17);
+        let a = parent.view().sub(3, 2, 61, 37);
+        assert!(a.ld() > a.rows());
+        for mr in [8, 4, 5, 12] {
+            let mut p = PackedA::new(mr);
+            // exact, ragged last sliver, one short sliver, a single row
+            for mc in [56, 53, 9, mr - 1, 1] {
+                for (i0, k0, kc) in [(0, 0, 37), (5, 3, 20), (61 - mc, 36, 1)] {
+                    // over whatever the last pack left behind
+                    p.pack(&a, Transpose::No, i0, k0, mc, kc);
+                    let want = pack_a_sliver_outermost(&a, mr, (i0, k0, mc, kc));
+                    let same = p
+                        .buf()
+                        .iter()
+                        .zip(&want)
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                    assert!(
+                        same && p.buf().len() == want.len(),
+                        "mr={mr} mc={mc} i0={i0} k0={k0} kc={kc}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn pack_a_transposed_equals_pack_of_transpose() {
         let a: Matrix = Matrix::random(7, 9, 1);
@@ -572,6 +654,10 @@ mod tests {
         let mut p = PackedA::new(4);
         p.pack(&a.view(), Transpose::No, 0, 0, 0, 4);
         assert_eq!(p.slivers(), 0);
+        for trans in [Transpose::No, Transpose::Yes] {
+            p.pack(&a.view(), trans, 0, 0, 4, 0);
+            assert_eq!((p.slivers(), p.buf().len()), (1, 0));
+        }
         let mut q = PackedB::new(4);
         q.pack(&a.view(), Transpose::No, 0, 0, 4, 0);
         assert_eq!(q.slivers(), 0);

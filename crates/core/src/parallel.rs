@@ -1,16 +1,12 @@
-//! Layer-3 parallelization (Section IV-C, Figure 9).
+//! Layer 3 (Section IV-C, Figure 9): the loop over `mc`-blocks of A.
 //!
-//! The loop over `mc`-blocks of A (layer 3) is parallelized: every thread
-//! packs and multiplies its own `mc×kc` block of A while **all threads
-//! share the same packed `kc×nc` panel of B** — the strategy of \[15\] that
-//! maximizes locality in the shared L3, where the B panel lives. Threads
-//! update disjoint row bands of C.
-//!
-//! This module holds the serial layer-3 walk ([`run_layer3`]) and the
-//! static band partitioner ([`partition_rows`]). The parallel walk lives
-//! in [`crate::pool`]: a persistent worker pool that schedules
-//! `mc`-blocks dynamically and recycles every packing buffer, with this
-//! module's static bands as its even-split fallback.
+//! In the paper every thread packs and multiplies its own `mc×kc` block
+//! of A against the packed `kc×nc` panel of B and updates its own rows
+//! of C. This module holds that walk for one thread ([`run_layer3`]) and
+//! the balanced partitioner ([`partition_rows`]). The parallel runtime
+//! lives in [`crate::pool`]: it cuts a panel into cells — runs of
+//! `mc`-blocks by runs of B slivers, both dealt out by `partition_rows`
+//! — and every thread packs and multiplies for the cells it runs.
 
 #![forbid(unsafe_code)]
 
@@ -23,8 +19,9 @@ use crate::tile::TileMut;
 use crate::Transpose;
 
 /// Split `m` rows into at most `threads` contiguous bands of whole
-/// `unit`-row blocks (the register-block height `mr`, so no thread ever
-/// splits a sliver), balanced to within one block. Returns
+/// `unit`-row blocks (so no band ever splits a block), balanced to
+/// within one block. The pool deals out both axes of its cell grid with
+/// it: row tasks one at a time, a panel's columns in `nr`-slivers. Returns
 /// `(start, len)` pairs; fewer bands than `threads` when there are fewer
 /// blocks.
 #[must_use]

@@ -1,105 +1,116 @@
 //! Persistent worker-pool runtime for layer 3 (Section IV-C, Figure 9).
 //!
 //! The paper's layer 3 keeps one team of threads for the whole
-//! multiplication. For its large problems how the team is kept hardly
-//! matters, but for the small/batched GEMMs layered workloads issue (LU
-//! panels, im2col convolutions, batched inference) a thread spawned or a
-//! packing buffer allocated per `(jj, kk)` macro-iteration costs more
-//! than the arithmetic. So the parallel runtime is a process-wide pool
-//! of persistent workers and per-caller-thread buffer arenas:
+//! multiplication, and every thread packs its own block of A into its
+//! own L2 and works on its own part of the problem. For the paper's large
+//! problems how the team is kept hardly matters, but for the
+//! small/batched GEMMs layered workloads issue (LU panels, im2col
+//! convolutions, batched inference) a thread spawned or a packing buffer
+//! allocated per call costs more than the arithmetic. So the parallel
+//! runtime is a process-wide pool of persistent workers and per-thread
+//! buffer arenas:
 //!
 //! - **[`WorkerPool`]**: lazily started, detached worker threads parked
-//!   on an MPMC channel — after polling it for two milliseconds, so
-//!   back-to-back calls find their workers awake. A GEMM call enqueues
-//!   one *job* per grid cell
-//!   (or per static band) and workers race to pull them — dynamic
-//!   scheduling that load-balances ragged tails, falling back to the
-//!   static contiguous-band assignment of [`crate::parallel::partition_rows`]
-//!   when the blocks divide evenly. Steady state spawns **zero** threads.
-//! - **2-D task grid** (DESIGN.md §13): each `(jj, kk)` epoch splits
-//!   into cells `(mc-row-block) × (nr-aligned column chunk)`. The
-//!   column split (`n_split`, chosen by [`crate::dispatch`]) gives
-//!   skinny-m/fat-n shapes enough cells to occupy every worker: cells
-//!   share the one packed (or [`PrepackedB`]-cached) panel and each
-//!   computes its own whole-sliver range of it
-//!   ([`crate::gebp::gebp_slivers`]). `n_split == 1` is exactly the
-//!   historical M-band schedule.
+//!   on an MPMC channel — after polling it for a while, so back-to-back
+//!   calls find their workers awake. Steady state spawns **zero**
+//!   threads.
+//! - **The cell grid** ([`cell_grid`], DESIGN.md §9): each `jj` panel of
+//!   a call is cut into *cells* — a run of `mc` row blocks (across the
+//!   entries of a batch) by an `nr`-aligned run of the panel's columns —
+//!   about one per thread, by the one pure function that minimises the
+//!   words a cell packs. Which loop is parallel is that function's
+//!   answer for the shape: columns for a square call or a single block,
+//!   rows for a tall narrow one or a batch against cached panels.
 //! - **[`GemmArena`]**: a thread-local free list of [`BlockSlot`]s
-//!   (packed-A buffer + C staging buffer) and packed-B panels, recycled
-//!   across `mc`-blocks, macro-iterations, GEMM calls and batch entries.
-//!   Steady state performs **zero** packing-buffer allocations.
+//!   (packed-A buffer + C staging buffer) and packed-B panels. A cell
+//!   uses the arena of the thread that runs it, so packed operands are
+//!   written by the core that reads them. Steady state performs **zero**
+//!   packing-buffer allocations on any thread.
 //!
-//! ## Ownership-transfer epochs
+//! ## Cells that borrow the operands
 //!
-//! Persistent workers outlive any one GEMM call, so (in safe Rust) the
-//! closures they execute cannot borrow the caller's matrices. The
-//! runtime therefore splits each `(jj, kk)` macro-iteration into an
-//! *epoch* built only from owned data:
+//! A cell's body is the serial walk on its own piece (`run_cell`):
+//! stage its part of C into a private buffer (applying β), then for every
+//! `kk` take **its own B columns** — packed into its own panel, or read
+//! in place, or addressed inside a [`PrepackedB`] tile, by the serial
+//! walk's own predicate (`gemm::packs_b`) — pack **its own A
+//! blocks** and GEBP; last, write the staged result back. Every element
+//! of C sees the kernel calls of the serial walk in the serial walk's
+//! `kk` order, whatever the grid, so every output bit is the serial one.
 //!
-//! 1. the **caller** packs the shared B panel into a pool-recycled
-//!    buffer and wraps it in an [`Arc`];
-//! 2. per `mc`-block, the caller packs A into a recycled [`BlockSlot`]
-//!    (which also stages that block's rows of the C panel) and sends the
-//!    slot — owned — through the job channel;
-//! 3. **workers** run GEBP on the slot's owned buffers against the
-//!    shared panel and send the slot back on a per-call done channel;
-//! 4. the caller *helps drain the queue* while waiting at the epoch
-//!    barrier, then reclaims the panel via [`Arc::try_unwrap`].
+//! Persistent workers outlive any one call, and the operands are the
+//! caller's borrows. The `lease` module bridges the two: a panel's operands
+//! are lent for the duration of one closure, jobs hold a `'static`
+//! `Gate` and reach the operands only inside `Gate::with`, and the
+//! closure cannot be left while a job is in there. The pool itself stays
+//! `forbid(unsafe_code)`. An epoch is then:
 //!
-//! Packing is thus pipelined against worker compute (the caller
-//! dispatches each block as soon as it is packed), in place of the
-//! paper's pack-everything-then-barrier. C blocks are staged in once
-//! per `jj` panel, accumulate across all `kk` epochs and are written
-//! back once, which keeps the floating-point accumulation order — and
-//! therefore every output bit — identical to the serial path.
+//! 1. the **caller** cuts the grid, submits one job per cell but the
+//!    first, and computes the first cell itself;
+//! 2. a **job** claims its cell — one compare-and-swap on state the pool
+//!    owns — inside `with`, before it touches an operand, computes it
+//!    with its own thread's buffers, and posts one done message;
+//! 3. the caller *helps drain the queue* while waiting at the barrier,
+//!    and settles faults. In a healthy call it packs nothing and copies
+//!    nothing that is not its own cell's.
+//!
+//! Cells of one column chunk cover interleaved rows of the same columns
+//! of C, which no `&mut` split can hand out; each chunk's windows on C
+//! sit behind a lock that cells share to stage in and hold exclusively
+//! for the copy back.
 //!
 //! ## Fault tolerance (DESIGN.md §10)
 //!
-//! The paper assumes every thread finishes its band; this runtime does
-//! not. Failures are contained at the block level and the epoch always
+//! The paper assumes every thread finishes its part; this runtime does
+//! not. Failures are contained at the cell level and the epoch always
 //! completes:
 //!
-//! - **Worker panics**: each block run executes under `catch_unwind`;
-//!   the slot comes back flagged, the caller re-stages the block's rows
-//!   from C (untouched until the panel's `stage_out`) and recomputes all
-//!   epochs so far serially — bit-identical, because every per-element
-//!   accumulation is replayed in the same order with the same kernel
-//!   calls. Only a panicking *retry* surfaces as
-//!   [`GemmError::WorkerFault`].
+//! - **Worker panics**: each cell runs under `catch_unwind`. C is
+//!   untouched until a cell's write-back, its last step, so the caller
+//!   recomputes a panicked cell from C — bit-identical, because the
+//!   replay makes the same kernel calls in the same order. Only a
+//!   panicking *replay* surfaces as [`GemmError::WorkerFault`].
 //! - **Dead workers**: every worker holds a guard that records its death;
 //!   [`WorkerPool::ensure_workers`] (called at every epoch start)
 //!   respawns up to the wanted count. [`WorkerPool::status`] exposes the
 //!   live count, deaths, respawns and faults contained.
-//! - **Stalled epochs**: with an `epoch_timeout` configured, the caller
-//!   stops waiting at the deadline, recomputes the missing blocks
-//!   serially from C (same bit-identical replay), finishes the call
-//!   inline and reports [`GemmError::EpochTimeout`]. Late completions
-//!   from an abandoned epoch carry a stale sequence number and are
-//!   recycled, never mixed into a newer epoch.
+//! - **Stalled epochs**: with an `epoch_timeout` configured, at the
+//!   deadline the caller *revokes* every cell no thread has claimed (its
+//!   own compare-and-swap on the same state), recomputes those from C,
+//!   finishes the call on its own thread and reports
+//!   [`GemmError::EpochTimeout`]. A job that comes late finds its cell
+//!   revoked, or the gate closed, and touches nothing
+//!   ([`PoolStatus::late_jobs`]). A cell already claimed cannot be
+//!   abandoned — its thread holds live borrows — so the caller waits for
+//!   it: a thread descheduled *mid-cell* delays the call instead.
 //! - **Allocation failures**: staging and packing buffers grow with
-//!   `try_reserve`; on failure the runtime degrades — smaller packing
-//!   chunks (bit-identical: each (A-sliver, B-sliver) pair still gets
-//!   exactly one kernel call per epoch), or a serial walk straight on C
-//!   — and only reports [`GemmError::AllocFailure`] when even the
-//!   minimal chunk cannot be allocated.
+//!   `try_reserve`; on failure a cell degrades to smaller packing chunks
+//!   (bit-identical: each (A-sliver, B-sliver) pair still gets exactly
+//!   one kernel call per `kk`), and a cell that cannot even stage is
+//!   recomputed by the caller straight on C. Only when the minimal chunk
+//!   cannot be allocated there either does the call report
+//!   [`GemmError::AllocFailure`].
 
 #![forbid(unsafe_code)]
 
-use crate::gebp::gebp_slivers;
+use crate::gebp::{gebp_slivers, BPanel, BWindow};
+use crate::lease::{Gate, Lend};
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::KernelSet;
 use crate::pack::{PackedA, PackedB};
+use crate::parallel::partition_rows;
 use crate::prepack::{PackCache, PrepackedB};
 use crate::scalar::Scalar;
 use crate::telemetry::{self, Phase, RT};
 use crate::tile::TileMut;
 use crate::{GemmError, Transpose};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use perfmodel::cacheblock::BlockSizes;
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// How a GEMM call executes layer 3.
@@ -182,10 +193,11 @@ impl PoolShared {
 ///
 /// Workers are detached threads parked on the job channel; they are
 /// spawned lazily by [`WorkerPool::ensure_workers`], which also
-/// respawns replacements for any that died. Jobs are pure compute over
-/// owned buffers, executed under `catch_unwind`, which keeps the
-/// caller's help-while-waiting drain loop deadlock-free and a panicking
-/// job from taking a worker (or the process) down with it.
+/// respawns replacements for any that died. Jobs wait for nothing but
+/// the lock on their own columns of C and run under `catch_unwind`,
+/// which keeps the caller's help-while-waiting drain loop deadlock-free
+/// and a panicking job from taking a worker (or the process) down with
+/// it.
 ///
 /// Pools are **multi-instance**: [`WorkerPool::global`] is the default
 /// process-wide pool every `gemm()` call uses, and
@@ -235,13 +247,17 @@ pub struct PoolStatus {
     /// Worker spawn attempts that failed (the pool runs smaller; the
     /// caller's drain loop still guarantees progress).
     pub spawn_failures: u64,
-    /// Layer-3 epochs served by the pool.
+    /// Layer-3 epochs (barriers: one per `jj` panel) served by the pool.
     pub epochs_served: u64,
-    /// Blocks whose worker panicked or went missing and were recomputed
-    /// serially by the caller.
+    /// Cells whose thread panicked, ran out of memory or never began
+    /// them, and which the caller recomputed.
     pub faults_contained: u64,
-    /// Epochs abandoned at the watchdog deadline.
+    /// Epochs in which the watchdog deadline took cells back.
     pub timeouts: u64,
+    /// Jobs that came too late — their cell taken back at the watchdog
+    /// deadline, or their call already returned — and so touched nothing
+    /// (process-wide, like the epoch counters).
+    pub late_jobs: u64,
     /// The most recent shape-adaptive dispatch decision (shape, chosen
     /// runtime, predicted vs measured time) — `None` until a call runs
     /// with a non-`Fixed` [`crate::dispatch::DispatchMode`].
@@ -281,13 +297,17 @@ impl Drop for WorkerGuard {
 /// that CPU back in: tens of microseconds on a quiet host, up to a
 /// millisecond on a busy one, and different from run to run. Against the
 /// 27 ms of a pooled 512³ call on the portable kernel that was nothing;
-/// against the 5 ms it takes on the SIMD kernels it is what made ten runs
-/// spread over 10 % (EXPERIMENTS.md, "Steadying the pooled path"). So a
-/// worker stays runnable across the serial stretch between two epochs
-/// (stage-out, the caller's own code, stage-in, the B pack: about 1.3 ms
-/// for that shape), and the caller across the tail of a worker's band.
-/// The poll yields on every turn, so on an oversubscribed host whoever
-/// has real work gets the processor.
+/// against the 3.5 ms it takes on the SIMD kernels it is what made ten
+/// runs spread over 10 % (EXPERIMENTS.md, "Steadying the pooled path").
+/// So a worker stays runnable across the gap between two calls of a
+/// stream (the caller's own code between them — the pooled call itself
+/// no longer has a serial stretch to bridge), and the caller across the
+/// tail of the slowest cell. The poll yields on every turn, so on an
+/// oversubscribed host whoever has real work gets the processor.
+/// Re-measured once that stretch was gone (EXPERIMENTS.md, "Every thread
+/// packs its own operands"): parking at once loses 3.5 % on `square_pool`
+/// and triples the spread of ten runs; 0.5 ms reads the same as 2 ms in
+/// the median and over a wider range, which is no reason to move it.
 const POLL_BEFORE_PARK: Duration = Duration::from_millis(2);
 
 /// Poll `rx` until it holds a message or `limit` has passed. `true` when
@@ -415,6 +435,7 @@ impl WorkerPool {
             epochs_served: rt.epochs_served(),
             faults_contained: rt.faults_contained,
             timeouts: rt.timeouts,
+            late_jobs: LATE_JOBS.load(Ordering::Relaxed),
             last_dispatch: crate::dispatch::last_decision(),
         }
     }
@@ -512,26 +533,15 @@ impl WorkerPool {
     }
 }
 
-/// One grid cell's worth of owned working memory: the packed-A buffer
-/// plus the staged sub-block of the current C panel. Slots are recycled
-/// through [`GemmArena`] and travel caller → worker → caller by value.
+/// One thread's working memory for one cell: the packed-A buffer and
+/// the cell's private copy of its part of C. Slots are recycled through
+/// the [`GemmArena`] of the thread that runs the cell and never leave it.
 #[derive(Debug)]
 pub struct BlockSlot<T: Scalar> {
     pa: PackedA<T>,
-    /// Staged `mc_eff × ncols` C cell, column-major with `ld = mc_eff`.
+    /// The staged cell: per row task an `mc_eff × ncols` block,
+    /// column-major with `ld = mc_eff`, one after the other.
     staging: Vec<T>,
-    /// Which batch entry this cell belongs to.
-    entry: usize,
-    /// First row of `op(A)` / C covered by this cell.
-    row0: usize,
-    /// Rows covered (`<= mc`).
-    mc_eff: usize,
-    /// First column of the cell *within its `jj` panel* (sliver-aligned:
-    /// a multiple of `nr`, so the cell addresses the shared panel as a
-    /// whole-sliver range). 0 in 1-D (M-band) mode.
-    col0: usize,
-    /// Columns covered (`<= nc_eff`; all of them in 1-D mode).
-    ncols: usize,
 }
 
 impl<T: Scalar> BlockSlot<T> {
@@ -543,10 +553,10 @@ impl<T: Scalar> BlockSlot<T> {
 }
 
 /// Thread-local free lists of packing buffers, so steady-state GEMM
-/// calls allocate nothing: block slots and B panels are taken at the
-/// start of a panel/epoch and returned when it completes. The serial
-/// path draws its (single) hoisted packed-A/packed-B pair from the same
-/// arena.
+/// calls allocate nothing on any thread: a cell takes one block slot and
+/// one B panel from the arena of the thread that runs it and returns
+/// them when it is done. The serial path draws its (single) hoisted
+/// packed-A/packed-B pair from the same arena.
 #[derive(Debug, Default)]
 pub struct GemmArena<T: Scalar> {
     slots: Vec<BlockSlot<T>>,
@@ -584,11 +594,6 @@ impl<T: Scalar> GemmArena<T> {
                 BlockSlot {
                     pa: PackedA::new(mr),
                     staging: Vec::new(),
-                    entry: 0,
-                    row0: 0,
-                    mc_eff: 0,
-                    col0: 0,
-                    ncols: 0,
                 }
             }
         }
@@ -659,293 +664,192 @@ macro_rules! impl_pool_scalar {
 impl_pool_scalar!(f64, ARENA_F64);
 impl_pool_scalar!(f32, ARENA_F32);
 
-/// The `(col0, ncols)` column chunks of one `jj` panel for an `n_split`-way
-/// grid: whole-sliver chunks (every `col0` is a multiple of `nr`) of as
-/// equal a sliver count as possible, the last one ragged. `n_split == 1`
-/// yields the single full-width chunk of the historical M-band schedule;
-/// a split wider than the panel's sliver count is clamped (fewer chunks
-/// than asked is fine — the dispatcher treats the grid as best-effort).
-pub(crate) fn grid_cols(nc_eff: usize, nr: usize, n_split: usize) -> Vec<(usize, usize)> {
-    let nr = nr.max(1);
-    let slivers = nc_eff.div_ceil(nr).max(1);
-    let chunks = n_split.clamp(1, slivers);
-    let per = slivers.div_ceil(chunks);
-    let mut out = Vec::with_capacity(chunks);
-    let mut s = 0usize;
-    while s * nr < nc_eff {
-        let col0 = s * nr;
-        let ncols = (per * nr).min(nc_eff - col0);
-        out.push((col0, ncols));
-        s += per;
-    }
-    out
+/// The grid one `jj` panel of a pooled call is cut into, as `(row
+/// ranges, column chunks)`: `batch` entries of `m` rows in `mc` blocks
+/// (the *row tasks*) by `n` panel columns in `nr` slivers, for `degree`
+/// threads. The one place that decision lives — the pool runs it, the
+/// dispatcher prices it.
+///
+/// A cell packs its own operands: per unit of depth its rows of A and,
+/// when the call packs B at all (`pack_b`, the serial walk's predicate),
+/// its columns of B. The grid is the one whose largest cell packs the
+/// fewest words, times the rounds it takes `degree` threads to run the
+/// cells, among those with a cell for every thread (or as many as the
+/// shape has); ties go to the column split, whose cells share no packed
+/// B and own whole columns of C. A square call splits its columns, a
+/// single `mc` block can only do that, a tall one with fewer slivers
+/// than threads splits its rows, and so does a batch against a
+/// [`PrepackedB`], which has no B pack to duplicate.
+#[must_use]
+pub fn cell_grid(
+    m: usize,
+    batch: usize,
+    n: usize,
+    mc: usize,
+    nr: usize,
+    degree: usize,
+    pack_b: bool,
+) -> (usize, usize) {
+    let (mc, nr, degree) = (mc.max(1), nr.max(1), degree.max(1));
+    let row_tasks = (m.div_ceil(mc) * batch).max(1);
+    let slivers = n.div_ceil(nr).max(1);
+    (1..=degree.min(row_tasks))
+        .map(|r| {
+            let c = degree.div_ceil(r).min(slivers);
+            let rows = (row_tasks.div_ceil(r) * mc.min(m)).min(m * batch);
+            let cols = if pack_b {
+                (slivers.div_ceil(c) * nr).min(n)
+            } else {
+                0
+            };
+            let words = (r * c).div_ceil(degree) * (rows + cols);
+            (((r * c).min(degree), core::cmp::Reverse(words), c), (r, c))
+        })
+        .max_by_key(|&(key, _)| key)
+        .map_or((1, 1), |(_, grid)| grid)
 }
 
-/// Identity of one grid cell within a `jj` panel, kept by the caller so
-/// cells lost to a watchdog timeout can be identified and recomputed.
-#[derive(Clone, Copy)]
-struct CellId {
-    entry: usize,
-    row0: usize,
+/// One cell of a panel's grid: a run of row tasks by a run of slivers.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    /// Row tasks `t0..t1`; task `t` is `mc` block `t % blocks` of batch
+    /// entry `t / blocks` ([`Operands::task`]).
+    t0: usize,
+    t1: usize,
+    /// Which column chunk of the panel ([`Operands::c_chunks`]).
+    chunk: usize,
+    /// The chunk's first column within the panel, a multiple of `nr`.
     col0: usize,
-    mc_eff: usize,
     ncols: usize,
 }
 
-/// Epoch-barrier message: a slot coming back from a worker.
-struct Done<T: Scalar> {
-    slot: BlockSlot<T>,
-    /// Epoch sequence number: dones from an epoch abandoned at the
-    /// watchdog deadline arrive late and must not count toward (or leak
-    /// slots into) a newer epoch's barrier.
-    seq: u64,
-    /// The block run panicked; its staging is unspecified and the
-    /// caller must recover it from C.
-    failed: bool,
-}
-
-/// Returns every slot of a job run to the caller even if the run loop
-/// itself unwinds, so the barrier can never deadlock on a lost done
-/// message. Finished slots are sent with their recorded panic flag;
-/// anything still in `todo` is reported failed.
-struct RunGuard<T: Scalar> {
-    todo: Vec<BlockSlot<T>>,
-    finished: Vec<(BlockSlot<T>, bool)>,
-    tx: Sender<Done<T>>,
-    seq: u64,
-}
-
-impl<T: Scalar> Drop for RunGuard<T> {
-    fn drop(&mut self) {
-        for (slot, failed) in self.finished.drain(..) {
-            let _ = self.tx.send(Done {
-                slot,
-                seq: self.seq,
-                failed,
-            });
-        }
-        for slot in self.todo.drain(..) {
-            let _ = self.tx.send(Done {
-                slot,
-                seq: self.seq,
-                failed: true,
-            });
-        }
-    }
-}
-
-/// GEBP one staged cell against the shared panel (the pool-job body).
-/// The cell computes only its own whole-sliver column range of the
-/// panel; in 1-D mode that range is the full panel.
-fn run_block<T: Scalar, K: KernelSet<T>>(
-    kernel: K,
+/// What the jobs of one `jj` panel borrow from the call, through the
+/// [`Gate`]: the operands as the caller passed them, the panel's grid,
+/// and C cut into the grid's column chunks.
+struct Operands<'a, T: Scalar, K> {
+    transa: Transpose,
+    transb: Transpose,
     alpha: T,
-    slot: &mut BlockSlot<T>,
-    panel: &PackedB<T>,
-) {
-    crate::faults::slow_job_delay();
-    crate::faults::panic_in_job();
-    let mc_eff = slot.mc_eff;
-    let ncols = slot.ncols;
-    let s0 = slot.col0 / panel.nr().max(1);
-    let mut tile = TileMut::from_slice(mc_eff, ncols, mc_eff.max(1), &mut slot.staging);
-    gebp_slivers(kernel, alpha, &slot.pa, panel, s0, ncols, &mut tile);
-}
-
-/// Enqueue one job covering `slots` (one slot in dynamic mode, a whole
-/// band in static mode). Each block runs under `catch_unwind`; dones —
-/// flagged on panic — are posted only after the job's reference to the
-/// shared panel is released, so the caller's `Arc::try_unwrap` at the
-/// barrier reclaims the buffer for the arena instead of leaking it to
-/// a plain drop (which would cost a fresh panel allocation per epoch).
-#[allow(clippy::too_many_arguments)]
-fn submit_run<T: PoolScalar, K: KernelSet<T>>(
-    pool: &WorkerPool,
+    /// Not yet applied to C: staging a cell in applies it.
+    beta: T,
     kernel: K,
-    alpha: T,
-    slots: Vec<BlockSlot<T>>,
-    panel: Arc<PackedB<T>>,
-    tx: Sender<Done<T>>,
-    seq: u64,
-) {
-    // Capture the caller's request trace context (if any) so worker-side
-    // phase spans and fault events attribute to the request that
-    // submitted the epoch, not to the worker thread.
-    let trace_ctx = crate::trace::capture();
-    pool.submit(Box::new(move || {
-        let _trace = crate::trace::adopt(trace_ctx);
-        let cap = slots.len();
-        let mut guard = RunGuard {
-            todo: slots,
-            finished: Vec::with_capacity(cap),
-            tx,
-            seq,
-        };
-        telemetry::set_gepp(seq);
-        while let Some(mut slot) = guard.todo.pop() {
-            telemetry::set_cell(slot.row0, slot.col0);
-            let ok = catch_unwind(AssertUnwindSafe(|| {
-                run_block(kernel, alpha, &mut slot, &panel);
-            }))
-            .is_ok();
-            guard.finished.push((slot, !ok));
-        }
-        // Release the shared panel before the guard signals done.
-        drop(panel);
-        drop(guard);
-    }));
-}
-
-/// What [`drain_epoch`] observed besides the cleanly returned slots.
-struct EpochOutcome<T: Scalar> {
-    /// Slots whose block run panicked: staging unspecified, recover
-    /// from C.
-    failed: Vec<BlockSlot<T>>,
-    /// Slots from an abandoned earlier epoch (stale sequence number):
-    /// recycle, never use.
-    stale: Vec<BlockSlot<T>>,
-    /// The watchdog deadline expired before every done arrived.
-    timed_out: bool,
-}
-
-/// Collect this epoch's done messages, running queued jobs on this
-/// thread while waiting (so the epoch completes even with zero
-/// workers). Clean slots are pushed into `slots`; panicked and stale
-/// ones are separated into the outcome. With a deadline, gives up at
-/// its expiry instead of waiting forever on a stalled worker.
-fn drain_epoch<T: Scalar>(
-    pool: &WorkerPool,
-    done_rx: &Receiver<Done<T>>,
-    seq: u64,
-    outstanding: usize,
-    timeout: Option<Duration>,
-    slots: &mut Vec<BlockSlot<T>>,
-) -> EpochOutcome<T> {
-    fn accept<T: Scalar>(
-        done: Done<T>,
-        seq: u64,
-        slots: &mut Vec<BlockSlot<T>>,
-        out: &mut EpochOutcome<T>,
-    ) -> bool {
-        if done.seq != seq {
-            out.stale.push(done.slot);
-            return false;
-        }
-        if done.failed {
-            out.failed.push(done.slot);
-        } else {
-            slots.push(done.slot);
-        }
-        true
-    }
-
-    let deadline = timeout.map(|t| Instant::now() + t);
-    let mut out = EpochOutcome {
-        failed: Vec::new(),
-        stale: Vec::new(),
-        timed_out: false,
-    };
-    let mut received = 0usize;
-    while received < outstanding {
-        match done_rx.try_recv() {
-            Ok(done) => {
-                if accept(done, seq, slots, &mut out) {
-                    received += 1;
-                }
-                continue;
-            }
-            Err(TryRecvError::Empty) => {}
-            // The caller holds the sender, so this cannot happen; treat
-            // it as a stall rather than asserting.
-            Err(TryRecvError::Disconnected) => break,
-        }
-        if let Some(dl) = deadline {
-            if Instant::now() >= dl {
-                out.timed_out = true;
-                break;
-            }
-        }
-        if pool.try_run_one() {
-            continue;
-        }
-        // Queue empty: the remaining jobs are running on other threads
-        // and will post their dones; park until one arrives (or the
-        // watchdog deadline passes). Only the park itself is barrier
-        // time — jobs drained via try_run_one above record as compute.
-        match deadline {
-            None => {
-                let parked = telemetry::span(Phase::Barrier);
-                poll_ready(done_rx, POLL_BEFORE_PARK);
-                let received_done = done_rx.recv();
-                drop(parked);
-                match received_done {
-                    Ok(done) => {
-                        if accept(done, seq, slots, &mut out) {
-                            received += 1;
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-            Some(dl) => {
-                let now = Instant::now();
-                let Some(remaining) = dl.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    out.timed_out = true;
-                    break;
-                };
-                let parked = telemetry::span(Phase::Barrier);
-                let polled = Instant::now();
-                poll_ready(done_rx, remaining.min(POLL_BEFORE_PARK));
-                let received_done =
-                    done_rx.recv_timeout(remaining.saturating_sub(polled.elapsed()));
-                drop(parked);
-                match received_done {
-                    Ok(done) => {
-                        if accept(done, seq, slots, &mut out) {
-                            received += 1;
-                        }
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        out.timed_out = true;
-                        break;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Copy the cell's rows/columns of the C panel into the slot's staging
-/// buffer (the slot's `row0/mc_eff/col0/ncols` must be set). Fallible:
-/// staging grows with `try_reserve`.
-fn stage_in<T: Scalar>(
-    slot: &mut BlockSlot<T>,
-    c: &mut MatrixViewMut<'_, T>,
+    kc: usize,
+    mc: usize,
+    /// Rows of `op(A_i)` and of every `C_i`.
+    m: usize,
+    k: usize,
+    /// First column of the panel in `op(B)` and C.
     jj: usize,
+    /// `(jj, kk)` iterations before this panel's, for span tags.
+    gepp0: u64,
+    a_batch: &'a [MatrixView<'a, T>],
+    b: &'a MatrixView<'a, T>,
+    prepacked: Option<&'a PrepackedB<T>>,
+    /// Whether cells pack their B columns ([`crate::gemm::packs_b`]);
+    /// otherwise a [`PrepackedB`] tile or B in place serves them.
+    pack_b: bool,
+    cells: Vec<Cell>,
+    /// Per column chunk, every entry's `m × ncols` window of C. Cells of
+    /// one chunk cover interleaved rows of the same columns, which no
+    /// `&mut` split can express: they read their rows under the shared
+    /// lock and write them back, last thing, under the exclusive one.
+    c_chunks: Vec<RwLock<Vec<MatrixViewMut<'a, T>>>>,
+}
+
+/// [`Operands`] without its lifetime, for the [`Gate`].
+struct Call<T, K>(PhantomData<(T, K)>);
+
+impl<T: PoolScalar, K: KernelSet<T>> Lend for Call<T, K> {
+    type Lent<'a> = Operands<'a, T, K>;
+}
+
+impl<T: Scalar, K> Operands<'_, T, K> {
+    /// Row task `t` as `(entry, row0, mc_eff)`.
+    fn task(&self, t: usize) -> (usize, usize, usize) {
+        let blocks = self.m.div_ceil(self.mc);
+        let row0 = (t % blocks) * self.mc;
+        (t / blocks, row0, self.mc.min(self.m - row0))
+    }
+
+    /// Rows of all tasks before `t`: where task `t` starts in a staging
+    /// buffer that begins with task 0, in units of `ncols`.
+    fn rows_before(&self, t: usize) -> usize {
+        let blocks = self.m.div_ceil(self.mc);
+        (t / blocks) * self.m + (t % blocks) * self.mc
+    }
+
+    /// Offset of task `t`'s block in `cell`'s staging buffer.
+    fn staged_at(&self, cell: &Cell, t: usize) -> usize {
+        (self.rows_before(t) - self.rows_before(cell.t0)) * cell.ncols
+    }
+}
+
+/// The views are plain borrows, valid whatever a panicking holder was
+/// doing, so a poisoned lock is taken as it is.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `staging = β ·` `cell`'s rows and columns of C — for `β = 0` a fill
+/// that never reads C, as [`MatrixViewMut::scale`] does it. Fallible:
+/// the buffer grows with `try_reserve`.
+fn stage_in<T: Scalar, K>(
+    ops: &Operands<'_, T, K>,
+    cell: &Cell,
+    staging: &mut Vec<T>,
+    c: &[MatrixViewMut<'_, T>],
 ) -> Result<(), GemmError> {
-    let mc_eff = slot.mc_eff;
-    let ncols = slot.ncols;
-    slot.staging.clear();
-    if crate::faults::fail_alloc() || slot.staging.try_reserve(mc_eff * ncols).is_err() {
+    let rows = ops.rows_before(cell.t1) - ops.rows_before(cell.t0);
+    staging.clear();
+    if crate::faults::fail_alloc() || staging.try_reserve(rows * cell.ncols).is_err() {
         return Err(GemmError::AllocFailure { what: "C staging" });
     }
-    let mut band = c.sub_mut(slot.row0, jj + slot.col0, mc_eff, ncols);
-    for j in 0..ncols {
-        slot.staging.extend_from_slice(band.col_mut(j));
+    if ops.beta == T::ZERO {
+        staging.resize(rows * cell.ncols, T::ZERO);
+        return Ok(());
+    }
+    for t in cell.t0..cell.t1 {
+        let (entry, row0, mc_eff) = ops.task(t);
+        let view = c[entry].as_view();
+        for j in 0..cell.ncols {
+            let col = &view.col(j)[row0..row0 + mc_eff];
+            if ops.beta == T::ONE {
+                staging.extend_from_slice(col);
+            } else {
+                staging.extend(col.iter().map(|&x| x * ops.beta));
+            }
+        }
     }
     Ok(())
 }
 
-fn stage_out<T: Scalar>(slot: &BlockSlot<T>, c: &mut MatrixViewMut<'_, T>, jj: usize) {
-    let mc_eff = slot.mc_eff;
-    let mut band = c.sub_mut(slot.row0, jj + slot.col0, mc_eff, slot.ncols);
-    for j in 0..slot.ncols {
-        band.col_mut(j)
-            .copy_from_slice(&slot.staging[j * mc_eff..(j + 1) * mc_eff]);
+fn stage_out<T: Scalar, K>(
+    ops: &Operands<'_, T, K>,
+    cell: &Cell,
+    staging: &[T],
+    c: &mut [MatrixViewMut<'_, T>],
+) {
+    let mut blocks = staging;
+    for t in cell.t0..cell.t1 {
+        let (entry, row0, mc_eff) = ops.task(t);
+        for j in 0..cell.ncols {
+            let (col, rest) = blocks.split_at(mc_eff);
+            c[entry].col_mut(j)[row0..row0 + mc_eff].copy_from_slice(col);
+            blocks = rest;
+        }
     }
+}
+
+/// Where a cell accumulates.
+enum Dest<'d, 'c, T: Scalar> {
+    /// Its private copy of its part of C ([`BlockSlot::staging`]).
+    Staging(&'d mut [T]),
+    /// C itself: each entry's window on the cell's column chunk.
+    Direct(&'d mut [MatrixViewMut<'c, T>]),
 }
 
 /// Pack one `mc_eff × kc_eff` block of `op(A)` fallibly and GEBP it
@@ -967,7 +871,7 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     mc_eff: usize,
     kc_eff: usize,
     pa: &mut PackedA<T>,
-    panel: &PackedB<T>,
+    panel: &impl BPanel<T>,
     s0: usize,
     cols: usize,
     tile: &mut TileMut<'_, T>,
@@ -1032,499 +936,464 @@ fn pack_panel_resilient<T: Scalar>(
     Ok(())
 }
 
-/// Run one epoch entirely on the calling thread (no pool): used when
-/// the shared panel cannot be allocated at full size and after a
-/// watchdog timeout put the call into degraded mode. Returns the
-/// indices of slots whose block run panicked (their staging is
-/// unspecified; the caller recovers them from C).
-#[cold]
-#[inline(never)]
+/// One `kk` step of a cell against one stretch of its B columns: every
+/// row task's block of A, packed into `pa` and multiplied into columns
+/// `c0..c0 + cols` of the task's part of `dest`. `b` holds those columns
+/// from its sliver `s0` on.
 #[allow(clippy::too_many_arguments)]
-fn run_epoch_inline<T: PoolScalar, K: KernelSet<T>>(
-    kernel: K,
-    alpha: T,
-    a_batch: &[MatrixView<'_, T>],
-    transa: Transpose,
-    b: &MatrixView<'_, T>,
-    transb: Transpose,
-    slots: &mut [BlockSlot<T>],
-    panel: &mut PackedB<T>,
-    kk: usize,
-    kc_eff: usize,
-    jj: usize,
-) -> Result<Vec<usize>, GemmError> {
-    let mut panicked = vec![false; slots.len()];
-    // B is packed once per distinct cell column range (several mc-row
-    // cells share one), sized to the range. Cells consume each packed
-    // chunk full-width rather than sliver-addressing a shared panel:
-    // resilient pack chunks may start mid-sliver, where a sliver range
-    // cannot point.
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
-    for slot in slots.iter() {
-        if !ranges.contains(&(slot.col0, slot.ncols)) {
-            ranges.push((slot.col0, slot.ncols));
-        }
-    }
-    for (col0, ncols) in ranges {
-        pack_panel_resilient(
-            panel,
-            b,
-            transb,
+fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
+    ops: &Operands<'_, T, K>,
+    cell: &Cell,
+    (kk, kc_eff): (usize, usize),
+    pa: &mut PackedA<T>,
+    dest: &mut Dest<'_, '_, T>,
+    b: &impl BPanel<T>,
+    s0: usize,
+    (c0, cols): (usize, usize),
+) -> Result<(), GemmError> {
+    for t in cell.t0..cell.t1 {
+        let (entry, row0, mc_eff) = ops.task(t);
+        telemetry::set_cell(row0, cell.col0);
+        // the tile the task's block lives in, and the block's first row there
+        let (mut whole, r0) = match dest {
+            Dest::Staging(staging) => {
+                let block = &mut staging[ops.staged_at(cell, t)..][..mc_eff * cell.ncols];
+                let tile = TileMut::from_slice(mc_eff, cell.ncols, mc_eff.max(1), block);
+                (tile, 0)
+            }
+            Dest::Direct(c) => {
+                let view = &mut c[entry];
+                let (rows, ld) = (view.rows(), view.ld());
+                let tile = TileMut::from_slice(rows, cell.ncols, ld, view.data_mut());
+                (tile, row0)
+            }
+        };
+        let mut tile = whole.sub_tile(r0, c0, mc_eff, cols);
+        gebp_block_resilient(
+            ops.kernel,
+            ops.alpha,
+            &ops.a_batch[entry],
+            ops.transa,
+            row0,
             kk,
-            jj + col0,
+            mc_eff,
             kc_eff,
-            ncols,
-            kernel.nr(),
-            |c0, pchunk| {
-                for (idx, slot) in slots.iter_mut().enumerate() {
-                    if panicked[idx] || slot.col0 != col0 || slot.ncols != ncols {
-                        continue;
-                    }
-                    let entry = slot.entry;
-                    let row0 = slot.row0;
-                    let mc_eff = slot.mc_eff;
-                    let BlockSlot { pa, staging, .. } = slot;
-                    let mut tile = TileMut::from_slice(mc_eff, ncols, mc_eff.max(1), staging);
-                    let mut sub = tile.sub_tile(0, c0, mc_eff, pchunk.nc());
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        gebp_block_resilient(
-                            kernel,
-                            alpha,
-                            &a_batch[entry],
-                            transa,
-                            row0,
-                            kk,
-                            mc_eff,
-                            kc_eff,
-                            pa,
-                            pchunk,
-                            0,
-                            pchunk.nc(),
-                            &mut sub,
-                        )
-                    }));
-                    match result {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => return Err(e),
-                        Err(_) => panicked[idx] = true,
-                    }
-                }
-                Ok(())
-            },
+            pa,
+            b,
+            s0,
+            cols,
+            &mut tile,
         )?;
     }
-    Ok(panicked
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &p)| p.then_some(i))
-        .collect())
+    Ok(())
 }
 
-/// Recompute one grid cell from scratch after a fault: re-stage its
-/// rows/columns from C (untouched since the panel's `stage_in`) and
-/// replay epochs `0..kk_end` serially, packing B only for the cell's
-/// own column range — the same kernel calls in the same order as the
-/// undamaged path, so the recovered cell is bit-identical. A panic
-/// during the replay is the double fault reported as
-/// [`GemmError::WorkerFault`].
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn recover_block<T: PoolScalar, K: KernelSet<T>>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    c: &mut MatrixViewMut<'_, T>,
-    kernel: K,
-    kc: usize,
-    jj: usize,
-    kk_end: usize,
-    k: usize,
-    slot: &mut BlockSlot<T>,
+/// The serial walk on one cell: `dest += α · op(A)[cell rows] ·
+/// op(B)[:, cell columns]`, depth block after depth block — the same
+/// kernel calls in the same `kk` order per element of C as
+/// [`crate::gemm`]'s serial driver makes, whatever the grid. B comes
+/// from a [`PrepackedB`] tile when the call has one, from the cell's
+/// own pack of its own columns when the call packs, and otherwise from
+/// where the caller stored it; A is packed into `pa` block by block.
+/// Allocation failures degrade to smaller packing chunks and surface
+/// only when even the smallest cannot be had.
+fn cell_product<T: Scalar, K: KernelSet<T>>(
+    ops: &Operands<'_, T, K>,
+    cell: &Cell,
+    pa: &mut PackedA<T>,
     panel: &mut PackedB<T>,
+    dest: &mut Dest<'_, '_, T>,
 ) -> Result<(), GemmError> {
-    let _span = telemetry::span(Phase::Recovery);
-    let entry = slot.entry;
-    let row0 = slot.row0;
-    let mc_eff = slot.mc_eff;
-    let col0 = slot.col0;
-    let ncols = slot.ncols;
-    telemetry::set_cell(row0, col0);
-    stage_in(slot, c, jj)?;
-    let BlockSlot { pa, staging, .. } = slot;
+    let nr = ops.kernel.nr().max(1);
+    let j0 = ops.jj + cell.col0;
+    let whole = (0, cell.ncols);
+    let mut gepp = ops.gepp0;
     let mut kk = 0usize;
-    while kk < kk_end {
-        let kc_eff = kc.min(k - kk);
-        pack_panel_resilient(
-            panel,
-            b,
-            transb,
-            kk,
-            jj + col0,
-            kc_eff,
-            ncols,
-            kernel.nr(),
-            |c0, pchunk| {
-                let mut tile = TileMut::from_slice(mc_eff, ncols, mc_eff.max(1), staging);
-                let mut sub = tile.sub_tile(0, c0, mc_eff, pchunk.nc());
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    gebp_block_resilient(
-                        kernel,
-                        alpha,
-                        a,
-                        transa,
-                        row0,
-                        kk,
-                        mc_eff,
-                        kc_eff,
-                        pa,
-                        pchunk,
-                        0,
-                        pchunk.nc(),
-                        &mut sub,
-                    )
-                }));
-                match result {
-                    Ok(r) => r,
-                    Err(_) => Err(GemmError::WorkerFault { entry, row0 }),
-                }
-            },
-        )?;
+    while kk < ops.k {
+        let kc_eff = ops.kc.min(ops.k - kk);
+        let depth = (kk, kc_eff);
+        gepp += 1;
+        telemetry::set_gepp(gepp);
+        if let Some(pp) = ops.prepacked {
+            let tile = pp.tile_range(ops.jj, kk, &[(cell.col0, cell.ncols)]);
+            gebp_tasks(ops, cell, depth, pa, dest, &**tile, cell.col0 / nr, whole)?;
+        } else if ops.pack_b {
+            pack_panel_resilient(
+                panel,
+                ops.b,
+                ops.transb,
+                kk,
+                j0,
+                kc_eff,
+                cell.ncols,
+                nr,
+                |c0, packed| gebp_tasks(ops, cell, depth, pa, dest, packed, 0, (c0, packed.nc())),
+            )?;
+        } else {
+            let window = BWindow::new(ops.b, ops.transb, kk, j0, kc_eff, cell.ncols, nr);
+            gebp_tasks(ops, cell, depth, pa, dest, &window, 0, whole)?;
+        }
         kk += kc_eff;
     }
     Ok(())
 }
 
-/// Serial, allocation-resilient layers 1–3 for panels `jj0..` of every
-/// batch entry, computed straight on C (no staging): the fallback when
-/// staging memory is unavailable. Panels `0..jj0` must already be
-/// complete. Bit-identical to the serial walk; a panic mid-block cannot
-/// be recovered here (C rows are already partially updated) and is
-/// reported as [`GemmError::WorkerFault`].
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn serial_tail<T: PoolScalar, K: KernelSet<T>>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a_batch: &[MatrixView<'_, T>],
-    b: &MatrixView<'_, T>,
-    c_batch: &mut [MatrixViewMut<'_, T>],
-    kernel: K,
-    blocks: BlockSizes,
-    jj0: usize,
-    arena: &mut GemmArena<T>,
+/// Compute one cell on the calling thread, with that thread's buffers —
+/// the one cell body: workers, the helping caller, degree 1, degraded
+/// mode and recovery all run it.
+///
+/// `staged` is the normal way: copy the cell's part of C into a private
+/// buffer, accumulate there, write it back as the last step — so a
+/// cell that panics or fails has not touched C and can be replayed from
+/// it. Unstaged, the cell accumulates straight on C, holding its column
+/// chunk exclusively: recovery's way, which needs no staging memory and
+/// after which there is no second replay.
+fn run_cell<T: PoolScalar, K: KernelSet<T>>(
+    ops: &Operands<'_, T, K>,
+    cell: &Cell,
+    staged: bool,
 ) -> Result<(), GemmError> {
-    let BlockSizes { kc, mc, nc, .. } = blocks;
-    let mut slot = arena.take_slot(kernel.mr());
-    let mut panel = arena.take_panel(kernel.nr());
-    let mut result = Ok(());
-    'entries: for (entry, c) in c_batch.iter_mut().enumerate() {
-        let a = &a_batch[entry];
-        let (m, k) = transa.apply_dims(a.rows(), a.cols());
-        let n = c.cols();
-        let mut jj = jj0;
-        while jj < n {
-            let nc_eff = nc.min(n - jj);
-            let mut kk = 0usize;
-            while kk < k {
-                let kc_eff = kc.min(k - kk);
-                let pa = slot.pa_mut();
-                let r = pack_panel_resilient(
-                    &mut panel,
-                    b,
-                    transb,
-                    kk,
-                    jj,
-                    kc_eff,
-                    nc_eff,
-                    kernel.nr(),
-                    |c0, pchunk| {
-                        let mut view = c.sub_mut(0, jj + c0, m, pchunk.nc());
-                        let ld = view.ld();
-                        let mut tile = TileMut::from_slice(m, pchunk.nc(), ld, view.data_mut());
-                        let mut ii = 0usize;
-                        while ii < m {
-                            let mc_eff = mc.min(m - ii);
-                            let mut sub = tile.sub_tile(ii, 0, mc_eff, pchunk.nc());
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                gebp_block_resilient(
-                                    kernel,
-                                    alpha,
-                                    a,
-                                    transa,
-                                    ii,
-                                    kk,
-                                    mc_eff,
-                                    kc_eff,
-                                    pa,
-                                    pchunk,
-                                    0,
-                                    pchunk.nc(),
-                                    &mut sub,
-                                )
-                            }));
-                            match result {
-                                Ok(Ok(())) => {}
-                                Ok(Err(e)) => return Err(e),
-                                Err(_) => return Err(GemmError::WorkerFault { entry, row0: ii }),
-                            }
-                            ii += mc_eff;
-                        }
-                        Ok(())
-                    },
-                );
-                if let Err(e) = r {
-                    result = Err(e);
-                    break 'entries;
-                }
-                kk += kc_eff;
+    T::with_arena(|arena| {
+        let mut slot = arena.take_slot(ops.kernel.mr());
+        let mut panel = arena.take_panel(ops.kernel.nr());
+        let BlockSlot { pa, staging } = &mut slot;
+        let c = &ops.c_chunks[cell.chunk];
+        let result = if staged {
+            // (each guard is dropped with its statement)
+            let staged_in = stage_in(ops, cell, staging, &read(c));
+            staged_in
+                .and_then(|()| cell_product(ops, cell, pa, &mut panel, &mut Dest::Staging(staging)))
+                .map(|()| stage_out(ops, cell, staging, &mut write(c)))
+        } else {
+            let mut c = write(c);
+            for t in cell.t0..cell.t1 {
+                let (entry, row0, mc_eff) = ops.task(t);
+                c[entry]
+                    .sub_mut(row0, 0, mc_eff, cell.ncols)
+                    .scale(ops.beta);
             }
-            jj += nc_eff;
+            cell_product(ops, cell, pa, &mut panel, &mut Dest::Direct(&mut c))
+        };
+        arena.put_slot(slot);
+        arena.put_panel(panel);
+        result
+    })
+}
+
+/// How a cell's run ended, as the caller's barrier learns it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Outcome {
+    /// Computed and written back.
+    Clean,
+    /// Its thread panicked; staged, so C has not seen the cell.
+    Panicked,
+    /// Out of memory even for the smallest chunk; C has not seen it.
+    OutOfMemory,
+    /// The watchdog took it back before any thread began it.
+    Revoked,
+}
+
+/// [`run_cell`], staged, with a panic contained into its [`Outcome`].
+fn run_contained<T: PoolScalar, K: KernelSet<T>>(ops: &Operands<'_, T, K>, idx: usize) -> Outcome {
+    match catch_unwind(AssertUnwindSafe(|| run_cell(ops, &ops.cells[idx], true))) {
+        Ok(Ok(())) => Outcome::Clean,
+        Ok(Err(_)) => Outcome::OutOfMemory,
+        Err(_) => Outcome::Panicked,
+    }
+}
+
+/// Epoch-barrier message: cell `idx` of the panel ended with `outcome`.
+struct Done {
+    idx: usize,
+    outcome: Outcome,
+}
+
+/// Posts a claimed cell's [`Done`] when dropped — also when whatever
+/// runs between the claim and the end of the job unwinds, so the barrier
+/// can never wait on a cell nobody will report.
+struct Report<'a> {
+    to: &'a Sender<Done>,
+    idx: usize,
+    outcome: Outcome,
+}
+
+impl Drop for Report<'_> {
+    fn drop(&mut self) {
+        let _ = self.to.send(Done {
+            idx: self.idx,
+            outcome: self.outcome,
+        });
+    }
+}
+
+/// Per-cell claim state, owned by the pool (not borrowed from the
+/// call): a job moves its cell `UNCLAIMED → CLAIMED` before it first
+/// touches an operand, the caller's watchdog moves what is still
+/// `UNCLAIMED` to `REVOKED`, and whoever loses that race leaves the
+/// cell to the other.
+const UNCLAIMED: u8 = 0;
+const CLAIMED: u8 = 1;
+const REVOKED: u8 = 2;
+
+fn claim(state: &AtomicU8, to: u8) -> bool {
+    // AcqRel/Acquire: the loser must see the winner's move, nothing else
+    // is published through the state (results travel by channel)
+    state
+        .compare_exchange(UNCLAIMED, to, Ordering::AcqRel, Ordering::Acquire)
+        .is_ok()
+}
+
+/// Jobs that found their cell taken back, or the whole call gone, and
+/// touched nothing ([`PoolStatus::late_jobs`]).
+static LATE_JOBS: AtomicU64 = AtomicU64::new(0);
+
+/// Enqueue the job that computes cell `idx`. It reaches the operands
+/// only inside [`Gate::with`], claims the cell there before anything
+/// else, and posts exactly one [`Done`] if the claim succeeds. A job
+/// that comes too late — its cell revoked at the watchdog deadline, or
+/// the call returned and the gate closed — posts nothing and touches
+/// nothing.
+fn submit_cell<T: PoolScalar, K: KernelSet<T>>(
+    pool: &WorkerPool,
+    gate: &Gate<Call<T, K>>,
+    states: &Arc<[AtomicU8]>,
+    idx: usize,
+    done: &Sender<Done>,
+) {
+    let (gate, states, done) = (gate.clone(), Arc::clone(states), done.clone());
+    // Capture the caller's request trace context (if any) so worker-side
+    // phase spans and fault events attribute to the request that
+    // submitted the epoch, not to the worker thread.
+    let trace_ctx = crate::trace::capture();
+    pool.submit(Box::new(move || {
+        let _trace = crate::trace::adopt(trace_ctx);
+        crate::faults::slow_job_delay();
+        let ran = gate.with(|ops| {
+            if !claim(&states[idx], CLAIMED) {
+                return false;
+            }
+            let mut report = Report {
+                to: &done,
+                idx,
+                outcome: Outcome::Panicked,
+            };
+            crate::faults::stall_in_cell();
+            report.outcome = run_contained(ops, idx);
+            true
+        });
+        if ran != Some(true) {
+            LATE_JOBS.fetch_add(1, Ordering::Relaxed);
+        }
+    }));
+}
+
+/// Collect dones into `outcomes` until none is `pending`, running
+/// queued jobs on this thread while waiting (so the epoch completes even
+/// with zero workers). `true` if `deadline` passed first.
+fn drain_epoch(
+    pool: &WorkerPool,
+    done_rx: &Receiver<Done>,
+    outcomes: &mut [Option<Outcome>],
+    pending: &mut usize,
+    deadline: Option<Instant>,
+) -> bool {
+    while *pending > 0 {
+        let done = match done_rx.try_recv() {
+            Ok(done) => Some(done),
+            // The caller holds a sender, so this cannot happen; treat
+            // it as a stall rather than asserting.
+            Err(TryRecvError::Disconnected) => return true,
+            Err(TryRecvError::Empty) => {
+                let wait = deadline.map(|dl| dl.saturating_duration_since(Instant::now()));
+                if wait.is_some_and(|w| w.is_zero()) {
+                    return true;
+                }
+                if pool.try_run_one() {
+                    continue;
+                }
+                // Queue empty: the remaining jobs are with other threads,
+                // which will post their dones; park until one arrives (or
+                // the deadline passes). Only the park itself is barrier
+                // time — jobs drained via try_run_one above record as
+                // compute.
+                let _parked = telemetry::span(Phase::Barrier);
+                let polling = Instant::now();
+                poll_ready(
+                    done_rx,
+                    wait.map_or(POLL_BEFORE_PARK, |w| w.min(POLL_BEFORE_PARK)),
+                );
+                match wait {
+                    None => done_rx.recv().ok(),
+                    Some(w) => done_rx
+                        .recv_timeout(w.saturating_sub(polling.elapsed()))
+                        .ok(),
+                }
+            }
+        };
+        if let Some(Done { idx, outcome }) = done {
+            outcomes[idx] = Some(outcome);
+            *pending -= 1;
         }
     }
-    arena.put_slot(slot);
-    arena.put_panel(panel);
-    result
+    false
 }
 
-/// Cold path of [`gemm_pooled`]: packed-A memory was unavailable at
-/// full size, so the cell runs inline in smaller chunks against the
-/// shared (or cached) panel, addressing its own whole-sliver column
-/// range (still under `catch_unwind`). `Ok(true)` means the cell
-/// completed; `Ok(false)` means it panicked and must be recovered
-/// from C.
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn run_slot_inline_chunked<T: PoolScalar, K: KernelSet<T>>(
-    kernel: K,
-    alpha: T,
-    a: &MatrixView<'_, T>,
-    transa: Transpose,
-    kk: usize,
-    kc_eff: usize,
-    panel: &PackedB<T>,
-    slot: &mut BlockSlot<T>,
-) -> Result<bool, GemmError> {
-    let row0 = slot.row0;
-    let mc_eff = slot.mc_eff;
-    let ncols = slot.ncols;
-    let s0 = slot.col0 / panel.nr().max(1);
-    let BlockSlot { pa, staging, .. } = slot;
-    let mut tile = TileMut::from_slice(mc_eff, ncols, mc_eff.max(1), staging);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        gebp_block_resilient(
-            kernel, alpha, a, transa, row0, kk, mc_eff, kc_eff, pa, panel, s0, ncols, &mut tile,
-        )
-    }));
-    match result {
-        Ok(Ok(())) => Ok(true),
-        Ok(Err(e)) => Err(e),
-        Err(_) => Ok(false),
-    }
-}
-
-/// The scalar geometry of one epoch, bundled so the cold settle path
-/// below keeps a readable signature.
-#[derive(Clone, Copy)]
-struct SettleCtx<T: Scalar> {
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    kc: usize,
-    jj: usize,
-    kk_end: usize,
-    k: usize,
-    epoch_timeout: Option<Duration>,
-}
-
-/// Cold path of [`gemm_pooled`]: the epoch ended with panicked, stale,
-/// inline-failed, or missing grid cells (or the watchdog fired).
-/// Recycles stale slots, recomputes every lost cell from C
-/// bit-identically ([`recover_block`]), and records the soft error;
-/// timeouts flip the call into degraded (inline) mode.
-#[cold]
-#[inline(never)]
-#[allow(clippy::too_many_arguments)]
-fn settle_epoch_faults<T: PoolScalar, K: KernelSet<T>>(
-    pool: &WorkerPool,
-    arena: &mut GemmArena<T>,
-    mut outcome: EpochOutcome<T>,
-    mut inline_failures: Vec<usize>,
-    slots: &mut Vec<BlockSlot<T>>,
-    meta: &[CellId],
-    total: usize,
-    ctx: SettleCtx<T>,
-    a_batch: &[MatrixView<'_, T>],
-    b: &MatrixView<'_, T>,
-    c_batch: &mut [MatrixViewMut<'_, T>],
-    kernel: K,
-    degraded: &mut bool,
+/// Cold path: recompute on this thread, straight on C, every cell whose
+/// outcome so far is not clean — C has not seen such a cell, so the
+/// replay makes the serial walk's kernel calls in the serial walk's
+/// order and the result is bit-identical. A panic during the replay is
+/// the double fault reported as [`GemmError::WorkerFault`] (C is then
+/// unspecified, but the call finishes so the pool stays consistent); an
+/// allocation failure even here ends the call.
+fn settle<T: PoolScalar, K: KernelSet<T>>(
+    ops: &Operands<'_, T, K>,
+    outcomes: &mut [Option<Outcome>],
     worst: &mut Option<GemmError>,
 ) -> Result<(), GemmError> {
-    let SettleCtx {
-        transa,
-        transb,
-        alpha,
-        kc,
-        jj,
-        kk_end,
-        k,
-        epoch_timeout,
-    } = ctx;
-    // Watchdog attribution: everything settled after a fired deadline
-    // (recovery included — it nests its own Recovery/PackX/Compute
-    // spans) is watchdog aftermath.
-    let _watchdog_span = outcome.timed_out.then(|| telemetry::span(Phase::Watchdog));
-    for slot in outcome.stale.drain(..) {
-        arena.put_slot(slot);
-    }
-
-    // Contained recovery: panicked blocks (from workers or inline runs)
-    // are recomputed from C, bit-identically. Sort indices descending
-    // so swap_remove stays valid.
-    inline_failures.sort_unstable_by(|x, y| y.cmp(x));
-    for idx in inline_failures {
-        outcome.failed.push(slots.swap_remove(idx));
-    }
-    for mut slot in outcome.failed.drain(..) {
-        let entry = slot.entry;
-        let mut scratch = arena.take_panel(kernel.nr());
-        let recovered = recover_block(
-            transa,
-            transb,
-            alpha,
-            &a_batch[entry],
-            b,
-            &mut c_batch[entry],
-            kernel,
-            kc,
-            jj,
-            kk_end,
-            k,
-            &mut slot,
-            &mut scratch,
-        );
-        arena.put_panel(scratch);
-        match recovered {
-            Ok(()) => {
+    for (cell, outcome) in ops.cells.iter().zip(outcomes) {
+        let note = match outcome {
+            None | Some(Outcome::Clean) => continue,
+            Some(Outcome::Revoked) => "lost block recomputed serially after watchdog expiry",
+            Some(Outcome::Panicked) => "worker panic contained; block recomputed serially",
+            Some(Outcome::OutOfMemory) => "block out of memory; recomputed serially on C",
+        };
+        let _span = telemetry::span(Phase::Recovery);
+        let (entry, row0, _) = ops.task(cell.t0);
+        match catch_unwind(AssertUnwindSafe(|| run_cell(ops, cell, false))) {
+            Ok(Ok(())) => {
                 RT.faults_contained.fetch_add(1, Ordering::Relaxed);
                 crate::trace::health_event(
                     crate::trace::HealthEventKind::FaultContained,
                     crate::trace::current_id(),
-                    slot.row0 as u64,
-                    "worker panic contained; block recomputed serially",
+                    row0 as u64,
+                    note,
                 );
             }
-            Err(e @ GemmError::WorkerFault { .. }) => {
-                // Double fault: C is unspecified, but finish the call so
-                // the pool stays consistent.
-                *worst = Some(e);
-            }
-            Err(e) => return Err(e),
+            Ok(Err(e)) => return Err(e),
+            Err(_) => *worst = Some(GemmError::WorkerFault { entry, row0 }),
         }
-        slots.push(slot);
-    }
-
-    // Timeout (or a lost done): identify grid cells that never came
-    // back, recompute them from C in fresh slots, and go degraded for
-    // the rest of the call.
-    if slots.len() < total {
-        let missing: Vec<CellId> = meta
-            .iter()
-            .filter(|cell| {
-                !slots
-                    .iter()
-                    .any(|s| s.entry == cell.entry && s.row0 == cell.row0 && s.col0 == cell.col0)
-            })
-            .copied()
-            .collect();
-        if outcome.timed_out {
-            RT.timeouts.fetch_add(1, Ordering::Relaxed);
-            crate::trace::health_event(
-                crate::trace::HealthEventKind::WatchdogFire,
-                crate::trace::current_id(),
-                missing.len() as u64,
-                "epoch watchdog expired; missing blocks recomputed serially",
-            );
-            *degraded = true;
-            if worst.is_none() {
-                *worst = Some(GemmError::EpochTimeout {
-                    timeout_ms: epoch_timeout
-                        .map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64),
-                    missing_blocks: missing.len(),
-                    workers_alive: pool.workers(),
-                });
-            }
-        }
-        for cell in missing {
-            let entry = cell.entry;
-            let mut slot = arena.take_slot(kernel.mr());
-            slot.entry = entry;
-            slot.row0 = cell.row0;
-            slot.mc_eff = cell.mc_eff;
-            slot.col0 = cell.col0;
-            slot.ncols = cell.ncols;
-            let mut scratch = arena.take_panel(kernel.nr());
-            let recovered = recover_block(
-                transa,
-                transb,
-                alpha,
-                &a_batch[entry],
-                b,
-                &mut c_batch[entry],
-                kernel,
-                kc,
-                jj,
-                kk_end,
-                k,
-                &mut slot,
-                &mut scratch,
-            );
-            arena.put_panel(scratch);
-            match recovered {
-                Ok(()) => {
-                    RT.faults_contained.fetch_add(1, Ordering::Relaxed);
-                    crate::trace::health_event(
-                        crate::trace::HealthEventKind::FaultContained,
-                        crate::trace::current_id(),
-                        slot.row0 as u64,
-                        "lost block recomputed serially after watchdog expiry",
-                    );
-                }
-                Err(e @ GemmError::WorkerFault { .. }) => *worst = Some(e),
-                Err(e) => return Err(e),
-            }
-            slots.push(slot);
-        }
+        *outcome = Some(Outcome::Clean);
     }
     Ok(())
 }
 
+/// What one call carries from panel to panel.
+struct CallState {
+    dones: (Sender<Done>, Receiver<Done>),
+    epoch_timeout: Option<Duration>,
+    /// After a watchdog timeout the rest of the call runs on the caller:
+    /// the pool may hold a stalled worker and a second stall would
+    /// double the damage.
+    degraded: bool,
+    /// The soft error (timeout, double fault) reported once the call
+    /// has completed; hard errors return immediately.
+    worst: Option<GemmError>,
+}
+
+/// One epoch: every cell of `ops`' panel computed, by this thread and
+/// up to `degree − 1` others, and this thread back at the barrier with
+/// every fault settled.
+fn run_panel<T: PoolScalar, K: KernelSet<T>>(
+    pool: &WorkerPool,
+    ops: &Operands<'_, T, K>,
+    degree: usize,
+    call: &mut CallState,
+) -> Result<(), GemmError> {
+    let cells = ops.cells.len();
+    // this thread keeps the first cell, or in degraded mode all of them
+    let kept = if call.degraded { cells } else { 1 };
+    if cells > kept {
+        // Health check: respawn workers that died since the last epoch
+        // (no-op fast path when everyone is alive).
+        pool.ensure_workers(degree - 1);
+    }
+    if !call.degraded {
+        let epochs = if cells > degree {
+            &RT.dynamic_epochs
+        } else {
+            &RT.static_epochs
+        };
+        epochs.fetch_add(1, Ordering::Relaxed);
+        if ops.c_chunks.len() > 1 {
+            RT.grid_epochs.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    let mut outcomes: Vec<Option<Outcome>> = vec![None; cells];
+    crate::lease::scope::<Call<T, K>, _>(ops, |gate| {
+        let deadline = call.epoch_timeout.map(|t| Instant::now() + t);
+        let states: Arc<[AtomicU8]> = (0..cells).map(|_| AtomicU8::new(UNCLAIMED)).collect();
+        for idx in kept..cells {
+            submit_cell(pool, gate, &states, idx, &call.dones.0);
+        }
+        for (idx, outcome) in outcomes.iter_mut().enumerate().take(kept) {
+            *outcome = Some(run_contained(ops, idx));
+        }
+        let mut pending = cells - kept;
+        if drain_epoch(pool, &call.dones.1, &mut outcomes, &mut pending, deadline) {
+            // The deadline passed. A cell some thread has begun cannot
+            // be abandoned — that thread holds the operands — but every
+            // other one is taken back, recomputed here while the begun
+            // ones finish, and the rest of the call stays on this
+            // thread. Everything from here on is watchdog aftermath.
+            let _watchdog = telemetry::span(Phase::Watchdog);
+            let mut missing = 0usize;
+            for (state, outcome) in states.iter().zip(&mut outcomes) {
+                if outcome.is_none() && claim(state, REVOKED) {
+                    *outcome = Some(Outcome::Revoked);
+                    missing += 1;
+                }
+            }
+            pending -= missing;
+            if missing > 0 {
+                RT.timeouts.fetch_add(1, Ordering::Relaxed);
+                crate::trace::health_event(
+                    crate::trace::HealthEventKind::WatchdogFire,
+                    crate::trace::current_id(),
+                    missing as u64,
+                    "epoch watchdog expired; missing blocks recomputed serially",
+                );
+                call.degraded = true;
+                if call.worst.is_none() {
+                    call.worst = Some(GemmError::EpochTimeout {
+                        timeout_ms: call
+                            .epoch_timeout
+                            .map_or(0, |d| d.as_millis().min(u128::from(u64::MAX)) as u64),
+                        missing_blocks: missing,
+                        workers_alive: pool.workers(),
+                    });
+                }
+            }
+            settle(ops, &mut outcomes, &mut call.worst)?;
+            drain_epoch(pool, &call.dones.1, &mut outcomes, &mut pending, None);
+        }
+        // the healthy epoch finds every outcome clean and does nothing here
+        settle(ops, &mut outcomes, &mut call.worst)
+    })
+}
+
 /// The pooled layers 1–3 driver, unified over single GEMMs (a batch of
-/// one) and shared-B batches (all entries' blocks dispatched into the
-/// same epoch, sharing one packed panel).
+/// one) and shared-B batches.
 ///
-/// β must already be applied to every C; shapes must already be
-/// validated (all `A_i` are `m×k` under `transa`, all `C_i` are `m×n`).
-/// With `prepacked`, epochs ship the cached panel's `Arc` to the
-/// workers instead of packing B — the panels must have been built for
-/// exactly this `(transb, nr, kc, nc)` geometry.
+/// Shapes must already be validated (all `A_i` are `m×k` under
+/// `transa`, all `C_i` are `m×n`) and not degenerate: a call with
+/// `α = 0` or an empty dimension is `β·C`, which the callers do
+/// themselves. β is applied here, by each cell as it stages its part of
+/// C in, so no pass over all of C is left on the caller.
+/// With `prepacked`, cells address the cached panels instead of packing
+/// B — they must have been built for exactly this `(transb, nr, kc, nc)`
+/// geometry.
 ///
-/// `n_split` is the column-wise grid factor chosen by
-/// [`crate::dispatch`]: each `jj` panel splits into up to `n_split`
-/// whole-sliver column chunks ([`grid_cols`]) and every
-/// `(entry, mc-block, chunk)` cell becomes its own schedulable job.
-/// `n_split == 1` reproduces the historical M-band schedule exactly.
+/// Each `jj` panel is one *epoch*: the panel is cut into the cells of
+/// [`cell_grid`], this thread submits all but the first as jobs that
+/// borrow the operands through a [`Gate`], computes the first itself,
+/// helps drain the queue, and waits at the barrier. It does no packing
+/// and no staging that is not its own cell's.
 ///
-/// Faults are contained per grid cell (see the module docs): `Ok(())`
-/// means C holds the bit-exact serial result, possibly via recovery;
-/// [`GemmError::EpochTimeout`] means the same but an epoch stalled past
-/// `epoch_timeout`; any other error means C is unspecified.
+/// Faults are contained per cell (see the module docs): `Ok(())` means
+/// C holds the bit-exact serial result, possibly via recovery;
+/// [`GemmError::EpochTimeout`] means the same but cells not begun by
+/// `epoch_timeout` were taken back; any other error means C is
+/// unspecified.
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS gemm signature plus the batch
 pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
     transa: Transpose,
@@ -1532,11 +1401,11 @@ pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
     alpha: T,
     a_batch: &[MatrixView<'_, T>],
     b: &MatrixView<'_, T>,
+    beta: T,
     c_batch: &mut [MatrixViewMut<'_, T>],
     kernel: K,
     blocks: BlockSizes,
     degree: usize,
-    n_split: usize,
     epoch_timeout: Option<Duration>,
     prepacked: Option<&PrepackedB<T>>,
 ) -> Result<(), GemmError> {
@@ -1550,7 +1419,9 @@ pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
         return Ok(());
     }
     let BlockSizes { kc, mc, nc, .. } = blocks;
-    let degree = degree.max(1);
+    let (degree, nr) = (degree.max(1), kernel.nr().max(1));
+    let row_tasks = m.div_ceil(mc) * a_batch.len();
+    let pack_b = crate::gemm::packs_b(row_tasks, transb, prepacked.is_some());
 
     // Route to the shard installed by `with_pool`, if any; the global
     // pool otherwise. The override is an owned Arc so a retiring shard
@@ -1560,298 +1431,65 @@ pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
         Some(p) => p,
         None => WorkerPool::global(),
     };
-    pool.ensure_workers(degree.saturating_sub(1));
-    let (done_tx, done_rx) = channel::unbounded::<Done<T>>();
-
-    let soft_error = T::with_arena(|arena| -> Result<Option<GemmError>, GemmError> {
-        // The soft error (timeout / contained-but-noteworthy) reported
-        // after the call completes; hard errors return immediately.
-        let mut worst: Option<GemmError> = None;
-        // After a watchdog timeout the rest of the call runs inline:
-        // the pool may hold a stalled worker and a second stall would
-        // double the damage.
-        let mut degraded = false;
-        let mut seq: u64 = 0;
-        let mut slots: Vec<BlockSlot<T>> = Vec::new();
-        let mut jj = 0usize;
-        while jj < n {
-            let nc_eff = nc.min(n - jj);
-            // The panel's column chunks: one full-width chunk in 1-D
-            // mode, up to n_split whole-sliver chunks in grid mode.
-            let col_chunks = grid_cols(nc_eff, kernel.nr(), n_split);
-
-            // Stage in: one slot per (entry, mc-block, column chunk)
-            // holds its cell of the C panel across every kk epoch, so
-            // the accumulation order matches the serial path bit for
-            // bit (cells cover disjoint C elements).
-            let mut staged = true;
-            'stage: for (entry, c) in c_batch.iter_mut().enumerate() {
-                let mut ii = 0usize;
-                while ii < m {
-                    let mc_eff = mc.min(m - ii);
-                    for &(col0, ncols) in &col_chunks {
-                        let mut slot = arena.take_slot(kernel.mr());
-                        slot.entry = entry;
-                        slot.row0 = ii;
-                        slot.mc_eff = mc_eff;
-                        slot.col0 = col0;
-                        slot.ncols = ncols;
-                        if stage_in(&mut slot, c, jj).is_err() {
-                            arena.put_slot(slot);
-                            staged = false;
-                            break 'stage;
-                        }
-                        slots.push(slot);
-                    }
-                    ii += mc_eff;
-                }
-            }
-            if !staged {
-                // Staging memory unavailable. Nothing of panels jj.. has
-                // touched C yet, so fall back to the serial walk straight
-                // on C for the rest of the call.
-                for slot in slots.drain(..) {
-                    arena.put_slot(slot);
-                }
-                serial_tail(
-                    transa, transb, alpha, a_batch, b, c_batch, kernel, blocks, jj, arena,
-                )?;
-                return Ok(worst);
-            }
-
-            let total = slots.len();
-            let workers = degree.min(total);
-            // Static contiguous bands when the cells divide evenly
-            // (the partition_rows assignment); otherwise dynamic: one
-            // job per cell, workers race to pull them.
-            let static_bands = workers > 1 && total.is_multiple_of(workers);
-            // Cell identities for this panel, so cells lost to a
-            // timeout can be identified and recomputed.
-            let meta: Vec<CellId> = slots
-                .iter()
-                .map(|s| CellId {
-                    entry: s.entry,
-                    row0: s.row0,
-                    col0: s.col0,
-                    mc_eff: s.mc_eff,
-                    ncols: s.ncols,
+    let mut call = CallState {
+        dones: channel::unbounded(),
+        epoch_timeout,
+        degraded: false,
+        worst: None,
+    };
+    for (panel, jj) in (0..n).step_by(nc).enumerate() {
+        let nc_eff = nc.min(n - jj);
+        let (row_ranges, col_chunks) = cell_grid(m, a_batch.len(), nc_eff, mc, nr, degree, pack_b);
+        let row_ranges = partition_rows(row_tasks, 1, row_ranges);
+        let col_chunks = partition_rows(nc_eff, nr, col_chunks);
+        let cells = col_chunks
+            .iter()
+            .enumerate()
+            .flat_map(|(chunk, &(col0, ncols))| {
+                row_ranges.iter().map(move |&(t0, tasks)| Cell {
+                    t0,
+                    t1: t0 + tasks,
+                    chunk,
+                    col0,
+                    ncols,
                 })
-                .collect();
-
-            let mut kk = 0usize;
-            while kk < k {
-                let kc_eff = kc.min(k - kk);
-                let kk_end = kk + kc_eff;
-                seq += 1;
-                telemetry::set_gepp(seq);
-                if col_chunks.len() > 1 {
-                    RT.grid_epochs.fetch_add(1, Ordering::Relaxed);
-                }
-                // Health check: respawn workers that died since the last
-                // epoch (no-op fast path when everyone is alive).
-                if !degraded {
-                    pool.ensure_workers(degree.saturating_sub(1));
-                }
-
-                let mut inline_failures: Vec<usize> = Vec::new();
-                let mut outcome = EpochOutcome {
-                    failed: Vec::new(),
-                    stale: Vec::new(),
-                    timed_out: false,
-                };
-
-                // Panel for this epoch: a cached pre-packed tile when the
-                // caller supplied one (no packing at all), else an arena
-                // panel packed fresh. A degraded (post-timeout) call
-                // skips the pool but can still run inline against the
-                // cached tile.
-                let cached = prepacked.map(|pp| pp.tile_range(jj, kk, &col_chunks));
-                let shared: Option<Arc<PackedB<T>>> = if degraded {
-                    None
-                } else if let Some(arc) = cached {
-                    Some(Arc::clone(arc))
-                } else {
-                    let mut panel = arena.take_panel(kernel.nr());
-                    if panel.try_pack(b, transb, kk, jj, kc_eff, nc_eff).is_ok() {
-                        Some(Arc::new(panel))
-                    } else {
-                        arena.put_panel(panel);
-                        None
-                    }
-                };
-                if let Some(panel) = shared {
-                    if static_bands {
-                        RT.static_epochs.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        RT.dynamic_epochs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let run_len = if static_bands { total / workers } else { 1 };
-                    let mut run: Vec<BlockSlot<T>> = Vec::with_capacity(run_len);
-                    let mut submitted = 0usize;
-                    let mut inline_done: Vec<BlockSlot<T>> = Vec::new();
-                    for mut slot in slots.drain(..) {
-                        // The caller packs A (workers cannot read the
-                        // borrowed operand); each job ships as soon as its
-                        // cells are packed, pipelining pack against
-                        // compute.
-                        telemetry::set_cell(slot.row0, slot.col0);
-                        let packed = slot.pa.try_pack(
-                            &a_batch[slot.entry],
-                            transa,
-                            slot.row0,
-                            kk,
-                            slot.mc_eff,
-                            kc_eff,
-                        );
-                        match packed {
-                            Ok(()) => {
-                                run.push(slot);
-                                if run.len() == run_len {
-                                    submitted += run.len();
-                                    submit_run(
-                                        pool,
-                                        kernel,
-                                        alpha,
-                                        std::mem::replace(&mut run, Vec::with_capacity(run_len)),
-                                        Arc::clone(&panel),
-                                        done_tx.clone(),
-                                        seq,
-                                    );
-                                }
-                            }
-                            Err(_) => {
-                                // Packed-A memory unavailable at full
-                                // size: compute this cell inline in
-                                // smaller chunks against the shared
-                                // panel.
-                                if run_slot_inline_chunked(
-                                    kernel,
-                                    alpha,
-                                    &a_batch[slot.entry],
-                                    transa,
-                                    kk,
-                                    kc_eff,
-                                    &panel,
-                                    &mut slot,
-                                )? {
-                                    inline_done.push(slot);
-                                } else {
-                                    outcome.failed.push(slot);
-                                }
-                            }
-                        }
-                    }
-                    if !run.is_empty() {
-                        submitted += run.len();
-                        submit_run(
-                            pool,
-                            kernel,
-                            alpha,
-                            run,
-                            Arc::clone(&panel),
-                            done_tx.clone(),
-                            seq,
-                        );
-                    }
-
-                    let drained =
-                        drain_epoch(pool, &done_rx, seq, submitted, epoch_timeout, &mut slots);
-                    outcome.failed.extend(drained.failed);
-                    outcome.stale.extend(drained.stale);
-                    outcome.timed_out = drained.timed_out;
-                    slots.extend(inline_done);
-                    // An epoch-packed panel is reclaimed into the arena
-                    // here. A cached panel never is: the PrepackedB holds
-                    // its own Arc for as long as the caller (and cache)
-                    // do, so try_unwrap fails and the tile stays intact.
-                    if let Ok(panel) = Arc::try_unwrap(panel) {
-                        arena.put_panel(panel);
-                    }
-                } else if let Some(arc) = cached {
-                    // Degraded mode with a cached tile: the panel is
-                    // already packed, so run each block inline against it
-                    // (never mutating or reclaiming it).
-                    for (idx, slot) in slots.iter_mut().enumerate() {
-                        telemetry::set_cell(slot.row0, slot.col0);
-                        let ok = run_slot_inline_chunked(
-                            kernel,
-                            alpha,
-                            &a_batch[slot.entry],
-                            transa,
-                            kk,
-                            kc_eff,
-                            arc,
-                            slot,
-                        )?;
-                        if !ok {
-                            inline_failures.push(idx);
-                        }
-                    }
-                } else {
-                    // Panel memory unavailable (or post-timeout degraded
-                    // mode): run the whole epoch on this thread, packing
-                    // B in sliver chunks if need be.
-                    let mut panel = arena.take_panel(kernel.nr());
-                    inline_failures = run_epoch_inline(
-                        kernel, alpha, a_batch, transa, b, transb, &mut slots, &mut panel, kk,
-                        kc_eff, jj,
-                    )?;
-                    arena.put_panel(panel);
-                }
-
-                // Anything beyond a clean full set of slots takes the
-                // cold settle path; the healthy epoch skips it entirely.
-                if outcome.timed_out
-                    || !outcome.stale.is_empty()
-                    || !outcome.failed.is_empty()
-                    || !inline_failures.is_empty()
-                    || slots.len() < total
-                {
-                    settle_epoch_faults(
-                        pool,
-                        arena,
-                        outcome,
-                        inline_failures,
-                        &mut slots,
-                        &meta,
-                        total,
-                        SettleCtx {
-                            transa,
-                            transb,
-                            alpha,
-                            kc,
-                            jj,
-                            kk_end,
-                            k,
-                            epoch_timeout,
-                        },
-                        a_batch,
-                        b,
-                        c_batch,
-                        kernel,
-                        &mut degraded,
-                        &mut worst,
-                    )?;
-                }
-
-                // Deterministic cell order for the next epoch's static
-                // bands (dones arrive in completion order).
-                slots.sort_unstable_by_key(|s| (s.entry, s.row0, s.col0));
-                kk += kc_eff;
+            })
+            .collect();
+        // every entry's window on the panel, dealt out chunk by chunk
+        let mut c_chunks: Vec<Vec<MatrixViewMut<'_, T>>> = col_chunks
+            .iter()
+            .map(|_| Vec::with_capacity(c_batch.len()))
+            .collect();
+        for c in c_batch.iter_mut() {
+            let mut rest = c.sub_mut(0, jj, m, nc_eff);
+            for (views, &(_, ncols)) in c_chunks.iter_mut().zip(&col_chunks) {
+                let (chunk, tail) = rest.split_cols(ncols);
+                views.push(chunk);
+                rest = tail;
             }
-
-            for slot in std::mem::take(&mut slots) {
-                stage_out(&slot, &mut c_batch[slot.entry], jj);
-                arena.put_slot(slot);
-            }
-            jj += nc_eff;
         }
-        Ok(worst)
-    })?;
-    match soft_error {
-        Some(e) => Err(e),
-        None => Ok(()),
+        let ops = Operands {
+            transa,
+            transb,
+            alpha,
+            beta,
+            kernel,
+            kc,
+            mc,
+            m,
+            k,
+            jj,
+            gepp0: (panel * k.div_ceil(kc)) as u64,
+            a_batch,
+            b,
+            prepacked,
+            pack_b,
+            cells,
+            c_chunks: c_chunks.into_iter().map(RwLock::new).collect(),
+        };
+        run_panel(pool, &ops, degree, &mut call)?;
     }
+    call.worst.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -1958,86 +1596,159 @@ mod tests {
     }
 
     #[test]
+    fn the_grid_packs_the_fewest_words_per_cell() {
+        let (mc, nr) = (56, 6);
+        // 512³ on two threads: all of A and half of B per cell ties half
+        // of A and all of B, and the tie goes to the columns
+        assert_eq!(cell_grid(512, 1, 512, mc, nr, 2, true), (1, 2));
+        assert_eq!(cell_grid(512, 1, 512, mc, nr, 3, true), (1, 3));
+        // a single mc block has only columns to split, packing or not
+        for p in [2, 3, 5] {
+            assert_eq!(cell_grid(8, 1, 512, mc, nr, p, false), (1, p));
+            assert_eq!(cell_grid(8, 1, 512, mc, nr, p, true), (1, p));
+        }
+        // m >> n with fewer slivers than threads (an LU trailing update):
+        // rows, though every cell then packs all of B
+        assert_eq!(cell_grid(4096, 1, 12, mc, nr, 5, true), (5, 1));
+        // a batch against a PrepackedB has no B pack to duplicate: entries
+        assert_eq!(cell_grid(16, 8, 512, mc, nr, 2, false), (2, 1));
+        assert_eq!(cell_grid(16, 8, 512, mc, nr, 2, true), (1, 2));
+        // one cell per thread beats more, smaller cells run in two rounds
+        assert_eq!(cell_grid(1024, 1, 1024, 24, nr, 8, true), (4, 2));
+        // fewer cells than threads only when the shape has no more
+        assert_eq!(cell_grid(48, 1, 6, 64, nr, 8, true), (1, 1));
+        assert_eq!(cell_grid(100, 1, 12, 56, nr, 8, true), (2, 2));
+        // one thread, one cell
+        assert_eq!(cell_grid(512, 4, 512, mc, nr, 1, true), (1, 1));
+    }
+
+    /// f64 pooled call on `a`, `b` into a copy of `c0`, bit pattern out.
+    fn pooled(
+        (transa, transb): (Transpose, Transpose),
+        a: &[crate::matrix::Matrix],
+        b: &crate::matrix::Matrix,
+        c0: &crate::matrix::Matrix,
+        blocks: BlockSizes,
+        degree: usize,
+    ) -> Vec<Vec<u64>> {
+        let mut c: Vec<_> = a.iter().map(|_| c0.clone()).collect();
+        let a_views: Vec<_> = a.iter().map(crate::matrix::Matrix::view).collect();
+        let mut c_views: Vec<_> = c.iter_mut().map(crate::matrix::Matrix::view_mut).collect();
+        let kernel = crate::microkernel::MicroKernelKind::Mk8x6;
+        gemm_pooled(
+            transa,
+            transb,
+            1.25,
+            &a_views,
+            &b.view(),
+            -0.5,
+            &mut c_views,
+            kernel,
+            blocks,
+            degree,
+            None,
+            None,
+        )
+        .expect("pooled gemm");
+        drop(c_views);
+        c.iter()
+            .map(|c| c.as_slice().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
     fn grid_cols_tiles_the_panel_in_whole_slivers() {
-        // Exact split: 96 columns, nr=6, 4 chunks of 4 slivers each.
-        let cells = grid_cols(96, 6, 4);
-        assert_eq!(cells, vec![(0, 24), (24, 24), (48, 24), (72, 24)]);
-        // Ragged: 100 columns -> last cell keeps the 4-column remainder.
-        let cells = grid_cols(100, 6, 4);
-        assert_eq!(cells.iter().map(|&(_, w)| w).sum::<usize>(), 100);
-        assert!(cells.iter().all(|&(c0, _)| c0 % 6 == 0));
-        assert_eq!(cells.last(), Some(&(90, 10)));
-        // n_split=1 is the historical 1-D schedule: one full-width cell.
-        assert_eq!(grid_cols(100, 6, 1), vec![(0, 100)]);
-        // More chunks than slivers clamps to one sliver per cell.
-        let cells = grid_cols(12, 6, 8);
-        assert_eq!(cells, vec![(0, 6), (6, 6)]);
-        // Degenerate panel narrower than one sliver.
-        assert_eq!(grid_cols(5, 6, 3), vec![(0, 5)]);
+        // Every grid the pool can cut — rows, columns, both, ragged in
+        // every direction, over several panels and batch entries — covers
+        // each element of C exactly once: the result is the one-cell
+        // (degree 1) result, bit for bit. A cell that started off a
+        // sliver boundary, overlapped a neighbour or missed a ragged
+        // edge would show.
+        use crate::matrix::Matrix;
+        let blocks = BlockSizes::custom(8, 6, 16, 24, 30);
+        for (m, n, k, batch) in [
+            (70, 45, 33, 1),
+            (8, 75, 40, 1),
+            (100, 11, 20, 1),
+            (17, 40, 9, 3),
+        ] {
+            let a: Vec<Matrix> = (0..batch).map(|i| Matrix::random(m, k, 400 + i)).collect();
+            let b = Matrix::random(k, n, 410);
+            let c0 = Matrix::random(m, n, 411);
+            let no = (Transpose::No, Transpose::No);
+            let want = pooled(no, &a, &b, &c0, blocks, 1);
+            for degree in [2, 3, 5, 8] {
+                assert_eq!(
+                    pooled(no, &a, &b, &c0, blocks, degree),
+                    want,
+                    "{m}x{n}x{k} x{batch} at degree {degree}"
+                );
+            }
+        }
+        // and the chunks themselves start on sliver boundaries
+        for (n, c) in [(96, 4), (100, 4), (12, 8), (5, 3)] {
+            let chunks = partition_rows(n, 6, c);
+            assert!(chunks.iter().all(|&(col0, _)| col0 % 6 == 0));
+            assert_eq!(chunks.iter().map(|&(_, w)| w).sum::<usize>(), n);
+            assert_eq!(chunks.len(), c.min(n.div_ceil(6)));
+        }
     }
 
     #[test]
     fn drain_epoch_times_out_without_dones() {
-        // Deterministic watchdog check: one outstanding block whose done
+        // Deterministic watchdog check: one outstanding cell whose done
         // never arrives must trip the deadline, not hang.
         let pool = WorkerPool::global();
-        let (_tx, rx) = channel::unbounded::<Done<f64>>();
-        let mut slots = Vec::new();
-        let out = drain_epoch(pool, &rx, 1, 1, Some(Duration::from_millis(25)), &mut slots);
-        assert!(out.timed_out);
-        assert!(slots.is_empty());
-        assert!(out.failed.is_empty());
-    }
-
-    #[test]
-    fn drain_epoch_discards_stale_dones() {
-        let pool = WorkerPool::global();
-        let (tx, rx) = channel::unbounded::<Done<f64>>();
-        let mut arena: GemmArena<f64> = GemmArena::new();
-        tx.send(Done {
-            slot: arena.take_slot(8),
-            seq: 1,
-            failed: false,
-        })
-        .map_err(|_| "send failed")
-        .unwrap();
-        tx.send(Done {
-            slot: arena.take_slot(8),
-            seq: 2,
-            failed: false,
-        })
-        .map_err(|_| "send failed")
-        .unwrap();
-        let mut slots = Vec::new();
-        let out = drain_epoch(pool, &rx, 2, 1, None, &mut slots);
-        assert_eq!(out.stale.len(), 1, "stale done must not join the epoch");
-        assert_eq!(slots.len(), 1);
-        assert!(!out.timed_out);
+        let (_tx, rx) = channel::unbounded::<Done>();
+        let mut outcomes = vec![None];
+        let mut pending = 1;
+        let deadline = Instant::now() + Duration::from_millis(25);
+        assert!(drain_epoch(
+            pool,
+            &rx,
+            &mut outcomes,
+            &mut pending,
+            Some(deadline)
+        ));
+        assert!(Instant::now() >= deadline);
+        assert_eq!((pending, &outcomes), (1, &vec![None]));
     }
 
     #[test]
     fn drain_epoch_separates_failed_slots() {
+        // Dones arrive in completion order; each lands on its own cell
+        // with its own outcome, and the barrier opens at the last one.
         let pool = WorkerPool::global();
-        let (tx, rx) = channel::unbounded::<Done<f64>>();
-        let mut arena: GemmArena<f64> = GemmArena::new();
-        tx.send(Done {
-            slot: arena.take_slot(8),
-            seq: 5,
-            failed: true,
-        })
-        .map_err(|_| "send failed")
-        .unwrap();
-        tx.send(Done {
-            slot: arena.take_slot(8),
-            seq: 5,
-            failed: false,
-        })
-        .map_err(|_| "send failed")
-        .unwrap();
-        let mut slots = Vec::new();
-        let out = drain_epoch(pool, &rx, 5, 2, None, &mut slots);
-        assert_eq!(out.failed.len(), 1);
-        assert_eq!(slots.len(), 1);
+        let (tx, rx) = channel::unbounded::<Done>();
+        for (idx, outcome) in [(2, Outcome::Panicked), (0, Outcome::Clean)] {
+            tx.send(Done { idx, outcome })
+                .map_err(|_| "send failed")
+                .unwrap();
+        }
+        // cell 1 is this thread's own, settled before the barrier
+        let mut outcomes = vec![None, Some(Outcome::Clean), None];
+        let mut pending = 2;
+        assert!(!drain_epoch(pool, &rx, &mut outcomes, &mut pending, None));
+        assert_eq!(pending, 0);
+        assert_eq!(
+            outcomes,
+            vec![
+                Some(Outcome::Clean),
+                Some(Outcome::Clean),
+                Some(Outcome::Panicked)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_claim_and_a_revocation_exclude_each_other() {
+        let state = AtomicU8::new(UNCLAIMED);
+        assert!(claim(&state, CLAIMED));
+        assert!(!claim(&state, REVOKED), "a begun cell was taken back");
+        assert!(!claim(&state, CLAIMED), "a cell was begun twice");
+        let state = AtomicU8::new(UNCLAIMED);
+        assert!(claim(&state, REVOKED));
+        assert!(!claim(&state, CLAIMED), "a revoked cell was begun");
     }
 
     #[test]
@@ -2114,11 +1825,11 @@ mod tests {
                     1.0,
                     &a_views,
                     &b.view(),
+                    1.0,
                     &mut c_views,
                     kernel,
                     blocks,
                     3,
-                    1,
                     None,
                     None,
                 )

@@ -30,8 +30,9 @@
 //!
 //! # Safety
 //!
-//! This is the crate's second (and only other) home for `unsafe` after
-//! [`crate::tile`]. The argument is three lines:
+//! This is one of the crate's three homes for `unsafe`, with
+//! [`crate::tile`] and the pool's borrow gate (`lease.rs`). The argument
+//! is three lines:
 //!
 //! 1. a `#[target_feature]` kernel is only ever called from [`run_at`],
 //!    after `is_x86_feature_detected!` confirmed the feature on this host;

@@ -139,9 +139,9 @@ impl Phase {
 pub(crate) struct RuntimeCounters {
     /// Jobs enqueued over the pool's lifetime.
     pub(crate) tasks: AtomicU64,
-    /// Epochs scheduled dynamically (workers race per `mc`-block).
+    /// Epochs with more cells than threads (threads race for cells).
     pub(crate) dynamic_epochs: AtomicU64,
-    /// Epochs that fell back to static contiguous-band assignment.
+    /// Epochs with at most one cell per thread.
     pub(crate) static_epochs: AtomicU64,
     /// Workers that exited their loop.
     pub(crate) deaths: AtomicU64,
@@ -149,9 +149,9 @@ pub(crate) struct RuntimeCounters {
     pub(crate) respawns: AtomicU64,
     /// Worker spawn attempts that failed.
     pub(crate) spawn_failures: AtomicU64,
-    /// Blocks recomputed serially after a worker panic or loss.
+    /// Cells recomputed by the caller after a worker panic or loss.
     pub(crate) faults_contained: AtomicU64,
-    /// Epochs abandoned at the watchdog deadline.
+    /// Epochs in which the watchdog deadline took cells back.
     pub(crate) timeouts: AtomicU64,
     /// Dispatch decisions that chose the serial runtime.
     pub(crate) dispatch_serial: AtomicU64,
@@ -160,7 +160,7 @@ pub(crate) struct RuntimeCounters {
     /// Dispatch decisions whose chosen runtime measured slower than
     /// the alternative's calibrated prediction (model mispredicts).
     pub(crate) dispatch_mispredicts: AtomicU64,
-    /// Epochs scheduled as a 2-D grid (`n_split > 1` column chunks).
+    /// Epochs whose grid split the panel's columns.
     pub(crate) grid_epochs: AtomicU64,
 }
 
@@ -433,11 +433,13 @@ fn cache_reset() {
 /// does not touch them; `pool::status()` is defined in these terms).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RuntimeSnapshot {
-    /// Jobs enqueued over the pool's lifetime.
+    /// Jobs enqueued over the pool's lifetime: one per cell of an
+    /// epoch's grid, except the cell the caller keeps.
     pub tasks: u64,
-    /// Epochs scheduled dynamically (workers race per `mc`-block).
+    /// Epochs (barriers: one per `jj` panel of a pooled call) whose grid
+    /// had more cells than threads, so threads raced for cells.
     pub dynamic_epochs: u64,
-    /// Epochs that fell back to static contiguous-band assignment.
+    /// Epochs whose grid had at most one cell per thread.
     pub static_epochs: u64,
     /// Workers that exited their loop.
     pub deaths: u64,
@@ -445,9 +447,9 @@ pub struct RuntimeSnapshot {
     pub respawns: u64,
     /// Worker spawn attempts that failed.
     pub spawn_failures: u64,
-    /// Blocks recomputed serially after a worker panic or loss.
+    /// Cells recomputed by the caller after a worker panic or loss.
     pub faults_contained: u64,
-    /// Epochs abandoned at the watchdog deadline (watchdog fires).
+    /// Epochs in which the watchdog deadline took cells back.
     pub timeouts: u64,
     /// Dispatch decisions that chose the serial runtime
     /// (see [`crate::dispatch`]).
@@ -457,7 +459,7 @@ pub struct RuntimeSnapshot {
     /// Dispatch decisions whose chosen runtime measured slower than
     /// the alternative's calibrated prediction (model mispredicts).
     pub dispatch_mispredicts: u64,
-    /// Epochs scheduled as a 2-D grid (`n_split > 1` column chunks).
+    /// Epochs whose grid split the panel's columns.
     pub grid_epochs: u64,
 }
 

@@ -24,6 +24,7 @@
 //! fault-injection features; [`auto_config_conforms_in_this_environment`]
 //! is the case that picks those env knobs up.
 
+use dgemm_core::batch::gemm_batch_shared_b;
 use dgemm_core::dispatch::DispatchMode;
 use dgemm_core::gemm::{try_gemm, GemmConfig};
 use dgemm_core::matrix::{Matrix, MatrixView};
@@ -31,6 +32,7 @@ use dgemm_core::microkernel::MicroKernelKind;
 use dgemm_core::pool::PoolScalar;
 use dgemm_core::prepack::PrepackedB;
 use dgemm_core::reference::naive_gemm;
+use dgemm_core::sgemm::{sgemm, SgemmConfig};
 use dgemm_core::store;
 use dgemm_core::util::gemm_tolerance;
 use dgemm_core::{Parallelism, Transpose};
@@ -614,9 +616,9 @@ fn b_source_axis_conforms() {
 }
 
 /// Shape-adaptive dispatch must never change results. Every mode —
-/// `Fixed` (historical 1-D M-bands), forced `Serial`, forced `Pool`
-/// (which runs the 2-D `(mc × nc)` task grid), and the cost-model
-/// `Auto` pick — must be bit-identical to the serial uncached run, for
+/// `Fixed`, forced `Serial`, forced `Pool` (the pool cuts the same grid
+/// of cells under either), and the cost-model `Auto` pick — must be
+/// bit-identical to the serial uncached run, for
 /// every kernel, cached and uncached, on shapes where `m % mc != 0`
 /// AND `n % nc != 0` AND `n % nr != 0`: ragged trailing M-band, ragged
 /// trailing `jj` panel, and a ragged trailing sliver *inside* the grid
@@ -678,8 +680,8 @@ fn dispatch_modes_conform_on_ragged_grid_cells() {
                      dispatch diverges bitwise from serial uncached"
                 );
 
-                // forced pool on this shape must actually run the 2-D
-                // grid (3 M-bands < 2×4 workers forces a column split);
+                // forced pool on this shape must actually split columns
+                // (3 mc blocks cannot give 4 threads a cell each);
                 // tolerate a concurrent test overwriting last_dispatch.
                 if mode == DispatchMode::Pool {
                     let status = dgemm_core::pool::status();
@@ -760,6 +762,131 @@ fn pooled_ragged_tiles_stay_inside_their_bands_and_inside_c() {
             run(Parallelism::Serial),
             "mc={mc} ({m}x{n}x{k}): pooled C differs bitwise from serial"
         );
+    }
+}
+
+/// Every grid the pool cuts is the serial walk, bit for bit — not within
+/// tolerance. A cell keeps the `(jj, kk)` order of every element of C it
+/// owns, column chunks start on `nr` multiples and row ranges on `mc`
+/// blocks, and how many blocks or slivers a cell holds changes no
+/// element's arithmetic: so `Pool(p)` at any degree, over any shape,
+/// transpose, B source, batch or precision, must reproduce `Serial`'s
+/// bits. The shapes are the grid function's cases: square (columns),
+/// the skinny call (one block: columns, B read in place — its exact
+/// counters are pinned in `telemetry_properties`), `m ≫ n` with fewer
+/// slivers than threads (rows), and ragged in every direction over
+/// several panels.
+#[test]
+fn every_pool_grid_is_bit_identical_to_serial() {
+    const DEGREES: [usize; 4] = [1, 2, 3, 5];
+    let transposes = [Transpose::No, Transpose::Yes];
+    let ragged = Some((16, 24, 30));
+    for ((m, n, k), blocks) in [
+        ((160, 150, 70), None),
+        ((8, 512, 512), None),
+        ((4096, 12, 64), None),
+        ((131, 77, 53), ragged),
+        ((23, 100, 40), ragged),
+    ] {
+        for (ta, tb) in transposes
+            .iter()
+            .flat_map(|&ta| transposes.map(|tb| (ta, tb)))
+        {
+            let (ar, ac) = stored_dims(ta, m, k);
+            let (br, bc) = stored_dims(tb, k, n);
+            let a = Matrix::random(ar, ac, 161);
+            let b = Matrix::random(br, bc, 162);
+            let c0 = Matrix::random(m, n, 163);
+            let run = |par: Parallelism| {
+                let mut cfg = GemmConfig::default().with_parallelism(par);
+                if let Some((kc, mc, nc)) = blocks {
+                    cfg = cfg.with_blocks(kc, mc, nc);
+                }
+                let mut c = c0.clone();
+                try_gemm(
+                    ta,
+                    tb,
+                    1.25,
+                    &a.view(),
+                    &b.view(),
+                    -0.5,
+                    &mut c.view_mut(),
+                    &cfg,
+                )
+                .unwrap_or_else(|e| panic!("{par:?} {m}x{n}x{k}: {e}"));
+                c
+            };
+            let want = run(Parallelism::Serial);
+            for p in DEGREES {
+                assert_eq!(
+                    run(Parallelism::Pool(p)).view().data(),
+                    want.view().data(),
+                    "Pool({p}) ta={ta:?} tb={tb:?} {m}x{n}x{k} blocks {blocks:?}"
+                );
+            }
+        }
+    }
+
+    // A batch against one B, packed per call and served from a
+    // PrepackedB (where the grid splits the entries instead).
+    let (m, n, k, entries) = (20, 130, 45, 7);
+    let a: Vec<Matrix> = (0..entries)
+        .map(|i| Matrix::random(m, k, 170 + i))
+        .collect();
+    let a_views: Vec<MatrixView<'_>> = a.iter().map(Matrix::view).collect();
+    let b = Matrix::random(k, n, 180);
+    let c0 = Matrix::random(m, n, 181);
+    for cached in [false, true] {
+        let run = |par: Parallelism| {
+            let cfg = GemmConfig::default()
+                .with_blocks(16, 8, 60)
+                .with_parallelism(par)
+                .with_pack_cache(cached);
+            let mut c: Vec<Matrix> = a.iter().map(|_| c0.clone()).collect();
+            let mut c_views: Vec<_> = c.iter_mut().map(Matrix::view_mut).collect();
+            let tb = Transpose::No;
+            gemm_batch_shared_b(1.25, &a_views, tb, &b.view(), -0.5, &mut c_views, &cfg)
+                .unwrap_or_else(|e| panic!("batch {par:?} cached={cached}: {e}"));
+            drop(c_views);
+            c
+        };
+        let want = run(Parallelism::Serial);
+        for p in DEGREES {
+            assert_eq!(
+                run(Parallelism::Pool(p)),
+                want,
+                "batch Pool({p}) cached={cached}"
+            );
+        }
+    }
+    f64::pack_cache().invalidate(&b.view());
+
+    // Single precision runs the same cells through its own kernels.
+    let (m, n, k) = (150, 90, 70);
+    let a: Matrix<f32> = Matrix::random(m, k, 190);
+    let b: Matrix<f32> = Matrix::random(k, n, 191);
+    let c0: Matrix<f32> = Matrix::random(m, n, 192);
+    let run = |par: Parallelism| {
+        let cfg = SgemmConfig::default().with_parallelism(par);
+        let mut c = c0.clone();
+        let (ta, tb) = (Transpose::No, Transpose::Yes);
+        let bt = b.transposed();
+        sgemm(
+            ta,
+            tb,
+            1.25,
+            &a.view(),
+            &bt.view(),
+            -0.5,
+            &mut c.view_mut(),
+            &cfg,
+        )
+        .unwrap_or_else(|e| panic!("sgemm {par:?}: {e}"));
+        c
+    };
+    let want = run(Parallelism::Serial);
+    for p in DEGREES {
+        assert_eq!(run(Parallelism::Pool(p)), want, "sgemm Pool({p})");
     }
 }
 

@@ -1,8 +1,9 @@
 //! Fault-recovery acceptance for the pooled runtime, compiled only with
 //! the `fault-injection` feature (`cargo test -p dgemm-core --features
 //! fault-injection`). Each scenario provokes one concrete failure —
-//! worker panic, worker death, spawn failure, allocation failure — and
-//! asserts the contract from DESIGN.md §10: the result is bit-identical
+//! worker panic, worker death, spawn failure, allocation failure, a
+//! stall before or after a job claims its cell — and asserts the
+//! contract from DESIGN.md §10: the result is bit-identical
 //! to the serial oracle (or a typed error), the fault is visible in
 //! [`dgemm_core::pool::status`], and the pool serves subsequent calls at
 //! full capacity.
@@ -183,8 +184,9 @@ fn allocation_failure_degrades_gracefully() {
     let want = oracle();
 
     // Fail one allocation at each successive site: staging, packed-A,
-    // packed-B. Every call must still produce the exact result (serial
-    // tail, chunked inline compute, or inline epoch).
+    // packed-B. Every call must still produce the exact result (smaller
+    // packing chunks inside the cell, or the cell recomputed straight on
+    // C without staging).
     for nth in 0..6 {
         faults::install(FaultPlan {
             alloc_fail: Some(Trigger::once(nth)),
@@ -203,10 +205,10 @@ fn allocation_failure_degrades_gracefully() {
 }
 
 /// A worker panic during an epoch served from a *cached* pre-packed
-/// panel: containment must replay the block bit-identically (the
-/// recovery path re-packs from the original B view, independent of the
-/// cache), and the fault must neither evict nor invalidate the cache
-/// entry — the panels are immutable and blameless.
+/// panel: containment must replay the block bit-identically (against
+/// the same cached panels, which the fault cannot have touched), and the
+/// fault must neither evict nor invalidate the cache entry — the panels
+/// are immutable and blameless.
 #[test]
 fn worker_panic_on_cached_panel_preserves_the_entry() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -320,6 +322,132 @@ fn slow_worker_trips_the_watchdog_but_c_is_recovered() {
 
     // Let the stalled worker wake up, then confirm the stream continues.
     std::thread::sleep(Duration::from_millis(250));
+    for _ in 0..3 {
+        assert_eq!(run(Parallelism::Pool(4)).unwrap().max_abs_diff(&want), 0.0);
+    }
+}
+
+/// What the borrow gate exists for, made observable. A job that stalls
+/// *before* it claims its cell loses the cell to the watchdog: the call
+/// returns at the deadline, not after the stall, with the exact product
+/// and a timeout naming the cells it took back. The operands are then
+/// freed while the worker still sleeps; when it wakes it finds the call
+/// gone, touches nothing, and is counted as a late job.
+#[test]
+fn a_job_that_wakes_after_its_call_returned_touches_nothing() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let want = oracle();
+    assert_eq!(run(Parallelism::Pool(4)).unwrap().max_abs_diff(&want), 0.0);
+
+    let stall = Duration::from_millis(200);
+    let cfg = cfg(Parallelism::Pool(4)).with_epoch_timeout(Some(Duration::from_millis(25)));
+    let late0 = status().late_jobs;
+    let mut taken_back = 0;
+    // Which thread takes a job is the scheduler's call: repeat until a
+    // worker (not the help-draining caller) took the one that stalls.
+    let stalled = wait_until(|| {
+        faults::install(FaultPlan {
+            slow_worker: Some((Trigger::once(0), stall)),
+            ..FaultPlan::default()
+        });
+        let a = Matrix::random(M, K, 3);
+        let b = Matrix::random(K, N, 4);
+        let mut c = Matrix::random(M, N, 5);
+        let (ta, tb) = (Transpose::No, Transpose::No);
+        let t0 = Instant::now();
+        let result = try_gemm(
+            ta,
+            tb,
+            1.0,
+            &a.view(),
+            &b.view(),
+            0.5,
+            &mut c.view_mut(),
+            &cfg,
+        );
+        let elapsed = t0.elapsed();
+        faults::clear();
+        assert_eq!(c.max_abs_diff(&want), 0.0, "C must be exact either way");
+        match result {
+            Ok(()) => false,
+            Err(dgemm_core::GemmError::EpochTimeout { missing_blocks, .. }) => {
+                assert!(missing_blocks > 0, "a timeout must name its lost blocks");
+                assert!(
+                    elapsed < Duration::from_millis(150),
+                    "the call waited {elapsed:?} for a cell it could take back"
+                );
+                taken_back = missing_blocks as u64;
+                true
+            }
+            Err(e) => panic!("unexpected error from a slow worker: {e}"),
+        }
+        // a, b and c are freed here, with the worker still asleep
+    });
+    assert!(stalled, "no worker ever took the stalling job");
+
+    // Every cell taken back had one job; each comes late and is turned away.
+    assert!(
+        wait_until(|| status().late_jobs >= late0 + taken_back),
+        "late jobs {} -> {}, {taken_back} cells taken back",
+        late0,
+        status().late_jobs
+    );
+    assert_eq!(status().late_jobs, late0 + taken_back);
+    for _ in 0..3 {
+        assert_eq!(run(Parallelism::Pool(4)).unwrap().max_abs_diff(&want), 0.0);
+    }
+}
+
+/// A job that stalls *after* the claim holds live borrows of the
+/// operands: the watchdog cannot take its cell back, so the call lasts
+/// as long as the stall — and reports missing only cells it did take
+/// back, each of which it recomputed.
+#[test]
+fn a_stall_inside_a_claimed_cell_delays_the_call_instead() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let want = oracle();
+    assert_eq!(run(Parallelism::Pool(4)).unwrap().max_abs_diff(&want), 0.0);
+
+    let stall = Duration::from_millis(120);
+    let cfg = cfg(Parallelism::Pool(4)).with_epoch_timeout(Some(Duration::from_millis(25)));
+    let held = wait_until(|| {
+        let contained0 = status().faults_contained;
+        faults::install(FaultPlan {
+            cell_stall: Some((Trigger::once(0), stall)),
+            ..FaultPlan::default()
+        });
+        let a = Matrix::random(M, K, 3);
+        let b = Matrix::random(K, N, 4);
+        let mut c = Matrix::random(M, N, 5);
+        let (ta, tb) = (Transpose::No, Transpose::No);
+        let t0 = Instant::now();
+        let result = try_gemm(
+            ta,
+            tb,
+            1.0,
+            &a.view(),
+            &b.view(),
+            0.5,
+            &mut c.view_mut(),
+            &cfg,
+        );
+        let elapsed = t0.elapsed();
+        faults::clear();
+        assert_eq!(c.max_abs_diff(&want), 0.0, "C must be exact either way");
+        let missing = match result {
+            Ok(()) => 0,
+            Err(dgemm_core::GemmError::EpochTimeout { missing_blocks, .. }) => missing_blocks,
+            Err(e) => panic!("unexpected error from a stalled cell: {e}"),
+        };
+        assert_eq!(
+            status().faults_contained - contained0,
+            missing as u64,
+            "cells recomputed and cells reported missing differ"
+        );
+        // the stall fired on a worker iff the call outlasted it
+        elapsed >= stall
+    });
+    assert!(held, "no worker ever took a job that stalls in its cell");
     for _ in 0..3 {
         assert_eq!(run(Parallelism::Pool(4)).unwrap().max_abs_diff(&want), 0.0);
     }

@@ -1,8 +1,9 @@
 //! Steady-state acceptance for the pooled runtime, in its own test
-//! binary so the process-wide runtime counters are deterministic: after
-//! a warm-up call, repeated GEMMs must spawn **zero** new worker threads
-//! and allocate **zero** new packing buffers — thread creation and
-//! arena growth are one-time costs.
+//! binary so the process-wide runtime counters are deterministic: once
+//! warm, repeated GEMMs must spawn **zero** new worker threads and
+//! allocate **zero** new packing buffers on **any** thread — thread
+//! creation and arena growth are one-time costs, two buffers (a block
+//! slot, a B panel) per thread that ever runs a cell.
 
 use dgemm_core::gemm::{gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
@@ -31,10 +32,16 @@ fn run(par: Parallelism, m: usize, n: usize, k: usize) -> Matrix {
     c
 }
 
-/// Fresh packing-buffer allocations on this caller thread so far (the
-/// pooled driver packs on the caller; workers only consume owned slots).
+/// Fresh packing-buffer allocations on this caller thread so far.
 fn fresh() -> u64 {
     f64::with_arena(|arena| arena.fresh_buffers())
+}
+
+/// Fresh packing-buffer allocations summed over every thread's lane —
+/// every thread packs for the cells it runs. Zero without the
+/// `telemetry` feature, which compiles the per-lane counters out.
+fn fresh_everywhere() -> u64 {
+    telemetry::snapshot().total_arena_fresh()
 }
 
 #[test]
@@ -47,13 +54,26 @@ fn no_spawns_and_no_allocations_after_warmup() {
     assert_eq!(first.max_abs_diff(&want), 0.0);
 
     let workers0 = WorkerPool::global().workers();
+    assert_eq!(workers0, 3, "Pool(4) keeps three workers beside the caller");
+    // A thread is warm once it has run one cell, and which thread runs
+    // which cell is the scheduler's call: keep calling until each of the
+    // four has taken its two buffers. No thread ever holds more.
+    let warm = 2 * (workers0 as u64 + 1);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while telemetry::enabled() && fresh_everywhere() < warm {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "a worker never ran a cell"
+        );
+        run(Parallelism::Pool(4), m, n, k);
+    }
     let rt0 = telemetry::snapshot().runtime;
-    let fresh0 = fresh();
-    assert!(fresh0 > 0, "warm-up must have populated the arena");
+    let (fresh0, everywhere0) = (fresh(), fresh_everywhere());
+    assert_eq!(fresh0, 2, "the caller's arena holds a slot and a panel");
 
-    // -- steady state: same shape, then smaller shapes (which need no
-    // more slots than the warm-up), across both runtimes
-    for _ in 0..6 {
+    // -- steady state: same shape, then smaller shapes, across both
+    // runtimes, fifty warm rounds
+    for _ in 0..50 {
         assert_eq!(run(Parallelism::Pool(4), m, n, k).max_abs_diff(&want), 0.0);
         run(Parallelism::Serial, m / 2, n / 2, k);
         run(Parallelism::Pool(3), m / 2 + 1, n / 3, k / 2);
@@ -66,9 +86,9 @@ fn no_spawns_and_no_allocations_after_warmup() {
         "steady-state GEMMs must not spawn threads"
     );
     assert_eq!(
-        fresh(),
-        fresh0,
-        "steady-state GEMMs must not allocate packing buffers"
+        (fresh(), fresh_everywhere()),
+        (fresh0, everywhere0),
+        "steady-state GEMMs must not allocate packing buffers on any thread"
     );
     assert!(
         rt.tasks > rt0.tasks,

@@ -3,9 +3,12 @@
 //! runtime, and packed-byte counters must reproduce the padded-buffer
 //! arithmetic of `pack.rs` (`ceil(mc/mr)·mr·kc` slivers of A,
 //! `ceil(nc/nr)·nr·kc` slivers of B) summed over the exact macro-loop
-//! decomposition each runtime performs. B bytes are *packed* bytes only
-//! where a pack ran: a serial call with a single `mc` block reads B in
-//! place, and the same elements show up, unpadded, as in-place bytes.
+//! decomposition each runtime performs: the serial walk packs every
+//! block of A and every panel of B once; on the pool every cell of the
+//! grid packs its own, so A is packed once per column chunk and B once
+//! per row range. B bytes are *packed* bytes only where a pack ran: a
+//! call with a single `mc` block reads B in place on either runtime, and
+//! the same elements show up, unpadded, as in-place bytes.
 //!
 //! Telemetry counters are process-global, so every test serializes on
 //! one lock and starts from `telemetry::reset()`.
@@ -15,7 +18,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use dgemm_core::gemm::{gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
-use dgemm_core::pool::Parallelism;
+use dgemm_core::pool::{cell_grid, Parallelism};
 use dgemm_core::telemetry;
 use dgemm_core::Transpose;
 
@@ -61,32 +64,38 @@ fn run(par: Parallelism, m: usize, n: usize, k: usize) {
 
 /// Expected exact counters for one GEMM, replicating the macro loops:
 /// `jj` over `nc` panels, `kk` over `kc` depths, then `mc` blocks of A
-/// over the `m` rows (the serial walk and the pooled driver stage the
-/// same decomposition). `b_in_place` says the runtime reads B where the caller stored it
-/// (serial, `m ≤ mc`): its bytes are then the `kc·nc` elements each GEBP
-/// consumed, not a padded panel.
+/// over the `m` rows — once for the serial walk, and on the pool once
+/// per cell of the panel's grid ([`cell_grid`]; one cell at degree 1):
+/// every column chunk packs the blocks of A, every row range the panel of
+/// B, and a GEBP runs per block and chunk. A call with a single `mc`
+/// block reads B where the caller stored it: its bytes are then the
+/// `kc·nc` elements the GEBPs consumed, not a padded panel.
 /// Returns `(flops, a_bytes, [packed_b_bytes, b_in_place_bytes], blocks)`.
-fn expected(m: usize, n: usize, k: usize, b_in_place: bool) -> (u64, u64, [u64; 2], u64) {
+fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2], u64) {
     let w = core::mem::size_of::<f64>() as u64;
+    let b_in_place = m <= MC;
     let (mut flops, mut a_bytes, mut b_bytes, mut blocks) = (0u64, 0u64, [0u64; 2], 0u64);
     let mut jj = 0;
     while jj < n {
         let nc_eff = NC.min(n - jj);
+        let (row_ranges, col_chunks) = cell_grid(m, 1, nc_eff, MC, NR, degree, !b_in_place);
+        let (row_ranges, col_chunks) = (row_ranges as u64, col_chunks as u64);
         let mut kk = 0;
         while kk < k {
             let kc_eff = KC.min(k - kk);
             if !b_in_place {
-                b_bytes[0] += (nc_eff.div_ceil(NR) * NR * kc_eff) as u64 * w;
+                // chunks are whole slivers, so they pad as the panel does
+                b_bytes[0] += row_ranges * (nc_eff.div_ceil(NR) * NR * kc_eff) as u64 * w;
             }
             let mut ii = 0;
             while ii < m {
                 let mc_eff = MC.min(m - ii);
-                a_bytes += (mc_eff.div_ceil(MR) * MR * kc_eff) as u64 * w;
+                a_bytes += col_chunks * (mc_eff.div_ceil(MR) * MR * kc_eff) as u64 * w;
                 flops += 2 * (mc_eff * nc_eff * kc_eff) as u64;
                 if b_in_place {
                     b_bytes[1] += (nc_eff * kc_eff) as u64 * w;
                 }
-                blocks += 1;
+                blocks += col_chunks;
                 ii += mc_eff;
             }
             kk += kc_eff;
@@ -104,9 +113,9 @@ mod enabled {
     fn check(par: Parallelism, m: usize, n: usize, k: usize) {
         run(par, m, n, k);
         let snap = telemetry::snapshot();
-        // the one runtime and shape class that skips the B pack
-        let b_in_place = par == Parallelism::Serial && m <= MC;
-        let (flops, a_bytes, b_bytes, blocks) = expected(m, n, k, b_in_place);
+        // the one shape class that skips the B pack
+        let b_in_place = m <= MC;
+        let (flops, a_bytes, b_bytes, blocks) = expected(m, n, k, par.degree());
         assert_eq!(flops, 2 * (m * n * k) as u64, "blocks must cover mnk");
         assert_eq!(snap.total_flops(), flops, "{par:?} {m}x{n}x{k}: flops");
         assert_eq!(
@@ -151,9 +160,10 @@ mod enabled {
     }
 
     #[test]
-    fn the_pool_packs_b_on_single_block_shapes() {
-        // It has a shared panel to fill; only the serial walk reads B in
-        // place.
+    fn the_pool_reads_b_in_place_on_single_block_shapes() {
+        // A cell with one block of A has no second GEBP to reuse a pack
+        // of its columns either: same predicate, same counters, A packed
+        // once per column chunk.
         let _g = lock_and_reset();
         check(Parallelism::Pool(3), 13, 33, 41);
     }
@@ -161,8 +171,8 @@ mod enabled {
     /// The call the benchmark's `skinny_fresh` makes, under the default
     /// blocking, by its exact counters: nothing written into a packed
     /// panel, every B element read once in place, A packed as before —
-    /// and the pool, which has a shared panel to fill, still packing it
-    /// (padded to `nr`) into the same bits of C.
+    /// and the pool's two column cells doing the same on half the
+    /// columns each (A packed by both), into the same bits of C.
     #[test]
     fn the_default_skinny_call_reads_b_in_place_and_says_so() {
         let _g = lock_and_reset();
@@ -196,18 +206,89 @@ mod enabled {
         let (in_place, counts) = run(Parallelism::Serial);
         assert_eq!(counts, [4_194_304, 32_768, 0, 512 * 512 * 8]);
         let (pooled, counts) = run(Parallelism::Pool(2));
-        assert_eq!(counts, [4_194_304, 32_768, 512 * 516 * 8, 0]);
+        assert_eq!(counts, [4_194_304, 2 * 32_768, 0, 512 * 512 * 8]);
         assert_eq!(in_place.as_slice(), pooled.as_slice());
     }
 
     #[test]
     fn pooled_counters_are_exact() {
-        // The pooled driver stages the same mc-block decomposition as
-        // the serial walk (one slot per block over the whole M range).
-        for (m, n, k) in [(130, 70, 50), (96, 33, 41)] {
+        // Row-split grids (the narrow test panels have three slivers),
+        // a column-split one (two blocks, degree 2) and the one-cell grid
+        // of degree 1, which must count what the serial walk counts.
+        for (par, m, n, k) in [
+            (Parallelism::Pool(3), 130, 70, 50),
+            (Parallelism::Pool(3), 96, 33, 41),
+            (Parallelism::Pool(2), 25, 70, 50),
+            (Parallelism::Pool(1), 130, 70, 50),
+        ] {
             let _g = lock_and_reset();
-            check(Parallelism::Pool(3), m, n, k);
+            check(par, m, n, k);
         }
+        assert_eq!(cell_grid(130, 1, NC, MC, NR, 3, true), (3, 1));
+        assert_eq!(cell_grid(25, 1, NC, MC, NR, 2, true), (1, 2));
+    }
+
+    /// Figure 9, observed: on the pool every thread that computes packs
+    /// for itself, and the caller does little that no span accounts for.
+    #[test]
+    fn every_pooled_lane_packs_its_own_operands() {
+        let _g = lock_and_reset();
+        let n = 512;
+        let a = Matrix::random(n, n, 71);
+        let b = Matrix::random(n, n, 72);
+        let mut c = Matrix::zeros(n, n);
+        let cfg = GemmConfig::default().with_parallelism(Parallelism::Pool(2));
+        let me = std::thread::current();
+        let mut best: Option<(f64, f64)> = None; // (wall, caller's traced) of the fastest call
+        let (mut computed, mut packed) = (0, 0);
+        for _ in 0..10 {
+            telemetry::reset();
+            let t0 = std::time::Instant::now();
+            gemm(
+                Transpose::No,
+                Transpose::No,
+                1.0,
+                &a.view(),
+                &b.view(),
+                0.0,
+                &mut c.view_mut(),
+                &cfg,
+            );
+            let wall = t0.elapsed().as_secs_f64();
+            let snap = telemetry::snapshot();
+            let ns = |t: &telemetry::ThreadSnapshot, p: Phase| {
+                t.phase_ns[Phase::ALL.iter().position(|q| *q == p).unwrap()]
+            };
+            for t in &snap.threads {
+                if ns(t, Phase::Compute) > 0 {
+                    computed += 1;
+                    assert!(
+                        ns(t, Phase::PackA) > 0 && ns(t, Phase::PackB) > 0,
+                        "lane {} computed a cell it did not pack for",
+                        t.name
+                    );
+                    packed += u64::from(t.packed_a_bytes > 0 && t.packed_b_bytes > 0);
+                }
+            }
+            let caller = snap
+                .threads
+                .iter()
+                .find(|t| Some(t.name.as_str()) == me.name())
+                .expect("the caller ran a cell");
+            let traced = caller.phase_ns.iter().sum::<u64>() as f64 / 1e9;
+            if best.is_none_or(|(w, _)| wall < w) {
+                best = Some((wall, traced));
+            }
+        }
+        assert_eq!(computed, packed);
+        assert!(computed >= 10, "no lane recorded a cell");
+        let (wall, traced) = best.unwrap();
+        assert!(
+            traced >= 0.9 * wall,
+            "caller spent {:.3} of {:.3} ms in no traced phase",
+            (wall - traced) * 1e3,
+            wall * 1e3
+        );
     }
 
     #[test]
@@ -323,7 +404,7 @@ mod disabled {
         assert_eq!(report.flops, 2 * 96 * 48 * 40);
         // The expected-counter arithmetic stays callable (and nonzero)
         // so enabling the feature changes measurements, not the suite.
-        let (flops, ..) = expected(96, 48, 40, false);
+        let (flops, ..) = expected(96, 48, 40, 3);
         assert_eq!(flops, 2 * 96 * 48 * 40);
     }
 }
