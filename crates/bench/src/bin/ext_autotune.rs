@@ -5,13 +5,14 @@
 //! in the tuning DB, then re-measure with the tuned configuration the
 //! DB now serves to `GemmConfig::auto()`.
 //!
-//! Emits `BENCH_autotune.json` (schema `dgemm-autotune-v1`) into
-//! `$BENCH_JSON_DIR` (default `results/`) for the CI gate: tuned must
-//! be ≥ untuned on every swept class, within the 5% noise allowance.
+//! Prints the before/after table (`scripts/reproduce_all.sh` captures
+//! it as `results/ext_autotune.txt`). What the loop must *do* — persist,
+//! re-read, stay inside the budget, serve bit-exact blockings — is held
+//! by `crates/core/tests/autotune_db.rs`, not by this driver.
 //!
-//! Options: `--quick` (small shapes, small budget — the CI smoke
-//! configuration); `DGEMM_TUNE_DB`, `DGEMM_AUTOTUNE_BUDGET`,
-//! `DGEMM_AUTOTUNE_REPS` are honored like everywhere else.
+//! Options: `--quick` (small shapes, small budget); `DGEMM_TUNE_DB`,
+//! `DGEMM_AUTOTUNE_BUDGET`, `DGEMM_AUTOTUNE_REPS` are honored like
+//! everywhere else.
 
 use dgemm_core::autotune::{self, AutotuneMode, TuneOptions};
 use dgemm_core::gemm::{try_gemm, GemmConfig};
@@ -94,7 +95,7 @@ fn main() {
         });
 
     // The sweep budget: env wins, otherwise a rich budget for the full
-    // run and a tight one for --quick / CI.
+    // run and a tight one for --quick.
     let mut opts = TuneOptions::from_env().unwrap_or_default();
     if quick && std::env::var_os("DGEMM_AUTOTUNE_BUDGET").is_none() {
         opts.budget = 6;
@@ -147,7 +148,6 @@ fn main() {
         "m", "n", "k", "class", "untuned", "tuned", "speedup"
     );
 
-    let mut rows = Vec::new();
     for &(m, n, k) in shapes {
         let class = ShapeClass::of(m, n, k);
         let untuned_cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, threads);
@@ -168,44 +168,12 @@ fn main() {
             class.label(),
             tuned / untuned.max(1e-12),
         );
-        rows.push(format!(
-            "{{\"m\":{m},\"n\":{n},\"k\":{k},\"class\":\"{}\",\
-             \"untuned_gflops\":{untuned:.4},\"tuned_gflops\":{tuned:.4},\
-             \"speedup\":{:.4},\"winner\":\"{}\",\"runtime\":\"{}\",\
-             \"sweep_gflops\":{:.4},\"sweep_untuned_gflops\":{:.4},\
-             \"achieved_vs_bound\":{:.4},\"candidates\":{}}}",
-            class.label(),
-            tuned / untuned.max(1e-12),
-            entry.blocks().label(),
-            entry.runtime,
-            entry.gflops,
-            entry.untuned_gflops,
-            entry.achieved_vs_bound,
-            entry.candidates
-        ));
     }
 
     // Persist the dispatcher calibration the measurements produced, so
     // the next process on this host predicts accurately from call one.
     if let Err(e) = autotune::persist_calibration(&db) {
         eprintln!("warning: could not persist calibration: {e}");
-    }
-
-    let dir = std::env::var("BENCH_JSON_DIR").unwrap_or_else(|_| "results".into());
-    let _ = std::fs::create_dir_all(&dir);
-    let path = format!("{dir}/BENCH_autotune.json");
-    let json = format!(
-        "{{\"schema\":\"dgemm-autotune-v1\",\"cpu\":\"{}\",\"threads\":{threads},\
-         \"budget\":{},\"reps\":{},\"db\":\"{}\",\"shapes\":[{}]}}\n",
-        autotune::cpu_id(),
-        opts.budget,
-        opts.reps,
-        db.display().to_string().replace('\\', "/"),
-        rows.join(",")
-    );
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("\n(json written to {path})"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 
     println!();

@@ -3,7 +3,9 @@
 //! Every binary under `src/bin/` regenerates one artifact of the paper's
 //! Section V (see DESIGN.md §2 for the index) and prints it as an
 //! aligned text table, with the paper's published numbers alongside
-//! where the paper states them.
+//! where the paper states them; the `ext_*` binaries are the extension
+//! studies of DESIGN.md §8. The crate has no bench targets: native speed
+//! is measured by the ladder under `benchmark/` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

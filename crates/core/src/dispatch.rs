@@ -137,12 +137,10 @@ const CAL_MAX: f64 = 20.0;
 /// (each runtime's calibration only updates while it is the one
 /// running) and small shapes would flap between a 3.3 ms serial walk
 /// and a 4.5 ms pooled one. A genuine pool win (compute divided over
-/// p workers) clears 15% with room to spare.
-///
-/// Public because it is also the most `auto` can lose to a forced
-/// runtime by design — a pool win smaller than this is declined — which
-/// makes it the threshold of the `dispatch` bench's CI gate.
-pub const POOL_MARGIN: f64 = 1.15;
+/// p workers) clears 15% with room to spare. It is therefore also the
+/// most `auto` can lose to a forced runtime by design: a pool win
+/// smaller than this is declined.
+const POOL_MARGIN: f64 = 1.15;
 
 /// Per-update bound on how far one measurement can move the EWMA: the
 /// incoming measured/raw ratio is clamped to within this factor of the

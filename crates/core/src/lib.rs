@@ -214,3 +214,55 @@ impl core::fmt::Display for GemmError {
 }
 
 impl std::error::Error for GemmError {}
+
+#[cfg(test)]
+mod tests {
+    /// The attribute comment at the top of this file, held as a check:
+    /// `unsafe` blocks, functions and impls occur in exactly `lease.rs`,
+    /// `simd.rs` and `tile.rs`, and every other module carries
+    /// `#![forbid(unsafe_code)]`. This file cannot carry it — at the crate
+    /// root the attribute would cover the three — so it is only checked
+    /// to hold no unsafe code.
+    #[test]
+    fn unsafe_code_lives_in_three_modules_and_the_rest_forbid_it() {
+        let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut with_unsafe = Vec::new();
+        for entry in std::fs::read_dir(&src).expect("the crate's sources are readable") {
+            let path = entry.expect("directory entry").path();
+            let name = path
+                .file_name()
+                .and_then(|n| n.to_str())
+                .expect("utf-8 file name")
+                .to_owned();
+            if !name.ends_with(".rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source file is utf-8");
+            // The keyword as a word of its own, then `{`, `fn` or `impl`,
+            // outside comments.
+            let uses_the_keyword = text
+                .lines()
+                .map(str::trim_start)
+                .filter(|line| !line.starts_with("//"))
+                .any(|line| {
+                    let words: Vec<&str> = line
+                        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '{'))
+                        .filter(|w| !w.is_empty())
+                        .collect();
+                    words
+                        .windows(2)
+                        .any(|w| w[0] == "unsafe" && matches!(w[1], "{" | "fn" | "impl"))
+                });
+            if uses_the_keyword {
+                with_unsafe.push(name);
+            } else if name != "lib.rs" {
+                assert!(
+                    text.lines().any(|line| line == "#![forbid(unsafe_code)]"),
+                    "{name} holds no unsafe code, so it must carry #![forbid(unsafe_code)]"
+                );
+            }
+        }
+        with_unsafe.sort();
+        assert_eq!(with_unsafe, ["lease.rs", "simd.rs", "tile.rs"]);
+    }
+}

@@ -575,7 +575,7 @@ impl<T: Scalar> GemmArena<T> {
 
     /// Buffers constructed from scratch (cold path). Stable across calls
     /// once the arena has warmed up on a shape — the steady-state
-    /// zero-allocation criterion the tests assert.
+    /// zero-allocation condition the tests assert.
     #[must_use]
     pub fn fresh_buffers(&self) -> u64 {
         self.fresh

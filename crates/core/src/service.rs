@@ -32,6 +32,8 @@
 //! the scheduler is one named thread, so the layer works (and is
 //! testable) in a plain threaded process.
 
+#![forbid(unsafe_code)]
+
 use crate::batch::gemm_batch_with_cache;
 use crate::faults;
 use crate::gemm::{env_u64, GemmConfig};

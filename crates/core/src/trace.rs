@@ -566,7 +566,7 @@ pub fn health_events() -> Vec<HealthEvent> {
 /// [`HealthEventKind::ALL`] order (unlike the journal ring, these never
 /// forget).
 #[must_use]
-pub fn health_counts() -> [(HealthEventKind, u64); HEALTH_KINDS] {
+pub(crate) fn health_counts() -> [(HealthEventKind, u64); HEALTH_KINDS] {
     std::array::from_fn(|i| {
         (
             HealthEventKind::ALL[i],
@@ -579,8 +579,8 @@ pub fn health_counts() -> [(HealthEventKind, u64); HEALTH_KINDS] {
 // Span recording (feature-gated hot path).
 // ---------------------------------------------------------------------
 
+pub use rec::events_for;
 pub(crate) use rec::{adopt, bridge_phase, capture, current_id, record_event, record_span};
-pub use rec::{events_for, recent_events};
 
 #[cfg(feature = "trace")]
 pub(crate) use rec::TraceCtx;
@@ -815,17 +815,6 @@ mod rec {
         }
         scan(|e| e.trace == trace)
     }
-
-    /// The newest `max` surviving ring events across every trace,
-    /// oldest first (the chrome-trace artifact export).
-    #[must_use]
-    pub fn recent_events(max: usize) -> Vec<TraceEventRec> {
-        let mut all = scan(|_| true);
-        if all.len() > max {
-            all.drain(..all.len() - max);
-        }
-        all
-    }
 }
 
 #[cfg(not(feature = "trace"))]
@@ -892,12 +881,6 @@ mod rec {
     /// Always empty without the `trace` feature.
     #[must_use]
     pub fn events_for(_trace: u64) -> Vec<TraceEventRec> {
-        Vec::new()
-    }
-
-    /// Always empty without the `trace` feature.
-    #[must_use]
-    pub fn recent_events(_max: usize) -> Vec<TraceEventRec> {
         Vec::new()
     }
 }
@@ -1078,6 +1061,5 @@ mod tests {
         assert_eq!(core::mem::size_of::<rec::TraceScope>(), 0);
         assert_eq!(mode(), TraceMode::Off);
         assert!(events_for(1).is_empty());
-        assert!(recent_events(10).is_empty());
     }
 }

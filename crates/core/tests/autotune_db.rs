@@ -239,8 +239,8 @@ fn populated_db_drives_auto_config_selection() {
 
 /// The closed loop end to end: a sweep through the public API (explicitly,
 /// with a tiny budget — the transparent Full-mode path shares this code
-/// and is exercised per-process by the CI smoke job) lands a winner under
-/// the family's dtype, and a fresh Read-mode config serves it.
+/// and is taken by `full_mode_first_miss_tunes_in_the_background`) lands a
+/// winner under the family's dtype, and a fresh Read-mode config serves it.
 fn sweep_persists_and_rereads<K: KernelFamily>() {
     let path = scratch(&format!("full-loop-{}.json", K::DTYPE));
     let _ = std::fs::remove_file(&path);

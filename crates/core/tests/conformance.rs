@@ -19,14 +19,16 @@
 //! leak into the result. The oracle itself is evaluated on a zeroed C
 //! when β = 0 so the comparison can't be poisoned either.
 //!
-//! The CI conformance matrix re-runs this binary under
-//! `DGEMM_NUM_THREADS ∈ {1, 2, 8}` and with default / no-default /
-//! fault-injection features; [`auto_config_conforms_in_this_environment`]
-//! is the case that picks those env knobs up.
+//! Every case builds its configuration explicitly, so the suite does not
+//! depend on the environment it runs in: what `DGEMM_NUM_THREADS`,
+//! `DGEMM_DISPATCH` and `DGEMM_PACK_CACHE` can make of
+//! `GemmConfig::auto()` is swept in process by
+//! [`auto_config_conforms_in_this_environment`], which also takes one
+//! pass through `auto()` itself.
 
 use dgemm_core::batch::gemm_batch_shared_b;
 use dgemm_core::dispatch::DispatchMode;
-use dgemm_core::gemm::{try_gemm, GemmConfig};
+use dgemm_core::gemm::{try_gemm, GemmConfig, KernelFamily};
 use dgemm_core::matrix::{Matrix, MatrixView};
 use dgemm_core::microkernel::MicroKernelKind;
 use dgemm_core::pool::PoolScalar;
@@ -778,7 +780,7 @@ fn pooled_ragged_tiles_stay_inside_their_bands_and_inside_c() {
 /// several panels.
 #[test]
 fn every_pool_grid_is_bit_identical_to_serial() {
-    const DEGREES: [usize; 4] = [1, 2, 3, 5];
+    const DEGREES: [usize; 5] = [1, 2, 3, 5, 8];
     let transposes = [Transpose::No, Transpose::Yes];
     let ragged = Some((16, 24, 30));
     for ((m, n, k), blocks) in [
@@ -890,13 +892,15 @@ fn every_pool_grid_is_bit_identical_to_serial() {
     }
 }
 
-/// The environment-driven configuration (what the CI conformance and
-/// dispatch matrices vary: `DGEMM_NUM_THREADS`, `DGEMM_PACK_CACHE`,
-/// `DGEMM_DISPATCH`) conforms on a shape large enough to engage
-/// several layer-3 blocks.
+/// Everything `GemmConfig::auto()` can return for the default kernel —
+/// thread count × dispatch mode × pack cache, the three things
+/// `DGEMM_NUM_THREADS`, `DGEMM_DISPATCH` and `DGEMM_PACK_CACHE` set —
+/// built explicitly, on a shape large enough to engage several layer-3
+/// blocks; then `auto()` itself once, so whatever `DGEMM_*` a developer
+/// has exported is honoured too. Parsing those variables is pinned where
+/// it happens (`gemm.rs` unit tests).
 #[test]
 fn auto_config_conforms_in_this_environment() {
-    let cfg = GemmConfig::auto().expect("auto config must parse in CI environments");
     let (m, n, k) = (97, 64, 51);
     let a = Matrix::random(m, k, 91);
     let b = Matrix::random(k, n, 92);
@@ -912,46 +916,52 @@ fn auto_config_conforms_in_this_environment() {
         -0.25,
         &mut want.view_mut(),
     );
+    let run = |cfg: &GemmConfig| {
+        let mut c = c0.clone();
+        try_gemm(
+            Transpose::No,
+            Transpose::No,
+            1.5,
+            &a.view(),
+            &b.view(),
+            -0.25,
+            &mut c.view_mut(),
+            cfg,
+        )
+        .unwrap_or_else(|e| panic!("{cfg:?}: {e}"));
+        c
+    };
+    let conforms = |cfg: GemmConfig| {
+        // the serial uncached walk of the same blocking, for the bits
+        let base = run(&cfg
+            .with_parallelism(Parallelism::Serial)
+            .with_dispatch(DispatchMode::Fixed)
+            .with_pack_cache(false));
+        let got = run(&cfg);
+        assert!(got.max_abs_diff(&want) <= gemm_tolerance(k, 4.0), "{cfg:?}");
+        assert_eq!(
+            got.view().data(),
+            base.view().data(),
+            "{cfg:?} diverges bitwise from serial"
+        );
+    };
 
-    // the serial uncached reference for bitwise comparison
-    let serial = cfg
-        .with_parallelism(Parallelism::Serial)
-        .with_pack_cache(false);
-    let mut base = c0.clone();
-    try_gemm(
-        Transpose::No,
-        Transpose::No,
-        1.5,
-        &a.view(),
-        &b.view(),
-        -0.25,
-        &mut base.view_mut(),
-        &serial,
-    )
-    .unwrap();
-
-    let mut got = c0.clone();
-    try_gemm(
-        Transpose::No,
-        Transpose::No,
-        1.5,
-        &a.view(),
-        &b.view(),
-        -0.25,
-        &mut got.view_mut(),
-        &cfg,
-    )
-    .unwrap();
-
-    assert!(got.max_abs_diff(&want) <= gemm_tolerance(k, 4.0));
-    assert_eq!(
-        got.view().data(),
-        base.view().data(),
-        "auto() configuration (threads={}, cache={}) diverges bitwise from serial",
-        cfg.threads(),
-        cfg.pack_cache
-    );
-    if cfg.pack_cache {
-        f64::pack_cache().invalidate(&b.view());
+    for threads in [1, 2, 8] {
+        for mode in [
+            DispatchMode::Fixed,
+            DispatchMode::Serial,
+            DispatchMode::Pool,
+            DispatchMode::Auto,
+        ] {
+            for cached in [false, true] {
+                conforms(
+                    GemmConfig::for_kernel(MicroKernelKind::DEFAULT, threads)
+                        .with_dispatch(mode)
+                        .with_pack_cache(cached),
+                );
+            }
+        }
     }
+    conforms(GemmConfig::auto().expect("auto config must parse in this environment"));
+    f64::pack_cache().invalidate(&b.view());
 }

@@ -8,7 +8,10 @@
 //!
 //! Everything here runs with the `trace` feature on or off: the
 //! histogram/journal surface is always compiled, and the
-//! ring-dependent assertions guard on [`trace::enabled`].
+//! ring-dependent assertions guard on [`trace::enabled`]. The same two
+//! checkers are applied to what a real service answers over loopback
+//! TCP, and (with `fault-injection`) a seeded fault must reach the
+//! journal under the trace ID of the request it hit.
 
 use dgemm_core::gemm::GemmConfig;
 use dgemm_core::matrix::Matrix;
@@ -18,10 +21,22 @@ use dgemm_core::trace::{self, HealthEventKind, LatencyHistogram, TraceKind, HIST
 use dgemm_core::util::SplitMix64;
 use dgemm_core::Transpose;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 mod common;
+
+/// Fault plans are process-global. The seeded-fault case holds this
+/// exclusively while its plan is installed and every other case that
+/// runs a service holds it shared, so the one armed fault can only fire
+/// in the request it is asserted on.
+static FAULT_PLAN: RwLock<()> = RwLock::new(());
+
+fn no_fault_plan() -> RwLockReadGuard<'static, ()> {
+    FAULT_PLAN.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn service_cfg() -> ServiceConfig {
     ServiceConfig {
@@ -122,11 +137,11 @@ fn family_of<'n>(name: &'n str, types: &BTreeMap<String, String>) -> &'n str {
     name
 }
 
-#[test]
-fn metrics_text_passes_exposition_grammar() {
-    let svc = GemmService::new(service_cfg());
-    run_workload(&svc);
-    let text = svc.metrics_text();
+/// The exposition grammar: typed families, samples that parse and
+/// belong to a declared family, integral counters, and histograms whose
+/// cumulative buckets are monotone and end in a `+Inf` equal to
+/// `_count`. Returns the declared families (name → type).
+fn check_exposition(text: &str) -> BTreeMap<String, String> {
     assert!(text.ends_with('\n'), "exposition must end with a newline");
 
     let mut types: BTreeMap<String, String> = BTreeMap::new();
@@ -167,17 +182,6 @@ fn metrics_text_passes_exposition_grammar() {
             );
         }
     }
-
-    // The workload must have produced at least the service counters and
-    // one histogram family.
-    assert!(types.contains_key("dgemm_service_admitted_total"));
-    assert_eq!(
-        types
-            .get("dgemm_request_total_latency_us")
-            .map(String::as_str),
-        Some("histogram"),
-        "served workload must expose the total-latency histogram"
-    );
 
     // Histogram internal consistency, per (family, series-labels):
     // cumulative buckets monotone in le, +Inf present and equal to
@@ -230,6 +234,28 @@ fn metrics_text_passes_exposition_grammar() {
             assert!(sums.contains_key(key), "{fam}{key}: missing _sum");
         }
     }
+    types
+}
+
+/// The families a served workload must have produced: the service
+/// counters and the total-latency histogram.
+fn assert_workload_families(types: &BTreeMap<String, String>) {
+    assert!(types.contains_key("dgemm_service_admitted_total"));
+    assert_eq!(
+        types
+            .get("dgemm_request_total_latency_us")
+            .map(String::as_str),
+        Some("histogram"),
+        "served workload must expose the total-latency histogram"
+    );
+}
+
+#[test]
+fn metrics_text_passes_exposition_grammar() {
+    let _shared = no_fault_plan();
+    let svc = GemmService::new(service_cfg());
+    run_workload(&svc);
+    assert_workload_families(&check_exposition(&svc.metrics_text()));
     svc.shutdown();
 }
 
@@ -338,12 +364,10 @@ fn json_u64_field(doc: &str, field: &str) -> u64 {
         .unwrap_or_else(|_| panic!("{field} is not an integer"))
 }
 
-#[test]
-fn status_json_is_valid_and_carries_the_schema() {
-    let svc = GemmService::new(service_cfg());
-    run_workload(&svc);
-    let doc = svc.status_json();
-    assert_valid_json(&doc);
+/// A `/status` body after a served workload: valid JSON, the
+/// `dgemm-telem-v1` service schema with every field present.
+fn check_status(doc: &str) {
+    assert_valid_json(doc);
     assert!(doc.starts_with("{\"schema\":\"dgemm-telem-v1\",\"kind\":\"service\""));
     for field in [
         "\"queue_depth\":",
@@ -369,6 +393,15 @@ fn status_json_is_valid_and_carries_the_schema() {
         doc.contains("\"metric\":\"total\""),
         "served workload produced no total-latency histogram row: {doc}"
     );
+}
+
+#[test]
+fn status_json_is_valid_and_carries_the_schema() {
+    let _shared = no_fault_plan();
+    let svc = GemmService::new(service_cfg());
+    run_workload(&svc);
+    let doc = svc.status_json();
+    check_status(&doc);
 
     // Staleness signals: seq strictly monotone per snapshot, uptime
     // monotone.
@@ -457,6 +490,7 @@ fn trace_chain_covers_the_ticket_lifecycle() {
     if !trace::enabled() || trace::mode() == trace::TraceMode::Off {
         return; // `trace` feature off / DGEMM_TRACE=off: ring is empty.
     }
+    let _shared = no_fault_plan();
     let svc = GemmService::new(service_cfg());
     // Large enough that compute dominates the bridged span accounting
     // on whatever kernel runs: an eighth of the filler's work, tens of
@@ -507,8 +541,24 @@ fn trace_chain_covers_the_ticket_lifecycle() {
     svc.shutdown();
 }
 
+/// `dgemm_health_events_total{kind=...}` as `/metrics` reports it: the
+/// journal's per-kind totals, process-wide and monotone (sibling cases
+/// can only add to them).
+fn health_total(svc: &GemmService, kind: &str) -> u64 {
+    svc.metrics_text()
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(parse_sample)
+        .find(|s| {
+            s.name == "dgemm_health_events_total"
+                && s.labels.get("kind").map(String::as_str) == Some(kind)
+        })
+        .map_or(0, |s| s.value as u64)
+}
+
 #[test]
 fn sheds_land_in_the_health_journal_with_trace_ids() {
+    let _shared = no_fault_plan();
     // `None` = journal empty at test start (seqs start at 0, so a 0
     // sentinel would wrongly exclude the very first event).
     let watermark = trace::health_events().last().map(|e| e.seq);
@@ -516,6 +566,7 @@ fn sheds_land_in_the_health_journal_with_trace_ids() {
         tenant_quota: 1,
         ..service_cfg()
     });
+    let sheds_before = health_total(&svc, "shed");
     // Park the scheduler on a big request so follow-ups provably queue.
     let n = common::filler_edge();
     let busy = svc
@@ -569,7 +620,110 @@ fn sheds_land_in_the_health_journal_with_trace_ids() {
         sheds.iter().all(|e| e.trace != 0),
         "shed journal entries must carry trace IDs: {sheds:?}"
     );
+    assert!(
+        health_total(&svc, "shed") >= sheds_before + shed_count as u64,
+        "dgemm_health_events_total lost quota sheds"
+    );
     busy.wait().expect("filler serves");
     first.wait().expect("first quota request serves");
+    svc.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// The scrape endpoint, over a socket.
+// ---------------------------------------------------------------------
+
+/// One `GET path` against the endpoint; returns (response head, body).
+fn scrape(addr: SocketAddr, path: &str) -> (String, String) {
+    let mut s = TcpStream::connect(addr).expect("connect to the scrape endpoint");
+    s.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("socket timeout");
+    write!(s, "GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").expect("send request");
+    let mut response = String::new();
+    s.read_to_string(&mut response).expect("read response");
+    let (head, body) = response
+        .split_once("\r\n\r\n")
+        .unwrap_or_else(|| panic!("malformed response to {path}: {response:?}"));
+    (head.to_string(), body.to_string())
+}
+
+/// `metricsd`'s unit test serves a fake source and the cases above call
+/// the renderers directly; this one scrapes a real service through
+/// `serve_metrics` over loopback TCP and holds the bodies to the same
+/// two checkers.
+#[test]
+fn a_real_service_scrapes_over_tcp() {
+    let _shared = no_fault_plan();
+    let svc = GemmService::new(service_cfg());
+    run_workload(&svc);
+    let endpoint = svc.serve_metrics("127.0.0.1:0").expect("bind loopback");
+    let addr = endpoint.local_addr();
+
+    let (head, body) = scrape(addr, "/metrics");
+    assert!(head.starts_with("HTTP/1.1 200"), "/metrics: {head}");
+    assert_workload_families(&check_exposition(&body));
+    let (head, body) = scrape(addr, "/status");
+    assert!(head.starts_with("HTTP/1.1 200"), "/status: {head}");
+    check_status(&body);
+    let (head, _) = scrape(addr, "/nope");
+    assert!(head.starts_with("HTTP/1.1 404"), "unknown path: {head}");
+
+    drop(endpoint);
+    svc.shutdown();
+}
+
+/// A fault injected while a request executes is attributable: its
+/// `fault_injected` journal entry carries the trace ID of the request
+/// whose context it fired in (`faults::injected` reads the thread's
+/// current ID). Seed 5 arms the scheduler stall for the first or second
+/// group a service executes; each request below is a group of its own.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn a_seeded_fault_is_journaled_under_the_request_it_hit() {
+    use dgemm_core::faults::{self, FaultPlan};
+
+    let _exclusive = FAULT_PLAN.write().unwrap_or_else(PoisonError::into_inner);
+    let plan = FaultPlan::from_seed_service(5);
+    assert!(
+        plan.service_stall.is_some(),
+        "seed 5 must arm the service-layer stall: {plan:?}"
+    );
+    let watermark = trace::health_events().last().map(|e| e.seq);
+    let svc = GemmService::new(service_cfg());
+    let injected_before = health_total(&svc, "fault_injected");
+    faults::install(plan);
+    let b = Arc::new(Matrix::random(48, 64, 2));
+    let ids: Vec<u64> = (0..2)
+        .map(|i| {
+            let a = Arc::new(Matrix::random(32, 48, 200 + i));
+            let ticket = svc
+                .submit("chaos", 1.0, a, Transpose::No, Arc::clone(&b))
+                .expect("admitted");
+            let id = ticket.id();
+            ticket.wait().expect("a stalled scheduler still serves");
+            id
+        })
+        .collect();
+    faults::clear();
+
+    let injected: Vec<_> = trace::health_events()
+        .into_iter()
+        .filter(|e| watermark.is_none_or(|w| e.seq > w))
+        .filter(|e| e.kind == HealthEventKind::FaultInjected)
+        .collect();
+    assert_eq!(injected.len(), 1, "one armed fault, once: {injected:?}");
+    assert_eq!(injected[0].cause, "service_stall");
+    assert_eq!(
+        health_total(&svc, "fault_injected"),
+        injected_before + 1,
+        "dgemm_health_events_total must count the injected fault"
+    );
+    // Without the `trace` feature no thread has a current ID to report.
+    if trace::enabled() {
+        assert!(
+            ids.contains(&injected[0].trace),
+            "the fault must carry the ID of the request it stalled ({ids:?}): {injected:?}"
+        );
+    }
     svc.shutdown();
 }

@@ -317,10 +317,23 @@ fn healthy_pool_serves_a_stream_without_shedding() {
     }
     let status = svc.status_json();
     assert!(status.contains("\"schema\":\"dgemm-telem-v1\""), "{status}");
-    assert!(status.contains("\"shed_overload\":0"), "{status}");
-    assert!(status.contains("\"shed_quota\":0"), "{status}");
+    assert!(status.contains("\"admitted\":20"), "{status}");
     assert!(status.contains("\"completed\":20"), "{status}");
     assert!(status.contains("\"queue_depth\":0"), "{status}");
+    // a healthy pool neither sheds nor walks any rung of the fault ladder
+    for idle in [
+        "shed_overload",
+        "shed_quota",
+        "rejected",
+        "deadline_misses",
+        "degraded",
+        "panics_contained",
+    ] {
+        assert!(
+            status.contains(&format!("\"{idle}\":0")),
+            "{idle}: {status}"
+        );
+    }
 }
 
 #[test]

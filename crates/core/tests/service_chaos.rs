@@ -5,7 +5,7 @@
 //! panic, stalled worker, spawn failure, allocation failure, worker
 //! death) plus the two service-level ones (queue stall, coalesced-batch
 //! panic) — and a concurrent multi-tenant load is driven through a
-//! [`GemmService`]. The gate, the same one CI's chaos-soak job holds:
+//! [`GemmService`]. The gate:
 //!
 //! * **No lost responses** — every admitted request resolves exactly
 //!   once (every ticket's `wait` returns).
@@ -195,7 +195,7 @@ fn every_seeded_service_fault_keeps_the_exactly_once_contract() {
 
 /// A healthy (fault-free) service under the same concurrent load sheds
 /// nothing and serves everything — the bounded-shed-rate half of the
-/// CI gate.
+/// gate.
 #[test]
 fn healthy_service_serves_the_full_load_without_shedding() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -219,8 +219,8 @@ fn healthy_service_serves_the_full_load_without_shedding() {
     assert!(status.contains("\"shed_quota\":0"), "{status}");
 }
 
-/// Replay a single seed supplied via `DGEMM_FAULT_SEED` (the CI
-/// chaos-soak job sweeps this).
+/// Replay a single seed supplied via `DGEMM_FAULT_SEED` — the tool for
+/// reproducing one failure of the sweep above in isolation.
 #[test]
 fn seeded_service_run_from_env() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
