@@ -5,23 +5,22 @@
 //! (one weight matrix against many inputs, one basis against many
 //! right-hand sides), the packed form can be reused across the whole
 //! batch — the packing cost is paid once instead of `batch` times. This
-//! module exposes that reuse on top of the same layers 3–7.
+//! module exposes that reuse: it checks the batch and hands it to the
+//! driver every GEMM goes through (`gemm::gemm_driver`), where
+//! each entry's `mc` blocks are row tasks of the one walk.
 
 #![forbid(unsafe_code)]
 
-use crate::dispatch::DispatchMode;
 use crate::gemm::GemmConfig;
 use crate::matrix::{MatrixView, MatrixViewMut};
-use crate::microkernel::KernelSet;
-use crate::parallel::{run_layer3, Layer3Params};
-use crate::pool::{gemm_pooled, Parallelism, PoolScalar};
-use crate::tile::TileMut;
+use crate::pool::PoolScalar;
 use crate::{GemmError, Transpose};
-use std::time::Instant;
 
 /// `C_i := α·A_i·op(B) + β·C_i` for every `(A_i, C_i)` pair, with the
-/// shared `op(B)` packed once per `(jj, kk)` macro-iteration and reused
-/// across the batch.
+/// shared `op(B)` packed once per `(jj, kk)` macro-iteration — by each
+/// cell of the grid for its own columns — and reused across the batch. (A
+/// batch of one `mc` block has nothing to reuse a pack and reads B in
+/// place, as the same call through `gemm` does.)
 ///
 /// All `A_i` must share dimensions `m×k` (stored, non-transposed), all
 /// `C_i` must be `m×n`.
@@ -34,11 +33,7 @@ pub fn gemm_batch_shared_b(
     c_batch: &mut [MatrixViewMut<'_>],
     cfg: &GemmConfig,
 ) -> Result<(), GemmError> {
-    let cache = if cfg.pack_cache {
-        Some(f64::pack_cache())
-    } else {
-        None
-    };
+    let cache = cfg.pack_cache.then(f64::pack_cache);
     gemm_batch_with_cache(alpha, a_batch, transb, b, beta, c_batch, cfg, cache)
 }
 
@@ -88,129 +83,21 @@ pub(crate) fn gemm_batch_with_cache(
         ));
     }
 
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        for c in c_batch.iter_mut() {
-            c.scale(beta);
-        }
-        return Ok(());
-    }
-
-    // A weight-reuse batch is the pack cache's home turf: the shared
-    // operand is packed once per *cache lifetime* instead of once per
-    // call. The Arc clone keeps the panels alive even if the entry is
-    // evicted mid-batch.
-    let prepacked = cache.and_then(|cache| {
-        cache.get_or_pack(b, transb, cfg.kernel.nr(), cfg.blocks.kc, cfg.blocks.nc)
-    });
-    let prepacked = prepacked.as_deref();
-
-    // Shape-adaptive dispatch (DESIGN.md §13): the whole batch shares
-    // one decision — every entry contributes its row tasks to the one
-    // grid.
-    let plan = match cfg.dispatch {
-        DispatchMode::Fixed => None,
-        mode => Some(crate::dispatch::decide(
-            mode,
-            m,
-            n,
-            k,
-            a_batch.len(),
-            &cfg.blocks,
-            cfg.kernel.nr(),
-            cfg.kernel.flops_per_cycle(),
-            cfg.parallelism.degree(),
-            transb,
-            prepacked.is_some(),
-        )),
-    };
-    let start = Instant::now();
-    let result = match plan.map_or(cfg.parallelism, |p| p.runtime) {
-        // every entry's mc-blocks are row tasks of the same grid
-        Parallelism::Pool(threads) => gemm_pooled(
-            Transpose::No,
-            transb,
-            alpha,
-            a_batch,
-            b,
-            beta,
-            c_batch,
-            cfg.kernel,
-            cfg.blocks,
-            threads,
-            cfg.epoch_timeout,
-            prepacked,
-        ),
-        Parallelism::Serial => {
-            for c in c_batch.iter_mut() {
-                c.scale(beta);
-            }
-            batch_serial(alpha, a_batch, transb, b, c_batch, cfg, prepacked);
-            Ok(())
-        }
-    };
-    if let Some(plan) = plan {
-        crate::dispatch::record(plan, start.elapsed());
-    }
-    result
-}
-
-/// The serial batched driver: the shared operand is packed once per
-/// `(jj, kk)` macro-iteration (or borrowed from a pre-packed cache entry)
-/// and layer 3 runs for each batch entry against it — ONE packed-A block
-/// buffer and ONE packed-B panel, both from the caller's arena, across
-/// blocks, macro-iterations and batch entries.
-fn batch_serial(
-    alpha: f64,
-    a_batch: &[MatrixView<'_>],
-    transb: Transpose,
-    b: &MatrixView<'_>,
-    c_batch: &mut [MatrixViewMut<'_>],
-    cfg: &GemmConfig,
-    prepacked: Option<&crate::prepack::PrepackedB>,
-) {
-    let (m, k) = (a_batch[0].rows(), a_batch[0].cols());
-    let n = c_batch[0].cols();
-    let (kc, mc, nc) = (cfg.blocks.kc, cfg.blocks.mc, cfg.blocks.nc);
-    f64::with_arena(|arena| {
-        let mut slot = arena.take_slot(cfg.kernel.mr());
-        let mut packed_b = arena.take_panel(cfg.kernel.nr());
-        let mut jj = 0usize;
-        while jj < n {
-            let nc_eff = nc.min(n - jj);
-            let mut kk = 0usize;
-            while kk < k {
-                let kc_eff = kc.min(k - kk);
-                // pack the shared operand ONCE for the whole batch — or
-                // skip even that when a pre-packed tile is available
-                let pb: &crate::pack::PackedB = match prepacked {
-                    Some(pp) => pp.panel(jj, kk),
-                    None => {
-                        packed_b.pack(b, transb, kk, jj, kc_eff, nc_eff);
-                        &packed_b
-                    }
-                };
-                for (a, c) in a_batch.iter().zip(c_batch.iter_mut()) {
-                    let params = Layer3Params {
-                        a,
-                        transa: Transpose::No,
-                        kk,
-                        kc_eff,
-                        alpha,
-                        kernel: cfg.kernel,
-                        mc,
-                    };
-                    let mut panel_view = c.sub_mut(0, jj, m, nc_eff);
-                    let ld = panel_view.ld();
-                    let panel = TileMut::from_slice(m, nc_eff, ld, panel_view.data_mut());
-                    run_layer3(params, pb, panel, slot.pa_mut());
-                }
-                kk += kc_eff;
-            }
-            jj += nc_eff;
-        }
-        arena.put_slot(slot);
-        arena.put_panel(packed_b);
-    });
+    crate::gemm::gemm_driver(
+        Transpose::No,
+        transb,
+        alpha,
+        a_batch,
+        b,
+        beta,
+        c_batch,
+        cfg.kernel,
+        cfg.blocks,
+        cfg.parallelism,
+        cfg.epoch_timeout,
+        cache,
+        cfg.dispatch,
+    )
 }
 
 #[cfg(test)]

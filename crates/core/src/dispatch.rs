@@ -5,12 +5,14 @@
 //! per panel, and a barrier costs more than the threads save. This
 //! module decides, per `gemm()` call:
 //!
-//! 1. **runtime** — Serial or Pool — by comparing the analytic
-//!    prediction of `perfmodel::model` eq. (4) ([`time_bound`])
-//!    for the serial walk with the same bound for the plan the pool
-//!    would run: the grid of [`crate::pool::cell_grid`], every cell
-//!    packing its own operands and staging its own part of C, a thread's
-//!    share of that work plus one barrier per panel and one job per cell
+//! 1. **runtime** — Serial or Pool, the same walk
+//!    (`pool::gemm_walk`) as one cell per panel on the calling
+//!    thread or as a grid on the pool — by comparing the analytic
+//!    prediction of `perfmodel::model` eq. (4) ([`time_bound`]) for the
+//!    one cell with the same bound for the plan the pool would run: the
+//!    grid of [`crate::pool::cell_grid`], every cell packing its own
+//!    operands and staging its own part of C, a thread's share of that
+//!    work plus one barrier per panel and one job per cell
 //!    ([`pooled_time_bound`]);
 //! 2. **calibration** — the model is a bound, not a stopwatch, so each
 //!    runtime keeps an EWMA ratio of measured/predicted time from past
@@ -283,7 +285,7 @@ fn decide_calibrated(
     let batch = batch.max(1);
 
     // The grid the pool would run ([`crate::pool::cell_grid`], for a
-    // full-width panel) and whether either walk packs B at all: not when
+    // full-width panel) and whether either runtime packs B at all: not when
     // it is cached, and not when a single GEBP per panel leaves the pack
     // nothing to be amortized over.
     let row_tasks = m.div_ceil(mc) * batch;
@@ -293,7 +295,7 @@ fn decide_calibrated(
     let cells = row_ranges * col_chunks;
 
     // Model inputs, in the units of perfmodel::model (flops, words,
-    // cycles). The serial walk packs A once per jj panel and B once. On
+    // cycles). A serial call packs A once per jj panel and B once. On
     // the pool every cell packs its own operands — A once per column
     // chunk, B once per row range — and stages its part of C in and out;
     // all of it is divided work: a thread's share is the cells it runs
@@ -486,12 +488,12 @@ mod tests {
 
     #[test]
     fn a_single_block_serial_plan_carries_no_pack_b_term() {
-        // The serial walk reads B in place when one GEBP per panel would
+        // A serial call reads B in place when one GEBP per panel would
         // be all that used the packed copy (gemm::packs_b), so its
         // prediction must lose exactly the words of that pack: what is
         // left is eq. (4) over the pack-A words alone, which is also what
         // a cached B is charged. A transposed B and a second mc block
-        // keep the pack and its term, on the pool as on the serial walk.
+        // keep the pack and its term, on the pool as on one thread.
         let b = blocks(512, 56, 1920);
         let at = |m: usize, transb: Transpose, cached: bool| {
             let mode = DispatchMode::Auto;

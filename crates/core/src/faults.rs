@@ -7,7 +7,7 @@
 //!
 //! | site | hook | effect when fired |
 //! |------|------|-------------------|
-//! | job execution | `panic_in_job` | the GEBP job panics mid-epoch |
+//! | job execution | `panic_in_job` | a cell on the pool panics at one of its GEBPs, mid-epoch (counted per block; a `Parallelism::Serial` call runs the same cell body uncontained and never reaches the site) |
 //! | job execution | `slow_job_delay` | the job sleeps *before* it claims its cell, past the watchdog deadline (pool threads only) |
 //! | job execution | `stall_in_cell` | the job sleeps *after* the claim, holding the caller's operands (pool threads only) |
 //! | worker spawn  | `fail_spawn` | `thread::Builder::spawn` is treated as failed |
@@ -244,7 +244,8 @@ mod enabled {
             .is_some_and(|n| n.starts_with("dgemm-pool-"))
     }
 
-    /// Injection site: start of a pool job. Panics when the plan says so.
+    /// Injection site: a block of a cell computed on the pool, under its
+    /// `catch_unwind`. Panics when the plan says so.
     pub(crate) fn panic_in_job() {
         if fired(&PANIC_HITS, plan().and_then(|p| p.worker_panic)) {
             injected("worker_panic");

@@ -9,21 +9,25 @@
 //!       GEBP
 //! ```
 //!
-//! β is applied to C exactly once up front; α is folded into the
-//! micro-kernel write-back. The B pack is there for layer 3 to amortize:
-//! a serial call whose layer 3 is a single GEBP reads B in place instead
-//! ([`packs_b`]).
+//! The nest is written once, as `pool::gemm_walk`: layer 1
+//! there, layers 2 and 3 in the body of a cell of the panel — the whole
+//! panel under [`Parallelism::Serial`], one thread's share of it on the
+//! pool. This module holds the configuration, the entry points and the
+//! one sequence every call runs around the walk (`gemm_driver`).
+//!
+//! β is applied to each element of C exactly once, by the cell that owns
+//! it, before its first rank-kc update; α is folded into the micro-kernel
+//! write-back. The B pack is there for layer 3 to amortize: a call whose
+//! layer 3 is a single GEBP reads B in place instead ([`packs_b`]).
 
 #![forbid(unsafe_code)]
 
 use crate::autotune::AutotuneMode;
 use crate::dispatch::DispatchMode;
-use crate::gebp::BWindow;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
-use crate::parallel::{run_layer3, Layer3Params};
-use crate::pool::{gemm_pooled, Parallelism, PoolScalar, WorkerPool};
-use crate::tile::TileMut;
+use crate::pool::{gemm_walk, Parallelism, PoolScalar, WorkerPool};
+use crate::prepack::PackCache;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::MachineDesc;
@@ -389,7 +393,7 @@ pub fn try_gemm<K: KernelFamily>(
 
 /// The generic blocked GEMM core (any [`PoolScalar`], any [`KernelSet`]):
 /// the same layered loops serve the paper's DGEMM and the derived
-/// SGEMM ([`crate::sgemm`]).
+/// SGEMM ([`crate::sgemm`]). A batch of one through `gemm_driver`.
 ///
 /// `Ok(())` guarantees C holds the bit-exact serial result, even when
 /// the pool contained worker faults along the way;
@@ -415,32 +419,77 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
     let (kb, n) = transb.apply_dims(b.rows(), b.cols());
     assert_eq!(ka, kb, "inner dimensions differ");
     assert_eq!((c.rows(), c.cols()), (m, n), "output shape differs");
-    let k = ka;
+    gemm_driver(
+        transa,
+        transb,
+        alpha,
+        core::slice::from_ref(a),
+        b,
+        beta,
+        core::slice::from_mut(c),
+        kernel,
+        blocks,
+        parallelism,
+        epoch_timeout,
+        pack_cache.then(T::pack_cache),
+        dispatch,
+    )
+}
+
+/// What every call does around the walk, once: `C_i := α·op(A_i)·op(B) +
+/// β·C_i` over a batch that shares `op(B)` — a plain GEMM is a batch of
+/// one. A degenerate call is β·C and nothing else; otherwise look `b` up
+/// in `cache` (if any), let the dispatcher pick the runtime (unless
+/// `dispatch` is `Fixed`), run [`gemm_walk`], and tell the dispatcher how
+/// long its pick took. Shapes are the caller's to validate: every `A_i`
+/// alike and conforming with `b`, every `C_i` `m×n`.
+#[allow(clippy::too_many_arguments)] // the BLAS gemm signature plus the batch and the config
+pub(crate) fn gemm_driver<T: PoolScalar, K: KernelSet<T>>(
+    transa: Transpose,
+    transb: Transpose,
+    alpha: T,
+    a_batch: &[MatrixView<'_, T>],
+    b: &MatrixView<'_, T>,
+    beta: T,
+    c_batch: &mut [MatrixViewMut<'_, T>],
+    kernel: K,
+    blocks: BlockSizes,
+    parallelism: Parallelism,
+    epoch_timeout: Option<Duration>,
+    cache: Option<&PackCache<T>>,
+    dispatch: DispatchMode,
+) -> Result<(), GemmError> {
     assert!(
         blocks.kc > 0 && blocks.mc > 0 && blocks.nc > 0,
         "block sizes must be positive"
     );
+    let Some(first_a) = a_batch.first() else {
+        return Ok(());
+    };
+    let (m, k) = transa.apply_dims(first_a.rows(), first_a.cols());
+    let (_, n) = transb.apply_dims(b.rows(), b.cols());
 
     // α = 0 or an empty product: the call is β·C and nothing else.
     if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
-        c.scale(beta);
+        for c in c_batch.iter_mut() {
+            c.scale(beta);
+        }
         return Ok(());
     }
 
-    // The cache path: cloning the Arc here keeps the panels alive for
-    // the whole call even if the entry is evicted or invalidated
-    // concurrently. A failed pack (allocation) degrades to the
-    // per-call packing below, never to an error.
-    let prepacked = if pack_cache {
-        T::pack_cache().get_or_pack(b, transb, kernel.nr(), blocks.kc, blocks.nc)
-    } else {
-        None
-    };
+    // The cache path: the shared operand is packed once per cache
+    // lifetime instead of once per call. Cloning the Arc here keeps the
+    // panels alive for the whole call even if the entry is evicted or
+    // invalidated concurrently. A failed pack (allocation) degrades to
+    // the per-call packing of the walk, never to an error.
+    let prepacked =
+        cache.and_then(|cache| cache.get_or_pack(b, transb, kernel.nr(), blocks.kc, blocks.nc));
     let prepacked = prepacked.as_deref();
 
     // Fixed runs the configured runtime with no decision and no timing;
-    // any other mode asks the dispatcher. The pool's grid is the pool's
-    // own either way ([`crate::pool::cell_grid`]).
+    // any other mode asks the dispatcher (DESIGN.md §13). A batch shares
+    // one decision: every entry contributes its row tasks to the one
+    // grid, which is the walk's own either way ([`crate::pool::cell_grid`]).
     let plan = match dispatch {
         DispatchMode::Fixed => None,
         mode => Some(crate::dispatch::decide(
@@ -448,7 +497,7 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
             m,
             n,
             k,
-            1,
+            a_batch.len(),
             &blocks,
             kernel.nr(),
             kernel.flops_per_cycle(),
@@ -458,37 +507,30 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
         )),
     };
     let timed = plan.map(|plan| (plan, Instant::now()));
-    let result = match plan.map_or(parallelism, |p| p.runtime) {
-        Parallelism::Pool(threads) => gemm_pooled(
-            transa,
-            transb,
-            alpha,
-            core::slice::from_ref(a),
-            b,
-            beta,
-            core::slice::from_mut(c),
-            kernel,
-            blocks,
-            threads,
-            epoch_timeout,
-            prepacked,
-        ),
-        Parallelism::Serial => {
-            // β once, up front; the pool's cells apply it as they stage
-            c.scale(beta);
-            gemm_serial(transa, transb, alpha, a, b, c, kernel, blocks, prepacked);
-            Ok(())
-        }
-    };
+    let result = gemm_walk(
+        transa,
+        transb,
+        alpha,
+        a_batch,
+        b,
+        beta,
+        c_batch,
+        kernel,
+        blocks,
+        plan.map_or(parallelism, |p| p.runtime),
+        epoch_timeout,
+        prepacked,
+    );
     if let Some((plan, start)) = timed {
         crate::dispatch::record(plan, start.elapsed());
     }
     result
 }
 
-/// Whether the serial walk packs each `kc×nc` panel of B before layer 3
-/// runs over it — the one place that decision lives (DESIGN.md, "When B
-/// is packed"). The pack's traffic is amortized over the `gebps` GEBP
+/// Whether the walk packs B — each cell its columns of each `kc×nc`
+/// panel — before layer 3 runs over it: the one place that decision lives
+/// (DESIGN.md, "When B is packed"), for either runtime, a plain call or a
+/// batch. The pack's traffic is amortized over the `gebps` GEBP
 /// calls that share the panel (`⌈m/mc⌉`, times the entries of a batch);
 /// with one there is nothing to amortize it over and the kernels read B
 /// where the caller stored it. A transposed B keeps its pack: read in
@@ -499,74 +541,6 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
 #[must_use]
 pub(crate) fn packs_b(gebps: usize, transb: Transpose, prepacked: bool) -> bool {
     !prepacked && (gebps > 1 || transb == Transpose::Yes)
-}
-
-/// Serial layers 1–3, drawing the hoisted packed-A block and packed-B
-/// panel from the thread-local arena so repeated calls (and every
-/// macro-iteration within one) reuse the same two buffers.
-#[allow(clippy::too_many_arguments)]
-fn gemm_serial<T: PoolScalar, K: KernelSet<T>>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    c: &mut MatrixViewMut<'_, T>,
-    kernel: K,
-    blocks: BlockSizes,
-    prepacked: Option<&crate::prepack::PrepackedB<T>>,
-) {
-    let (m, k) = transa.apply_dims(a.rows(), a.cols());
-    let n = c.cols();
-    let BlockSizes { kc, mc, nc, .. } = blocks;
-    let pack_b = packs_b(m.div_ceil(mc), transb, prepacked.is_some());
-    T::with_arena(|arena| {
-        let mut slot = arena.take_slot(kernel.mr());
-        let mut packed_b = arena.take_panel(kernel.nr());
-        let mut gepp: u64 = 0;
-        let mut jj = 0usize;
-        while jj < n {
-            let nc_eff = nc.min(n - jj);
-            let mut kk = 0usize;
-            while kk < k {
-                let kc_eff = kc.min(k - kk);
-                gepp += 1;
-                crate::telemetry::set_gepp(gepp);
-                let params = Layer3Params {
-                    a,
-                    transa,
-                    kk,
-                    kc_eff,
-                    alpha,
-                    kernel,
-                    mc,
-                };
-                // C panel: all m rows, columns jj..jj+nc_eff
-                let mut panel_view = c.sub_mut(0, jj, m, nc_eff);
-                let ld = panel_view.ld();
-                let panel = TileMut::from_slice(m, nc_eff, ld, panel_view.data_mut());
-                let pa = slot.pa_mut();
-                // cached tiles are laid out exactly as `pack` would
-                // produce, and a window is addressed by the same kernels,
-                // so layer 3 is oblivious to the panel's origin
-                match prepacked {
-                    Some(pp) => run_layer3(params, pp.panel(jj, kk), panel, pa),
-                    None if pack_b => {
-                        packed_b.pack(b, transb, kk, jj, kc_eff, nc_eff);
-                        run_layer3(params, &packed_b, panel, pa);
-                    }
-                    None => {
-                        let window = BWindow::new(b, transb, kk, jj, kc_eff, nc_eff, kernel.nr());
-                        run_layer3(params, &window, panel, pa);
-                    }
-                }
-                kk += kc_eff;
-            }
-            jj += nc_eff;
-        }
-        arena.put_slot(slot);
-        arena.put_panel(packed_b);
-    });
 }
 
 #[cfg(test)]

@@ -39,9 +39,9 @@
 //! | [`microkernel`] | layer 7 | the `mr×nr` rank-1-update register kernels |
 //! | [`simd`] | layer 7 | the same kernels as runtime-detected `std::arch` SIMD+FMA code |
 //! | [`gebp`] | layers 4–6 | GEBP / GEBS / GESS loop nest over packed data |
-//! | [`gemm`] | layers 1–3 | `nc`/`kc`/`mc` blocking, β-scaling, driver |
-//! | [`parallel`] | layer 3 | serial walk + balanced band partitioning (Section IV-C) |
-//! | [`pool`] | layer 3 | persistent worker pool, the cell grid every thread packs and computes its share of, buffer arenas |
+//! | [`gemm`] | layers 1–3 | configuration (kernel, `kc`/`mc`/`nc` blocking, runtime), entry points, the one driver around the walk |
+//! | [`parallel`] | layer 3 | balanced band partitioning (Section IV-C) |
+//! | [`pool`] | layers 1–3 | the one walk over panels and cells — a serial call is one cell — the persistent worker pool, the cell grid every thread packs and computes its share of, buffer arenas |
 //! | [`prepack`] | layer 4 | pre-packed B operands and the weight-reuse pack cache |
 //! | [`blas`] | — | BLAS-style checked entry points |
 //! | [`level3`] | — | DSYRK/DSYMM/DTRSM built on the same GEBP engine |

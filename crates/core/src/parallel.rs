@@ -1,22 +1,14 @@
-//! Layer 3 (Section IV-C, Figure 9): the loop over `mc`-blocks of A.
+//! Layer 3 (Section IV-C, Figure 9): dealing the loop over `mc`-blocks
+//! of A out in balanced shares.
 //!
-//! In the paper every thread packs and multiplies its own `mc×kc` block
+//! In the paper every thread packs and multiplies its own `mc×kc` blocks
 //! of A against the packed `kc×nc` panel of B and updates its own rows
-//! of C. This module holds that walk for one thread ([`run_layer3`]) and
-//! the balanced partitioner ([`partition_rows`]). The parallel runtime
-//! lives in [`crate::pool`]: it cuts a panel into cells — runs of
-//! `mc`-blocks by runs of B slivers, both dealt out by `partition_rows`
-//! — and every thread packs and multiplies for the cells it runs.
+//! of C. [`partition_rows`] is the balanced partitioner behind that: the
+//! walk in [`crate::pool`] cuts a panel into cells — runs of `mc`-blocks
+//! by runs of B slivers, both dealt out by it — and the simulated machine
+//! (`simgemm::estimate`) splits its rows with it.
 
 #![forbid(unsafe_code)]
-
-use crate::gebp::BPanel;
-use crate::matrix::MatrixView;
-use crate::microkernel::KernelSet;
-use crate::pack::PackedA;
-use crate::scalar::Scalar;
-use crate::tile::TileMut;
-use crate::Transpose;
 
 /// Split `m` rows into at most `threads` contiguous bands of whole
 /// `unit`-row blocks (so no band ever splits a block), balanced to
@@ -45,60 +37,6 @@ pub fn partition_rows(m: usize, unit: usize, threads: usize) -> Vec<(usize, usiz
         block += nblocks;
     }
     bands
-}
-
-/// Parameters of one (jj, kk) macro-iteration, shared by all its blocks.
-#[derive(Clone, Copy)]
-pub struct Layer3Params<'a, T: Scalar = f64, K = crate::microkernel::MicroKernelKind> {
-    /// The full stored A operand (packing reads from it directly).
-    pub a: &'a MatrixView<'a, T>,
-    /// Transposition of A, folded into packing.
-    pub transa: Transpose,
-    /// Current depth offset `kk` into the columns of `op(A)`.
-    pub kk: usize,
-    /// Effective depth of this macro-iteration.
-    pub kc_eff: usize,
-    /// Scaling of the product.
-    pub alpha: T,
-    /// Register kernel to run.
-    pub kernel: K,
-    /// L2 block height `mc`.
-    pub mc: usize,
-}
-
-/// Run layer 3 serially over the whole M dimension on the calling
-/// thread. `c_panel` is the `m × nc_eff` band of C this macro-iteration
-/// updates; `b` is the panel of B every block multiplies (packed, or the
-/// caller's matrix in place); `pa` is the caller's (arena-recycled)
-/// packed-A buffer, reused across every `mc`-block, macro-iteration and
-/// GEMM call so the steady-state serial path allocates nothing.
-pub fn run_layer3<T: Scalar, K: KernelSet<T>>(
-    params: Layer3Params<'_, T, K>,
-    b: &impl BPanel<T>,
-    mut c_panel: TileMut<'_, T>,
-    pa: &mut PackedA<T>,
-) {
-    let rows = c_panel.rows();
-    let nc_eff = b.nc();
-    if nc_eff == 0 {
-        return;
-    }
-    let mut ii = 0usize;
-    while ii < rows {
-        let mc_eff = params.mc.min(rows - ii);
-        crate::telemetry::set_block(ii);
-        pa.pack(
-            params.a,
-            params.transa,
-            ii,
-            params.kk,
-            mc_eff,
-            params.kc_eff,
-        );
-        let mut sub = c_panel.sub_tile(ii, 0, mc_eff, nc_eff);
-        crate::gebp::gebp(params.kernel, params.alpha, pa, b, &mut sub);
-        ii += mc_eff;
-    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,19 @@
-//! Persistent worker-pool runtime for layer 3 (Section IV-C, Figure 9).
+//! Layers 1–3 at run time (Section IV-C, Figure 9): the one walk over a
+//! call's panels and cells, and the persistent worker pool that layer 3
+//! is dealt out to.
 //!
-//! The paper's layer 3 keeps one team of threads for the whole
-//! multiplication, and every thread packs its own block of A into its
-//! own L2 and works on its own part of the problem. For the paper's large
-//! problems how the team is kept hardly matters, but for the
-//! small/batched GEMMs layered workloads issue (LU panels, im2col
-//! convolutions, batched inference) a thread spawned or a packing buffer
-//! allocated per call costs more than the arithmetic. So the parallel
-//! runtime is a process-wide pool of persistent workers and per-thread
-//! buffer arenas:
+//! The paper's parallel DGEMM is not a second algorithm: it is the
+//! Figure-2 loop nest with layer 3 shared out over one team of threads,
+//! every thread packing its own block of A into its own L2 and working on
+//! its own part of the problem. So the nest is written once
+//! (`gemm_walk`): each `jj` panel is cut into cells, a cell's body is
+//! loops 2 and 3 on its piece, and [`Parallelism::Serial`] is the panel
+//! as one cell on the calling thread. For the paper's large problems how
+//! the team is kept hardly matters, but for the small/batched GEMMs
+//! layered workloads issue (LU panels, im2col convolutions, batched
+//! inference) a thread spawned or a packing buffer allocated per call
+//! costs more than the arithmetic. So the parallel runtime is a
+//! process-wide pool of persistent workers and per-thread buffer arenas:
 //!
 //! - **[`WorkerPool`]**: lazily started, detached worker threads parked
 //!   on an MPMC channel — after polling it for a while, so back-to-back
@@ -20,7 +25,8 @@
 //!   about one per thread, by the one pure function that minimises the
 //!   words a cell packs. Which loop is parallel is that function's
 //!   answer for the shape: columns for a square call or a single block,
-//!   rows for a tall narrow one or a batch against cached panels.
+//!   rows for a tall narrow one or a batch against cached panels; for one
+//!   thread, neither.
 //! - **[`GemmArena`]**: a thread-local free list of [`BlockSlot`]s
 //!   (packed-A buffer + C staging buffer) and packed-B panels. A cell
 //!   uses the arena of the thread that runs it, so packed operands are
@@ -29,14 +35,16 @@
 //!
 //! ## Cells that borrow the operands
 //!
-//! A cell's body is the serial walk on its own piece (`run_cell`):
-//! stage its part of C into a private buffer (applying β), then for every
-//! `kk` take **its own B columns** — packed into its own panel, or read
-//! in place, or addressed inside a [`PrepackedB`] tile, by the serial
-//! walk's own predicate (`gemm::packs_b`) — pack **its own A
-//! blocks** and GEBP; last, write the staged result back. Every element
-//! of C sees the kernel calls of the serial walk in the serial walk's
-//! `kk` order, whatever the grid, so every output bit is the serial one.
+//! A cell's body (`run_cell`) is the nest on its own piece: apply β to
+//! its part of C, then for every `kk` take **its own B columns** —
+//! packed into its own panel, or read in place, or addressed inside a
+//! [`PrepackedB`] tile, by the one predicate (`gemm::packs_b`) — pack
+//! **its own A blocks** and GEBP. On the pool it does so *staged*: on a
+//! private copy of its part of C, written back last. The serial call's
+//! one cell works straight on C. Every element of C sees the same kernel
+//! calls in the same `kk` order, whatever the grid and wherever it
+//! accumulates, so every output bit is the one-cell result by
+//! construction.
 //!
 //! Persistent workers outlive any one call, and the operands are the
 //! caller's borrows. The `lease` module bridges the two: a panel's operands
@@ -61,9 +69,11 @@
 //!
 //! ## Fault tolerance (DESIGN.md §10)
 //!
-//! The paper assumes every thread finishes its part; this runtime does
-//! not. Failures are contained at the cell level and the epoch always
-//! completes:
+//! The paper assumes every thread finishes its part; the pool does not.
+//! Failures are contained at the cell level and the epoch always
+//! completes. (A serial call has no second thread to fail and contains
+//! nothing — a panic unwinds into the caller; of the points below only
+//! the last is its own too, degrading inside its one cell.)
 //!
 //! - **Worker panics**: each cell runs under `catch_unwind`. C is
 //!   untouched until a cell's write-back, its last step, so the caller
@@ -544,19 +554,10 @@ pub struct BlockSlot<T: Scalar> {
     staging: Vec<T>,
 }
 
-impl<T: Scalar> BlockSlot<T> {
-    /// The slot's packed-A buffer — the serial path borrows it as its
-    /// hoisted per-call block buffer.
-    pub(crate) fn pa_mut(&mut self) -> &mut PackedA<T> {
-        &mut self.pa
-    }
-}
-
 /// Thread-local free lists of packing buffers, so steady-state GEMM
 /// calls allocate nothing on any thread: a cell takes one block slot and
-/// one B panel from the arena of the thread that runs it and returns
-/// them when it is done. The serial path draws its (single) hoisted
-/// packed-A/packed-B pair from the same arena.
+/// one B panel from the arena of the thread that runs it — the caller's,
+/// for a serial call — and returns them when it is done.
 #[derive(Debug, Default)]
 pub struct GemmArena<T: Scalar> {
     slots: Vec<BlockSlot<T>>,
@@ -664,15 +665,15 @@ macro_rules! impl_pool_scalar {
 impl_pool_scalar!(f64, ARENA_F64);
 impl_pool_scalar!(f32, ARENA_F32);
 
-/// The grid one `jj` panel of a pooled call is cut into, as `(row
-/// ranges, column chunks)`: `batch` entries of `m` rows in `mc` blocks
-/// (the *row tasks*) by `n` panel columns in `nr` slivers, for `degree`
-/// threads. The one place that decision lives — the pool runs it, the
-/// dispatcher prices it.
+/// The grid one `jj` panel of a call is cut into, as `(row ranges,
+/// column chunks)`: `batch` entries of `m` rows in `mc` blocks (the *row
+/// tasks*) by `n` panel columns in `nr` slivers, for `degree` threads.
+/// The one place that decision lives — the walk runs it, the dispatcher
+/// prices it.
 ///
 /// A cell packs its own operands: per unit of depth its rows of A and,
-/// when the call packs B at all (`pack_b`, the serial walk's predicate),
-/// its columns of B. The grid is the one whose largest cell packs the
+/// when the call packs B at all (`pack_b`, from `gemm::packs_b`), its
+/// columns of B. The grid is the one whose largest cell packs the
 /// fewest words, times the rounds it takes `degree` threads to run the
 /// cells, among those with a cell for every thread (or as many as the
 /// shape has); ties go to the column split, whose cells share no packed
@@ -748,6 +749,10 @@ struct Operands<'a, T: Scalar, K> {
     /// Whether cells pack their B columns ([`crate::gemm::packs_b`]);
     /// otherwise a [`PrepackedB`] tile or B in place serves them.
     pack_b: bool,
+    /// Whether a panic in a cell is caught and the cell replayed: on the
+    /// pool, not on [`Parallelism::Serial`], whose one cell unwinds into
+    /// the caller. `faults::panic_in_job` fires only where it is.
+    contained: bool,
     cells: Vec<Cell>,
     /// Per column chunk, every entry's `m × ncols` window of C. Cells of
     /// one chunk cover interleaved rows of the same columns, which no
@@ -876,7 +881,6 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     cols: usize,
     tile: &mut TileMut<'_, T>,
 ) -> Result<(), GemmError> {
-    crate::faults::panic_in_job();
     let mr = kernel.mr().max(1);
     let mut chunk = mc_eff;
     let mut r = 0usize;
@@ -969,6 +973,9 @@ fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
             }
         };
         let mut tile = whole.sub_tile(r0, c0, mc_eff, cols);
+        if ops.contained {
+            crate::faults::panic_in_job();
+        }
         gebp_block_resilient(
             ops.kernel,
             ops.alpha,
@@ -988,10 +995,10 @@ fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
     Ok(())
 }
 
-/// The serial walk on one cell: `dest += α · op(A)[cell rows] ·
-/// op(B)[:, cell columns]`, depth block after depth block — the same
-/// kernel calls in the same `kk` order per element of C as
-/// [`crate::gemm`]'s serial driver makes, whatever the grid. B comes
+/// Loops 2 and 3 of Figure 2 on one cell, the only place they are
+/// written: `dest += α · op(A)[cell rows] · op(B)[:, cell columns]`,
+/// depth block after depth block, so every element of C gets the same
+/// kernel calls in the same `kk` order whatever the grid. B comes
 /// from a [`PrepackedB`] tile when the call has one, from the cell's
 /// own pack of its own columns when the call packs, and otherwise from
 /// where the caller stored it; A is packed into `pa` block by block.
@@ -1039,15 +1046,16 @@ fn cell_product<T: Scalar, K: KernelSet<T>>(
 }
 
 /// Compute one cell on the calling thread, with that thread's buffers —
-/// the one cell body: workers, the helping caller, degree 1, degraded
-/// mode and recovery all run it.
+/// the one cell body: a serial call, workers, the helping caller, degree
+/// 1, degraded mode and recovery all run it.
 ///
-/// `staged` is the normal way: copy the cell's part of C into a private
-/// buffer, accumulate there, write it back as the last step — so a
-/// cell that panics or fails has not touched C and can be replayed from
-/// it. Unstaged, the cell accumulates straight on C, holding its column
-/// chunk exclusively: recovery's way, which needs no staging memory and
-/// after which there is no second replay.
+/// `staged` is the pool's normal way: copy the cell's part of C into a
+/// private buffer, accumulate there, write it back as the last step — so
+/// a cell that panics or fails has not touched C and can be replayed
+/// from it. Unstaged, the cell accumulates straight on C, holding its
+/// column chunk exclusively: the way of a serial call, whose one cell
+/// shares C with nobody and is never replayed, and of recovery, which
+/// needs no staging memory and after which there is no second replay.
 fn run_cell<T: PoolScalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
     cell: &Cell,
@@ -1240,8 +1248,8 @@ fn drain_epoch(
 
 /// Cold path: recompute on this thread, straight on C, every cell whose
 /// outcome so far is not clean — C has not seen such a cell, so the
-/// replay makes the serial walk's kernel calls in the serial walk's
-/// order and the result is bit-identical. A panic during the replay is
+/// replay makes the cell's kernel calls in the cell's order and the
+/// result is bit-identical. A panic during the replay is
 /// the double fault reported as [`GemmError::WorkerFault`] (C is then
 /// unspecified, but the call finishes so the pool stays consistent); an
 /// allocation failure even here ends the call.
@@ -1277,8 +1285,12 @@ fn settle<T: PoolScalar, K: KernelSet<T>>(
     Ok(())
 }
 
-/// What one call carries from panel to panel.
+/// What one pooled call carries from panel to panel.
 struct CallState {
+    /// The shard installed by [`with_pool`], if any — an owned Arc, so a
+    /// retiring shard stays alive for the duration of the call; the
+    /// global pool otherwise.
+    shard: Option<Arc<WorkerPool>>,
     dones: (Sender<Done>, Receiver<Done>),
     epoch_timeout: Option<Duration>,
     /// After a watchdog timeout the rest of the call runs on the caller:
@@ -1294,11 +1306,14 @@ struct CallState {
 /// up to `degree − 1` others, and this thread back at the barrier with
 /// every fault settled.
 fn run_panel<T: PoolScalar, K: KernelSet<T>>(
-    pool: &WorkerPool,
     ops: &Operands<'_, T, K>,
     degree: usize,
     call: &mut CallState,
 ) -> Result<(), GemmError> {
+    let pool = match call.shard.as_deref() {
+        Some(shard) => shard,
+        None => WorkerPool::global(),
+    };
     let cells = ops.cells.len();
     // this thread keeps the first cell, or in degraded mode all of them
     let kept = if call.degraded { cells } else { 1 };
@@ -1371,31 +1386,37 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
     })
 }
 
-/// The pooled layers 1–3 driver, unified over single GEMMs (a batch of
-/// one) and shared-B batches.
+/// Layers 1–3 of Figure 2, the one walk: single GEMMs (a batch of one)
+/// and shared-B batches, on the calling thread or dealt out over the
+/// pool.
 ///
 /// Shapes must already be validated (all `A_i` are `m×k` under
 /// `transa`, all `C_i` are `m×n`) and not degenerate: a call with
-/// `α = 0` or an empty dimension is `β·C`, which the callers do
-/// themselves. β is applied here, by each cell as it stages its part of
-/// C in, so no pass over all of C is left on the caller.
+/// `α = 0` or an empty dimension is `β·C`, which the caller
+/// ([`crate::gemm::gemm_driver`]) does itself. β is applied here, by each
+/// cell to its own part of C, so no pass over all of C comes first.
 /// With `prepacked`, cells address the cached panels instead of packing
 /// B — they must have been built for exactly this `(transb, nr, kc, nc)`
 /// geometry.
 ///
-/// Each `jj` panel is one *epoch*: the panel is cut into the cells of
-/// [`cell_grid`], this thread submits all but the first as jobs that
-/// borrow the operands through a [`Gate`], computes the first itself,
-/// helps drain the queue, and waits at the barrier. It does no packing
-/// and no staging that is not its own cell's.
+/// Each `jj` panel is cut into the cells of [`cell_grid`], and a cell is
+/// loops 2 and 3 on its own piece ([`run_cell`]). Under
+/// [`Parallelism::Serial`] the grid is one cell, computed here straight
+/// on C: no pool, no barrier, no staging, and a panic unwinds into the
+/// caller. Under [`Parallelism::Pool`] the panel is one *epoch*: this
+/// thread submits all cells but the first as jobs that borrow the
+/// operands through a [`Gate`], computes the first itself, helps drain
+/// the queue, and waits at the barrier. It does no packing and no staging
+/// that is not its own cell's.
 ///
-/// Faults are contained per cell (see the module docs): `Ok(())` means
-/// C holds the bit-exact serial result, possibly via recovery;
-/// [`GemmError::EpochTimeout`] means the same but cells not begun by
-/// `epoch_timeout` were taken back; any other error means C is
-/// unspecified.
+/// On the pool faults are contained per cell (see the module docs):
+/// `Ok(())` means C holds the bit-exact serial result, possibly via
+/// recovery; [`GemmError::EpochTimeout`] means the same but cells not
+/// begun by `epoch_timeout` were taken back; any other error — on either
+/// runtime [`GemmError::AllocFailure`] when not even the smallest packing
+/// chunk can be had — means C is unspecified.
 #[allow(clippy::too_many_arguments)] // mirrors the BLAS gemm signature plus the batch
-pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
+pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
     transa: Transpose,
     transb: Transpose,
     alpha: T,
@@ -1405,7 +1426,7 @@ pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
     c_batch: &mut [MatrixViewMut<'_, T>],
     kernel: K,
     blocks: BlockSizes,
-    degree: usize,
+    runtime: Parallelism,
     epoch_timeout: Option<Duration>,
     prepacked: Option<&PrepackedB<T>>,
 ) -> Result<(), GemmError> {
@@ -1419,23 +1440,19 @@ pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
         return Ok(());
     }
     let BlockSizes { kc, mc, nc, .. } = blocks;
-    let (degree, nr) = (degree.max(1), kernel.nr().max(1));
+    let (degree, nr) = (runtime.degree(), kernel.nr().max(1));
     let row_tasks = m.div_ceil(mc) * a_batch.len();
     let pack_b = crate::gemm::packs_b(row_tasks, transb, prepacked.is_some());
 
-    // Route to the shard installed by `with_pool`, if any; the global
-    // pool otherwise. The override is an owned Arc so a retiring shard
-    // stays alive for the duration of the call.
-    let shard = current_pool_override();
-    let pool: &WorkerPool = match shard.as_deref() {
-        Some(p) => p,
-        None => WorkerPool::global(),
-    };
-    let mut call = CallState {
-        dones: channel::unbounded(),
-        epoch_timeout,
-        degraded: false,
-        worst: None,
+    let mut pooled = match runtime {
+        Parallelism::Serial => None,
+        Parallelism::Pool(_) => Some(CallState {
+            shard: current_pool_override(),
+            dones: channel::unbounded(),
+            epoch_timeout,
+            degraded: false,
+            worst: None,
+        }),
     };
     for (panel, jj) in (0..n).step_by(nc).enumerate() {
         let nc_eff = nc.min(n - jj);
@@ -1484,12 +1501,17 @@ pub(crate) fn gemm_pooled<T: PoolScalar, K: KernelSet<T>>(
             b,
             prepacked,
             pack_b,
+            contained: pooled.is_some(),
             cells,
             c_chunks: c_chunks.into_iter().map(RwLock::new).collect(),
         };
-        run_panel(pool, &ops, degree, &mut call)?;
+        match &mut pooled {
+            // degree 1 cuts one cell
+            None => run_cell(&ops, &ops.cells[0], false)?,
+            Some(call) => run_panel(&ops, degree, call)?,
+        }
     }
-    call.worst.map_or(Ok(()), Err)
+    pooled.and_then(|call| call.worst).map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -1635,7 +1657,7 @@ mod tests {
         let a_views: Vec<_> = a.iter().map(crate::matrix::Matrix::view).collect();
         let mut c_views: Vec<_> = c.iter_mut().map(crate::matrix::Matrix::view_mut).collect();
         let kernel = crate::microkernel::MicroKernelKind::Mk8x6;
-        gemm_pooled(
+        gemm_walk(
             transa,
             transb,
             1.25,
@@ -1645,7 +1667,7 @@ mod tests {
             &mut c_views,
             kernel,
             blocks,
-            degree,
+            Parallelism::Pool(degree),
             None,
             None,
         )
@@ -1819,7 +1841,7 @@ mod tests {
             let mut go = || {
                 let a_views = [a.view()];
                 let mut c_views = [c.view_mut()];
-                gemm_pooled(
+                gemm_walk(
                     Transpose::No,
                     Transpose::No,
                     1.0,
@@ -1829,7 +1851,7 @@ mod tests {
                     &mut c_views,
                     kernel,
                     blocks,
-                    3,
+                    Parallelism::Pool(3),
                     None,
                     None,
                 )

@@ -693,7 +693,7 @@ pub(crate) fn reset_gate() -> std::sync::MutexGuard<'static, ()> {
 
 pub(crate) use record::{
     add_flops, add_packed_a_bytes, add_packed_b_bytes, count_arena_fresh, count_arena_hit,
-    count_block, count_steal, set_block, set_cell, set_gepp, span,
+    count_block, count_steal, set_cell, set_gepp, span,
 };
 
 #[cfg(feature = "telemetry")]
@@ -917,13 +917,6 @@ mod record {
         with_slot(|s| s.gepp.store(seq, Ordering::Relaxed));
     }
 
-    /// Tag subsequent spans with the current `mc`-block's first row
-    /// (1-D schedules: the cell is the whole panel width).
-    #[inline]
-    pub(crate) fn set_block(row0: usize) {
-        set_cell(row0, 0);
-    }
-
     /// Tag subsequent spans with the current grid cell: the `mc`-block's
     /// first row and the cell's first column within its `jj` panel.
     #[inline]
@@ -1069,14 +1062,6 @@ mod record {
                     && e.gepp == 7
                     && e.block_row0 == 112
                     && e.block_col0 == 48)));
-            // set_block is the 1-D shorthand: it must clear the column.
-            set_block(24);
-            drop(span(Phase::PackA));
-            let snaps = thread_snapshots();
-            assert!(snaps.iter().any(|t| t
-                .trace
-                .iter()
-                .any(|e| e.block_row0 == 24 && e.block_col0 == 0)));
         }
     }
 }
@@ -1102,8 +1087,6 @@ mod record {
     pub(crate) fn count_arena_fresh() {}
     #[inline(always)]
     pub(crate) fn set_gepp(_seq: u64) {}
-    #[inline(always)]
-    pub(crate) fn set_block(_row0: usize) {}
     #[inline(always)]
     pub(crate) fn set_cell(_row0: usize, _col0: usize) {}
 

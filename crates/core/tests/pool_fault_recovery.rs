@@ -6,7 +6,9 @@
 //! contract from DESIGN.md §10: the result is bit-identical
 //! to the serial oracle (or a typed error), the fault is visible in
 //! [`dgemm_core::pool::status`], and the pool serves subsequent calls at
-//! full capacity.
+//! full capacity. `Parallelism::Serial` runs the same cell body with
+//! nothing around it: it inherits the allocation-failure degrade, and the
+//! panic site passes it over.
 //!
 //! Fault plans and the pool are process-global, so every test holds
 //! `LOCK` for its whole body.
@@ -54,7 +56,7 @@ fn run(par: Parallelism) -> Result<Matrix, dgemm_core::GemmError> {
 
 fn oracle() -> Matrix {
     faults::clear();
-    run(Parallelism::Serial).expect("serial path has no fault hooks")
+    run(Parallelism::Serial).expect("no plan is installed")
 }
 
 /// Wait (bounded) for an asynchronous pool-side counter change.
@@ -186,22 +188,70 @@ fn allocation_failure_degrades_gracefully() {
     // Fail one allocation at each successive site: staging, packed-A,
     // packed-B. Every call must still produce the exact result (smaller
     // packing chunks inside the cell, or the cell recomputed straight on
-    // C without staging).
-    for nth in 0..6 {
-        faults::install(FaultPlan {
-            alloc_fail: Some(Trigger::once(nth)),
-            ..FaultPlan::default()
-        });
-        let got = run(Parallelism::Pool(4))
-            .unwrap_or_else(|e| panic!("alloc fault #{nth} must degrade, got {e}"));
-        assert_eq!(
-            got.max_abs_diff(&want),
-            0.0,
-            "alloc fault #{nth} must not change the result"
-        );
+    // C without staging). A serial call is one cell with no staging: its
+    // packing degrades the same way.
+    for par in [Parallelism::Pool(4), Parallelism::Serial] {
+        for nth in 0..6 {
+            faults::install(FaultPlan {
+                alloc_fail: Some(Trigger::once(nth)),
+                ..FaultPlan::default()
+            });
+            let got = run(par)
+                .unwrap_or_else(|e| panic!("{par:?}: alloc fault #{nth} must degrade, got {e}"));
+            assert_eq!(
+                got.max_abs_diff(&want),
+                0.0,
+                "{par:?}: alloc fault #{nth} must not change the result"
+            );
+        }
     }
+
+    // When not even the smallest chunk can be had, a serial call says so
+    // in its result; nothing in it packs infallibly.
+    faults::install(FaultPlan {
+        alloc_fail: Some(Trigger {
+            nth: 0,
+            count: u64::MAX,
+        }),
+        ..FaultPlan::default()
+    });
+    let starved = run(Parallelism::Serial);
     faults::clear();
+    assert!(
+        matches!(starved, Err(dgemm_core::GemmError::AllocFailure { .. })),
+        "a serial call that cannot pack must report it, got {starved:?}"
+    );
+    for par in [Parallelism::Pool(4), Parallelism::Serial] {
+        assert_eq!(run(par).unwrap().max_abs_diff(&want), 0.0);
+    }
+}
+
+/// `panic_in_job` is a pool-job site. A serial call runs the cell body
+/// with nothing around it to catch a panic, so an armed plan neither
+/// fires there nor counts its blocks: the next pooled call still meets
+/// the fault, at the occurrence the plan names.
+#[test]
+fn an_armed_worker_panic_passes_over_a_serial_call() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let want = oracle();
     assert_eq!(run(Parallelism::Pool(4)).unwrap().max_abs_diff(&want), 0.0);
+    let contained0 = status().faults_contained;
+
+    faults::install(FaultPlan {
+        worker_panic: Some(Trigger::once(1)),
+        ..FaultPlan::default()
+    });
+    let serial = run(Parallelism::Serial).expect("nothing fires on the uncontained route");
+    assert_eq!(serial.max_abs_diff(&want), 0.0);
+    assert_eq!(status().faults_contained, contained0);
+    let pooled = run(Parallelism::Pool(4)).expect("single panic must be contained");
+    faults::clear();
+
+    assert_eq!(pooled.max_abs_diff(&want), 0.0);
+    assert!(
+        status().faults_contained > contained0,
+        "the serial call used the plan up"
+    );
 }
 
 /// A worker panic during an epoch served from a *cached* pre-packed

@@ -15,6 +15,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
+use dgemm_core::batch::gemm_batch_shared_b;
 use dgemm_core::gemm::{gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
@@ -172,13 +173,25 @@ mod enabled {
     /// blocking, by its exact counters: nothing written into a packed
     /// panel, every B element read once in place, A packed as before —
     /// and the pool's two column cells doing the same on half the
-    /// columns each (A packed by both), into the same bits of C.
+    /// columns each (A packed by both), into the same bits of C. A serial
+    /// batch runs the plan the dispatcher prices for it, too: of one
+    /// entry, this very call; of four, four GEBPs sharing one pack of the
+    /// one `(jj, kk)` panel.
     #[test]
     fn the_default_skinny_call_reads_b_in_place_and_says_so() {
         let _g = lock_and_reset();
         let (m, n, k) = (8, 512, 512);
         let a = Matrix::random(m, k, 61);
         let b = Matrix::random(k, n, 62);
+        let counts = || {
+            let snap = telemetry::snapshot();
+            [
+                snap.total_flops(),
+                snap.total_packed_a_bytes(),
+                snap.total_packed_b_bytes(),
+                snap.total_b_in_place_bytes(),
+            ]
+        };
         let run = |par: Parallelism| {
             let mut c = Matrix::zeros(m, n);
             telemetry::reset();
@@ -194,20 +207,33 @@ mod enabled {
                 &mut c.view_mut(),
                 &cfg,
             );
-            let snap = telemetry::snapshot();
-            let counts = [
-                snap.total_flops(),
-                snap.total_packed_a_bytes(),
-                snap.total_packed_b_bytes(),
-                snap.total_b_in_place_bytes(),
-            ];
-            (c, counts)
+            (c, counts())
         };
-        let (in_place, counts) = run(Parallelism::Serial);
-        assert_eq!(counts, [4_194_304, 32_768, 0, 512 * 512 * 8]);
+        let run_batch = |entries: usize| {
+            let mut c = vec![Matrix::zeros(m, n); entries];
+            let a_views = vec![a.view(); entries];
+            let mut c_views: Vec<_> = c.iter_mut().map(Matrix::view_mut).collect();
+            telemetry::reset();
+            let (tb, cfg) = (Transpose::No, GemmConfig::default());
+            gemm_batch_shared_b(1.0, &a_views, tb, &b.view(), 0.0, &mut c_views, &cfg).unwrap();
+            drop(c_views);
+            (c, counts())
+        };
+        let (in_place, serial_counts) = run(Parallelism::Serial);
+        assert_eq!(serial_counts, [4_194_304, 32_768, 0, 512 * 512 * 8]);
         let (pooled, counts) = run(Parallelism::Pool(2));
         assert_eq!(counts, [4_194_304, 2 * 32_768, 0, 512 * 512 * 8]);
         assert_eq!(in_place.as_slice(), pooled.as_slice());
+
+        let (batch_of_one, counts) = run_batch(1);
+        assert_eq!(counts, serial_counts);
+        assert_eq!(batch_of_one[0].as_slice(), in_place.as_slice());
+        let (batch_of_four, counts) = run_batch(4);
+        let one_panel = (n.div_ceil(NR) * NR * k * 8) as u64;
+        assert_eq!(counts, [4 * 4_194_304, 4 * 32_768, one_panel, 0]);
+        assert!(batch_of_four
+            .iter()
+            .all(|c| c.as_slice() == in_place.as_slice()));
     }
 
     #[test]
