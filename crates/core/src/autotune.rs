@@ -41,6 +41,7 @@ use crate::gemm::{Config, KernelFamily};
 use crate::pool::{Parallelism, WorkerPool};
 use crate::scalar::Scalar;
 use crate::telemetry::GemmReport;
+use crate::util::json_escape;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::tuning::{self, ShapeClass};
@@ -514,17 +515,6 @@ fn json_num(v: f64) -> String {
     } else {
         "0".to_owned()
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------

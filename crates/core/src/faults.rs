@@ -231,11 +231,12 @@ mod enabled {
     }
 
     /// Journal a fired injection site so chaos runs can correlate the
-    /// observed failure with its cause (DESIGN.md §16). The trace ID is
+    /// observed failure with its cause (DESIGN.md §11). The trace ID is
     /// whatever request context is current on this thread (0 when the
     /// site fires outside any request, e.g. spawn during pool bring-up).
     fn injected(site: &'static str) {
-        trace::health_event(HealthEventKind::FaultInjected, trace::current_id(), 0, site);
+        let trace = crate::telemetry::current_trace();
+        trace::health_event(HealthEventKind::FaultInjected, trace, 0, site);
     }
 
     fn on_pool_thread() -> bool {

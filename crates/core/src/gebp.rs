@@ -179,7 +179,7 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
     // mc·cols·kc product counts only useful flops — totals come out
     // exact to the last operation. B elements consumed without having
     // passed through a pack are counted here too, equally unpadded.
-    let _span = crate::telemetry::span(crate::telemetry::Phase::Compute);
+    let _span = crate::telemetry::span(crate::telemetry::TraceKind::Compute);
     let layout = b.layout();
     let b_in_place = match layout {
         BLayout::Packed => 0,

@@ -161,8 +161,10 @@ impl<K: KernelFamily> Config<K> {
     /// value is a [`GemmError::BadConfig`]; a huge one is clamped to an
     /// hour. `DGEMM_PACK_CACHE`, `DGEMM_DISPATCH` and `DGEMM_AUTOTUNE`
     /// (with the tuning-DB variables it brings in) are read the same
-    /// way, for both families.
+    /// way, for both families, and `DGEMM_TELEMETRY` is checked
+    /// ([`crate::telemetry::mode_from_env`]).
     pub fn auto() -> Result<Self, GemmError> {
+        crate::telemetry::mode_from_env()?;
         let threads = threads_from_env()?;
         let autotune = AutotuneMode::from_env()?;
         if autotune != AutotuneMode::Off {
@@ -853,6 +855,18 @@ mod tests {
         std::env::set_var("DGEMM_DISPATCH", "sometimes");
         assert!(GemmConfig::auto().is_err());
         std::env::remove_var("DGEMM_DISPATCH");
+
+        // Telemetry: absent (checked above) and each named mode pass, a
+        // misspelling is an error rather than silence.
+        for v in ["off", "", "summary", "json", " JSON "] {
+            std::env::set_var("DGEMM_TELEMETRY", v);
+            assert!(GemmConfig::auto().is_ok(), "rejected {v:?}");
+        }
+        for bad in ["jsno", "on"] {
+            std::env::set_var("DGEMM_TELEMETRY", bad);
+            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
+        }
+        std::env::remove_var("DGEMM_TELEMETRY");
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! | [`cholesky`] | — | blocked Cholesky factorization |
 //! | [`batch`] | — | batched GEMM with shared-operand packing reuse |
 //! | [`sgemm`] | — | single-precision GEMM from the same analytic design (12×8, γ=9.6) |
-//! | [`telemetry`] | — | per-thread counters, phase spans, model-vs-measured attribution |
-//! | [`trace`] | — | request-scoped trace spans, latency histograms, health-event journal |
+//! | [`telemetry`] | — | the span stream: per-thread counters and rings of phase and request-lifecycle records, model-vs-measured attribution |
+//! | [`trace`] | — | trace IDs, the chrome-trace renderer, latency histograms, health-event journal |
 //! | [`metricsd`] | — | dependency-free `/metrics` + `/status` scrape endpoint |
 //! | [`autotune`] | — | closed-loop, model-seeded autotuner with a persistent per-host tuning DB |
 //! | [`store`] | — | versioned on-disk format for pre-packed weights (zero-pack warm start) |

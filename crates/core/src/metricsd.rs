@@ -1,4 +1,4 @@
-//! Dependency-free metrics scrape endpoint (DESIGN.md §16).
+//! Dependency-free metrics scrape endpoint (DESIGN.md §11).
 //!
 //! A minimal HTTP/1.x responder on a std [`TcpListener`] — no async
 //! runtime, no HTTP crate — serving exactly two read-only routes:

@@ -117,10 +117,18 @@ fn deal<T: Scalar, const MR: usize>(
     }
 }
 
+/// The cache-line size packed A starts on: a register kernel loads each
+/// `k` step of a sliver as whole vectors, and one that straddles two
+/// lines costs two loads. The allocator promises only `T`'s alignment.
+const LINE: usize = 64;
+
 /// A packed `mc×kc` block of A in `mr`-sliver layout.
 #[derive(Clone, Debug)]
 pub struct PackedA<T: Scalar = f64> {
+    /// The slivers start at `buf[off]`, the first element on a
+    /// [`LINE`] boundary.
     buf: Vec<T>,
+    off: usize,
     mc: usize,
     kc: usize,
     mr: usize,
@@ -133,6 +141,7 @@ impl<T: Scalar> PackedA<T> {
     pub fn new(mr: usize) -> Self {
         PackedA {
             buf: Vec::new(),
+            off: 0,
             mc: 0,
             kc: 0,
             mr,
@@ -152,30 +161,34 @@ impl<T: Scalar> PackedA<T> {
         // Single telemetry site for A: `try_pack` and every degraded
         // chunk path land here. Bytes are the padded sliver buffer —
         // exactly what the kernels stream.
-        let _span = crate::telemetry::span(crate::telemetry::Phase::PackA);
+        let _span = crate::telemetry::span(crate::telemetry::TraceKind::PackA);
         let mr = self.mr;
         self.mc = mc;
         self.kc = kc;
-        let slivers = mc.div_ceil(mr);
+        let len = mc.div_ceil(mr) * mr * kc;
         // every element below is written, padding included, so only a
         // length change touches the buffer here
-        self.buf.resize(slivers * mr * kc, T::ZERO);
-        crate::telemetry::add_packed_a_bytes((self.buf.len() * core::mem::size_of::<T>()) as u64);
+        let total = len + LINE / size_of::<T>();
+        self.buf.reserve(total.saturating_sub(self.buf.len()));
+        self.off = (self.buf.as_ptr() as usize).wrapping_neg() % LINE / size_of::<T>();
+        self.buf.resize(self.off + len, T::ZERO);
+        crate::telemetry::add_packed_a_bytes((len * size_of::<T>()) as u64);
         if kc == 0 {
             return;
         }
+        let buf = &mut self.buf[self.off..];
         match trans {
             // op(A)(i, k) = A(i, k). The sliver heights in use get a copy
             // of compile-time length (a run-time one costs a `memcpy`
             // call per 64 bytes); any other height takes the same loop.
             Transpose::No => match mr {
-                4 => deal::<T, 4>(&mut self.buf, a, mr, i0, k0, mc, kc),
-                8 => deal::<T, 8>(&mut self.buf, a, mr, i0, k0, mc, kc),
-                12 => deal::<T, 12>(&mut self.buf, a, mr, i0, k0, mc, kc),
-                _ => deal::<T, 0>(&mut self.buf, a, mr, i0, k0, mc, kc),
+                4 => deal::<T, 4>(buf, a, mr, i0, k0, mc, kc),
+                8 => deal::<T, 8>(buf, a, mr, i0, k0, mc, kc),
+                12 => deal::<T, 12>(buf, a, mr, i0, k0, mc, kc),
+                _ => deal::<T, 0>(buf, a, mr, i0, k0, mc, kc),
             },
             Transpose::Yes => {
-                for (s, sliver) in self.buf.chunks_exact_mut(mr * kc).enumerate() {
+                for (s, sliver) in buf.chunks_exact_mut(mr * kc).enumerate() {
                     let row_base = s * mr;
                     let rows = mr.min(mc - row_base);
                     // op(A)(i, k) = A(k, i): the sliver's rows are columns
@@ -205,7 +218,7 @@ impl<T: Scalar> PackedA<T> {
         mc: usize,
         kc: usize,
     ) -> Result<(), GemmError> {
-        let needed = mc.div_ceil(self.mr) * self.mr * kc;
+        let needed = mc.div_ceil(self.mr) * self.mr * kc + LINE / size_of::<T>();
         try_grow(&mut self.buf, needed, "packed A")?;
         // capacity is in hand: the resize inside `pack` cannot allocate
         self.pack(a, trans, i0, k0, mc, kc);
@@ -219,19 +232,21 @@ impl<T: Scalar> PackedA<T> {
         self.mr = mr;
         self.mc = 0;
         self.kc = 0;
+        self.off = 0;
         self.buf.clear();
     }
 
     /// The sliver-major packed buffer.
     #[must_use]
     pub fn buf(&self) -> &[T] {
-        &self.buf
+        // empty, not out of range, after a failed `try_pack`
+        self.buf.get(self.off..).unwrap_or_default()
     }
 
     /// One `mr×kc` sliver.
     #[must_use]
     pub fn sliver(&self, s: usize) -> &[T] {
-        &self.buf[s * self.mr * self.kc..(s + 1) * self.mr * self.kc]
+        &self.buf()[s * self.mr * self.kc..(s + 1) * self.mr * self.kc]
     }
 
     /// `n` adjacent slivers starting at sliver `s`: they sit back to
@@ -239,7 +254,7 @@ impl<T: Scalar> PackedA<T> {
     /// them as one taller tile ([`crate::microkernel::KernelSet::run_group`]).
     #[must_use]
     pub fn sliver_group(&self, s: usize, n: usize) -> &[T] {
-        &self.buf[s * self.mr * self.kc..(s + n) * self.mr * self.kc]
+        &self.buf()[s * self.mr * self.kc..(s + n) * self.mr * self.kc]
     }
 
     /// Number of slivers (`⌈mc/mr⌉`).
@@ -306,7 +321,7 @@ impl<T: Scalar> PackedB<T> {
         kc: usize,
         nc: usize,
     ) {
-        let _span = crate::telemetry::span(crate::telemetry::Phase::PackB);
+        let _span = crate::telemetry::span(crate::telemetry::TraceKind::PackB);
         let nr = self.nr;
         self.kc = kc;
         self.nc = nc;
@@ -642,6 +657,10 @@ mod tests {
         a.try_pack(&m.view(), Transpose::No, 0, 0, 11, 7).unwrap();
         b.try_pack(&m.view(), Transpose::No, 0, 0, 7, 11).unwrap();
         assert_eq!((a.buf(), b.buf()), (fa.buf(), fb.buf()));
+        // A's slivers start on a cache line, whatever the allocator returned
+        assert!([&a, &fa]
+            .iter()
+            .all(|p| (p.buf().as_ptr() as usize).is_multiple_of(LINE)));
         // an impossible request leaves the buffer empty, not stale
         let huge = usize::MAX / 16;
         assert!(try_grow(&mut a.buf, huge, "packed A").is_err());

@@ -111,7 +111,7 @@ use crate::pack::{PackedA, PackedB};
 use crate::parallel::partition_rows;
 use crate::prepack::{PackCache, PrepackedB};
 use crate::scalar::Scalar;
-use crate::telemetry::{self, Phase, RT};
+use crate::telemetry::{self, TraceKind, RT};
 use crate::tile::TileMut;
 use crate::{GemmError, Transpose};
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
@@ -433,7 +433,9 @@ impl WorkerPool {
     /// zeroes.
     #[must_use]
     pub fn status(&self) -> PoolStatus {
-        let rt = crate::telemetry::snapshot().runtime;
+        // the counters alone: the service asks on every submit, and a full
+        // snapshot decodes every lane's ring
+        let rt = crate::telemetry::runtime_snapshot();
         let alive = self.workers();
         let deaths = self.shared.deaths.load(Ordering::Relaxed);
         PoolStatus {
@@ -1169,29 +1171,29 @@ fn submit_cell<T: PoolScalar, K: KernelSet<T>>(
     done: &Sender<Done>,
 ) {
     let (gate, states, done) = (gate.clone(), Arc::clone(states), done.clone());
-    // Capture the caller's request trace context (if any) so worker-side
-    // phase spans and fault events attribute to the request that
-    // submitted the epoch, not to the worker thread.
-    let trace_ctx = crate::trace::capture();
+    // The job records under the caller's trace id, so worker-side spans
+    // and fault events land on the request that submitted the epoch.
+    let trace = telemetry::current_trace();
     pool.submit(Box::new(move || {
-        let _trace = crate::trace::adopt(trace_ctx);
-        crate::faults::slow_job_delay();
-        let ran = gate.with(|ops| {
-            if !claim(&states[idx], CLAIMED) {
-                return false;
+        telemetry::with_trace(trace, || {
+            crate::faults::slow_job_delay();
+            let ran = gate.with(|ops| {
+                if !claim(&states[idx], CLAIMED) {
+                    return false;
+                }
+                let mut report = Report {
+                    to: &done,
+                    idx,
+                    outcome: Outcome::Panicked,
+                };
+                crate::faults::stall_in_cell();
+                report.outcome = run_contained(ops, idx);
+                true
+            });
+            if ran != Some(true) {
+                LATE_JOBS.fetch_add(1, Ordering::Relaxed);
             }
-            let mut report = Report {
-                to: &done,
-                idx,
-                outcome: Outcome::Panicked,
-            };
-            crate::faults::stall_in_cell();
-            report.outcome = run_contained(ops, idx);
-            true
         });
-        if ran != Some(true) {
-            LATE_JOBS.fetch_add(1, Ordering::Relaxed);
-        }
     }));
 }
 
@@ -1224,7 +1226,7 @@ fn drain_epoch(
                 // the deadline passes). Only the park itself is barrier
                 // time — jobs drained via try_run_one above record as
                 // compute.
-                let _parked = telemetry::span(Phase::Barrier);
+                let _parked = telemetry::span(TraceKind::Barrier);
                 let polling = Instant::now();
                 poll_ready(
                     done_rx,
@@ -1265,14 +1267,14 @@ fn settle<T: PoolScalar, K: KernelSet<T>>(
             Some(Outcome::Panicked) => "worker panic contained; block recomputed serially",
             Some(Outcome::OutOfMemory) => "block out of memory; recomputed serially on C",
         };
-        let _span = telemetry::span(Phase::Recovery);
+        let _span = telemetry::span(TraceKind::Recovery);
         let (entry, row0, _) = ops.task(cell.t0);
         match catch_unwind(AssertUnwindSafe(|| run_cell(ops, cell, false))) {
             Ok(Ok(())) => {
                 RT.faults_contained.fetch_add(1, Ordering::Relaxed);
                 crate::trace::health_event(
                     crate::trace::HealthEventKind::FaultContained,
-                    crate::trace::current_id(),
+                    telemetry::current_trace(),
                     row0 as u64,
                     note,
                 );
@@ -1350,7 +1352,7 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
             // other one is taken back, recomputed here while the begun
             // ones finish, and the rest of the call stays on this
             // thread. Everything from here on is watchdog aftermath.
-            let _watchdog = telemetry::span(Phase::Watchdog);
+            let _watchdog = telemetry::span(TraceKind::Watchdog);
             let mut missing = 0usize;
             for (state, outcome) in states.iter().zip(&mut outcomes) {
                 if outcome.is_none() && claim(state, REVOKED) {
@@ -1363,7 +1365,7 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
                 RT.timeouts.fetch_add(1, Ordering::Relaxed);
                 crate::trace::health_event(
                     crate::trace::HealthEventKind::WatchdogFire,
-                    crate::trace::current_id(),
+                    telemetry::current_trace(),
                     missing as u64,
                     "epoch watchdog expired; missing blocks recomputed serially",
                 );

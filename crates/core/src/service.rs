@@ -42,8 +42,9 @@ use crate::metricsd::{self, MetricsServer, MetricsSource};
 use crate::pool::{self, Parallelism, WorkerPool};
 use crate::prepack::{PackCache, PrepackedB};
 use crate::store;
-use crate::telemetry::{ServiceCounters, SVC};
-use crate::trace::{self, HealthEventKind, LatencyHistogram, TraceEventRec, TraceKind};
+use crate::telemetry::{self, ServiceCounters, TelemetryMode, TraceEvent, TraceKind, PHASES, SVC};
+use crate::trace::{self, HealthEventKind, LatencyHistogram};
+use crate::util::json_escape;
 use crate::{GemmError, Transpose};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use perfmodel::tuning::ShapeClass;
@@ -355,9 +356,9 @@ struct QueueState {
 }
 
 /// Per-(tenant, shape-class) request latency histograms: end-to-end
-/// latency, queue wait, compute and pack time (the latter two bridged
-/// from telemetry phase spans; for a coalesced group every member
-/// observes the shared batch's phase totals).
+/// latency, queue wait, compute and pack time (the latter two read from
+/// the group's phase spans; for a coalesced group every member observes
+/// the shared batch's phase totals).
 #[derive(Debug, Default)]
 struct RequestHists {
     total: LatencyHistogram,
@@ -552,20 +553,20 @@ impl GemmService {
     ) -> Result<Ticket, ServiceError> {
         let inner = &*self.inner;
         let trace_id = trace::next_trace_id();
-        let submitted_ns = trace::now_ns();
-        trace::record_event(trace_id, TraceKind::Submitted, 0, 0);
+        let submitted_ns = telemetry::now_ns();
+        telemetry::event(trace_id, TraceKind::Submitted, 0, 0);
         let (m, k) = (a.rows(), a.cols());
         let (bk, n) = transb.apply_dims(b.rows(), b.cols());
         if k != bk {
             inner.count(|c| &c.rejected);
-            trace::record_event(trace_id, TraceKind::Rejected, 0, 0);
+            telemetry::event(trace_id, TraceKind::Rejected, 0, 0);
             return Err(ServiceError::Rejected(
                 "inner dimensions of A and op(B) disagree",
             ));
         }
         if m == 0 || n == 0 || k == 0 {
             inner.count(|c| &c.rejected);
-            trace::record_event(trace_id, TraceKind::Rejected, 0, 0);
+            telemetry::event(trace_id, TraceKind::Rejected, 0, 0);
             return Err(ServiceError::Rejected("empty matrix dimensions"));
         }
         let limit = inner.effective_queue_limit();
@@ -573,14 +574,14 @@ impl GemmService {
         if st.shutdown {
             drop(st);
             inner.count(|c| &c.rejected);
-            trace::record_event(trace_id, TraceKind::Rejected, 0, 0);
+            telemetry::event(trace_id, TraceKind::Rejected, 0, 0);
             return Err(ServiceError::Rejected("service is shut down"));
         }
         if st.depth >= limit {
             let depth = st.depth;
             drop(st);
             inner.count(|c| &c.shed_overload);
-            trace::record_event(
+            telemetry::event(
                 trace_id,
                 TraceKind::ShedOverload,
                 depth as u64,
@@ -601,7 +602,7 @@ impl GemmService {
         if occupancy >= inner.cfg.tenant_quota {
             drop(st);
             inner.count(|c| &c.shed_quota);
-            trace::record_event(
+            telemetry::event(
                 trace_id,
                 TraceKind::ShedQuota,
                 occupancy as u64,
@@ -642,7 +643,7 @@ impl GemmService {
         st.depth += 1;
         drop(st);
         inner.count(|c| &c.admitted);
-        trace::record_event(trace_id, TraceKind::Admitted, 0, 0);
+        telemetry::event(trace_id, TraceKind::Admitted, 0, 0);
         inner.work.notify_one();
         Ok(Ticket {
             rx,
@@ -677,11 +678,13 @@ impl GemmService {
     }
 
     /// The recorded span chain for a ticket ([`Ticket::id`]), oldest
-    /// first — the request debug API. Spans survive in the bounded
-    /// trace ring until overwritten; empty when the `trace` feature is
-    /// off, `DGEMM_TRACE=off`, or the ring has recycled the entries.
-    pub fn trace_of(&self, ticket_id: u64) -> Vec<TraceEventRec> {
-        trace::events_for(ticket_id)
+    /// first — the request debug API: its lifecycle records and the
+    /// phase spans any thread recorded for it, each with the lane it
+    /// came from. Records survive in their lanes' rings until
+    /// overwritten or [`crate::telemetry::reset`]; empty when the
+    /// `telemetry` feature is off.
+    pub fn trace_of(&self, ticket_id: u64) -> Vec<TraceEvent> {
+        telemetry::events_for(ticket_id)
     }
 
     /// Bind a [`crate::metricsd`] scrape endpoint on `addr` (e.g.
@@ -807,36 +810,43 @@ impl Inner {
 
     /// Record one request's queue/compute/pack observations and its
     /// `Executed` span (the group-attempt wall clock). Compute and pack
-    /// come from the phase accumulators the trace context bridged from
-    /// telemetry spans; without them (feature off, `telemetry` off, or
-    /// a fully degraded path) compute falls back to the attempt wall
-    /// clock.
+    /// are the group's phase spans, `phase_ns` (indexed as
+    /// [`TraceKind::ALL`]); without them (recording compiled out, or a
+    /// reset mid-group) compute falls back to the attempt wall clock.
     fn observe_request(
         &self,
         req: &Request,
         dequeue_ns: u64,
         exec_start_ns: u64,
         exec_ns: u64,
-        ctx: Option<&trace::TraceCtx>,
+        phase_ns: &[u64; PHASES],
     ) {
-        trace::record_span(req.trace, TraceKind::Executed, exec_start_ns, exec_ns, 0, 0);
+        telemetry::record(
+            req.trace,
+            TraceKind::Executed,
+            exec_start_ns,
+            exec_ns,
+            [0, 0],
+        );
         let h = self.hists_for(req);
         h.queue
             .record_us(dequeue_ns.saturating_sub(req.submitted_ns) / 1_000);
-        let compute_ns = ctx.map_or(0, |c| c.compute_ns());
+        let compute_ns = phase_ns[TraceKind::Compute.index()];
         h.compute.record_us(if compute_ns > 0 {
             compute_ns / 1_000
         } else {
             exec_ns / 1_000
         });
-        h.pack.record_us(ctx.map_or(0, |c| c.pack_ns()) / 1_000);
+        let pack_ns = phase_ns[TraceKind::PackA.index()] + phase_ns[TraceKind::PackB.index()];
+        h.pack.record_us(pack_ns / 1_000);
     }
 
     /// Deliver the one-and-only resolution for `req`, counting the
     /// outcome. Consumes the request: exactly-once by construction.
     /// Also the tail of the trace chain: records the `Resolved` event,
     /// the end-to-end latency histogram sample, and (in
-    /// `DGEMM_TRACE=json` mode) prints the request's chrome-trace line.
+    /// `DGEMM_TELEMETRY=json` mode) prints the request's chrome-trace
+    /// line.
     fn resolve(&self, req: Request, result: Result<Matrix, ServiceError>) {
         let outcome: u64 = match &result {
             Ok(_) => {
@@ -858,9 +868,14 @@ impl Inner {
         };
         self.hists_for(&req)
             .total
-            .record_us(trace::now_ns().saturating_sub(req.submitted_ns) / 1_000);
-        trace::record_event(req.trace, TraceKind::Resolved, outcome, 0);
-        trace::emit_json(req.trace);
+            .record_us(telemetry::now_ns().saturating_sub(req.submitted_ns) / 1_000);
+        telemetry::event(req.trace, TraceKind::Resolved, outcome, 0);
+        if telemetry::mode_from_env() == Ok(TelemetryMode::Json) {
+            let events = telemetry::events_for(req.trace);
+            if !events.is_empty() {
+                eprintln!("{}", trace::chrome_trace_json(&events));
+            }
+        }
         // A caller that dropped its ticket just discards the result.
         let _ = req.tx.send(result);
     }
@@ -1005,28 +1020,21 @@ impl Inner {
     /// Run one coalesced group end to end: deadline/cancel triage, the
     /// retry-with-backoff / degrade-to-serial ladder, panic containment
     /// with per-request serial recovery — and resolve every member
-    /// exactly once.
+    /// exactly once. Runs under the leader's trace id (see
+    /// [`scheduler_main`]).
     fn execute_group(&self, group: Vec<Request>) {
-        // The group leader's trace context is installed on this thread
-        // (and propagated into pool job closures) for the whole
-        // execution, so telemetry phase spans, injected faults and
-        // journal entries attribute to the request that caused them.
-        // Shared batch work lands on the leader; members carry a
-        // `Coalesced` pointer at the leader's trace/batch ID.
-        let leader_ctx = group.first().map(|r| trace::TraceCtx::new(r.trace));
-        let _scope = trace::adopt(leader_ctx.clone());
         // Injection site: the queue stalls between dequeue and triage,
         // so a stall can push queued requests past their deadlines.
         faults::service_stall_delay();
-        let dequeue_ns = trace::now_ns();
+        let dequeue_ns = telemetry::now_ns();
         for req in &group {
-            trace::record_span(
+            let waited = dequeue_ns.saturating_sub(req.submitted_ns);
+            telemetry::record(
                 req.trace,
                 TraceKind::Queued,
                 req.submitted_ns,
-                dequeue_ns.saturating_sub(req.submitted_ns),
-                0,
-                0,
+                waited,
+                [0, 0],
             );
         }
         let now = Instant::now();
@@ -1049,18 +1057,23 @@ impl Inner {
             self.count_n(|c| &c.coalesced_requests, live.len() as u64);
             let batch_id = live[0].trace;
             for req in &live {
-                trace::record_event(req.trace, TraceKind::Coalesced, batch_id, live.len() as u64);
+                telemetry::event(req.trace, TraceKind::Coalesced, batch_id, live.len() as u64);
             }
         }
         let (_, n) = live[0]
             .transb
             .apply_dims(live[0].b.rows(), live[0].b.cols());
         let mut outs: Vec<Matrix> = live.iter().map(|r| Matrix::zeros(r.a.rows(), n)).collect();
-        let exec_start_ns = trace::now_ns();
+        let heads = telemetry::heads();
+        let exec_start_ns = telemetry::now_ns();
         let result = catch_unwind(AssertUnwindSafe(|| self.run_group(&live, &mut outs)));
-        let exec_ns = trace::now_ns().saturating_sub(exec_start_ns);
+        let exec_ns = telemetry::now_ns().saturating_sub(exec_start_ns);
+        // The group's pack and compute: what any lane recorded under the
+        // leader's id since the group started (every member observes the
+        // shared batch's totals).
+        let phase_ns = telemetry::phase_ns_since(&heads, telemetry::current_trace());
         for req in &live {
-            self.observe_request(req, dequeue_ns, exec_start_ns, exec_ns, leader_ctx.as_ref());
+            self.observe_request(req, dequeue_ns, exec_start_ns, exec_ns, &phase_ns);
         }
         match result {
             Ok(Ok(())) => {
@@ -1117,13 +1130,13 @@ impl Inner {
                     "shard unhealthy: group degraded to the serial runtime",
                 );
                 for req in live {
-                    trace::record_event(req.trace, TraceKind::Degrade, shard_idx as u64, 0);
+                    telemetry::event(req.trace, TraceKind::Degrade, shard_idx as u64, 0);
                 }
             }
             if attempt == 0 {
                 let pooled = u64::from(self.shards[shard_idx].pool.is_some() && !degrade);
                 for req in live {
-                    trace::record_event(req.trace, TraceKind::Dispatched, shard_idx as u64, pooled);
+                    telemetry::event(req.trace, TraceKind::Dispatched, shard_idx as u64, pooled);
                 }
             }
             let cfg = if degrade {
@@ -1167,7 +1180,7 @@ impl Inner {
                         "epoch watchdog expired; recovered result served, shard quarantined",
                     );
                     for req in live {
-                        trace::record_event(req.trace, TraceKind::Degrade, shard_idx as u64, 1);
+                        telemetry::event(req.trace, TraceKind::Degrade, shard_idx as u64, 1);
                     }
                     return Ok(());
                 }
@@ -1183,7 +1196,7 @@ impl Inner {
                         "recoverable pool fault; backoff retry",
                     );
                     for req in live {
-                        trace::record_event(req.trace, TraceKind::Retry, u64::from(attempt), 0);
+                        telemetry::event(req.trace, TraceKind::Retry, u64::from(attempt), 0);
                     }
                     self.quarantine(shard_idx);
                     trace::health_event(
@@ -1208,29 +1221,29 @@ impl Inner {
     /// independent serial execution, itself panic-contained. Resolves
     /// the request either way.
     fn recover_serially(&self, req: Request) {
-        // Recovery computes one request at a time, so its bridged
-        // pack/compute spans attribute to the member's own trace, not
-        // the failed batch leader's.
-        let _scope = trace::adopt(Some(trace::TraceCtx::new(req.trace)));
         let (_, n) = req.transb.apply_dims(req.b.rows(), req.b.cols());
         let mut c = Matrix::zeros(req.a.rows(), n);
         let cfg = self.cfg.gemm.with_parallelism(Parallelism::Serial);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let a_views = [req.a.view()];
-            let mut c_views = [c.view_mut()];
-            gemm_batch_with_cache(
-                req.alpha,
-                &a_views,
-                req.transb,
-                &req.b.view(),
-                0.0,
-                &mut c_views,
-                &cfg,
-                None,
-            )
-        }));
+        // Recovery computes one request at a time, so its spans land on
+        // the member's own trace, not the failed batch leader's.
+        let result = telemetry::with_trace(req.trace, || {
+            catch_unwind(AssertUnwindSafe(|| {
+                let a_views = [req.a.view()];
+                let mut c_views = [c.view_mut()];
+                gemm_batch_with_cache(
+                    req.alpha,
+                    &a_views,
+                    req.transb,
+                    &req.b.view(),
+                    0.0,
+                    &mut c_views,
+                    &cfg,
+                    None,
+                )
+            }))
+        });
         self.count(|c| &c.degraded);
-        trace::record_event(req.trace, TraceKind::SerialRecovery, 0, 0);
+        telemetry::event(req.trace, TraceKind::SerialRecovery, 0, 0);
         match result {
             Ok(Ok(())) => self.resolve(req, Ok(c)),
             _ => self.resolve(
@@ -1621,7 +1634,12 @@ fn scheduler_main(inner: Arc<Inner>) {
             }
             inner.take_group(&mut st)
         };
-        inner.execute_group(group);
+        // The group runs under its leader's trace id, so the shared
+        // batch's spans — on this thread and in the pool jobs it submits
+        // — and any fault journaled meanwhile land on the request at its
+        // head; members carry a `Coalesced` pointer at the leader.
+        let leader = group.first().map_or(0, |r| r.trace);
+        telemetry::with_trace(leader, || inner.execute_group(group));
     }
 }
 
@@ -1634,21 +1652,6 @@ fn prom_label_escape(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Minimal JSON string escaping for tenant names (quotes, backslashes,
-/// control characters).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -1703,10 +1706,5 @@ mod tests {
             !head.coalesces_with(&mk(1.0, 4, &b2)),
             "weight identity differs"
         );
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 }

@@ -1,9 +1,9 @@
-//! Zero-overhead telemetry: per-thread counters, phase spans and
-//! model-vs-measured attribution (DESIGN.md §11).
+//! The span stream: per-thread counters, one per-thread ring of records,
+//! and model-vs-measured attribution (DESIGN.md §11).
 //!
 //! The paper's method is *attribution*: its model
-//! `T ≤ Fμ + (1+κ)Wπ·ψ(γ)` predicts where cycles go. This module makes
-//! the runtime report where they actually went, in three tiers:
+//! `T ≤ Fμ + (1+κ)Wπ·ψ(γ)` predicts where cycles go. This module is the
+//! one recorder of where they actually went, in three tiers:
 //!
 //! 1. **Counters** — per-thread monotone totals: FLOPs retired, bytes
 //!    packed (A and B separately), bytes of B read in place, GEBP blocks
@@ -12,11 +12,13 @@
 //!    for FLOPs, blocks and in-place B, [`crate::pack`] for packed
 //!    bytes), so totals are exact to the last operation for every
 //!    runtime (Serial/Pool).
-//! 2. **Phase spans** — monotonic-clock timings of pack-A, pack-B,
-//!    GEBP compute, barrier wait, epoch watchdog settling and serial
-//!    recovery, tagged with the current (GEPP iteration, `mc`-block)
-//!    context and mirrored into a bounded per-thread ring buffer
-//!    (overwrite-oldest, [`TraceEvent`]). The hot path touches only
+//! 2. **Records** — one [`TraceEvent`] per span or point event, in the
+//!    recording thread's lane: an overwrite-oldest ring of constant
+//!    length. Its [`TraceKind`] is an execution phase timed on the hot
+//!    paths (whose exact per-lane totals also accumulate) or a step of a
+//!    service request's lifecycle; it carries the lane's current trace id
+//!    (0 outside the service; pool jobs inherit their caller's) and
+//!    GEPP/cell context. The hot path touches one thread-local and
 //!    thread-owned atomics: no allocation, no locks.
 //! 3. **Derived attribution** — [`GemmReport`] turns a [`Snapshot`]
 //!    into achieved GFLOPS, achieved γ = F/W, pack/compute/wait
@@ -26,16 +28,15 @@
 //!    model's lower bound (requires `DGEMM_PEAK_GFLOPS` to anchor the
 //!    peak).
 //!
-//! ## Feature gating
+//! Everything else reads the stream: [`snapshot`],
+//! [`crate::service::GemmService::trace_of`], the chrome exporter and
+//! the service's per-request pack/compute histograms.
 //!
 //! Recording sites are compiled under the `telemetry` cargo feature (on
-//! by default). With the feature disabled every recording function is
-//! an `#[inline(always)]` no-op and [`SpanGuard`] is a zero-sized type,
-//! so the hot paths carry literally no telemetry code. The *pool
-//! lifecycle* counters ([`RuntimeSnapshot`]: tasks, epochs, deaths,
-//! respawns, spawn failures, faults contained, watchdog timeouts) are
-//! always compiled — `pool::status()` sources them and must work in
-//! every build.
+//! by default); without it every one is an `#[inline(always)]` no-op and
+//! the stream reads empty. The *pool lifecycle* counters
+//! ([`RuntimeSnapshot`]) are always compiled — `pool::status()` sources
+//! them and must work in every build.
 //!
 //! ## Semantics worth knowing
 //!
@@ -51,32 +52,40 @@
 //!   where the caller stored it, with no `PackB` span); its kernels'
 //!   reads are `b_in_place_bytes`, unpadded `kc·cols` elements per GEBP.
 //!   Every B element a kernel consumed came through one of the two.
-//! - [`reset`] zeroes the per-thread counters/spans/rings but *not* the
+//! - [`reset`] zeroes the per-thread counters and rings but *not* the
 //!   lifetime runtime counters: `pool::status()` reports totals since
 //!   process start.
-//! - A thread's lane is recycled after the thread exits; totals are
-//!   preserved (they describe the process, not the OS thread).
+//! - A thread's lane is recycled after the thread exits; totals and
+//!   records are preserved (they describe the process, not the OS
+//!   thread).
 //!
-//! Env control: `DGEMM_TELEMETRY=summary|json|off` selects what
-//! [`emit`] prints to stderr (default `off`).
+//! Env control: `DGEMM_TELEMETRY=summary|json|off` (default `off`)
+//! selects what [`emit`] prints to stderr; `json` also prints one
+//! chrome-trace object per resolved service request. Any other value is
+//! a [`GemmError::BadConfig`] from [`crate::gemm::GemmConfig::auto`].
 
 #![forbid(unsafe_code)]
 
 pub use perfmodel::cacheblock::BlockSizes;
 
+use crate::GemmError;
 use perfmodel::model::{
     efficiency_lower_bound, perf_lower_bound, time_bound, MachineCosts, OverlapFactor,
 };
 use perfmodel::ratio::GebpTraffic;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
-/// Number of distinct phases (the length of [`Phase::ALL`]).
+/// Number of execution phases: the first kinds of [`TraceKind::ALL`],
+/// the ones the exact per-lane time counters index.
 pub const PHASES: usize = 6;
 
-/// The instrumented phases of a GEMM call.
+/// What a record of the span stream is: one of the [`PHASES`] execution
+/// phases of a GEMM call (spans timed on the hot paths), or a step of a
+/// service request's lifecycle (recorded by [`crate::service`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
+pub enum TraceKind {
     /// Packing an `mc×kc` block of A into sliver layout.
     PackA,
     /// Packing a `kc×nc` panel of B into sliver layout.
@@ -89,42 +98,104 @@ pub enum Phase {
     Watchdog,
     /// Serial bit-identical recovery of a faulted block.
     Recovery,
+    /// The request arrived at `submit` (point event).
+    Submitted,
+    /// Admission control accepted the request (point event).
+    Admitted,
+    /// Shed at admission: global queue bound (point; terminal).
+    ShedOverload,
+    /// Shed at admission: tenant quota (point; terminal).
+    ShedQuota,
+    /// Refused: shapes, shutdown, cancellation, exhausted retries
+    /// (point event).
+    Rejected,
+    /// Time between admission and scheduler pickup (span; `dur_ns` is
+    /// the queue wait).
+    Queued,
+    /// Folded into a coalesced batch (`arg0` = batch ID — the group
+    /// leader's trace ID — and `arg1` = batch size; point event).
+    Coalesced,
+    /// Handed to an execution shard (`arg0` = shard index, `arg1` = 1
+    /// for the pooled runtime, 0 for serial; point event).
+    Dispatched,
+    /// The batch execution the request rode in (span; wall clock of the
+    /// whole group attempt chain).
+    Executed,
+    /// One retry of the group after a recoverable pool fault
+    /// (`arg0` = attempt number; point event).
+    Retry,
+    /// The group degraded to the serial runtime (point event).
+    Degrade,
+    /// Per-request serial recovery after a contained panic (point).
+    SerialRecovery,
+    /// The request resolved (`arg0`: 0 ok, 1 overloaded, 2 deadline,
+    /// 3 rejected; point event).
+    Resolved,
 }
 
-impl Phase {
-    /// Every phase, in schema order.
-    pub const ALL: [Phase; PHASES] = [
-        Phase::PackA,
-        Phase::PackB,
-        Phase::Compute,
-        Phase::Barrier,
-        Phase::Watchdog,
-        Phase::Recovery,
+impl TraceKind {
+    /// Every kind in schema order: the execution phases first.
+    pub const ALL: [TraceKind; 19] = [
+        TraceKind::PackA,
+        TraceKind::PackB,
+        TraceKind::Compute,
+        TraceKind::Barrier,
+        TraceKind::Watchdog,
+        TraceKind::Recovery,
+        TraceKind::Submitted,
+        TraceKind::Admitted,
+        TraceKind::ShedOverload,
+        TraceKind::ShedQuota,
+        TraceKind::Rejected,
+        TraceKind::Queued,
+        TraceKind::Coalesced,
+        TraceKind::Dispatched,
+        TraceKind::Executed,
+        TraceKind::Retry,
+        TraceKind::Degrade,
+        TraceKind::SerialRecovery,
+        TraceKind::Resolved,
     ];
 
-    /// Stable lowercase label (used by the JSON schema).
+    /// Stable lowercase label (used by the JSON schemas).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            Phase::PackA => "pack_a",
-            Phase::PackB => "pack_b",
-            Phase::Compute => "compute",
-            Phase::Barrier => "barrier",
-            Phase::Watchdog => "watchdog",
-            Phase::Recovery => "recovery",
+            TraceKind::PackA => "pack_a",
+            TraceKind::PackB => "pack_b",
+            TraceKind::Compute => "compute",
+            TraceKind::Barrier => "barrier",
+            TraceKind::Watchdog => "watchdog",
+            TraceKind::Recovery => "recovery",
+            TraceKind::Submitted => "submitted",
+            TraceKind::Admitted => "admitted",
+            TraceKind::ShedOverload => "shed_overload",
+            TraceKind::ShedQuota => "shed_quota",
+            TraceKind::Rejected => "rejected",
+            TraceKind::Queued => "queued",
+            TraceKind::Coalesced => "coalesced",
+            TraceKind::Dispatched => "dispatched",
+            TraceKind::Executed => "executed",
+            TraceKind::Retry => "retry",
+            TraceKind::Degrade => "degrade",
+            TraceKind::SerialRecovery => "serial_recovery",
+            TraceKind::Resolved => "resolved",
         }
     }
 
+    /// Position in [`TraceKind::ALL`].
     pub(crate) fn index(self) -> usize {
-        match self {
-            Phase::PackA => 0,
-            Phase::PackB => 1,
-            Phase::Compute => 2,
-            Phase::Barrier => 3,
-            Phase::Watchdog => 4,
-            Phase::Recovery => 5,
-        }
+        self as usize
     }
+}
+
+/// Nanoseconds since the process-wide monotonic epoch (first use): the
+/// one clock every record, the journal and [`crate::trace::uptime_ms`]
+/// are stamped on.
+pub(crate) fn now_ns() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let elapsed = EPOCH.get_or_init(Instant::now).elapsed();
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
 // ---------------------------------------------------------------------
@@ -471,7 +542,7 @@ impl RuntimeSnapshot {
     }
 }
 
-fn runtime_snapshot() -> RuntimeSnapshot {
+pub(crate) fn runtime_snapshot() -> RuntimeSnapshot {
     RuntimeSnapshot {
         tasks: RT.tasks.load(Ordering::Relaxed),
         dynamic_epochs: RT.dynamic_epochs.load(Ordering::Relaxed),
@@ -492,23 +563,32 @@ fn runtime_snapshot() -> RuntimeSnapshot {
 // Public snapshot types.
 // ---------------------------------------------------------------------
 
-/// One recorded span from a thread's bounded ring buffer.
+/// One record of the span stream, as read back from a lane's ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Which phase the span timed.
-    pub phase: Phase,
-    /// GEPP iteration (the `(jj, kk)` epoch sequence number) current
-    /// when the span closed; 0 if never set on this thread.
-    pub gepp: u64,
-    /// First row of the `mc`-block current when the span closed.
-    pub block_row0: u64,
-    /// First column (within the `jj` panel) of the grid cell current
-    /// when the span closed; 0 in 1-D (M-band) mode.
-    pub block_col0: u64,
-    /// Span start, nanoseconds on the process-wide monotonic clock.
+    /// The service request the record belongs to (0 outside the
+    /// service).
+    pub trace: u64,
+    /// What the record is.
+    pub kind: TraceKind,
+    /// Kind-specific argument (see [`TraceKind`]; 0 for phases).
+    pub arg0: u64,
+    /// Kind-specific argument (see [`TraceKind`]; 0 for phases).
+    pub arg1: u64,
+    /// Start, nanoseconds on the process-wide monotonic clock.
     pub start_ns: u64,
-    /// Span duration in nanoseconds.
+    /// Duration in nanoseconds (0 for point events).
     pub dur_ns: u64,
+    /// 1-based index, within its call, of the `(jj, kk)` step current
+    /// when the record was written (`⌈k/kc⌉` per `jj` panel); 0 if unset.
+    pub gepp: u64,
+    /// First row of the `mc`-block current when the record was written.
+    pub block_row0: u64,
+    /// First column, within its `jj` panel, of the grid cell current
+    /// when the record was written (0 when the cell spans the panel).
+    pub block_col0: u64,
+    /// The lane (recording thread) the record was read from.
+    pub lane: usize,
 }
 
 /// Telemetry totals of one recording lane (≈ one thread; lanes are
@@ -535,19 +615,20 @@ pub struct ThreadSnapshot {
     pub arena_hits: u64,
     /// Arena buffer requests that constructed a fresh buffer.
     pub arena_fresh: u64,
-    /// Accumulated nanoseconds per phase, indexed as [`Phase::ALL`].
+    /// Accumulated nanoseconds per phase, indexed as the first
+    /// [`PHASES`] kinds of [`TraceKind::ALL`].
     pub phase_ns: [u64; PHASES],
-    /// Completed spans per phase, indexed as [`Phase::ALL`].
+    /// Completed spans per phase, indexed as `phase_ns`.
     pub phase_hits: [u64; PHASES],
-    /// The surviving tail of the span ring buffer, oldest first.
+    /// The surviving records of the lane's ring, oldest first.
     pub trace: Vec<TraceEvent>,
 }
 
 impl ThreadSnapshot {
-    /// Accumulated nanoseconds in `phase`.
+    /// Accumulated nanoseconds in `phase` (0 for a lifecycle kind).
     #[must_use]
-    pub fn phase_time(&self, phase: Phase) -> u64 {
-        self.phase_ns[phase.index()]
+    pub fn phase_time(&self, phase: TraceKind) -> u64 {
+        self.phase_ns.get(phase.index()).copied().unwrap_or(0)
     }
 
     /// `(pack, compute, wait)` fractions of this lane's accounted time
@@ -556,9 +637,9 @@ impl ThreadSnapshot {
     /// the lane recorded no time.
     #[must_use]
     pub fn fractions(&self) -> Option<(f64, f64, f64)> {
-        let pack = self.phase_time(Phase::PackA) + self.phase_time(Phase::PackB);
-        let compute = self.phase_time(Phase::Compute);
-        let wait = self.phase_time(Phase::Barrier);
+        let pack = self.phase_time(TraceKind::PackA) + self.phase_time(TraceKind::PackB);
+        let compute = self.phase_time(TraceKind::Compute);
+        let wait = self.phase_time(TraceKind::Barrier);
         let denom = pack + compute + wait;
         if denom == 0 {
             return None;
@@ -637,7 +718,7 @@ impl Snapshot {
 
     /// Accumulated nanoseconds in `phase` across all lanes.
     #[must_use]
-    pub fn total_phase_ns(&self, phase: Phase) -> u64 {
+    pub fn total_phase_ns(&self, phase: TraceKind) -> u64 {
         self.threads.iter().map(|t| t.phase_time(phase)).sum()
     }
 }
@@ -648,7 +729,7 @@ pub fn enabled() -> bool {
     cfg!(feature = "telemetry")
 }
 
-/// Copy every counter, span total and trace ring into a [`Snapshot`].
+/// Copy every counter, span total and lane ring into a [`Snapshot`].
 ///
 /// Reads are relaxed: a snapshot taken while GEMMs are in flight is a
 /// consistent-enough view (each counter is individually monotone), and
@@ -664,8 +745,9 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Zero the per-thread counters, span totals, trace rings and the
-/// pack-cache interval counters ([`CacheSnapshot`]).
+/// Zero the per-thread counters, span totals, lane rings (request
+/// records included) and the pack-cache interval counters
+/// ([`CacheSnapshot`]).
 ///
 /// The pool lifecycle counters ([`RuntimeSnapshot`]) are *not* reset:
 /// `pool::status()` reports totals since process start. Call before a
@@ -688,37 +770,48 @@ pub(crate) fn reset_gate() -> std::sync::MutexGuard<'static, ()> {
 }
 
 // ---------------------------------------------------------------------
-// Recording primitives (feature-gated hot path).
+// Recording primitives (feature-gated hot path) and the stream's
+// crate-internal readers.
 // ---------------------------------------------------------------------
 
 pub(crate) use record::{
     add_flops, add_packed_a_bytes, add_packed_b_bytes, count_arena_fresh, count_arena_hit,
-    count_block, count_steal, set_cell, set_gepp, span,
+    count_block, count_steal, current_trace, events_for, heads, phase_ns_since, record, set_cell,
+    set_gepp, span, with_trace,
 };
+
+/// Record a point event of `trace`'s lifecycle, stamped now, on the
+/// calling thread's lane.
+pub(crate) fn event(trace: u64, kind: TraceKind, arg0: u64, arg1: u64) {
+    record(trace, kind, now_ns(), 0, [arg0, arg1]);
+}
 
 #[cfg(feature = "telemetry")]
 mod record {
-    use super::{Phase, ThreadSnapshot, TraceEvent, PHASES};
+    use super::{now_ns, ThreadSnapshot, TraceEvent, TraceKind, PHASES};
     use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{fence, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, PoisonError};
 
-    /// Spans kept per thread; older entries are overwritten. 1024 spans
-    /// cover several full GEPP sweeps of a large GEMM (4 spans per
-    /// block-epoch) while bounding memory at ~40 KiB per lane.
+    /// Records kept per lane, oldest overwritten: several GEPP sweeps of
+    /// a large GEMM, or the last hundred or so request chains on a
+    /// service's scheduler thread, at 80 KiB per lane.
     const RING_LEN: usize = 1024;
 
+    /// A record as the ring stores it: trace, kind, arg0, arg1, start,
+    /// duration, gepp, row0, col0.
+    const WORDS: usize = 9;
+
     #[derive(Default)]
-    struct RingEntry {
-        /// `Phase::index() + 1`; 0 = empty.
-        phase1: AtomicU64,
-        gepp: AtomicU64,
-        block_row0: AtomicU64,
-        block_col0: AtomicU64,
-        start_ns: AtomicU64,
-        dur_ns: AtomicU64,
+    struct Entry {
+        /// Write index + 1 once `words` hold a whole record, 0 while
+        /// they are being written: a reader that sees the same nonzero
+        /// value before and after copying them has copied one record.
+        seq: AtomicU64,
+        words: [AtomicU64; WORDS],
     }
 
+    #[derive(Default)]
     pub(super) struct Slot {
         name: Mutex<String>,
         flops: AtomicU64,
@@ -731,63 +824,85 @@ mod record {
         arena_fresh: AtomicU64,
         phase_ns: [AtomicU64; PHASES],
         phase_hits: [AtomicU64; PHASES],
-        /// Current GEPP iteration / grid-cell context (owner-written).
-        gepp: AtomicU64,
-        block_row0: AtomicU64,
-        block_col0: AtomicU64,
-        /// Next ring index (monotone; wraps modulo `RING_LEN`).
+        /// Records written since the last reset; record `i` lives at
+        /// `ring[i % RING_LEN]` until record `i + RING_LEN` replaces it.
         head: AtomicU64,
-        ring: Vec<RingEntry>,
+        ring: Vec<Entry>,
     }
 
     impl Slot {
         fn new(name: String) -> Self {
             Slot {
                 name: Mutex::new(name),
-                flops: AtomicU64::new(0),
-                packed_a_bytes: AtomicU64::new(0),
-                packed_b_bytes: AtomicU64::new(0),
-                b_in_place_bytes: AtomicU64::new(0),
-                blocks: AtomicU64::new(0),
-                steals: AtomicU64::new(0),
-                arena_hits: AtomicU64::new(0),
-                arena_fresh: AtomicU64::new(0),
-                phase_ns: Default::default(),
-                phase_hits: Default::default(),
-                gepp: AtomicU64::new(0),
-                block_row0: AtomicU64::new(0),
-                block_col0: AtomicU64::new(0),
-                head: AtomicU64::new(0),
-                ring: (0..RING_LEN).map(|_| RingEntry::default()).collect(),
+                ring: (0..RING_LEN).map(|_| Entry::default()).collect(),
+                ..Slot::default()
             }
         }
 
         fn zero(&self) {
-            self.flops.store(0, Ordering::Relaxed);
-            self.packed_a_bytes.store(0, Ordering::Relaxed);
-            self.packed_b_bytes.store(0, Ordering::Relaxed);
-            self.b_in_place_bytes.store(0, Ordering::Relaxed);
-            self.blocks.store(0, Ordering::Relaxed);
-            self.steals.store(0, Ordering::Relaxed);
-            self.arena_hits.store(0, Ordering::Relaxed);
-            self.arena_fresh.store(0, Ordering::Relaxed);
-            for p in &self.phase_ns {
-                p.store(0, Ordering::Relaxed);
+            let counters = [
+                &self.flops,
+                &self.packed_a_bytes,
+                &self.packed_b_bytes,
+                &self.b_in_place_bytes,
+                &self.blocks,
+                &self.steals,
+                &self.arena_hits,
+                &self.arena_fresh,
+                &self.head,
+            ];
+            let phases = self.phase_ns.iter().chain(&self.phase_hits);
+            let seqs = self.ring.iter().map(|e| &e.seq);
+            for c in counters.into_iter().chain(phases).chain(seqs) {
+                c.store(0, Ordering::Relaxed);
             }
-            for p in &self.phase_hits {
-                p.store(0, Ordering::Relaxed);
+        }
+
+        /// Append one record (owner thread only). The Release fence keeps
+        /// the 0 ahead of the words and the Release store publishes them;
+        /// `read` pairs each with an Acquire.
+        fn push(&self, words: [u64; WORDS]) {
+            let i = self.head.fetch_add(1, Ordering::Relaxed);
+            let e = &self.ring[i as usize % RING_LEN];
+            e.seq.store(0, Ordering::Relaxed);
+            fence(Ordering::Release);
+            for (w, v) in e.words.iter().zip(words) {
+                w.store(v, Ordering::Relaxed);
             }
-            self.gepp.store(0, Ordering::Relaxed);
-            self.block_row0.store(0, Ordering::Relaxed);
-            self.block_col0.store(0, Ordering::Relaxed);
-            self.head.store(0, Ordering::Relaxed);
-            for e in &self.ring {
-                e.phase1.store(0, Ordering::Relaxed);
+            e.seq.store(i + 1, Ordering::Release);
+        }
+
+        /// The whole record at ring position `at`, if there is one, with
+        /// its write index.
+        fn read(&self, at: usize, lane: usize) -> Option<(u64, TraceEvent)> {
+            let e = &self.ring[at];
+            let seq = e.seq.load(Ordering::Acquire);
+            let w: [u64; WORDS] = std::array::from_fn(|k| e.words[k].load(Ordering::Relaxed));
+            fence(Ordering::Acquire);
+            if seq == 0 || e.seq.load(Ordering::Relaxed) != seq {
+                return None;
             }
+            let event = TraceEvent {
+                trace: w[0],
+                kind: *TraceKind::ALL.get(w[1] as usize)?,
+                arg0: w[2],
+                arg1: w[3],
+                start_ns: w[4],
+                dur_ns: w[5],
+                gepp: w[6],
+                block_row0: w[7],
+                block_col0: w[8],
+                lane,
+            };
+            Some((seq - 1, event))
+        }
+
+        /// Every whole record in the ring, in ring order.
+        fn records(&self, lane: usize) -> impl Iterator<Item = TraceEvent> + '_ {
+            (0..RING_LEN).filter_map(move |at| self.read(at, lane).map(|(_, e)| e))
         }
     }
 
-    #[derive(Default)]
     struct Registry {
         slots: Vec<Arc<Slot>>,
         /// Lanes whose occupant thread exited, available for reuse so
@@ -802,198 +917,240 @@ mod record {
         free: Vec::new(),
     });
 
-    /// Process-wide monotonic clock origin for span timestamps.
-    /// Shares [`crate::trace::now_ns`]'s epoch so bridged phase spans
-    /// and request lifecycle spans live on one timeline.
-    fn now_ns() -> u64 {
-        crate::trace::now_ns()
+    fn lanes() -> Vec<Arc<Slot>> {
+        REGISTRY
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .slots
+            .clone()
     }
 
-    struct Handle {
+    /// A thread's recording state: its slot and what it tags records
+    /// with. Only the owner thread reads or writes the tags.
+    struct Lane {
         slot: Arc<Slot>,
-        lane: usize,
+        index: usize,
+        /// The trace id spans are recorded under (0 = none).
+        trace: u64,
+        /// The current GEPP step and grid cell: gepp, row0, col0.
+        ctx: [u64; 3],
     }
 
-    impl Drop for Handle {
-        fn drop(&mut self) {
-            let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-            reg.free.push(self.lane);
+    impl Lane {
+        fn record(&self, trace: u64, kind: TraceKind, start_ns: u64, dur_ns: u64, args: [u64; 2]) {
+            let [gepp, row0, col0] = self.ctx;
+            let kind = kind.index() as u64;
+            self.slot.push([
+                trace, kind, args[0], args[1], start_ns, dur_ns, gepp, row0, col0,
+            ]);
         }
     }
 
-    fn acquire() -> Handle {
+    impl Drop for Lane {
+        fn drop(&mut self) {
+            let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+            reg.free.push(self.index);
+        }
+    }
+
+    fn acquire() -> Lane {
         let name = std::thread::current()
             .name()
             .map_or_else(|| "unnamed".to_owned(), str::to_owned);
         let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(lane) = reg.free.pop() {
-            let slot = Arc::clone(&reg.slots[lane]);
+        let (slot, index) = if let Some(index) = reg.free.pop() {
+            let slot = Arc::clone(&reg.slots[index]);
             drop(reg);
             *slot.name.lock().unwrap_or_else(PoisonError::into_inner) = name;
-            Handle { slot, lane }
+            (slot, index)
         } else {
             let slot = Arc::new(Slot::new(name));
-            let lane = reg.slots.len();
             reg.slots.push(Arc::clone(&slot));
-            Handle { slot, lane }
+            (slot, reg.slots.len() - 1)
+        };
+        Lane {
+            slot,
+            index,
+            trace: 0,
+            ctx: [0; 3],
         }
     }
 
     thread_local! {
-        static HANDLE: RefCell<Option<Handle>> = const { RefCell::new(None) };
+        static LANE: RefCell<Option<Lane>> = const { RefCell::new(None) };
     }
 
-    /// Run `f` on this thread's slot, acquiring a lane on first use.
+    /// Run `f` on this thread's lane, acquiring one on first use.
     /// Silently skips recording during thread teardown (the TLS value
     /// may already be destroyed) — losing a span at exit beats aborting.
     #[inline]
-    fn with_slot(f: impl FnOnce(&Slot)) {
-        let _ = HANDLE.try_with(|cell| {
-            if let Ok(mut handle) = cell.try_borrow_mut() {
-                f(&handle.get_or_insert_with(acquire).slot);
-            }
-        });
+    fn with_lane<R>(f: impl FnOnce(&mut Lane) -> R) -> Option<R> {
+        LANE.try_with(|cell| Some(f(cell.try_borrow_mut().ok()?.get_or_insert_with(acquire))))
+            .ok()
+            .flatten()
     }
 
     #[inline]
     pub(crate) fn add_flops(n: u64) {
-        with_slot(|s| {
-            s.flops.fetch_add(n, Ordering::Relaxed);
-        });
+        with_lane(|l| l.slot.flops.fetch_add(n, Ordering::Relaxed));
     }
 
     #[inline]
     pub(crate) fn add_packed_a_bytes(n: u64) {
-        with_slot(|s| {
-            s.packed_a_bytes.fetch_add(n, Ordering::Relaxed);
-        });
+        with_lane(|l| l.slot.packed_a_bytes.fetch_add(n, Ordering::Relaxed));
     }
 
     #[inline]
     pub(crate) fn add_packed_b_bytes(n: u64) {
-        with_slot(|s| {
-            s.packed_b_bytes.fetch_add(n, Ordering::Relaxed);
-        });
+        with_lane(|l| l.slot.packed_b_bytes.fetch_add(n, Ordering::Relaxed));
     }
 
     /// One GEBP block retired: `n` flops, the block count and the bytes
     /// of B its kernels read in place, in a single lane access (this is
     /// the hottest recording site).
     #[inline]
-    pub(crate) fn count_block(n: u64, b_in_place_bytes: u64) {
-        with_slot(|s| {
+    pub(crate) fn count_block(n: u64, in_place: u64) {
+        with_lane(|l| {
+            let s = &l.slot;
             s.flops.fetch_add(n, Ordering::Relaxed);
             s.blocks.fetch_add(1, Ordering::Relaxed);
-            s.b_in_place_bytes
-                .fetch_add(b_in_place_bytes, Ordering::Relaxed);
+            s.b_in_place_bytes.fetch_add(in_place, Ordering::Relaxed);
         });
     }
 
     #[inline]
     pub(crate) fn count_steal() {
-        with_slot(|s| {
-            s.steals.fetch_add(1, Ordering::Relaxed);
-        });
+        with_lane(|l| l.slot.steals.fetch_add(1, Ordering::Relaxed));
     }
 
     #[inline]
     pub(crate) fn count_arena_hit() {
-        with_slot(|s| {
-            s.arena_hits.fetch_add(1, Ordering::Relaxed);
-        });
+        with_lane(|l| l.slot.arena_hits.fetch_add(1, Ordering::Relaxed));
     }
 
     #[inline]
     pub(crate) fn count_arena_fresh() {
-        with_slot(|s| {
-            s.arena_fresh.fetch_add(1, Ordering::Relaxed);
-        });
+        with_lane(|l| l.slot.arena_fresh.fetch_add(1, Ordering::Relaxed));
     }
 
-    /// Tag subsequent spans with the current GEPP iteration (the
-    /// `(jj, kk)` epoch sequence number).
+    /// Tag subsequent records with the call's running count of
+    /// `(jj, kk)` steps.
     #[inline]
     pub(crate) fn set_gepp(seq: u64) {
-        with_slot(|s| s.gepp.store(seq, Ordering::Relaxed));
+        with_lane(|l| l.ctx[0] = seq);
     }
 
-    /// Tag subsequent spans with the current grid cell: the `mc`-block's
+    /// Tag subsequent records with the current grid cell: the `mc`-block's
     /// first row and the cell's first column within its `jj` panel.
     #[inline]
     pub(crate) fn set_cell(row0: usize, col0: usize) {
-        with_slot(|s| {
-            s.block_row0.store(row0 as u64, Ordering::Relaxed);
-            s.block_col0.store(col0 as u64, Ordering::Relaxed);
-        });
+        with_lane(|l| l.ctx = [l.ctx[0], row0 as u64, col0 as u64]);
+    }
+
+    /// The trace id this thread's spans are recorded under (0 = none).
+    /// Reads only: a thread that never recorded gets no lane from it.
+    pub(crate) fn current_trace() -> u64 {
+        LANE.try_with(|c| c.try_borrow().ok()?.as_ref().map(|l| l.trace))
+            .ok()
+            .flatten()
+            .unwrap_or(0)
+    }
+
+    /// Run `f` with this thread's spans recorded under `trace`; the
+    /// previous id is restored on exit, panic included.
+    pub(crate) fn with_trace<R>(trace: u64, f: impl FnOnce() -> R) -> R {
+        struct Restore(u64);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                with_lane(|l| l.trace = self.0);
+            }
+        }
+        let prev = with_lane(|l| std::mem::replace(&mut l.trace, trace));
+        let _restore = Restore(prev.unwrap_or(0));
+        f()
+    }
+
+    /// Write one record of `trace` on this thread's lane.
+    pub(crate) fn record(trace: u64, kind: TraceKind, start_ns: u64, dur_ns: u64, args: [u64; 2]) {
+        with_lane(|l| l.record(trace, kind, start_ns, dur_ns, args));
     }
 
     /// RAII phase timer: created at phase entry, records on drop.
     #[must_use]
     pub(crate) struct SpanGuard {
-        phase: Phase,
+        kind: TraceKind,
         start: u64,
     }
 
     impl Drop for SpanGuard {
         fn drop(&mut self) {
-            let end = now_ns();
-            let dur = end.saturating_sub(self.start);
-            // Request-scoped bridge: if this thread currently carries a
-            // service trace context, the span also lands on that
-            // request's trace (one thread-local read when it doesn't).
-            crate::trace::bridge_phase(self.phase.index(), self.start, dur);
-            with_slot(|s| {
-                let idx = self.phase.index();
-                s.phase_ns[idx].fetch_add(dur, Ordering::Relaxed);
-                s.phase_hits[idx].fetch_add(1, Ordering::Relaxed);
-                let head = s.head.fetch_add(1, Ordering::Relaxed);
-                let e = &s.ring[(head as usize) % RING_LEN];
-                e.gepp
-                    .store(s.gepp.load(Ordering::Relaxed), Ordering::Relaxed);
-                e.block_row0
-                    .store(s.block_row0.load(Ordering::Relaxed), Ordering::Relaxed);
-                e.block_col0
-                    .store(s.block_col0.load(Ordering::Relaxed), Ordering::Relaxed);
-                e.start_ns.store(self.start, Ordering::Relaxed);
-                e.dur_ns.store(dur, Ordering::Relaxed);
-                e.phase1.store(idx as u64 + 1, Ordering::Relaxed);
+            let dur = now_ns().saturating_sub(self.start);
+            with_lane(|l| {
+                let idx = self.kind.index();
+                if idx < PHASES {
+                    l.slot.phase_ns[idx].fetch_add(dur, Ordering::Relaxed);
+                    l.slot.phase_hits[idx].fetch_add(1, Ordering::Relaxed);
+                }
+                l.record(l.trace, self.kind, self.start, dur, [0, 0]);
             });
         }
     }
 
     /// Open a phase span on the calling thread.
     #[inline]
-    pub(crate) fn span(phase: Phase) -> SpanGuard {
+    pub(crate) fn span(kind: TraceKind) -> SpanGuard {
         SpanGuard {
-            phase,
+            kind,
             start: now_ns(),
         }
     }
 
-    pub(super) fn thread_snapshots() -> Vec<ThreadSnapshot> {
-        let slots: Vec<Arc<Slot>> = {
-            let reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-            reg.slots.clone()
-        };
-        slots
+    /// Every surviving record of `trace`, from every lane, oldest first.
+    pub(crate) fn events_for(trace: u64) -> Vec<TraceEvent> {
+        let mut out: Vec<TraceEvent> = lanes()
             .iter()
-            .map(|s| {
-                let mut trace: Vec<TraceEvent> = s
-                    .ring
-                    .iter()
-                    .filter_map(|e| {
-                        let phase1 = e.phase1.load(Ordering::Relaxed);
-                        let phase = *Phase::ALL.get((phase1 as usize).checked_sub(1)?)?;
-                        Some(TraceEvent {
-                            phase,
-                            gepp: e.gepp.load(Ordering::Relaxed),
-                            block_row0: e.block_row0.load(Ordering::Relaxed),
-                            block_col0: e.block_col0.load(Ordering::Relaxed),
-                            start_ns: e.start_ns.load(Ordering::Relaxed),
-                            dur_ns: e.dur_ns.load(Ordering::Relaxed),
-                        })
-                    })
-                    .collect();
+            .enumerate()
+            .flat_map(|(lane, s)| s.records(lane).filter(|e| e.trace == trace))
+            .collect();
+        out.sort_by_key(|e| (e.start_ns, e.kind.index()));
+        out
+    }
+
+    /// Where every lane's ring stands now, by lane: the start of a
+    /// window [`phase_ns_since`] reads back.
+    pub(crate) fn heads() -> Vec<u64> {
+        lanes()
+            .iter()
+            .map(|s| s.head.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Nanoseconds per execution phase that any lane recorded under
+    /// `trace` since `from`. Only the window's records are read, so the
+    /// cost is the lanes plus what they recorded since, not the rings.
+    pub(crate) fn phase_ns_since(from: &[u64], trace: u64) -> [u64; PHASES] {
+        let mut ns = [0; PHASES];
+        for (lane, s) in lanes().iter().enumerate() {
+            let end = s.head.load(Ordering::Relaxed);
+            let oldest = end.saturating_sub(RING_LEN as u64);
+            let start = from.get(lane).copied().unwrap_or(0).max(oldest);
+            for i in start..end {
+                if let Some((seq, e)) = s.read(i as usize % RING_LEN, lane) {
+                    if seq == i && e.trace == trace && e.kind.index() < PHASES {
+                        ns[e.kind.index()] += e.dur_ns;
+                    }
+                }
+            }
+        }
+        ns
+    }
+
+    pub(super) fn thread_snapshots() -> Vec<ThreadSnapshot> {
+        lanes()
+            .iter()
+            .enumerate()
+            .map(|(lane, s)| {
+                let mut trace: Vec<TraceEvent> = s.records(lane).collect();
                 trace.sort_by_key(|e| e.start_ns);
                 ThreadSnapshot {
                     name: s
@@ -1018,11 +1175,7 @@ mod record {
     }
 
     pub(super) fn reset_slots() {
-        let slots: Vec<Arc<Slot>> = {
-            let reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-            reg.slots.clone()
-        };
-        for slot in slots {
+        for slot in lanes() {
             slot.zero();
         }
     }
@@ -1038,12 +1191,12 @@ mod record {
             let _gate = super::super::reset_gate();
             reset_slots();
             for _ in 0..RING_LEN + 64 {
-                drop(span(Phase::Compute));
+                drop(span(TraceKind::Compute));
             }
             let snaps = thread_snapshots();
             let me = snaps
                 .iter()
-                .find(|t| t.phase_hits[Phase::Compute.index()] >= (RING_LEN + 64) as u64)
+                .find(|t| t.phase_hits[TraceKind::Compute.index()] >= (RING_LEN + 64) as u64)
                 .expect("this thread's lane");
             assert!(me.trace.len() <= RING_LEN);
             assert!(!me.trace.is_empty());
@@ -1054,11 +1207,11 @@ mod record {
             let _gate = super::super::reset_gate();
             set_gepp(7);
             set_cell(112, 48);
-            drop(span(Phase::PackA));
+            drop(span(TraceKind::PackA));
             let snaps = thread_snapshots();
             assert!(snaps
                 .iter()
-                .any(|t| t.trace.iter().any(|e| e.phase == Phase::PackA
+                .any(|t| t.trace.iter().any(|e| e.kind == TraceKind::PackA
                     && e.gepp == 7
                     && e.block_row0 == 112
                     && e.block_col0 == 48)));
@@ -1068,8 +1221,9 @@ mod record {
 
 #[cfg(not(feature = "telemetry"))]
 mod record {
-    //! No-op recording: every site compiles to nothing.
-    use super::{Phase, ThreadSnapshot};
+    //! No-op recording: every site compiles to nothing, and the readers
+    //! find an empty stream.
+    use super::{ThreadSnapshot, TraceEvent, TraceKind, PHASES};
 
     #[inline(always)]
     pub(crate) fn add_flops(_n: u64) {}
@@ -1089,13 +1243,35 @@ mod record {
     pub(crate) fn set_gepp(_seq: u64) {}
     #[inline(always)]
     pub(crate) fn set_cell(_row0: usize, _col0: usize) {}
+    #[inline(always)]
+    pub(crate) fn current_trace() -> u64 {
+        0
+    }
+    #[inline(always)]
+    pub(crate) fn with_trace<R>(_trace: u64, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+    #[inline(always)]
+    pub(crate) fn record(_trace: u64, _kind: TraceKind, _start: u64, _dur: u64, _args: [u64; 2]) {}
 
     /// Zero-sized stand-in for the enabled build's RAII timer.
     pub(crate) struct SpanGuard;
 
     #[inline(always)]
-    pub(crate) fn span(_phase: Phase) -> SpanGuard {
+    pub(crate) fn span(_kind: TraceKind) -> SpanGuard {
         SpanGuard
+    }
+
+    pub(crate) fn events_for(_trace: u64) -> Vec<TraceEvent> {
+        Vec::new()
+    }
+
+    pub(crate) fn heads() -> Vec<u64> {
+        Vec::new()
+    }
+
+    pub(crate) fn phase_ns_since(_from: &[u64], _trace: u64) -> [u64; PHASES] {
+        [0; PHASES]
     }
 
     pub(super) fn thread_snapshots() -> Vec<ThreadSnapshot> {
@@ -1232,9 +1408,9 @@ impl GemmReport {
         } = *blocks;
         let gamma_model = GebpTraffic::gamma(mr, nr, kc, mc.min(m.max(1)), nc.min(n.max(1)));
 
-        let pack = snap.total_phase_ns(Phase::PackA) + snap.total_phase_ns(Phase::PackB);
-        let compute = snap.total_phase_ns(Phase::Compute);
-        let wait = snap.total_phase_ns(Phase::Barrier);
+        let pack = snap.total_phase_ns(TraceKind::PackA) + snap.total_phase_ns(TraceKind::PackB);
+        let compute = snap.total_phase_ns(TraceKind::Compute);
+        let wait = snap.total_phase_ns(TraceKind::Barrier);
         let denom = (pack + compute + wait) as f64;
         let (pack_frac, compute_frac, wait_frac) = if denom > 0.0 {
             (
@@ -1374,16 +1550,6 @@ impl GemmReport {
         fn opt_bool(v: Option<bool>) -> String {
             v.map_or_else(|| "null".to_owned(), |b| b.to_string())
         }
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => vec!['\\', '"'],
-                    '\\' => vec!['\\', '\\'],
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
         let mut threads_json = String::new();
         for (i, t) in snap.threads.iter().enumerate() {
             if i > 0 {
@@ -1393,7 +1559,7 @@ impl GemmReport {
                 "{{\"name\":\"{}\",\"flops\":{},\"packed_a_bytes\":{},\"packed_b_bytes\":{},\
                  \"b_in_place_bytes\":{},\
                  \"blocks\":{},\"steals\":{},\"arena_hits\":{},\"arena_fresh\":{},{}}}",
-                esc(&t.name),
+                crate::util::json_escape(&t.name),
                 t.flops,
                 t.packed_a_bytes,
                 t.packed_b_bytes,
@@ -1402,7 +1568,7 @@ impl GemmReport {
                 t.steals,
                 t.arena_hits,
                 t.arena_fresh,
-                Phase::ALL
+                TraceKind::ALL[..PHASES]
                     .iter()
                     .map(|p| format!("\"{}_ns\":{}", p.label(), t.phase_time(*p)))
                     .collect::<Vec<_>>()
@@ -1487,39 +1653,49 @@ impl GemmReport {
     }
 }
 
-/// What [`emit`] prints, from `DGEMM_TELEMETRY`.
+/// What the library prints, from `DGEMM_TELEMETRY`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TelemetryMode {
     /// Print nothing (the default).
     #[default]
     Off,
-    /// Print [`GemmReport::summary_line`] to stderr.
+    /// [`emit`] prints [`GemmReport::summary_line`] to stderr.
     Summary,
-    /// Print [`GemmReport::to_json`] to stderr.
+    /// [`emit`] prints [`GemmReport::to_json`] to stderr, and the
+    /// service prints each resolved request's records as one
+    /// [`crate::trace::chrome_trace_json`] object.
     Json,
 }
 
-/// Parse `DGEMM_TELEMETRY` (`summary` | `json` | anything else = off).
-#[must_use]
-pub fn mode_from_env() -> TelemetryMode {
+/// Parse `DGEMM_TELEMETRY`: unset or empty is [`TelemetryMode::Off`];
+/// `off`, `summary` and `json` select a mode; anything else is a
+/// [`GemmError::BadConfig`].
+pub fn mode_from_env() -> Result<TelemetryMode, GemmError> {
     match std::env::var("DGEMM_TELEMETRY") {
         Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "summary" => TelemetryMode::Summary,
-            "json" => TelemetryMode::Json,
-            _ => TelemetryMode::Off,
+            "" | "off" => Ok(TelemetryMode::Off),
+            "summary" => Ok(TelemetryMode::Summary),
+            "json" => Ok(TelemetryMode::Json),
+            _ => Err(GemmError::BadConfig(
+                "DGEMM_TELEMETRY must be off, summary or json",
+            )),
         },
-        Err(_) => TelemetryMode::Off,
+        Err(std::env::VarError::NotPresent) => Ok(TelemetryMode::Off),
+        Err(std::env::VarError::NotUnicode(_)) => {
+            Err(GemmError::BadConfig("DGEMM_TELEMETRY is not unicode"))
+        }
     }
 }
 
 /// Print `report` to stderr in the mode `DGEMM_TELEMETRY` selects
-/// (no-op when off/unset). Library code never prints unprompted; this
-/// is the explicit faucet examples and benches open.
+/// (no-op when off, unset or unparsable — [`crate::gemm::GemmConfig::auto`]
+/// is where a bad value is reported). Library code never prints
+/// unprompted; this is the explicit faucet examples and benches open.
 pub fn emit(report: &GemmReport, snap: &Snapshot) {
     match mode_from_env() {
-        TelemetryMode::Off => {}
-        TelemetryMode::Summary => eprintln!("{}", report.summary_line()),
-        TelemetryMode::Json => eprintln!("{}", report.to_json(snap)),
+        Ok(TelemetryMode::Summary) => eprintln!("{}", report.summary_line()),
+        Ok(TelemetryMode::Json) => eprintln!("{}", report.to_json(snap)),
+        Ok(TelemetryMode::Off) | Err(_) => {}
     }
 }
 
@@ -1529,11 +1705,13 @@ mod tests {
 
     #[test]
     fn phase_labels_and_indices_are_stable() {
-        for (i, p) in Phase::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
+        for (i, k) in TraceKind::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i);
         }
-        assert_eq!(Phase::PackA.label(), "pack_a");
-        assert_eq!(Phase::Barrier.label(), "barrier");
+        // The exact counters index the execution phases, which lead.
+        assert_eq!(TraceKind::ALL[..PHASES].last(), Some(&TraceKind::Recovery));
+        assert_eq!(TraceKind::PackA.label(), "pack_a");
+        assert_eq!(TraceKind::Barrier.label(), "barrier");
     }
 
     #[test]

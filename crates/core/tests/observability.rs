@@ -1,4 +1,4 @@
-//! Golden-schema contract of the observability surface (DESIGN.md §16):
+//! Golden-schema contract of the observability surface (DESIGN.md §11):
 //! the `/metrics` body passes a Prometheus text-exposition grammar
 //! check (typed families, monotone cumulative buckets, `_sum`/`_count`
 //! consistency), the `/status` body is syntactically valid
@@ -6,25 +6,27 @@
 //! latency histograms are bucket-exact against a recomputation, and a
 //! served request's trace chain covers its lifecycle.
 //!
-//! Everything here runs with the `trace` feature on or off: the
+//! Everything here runs with the `telemetry` feature on or off: the
 //! histogram/journal surface is always compiled, and the
-//! ring-dependent assertions guard on [`trace::enabled`]. The same two
+//! stream-dependent assertions guard on [`trace::enabled`]. The same two
 //! checkers are applied to what a real service answers over loopback
-//! TCP, and (with `fault-injection`) a seeded fault must reach the
+//! TCP, a worker's span must reach the chain of the request that caused
+//! it, and (with `fault-injection`) a seeded fault must reach the
 //! journal under the trace ID of the request it hit.
 
 use dgemm_core::gemm::GemmConfig;
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
 use dgemm_core::service::{GemmService, ServiceConfig, ServiceError};
-use dgemm_core::trace::{self, HealthEventKind, LatencyHistogram, TraceKind, HIST_BUCKETS};
+use dgemm_core::telemetry::TraceKind;
+use dgemm_core::trace::{self, HealthEventKind, LatencyHistogram, HIST_BUCKETS};
 use dgemm_core::util::SplitMix64;
 use dgemm_core::Transpose;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod common;
 
@@ -487,12 +489,12 @@ fn histogram_is_bucket_exact_against_recomputation() {
 
 #[test]
 fn trace_chain_covers_the_ticket_lifecycle() {
-    if !trace::enabled() || trace::mode() == trace::TraceMode::Off {
-        return; // `trace` feature off / DGEMM_TRACE=off: ring is empty.
+    if !trace::enabled() {
+        return; // recording compiled out: the stream is empty.
     }
     let _shared = no_fault_plan();
     let svc = GemmService::new(service_cfg());
-    // Large enough that compute dominates the bridged span accounting
+    // Large enough that compute dominates the recorded span accounting
     // on whatever kernel runs: an eighth of the filler's work, tens of
     // milliseconds against the tens of microseconds between the spans
     // (a literal 200³ is 0.3 ms on the row-grouped AVX-512 kernel).
@@ -538,6 +540,70 @@ fn trace_chain_covers_the_ticket_lifecycle() {
     assert_valid_json(&json);
     assert!(json.contains("\"name\":\"queued\""), "{json}");
     assert!(json.contains("\"ph\":\"X\""), "{json}");
+    svc.shutdown();
+}
+
+/// A worker's span lands on the request that caused it: served by a
+/// `Pool(2)` shard on a shape of two cells, a request's chain holds
+/// `Compute` spans from two lanes, and its tenant gets a compute-latency
+/// sample. Which thread runs a cell is the scheduler's call — on a busy
+/// host the helping caller can take both — so keep submitting, within a
+/// bound, until a worker's span shows up.
+#[test]
+fn worker_spans_land_on_the_request_that_caused_them() {
+    if !trace::enabled() {
+        return; // recording compiled out: the stream is empty.
+    }
+    let _shared = no_fault_plan();
+    let gemm = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 2);
+    // four mc-blocks of rows: the pool's grid splits them into two cells
+    let n = 4 * gemm.blocks.mc;
+    let svc = GemmService::new(ServiceConfig {
+        gemm,
+        ..ServiceConfig::default()
+    });
+    let a = Arc::new(Matrix::random(n, n, 41));
+    let b = Arc::new(Matrix::random(n, n, 42));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut served = 0u64;
+    let (chain, lanes) = loop {
+        let t = svc
+            .submit(
+                "workers",
+                1.0,
+                Arc::clone(&a),
+                Transpose::No,
+                Arc::clone(&b),
+            )
+            .expect("admitted");
+        let id = t.id();
+        t.wait().expect("served");
+        served += 1;
+        let chain = svc.trace_of(id);
+        let lanes: BTreeSet<usize> = chain
+            .iter()
+            .filter(|e| e.kind == TraceKind::Compute)
+            .map(|e| e.lane)
+            .collect();
+        if lanes.len() >= 2 || Instant::now() > deadline {
+            break (chain, lanes);
+        }
+    };
+    assert!(
+        lanes.len() >= 2,
+        "after {served} requests no worker's Compute span reached a chain: {chain:?}"
+    );
+    let compute_samples = svc
+        .metrics_text()
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(parse_sample)
+        .find(|s| {
+            s.name == "dgemm_request_compute_latency_us_count"
+                && s.labels.get("tenant").map(String::as_str) == Some("workers")
+        })
+        .map_or(0, |s| s.value as u64);
+    assert_eq!(compute_samples, served, "one compute sample per request");
     svc.shutdown();
 }
 
