@@ -1,18 +1,18 @@
 //! Extension — the closed-loop autotuner on the native engine
-//! (DESIGN.md §14): for each swept shape class, measure the analytic
-//! (untuned) configuration, run the model-seeded sweep
-//! ([`dgemm_core::autotune::tune_and_store`]), persist the winner
-//! in the tuning DB, then re-measure with the tuned configuration the
-//! DB now serves to `GemmConfig::auto()`.
+//! (DESIGN.md §14): for each swept shape class, run the model-seeded
+//! sweep ([`dgemm_core::autotune::tune_and_store`]), persist the winning
+//! blocking in the tuning DB, then re-measure the configuration the DB
+//! now serves to `GemmConfig::auto()` against the untuned one — an
+//! independent check of what the sweep stored.
 //!
 //! Prints the before/after table (`scripts/reproduce_all.sh` captures
 //! it as `results/ext_autotune.txt`). What the loop must *do* — persist,
 //! re-read, stay inside the budget, serve bit-exact blockings — is held
 //! by `crates/core/tests/autotune_db.rs`, not by this driver.
 //!
-//! Options: `--quick` (small shapes, small budget); `DGEMM_TUNE_DB`,
-//! `DGEMM_AUTOTUNE_BUDGET`, `DGEMM_AUTOTUNE_REPS` are honored like
-//! everywhere else.
+//! Options: `--quick` (small shapes, small budget); `DGEMM_NUM_THREADS`,
+//! `DGEMM_TUNE_DB`, `DGEMM_AUTOTUNE_BUDGET` and `DGEMM_AUTOTUNE_REPS` are
+//! read by the library's parsers, and a malformed value exits 2.
 
 use dgemm_core::autotune::{self, AutotuneMode, TuneOptions};
 use dgemm_core::gemm::{try_gemm, GemmConfig};
@@ -86,17 +86,19 @@ fn measure_pair(
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let threads = std::env::var("DGEMM_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
+    // The library's own parsers: a malformed value is an error here as
+    // everywhere else, not a silent default.
+    let (threads, mut opts) =
+        match GemmConfig::auto().and_then(|cfg| Ok((cfg.threads(), TuneOptions::from_env()?))) {
+            Ok(parsed) => parsed,
+            Err(e) => {
+                eprintln!("bad environment: {e}");
+                std::process::exit(2);
+            }
+        };
 
     // The sweep budget: env wins, otherwise a rich budget for the full
     // run and a tight one for --quick.
-    let mut opts = TuneOptions::from_env().unwrap_or_default();
     if quick && std::env::var_os("DGEMM_AUTOTUNE_BUDGET").is_none() {
         opts.budget = 6;
     }
@@ -127,7 +129,7 @@ fn main() {
             (512, 512, 64),
         ]
     };
-    let reps = if quick { 2 } else { 3 };
+    let samples = if quick { 2 } else { 9 };
 
     // Native measurement (not the simulator), so not dgemm_bench::banner.
     println!("================================================================");
@@ -137,7 +139,7 @@ fn main() {
     println!("================================================================");
     println!("host {:?}, {} thread(s)", autotune::cpu_id(), threads);
     println!(
-        "db {} | budget {} configs/class, {} rep(s)/config",
+        "db {} | budget {} configs/class, {} pair(s)/candidate",
         db.display(),
         opts.budget,
         opts.reps
@@ -152,28 +154,21 @@ fn main() {
         let class = ShapeClass::of(m, n, k);
         let untuned_cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, threads);
 
-        let Some(entry) = autotune::tune_and_store(&db, untuned_cfg.kernel, threads, class, &opts)
-        else {
+        if autotune::tune_and_store(&db, untuned_cfg.kernel, threads, class, &opts).is_none() {
             eprintln!("sweep produced no winner for {}", class.label());
             continue;
-        };
+        }
         // Measure exactly what auto() will now serve for this class,
         // interleaved against the untuned baseline.
         let tuned_cfg = autotune::tuned(&untuned_cfg.with_autotune(AutotuneMode::Read), m, n, k);
-        let (untuned, tuned) = measure_pair(&untuned_cfg, &tuned_cfg, m, n, k, reps);
+        let (untuned, tuned) = measure_pair(&untuned_cfg, &tuned_cfg, m, n, k, samples);
 
-        let winner = format!("{} {}", tuned_cfg.blocks.label(), entry.runtime);
         println!(
-            "{m:>5} {n:>5} {k:>5}  {:<18} {untuned:>9.3} {tuned:>9.3} {:>7.3}x  {winner}",
+            "{m:>5} {n:>5} {k:>5}  {:<18} {untuned:>9.3} {tuned:>9.3} {:>7.3}x  {}",
             class.label(),
             tuned / untuned.max(1e-12),
+            tuned_cfg.blocks.label(),
         );
-    }
-
-    // Persist the dispatcher calibration the measurements produced, so
-    // the next process on this host predicts accurately from call one.
-    if let Err(e) = autotune::persist_calibration(&db) {
-        eprintln!("warning: could not persist calibration: {e}");
     }
 
     println!();

@@ -11,28 +11,23 @@
 //! 1. **Candidates** come from `perfmodel::tuning`: the analytic seed,
 //!    the Goto heuristic, and Table VI-axis neighbors — never a grid —
 //!    then model-pruned by the eq. (4) bound. The sweep never measures
-//!    more than [`MAX_CANDIDATES`] `(kernel, blocking, runtime)`
-//!    configurations.
-//! 2. **Measurement** runs through the existing telemetry path
-//!    ([`crate::telemetry::reset`] / [`snapshot`](crate::telemetry::snapshot)
-//!    / [`GemmReport::from_run`]); the score is achieved GFLOPS, with
-//!    [`GemmReport::achieved_vs_bound`] recorded alongside so the DB
-//!    says how much of the model-promised performance the winner
-//!    extracts. Candidates measuring far slower than the current best
-//!    are abandoned after their warm-up call.
+//!    more than [`MAX_CANDIDATES`] `(kernel, blocking)` configurations.
+//! 2. **Measurement** is a wall clock around batches of calls: each
+//!    candidate is timed in alternating pairs against the analytic
+//!    baseline, under the runtime the caller configured, and replaces
+//!    the baseline only if it is faster in every pair.
 //! 3. **Persistence**: winners land in a versioned JSON DB (schema
 //!    [`SCHEMA`]) at `DGEMM_TUNE_DB` or `~/.cache/dgemm/tune.json`,
-//!    keyed by `(cpu-id, dtype, shape-class)`, together with the
-//!    dispatcher's per-runtime EWMA calibration ratios so a new process
-//!    predicts accurately from its first call
-//!    ([`crate::dispatch::seed_calibration_ratios`]).
+//!    keyed by `(cpu-id, dtype, shape-class)`.
 //! 4. **Consultation**: [`crate::gemm::Config::auto`] (either kernel
 //!    family) reads `DGEMM_AUTOTUNE`:
 //!    `off` (default) changes nothing, `read` applies stored winners,
 //!    `full` additionally tunes on the first miss of each shape class.
 //!
-//! Tuning failures never fail a GEMM: a missing, corrupt or
-//! stale-schema DB silently degrades to the analytic defaults.
+//! The tuner decides kernel and blocking only; the runtime is the
+//! dispatcher's (DESIGN.md §13). Tuning failures never fail a GEMM: a
+//! missing, corrupt or stale-schema DB silently degrades to the
+//! analytic defaults.
 
 #![forbid(unsafe_code)]
 
@@ -40,18 +35,17 @@ use crate::dispatch::DispatchMode;
 use crate::gemm::{Config, KernelFamily};
 use crate::pool::{Parallelism, WorkerPool};
 use crate::scalar::Scalar;
-use crate::telemetry::GemmReport;
 use crate::util::json_escape;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::tuning::{self, ShapeClass};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, Once, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// DB schema tag; a file carrying any other tag is treated as absent.
-pub const SCHEMA: &str = "dgemm-tune-v1";
+pub const SCHEMA: &str = "dgemm-tune-v2";
 
 /// The library version stamped into every [`TuneEntry`] this build
 /// writes. Entries carrying a *different* version are stale — blocking
@@ -60,8 +54,8 @@ pub const SCHEMA: &str = "dgemm-tune-v1";
 /// analytic model, re-tuned on the next `DGEMM_AUTOTUNE=full` miss.
 pub const LIB_VERSION: &str = env!("CARGO_PKG_VERSION");
 
-/// Hard cap on measured `(kernel, blocking, runtime)` configurations
-/// per sweep — the "model-pruned, not brute force" contract.
+/// Hard cap on measured `(kernel, blocking)` configurations per sweep —
+/// the "model-pruned, not brute force" contract.
 pub const MAX_CANDIDATES: usize = 32;
 
 /// Model-pruning slack: candidates whose eq. (4) bound exceeds the best
@@ -70,30 +64,24 @@ pub const MAX_CANDIDATES: usize = 32;
 /// competitive candidates in).
 const PRUNE_KEEP: f64 = 1.6;
 
-/// A candidate measuring slower than this multiple of the best call so
-/// far on its warm-up is abandoned without timed reps.
-const EARLY_SKIP: f64 = 2.5;
-
-/// Default / clamp values for the sweep knobs.
+/// Default / clamp values for the sweep knobs. Pairs default to the
+/// maximum: a candidate no faster than the baseline still wins a pair
+/// half the time, so it passes `r` pairs with odds `2^-r` — 1 in 8 at
+/// three pairs, which over a dozen candidates stores a noise winner in
+/// most sweeps, and 1 in 512 at nine. A candidate stops at its first
+/// lost pair, so the extra pairs cost only the ones that keep winning.
 const DEFAULT_BUDGET: usize = 16;
-const DEFAULT_REPS: usize = 3;
+const DEFAULT_REPS: usize = 9;
 const MAX_REPS: usize = 9;
 
-/// Minimum wall time the timed reps of one candidate must cover. Small
-/// representative shapes run in a fraction of a millisecond, where a
-/// single call times mostly host scheduling noise; reps are scaled up
-/// (beyond `TuneOptions::reps`, capped at [`REPS_CAP`]) until the
-/// measured interval is at least this long.
+/// Minimum wall time of one timed sample. Small representative shapes
+/// run in a fraction of a millisecond, where a single call times mostly
+/// host scheduling noise, so a sample is a batch of calls (at most
+/// [`CALLS_CAP`]) sized from the warm-up to last at least this long.
 const MIN_SWEEP_SECS: f64 = 0.02;
 
-/// Upper bound on the time-scaled rep count per candidate.
-const REPS_CAP: usize = 200;
-
-/// A non-baseline candidate must beat the measured analytic baseline by
-/// this factor to be stored; anything closer is within measurement
-/// noise, and the sweep falls back to the baseline so a noise-lucky
-/// winner is never persisted over the model's choice.
-const WIN_MARGIN: f64 = 1.03;
+/// Upper bound on the calls in one timed sample.
+const CALLS_CAP: usize = 200;
 
 /// What `DGEMM_AUTOTUNE` selects per config (default [`Off`]).
 ///
@@ -132,12 +120,13 @@ impl AutotuneMode {
 
 /// Sweep knobs, from `DGEMM_AUTOTUNE_BUDGET` (max configurations per
 /// sweep, clamped to `2..=32`, default 16) and `DGEMM_AUTOTUNE_REPS`
-/// (timed calls per configuration, clamped to `1..=9`, default 3).
+/// (timed pairs per candidate, clamped to `1..=9`, default 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TuneOptions {
-    /// Max `(kernel, blocking, runtime)` configurations measured.
+    /// Max `(kernel, blocking)` configurations measured, the baseline
+    /// included.
     pub budget: usize,
-    /// Timed GEMM calls per configuration (after one warm-up).
+    /// Timed pairs per candidate against the baseline.
     pub reps: usize,
 }
 
@@ -283,8 +272,8 @@ pub fn cpu_id() -> &'static str {
 // The DB model.
 // ---------------------------------------------------------------------
 
-/// One tuned winner: the best `(kernel, blocking, runtime)` measured
-/// for a `(cpu, dtype, shape-class)` key, with the evidence.
+/// One tuned winner: the `(kernel, blocking)` stored for a
+/// `(cpu, dtype, shape-class)` key, with the evidence.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TuneEntry {
     /// Host key ([`cpu_id`]).
@@ -303,16 +292,12 @@ pub struct TuneEntry {
     pub mc: usize,
     /// Winning `nc`.
     pub nc: usize,
-    /// `"serial"` or `"pool"`.
-    pub runtime: String,
-    /// Parallel degree of the winning runtime (1 for serial).
-    pub threads: usize,
-    /// Measured GFLOPS of the winner at the class representative shape.
+    /// Median GFLOPS of the winner over its timed pairs at the class
+    /// representative shape.
     pub gflops: f64,
-    /// Measured GFLOPS of the untuned analytic default in the same sweep.
+    /// Median GFLOPS of the analytic baseline over the same pairs
+    /// (equal to `gflops` when the baseline itself is stored).
     pub untuned_gflops: f64,
-    /// Winner's [`GemmReport::achieved_vs_bound`] score.
-    pub achieved_vs_bound: f64,
     /// Configurations the sweep considered (≤ [`MAX_CANDIDATES`]).
     pub candidates: usize,
     /// Seconds since the Unix epoch when the sweep ran (0 = unknown).
@@ -344,24 +329,10 @@ impl TuneEntry {
     }
 }
 
-/// Per-host dispatcher calibration, persisted so a fresh process starts
-/// from the learned ratios instead of the neutral 1.0 prior.
-#[derive(Clone, Debug, PartialEq)]
-pub struct HostCalibration {
-    /// Host key ([`cpu_id`]).
-    pub cpu: String,
-    /// Serial-runtime measured/model EWMA ratio.
-    pub serial_cal: f64,
-    /// Pool-runtime measured/model EWMA ratio.
-    pub pool_cal: f64,
-}
-
-/// The whole tuning DB (schema [`SCHEMA`]): calibration per host plus
-/// tuned winners per `(cpu, dtype, shape-class)`.
+/// The whole tuning DB (schema [`SCHEMA`]): tuned winners per
+/// `(cpu, dtype, shape-class)`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TuneDb {
-    /// Dispatcher calibration, one entry per host.
-    pub hosts: Vec<HostCalibration>,
     /// Tuned winners.
     pub entries: Vec<TuneEntry>,
 }
@@ -387,35 +358,9 @@ impl TuneDb {
         }
     }
 
-    /// The stored calibration for a host, if any.
-    #[must_use]
-    pub fn host(&self, cpu: &str) -> Option<&HostCalibration> {
-        self.hosts.iter().find(|h| h.cpu == cpu)
-    }
-
-    /// Insert or replace a host's calibration.
-    pub fn upsert_host(&mut self, cal: HostCalibration) {
-        match self.hosts.iter_mut().find(|h| h.cpu == cal.cpu) {
-            Some(slot) => *slot = cal,
-            None => self.hosts.push(cal),
-        }
-    }
-
     /// Serialize to the versioned JSON the parser round-trips.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut hosts = String::new();
-        for (i, h) in self.hosts.iter().enumerate() {
-            if i > 0 {
-                hosts.push(',');
-            }
-            hosts.push_str(&format!(
-                "{{\"cpu\":\"{}\",\"serial_cal\":{},\"pool_cal\":{}}}",
-                json_escape(&h.cpu),
-                json_num(h.serial_cal),
-                json_num(h.pool_cal)
-            ));
-        }
         let mut entries = String::new();
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -424,8 +369,7 @@ impl TuneDb {
             entries.push_str(&format!(
                 "{{\"cpu\":\"{}\",\"dtype\":\"{}\",\"class\":\"{}\",\
                  \"mr\":{},\"nr\":{},\"kc\":{},\"mc\":{},\"nc\":{},\
-                 \"runtime\":\"{}\",\"threads\":{},\"gflops\":{},\
-                 \"untuned_gflops\":{},\"achieved_vs_bound\":{},\
+                 \"gflops\":{},\"untuned_gflops\":{},\
                  \"candidates\":{},\"tuned_at\":{},\"version\":\"{}\"}}",
                 json_escape(&e.cpu),
                 json_escape(&e.dtype),
@@ -435,17 +379,14 @@ impl TuneDb {
                 e.kc,
                 e.mc,
                 e.nc,
-                json_escape(&e.runtime),
-                e.threads,
                 json_num(e.gflops),
                 json_num(e.untuned_gflops),
-                json_num(e.achieved_vs_bound),
                 e.candidates,
                 e.tuned_at,
                 json_escape(&e.version)
             ));
         }
-        format!("{{\"schema\":\"{SCHEMA}\",\"hosts\":[{hosts}],\"entries\":[{entries}]}}")
+        format!("{{\"schema\":\"{SCHEMA}\",\"entries\":[{entries}]}}")
     }
 
     /// Parse a DB file's contents. `None` on malformed JSON, a missing
@@ -459,13 +400,6 @@ impl TuneDb {
             return None;
         }
         let mut db = TuneDb::default();
-        for h in v.get("hosts")?.as_arr()? {
-            db.hosts.push(HostCalibration {
-                cpu: h.get("cpu")?.as_str()?.to_owned(),
-                serial_cal: h.get("serial_cal")?.as_f64()?,
-                pool_cal: h.get("pool_cal")?.as_f64()?,
-            });
-        }
         for e in v.get("entries")?.as_arr()? {
             // Per-entry triage: a malformed entry or one stamped by a
             // different library build is dropped *silently* — exactly
@@ -496,11 +430,8 @@ fn parse_entry(e: &Json) -> Option<TuneEntry> {
         kc: e.get("kc")?.as_usize()?,
         mc: e.get("mc")?.as_usize()?,
         nc: e.get("nc")?.as_usize()?,
-        runtime: e.get("runtime")?.as_str()?.to_owned(),
-        threads: e.get("threads")?.as_usize()?,
         gflops: e.get("gflops")?.as_f64()?,
         untuned_gflops: e.get("untuned_gflops")?.as_f64()?,
-        achieved_vs_bound: e.get("achieved_vs_bound")?.as_f64()?,
         candidates: e.get("candidates")?.as_usize()?,
         tuned_at: e.get("tuned_at")?.as_usize()? as u64,
         version: e.get("version")?.as_str()?.to_owned(),
@@ -779,118 +710,32 @@ pub fn invalidate_db_cache() {
         .clear();
 }
 
-/// Seed the dispatcher's EWMA calibration from the DB's entry for this
-/// host, once per process (later calls are no-ops so a live, adapted
-/// calibration is never clobbered mid-run). Silently does nothing
-/// without a DB path or host entry.
-pub fn seed_dispatch_calibration() {
-    static SEEDED: Once = Once::new();
-    SEEDED.call_once(|| {
-        if let Ok(Some(path)) = db_path() {
-            let db = load_db(&path);
-            if let Some(h) = db.host(cpu_id()) {
-                crate::dispatch::seed_calibration_ratios(h.serial_cal, h.pool_cal);
-            }
-        }
-    });
-}
-
-/// Persist the dispatcher's current calibration ratios into the DB at
-/// `path` (the closing half of [`seed_dispatch_calibration`]).
-pub fn persist_calibration(path: &Path) -> std::io::Result<()> {
-    let mut db = load_db(path);
-    let (serial_cal, pool_cal) = crate::dispatch::calibration_ratios();
-    db.upsert_host(HostCalibration {
-        cpu: cpu_id().to_owned(),
-        serial_cal,
-        pool_cal,
-    });
-    store_db(path, &db)
-}
-
 // ---------------------------------------------------------------------
 // The measured sweep.
 // ---------------------------------------------------------------------
 
-/// Nominal clock used to express model cycle bounds as GFLOPS in the
-/// achieved-vs-bound score (same constant the dispatcher uses; the
-/// score only ranks candidates against each other, so the absolute
-/// clock cancels out of the comparison).
-const SCORE_GHZ: f64 = 2.4;
-
 struct SweepBest<K> {
     kernel: K,
     blocks: BlockSizes,
-    runtime: Parallelism,
     gflops: f64,
-    achieved_vs_bound: f64,
     untuned_gflops: f64,
     candidates: usize,
 }
 
-/// Measure one configuration: one warm-up call (doubling as the
-/// early-skip probe), then `reps` timed calls through the telemetry
-/// interval. Returns `(gflops, achieved_vs_bound, seconds_per_call)`.
-#[allow(clippy::too_many_arguments)]
-fn measure_config<K: KernelFamily>(
-    kernel: K,
-    blocks: &BlockSizes,
-    runtime: Parallelism,
-    a: &crate::matrix::Matrix<K::Elem>,
-    b: &crate::matrix::Matrix<K::Elem>,
-    c: &mut crate::matrix::Matrix<K::Elem>,
-    dims: (usize, usize, usize),
-    reps: usize,
-    skip_above_s: Option<f64>,
-) -> Option<(f64, f64, f64)> {
-    let run = |c: &mut crate::matrix::Matrix<K::Elem>| {
-        crate::gemm::gemm_with(
-            Transpose::No,
-            Transpose::No,
-            K::Elem::ONE,
-            &a.view(),
-            &b.view(),
-            K::Elem::ZERO,
-            &mut c.view_mut(),
-            kernel,
-            *blocks,
-            runtime,
-            None,
-            false,
-            DispatchMode::Fixed,
-        )
-    };
-    // Warm-up (arena/pool spin-up) doubles as the early-skip probe.
-    let warm = Instant::now();
-    run(c).ok()?;
-    let warm_s = warm.elapsed().as_secs_f64();
-    if let Some(limit) = skip_above_s {
-        if warm_s > limit {
-            return None;
-        }
-    }
-    // Scale reps so the timed interval covers at least MIN_SWEEP_SECS;
-    // sub-millisecond shapes otherwise time host scheduling noise.
-    let reps = reps
-        .max((MIN_SWEEP_SECS / warm_s.max(1e-9)).ceil() as usize)
-        .min(REPS_CAP);
-    crate::telemetry::reset();
-    let start = Instant::now();
-    for _ in 0..reps {
-        run(c).ok()?;
-    }
-    let elapsed = start.elapsed();
-    let snap = crate::telemetry::snapshot();
-    let report = GemmReport::from_run(dims, reps as u64, runtime.degree(), elapsed, blocks, &snap);
-    let per_call = elapsed.as_secs_f64() / reps.max(1) as f64;
-    Some((report.gflops, report.achieved_vs_bound(SCORE_GHZ), per_call))
+/// The middle element of a non-empty sample (the upper one of an even
+/// count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// The closed loop for one kernel family: assemble the model-seeded
-/// candidate set, measure through telemetry, return the winner.
-/// `kernels[0]` is the configured kernel (its analytic blocking is the
-/// untuned baseline); later entries contribute one analytic candidate
-/// each when the budget is rich enough.
+/// candidate set, time each candidate against the baseline in
+/// alternating pairs, return the winner. `kernels[0]` is the configured
+/// kernel; its analytic blocking is the baseline. Later entries
+/// contribute one analytic candidate each when the budget is rich
+/// enough. Every configuration runs under the configured runtime
+/// ([`Parallelism::from_threads`]) with [`DispatchMode::Fixed`].
 fn sweep<K: KernelFamily>(
     kernels: &[K],
     threads: usize,
@@ -905,22 +750,13 @@ fn sweep<K: KernelFamily>(
     }
     let threads = threads.clamp(1, WorkerPool::max_workers());
     let budget = opts.budget.clamp(2, MAX_CANDIDATES);
-    let default_rt = Parallelism::from_threads(threads);
-    let runtimes: &[Parallelism] = if threads > 1 {
-        &[Parallelism::Pool(threads), Parallelism::Serial]
-    } else {
-        &[Parallelism::Serial]
-    };
+    let runtime = Parallelism::from_threads(threads);
 
     // Kernel axis: alternates cost one config each; include them only
-    // when the per-runtime budget still leaves room for the blocking
-    // neighbors that motivate the sweep.
-    let alts: Vec<K> = if budget / runtimes.len() >= 8 {
-        kernels[1..].to_vec()
-    } else {
-        Vec::new()
-    };
-    let max_blockings = (budget.saturating_sub(alts.len()) / runtimes.len()).max(1);
+    // when the budget still leaves room for the blocking neighbors that
+    // motivate the sweep.
+    let alts: &[K] = if budget >= 8 { &kernels[1..] } else { &[] };
+    let max_blockings = budget.saturating_sub(alts.len()).max(1);
 
     // Blocking axis: model-seeded neighbors, clamped to the probe shape
     // (so equivalent-after-clamping candidates collapse), deduplicated,
@@ -938,105 +774,113 @@ fn sweep<K: KernelFamily>(
     }
     let blockings = tuning::prune_by_model(blockings, m, n, k, PRUNE_KEEP);
 
-    // Assemble configs, the untuned default (main kernel, analytic
-    // blocking, configured runtime) strictly first.
-    let mut configs: Vec<(K, BlockSizes, Parallelism)> = Vec::new();
-    configs.push((main, *blockings.first()?, default_rt));
-    for rt in runtimes {
-        for (i, b) in blockings.iter().enumerate() {
-            if i == 0 && *rt == default_rt {
-                continue;
-            }
-            configs.push((main, *b, *rt));
-        }
-    }
-    for alt in alts {
+    // The baseline (main kernel, analytic blocking) strictly first.
+    let mut configs: Vec<(K, BlockSizes)> = blockings.iter().map(|b| (main, *b)).collect();
+    for &alt in alts {
         if let Ok(seed) = solve_blocking(alt.mr(), alt.nr(), threads, machine) {
-            configs.push((alt, tuning::clamp_to_shape(&seed, m, n, k), default_rt));
+            configs.push((alt, tuning::clamp_to_shape(&seed, m, n, k)));
         }
     }
     configs.truncate(budget);
+    let candidates = configs.len();
+    let (&baseline, rest) = configs.split_first()?;
 
     let a = crate::matrix::Matrix::<K::Elem>::random(m, k, 0xA5);
     let b = crate::matrix::Matrix::<K::Elem>::random(k, n, 0xB6);
     let mut c = crate::matrix::Matrix::<K::Elem>::zeros(m, n);
+    // One sample: seconds per call over `calls` back-to-back calls of
+    // one configuration; `None` if a call fails.
+    let mut time = |(kernel, blocks): (K, BlockSizes), calls: usize| {
+        let start = Instant::now();
+        for _ in 0..calls {
+            crate::gemm::gemm_with(
+                Transpose::No,
+                Transpose::No,
+                K::Elem::ONE,
+                &a.view(),
+                &b.view(),
+                K::Elem::ZERO,
+                &mut c.view_mut(),
+                kernel,
+                blocks,
+                runtime,
+                None,
+                false,
+                DispatchMode::Fixed,
+            )
+            .ok()?;
+        }
+        Some(start.elapsed().as_secs_f64() / calls as f64)
+    };
+    let gflops = |per_call: f64| 2.0 * (m * n * k) as f64 / per_call.max(1e-12) / 1e9;
 
-    let candidates = configs.len();
-    let mut best: Option<SweepBest<K>> = None;
-    let mut baseline: Option<SweepBest<K>> = None;
-    let mut untuned_gflops = 0.0;
-    let mut best_call_s = f64::INFINITY;
-    for (idx, (kernel, blocks, runtime)) in configs.into_iter().enumerate() {
-        // The baseline is always fully measured — speedups are reported
-        // against it — later candidates may be abandoned early.
-        let skip = (idx > 0 && best_call_s.is_finite()).then_some(best_call_s * EARLY_SKIP);
-        let Some((gflops, avb, per_call)) = measure_config(
-            kernel, &blocks, runtime, &a, &b, &mut c, dims, opts.reps, skip,
-        ) else {
+    // Warm-up (arena/pool spin-up); its time sizes the batches.
+    let base_call = time(baseline, 1)?;
+    let mut base_samples = vec![gflops(base_call)];
+    let mut best: Option<(f64, SweepBest<K>)> = None;
+    'candidates: for &cand in rest {
+        let Some(cand_call) = time(cand, 1) else {
             continue;
         };
-        let measured = SweepBest {
-            kernel,
-            blocks,
-            runtime,
-            gflops,
-            achieved_vs_bound: avb,
-            untuned_gflops: 0.0,
-            candidates,
-        };
-        if idx == 0 {
-            untuned_gflops = gflops;
-            baseline = Some(SweepBest { ..measured });
+        let calls = ((MIN_SWEEP_SECS / base_call.min(cand_call).max(1e-9)).ceil() as usize)
+            .clamp(1, CALLS_CAP);
+        let (mut ratios, mut cand_g, mut base_g) = (Vec::new(), Vec::new(), Vec::new());
+        for pair in 0..opts.reps.max(1) {
+            // Alternate which side runs first, so a drift in host speed
+            // within a pair favours neither side.
+            let timed = if pair % 2 == 0 {
+                time(cand, calls)
+                    .zip(time(baseline, calls))
+                    .map(|(tc, tb)| (tb, tc))
+            } else {
+                time(baseline, calls).zip(time(cand, calls))
+            };
+            let Some((t_base, t_cand)) = timed else {
+                continue 'candidates;
+            };
+            base_samples.push(gflops(t_base));
+            // A lost (or tied) pair ends the candidate: it can no
+            // longer be faster in every pair.
+            if t_cand >= t_base {
+                continue 'candidates;
+            }
+            ratios.push(t_base / t_cand);
+            cand_g.push(gflops(t_cand));
+            base_g.push(gflops(t_base));
         }
-        best_call_s = best_call_s.min(per_call);
-        if best.as_ref().is_none_or(|b| gflops > b.gflops) {
-            best = Some(measured);
+        let ratio = median(ratios);
+        if best.as_ref().is_none_or(|(r, _)| ratio > *r) {
+            let winner = SweepBest {
+                kernel: cand.0,
+                blocks: cand.1,
+                gflops: median(cand_g),
+                untuned_gflops: median(base_g),
+                candidates,
+            };
+            best = Some((ratio, winner));
         }
     }
-    // Hysteresis: a candidate that doesn't clearly beat the analytic
-    // baseline is measurement noise — persist the baseline instead, so
-    // `tuned` can never regress below the model's choice.
-    let mut best = best?;
-    if let Some(base) = baseline {
-        if best.gflops < untuned_gflops * WIN_MARGIN {
-            best = base;
-        }
-    }
-    best.untuned_gflops = untuned_gflops;
-    Some(best)
-}
-
-fn entry_from_best<K: KernelFamily>(best: &SweepBest<K>, class: &ShapeClass) -> TuneEntry {
-    let (runtime, threads) = match best.runtime {
-        Parallelism::Pool(p) if p > 1 => ("pool", p),
-        _ => ("serial", 1),
-    };
-    TuneEntry {
-        cpu: cpu_id().to_owned(),
-        dtype: K::DTYPE.to_owned(),
-        class: class.label(),
-        mr: best.kernel.mr(),
-        nr: best.kernel.nr(),
-        kc: best.blocks.kc,
-        mc: best.blocks.mc,
-        nc: best.blocks.nc,
-        runtime: runtime.to_owned(),
-        threads,
-        gflops: best.gflops,
-        untuned_gflops: best.untuned_gflops,
-        achieved_vs_bound: best.achieved_vs_bound,
-        candidates: best.candidates,
-        tuned_at: SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs()),
-        version: LIB_VERSION.to_owned(),
-    }
+    // No candidate won every pair: the model's choice stays.
+    Some(best.map_or_else(
+        || {
+            let g = median(base_samples);
+            SweepBest {
+                kernel: baseline.0,
+                blocks: baseline.1,
+                gflops: g,
+                untuned_gflops: g,
+                candidates,
+            }
+        },
+        |(_, winner)| winner,
+    ))
 }
 
 /// Run one tuning sweep for `kernel`'s family at `class`'s
 /// representative shape and return the winner (not yet persisted).
 /// `kernel` is the configured kernel whose analytic blocking anchors the
-/// candidate set and the untuned baseline. `None` when nothing could be
+/// candidate set and the untuned baseline; `threads` is the configured
+/// parallel degree every candidate runs at. `None` when nothing could be
 /// measured.
 #[must_use]
 pub fn tune<K: KernelFamily>(
@@ -1048,13 +892,28 @@ pub fn tune<K: KernelFamily>(
     let mut kernels = vec![kernel];
     kernels.extend(K::ALL.iter().copied().filter(|k| *k != kernel));
     let best = sweep(&kernels, threads, class.representative(), opts)?;
-    Some(entry_from_best(&best, &class))
+    Some(TuneEntry {
+        cpu: cpu_id().to_owned(),
+        dtype: K::DTYPE.to_owned(),
+        class: class.label(),
+        mr: best.kernel.mr(),
+        nr: best.kernel.nr(),
+        kc: best.blocks.kc,
+        mc: best.blocks.mc,
+        nc: best.blocks.nc,
+        gflops: best.gflops,
+        untuned_gflops: best.untuned_gflops,
+        candidates: best.candidates,
+        tuned_at: SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_secs()),
+        version: LIB_VERSION.to_owned(),
+    })
 }
 
-/// Tune and persist: run the sweep, upsert the winner and this host's
-/// dispatcher calibration into the DB at `path`, write it back. Returns
-/// the stored entry; `None` when the sweep measured nothing (the DB is
-/// then left untouched).
+/// Tune and persist: run the sweep, upsert the winner into the DB at
+/// `path`, write it back. Returns the stored entry; `None` when the
+/// sweep measured nothing (the DB is then left untouched).
 #[must_use]
 pub fn tune_and_store<K: KernelFamily>(
     path: &Path,
@@ -1064,23 +923,13 @@ pub fn tune_and_store<K: KernelFamily>(
     opts: &TuneOptions,
 ) -> Option<TuneEntry> {
     let entry = tune(kernel, threads, class, opts)?;
-    store_entry(path, entry.clone());
-    Some(entry)
-}
-
-fn store_entry(path: &Path, entry: TuneEntry) {
     let mut db = load_db(path);
-    db.upsert(entry);
-    let (serial_cal, pool_cal) = crate::dispatch::calibration_ratios();
-    db.upsert_host(HostCalibration {
-        cpu: cpu_id().to_owned(),
-        serial_cal,
-        pool_cal,
-    });
+    db.upsert(entry.clone());
     // Tuning must never fail the surrounding GEMM; an unwritable DB
     // just means the winner lives only in the in-memory cache (which
     // store_db updated before attempting the disk write).
     let _ = store_db(path, &db);
+    Some(entry)
 }
 
 // ---------------------------------------------------------------------
@@ -1127,7 +976,7 @@ pub fn wait_for_background_tuning() {
 /// Launch one tuning sweep on a warm-up thread so the triggering
 /// `gemm()` call is never blocked behind a multi-second sweep. The
 /// sweep persists through the same [`tune_and_store`] path the
-/// synchronous `dgemm-autotune` tool uses, so the per-path DB cache is
+/// synchronous `ext_autotune` driver uses, so the per-path DB cache is
 /// refreshed and the *next* call of the class picks the winner up.
 /// Options are captured in the caller (environment reads stay on the
 /// submitting thread); if the thread cannot be spawned the sweep runs
@@ -1153,21 +1002,13 @@ fn spawn_background_tune(
     }
 }
 
-fn runtime_from_entry(entry: &TuneEntry) -> Parallelism {
-    if entry.runtime == "pool" && entry.threads > 1 {
-        Parallelism::Pool(entry.threads.min(WorkerPool::max_workers()))
-    } else {
-        Parallelism::Serial
-    }
-}
-
 /// Resolve the tuned configuration for one GEMM call of `cfg`'s kernel
 /// family — exactly what [`crate::gemm::try_gemm`] will run for an
-/// `m×n×k` problem: the stored winner if the DB has one, else (Full mode,
-/// first miss of the class) the analytic config now and a sweep on a
-/// warm-up thread. Every failure path returns the config unchanged. The
-/// stored runtime only overrides [`DispatchMode::Fixed`] configs — an
-/// explicit dispatch mode keeps runtime authority with the dispatcher.
+/// `m×n×k` problem: the stored winner's kernel and blocking if the DB has
+/// one, else (Full mode, first miss of the class) the analytic config now
+/// and a sweep on a warm-up thread. Parallelism and dispatch mode always
+/// come back as configured, and every failure path returns the config
+/// unchanged.
 #[must_use]
 pub fn tuned<K: KernelFamily>(cfg: &Config<K>, m: usize, n: usize, k: usize) -> Config<K> {
     if cfg.autotune == AutotuneMode::Off || m == 0 || n == 0 || k == 0 {
@@ -1217,9 +1058,6 @@ pub fn tuned<K: KernelFamily>(cfg: &Config<K>, m: usize, n: usize, k: usize) -> 
     let mut out = *cfg;
     out.kernel = kernel;
     out.blocks = entry.blocks();
-    if out.dispatch == DispatchMode::Fixed {
-        out.parallelism = runtime_from_entry(&entry);
-    }
     out
 }
 
@@ -1238,11 +1076,8 @@ mod tests {
             kc: 256,
             mc: 48,
             nc: 960,
-            runtime: "pool".to_owned(),
-            threads: 4,
             gflops: 12.5,
             untuned_gflops: 11.0,
-            achieved_vs_bound: 0.61,
             candidates: 14,
             tuned_at: 1_700_000_000,
             version: LIB_VERSION.to_owned(),
@@ -1253,13 +1088,8 @@ mod tests {
     fn db_json_round_trips() {
         let mut db = TuneDb::default();
         db.upsert(sample_entry());
-        db.upsert_host(HostCalibration {
-            cpu: "test-cpu-4c".to_owned(),
-            serial_cal: 1.25,
-            pool_cal: 0.8,
-        });
         let text = db.to_json();
-        assert!(text.starts_with("{\"schema\":\"dgemm-tune-v1\""), "{text}");
+        assert!(text.starts_with("{\"schema\":\"dgemm-tune-v2\""), "{text}");
         let back = TuneDb::from_json(&text).expect("round trip");
         assert_eq!(back, db);
         let e = back.find("test-cpu-4c", "f64", "m512-n512-k512").unwrap();
@@ -1275,17 +1105,11 @@ mod tests {
         stale.class = "m64-n64-k64".to_owned();
         stale.version = "0.0.0-previous-build".to_owned();
         db.upsert(stale);
-        db.upsert_host(HostCalibration {
-            cpu: "test-cpu-4c".to_owned(),
-            serial_cal: 1.0,
-            pool_cal: 1.0,
-        });
         let back = TuneDb::from_json(&db.to_json()).expect("schema still parses");
-        // The current-version entry and the host calibration survive;
-        // the stale entry vanishes silently (Full mode re-tunes it).
+        // The current-version entry survives; the stale entry vanishes
+        // silently (Full mode re-tunes it).
         assert!(back.find("test-cpu-4c", "f64", "m512-n512-k512").is_some());
         assert!(back.find("test-cpu-4c", "f64", "m64-n64-k64").is_none());
-        assert_eq!(back.hosts.len(), 1);
     }
 
     #[test]
@@ -1332,16 +1156,12 @@ mod tests {
         );
         // missing required field in an entry: the entry is dropped,
         // the (otherwise valid) file is not
-        let partial = TuneDb::from_json(
-            "{\"schema\":\"dgemm-tune-v1\",\"hosts\":[],\"entries\":[{\"cpu\":\"x\"}]}",
-        )
-        .expect("valid file with one bad entry");
+        let partial =
+            TuneDb::from_json("{\"schema\":\"dgemm-tune-v2\",\"entries\":[{\"cpu\":\"x\"}]}")
+                .expect("valid file with one bad entry");
         assert!(partial.entries.is_empty());
         // trailing garbage after the document
-        assert!(
-            TuneDb::from_json("{\"schema\":\"dgemm-tune-v1\",\"hosts\":[],\"entries\":[]} x")
-                .is_none()
-        );
+        assert!(TuneDb::from_json("{\"schema\":\"dgemm-tune-v2\",\"entries\":[]} x").is_none());
         // negative / fractional counts don't type-check into usize
         assert!(Json::parse("-3").unwrap().as_usize().is_none());
         assert!(Json::parse("2.5").unwrap().as_usize().is_none());
@@ -1356,16 +1176,13 @@ mod tests {
         assert_eq!(v.get("c"), Some(&Json::Bool(true)));
         assert_eq!(v.get("d"), Some(&Json::Null));
         // escape round trip through the serializer
+        let mut entry = sample_entry();
+        entry.cpu = "we\"ird\\cpu".to_owned();
         let db = TuneDb {
-            hosts: vec![HostCalibration {
-                cpu: "we\"ird\\cpu".to_owned(),
-                serial_cal: 1.0,
-                pool_cal: 1.0,
-            }],
-            entries: vec![],
+            entries: vec![entry],
         };
         let back = TuneDb::from_json(&db.to_json()).unwrap();
-        assert_eq!(back.hosts[0].cpu, "we\"ird\\cpu");
+        assert_eq!(back.entries[0].cpu, "we\"ird\\cpu");
     }
 
     #[test]
@@ -1463,17 +1280,6 @@ mod tests {
         std::env::remove_var("DGEMM_TUNE_MAX_AGE_DAYS");
     }
 
-    #[test]
-    fn entry_runtime_resolution() {
-        let mut e = sample_entry();
-        assert_eq!(runtime_from_entry(&e), Parallelism::Pool(4));
-        e.runtime = "serial".to_owned();
-        assert_eq!(runtime_from_entry(&e), Parallelism::Serial);
-        e.runtime = "pool".to_owned();
-        e.threads = 1; // inconsistent row: degrade to serial
-        assert_eq!(runtime_from_entry(&e), Parallelism::Serial);
-    }
-
     /// A tiny but real closed loop: sweep a small class with a 4-config
     /// budget, persist, re-load, and check the winner is well-formed
     /// and the baseline was measured.
@@ -1500,9 +1306,42 @@ mod tests {
         let db = load_db(&path);
         let found = db.find(cpu_id(), "f64", &class.label()).expect("persisted");
         assert_eq!(found, &entry);
-        assert!(db.host(cpu_id()).is_some(), "calibration stored too");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// The sweep times with its own clock and leaves the process's
+    /// telemetry alone: a record another thread made before a sweep is
+    /// still there after it.
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn tune_leaves_other_threads_records_alone() {
+        use crate::telemetry::{self, TraceKind};
+        // Held for the whole check, so no sibling test's reset lands in
+        // between; a sweep that reset telemetry would block on it.
+        let _gate = telemetry::reset_gate();
+        let id = crate::trace::next_trace_id();
+        telemetry::with_trace(id, || telemetry::event(id, TraceKind::Submitted, 0, 0));
+        // The sweep runs on its own thread, so its spans fill that
+        // thread's ring and not this one's.
+        let (done, finished) = std::sync::mpsc::channel();
+        let sweep = std::thread::spawn(move || {
+            let opts = TuneOptions { budget: 2, reps: 1 };
+            let entry = tune(MicroKernelKind::Mk8x6, 1, ShapeClass::of(48, 48, 48), &opts);
+            let _ = done.send(());
+            entry
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the sweep blocked on the telemetry reset gate");
+        let entry = sweep.join().expect("sweep thread");
+        assert!(entry.is_some(), "sweep measured something");
+        assert!(
+            telemetry::events_for(id)
+                .iter()
+                .any(|e| e.kind == TraceKind::Submitted),
+            "the sweep cleared another thread's records"
+        );
     }
 
     #[test]

@@ -188,26 +188,10 @@ fn calibration(pool: bool) -> f64 {
 }
 
 /// The current per-runtime EWMA calibration ratios `(serial, pool)` —
-/// measured/model time, 1.0 = the model is exact. Read by the autotuner
-/// so a tuning run can persist what the dispatcher learned
-/// (DESIGN.md §14).
-#[must_use]
-pub fn calibration_ratios() -> (f64, f64) {
+/// measured/model time, 1.0 = the model is exact. Learned per process
+/// from the 1.0 prior; nothing persists them.
+fn calibration_ratios() -> (f64, f64) {
     (calibration(false), calibration(true))
-}
-
-/// Seed the per-runtime EWMA calibration ratios from a persisted tuning
-/// DB, so dispatch predictions are accurate from the first call of a new
-/// process instead of re-learning from the 1.0 prior. Non-finite or
-/// non-positive values are ignored; accepted values are clamped to the
-/// same `[CAL_MIN, CAL_MAX]` range the live EWMA obeys. Subsequent
-/// [`record`] updates keep adapting from the seeded point.
-pub fn seed_calibration_ratios(serial: f64, pool: f64) {
-    for (idx, v) in [(0usize, serial), (1usize, pool)] {
-        if v.is_finite() && v > 0.0 {
-            CALIBRATION[idx].store(v.clamp(CAL_MIN, CAL_MAX).to_bits(), Ordering::Relaxed);
-        }
-    }
 }
 
 /// The most recent dispatch decision made in this process (`None` until
@@ -420,8 +404,9 @@ mod tests {
         BlockSizes::custom(8, 6, kc, mc, nc)
     }
 
-    /// [`super::decide`] at the portable prior (`μ = 0.5`) the shape
-    /// tests below were written against.
+    /// [`super::decide`] at the portable prior (`μ = 0.5`) and the neutral
+    /// calibration the shape tests below were written against — not at
+    /// whatever sibling tests' calls have taught the process.
     #[allow(clippy::too_many_arguments)]
     fn decide(
         mode: DispatchMode,
@@ -435,7 +420,20 @@ mod tests {
         cached: bool,
     ) -> DispatchDecision {
         let tb = Transpose::No;
-        super::decide(mode, m, n, k, batch, blocks, nr, 2.0, degree, tb, cached)
+        decide_calibrated(
+            (1.0, 1.0),
+            mode,
+            m,
+            n,
+            k,
+            batch,
+            blocks,
+            nr,
+            2.0,
+            degree,
+            tb,
+            cached,
+        )
     }
 
     #[test]
@@ -677,24 +675,6 @@ mod tests {
         // The ratio moved toward measured/raw (only guaranteed to move
         // when it was not already clamped at the measured ratio).
         assert!(after != before || before == CAL_MIN || before == CAL_MAX);
-    }
-
-    #[test]
-    fn seeding_clamps_and_rejects_junk() {
-        // Other tests (and record()) mutate the global calibration
-        // concurrently, so assert only interleaving-independent
-        // properties: every write path clamps into [CAL_MIN, CAL_MAX],
-        // and junk values never escape that range.
-        seed_calibration_ratios(1000.0, 1e-9);
-        let (s, p) = calibration_ratios();
-        assert!((CAL_MIN..=CAL_MAX).contains(&s));
-        assert!((CAL_MIN..=CAL_MAX).contains(&p));
-        seed_calibration_ratios(f64::NAN, -3.0);
-        let (s, p) = calibration_ratios();
-        assert!((CAL_MIN..=CAL_MAX).contains(&s));
-        assert!((CAL_MIN..=CAL_MAX).contains(&p));
-        // restore the neutral prior for whoever runs next
-        seed_calibration_ratios(1.0, 1.0);
     }
 
     #[test]

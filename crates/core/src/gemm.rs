@@ -161,20 +161,19 @@ impl<K: KernelFamily> Config<K> {
     /// value is a [`GemmError::BadConfig`]; a huge one is clamped to an
     /// hour. `DGEMM_PACK_CACHE`, `DGEMM_DISPATCH` and `DGEMM_AUTOTUNE`
     /// (with the tuning-DB variables it brings in) are read the same
-    /// way, for both families, and `DGEMM_TELEMETRY` is checked
-    /// ([`crate::telemetry::mode_from_env`]).
+    /// way, for both families, and `DGEMM_TELEMETRY` and
+    /// `DGEMM_PEAK_GFLOPS` are checked ([`crate::telemetry::mode_from_env`]).
     pub fn auto() -> Result<Self, GemmError> {
         crate::telemetry::mode_from_env()?;
+        crate::telemetry::peak_gflops_from_env()?;
         let threads = threads_from_env()?;
         let autotune = AutotuneMode::from_env()?;
         if autotune != AutotuneMode::Off {
-            // Validate the tuning-DB env vars eagerly (typed errors at
-            // config time, not silent fallbacks mid-GEMM) and seed the
-            // dispatcher calibration from the DB once per process.
+            // Validate the tuning-DB env vars eagerly: typed errors at
+            // config time, not silent fallbacks mid-GEMM.
             crate::autotune::db_path()?;
             crate::autotune::TuneOptions::from_env()?;
             crate::autotune::max_age_from_env()?;
-            crate::autotune::seed_dispatch_calibration();
         }
         Ok(Self::for_kernel(K::DEFAULT, threads)
             .with_epoch_timeout(epoch_timeout_from_env()?)
@@ -867,6 +866,18 @@ mod tests {
             assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
         }
         std::env::remove_var("DGEMM_TELEMETRY");
+
+        // Peak: absent (checked above), empty or a positive number pass;
+        // garbage, a non-positive or a non-finite value is an error.
+        for v in ["90", " 75.5 ", ""] {
+            std::env::set_var("DGEMM_PEAK_GFLOPS", v);
+            assert!(GemmConfig::auto().is_ok(), "rejected {v:?}");
+        }
+        for bad in ["fast", "0", "-3", "inf", "NaN"] {
+            std::env::set_var("DGEMM_PEAK_GFLOPS", bad);
+            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
+        }
+        std::env::remove_var("DGEMM_PEAK_GFLOPS");
     }
 
     #[test]

@@ -1434,11 +1434,9 @@ impl GemmReport {
             (0.0, 0.0)
         };
 
-        let peak_gflops = std::env::var("DGEMM_PEAK_GFLOPS")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|p| *p > 0.0);
-        let measured_efficiency = peak_gflops.map(|p| gflops / p);
+        // Reports are infallible, so an invalid peak reads as unset here;
+        // `Config::auto` is where it is reported.
+        let measured_efficiency = peak_gflops_from_env().ok().flatten().map(|p| gflops / p);
         let below_model_bound = measured_efficiency.map(|e| e < model_efficiency_bound);
 
         GemmReport {
@@ -1467,24 +1465,6 @@ impl GemmReport {
             model_efficiency_bound,
             measured_efficiency,
             below_model_bound,
-        }
-    }
-
-    /// Achieved fraction of the model's eq. (6) performance lower bound
-    /// at a nominal clock: `gflops / (model_flops_per_cycle ×
-    /// nominal_ghz)`. The autotuner's score (DESIGN.md §14): unlike raw
-    /// GFLOPS it is comparable *across blockings*, because each
-    /// candidate is measured against the bound its own γ promises — a
-    /// candidate that is fast only because its bound is loose scores
-    /// lower than one extracting everything its blocking allows.
-    /// Returns 0 when the bound or clock is degenerate.
-    #[must_use]
-    pub fn achieved_vs_bound(&self, nominal_ghz: f64) -> f64 {
-        let bound_gflops = self.model_flops_per_cycle * nominal_ghz;
-        if bound_gflops > 0.0 && bound_gflops.is_finite() {
-            self.gflops / bound_gflops
-        } else {
-            0.0
         }
     }
 
@@ -1683,6 +1663,25 @@ pub fn mode_from_env() -> Result<TelemetryMode, GemmError> {
         Err(std::env::VarError::NotPresent) => Ok(TelemetryMode::Off),
         Err(std::env::VarError::NotUnicode(_)) => {
             Err(GemmError::BadConfig("DGEMM_TELEMETRY is not unicode"))
+        }
+    }
+}
+
+/// Parse `DGEMM_PEAK_GFLOPS`, the machine peak a report's
+/// `measured_efficiency` divides by: unset or empty is `None`, a positive
+/// finite number is that peak, anything else is a [`GemmError::BadConfig`].
+pub(crate) fn peak_gflops_from_env() -> Result<Option<f64>, GemmError> {
+    match std::env::var("DGEMM_PEAK_GFLOPS") {
+        Ok(v) if v.trim().is_empty() => Ok(None),
+        Ok(v) => match v.trim().parse::<f64>() {
+            Ok(p) if p > 0.0 && p.is_finite() => Ok(Some(p)),
+            _ => Err(GemmError::BadConfig(
+                "DGEMM_PEAK_GFLOPS must be a positive number",
+            )),
+        },
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(_)) => {
+            Err(GemmError::BadConfig("DGEMM_PEAK_GFLOPS is not unicode"))
         }
     }
 }

@@ -9,7 +9,7 @@
 //! (each one restores the variables it sets); the pure-DB and
 //! bit-identity tests don't need it.
 
-use dgemm_core::autotune::{self, AutotuneMode, HostCalibration, TuneDb, TuneEntry, TuneOptions};
+use dgemm_core::autotune::{self, AutotuneMode, TuneDb, TuneEntry, TuneOptions};
 use dgemm_core::dispatch::DispatchMode;
 use dgemm_core::gemm::{try_gemm, Config, GemmConfig, KernelFamily};
 use dgemm_core::matrix::Matrix;
@@ -36,8 +36,8 @@ fn scratch(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// A stored winner for `kernel`'s family at `class`: serial, dated
-/// November 2023.
+/// A stored winner for `kernel`'s family at `class`, dated November
+/// 2023.
 fn entry_for<K: KernelFamily>(
     kernel: K,
     class: &ShapeClass,
@@ -54,11 +54,8 @@ fn entry_for<K: KernelFamily>(
         kc,
         mc,
         nc,
-        runtime: "serial".to_owned(),
-        threads: 1,
         gflops: 10.0,
         untuned_gflops: 9.0,
-        achieved_vs_bound: 0.5,
         candidates: 7,
         tuned_at: 1_700_000_000,
         version: autotune::LIB_VERSION.to_owned(),
@@ -105,11 +102,6 @@ fn db_round_trips_through_disk() {
     let mut db = TuneDb::default();
     let class = ShapeClass::of(512, 512, 512);
     db.upsert(entry_for(MicroKernelKind::Mk8x6, &class, 384, 48, 960));
-    db.upsert_host(HostCalibration {
-        cpu: autotune::cpu_id().to_owned(),
-        serial_cal: 1.5,
-        pool_cal: 0.75,
-    });
     autotune::store_db(&path, &db).expect("store");
     autotune::invalidate_db_cache();
     let back = autotune::load_db(&path);
@@ -122,6 +114,20 @@ fn db_round_trips_through_disk() {
 #[test]
 fn corrupt_and_stale_dbs_fall_back_without_panic() {
     let _guard = env_lock();
+    // A v1 document (runtimes and dispatcher calibration alongside the
+    // blockings) holding an otherwise valid winner for this host and
+    // class: its schema tag alone makes it an empty DB.
+    let v1 = format!(
+        "{{\"schema\":\"dgemm-tune-v1\",\
+         \"hosts\":[{{\"cpu\":\"{cpu}\",\"serial_cal\":1.5,\"pool_cal\":0.75}}],\
+         \"entries\":[{{\"cpu\":\"{cpu}\",\"dtype\":\"f64\",\"class\":\"{class}\",\
+         \"mr\":8,\"nr\":6,\"kc\":96,\"mc\":40,\"nc\":126,\"runtime\":\"pool\",\"threads\":2,\
+         \"gflops\":10,\"untuned_gflops\":9,\"candidates\":7,\
+         \"tuned_at\":1700000000,\"version\":\"{version}\"}}]}}",
+        cpu = autotune::cpu_id(),
+        class = ShapeClass::of(96, 96, 96).label(),
+        version = autotune::LIB_VERSION,
+    );
     for (name, contents) in [
         ("corrupt.json", "{\"schema\": \"dgemm-tu"),
         ("binary.json", "\u{0}\u{1}\u{2}junk"),
@@ -129,6 +135,7 @@ fn corrupt_and_stale_dbs_fall_back_without_panic() {
             "stale.json",
             "{\"schema\":\"dgemm-tune-v0\",\"hosts\":[],\"entries\":[]}",
         ),
+        ("v1.json", v1.as_str()),
     ] {
         let path = scratch(name);
         std::fs::write(&path, contents).expect("write scratch db");
@@ -172,23 +179,19 @@ fn malformed_autotune_env_is_a_typed_error() {
 }
 
 /// A stored winner reaches the calls of its class through `auto()`:
-/// kernel and blocking always, the runtime only where the config left it
-/// to the tuner. `Read` applies what is stored and never measures.
+/// kernel and blocking, never the runtime. `Read` applies what is stored
+/// and never measures.
 fn stored_winner_drives_selection<K: KernelFamily>() {
     let path = scratch(&format!("selected-{}.json", K::DTYPE));
     let _ = std::fs::remove_file(&path);
     let class = ShapeClass::of(200, 200, 200);
     // A winner no analytic solve produces: a kernel that is not the
-    // family's default, a distinctive (but valid) blocking for it, and a
-    // runtime the environment below does not ask for.
+    // family's default and a distinctive (but valid) blocking for it.
     let kernel = K::ALL[1];
     assert_ne!(kernel, K::DEFAULT);
     let (mc, nc) = (5 * kernel.mr(), 21 * kernel.nr());
-    let mut stored = entry_for(kernel, &class, 96, mc, nc);
-    stored.runtime = "pool".to_owned();
-    stored.threads = 3;
     let mut db = TuneDb::default();
-    db.upsert(stored);
+    db.upsert(entry_for(kernel, &class, 96, mc, nc));
     autotune::store_db(&path, &db).expect("store");
     autotune::invalidate_db_cache();
 
@@ -205,16 +208,20 @@ fn stored_winner_drives_selection<K: KernelFamily>() {
     let tuned = autotune::tuned(&cfg, 200, 200, 200);
     assert_eq!(tuned.kernel, kernel);
     assert_eq!(tuned.blocks.label(), label);
-    assert_eq!(
-        tuned.parallelism,
-        Parallelism::Pool(3),
-        "stored runtime applied"
-    );
-    // … but an explicit dispatch mode keeps runtime authority.
-    let dispatched = cfg.with_dispatch(DispatchMode::Auto);
-    let tuned2 = autotune::tuned(&dispatched, 200, 200, 200);
-    assert_eq!(tuned2.blocks.label(), label);
-    assert_eq!(tuned2.parallelism, cfg.parallelism);
+    // … the runtime stays the dispatcher's: parallelism and dispatch
+    // mode come back as configured, under `Fixed` as under `Auto` …
+    for dispatch in [DispatchMode::Fixed, DispatchMode::Auto] {
+        for parallelism in [Parallelism::Serial, Parallelism::Pool(3)] {
+            let cfg = cfg.with_dispatch(dispatch).with_parallelism(parallelism);
+            let tuned = autotune::tuned(&cfg, 200, 200, 200);
+            assert_eq!(tuned.blocks.label(), label);
+            assert_eq!(
+                (tuned.parallelism, tuned.dispatch),
+                (parallelism, dispatch),
+                "runtime changed by the tuner"
+            );
+        }
+    }
     // … other classes fall through to the analytic blocking, and a miss
     // under Read starts no sweep: the DB on disk is what was stored.
     let other = autotune::tuned(&cfg, 2500, 2500, 2500);
@@ -261,9 +268,9 @@ fn sweep_persists_and_rereads<K: KernelFamily>() {
     let tuned = autotune::tuned(&cfg, 64, 64, 64);
     assert_eq!(tuned.blocks.label(), entry.blocks().label());
     assert_eq!((tuned.kernel.mr(), tuned.kernel.nr()), (entry.mr, entry.nr));
-    // Calibration ratios were persisted alongside the winner.
-    let db = autotune::load_db(&path);
-    assert!(db.host(autotune::cpu_id()).is_some());
+    // The file on disk carries the current schema.
+    let text = std::fs::read_to_string(&path).expect("DB written");
+    assert!(text.starts_with("{\"schema\":\"dgemm-tune-v2\""), "{text}");
     std::env::remove_var("DGEMM_TUNE_DB");
     std::env::remove_var("DGEMM_AUTOTUNE");
     let _ = std::fs::remove_file(&path);

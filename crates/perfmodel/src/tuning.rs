@@ -73,7 +73,7 @@ impl ShapeClass {
     }
 
     /// Stable class key, e.g. `m128-n512-k512` (used verbatim in the
-    /// `dgemm-tune-v1` schema).
+    /// tuning DB's schema).
     #[must_use]
     pub fn label(&self) -> String {
         format!(
@@ -206,13 +206,16 @@ pub fn candidate_blockings(
 
 /// Clamp a candidate to the probe shape so equivalent-after-clamping
 /// candidates collapse: blocks larger than the matrix walk identical
-/// loops, and measuring both would waste sweep budget.
+/// loops, and measuring both would waste sweep budget. `mc` and `nc`
+/// round *up* to whole slivers, so a clamped block still covers its
+/// dimension in one pass (512 columns at `nr = 6` clamp to 516, not to
+/// 510 and a second panel of two columns).
 #[must_use]
 pub fn clamp_to_shape(b: &BlockSizes, m: usize, n: usize, k: usize) -> BlockSizes {
     let line = 8; // packed slivers stay line-aligned in elements
     let kc = b.kc.min(k.max(1));
-    let mc = b.mc.min(down_to(m.max(b.mr), b.mr));
-    let nc = b.nc.min(down_to(n.max(b.nr * line), b.nr));
+    let mc = b.mc.min(m.max(b.mr).div_ceil(b.mr) * b.mr);
+    let nc = b.nc.min(n.max(b.nr * line).div_ceil(b.nr) * b.nr);
     BlockSizes::custom(b.mr, b.nr, kc, mc, nc)
 }
 
@@ -355,6 +358,12 @@ mod tests {
         assert_eq!(c.kc, 64);
         assert!(c.mc <= 32 && c.mc.is_multiple_of(8));
         assert!(c.nc <= 48);
+        // a dimension that is not a whole number of slivers still
+        // clamps to one block that covers it
+        let e = clamp_to_shape(&b, 500, 512, 512);
+        assert_eq!((e.mc, e.nc), (56, 516));
+        let e = clamp_to_shape(&BlockSizes::custom(8, 6, 512, 512, 1920), 500, 512, 512);
+        assert_eq!(e.mc, 504);
         // a shape larger than the blocks is untouched
         let d = clamp_to_shape(&b, 4096, 4096, 4096);
         assert_eq!((d.kc, d.mc, d.nc), (512, 56, 1920));
