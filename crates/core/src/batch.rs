@@ -6,8 +6,11 @@
 //! right-hand sides), the packed form can be reused across the whole
 //! batch — the packing cost is paid once instead of `batch` times. This
 //! module exposes that reuse: it checks the batch and hands it to the
-//! driver every GEMM goes through (`gemm::gemm_driver`), where
-//! each entry's `mc` blocks are row tasks of the one walk.
+//! driver every GEMM goes through (`gemm::gemm_driver`). The one walk
+//! stacks the entries' rows and cuts them into full `mc` blocks, which
+//! may straddle entries: sixteen-row requests fill the kernel's row
+//! groups and share one pass over each B sliver per block, not one per
+//! entry.
 
 #![forbid(unsafe_code)]
 
@@ -18,9 +21,12 @@ use crate::{GemmError, Transpose};
 
 /// `C_i := α·A_i·op(B) + β·C_i` for every `(A_i, C_i)` pair, with the
 /// shared `op(B)` packed once per `(jj, kk)` macro-iteration — by each
-/// cell of the grid for its own columns — and reused across the batch. (A
-/// batch of one `mc` block has nothing to reuse a pack and reads B in
-/// place, as the same call through `gemm` does.)
+/// cell of the grid for its own columns — and reused across the batch.
+/// The entries' rows are stacked into `mc` blocks, so the pack is reused
+/// by `⌈m·batch/mc⌉` GEBPs; a batch whose rows fit one block (two 16-row
+/// entries, say) has nothing to reuse a pack and reads B in place, as a
+/// single-block call through `gemm` does. Each `C_i` is bit-identical to
+/// its own `gemm` call.
 ///
 /// All `A_i` must share dimensions `m×k` (stored, non-transposed), all
 /// `C_i` must be `m×n`.

@@ -272,8 +272,7 @@ fn decide_calibrated(
     // full-width panel) and whether either runtime packs B at all: not when
     // it is cached, and not when a single GEBP per panel leaves the pack
     // nothing to be amortized over.
-    let row_tasks = m.div_ceil(mc) * batch;
-    let pack_b = crate::gemm::packs_b(row_tasks, transb, cached);
+    let pack_b = crate::gemm::packs_b(crate::pool::row_tasks(m, batch, mc), transb, cached);
     let (row_ranges, col_chunks) =
         crate::pool::cell_grid(m, batch, nc.min(n), mc, nr, degree, pack_b);
     let cells = row_ranges * col_chunks;
@@ -545,12 +544,29 @@ mod tests {
             assert_eq!(square.predicted_serial_ms, model_ms(512, 512 * 512 + w_b));
             assert!(square.predicted_serial_ms > at(512, transb, true).predicted_serial_ms);
         }
-        // a batch of single-block entries shares the packed panel
-        let mode = DispatchMode::Auto;
-        let tb = Transpose::No;
-        let pair = decide_calibrated((1.0, 1.0), mode, 8, 512, 512, 2, &b, 6, 32.0, 2, tb, false);
-        let alone = decide_calibrated((1.0, 1.0), mode, 8, 512, 512, 2, &b, 6, 32.0, 2, tb, true);
-        assert!(pair.predicted_serial_ms > alone.predicted_serial_ms);
+        // A batch's rows stack: two 8-row entries are one block and read
+        // B in place, as a cached B is charged; eight are two blocks,
+        // which share the packed panel.
+        let (mode, tb) = (DispatchMode::Auto, Transpose::No);
+        let batch = |entries: usize, cached: bool| {
+            decide_calibrated(
+                (1.0, 1.0),
+                mode,
+                8,
+                512,
+                512,
+                entries,
+                &b,
+                6,
+                32.0,
+                2,
+                tb,
+                cached,
+            )
+        };
+        let pair = batch(2, false).predicted_serial_ms;
+        assert_eq!(pair, batch(2, true).predicted_serial_ms);
+        assert!(batch(8, false).predicted_serial_ms > batch(8, true).predicted_serial_ms);
     }
 
     #[test]

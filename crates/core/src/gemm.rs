@@ -489,8 +489,8 @@ pub(crate) fn gemm_driver<T: PoolScalar, K: KernelSet<T>>(
 
     // Fixed runs the configured runtime with no decision and no timing;
     // any other mode asks the dispatcher (DESIGN.md §13). A batch shares
-    // one decision: every entry contributes its row tasks to the one
-    // grid, which is the walk's own either way ([`crate::pool::cell_grid`]).
+    // one decision: its rows stacked are the row tasks of the one grid,
+    // which is the walk's own either way ([`crate::pool::cell_grid`]).
     let plan = match dispatch {
         DispatchMode::Fixed => None,
         mode => Some(crate::dispatch::decide(
@@ -532,8 +532,9 @@ pub(crate) fn gemm_driver<T: PoolScalar, K: KernelSet<T>>(
 /// panel — before layer 3 runs over it: the one place that decision lives
 /// (DESIGN.md, "When B is packed"), for either runtime, a plain call or a
 /// batch. The pack's traffic is amortized over the `gebps` GEBP
-/// calls that share the panel (`⌈m/mc⌉`, times the entries of a batch);
-/// with one there is nothing to amortize it over and the kernels read B
+/// calls that share the panel (`⌈m·batch/mc⌉`: a batch's rows stacked,
+/// [`crate::pool::row_tasks`]); with one there is nothing to amortize it
+/// over and the kernels read B
 /// where the caller stored it. A transposed B keeps its pack: read in
 /// place its `nr` elements of one `k` are adjacent but consecutive `k`
 /// are `ldb` apart, which measured slower than pack-then-compute on a

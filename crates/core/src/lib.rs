@@ -148,9 +148,12 @@ pub enum GemmError {
     /// block inline (see DESIGN.md §10); this variant means even the
     /// retry failed, so `C` must be considered unspecified.
     WorkerFault {
-        /// Batch entry whose block failed (0 for plain GEMM).
+        /// Batch entry of the failed block's first row (0 for plain
+        /// GEMM). A batch's rows are cut into blocks stacked, so the
+        /// block may run on into the next entries.
         entry: usize,
-        /// First row of the failed `mc`-block.
+        /// That row within its entry: `(entry, row0)` is the first
+        /// stacked row of the failed `mc`-block.
         row0: usize,
     },
     /// A layer-3 epoch exceeded [`crate::gemm::GemmConfig::epoch_timeout`].

@@ -20,6 +20,7 @@
 use crate::matrix::MatrixView;
 use crate::scalar::Scalar;
 use crate::{GemmError, Transpose};
+use core::ops::Range;
 
 /// The fallible half of `try_pack`: one `faults::fail_alloc()` draw per
 /// call, then capacity for `needed` elements. The contents are kept (the
@@ -61,17 +62,17 @@ fn interleave<'a, T: Scalar, const N: usize>(
 /// several passes of this many streams.
 const MAX_STREAMS: usize = 8;
 
-/// The first `cols` positions of every `width`-long row of a sliver from
-/// the sources `src(0..cols)`: a B sliver's `nr`-rows from columns of B,
-/// or an A sliver's `mr`-columns from columns of a transposed A.
+/// Positions `cols` of every `width`-long row of a sliver from the
+/// sources `src(cols)`: a B sliver's `nr`-rows from columns of B, or an A
+/// sliver's `mr`-columns from columns of a transposed A.
 fn interleave_all<'a, T: Scalar>(
     sliver: &mut [T],
     width: usize,
-    cols: usize,
+    cols: Range<usize>,
     src: impl Fn(usize) -> &'a [T] + Copy,
 ) {
-    for c0 in (0..cols).step_by(MAX_STREAMS) {
-        match (cols - c0).min(MAX_STREAMS) {
+    for c0 in cols.clone().step_by(MAX_STREAMS) {
+        match (cols.end - c0).min(MAX_STREAMS) {
             1 => interleave::<T, 1>(sliver, width, c0, src),
             2 => interleave::<T, 2>(sliver, width, c0, src),
             3 => interleave::<T, 3>(sliver, width, c0, src),
@@ -84,36 +85,54 @@ fn interleave_all<'a, T: Scalar>(
     }
 }
 
-/// A non-transposed `mc×kc` block of A into `mr`-slivers, the source
-/// column outermost: each column's `mc` rows are read once, front to
-/// back, and dealt out to the slivers' `k`-th rows, the ragged last
-/// sliver's padding included. Sliver-outermost, every `mr`-element copy
-/// would start on a new page of A and each page be revisited once per
-/// sliver — half the rate. `MR` is `mr` as a constant, or 0 for "use
-/// `mr`".
+/// Rows `i0..i0 + rows` of a non-transposed A, columns `k0..k0 + kc`,
+/// into packed rows `at..at + rows` of an `mr`-sliver block, the source
+/// column outermost: each column's rows are read once, front to back, and
+/// dealt out to the slivers' `k`-th rows — the first few finishing a
+/// sliver an earlier run of rows began. Sliver-outermost, every
+/// `mr`-element copy would start on a new page of A and each page be
+/// revisited once per sliver — half the rate. `MR` is `mr` as a constant,
+/// or 0 for "use `mr`".
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn deal<T: Scalar, const MR: usize>(
     buf: &mut [T],
     a: &MatrixView<'_, T>,
     mr: usize,
+    at: usize,
     i0: usize,
     k0: usize,
-    mc: usize,
+    rows: usize,
     kc: usize,
 ) {
     let mr = if MR == 0 { mr } else { MR };
+    let head = ((mr - at % mr) % mr).min(rows);
+    let s0 = (at + head) / mr;
     for k in 0..kc {
-        let src = &a.col(k0 + k)[i0..i0 + mc];
-        for (s, rows) in src.chunks(mr).enumerate() {
-            let at = (s * kc + k) * mr;
-            let dst = &mut buf[at..at + mr];
-            if rows.len() == mr {
-                dst.copy_from_slice(rows);
+        let (head_rows, src) = a.col(k0 + k)[i0..i0 + rows].split_at(head);
+        if head > 0 {
+            let to = ((at / mr) * kc + k) * mr + at % mr;
+            buf[to..to + head].copy_from_slice(head_rows);
+        }
+        for (s, part) in src.chunks(mr).enumerate() {
+            let to = ((s0 + s) * kc + k) * mr;
+            if part.len() == mr {
+                buf[to..to + mr].copy_from_slice(part);
             } else {
-                dst[..rows.len()].copy_from_slice(rows);
-                dst[rows.len()..].fill(T::ZERO);
+                buf[to..to + part.len()].copy_from_slice(part);
             }
         }
+    }
+}
+
+/// Zero the padding rows of a ragged last sliver of an `mc×kc` block.
+fn pad_last_sliver<T: Scalar>(buf: &mut [T], mr: usize, mc: usize, kc: usize) {
+    let rows = mc % mr;
+    if rows == 0 {
+        return;
+    }
+    for row in buf[(mc / mr) * mr * kc..].chunks_exact_mut(mr) {
+        row[rows..].fill(T::ZERO);
     }
 }
 
@@ -158,11 +177,26 @@ impl<T: Scalar> PackedA<T> {
         mc: usize,
         kc: usize,
     ) {
+        self.pack_runs(core::iter::once((a, i0, mc)), trans, k0, kc);
+    }
+
+    /// Pack columns `k0..k0+kc` of runs of rows, one under the other, as
+    /// one block: each `(a, i0, rows)` is rows `i0..i0+rows` of `op(a)`.
+    /// A sliver may hold the last rows of one run and the first of the
+    /// next — a block of a batch's rows stacked, which straddles entries.
+    pub(crate) fn pack_runs<'v, 'a: 'v>(
+        &mut self,
+        runs: impl Iterator<Item = (&'v MatrixView<'a, T>, usize, usize)> + Clone,
+        trans: Transpose,
+        k0: usize,
+        kc: usize,
+    ) {
         // Single telemetry site for A: `try_pack` and every degraded
         // chunk path land here. Bytes are the padded sliver buffer —
         // exactly what the kernels stream.
         let _span = crate::telemetry::span(crate::telemetry::TraceKind::PackA);
         let mr = self.mr;
+        let mc = runs.clone().map(|(_, _, rows)| rows).sum();
         self.mc = mc;
         self.kc = kc;
         let len = mc.div_ceil(mr) * mr * kc;
@@ -177,32 +211,33 @@ impl<T: Scalar> PackedA<T> {
             return;
         }
         let buf = &mut self.buf[self.off..];
-        match trans {
-            // op(A)(i, k) = A(i, k). The sliver heights in use get a copy
-            // of compile-time length (a run-time one costs a `memcpy`
-            // call per 64 bytes); any other height takes the same loop.
-            Transpose::No => match mr {
-                4 => deal::<T, 4>(buf, a, mr, i0, k0, mc, kc),
-                8 => deal::<T, 8>(buf, a, mr, i0, k0, mc, kc),
-                12 => deal::<T, 12>(buf, a, mr, i0, k0, mc, kc),
-                _ => deal::<T, 0>(buf, a, mr, i0, k0, mc, kc),
-            },
-            Transpose::Yes => {
-                for (s, sliver) in buf.chunks_exact_mut(mr * kc).enumerate() {
-                    let row_base = s * mr;
-                    let rows = mr.min(mc - row_base);
-                    // op(A)(i, k) = A(k, i): the sliver's rows are columns
-                    // of A, read as concurrent streams
-                    let src = |r: usize| &a.col(i0 + row_base + r)[k0..k0 + kc];
-                    interleave_all(sliver, mr, rows, src);
-                    if rows < mr {
-                        for row in sliver.chunks_exact_mut(mr) {
-                            row[rows..].fill(T::ZERO);
-                        }
+        let mut at = 0;
+        for (a, i0, rows) in runs {
+            match trans {
+                // op(A)(i, k) = A(i, k). The sliver heights in use get a
+                // copy of compile-time length (a run-time one costs a
+                // `memcpy` call per 64 bytes); any other height takes the
+                // same loop.
+                Transpose::No => match mr {
+                    4 => deal::<T, 4>(buf, a, mr, at, i0, k0, rows, kc),
+                    8 => deal::<T, 8>(buf, a, mr, at, i0, k0, rows, kc),
+                    12 => deal::<T, 12>(buf, a, mr, at, i0, k0, rows, kc),
+                    _ => deal::<T, 0>(buf, a, mr, at, i0, k0, rows, kc),
+                },
+                Transpose::Yes => {
+                    for s in at / mr..(at + rows).div_ceil(mr) {
+                        let sliver = &mut buf[s * mr * kc..(s + 1) * mr * kc];
+                        let (lo, hi) = (at.max(s * mr), (at + rows).min(s * mr + mr));
+                        // op(A)(i, k) = A(k, i): the sliver's rows are
+                        // columns of A, read as concurrent streams
+                        let src = |r: usize| &a.col(i0 + s * mr + r - at)[k0..k0 + kc];
+                        interleave_all(sliver, mr, lo - s * mr..hi - s * mr, src);
                     }
                 }
             }
+            at += rows;
         }
+        pad_last_sliver(buf, mr, mc, kc);
     }
 
     /// Fallible sibling of [`PackedA::pack`]: grows the buffer with
@@ -218,10 +253,22 @@ impl<T: Scalar> PackedA<T> {
         mc: usize,
         kc: usize,
     ) -> Result<(), GemmError> {
+        self.try_pack_runs(core::iter::once((a, i0, mc)), trans, k0, kc)
+    }
+
+    /// Fallible sibling of [`PackedA::pack_runs`], as [`PackedA::try_pack`].
+    pub(crate) fn try_pack_runs<'v, 'a: 'v>(
+        &mut self,
+        runs: impl Iterator<Item = (&'v MatrixView<'a, T>, usize, usize)> + Clone,
+        trans: Transpose,
+        k0: usize,
+        kc: usize,
+    ) -> Result<(), GemmError> {
+        let mc: usize = runs.clone().map(|(_, _, rows)| rows).sum();
         let needed = mc.div_ceil(self.mr) * self.mr * kc + LINE / size_of::<T>();
         try_grow(&mut self.buf, needed, "packed A")?;
-        // capacity is in hand: the resize inside `pack` cannot allocate
-        self.pack(a, trans, i0, k0, mc, kc);
+        // capacity is in hand: the resize inside `pack_runs` cannot allocate
+        self.pack_runs(runs, trans, k0, kc);
         Ok(())
     }
 
@@ -342,7 +389,7 @@ impl<T: Scalar> PackedB<T> {
                     // op(B)(k, j) = B(k, j): row-of-sliver gather, the
                     // source columns read as concurrent streams
                     let src = |c: usize| &b.col(j0 + col_base + c)[k0..k0 + kc];
-                    interleave_all(sliver, nr, cols, src);
+                    interleave_all(sliver, nr, 0..cols, src);
                 }
                 Transpose::Yes => {
                     // op(B)(k, j) = B(j, k): columns of B become rows
@@ -526,6 +573,38 @@ mod tests {
                         same && p.buf().len() == want.len(),
                         "mr={mr} mc={mc} i0={i0} k0={k0} kc={kc}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn runs_of_rows_pack_as_the_rows_stacked() {
+        // rows of three matrices run into one block, packed over whatever
+        // the last pack left behind: byte for byte the block of the same
+        // rows stacked in one matrix, whichever way each is stored
+        let ops: Vec<Matrix> = (0..3).map(|i| Matrix::random(20, 11, 30 + i)).collect();
+        let stored: Vec<Matrix> = ops.iter().map(Matrix::transposed).collect();
+        for mr in [8, 4, 5] {
+            let mut p = PackedA::new(mr);
+            // a run finishing a sliver, a sliver holding three runs, ragged
+            for rows in [[5, 13, 9], [1, 2, 3], [8, 8, 3]] {
+                let mc: usize = rows.iter().sum();
+                let stacked = Matrix::from_fn(mc, 11, |r, k| {
+                    let (mut i, mut r) = (0, r);
+                    while r >= rows[i] {
+                        r -= rows[i];
+                        i += 1;
+                    }
+                    ops[i].get(2 + r, k)
+                });
+                let mut want = PackedA::new(mr);
+                want.pack(&stacked.view(), Transpose::No, 0, 3, mc, 7);
+                for (trans, mats) in [(Transpose::No, &ops), (Transpose::Yes, &stored)] {
+                    let views: Vec<MatrixView<'_>> = mats.iter().map(Matrix::view).collect();
+                    p.pack_runs(views.iter().zip(rows).map(|(v, n)| (v, 2, n)), trans, 3, 7);
+                    let case = format!("mr {mr} rows {rows:?} {trans:?}");
+                    assert_eq!((p.mc(), p.buf()), (mc, want.buf()), "{case}");
                 }
             }
         }

@@ -20,8 +20,9 @@
 //!   calls find their workers awake. Steady state spawns **zero**
 //!   threads.
 //! - **The cell grid** ([`cell_grid`], DESIGN.md §9): each `jj` panel of
-//!   a call is cut into *cells* — a run of `mc` row blocks (across the
-//!   entries of a batch) by an `nr`-aligned run of the panel's columns —
+//!   a call is cut into *cells* — a run of `mc` row blocks (of a batch's
+//!   rows stacked, so a block may straddle entries) by an `nr`-aligned
+//!   run of the panel's columns —
 //!   about one per thread, by the one pure function that minimises the
 //!   words a cell packs. Which loop is parallel is that function's
 //!   answer for the shape: columns for a square call or a single block,
@@ -551,8 +552,8 @@ impl WorkerPool {
 #[derive(Debug)]
 pub struct BlockSlot<T: Scalar> {
     pa: PackedA<T>,
-    /// The staged cell: per row task an `mc_eff × ncols` block,
-    /// column-major with `ld = mc_eff`, one after the other.
+    /// The staged cell: per row task an `mc_eff × ncols` block of stacked
+    /// rows, column-major with `ld = mc_eff`, one after the other.
     staging: Vec<T>,
 }
 
@@ -667,11 +668,20 @@ macro_rules! impl_pool_scalar {
 impl_pool_scalar!(f64, ARENA_F64);
 impl_pool_scalar!(f32, ARENA_F32);
 
+/// The row tasks of a call: the `m` rows of each of `batch` entries
+/// stacked, row `r` being row `r % m` of entry `r / m`, in blocks of `mc`
+/// — so a block may straddle entries. The one place they are counted: the
+/// walk cuts them, the grid and the dispatcher price them, and
+/// `gemm::packs_b` counts the GEBPs that share a B pack by them.
+#[must_use]
+pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
+    (m * batch).div_ceil(mc.max(1))
+}
+
 /// The grid one `jj` panel of a call is cut into, as `(row ranges,
-/// column chunks)`: `batch` entries of `m` rows in `mc` blocks (the *row
-/// tasks*) by `n` panel columns in `nr` slivers, for `degree` threads.
-/// The one place that decision lives — the walk runs it, the dispatcher
-/// prices it.
+/// column chunks)`: the [`row_tasks`] of `batch` entries of `m` rows by
+/// `n` panel columns in `nr` slivers, for `degree` threads. The one place
+/// that decision lives — the walk runs it, the dispatcher prices it.
 ///
 /// A cell packs its own operands: per unit of depth its rows of A and,
 /// when the call packs B at all (`pack_b`, from `gemm::packs_b`), its
@@ -694,12 +704,12 @@ pub fn cell_grid(
     pack_b: bool,
 ) -> (usize, usize) {
     let (mc, nr, degree) = (mc.max(1), nr.max(1), degree.max(1));
-    let row_tasks = (m.div_ceil(mc) * batch).max(1);
+    let tasks = row_tasks(m, batch, mc).max(1);
     let slivers = n.div_ceil(nr).max(1);
-    (1..=degree.min(row_tasks))
+    (1..=degree.min(tasks))
         .map(|r| {
             let c = degree.div_ceil(r).min(slivers);
-            let rows = (row_tasks.div_ceil(r) * mc.min(m)).min(m * batch);
+            let rows = (tasks.div_ceil(r) * mc).min(m * batch);
             let cols = if pack_b {
                 (slivers.div_ceil(c) * nr).min(n)
             } else {
@@ -712,18 +722,61 @@ pub fn cell_grid(
         .map_or((1, 1), |(_, grid)| grid)
 }
 
+/// The cells of one `jj` panel `n` columns wide, and its column chunks as
+/// `(col0, ncols)`: [`cell_grid`]'s row ranges, cut from the stacked rows
+/// in whole `mc` blocks, by its column chunks, cut in whole slivers.
+fn panel_cells(
+    m: usize,
+    batch: usize,
+    n: usize,
+    mc: usize,
+    nr: usize,
+    degree: usize,
+    pack_b: bool,
+) -> (Vec<Cell>, Vec<(usize, usize)>) {
+    let (row_ranges, col_chunks) = cell_grid(m, batch, n, mc, nr, degree, pack_b);
+    let row_ranges = partition_rows(m * batch, mc, row_ranges);
+    let col_chunks = partition_rows(n, nr, col_chunks);
+    let cells = col_chunks
+        .iter()
+        .enumerate()
+        .flat_map(|(chunk, &(col0, ncols))| {
+            row_ranges.iter().map(move |&(r0, rows)| Cell {
+                r0,
+                r1: r0 + rows,
+                chunk,
+                col0,
+                ncols,
+            })
+        })
+        .collect();
+    (cells, col_chunks)
+}
+
 /// One cell of a panel's grid: a run of row tasks by a run of slivers.
 #[derive(Clone, Copy, Debug)]
 struct Cell {
-    /// Row tasks `t0..t1`; task `t` is `mc` block `t % blocks` of batch
-    /// entry `t / blocks` ([`Operands::task`]).
-    t0: usize,
-    t1: usize,
+    /// Stacked rows `r0..r1` ([`row_tasks`]): its row tasks are the `mc`
+    /// blocks from `r0` on ([`Cell::blocks`]).
+    r0: usize,
+    r1: usize,
     /// Which column chunk of the panel ([`Operands::c_chunks`]).
     chunk: usize,
     /// The chunk's first column within the panel, a multiple of `nr`.
     col0: usize,
     ncols: usize,
+}
+
+impl Cell {
+    /// The cell's row tasks as `(r0, mc_eff)`: its stacked rows in `mc`
+    /// blocks. A block's place in the cell's staging buffer is
+    /// `(r0 - self.r0) · ncols`.
+    fn blocks(&self, mc: usize) -> impl Iterator<Item = (usize, usize)> {
+        let end = self.r1;
+        (self.r0..end)
+            .step_by(mc)
+            .map(move |r0| (r0, mc.min(end - r0)))
+    }
 }
 
 /// What the jobs of one `jj` panel borrow from the call, through the
@@ -770,25 +823,15 @@ impl<T: PoolScalar, K: KernelSet<T>> Lend for Call<T, K> {
     type Lent<'a> = Operands<'a, T, K>;
 }
 
-impl<T: Scalar, K> Operands<'_, T, K> {
-    /// Row task `t` as `(entry, row0, mc_eff)`.
-    fn task(&self, t: usize) -> (usize, usize, usize) {
-        let blocks = self.m.div_ceil(self.mc);
-        let row0 = (t % blocks) * self.mc;
-        (t / blocks, row0, self.mc.min(self.m - row0))
-    }
-
-    /// Rows of all tasks before `t`: where task `t` starts in a staging
-    /// buffer that begins with task 0, in units of `ncols`.
-    fn rows_before(&self, t: usize) -> usize {
-        let blocks = self.m.div_ceil(self.mc);
-        (t / blocks) * self.m + (t % blocks) * self.mc
-    }
-
-    /// Offset of task `t`'s block in `cell`'s staging buffer.
-    fn staged_at(&self, cell: &Cell, t: usize) -> usize {
-        (self.rows_before(t) - self.rows_before(cell.t0)) * cell.ncols
-    }
+/// Stacked rows `r0..r0 + rows` of a batch of `m`-row entries, cut
+/// where entries meet, as `(entry, row0, rows)`: stacked row `r` is row
+/// `r % m` of entry `r / m`.
+fn runs(m: usize, r0: usize, rows: usize) -> impl Iterator<Item = (usize, usize, usize)> + Clone {
+    let end = r0 + rows;
+    (r0 / m..end.div_ceil(m)).map(move |entry| {
+        let lo = r0.max(entry * m);
+        (entry, lo - entry * m, end.min(entry * m + m) - lo)
+    })
 }
 
 /// The views are plain borrows, valid whatever a panicking holder was
@@ -810,24 +853,25 @@ fn stage_in<T: Scalar, K>(
     staging: &mut Vec<T>,
     c: &[MatrixViewMut<'_, T>],
 ) -> Result<(), GemmError> {
-    let rows = ops.rows_before(cell.t1) - ops.rows_before(cell.t0);
+    let len = (cell.r1 - cell.r0) * cell.ncols;
     staging.clear();
-    if crate::faults::fail_alloc() || staging.try_reserve(rows * cell.ncols).is_err() {
+    if crate::faults::fail_alloc() || staging.try_reserve(len).is_err() {
         return Err(GemmError::AllocFailure { what: "C staging" });
     }
     if ops.beta == T::ZERO {
-        staging.resize(rows * cell.ncols, T::ZERO);
+        staging.resize(len, T::ZERO);
         return Ok(());
     }
-    for t in cell.t0..cell.t1 {
-        let (entry, row0, mc_eff) = ops.task(t);
-        let view = c[entry].as_view();
+    for (r0, mc_eff) in cell.blocks(ops.mc) {
         for j in 0..cell.ncols {
-            let col = &view.col(j)[row0..row0 + mc_eff];
-            if ops.beta == T::ONE {
-                staging.extend_from_slice(col);
-            } else {
-                staging.extend(col.iter().map(|&x| x * ops.beta));
+            for (entry, row0, rows) in runs(ops.m, r0, mc_eff) {
+                let view = c[entry].as_view();
+                let col = &view.col(j)[row0..row0 + rows];
+                if ops.beta == T::ONE {
+                    staging.extend_from_slice(col);
+                } else {
+                    staging.extend(col.iter().map(|&x| x * ops.beta));
+                }
             }
         }
     }
@@ -840,13 +884,14 @@ fn stage_out<T: Scalar, K>(
     staging: &[T],
     c: &mut [MatrixViewMut<'_, T>],
 ) {
-    let mut blocks = staging;
-    for t in cell.t0..cell.t1 {
-        let (entry, row0, mc_eff) = ops.task(t);
+    let mut staged = staging;
+    for (r0, mc_eff) in cell.blocks(ops.mc) {
         for j in 0..cell.ncols {
-            let (col, rest) = blocks.split_at(mc_eff);
-            c[entry].col_mut(j)[row0..row0 + mc_eff].copy_from_slice(col);
-            blocks = rest;
+            for (entry, row0, rows) in runs(ops.m, r0, mc_eff) {
+                let (col, rest) = staged.split_at(rows);
+                c[entry].col_mut(j)[row0..row0 + rows].copy_from_slice(col);
+                staged = rest;
+            }
         }
     }
 }
@@ -859,39 +904,36 @@ enum Dest<'d, 'c, T: Scalar> {
     Direct(&'d mut [MatrixViewMut<'c, T>]),
 }
 
-/// Pack one `mc_eff × kc_eff` block of `op(A)` fallibly and GEBP it
-/// against the `(s0, cols)` whole-sliver column range of `panel`
-/// (full width: `(0, panel.nc())`), degrading to halved row chunks
-/// when the packing buffer cannot grow. Bit-identical to the one-shot
-/// pack: every (A-sliver, B-sliver) pair still gets exactly one kernel
-/// call with the same operand values, and each C element's
-/// k-accumulation order is unchanged. `tile` is the `mc_eff × cols`
-/// destination.
+/// Pack stacked rows `row0..row0 + mc_eff` of `op(A)`, depth `kk..kk +
+/// kc_eff`, fallibly and GEBP them against the `(s0, cols)` whole-sliver
+/// column range of `panel` (full width: `(0, panel.nc())`), degrading to
+/// halved row chunks when the packing buffer cannot grow. Bit-identical
+/// to the one-shot pack: each row is its own lane of whatever sliver and
+/// row group it lands in, every (A-sliver, B-sliver) pair still gets
+/// exactly one kernel call, and each C element's k-accumulation order is
+/// unchanged. `tile` is the `mc_eff × cols` destination.
 #[allow(clippy::too_many_arguments)]
 fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
-    kernel: K,
-    alpha: T,
-    a: &MatrixView<'_, T>,
-    transa: Transpose,
-    row0: usize,
-    kk: usize,
-    mc_eff: usize,
-    kc_eff: usize,
+    ops: &Operands<'_, T, K>,
+    (kk, kc_eff): (usize, usize),
+    (row0, mc_eff): (usize, usize),
     pa: &mut PackedA<T>,
     panel: &impl BPanel<T>,
     s0: usize,
     cols: usize,
     tile: &mut TileMut<'_, T>,
 ) -> Result<(), GemmError> {
-    let mr = kernel.mr().max(1);
+    let mr = ops.kernel.mr().max(1);
     let mut chunk = mc_eff;
     let mut r = 0usize;
     while r < mc_eff {
         let rows = chunk.min(mc_eff - r);
-        match pa.try_pack(a, transa, row0 + r, kk, rows, kc_eff) {
+        let runs = runs(ops.m, row0 + r, rows);
+        let runs = runs.map(|(entry, i0, n)| (&ops.a_batch[entry], i0, n));
+        match pa.try_pack_runs(runs, ops.transa, kk, kc_eff) {
             Ok(()) => {
                 let mut sub = tile.sub_tile(r, 0, rows, cols);
-                gebp_slivers(kernel, alpha, pa, panel, s0, cols, &mut sub);
+                gebp_slivers(ops.kernel, ops.alpha, pa, panel, s0, cols, &mut sub);
                 r += rows;
             }
             Err(e) => {
@@ -950,49 +992,38 @@ fn pack_panel_resilient<T: Scalar>(
 fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
     cell: &Cell,
-    (kk, kc_eff): (usize, usize),
+    depth: (usize, usize),
     pa: &mut PackedA<T>,
     dest: &mut Dest<'_, '_, T>,
     b: &impl BPanel<T>,
     s0: usize,
     (c0, cols): (usize, usize),
 ) -> Result<(), GemmError> {
-    for t in cell.t0..cell.t1 {
-        let (entry, row0, mc_eff) = ops.task(t);
-        telemetry::set_cell(row0, cell.col0);
-        // the tile the task's block lives in, and the block's first row there
-        let (mut whole, r0) = match dest {
-            Dest::Staging(staging) => {
-                let block = &mut staging[ops.staged_at(cell, t)..][..mc_eff * cell.ncols];
-                let tile = TileMut::from_slice(mc_eff, cell.ncols, mc_eff.max(1), block);
-                (tile, 0)
-            }
-            Dest::Direct(c) => {
-                let view = &mut c[entry];
-                let (rows, ld) = (view.rows(), view.ld());
-                let tile = TileMut::from_slice(rows, cell.ncols, ld, view.data_mut());
-                (tile, row0)
-            }
-        };
-        let mut tile = whole.sub_tile(r0, c0, mc_eff, cols);
+    for (r0, mc_eff) in cell.blocks(ops.mc) {
+        telemetry::set_cell(r0, cell.col0);
         if ops.contained {
             crate::faults::panic_in_job();
         }
-        gebp_block_resilient(
-            ops.kernel,
-            ops.alpha,
-            &ops.a_batch[entry],
-            ops.transa,
-            row0,
-            kk,
-            mc_eff,
-            kc_eff,
-            pa,
-            b,
-            s0,
-            cols,
-            &mut tile,
-        )?;
+        match dest {
+            Dest::Staging(staging) => {
+                let block = &mut staging[(r0 - cell.r0) * cell.ncols..][..mc_eff * cell.ncols];
+                let mut whole = TileMut::from_slice(mc_eff, cell.ncols, mc_eff.max(1), block);
+                let mut tile = whole.sub_tile(0, c0, mc_eff, cols);
+                gebp_block_resilient(ops, depth, (r0, mc_eff), pa, b, s0, cols, &mut tile)?;
+            }
+            // the entries of C are separate matrices: the block is cut
+            // where they meet, as the degraded pack cuts it into chunks
+            Dest::Direct(c) => {
+                for (entry, row0, rows) in runs(ops.m, r0, mc_eff) {
+                    let view = &mut c[entry];
+                    let (all, ld) = (view.rows(), view.ld());
+                    let mut whole = TileMut::from_slice(all, cell.ncols, ld, view.data_mut());
+                    let mut tile = whole.sub_tile(row0, c0, rows, cols);
+                    let run = (entry * ops.m + row0, rows);
+                    gebp_block_resilient(ops, depth, run, pa, b, s0, cols, &mut tile)?;
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -1076,11 +1107,8 @@ fn run_cell<T: PoolScalar, K: KernelSet<T>>(
                 .map(|()| stage_out(ops, cell, staging, &mut write(c)))
         } else {
             let mut c = write(c);
-            for t in cell.t0..cell.t1 {
-                let (entry, row0, mc_eff) = ops.task(t);
-                c[entry]
-                    .sub_mut(row0, 0, mc_eff, cell.ncols)
-                    .scale(ops.beta);
+            for (entry, row0, rows) in runs(ops.m, cell.r0, cell.r1 - cell.r0) {
+                c[entry].sub_mut(row0, 0, rows, cell.ncols).scale(ops.beta);
             }
             cell_product(ops, cell, pa, &mut panel, &mut Dest::Direct(&mut c))
         };
@@ -1268,19 +1296,21 @@ fn settle<T: PoolScalar, K: KernelSet<T>>(
             Some(Outcome::OutOfMemory) => "block out of memory; recomputed serially on C",
         };
         let _span = telemetry::span(TraceKind::Recovery);
-        let (entry, row0, _) = ops.task(cell.t0);
         match catch_unwind(AssertUnwindSafe(|| run_cell(ops, cell, false))) {
             Ok(Ok(())) => {
                 RT.faults_contained.fetch_add(1, Ordering::Relaxed);
                 crate::trace::health_event(
                     crate::trace::HealthEventKind::FaultContained,
                     telemetry::current_trace(),
-                    row0 as u64,
+                    cell.r0 as u64,
                     note,
                 );
             }
             Ok(Err(e)) => return Err(e),
-            Err(_) => *worst = Some(GemmError::WorkerFault { entry, row0 }),
+            Err(_) => {
+                let (entry, row0) = (cell.r0 / ops.m, cell.r0 % ops.m);
+                *worst = Some(GemmError::WorkerFault { entry, row0 });
+            }
         }
         *outcome = Some(Outcome::Clean);
     }
@@ -1403,9 +1433,10 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
 ///
 /// Each `jj` panel is cut into the cells of [`cell_grid`], and a cell is
 /// loops 2 and 3 on its own piece ([`run_cell`]). Under
-/// [`Parallelism::Serial`] the grid is one cell, computed here straight
-/// on C: no pool, no barrier, no staging, and a panic unwinds into the
-/// caller. Under [`Parallelism::Pool`] the panel is one *epoch*: this
+/// [`Parallelism::Serial`] the grid is one cell, computed here — straight
+/// on C unless it is a batch, whose blocks span entries only staged: no
+/// pool, no barrier, and a panic unwinds into the caller. Under
+/// [`Parallelism::Pool`] the panel is one *epoch*: this
 /// thread submits all cells but the first as jobs that borrow the
 /// operands through a [`Gate`], computes the first itself, helps drain
 /// the queue, and waits at the barrier. It does no packing and no staging
@@ -1442,9 +1473,8 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
         return Ok(());
     }
     let BlockSizes { kc, mc, nc, .. } = blocks;
-    let (degree, nr) = (runtime.degree(), kernel.nr().max(1));
-    let row_tasks = m.div_ceil(mc) * a_batch.len();
-    let pack_b = crate::gemm::packs_b(row_tasks, transb, prepacked.is_some());
+    let (degree, nr, batch) = (runtime.degree(), kernel.nr().max(1), a_batch.len());
+    let pack_b = crate::gemm::packs_b(row_tasks(m, batch, mc), transb, prepacked.is_some());
 
     let mut pooled = match runtime {
         Parallelism::Serial => None,
@@ -1458,22 +1488,7 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
     };
     for (panel, jj) in (0..n).step_by(nc).enumerate() {
         let nc_eff = nc.min(n - jj);
-        let (row_ranges, col_chunks) = cell_grid(m, a_batch.len(), nc_eff, mc, nr, degree, pack_b);
-        let row_ranges = partition_rows(row_tasks, 1, row_ranges);
-        let col_chunks = partition_rows(nc_eff, nr, col_chunks);
-        let cells = col_chunks
-            .iter()
-            .enumerate()
-            .flat_map(|(chunk, &(col0, ncols))| {
-                row_ranges.iter().map(move |&(t0, tasks)| Cell {
-                    t0,
-                    t1: t0 + tasks,
-                    chunk,
-                    col0,
-                    ncols,
-                })
-            })
-            .collect();
+        let (cells, col_chunks) = panel_cells(m, batch, nc_eff, mc, nr, degree, pack_b);
         // every entry's window on the panel, dealt out chunk by chunk
         let mut c_chunks: Vec<Vec<MatrixViewMut<'_, T>>> = col_chunks
             .iter()
@@ -1508,8 +1523,16 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
             c_chunks: c_chunks.into_iter().map(RwLock::new).collect(),
         };
         match &mut pooled {
-            // degree 1 cuts one cell
-            None => run_cell(&ops, &ops.cells[0], false)?,
+            // degree 1 cuts one cell. Only staged do a batch's blocks span
+            // its entries, so a batch stages here too; if that fails, C is
+            // untouched and the cell is computed straight on it, as
+            // recovery does.
+            None => {
+                let cell = &ops.cells[0];
+                if batch == 1 || run_cell(&ops, cell, true).is_err() {
+                    run_cell(&ops, cell, false)?;
+                }
+            }
             Some(call) => run_panel(&ops, degree, call)?,
         }
     }
@@ -1644,6 +1667,74 @@ mod tests {
         assert_eq!(cell_grid(100, 1, 12, 56, nr, 8, true), (2, 2));
         // one thread, one cell
         assert_eq!(cell_grid(512, 4, 512, mc, nr, 1, true), (1, 1));
+        // a batch's rows stack: two 16-row entries are one block
+        assert_eq!(row_tasks(16, 2, mc), 1);
+        assert_eq!(cell_grid(16, 2, 512, mc, nr, 2, false), (1, 2));
+    }
+
+    /// `dispatch::decide` prices the row split the walk cuts: for 7
+    /// entries of 20 rows at `mc` = 8 that is 140 stacked rows in 18 row
+    /// tasks (per entry it would be 21), cut in whole blocks that straddle
+    /// entries.
+    #[test]
+    fn the_dispatcher_prices_the_row_split_the_walk_cuts() {
+        use crate::dispatch::{decide, DispatchMode};
+        let (m, batch, n, mc, nr) = (20, 7, 60, 8, 6);
+        assert_eq!(row_tasks(m, batch, mc), 18);
+        let blocks = BlockSizes::custom(8, nr, 16, mc, n);
+        for degree in [2, 3, 4, 8] {
+            for cached in [false, true] {
+                let tb = Transpose::No;
+                let d = decide(
+                    DispatchMode::Pool,
+                    m,
+                    n,
+                    16,
+                    batch,
+                    &blocks,
+                    nr,
+                    32.0,
+                    degree,
+                    tb,
+                    cached,
+                );
+                let pack_b = crate::gemm::packs_b(row_tasks(m, batch, mc), tb, cached);
+                let (cells, chunks) = panel_cells(m, batch, n, mc, nr, degree, pack_b);
+                let mut ranges: Vec<_> = cells.iter().map(|c| (c.r0, c.r1)).collect();
+                ranges.sort_unstable();
+                ranges.dedup();
+                assert_eq!(
+                    (d.m_tasks, d.n_split),
+                    (ranges.len(), chunks.len()),
+                    "degree {degree} cached {cached}"
+                );
+                assert_eq!(ranges.first().map(|r| r.0), Some(0));
+                assert_eq!(ranges.last().map(|r| r.1), Some(m * batch));
+                assert!(ranges
+                    .windows(2)
+                    .all(|w| w[0].1 == w[1].0 && w[1].0 % mc == 0));
+            }
+        }
+    }
+
+    /// Five 13-row entries stacked, in 8-row blocks.
+    #[test]
+    fn stacked_rows_are_cut_where_entries_meet() {
+        let runs = |r0, rows| runs(13, r0, rows).collect::<Vec<_>>();
+        assert_eq!(runs(0, 8), [(0, 0, 8)]);
+        assert_eq!(runs(8, 8), [(0, 8, 5), (1, 0, 3)]);
+        assert_eq!(runs(24, 8), [(1, 11, 2), (2, 0, 6)]);
+        assert_eq!(runs(0, 39), [(0, 0, 13), (1, 0, 13), (2, 0, 13)]);
+        assert_eq!(runs(64, 1), [(4, 12, 1)]);
+        let cell = Cell {
+            r0: 48,
+            r1: 65,
+            chunk: 0,
+            col0: 0,
+            ncols: 1,
+        };
+        let blocks: Vec<_> = cell.blocks(8).collect();
+        assert_eq!(blocks, [(48, 8), (56, 8), (64, 1)]);
     }
 
     /// f64 pooled call on `a`, `b` into a copy of `c0`, bit pattern out.

@@ -582,7 +582,8 @@ pub struct TraceEvent {
     /// 1-based index, within its call, of the `(jj, kk)` step current
     /// when the record was written (`⌈k/kc⌉` per `jj` panel); 0 if unset.
     pub gepp: u64,
-    /// First row of the `mc`-block current when the record was written.
+    /// First row of the `mc`-block current when the record was written,
+    /// counted over a batch's rows stacked.
     pub block_row0: u64,
     /// First column, within its `jj` panel, of the grid cell current
     /// when the record was written (0 when the cell spans the panel).
@@ -1041,7 +1042,7 @@ mod record {
     }
 
     /// Tag subsequent records with the current grid cell: the `mc`-block's
-    /// first row and the cell's first column within its `jj` panel.
+    /// first stacked row and the cell's first column within its `jj` panel.
     #[inline]
     pub(crate) fn set_cell(row0: usize, col0: usize) {
         with_lane(|l| l.ctx = [l.ctx[0], row0 as u64, col0 as u64]);

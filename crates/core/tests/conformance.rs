@@ -840,7 +840,9 @@ fn every_pool_grid_is_bit_identical_to_serial() {
     }
 
     // A batch against one B, packed per call and served from a
-    // PrepackedB (where the grid splits the entries instead).
+    // PrepackedB (where the grid splits the stacked rows instead). Both
+    // sides stack the batch's rows; each entry is held to its own call in
+    // `every_batch_entry_is_its_own_call_bit_for_bit`.
     let (m, n, k, entries) = (20, 130, 45, 7);
     let a: Vec<Matrix> = (0..entries)
         .map(|i| Matrix::random(m, k, 170 + i))
@@ -899,6 +901,140 @@ fn every_pool_grid_is_bit_identical_to_serial() {
     let want = run(Parallelism::Serial);
     for p in DEGREES {
         assert_eq!(run(Parallelism::Pool(p)), want, "sgemm Pool({p})");
+    }
+}
+
+/// The shared-B batch against an oracle that does not stack. The walk
+/// stacks a batch's rows into full `mc` blocks, so a block may straddle
+/// entries and a sliver hold rows of two; every runtime, cached or not,
+/// runs that same stacking, so comparing them with each other cannot
+/// catch a stacking bug. Each entry is held instead to a single
+/// `try_gemm` of that entry alone, to the bit. Every A is a window of a
+/// taller parent, so packed runs start off row 0. Every C is a window of
+/// a `-0.0`-bordered parent: a packed sliver's zero padding adds
+/// `α·(+0.0)`, so a stray lane into the border flips a sign bit, and the
+/// border must come back untouched.
+#[test]
+fn every_batch_entry_is_its_own_call_bit_for_bit() {
+    const NEG_ZERO: u64 = 0x8000_0000_0000_0000;
+    let (n, k, most, alpha) = (70, 45, 9, 1.25);
+    let runtimes = [
+        Parallelism::Serial,
+        Parallelism::Pool(1),
+        Parallelism::Pool(2),
+        Parallelism::Pool(3),
+    ];
+    let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for m in [1, 5, 8, 13, 16, 57] {
+        let ld = m + 2;
+        let a_parents: Vec<Matrix> = (0..most)
+            .map(|i| Matrix::random(m + 3, k, 300 + i as u64))
+            .collect();
+        let a: Vec<MatrixView<'_>> = a_parents.iter().map(|p| p.view().sub(2, 0, m, k)).collect();
+        let c0: Vec<Matrix> = (0..most)
+            .map(|i| Matrix::random(m, n, 320 + i as u64))
+            .collect();
+        for tb in [Transpose::No, Transpose::Yes] {
+            let (br, bc) = stored_dims(tb, k, n);
+            let b = Matrix::random(br, bc, 310);
+            for blocks in [Some((16, 8, 60)), None] {
+                let cfg = |par: Parallelism, cached: bool| {
+                    let cfg = GemmConfig::default()
+                        .with_parallelism(par)
+                        .with_pack_cache(cached);
+                    match blocks {
+                        Some((kc, mc, nc)) => cfg.with_blocks(kc, mc, nc),
+                        None => cfg,
+                    }
+                };
+                for beta in [0.0, 1.0, -0.5] {
+                    let want: Vec<Vec<u64>> = (0..most)
+                        .map(|i| {
+                            let mut c = c0[i].clone();
+                            let serial = cfg(Parallelism::Serial, false);
+                            try_gemm(
+                                Transpose::No,
+                                tb,
+                                alpha,
+                                &a[i],
+                                &b.view(),
+                                beta,
+                                &mut c.view_mut(),
+                                &serial,
+                            )
+                            .unwrap();
+                            bits(c.as_slice())
+                        })
+                        .collect();
+                    for (par, cached) in
+                        runtimes.iter().flat_map(|&par| [(par, false), (par, true)])
+                    {
+                        for entries in 1..=most {
+                            let case = format!(
+                                "{par:?} cached={cached} tb={tb:?} blocks {blocks:?} β={beta} \
+                                 {entries} x {m}x{n}x{k}"
+                            );
+                            let mut parents: Vec<Matrix> = c0[..entries]
+                                .iter()
+                                .map(|c| {
+                                    Matrix::from_fn(ld, n + 2, |i, j| {
+                                        let inside = (1..=m).contains(&i) && (1..=n).contains(&j);
+                                        if inside {
+                                            c.get(i - 1, j - 1)
+                                        } else {
+                                            f64::from_bits(NEG_ZERO)
+                                        }
+                                    })
+                                })
+                                .collect();
+                            let mut views: Vec<MatrixViewMut<'_>> = parents
+                                .iter_mut()
+                                .map(|p| {
+                                    MatrixViewMut::from_slice(
+                                        m,
+                                        n,
+                                        ld,
+                                        &mut p.as_mut_slice()[1 + ld..],
+                                    )
+                                })
+                                .collect();
+                            let b = b.view();
+                            let cfg = cfg(par, cached);
+                            gemm_batch_shared_b(
+                                alpha,
+                                &a[..entries],
+                                tb,
+                                &b,
+                                beta,
+                                &mut views,
+                                &cfg,
+                            )
+                            .unwrap_or_else(|e| panic!("{case}: {e}"));
+                            drop(views);
+                            for (entry, parent) in parents.iter().enumerate() {
+                                let got = bits(parent.as_slice());
+                                for j in 0..n + 2 {
+                                    for i in 0..ld {
+                                        let inside = (1..=m).contains(&i) && (1..=n).contains(&j);
+                                        let want = if inside {
+                                            want[entry][(i - 1) + (j - 1) * m]
+                                        } else {
+                                            NEG_ZERO
+                                        };
+                                        assert_eq!(
+                                            got[i + j * ld],
+                                            want,
+                                            "{case}: entry {entry} at ({i}, {j}) of its parent"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            f64::pack_cache().invalidate(&b.view());
+        }
     }
 }
 

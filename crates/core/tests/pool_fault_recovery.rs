@@ -325,6 +325,146 @@ fn worker_panic_on_cached_panel_preserves_the_entry() {
     cache.invalidate(&b.view());
 }
 
+/// A batch whose `mc` blocks straddle entries: five 13-row entries
+/// stacked into 65 rows, cut in 8-row blocks, on two threads — a row
+/// split of 40 and 25 rows. The 4×4 kernel's 4-row slivers let a block's
+/// pack halve once, and the halved chunk of rows 12..16 straddles too.
+const ENTRIES: usize = 5;
+const ROWS: usize = 13;
+
+fn run_batch(par: Parallelism) -> Result<Vec<Matrix>, dgemm_core::GemmError> {
+    let a: Vec<Matrix> = (0..ENTRIES)
+        .map(|i| Matrix::random(ROWS, K, 30 + i as u64))
+        .collect();
+    let a: Vec<_> = a.iter().map(Matrix::view).collect();
+    let b = Matrix::random(K, N, 4);
+    let mut c: Vec<Matrix> = (0..ENTRIES)
+        .map(|i| Matrix::random(ROWS, N, 50 + i as u64))
+        .collect();
+    let mut views: Vec<_> = c.iter_mut().map(Matrix::view_mut).collect();
+    let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk4x4, 1)
+        .with_blocks(24, 8, 18)
+        .with_parallelism(par);
+    dgemm_core::batch::gemm_batch_shared_b(
+        1.0,
+        &a,
+        Transpose::No,
+        &b.view(),
+        0.5,
+        &mut views,
+        &cfg,
+    )?;
+    drop(views);
+    Ok(c)
+}
+
+/// The batch as a loop of single calls, one entry each: blocks that
+/// never straddle anything.
+fn loop_oracle() -> Vec<Matrix> {
+    faults::clear();
+    let b = Matrix::random(K, N, 4);
+    let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk4x4, 1).with_blocks(24, 8, 18);
+    (0..ENTRIES)
+        .map(|i| {
+            let a = Matrix::random(ROWS, K, 30 + i as u64);
+            let mut c = Matrix::random(ROWS, N, 50 + i as u64);
+            let (ta, tb) = (Transpose::No, Transpose::No);
+            try_gemm(
+                ta,
+                tb,
+                1.0,
+                &a.view(),
+                &b.view(),
+                0.5,
+                &mut c.view_mut(),
+                &cfg,
+            )
+            .expect("no plan is installed");
+            c
+        })
+        .collect()
+}
+
+#[test]
+fn a_panicked_straddling_cell_is_replayed_on_c_bit_identically() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let want = loop_oracle();
+    assert_eq!(run_batch(Parallelism::Pool(2)).unwrap(), want);
+    let contained0 = status().faults_contained;
+
+    // the replay runs straight on C, its blocks cut where entries meet
+    faults::install(FaultPlan {
+        worker_panic: Some(Trigger::once(1)),
+        ..FaultPlan::default()
+    });
+    let got = run_batch(Parallelism::Pool(2)).expect("single panic must be contained");
+    faults::clear();
+    assert_eq!(got, want, "the replay must make the loop's kernel calls");
+    assert!(status().faults_contained > contained0);
+
+    // When every block panics, replays included, the call names the
+    // first stacked row of the last cell that failed: row 40 of the
+    // stack, row 1 of entry 3.
+    faults::install(FaultPlan {
+        worker_panic: Some(Trigger {
+            nth: 0,
+            count: u64::MAX,
+        }),
+        ..FaultPlan::default()
+    });
+    let double = run_batch(Parallelism::Pool(2));
+    faults::clear();
+    assert!(
+        matches!(
+            double,
+            Err(dgemm_core::GemmError::WorkerFault { entry: 3, row0: 1 })
+        ),
+        "got {double:?}"
+    );
+    assert_eq!(run_batch(Parallelism::Pool(2)).unwrap(), want);
+}
+
+#[test]
+fn a_failed_stacked_pack_degrades_to_halved_chunks_bit_identically() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let want = loop_oracle();
+    let pack_a_spans = || {
+        let snap = dgemm_core::telemetry::snapshot();
+        let at = dgemm_core::telemetry::TraceKind::ALL
+            .iter()
+            .position(|p| *p == dgemm_core::telemetry::TraceKind::PackA)
+            .unwrap();
+        snap.threads.iter().map(|t| t.phase_hits[at]).sum::<u64>()
+    };
+    dgemm_core::telemetry::reset();
+    assert_eq!(run_batch(Parallelism::Pool(2)).unwrap(), want);
+    let clean = pack_a_spans();
+
+    // Which allocation comes n-th depends on how the two threads
+    // interleave, so fail each in turn: every one must leave the result
+    // exact. One that hit a block's A pack is recovered inside its cell —
+    // no replay — by packing the block in two halves: one PackA span more.
+    let mut halved = 0;
+    for nth in 0..24 {
+        faults::install(FaultPlan {
+            alloc_fail: Some(Trigger::once(nth)),
+            ..FaultPlan::default()
+        });
+        dgemm_core::telemetry::reset();
+        let contained0 = status().faults_contained;
+        let got = run_batch(Parallelism::Pool(2))
+            .unwrap_or_else(|e| panic!("alloc fault #{nth} must degrade, got {e}"));
+        faults::clear();
+        assert_eq!(got, want, "alloc fault #{nth} must not change the result");
+        if status().faults_contained == contained0 && pack_a_spans() == clean + 1 {
+            halved += 1;
+        }
+    }
+    if cfg!(feature = "telemetry") {
+        assert!(halved > 0, "no failed A pack was halved");
+    }
+}
+
 #[test]
 fn slow_worker_trips_the_watchdog_but_c_is_recovered() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -177,8 +177,9 @@ mod enabled {
     /// panel, every B element read once in place, A packed as before —
     /// and the pool's two column cells doing the same on half the
     /// columns each (A packed by both), into the same bits of C. A serial
-    /// batch runs the plan the dispatcher prices for it, too: of one
-    /// entry, this very call; of four, four GEBPs sharing one pack of the
+    /// batch runs the plan the dispatcher prices for it, too, on its rows
+    /// stacked: of one entry, this very call; of four, one 32-row GEBP
+    /// reading B in place; of eight, two blocks sharing one pack of the
     /// one `(jj, kk)` panel.
     #[test]
     fn the_default_skinny_call_reads_b_in_place_and_says_so() {
@@ -231,10 +232,17 @@ mod enabled {
         let (batch_of_one, counts) = run_batch(1);
         assert_eq!(counts, serial_counts);
         assert_eq!(batch_of_one[0].as_slice(), in_place.as_slice());
+        // stacked, four entries are 32 rows: one GEBP, B read in place
         let (batch_of_four, counts) = run_batch(4);
-        let one_panel = (n.div_ceil(NR) * NR * k * 8) as u64;
-        assert_eq!(counts, [4 * 4_194_304, 4 * 32_768, one_panel, 0]);
+        assert_eq!(counts, [4 * 4_194_304, 4 * 32_768, 0, 512 * 512 * 8]);
         assert!(batch_of_four
+            .iter()
+            .all(|c| c.as_slice() == in_place.as_slice()));
+        // eight are 64 rows: two blocks sharing one pack of the panel
+        let (batch_of_eight, counts) = run_batch(8);
+        let one_panel = (n.div_ceil(NR) * NR * k * 8) as u64;
+        assert_eq!(counts, [8 * 4_194_304, 8 * 32_768, one_panel, 0]);
+        assert!(batch_of_eight
             .iter()
             .all(|c| c.as_slice() == in_place.as_slice()));
     }
