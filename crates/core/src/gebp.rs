@@ -160,6 +160,24 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
     cols: usize,
     c: &mut TileMut<'_, T>,
 ) {
+    gebp_slivers_with(kind, alpha, false, packed_a, b, s0, cols, c);
+}
+
+/// [`gebp_slivers`], or with `overwrite` its store: `c = α · packed_a ·
+/// b[…]`, C never read — the first `kk` panel of a `β = 0` call. Each
+/// element gets the bits `gebp_slivers` leaves on a C of `+0.0`
+/// ([`KernelSet::run_group_with`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gebp_slivers_with<T: Scalar, K: KernelSet<T>>(
+    kind: K,
+    alpha: T,
+    overwrite: bool,
+    packed_a: &PackedA<T>,
+    b: &impl BPanel<T>,
+    s0: usize,
+    cols: usize,
+    c: &mut TileMut<'_, T>,
+) {
     assert_eq!(packed_a.kc(), b.kc(), "packed depths differ");
     assert_eq!(packed_a.mr(), kind.mr(), "A packed for a different kernel");
     assert_eq!(b.nr(), kind.nr(), "B packed for a different kernel");
@@ -204,7 +222,7 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
             let mut tile = c.sub_tile(i0, j0, m_eff, n_eff);
             // layer 7: the register kernel
             kind.run_group_with(
-                kc, a_group, b_sliver, layout, alpha, &mut tile, m_eff, n_eff,
+                kc, a_group, b_sliver, layout, alpha, overwrite, &mut tile, m_eff, n_eff,
             );
         }
     }

@@ -28,6 +28,7 @@ use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
 use crate::pool::{gemm_walk, Parallelism, PoolScalar, WorkerPool};
 use crate::prepack::PackCache;
+use crate::probe::L2;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::MachineDesc;
@@ -76,8 +77,9 @@ impl KernelFamily for MicroKernelKind {
 pub struct Config<K: KernelFamily> {
     /// Register kernel to use (layer 7).
     pub kernel: K,
-    /// Cache blocking (layers 1–6). [`Config::for_kernel`] derives it
-    /// analytically for the family's machine ([`KernelFamily::machine`]).
+    /// Cache blocking (layers 1–6). [`Config::for_kernel`] solves `kc` and
+    /// `nc` for the family's machine ([`KernelFamily::machine`]) and takes
+    /// `mc` from this host's L2.
     pub blocks: BlockSizes,
     /// How layer 3 executes: serial, or the persistent worker pool (one
     /// pool serves both precisions, each with its own thread-local
@@ -117,20 +119,49 @@ pub struct Config<K: KernelFamily> {
 }
 
 /// Configuration of one DGEMM invocation: the paper's kernels, blocked
-/// for the paper's machine (Table III).
+/// with Table III's `kc` and `nc` and an `mc` from this host's L2.
 pub type GemmConfig = Config<MicroKernelKind>;
 
+/// The rows of A one packed block holds on this host: the most whole
+/// row-group tiles (`mr·row_group` rows) whose `mc·kc·elem` bytes fit in a
+/// quarter of the per-core L2 (`bytes / sharers`). The quarter is
+/// measured, not derived: eq. 17 taken literally lets the block fill the
+/// L2 less one B sliver, which on a 2 MiB L2 is 480 rows and lost
+/// 11–12 % against 56, while blocks of an eighth to a half of it beat
+/// 56 (EXPERIMENTS.md, "The A block from this host's L2").
+/// `fallback` (eq. 17 on the paper machine) stands when there is no L2
+/// to read or a quarter of it holds less than one tile.
+pub(crate) fn host_mc(
+    l2: Option<L2>,
+    kc: usize,
+    elem: usize,
+    mr: usize,
+    row_group: usize,
+    fallback: usize,
+) -> usize {
+    let tile = mr.max(1) * row_group.max(1);
+    let Some(L2 { bytes, sharers }) = l2 else {
+        return fallback;
+    };
+    let rows = bytes / sharers.max(1) / 4 / (kc * elem).max(1);
+    match rows / tile * tile {
+        0 => fallback,
+        mc => mc,
+    }
+}
+
 impl<K: KernelFamily> Config<K> {
-    /// Analytic configuration for a kernel and thread count on the
-    /// family's machine. `threads > 1` selects the persistent worker
-    /// pool ([`Parallelism::from_threads`]).
+    /// Analytic configuration for a kernel and thread count: `kc` and `nc`
+    /// solved for the family's machine (eqs. 15 and 18–20), `mc` from this
+    /// host's L2 ([`host_mc`]). `threads > 1` selects the persistent
+    /// worker pool ([`Parallelism::from_threads`]).
     #[must_use]
     pub fn for_kernel(kernel: K, threads: usize) -> Self {
         let m = K::machine();
         // The paper machine is always solvable; the fallback covers a
         // hypothetical unsolvable register shape without panicking in
         // library code (conservative L1/L2-sized blocks).
-        let blocks = solve_blocking(kernel.mr(), kernel.nr(), threads.clamp(1, m.cores), &m)
+        let mut blocks = solve_blocking(kernel.mr(), kernel.nr(), threads.clamp(1, m.cores), &m)
             .unwrap_or_else(|_| {
                 BlockSizes::custom(
                     kernel.mr(),
@@ -140,6 +171,14 @@ impl<K: KernelFamily> Config<K> {
                     64 * kernel.nr(),
                 )
             });
+        blocks.mc = host_mc(
+            crate::probe::l2(),
+            blocks.kc,
+            m.element_bytes,
+            kernel.mr(),
+            kernel.row_group(),
+            blocks.mc,
+        );
         Config {
             kernel,
             blocks,
@@ -239,7 +278,8 @@ impl<K: KernelFamily> Config<K> {
 
 impl<K: KernelFamily> Default for Config<K> {
     /// The family's best serial configuration: for DGEMM the paper's 8×6
-    /// kernel with `kc×mc×nc = 512×56×1920`.
+    /// kernel with `kc×nc = 512×1920` and this host's `mc` (Table III's 56
+    /// where the L2 cannot be read).
     fn default() -> Self {
         Self::for_kernel(K::DEFAULT, 1)
     }
@@ -734,13 +774,28 @@ mod tests {
         );
     }
 
+    /// `mc` as [`Config::for_kernel`] takes it for `kernel` on this host.
+    fn this_hosts_mc<K: KernelFamily>(kernel: K, kc: usize, fallback: usize) -> usize {
+        let elem = core::mem::size_of::<K::Elem>();
+        host_mc(
+            crate::probe::l2(),
+            kc,
+            elem,
+            kernel.mr(),
+            kernel.row_group(),
+            fallback,
+        )
+    }
+
     #[test]
     fn default_config_is_paper_serial() {
         let cfg = GemmConfig::default();
         assert_eq!(cfg.kernel, MicroKernelKind::Mk8x6);
+        // Table III's kc and nc; mc from this host's L2, or Table III's 56
+        let mc = this_hosts_mc(cfg.kernel, 512, 56);
         assert_eq!(
             (cfg.blocks.kc, cfg.blocks.mc, cfg.blocks.nc),
-            (512, 56, 1920)
+            (512, mc, 1920)
         );
         assert_eq!(cfg.parallelism, Parallelism::Serial);
         assert_eq!(cfg.threads(), 1);
@@ -749,11 +804,61 @@ mod tests {
 
     #[test]
     fn for_kernel_parallel_blocks() {
-        let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 8);
+        let kernel = MicroKernelKind::Mk8x6;
+        let cfg = GemmConfig::for_kernel(kernel, 8);
+        let mc = this_hosts_mc(kernel, 512, 24);
         assert_eq!(
             (cfg.blocks.kc, cfg.blocks.mc, cfg.blocks.nc),
-            (512, 24, 1792)
+            (512, mc, 1792)
         );
+        // every kernel of both families takes whole row-group tiles
+        for kernel in MicroKernelKind::ALL {
+            let blocks = GemmConfig::for_kernel(kernel, 1).blocks;
+            let fallback = solve_blocking(kernel.mr(), kernel.nr(), 1, &MachineDesc::xgene())
+                .unwrap()
+                .mc;
+            assert_eq!(blocks.mc, this_hosts_mc(kernel, blocks.kc, fallback));
+        }
+        for kernel in crate::microkernel::SgemmKernelKind::ALL {
+            let blocks = crate::sgemm::SgemmConfig::for_kernel(kernel, 1).blocks;
+            let machine = crate::sgemm::machine_f32();
+            let fallback = solve_blocking(kernel.mr(), kernel.nr(), 1, &machine)
+                .unwrap()
+                .mc;
+            assert_eq!(blocks.mc, this_hosts_mc(kernel, blocks.kc, fallback));
+        }
+    }
+
+    /// The `mc` rule as a pure function of the L2 (bytes, sharers), `kc`,
+    /// the element size and the row-group tile: whole tiles in a quarter
+    /// of the per-core L2, or the paper machine's value.
+    #[test]
+    fn mc_fills_a_quarter_of_the_per_core_l2_in_whole_tiles() {
+        let l2 = |kib: usize, sharers: usize| {
+            Some(L2 {
+                bytes: kib << 10,
+                sharers,
+            })
+        };
+        // (L2, mr, row group) -> mc, at kc = 512 on f64
+        for (cache, mr, group, want) in [
+            (l2(2048, 1), 8, 4, 128), // 8x6 on AVX-512: 32-row tiles
+            (l2(1024, 1), 8, 4, 64),
+            (l2(1280, 1), 8, 4, 64),  // 80 rows fit: two whole tiles
+            (l2(2048, 2), 8, 4, 64),  // a shared L2 is split
+            (l2(2048, 1), 8, 6, 96),  // 8x4 on AVX-512: 48-row tiles
+            (l2(2048, 1), 5, 1, 125), // a group of one is `mr`
+            (l2(256, 1), 8, 4, 56),   // a quarter holds 16 rows: no tile
+            (None, 8, 4, 56),
+        ] {
+            assert_eq!(
+                host_mc(cache, 512, 8, mr, group, 56),
+                want,
+                "{cache:?} {mr}x{group}"
+            );
+        }
+        // the element size and kc enter as the block's bytes
+        assert_eq!(host_mc(l2(2048, 1), 768, 4, 12, 1, 48), 168);
     }
 
     #[test]
@@ -975,7 +1080,7 @@ mod tests {
 
     #[test]
     fn paper_blocking_on_midsize_problem() {
-        // run the true 512x56x1920 blocking once on a problem big enough
+        // run the default blocking (kc = 512) once on a problem big enough
         // to have multiple kc panels
         let m = 70;
         let n = 40;

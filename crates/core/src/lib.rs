@@ -88,6 +88,7 @@ pub mod pack;
 pub mod parallel;
 pub mod pool;
 pub mod prepack;
+mod probe;
 pub mod reference;
 pub mod scalar;
 pub mod service;

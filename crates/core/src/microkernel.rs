@@ -100,6 +100,9 @@ pub trait KernelSet<T: Scalar>: Copy + Send + Sync + 'static {
     /// says: `b` starts at the sliver's element `(0, 0)` and must reach
     /// the last one the layout stores ([`BLayout::last_offset`]).
     /// Per-element arithmetic is that of `run_group` on the packed copy.
+    /// With `overwrite` the tile is stored, never read: each element gets
+    /// what `run_group` leaves on a C of `+0.0`, bit for bit (`α·acc + 0`,
+    /// so an exact `−0.0` product stores `+0.0`).
     #[allow(clippy::too_many_arguments)]
     fn run_group_with(
         &self,
@@ -108,6 +111,7 @@ pub trait KernelSet<T: Scalar>: Copy + Send + Sync + 'static {
         b: &[T],
         layout: BLayout,
         alpha: T,
+        overwrite: bool,
         c: &mut TileMut<'_, T>,
         m_eff: usize,
         n_eff: usize,
@@ -209,15 +213,24 @@ pub(crate) fn run_portable(
     b: &[f64],
     layout: BLayout,
     alpha: f64,
+    overwrite: bool,
     c: &mut TileMut<'_>,
     m_eff: usize,
     n_eff: usize,
 ) {
     match kind {
-        MicroKernelKind::Mk8x6 => fixed::<f64, 8, 6>(kc, a, b, layout, alpha, c, m_eff, n_eff),
-        MicroKernelKind::Mk8x4 => fixed::<f64, 8, 4>(kc, a, b, layout, alpha, c, m_eff, n_eff),
-        MicroKernelKind::Mk4x4 => fixed::<f64, 4, 4>(kc, a, b, layout, alpha, c, m_eff, n_eff),
-        MicroKernelKind::Mk5x5 => fixed::<f64, 5, 5>(kc, a, b, layout, alpha, c, m_eff, n_eff),
+        MicroKernelKind::Mk8x6 => {
+            fixed::<f64, 8, 6>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff)
+        }
+        MicroKernelKind::Mk8x4 => {
+            fixed::<f64, 8, 4>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff)
+        }
+        MicroKernelKind::Mk4x4 => {
+            fixed::<f64, 4, 4>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff)
+        }
+        MicroKernelKind::Mk5x5 => {
+            fixed::<f64, 5, 5>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff)
+        }
     }
 }
 
@@ -265,7 +278,7 @@ impl KernelSet<f64> for MicroKernelKind {
         m_eff: usize,
         n_eff: usize,
     ) {
-        self.run_group_with(kc, a, b, BLayout::Packed, alpha, c, m_eff, n_eff);
+        self.run_group_with(kc, a, b, BLayout::Packed, alpha, false, c, m_eff, n_eff);
     }
 
     fn run_group_with(
@@ -275,15 +288,18 @@ impl KernelSet<f64> for MicroKernelKind {
         b: &[f64],
         layout: BLayout,
         alpha: f64,
+        overwrite: bool,
         c: &mut TileMut<'_>,
         m_eff: usize,
         n_eff: usize,
     ) {
         let (mr, nr) = (self.mr(), self.nr());
         let isa = crate::simd::Isa::detect();
-        if !crate::simd::run_at_with(isa, mr, nr, kc, a, b, layout, alpha, c, m_eff, n_eff) {
+        if !crate::simd::run_at_with(
+            isa, mr, nr, kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff,
+        ) {
             // no ISA path means a row group of one: `a` is one sliver
-            run_portable(*self, kc, a, b, layout, alpha, c, m_eff, n_eff);
+            run_portable(*self, kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff);
         }
     }
 }
@@ -363,7 +379,7 @@ impl KernelSet<f32> for SgemmKernelKind {
         m_eff: usize,
         n_eff: usize,
     ) {
-        self.run_group_with(kc, a, b, BLayout::Packed, alpha, c, m_eff, n_eff);
+        self.run_group_with(kc, a, b, BLayout::Packed, alpha, false, c, m_eff, n_eff);
     }
 
     fn run_group_with(
@@ -373,16 +389,21 @@ impl KernelSet<f32> for SgemmKernelKind {
         b: &[f32],
         layout: BLayout,
         alpha: f32,
+        overwrite: bool,
         c: &mut TileMut<'_, f32>,
         m_eff: usize,
         n_eff: usize,
     ) {
         match self {
             SgemmKernelKind::Sk12x8 => {
-                fixed::<f32, 12, 8>(kc, a, b, layout, alpha, c, m_eff, n_eff);
+                fixed::<f32, 12, 8>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff);
             }
-            SgemmKernelKind::Sk8x8 => fixed::<f32, 8, 8>(kc, a, b, layout, alpha, c, m_eff, n_eff),
-            SgemmKernelKind::Sk4x4 => fixed::<f32, 4, 4>(kc, a, b, layout, alpha, c, m_eff, n_eff),
+            SgemmKernelKind::Sk8x8 => {
+                fixed::<f32, 8, 8>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff);
+            }
+            SgemmKernelKind::Sk4x4 => {
+                fixed::<f32, 4, 4>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff);
+            }
         }
     }
 }
@@ -397,16 +418,17 @@ fn fixed<T: Scalar, const MR: usize, const NR: usize>(
     b: &[T],
     layout: BLayout,
     alpha: T,
+    overwrite: bool,
     c: &mut TileMut<'_, T>,
     m_eff: usize,
     n_eff: usize,
 ) {
     match layout {
         BLayout::Packed => {
-            kernel_fixed::<T, MR, NR, true>(kc, a, b, layout, alpha, c, m_eff, n_eff)
+            kernel_fixed::<T, MR, NR, true>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff);
         }
         BLayout::Strided { .. } => {
-            kernel_fixed::<T, MR, NR, false>(kc, a, b, layout, alpha, c, m_eff, n_eff);
+            kernel_fixed::<T, MR, NR, false>(kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff);
         }
     }
 }
@@ -423,6 +445,7 @@ fn kernel_fixed<T: Scalar, const MR: usize, const NR: usize, const PACKED: bool>
     b: &[T],
     layout: BLayout,
     alpha: T,
+    overwrite: bool,
     c: &mut TileMut<'_, T>,
     m_eff: usize,
     n_eff: usize,
@@ -448,7 +471,8 @@ fn kernel_fixed<T: Scalar, const MR: usize, const NR: usize, const PACKED: bool>
     for j in 0..n_eff {
         let col = c.col_seg_mut(j, 0, m_eff);
         for (i, dst) in col.iter_mut().enumerate() {
-            *dst += alpha * acc[i][j];
+            let c0 = if overwrite { T::ZERO } else { *dst };
+            *dst = c0 + alpha * acc[i][j];
         }
     }
 }

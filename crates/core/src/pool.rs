@@ -104,7 +104,7 @@
 
 #![forbid(unsafe_code)]
 
-use crate::gebp::{gebp_slivers, BPanel, BWindow};
+use crate::gebp::{gebp_slivers_with, BPanel, BWindow};
 use crate::lease::{Gate, Lend};
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::KernelSet;
@@ -786,7 +786,8 @@ struct Operands<'a, T: Scalar, K> {
     transa: Transpose,
     transb: Transpose,
     alpha: T,
-    /// Not yet applied to C: staging a cell in applies it.
+    /// Not yet applied to C: staging a cell in applies it, or for `β = 0`
+    /// the first `kk` panel's kernels, which store and never read.
     beta: T,
     kernel: K,
     kc: usize,
@@ -844,9 +845,11 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// `staging = β ·` `cell`'s rows and columns of C — for `β = 0` a fill
-/// that never reads C, as [`MatrixViewMut::scale`] does it. Fallible:
-/// the buffer grows with `try_reserve`.
+/// `staging = β ·` `cell`'s rows and columns of C. For `β = 0` C is not
+/// read and the buffer is only sized: the first `kk` panel's kernels
+/// store every element of it, so what a reused buffer held is
+/// overwritten, not zeroed first. Fallible: the buffer grows with
+/// `try_reserve`.
 fn stage_in<T: Scalar, K>(
     ops: &Operands<'_, T, K>,
     cell: &Cell,
@@ -854,14 +857,16 @@ fn stage_in<T: Scalar, K>(
     c: &[MatrixViewMut<'_, T>],
 ) -> Result<(), GemmError> {
     let len = (cell.r1 - cell.r0) * cell.ncols;
-    staging.clear();
-    if crate::faults::fail_alloc() || staging.try_reserve(len).is_err() {
+    let grow = len.saturating_sub(staging.len());
+    if crate::faults::fail_alloc() || staging.try_reserve(grow).is_err() {
         return Err(GemmError::AllocFailure { what: "C staging" });
     }
     if ops.beta == T::ZERO {
+        // (zero-fills only what the buffer grows by)
         staging.resize(len, T::ZERO);
         return Ok(());
     }
+    staging.clear();
     for (r0, mc_eff) in cell.blocks(ops.mc) {
         for j in 0..cell.ncols {
             for (entry, row0, rows) in runs(ops.m, r0, mc_eff) {
@@ -911,7 +916,8 @@ enum Dest<'d, 'c, T: Scalar> {
 /// to the one-shot pack: each row is its own lane of whatever sliver and
 /// row group it lands in, every (A-sliver, B-sliver) pair still gets
 /// exactly one kernel call, and each C element's k-accumulation order is
-/// unchanged. `tile` is the `mc_eff × cols` destination.
+/// unchanged. `tile` is the `mc_eff × cols` destination; on the first
+/// panel of a `β = 0` call the kernels store it without reading it.
 #[allow(clippy::too_many_arguments)]
 fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
@@ -924,6 +930,7 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     tile: &mut TileMut<'_, T>,
 ) -> Result<(), GemmError> {
     let mr = ops.kernel.mr().max(1);
+    let overwrite = kk == 0 && ops.beta == T::ZERO;
     let mut chunk = mc_eff;
     let mut r = 0usize;
     while r < mc_eff {
@@ -933,7 +940,9 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
         match pa.try_pack_runs(runs, ops.transa, kk, kc_eff) {
             Ok(()) => {
                 let mut sub = tile.sub_tile(r, 0, rows, cols);
-                gebp_slivers(ops.kernel, ops.alpha, pa, panel, s0, cols, &mut sub);
+                gebp_slivers_with(
+                    ops.kernel, ops.alpha, overwrite, pa, panel, s0, cols, &mut sub,
+                );
                 r += rows;
             }
             Err(e) => {
@@ -1107,8 +1116,11 @@ fn run_cell<T: PoolScalar, K: KernelSet<T>>(
                 .map(|()| stage_out(ops, cell, staging, &mut write(c)))
         } else {
             let mut c = write(c);
-            for (entry, row0, rows) in runs(ops.m, cell.r0, cell.r1 - cell.r0) {
-                c[entry].sub_mut(row0, 0, rows, cell.ncols).scale(ops.beta);
+            // (β = 0 needs no pass: the first panel's kernels store C)
+            if ops.beta != T::ZERO {
+                for (entry, row0, rows) in runs(ops.m, cell.r0, cell.r1 - cell.r0) {
+                    c[entry].sub_mut(row0, 0, rows, cell.ncols).scale(ops.beta);
+                }
             }
             cell_product(ops, cell, pa, &mut panel, &mut Dest::Direct(&mut c))
         };

@@ -7,7 +7,8 @@
 //!   generalized to multiples of 4;
 //! - cache blocking `kc×mc×nc = 768×48×2560` serial on the paper's
 //!   machine (equations (15), (17), (18) in bytes, so halving the
-//!   element size roughly doubles `kc`).
+//!   element size roughly doubles `kc`); [`Config::for_kernel`] keeps
+//!   its `kc` and `nc` and takes `mc` from the host's L2, as for DGEMM.
 //!
 //! See the `ext_sgemm_design` study for the full derivation. Nothing here
 //! is a second implementation: the configuration is [`Config`] and the
@@ -162,9 +163,13 @@ mod tests {
     #[test]
     fn analytic_blocking_for_f32() {
         // the ext_sgemm_design numbers: 12x8 kernel, 768x48x2560 serial
+        let paper = perfmodel::cacheblock::solve_blocking(12, 8, 1, &machine_f32()).unwrap();
+        assert_eq!(paper.label(), "12x8x768x48x2560");
+        // the default keeps kc and nc, and takes mc from this host's L2
         let cfg = SgemmConfig::default();
         assert_eq!(cfg.kernel, SgemmKernelKind::Sk12x8);
-        assert_eq!(cfg.blocks.label(), "12x8x768x48x2560");
+        let mc = crate::gemm::host_mc(crate::probe::l2(), 768, 4, 12, 1, 48);
+        assert_eq!(cfg.blocks.label(), format!("12x8x768x{mc}x2560"));
     }
 
     #[test]

@@ -56,9 +56,10 @@
 //! every group size and wherever B is read from ([`BLayout`]: each body
 //! is compiled once with the packed strides as constants and once with
 //! them as arguments): one FMA chain over ascending `k`, then one fused
-//! `c + α·acc`. Results are therefore bit-identical per kernel across
-//! every runtime, and differ from the portable kernel (separate multiply
-//! and add) only by rounding.
+//! `c + α·acc` — `c` a `+0.0` register, C unread, where the first panel
+//! of a `β = 0` call stores. Results are therefore bit-identical per
+//! kernel across every runtime, and differ from the portable kernel
+//! (separate multiply and add) only by rounding.
 
 use crate::tile::TileMut;
 use perfmodel::MachineDesc;
@@ -249,6 +250,7 @@ pub fn run_at(
         b,
         BLayout::Packed,
         alpha,
+        false,
         c,
         m_eff,
         n_eff,
@@ -257,7 +259,9 @@ pub fn run_at(
 
 /// [`run_at`] with the B sliver laid out as `layout` says: `b` starts at
 /// the sliver's element `(0, 0)` and must reach the last one the layout
-/// stores ([`BLayout::last_offset`]). The kernel asserts it.
+/// stores ([`BLayout::last_offset`]). The kernel asserts it. With
+/// `overwrite` the tile is stored, not updated: `c = α·acc + 0`, C never
+/// read — what `c + α·acc` gives on a C of `+0.0`, bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn run_at_with(
     isa: Isa,
@@ -268,6 +272,7 @@ pub fn run_at_with(
     b: &[f64],
     layout: BLayout,
     alpha: f64,
+    overwrite: bool,
     c: &mut TileMut<'_>,
     m_eff: usize,
     n_eff: usize,
@@ -296,11 +301,15 @@ pub fn run_at_with(
             ($kernel:ident, $v:literal, $nr:literal) => {
                 if packed {
                     unsafe {
-                        x86::$kernel::<$v, $nr, true>(kc, a, b, layout, alpha, c, m_eff, n_eff)
+                        x86::$kernel::<$v, $nr, true>(
+                            kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff,
+                        )
                     }
                 } else {
                     unsafe {
-                        x86::$kernel::<$v, $nr, false>(kc, a, b, layout, alpha, c, m_eff, n_eff)
+                        x86::$kernel::<$v, $nr, false>(
+                            kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff,
+                        )
                     }
                 }
             };
@@ -337,7 +346,7 @@ pub fn run_at_with(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (b, packed, alpha, c);
+        let _ = (b, packed, alpha, overwrite, c);
         false
     }
 }
@@ -369,6 +378,7 @@ mod x86 {
         b: &[f64],
         layout: BLayout,
         alpha: f64,
+        overwrite: bool,
         c: &mut TileMut<'_>,
         m_eff: usize,
         n_eff: usize,
@@ -418,7 +428,11 @@ mod x86 {
                 // masked-off lanes are neither read nor written.
                 unsafe {
                     let p = col.as_mut_ptr().add(g * LANES);
-                    let cv = _mm512_maskz_loadu_pd(mask, p);
+                    let cv = if overwrite {
+                        _mm512_setzero_pd()
+                    } else {
+                        _mm512_maskz_loadu_pd(mask, p)
+                    };
                     _mm512_mask_storeu_pd(p, mask, _mm512_fmadd_pd(alpha, acc[j][g], cv));
                 }
             }
@@ -434,6 +448,7 @@ mod x86 {
         b: &[f64],
         layout: BLayout,
         alpha: f64,
+        overwrite: bool,
         c: &mut TileMut<'_>,
         m_eff: usize,
         n_eff: usize,
@@ -482,7 +497,11 @@ mod x86 {
                 // masked-off lanes.
                 unsafe {
                     let p = col.as_mut_ptr().add(v * LANES);
-                    let cv = _mm256_maskload_pd(p, mask);
+                    let cv = if overwrite {
+                        _mm256_setzero_pd()
+                    } else {
+                        _mm256_maskload_pd(p, mask)
+                    };
                     _mm256_maskstore_pd(p, mask, _mm256_fmadd_pd(alpha, acc[j][v], cv));
                 }
             }
@@ -624,7 +643,8 @@ mod tests {
     /// slivers and the B sliver `b` laid out at `at`, embedded at (1, 1)
     /// of a poisoned buffer with `ld > rows`, assert that nothing outside
     /// the tile changed by a single bit, and return the `g*mr x nr` result
-    /// (column-major, `ld = g*mr`, poison outside `m_eff x n_eff`).
+    /// (column-major, `ld = g*mr`, poison outside `m_eff x n_eff`). The
+    /// kernel stores the tile instead of updating it under `overwrite`.
     #[allow(clippy::too_many_arguments)]
     fn run_embedded(
         via: Via,
@@ -635,6 +655,7 @@ mod tests {
         b: &[f64],
         at: BAt,
         alpha: f64,
+        overwrite: bool,
         c0: &[f64],
         m_eff: usize,
         n_eff: usize,
@@ -654,9 +675,10 @@ mod tests {
         {
             let mut tile = TileMut::from_slice(m_eff, n_eff, ld, &mut buf[1 + ld..]);
             let what = kind.label();
+            let w = overwrite;
             if let Via::Group(isa) = via {
                 assert!(
-                    run_at_with(isa, mr, nr, kc, a, b, layout, alpha, &mut tile, m_eff, n_eff),
+                    run_at_with(isa, mr, nr, kc, a, b, layout, alpha, w, &mut tile, m_eff, n_eff),
                     "{what} has no {isa:?} path"
                 );
             } else {
@@ -667,10 +689,12 @@ mod tests {
                     let sub = &mut sub;
                     match via {
                         Via::Slivers(isa) => assert!(
-                            run_at_with(isa, mr, nr, kc, sliver, b, layout, alpha, sub, m, n_eff),
+                            run_at_with(
+                                isa, mr, nr, kc, sliver, b, layout, alpha, w, sub, m, n_eff
+                            ),
                             "{what} has no {isa:?} path"
                         ),
-                        _ => run_portable(kind, kc, sliver, b, layout, alpha, sub, m, n_eff),
+                        _ => run_portable(kind, kc, sliver, b, layout, alpha, w, sub, m, n_eff),
                     }
                 }
             }
@@ -737,7 +761,7 @@ mod tests {
         let a = random_vec(rows * kc, 1 + kc as u64);
         let b = random_vec(nr * kc, 2 + kc as u64);
         let c0 = random_vec(rows * nr, 3);
-        let got = run_embedded(via, kind, g, kc, &a, &b, at, alpha, &c0, rows, nr);
+        let got = run_embedded(via, kind, g, kc, &a, &b, at, alpha, false, &c0, rows, nr);
         for j in 0..nr {
             for i in 0..rows {
                 let terms = || (0..kc).map(|k| (a_at(&a, mr, kc, i, k), b[k * nr + j]));
@@ -799,12 +823,14 @@ mod tests {
                 let b = random_vec(nr * kc, 13 + kc as u64);
                 for alpha in ALPHAS {
                     let packed = BAt::Packed;
-                    let full = run_embedded(via, kind, g, kc, &a, &b, packed, alpha, &c0, rows, nr);
+                    let full = run_embedded(
+                        via, kind, g, kc, &a, &b, packed, alpha, false, &c0, rows, nr,
+                    );
                     for at in BAt::ALL {
                         for m_eff in rows - mr + 1..=rows {
                             for n_eff in 1..=nr {
                                 let edge = run_embedded(
-                                    via, kind, g, kc, &a, &b, at, alpha, &c0, m_eff, n_eff,
+                                    via, kind, g, kc, &a, &b, at, alpha, false, &c0, m_eff, n_eff,
                                 );
                                 for j in 0..n_eff {
                                     for i in 0..m_eff {
@@ -840,7 +866,9 @@ mod tests {
                     for (m_eff, n_eff) in [(rows, nr), (rows - mr + 3, nr - 1)] {
                         let run = |via| {
                             let at = BAt::Packed;
-                            run_embedded(via, kind, g, kc, &a, &b, at, alpha, &c0, m_eff, n_eff)
+                            run_embedded(
+                                via, kind, g, kc, &a, &b, at, alpha, false, &c0, m_eff, n_eff,
+                            )
                         };
                         let (group, single) = (run(Via::Group(isa)), run(Via::Slivers(isa)));
                         let same = group
@@ -852,6 +880,49 @@ mod tests {
                             "{} {isa:?} g={g} kc={kc} alpha={alpha} {m_eff}x{n_eff}",
                             kind.label()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_overwriting_store_is_the_update_of_a_zeroed_tile_bit_for_bit() {
+        // The first panel of a β = 0 call: the kernel never reads C, so
+        // the NaN there cannot reach the result, and each element carries
+        // the bits the update leaves on a C of +0.0 — also where α·acc is
+        // an exact −0.0 (kc = 0 with α < 0), which must store +0.0.
+        let simd = grouped_paths()
+            .into_iter()
+            .map(|(kind, isa, g)| (kind, Via::Group(isa), g));
+        let portable = MicroKernelKind::ALL.map(|kind| (kind, Via::Portable, 1));
+        for (kind, via, g) in simd.chain(portable) {
+            let (mr, nr) = (kind.mr(), kind.nr());
+            let rows = g * mr;
+            let (zeros, nans) = (vec![0.0; rows * nr], vec![f64::NAN; rows * nr]);
+            for kc in KCS {
+                let a = random_vec(rows * kc, 41 + kc as u64);
+                let b = random_vec(nr * kc, 43 + kc as u64);
+                for (alpha, at) in ALPHAS.into_iter().flat_map(|x| BAt::ALL.map(|at| (x, at))) {
+                    for (m_eff, n_eff) in [(rows, nr), (rows - mr + 1, nr - 1)] {
+                        let run = |overwrite, c0: &[f64]| {
+                            let (a, b) = (&a, &b);
+                            run_embedded(
+                                via, kind, g, kc, a, b, at, alpha, overwrite, c0, m_eff, n_eff,
+                            )
+                        };
+                        let (stored, updated) = (run(true, &nans), run(false, &zeros));
+                        let what = format!(
+                            "{} {via:?} g={g} kc={kc} {at:?} alpha={alpha} {m_eff}x{n_eff}",
+                            kind.label()
+                        );
+                        let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&stored), bits(&updated), "{what}");
+                        if kc == 0 {
+                            let tile =
+                                (0..n_eff).flat_map(|j| (0..m_eff).map(move |i| i + j * rows));
+                            assert!(tile.clone().all(|e| stored[e].to_bits() == 0), "{what}");
+                        }
                     }
                 }
             }
@@ -942,7 +1013,9 @@ mod tests {
                         for (m_eff, n_eff) in [(mr, nr), (mr - 2, nr - 2), (mr - 1, nr - 1)] {
                             let run = |via| {
                                 let at = BAt::Packed;
-                                run_embedded(via, kind, 1, kc, &a, &b, at, alpha, &c0, m_eff, n_eff)
+                                run_embedded(
+                                    via, kind, 1, kc, &a, &b, at, alpha, false, &c0, m_eff, n_eff,
+                                )
                             };
                             let (got, want) = (run(Via::Group(isa)), run(Via::Portable));
                             for j in 0..n_eff {
@@ -1033,7 +1106,9 @@ mod tests {
                     let ran = std::panic::catch_unwind(|| {
                         let mut c = vec![0.0f64; mr * nr];
                         let mut tile = TileMut::from_slice(mr, nr, mr, &mut c);
-                        run_at_with(isa, mr, nr, kc, &a, &b, layout, 1.0, &mut tile, mr, n_eff)
+                        run_at_with(
+                            isa, mr, nr, kc, &a, &b, layout, 1.0, false, &mut tile, mr, n_eff,
+                        )
                     });
                     assert_eq!(
                         ran.is_ok(),
@@ -1052,7 +1127,7 @@ mod tests {
                 let mut c = vec![0.0f64; mr * nr];
                 let mut tile = TileMut::from_slice(mr, nr, mr, &mut c);
                 run_at_with(
-                    isa, mr, nr, kc, &a, &[0.5; 64], huge, 1.0, &mut tile, mr, nr,
+                    isa, mr, nr, kc, &a, &[0.5; 64], huge, 1.0, false, &mut tile, mr, nr,
                 )
             });
             assert!(
@@ -1078,6 +1153,7 @@ mod tests {
             &b,
             layout,
             1.0,
+            false,
             &mut tile,
             5,
             5,

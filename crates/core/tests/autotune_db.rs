@@ -128,6 +128,14 @@ fn corrupt_and_stale_dbs_fall_back_without_panic() {
         class = ShapeClass::of(96, 96, 96).label(),
         version = autotune::LIB_VERSION,
     );
+    // A v2 document (winners timed against the paper machine's mc = 56)
+    // in today's layout: the schema tag alone makes it an empty DB.
+    let v2 = {
+        let mut db = TuneDb::default();
+        let class = ShapeClass::of(96, 96, 96);
+        db.upsert(entry_for(MicroKernelKind::Mk8x6, &class, 96, 40, 126));
+        db.to_json().replace(autotune::SCHEMA, "dgemm-tune-v2")
+    };
     for (name, contents) in [
         ("corrupt.json", "{\"schema\": \"dgemm-tu"),
         ("binary.json", "\u{0}\u{1}\u{2}junk"),
@@ -136,6 +144,7 @@ fn corrupt_and_stale_dbs_fall_back_without_panic() {
             "{\"schema\":\"dgemm-tune-v0\",\"hosts\":[],\"entries\":[]}",
         ),
         ("v1.json", v1.as_str()),
+        ("v2.json", v2.as_str()),
     ] {
         let path = scratch(name);
         std::fs::write(&path, contents).expect("write scratch db");
@@ -270,7 +279,7 @@ fn sweep_persists_and_rereads<K: KernelFamily>() {
     assert_eq!((tuned.kernel.mr(), tuned.kernel.nr()), (entry.mr, entry.nr));
     // The file on disk carries the current schema.
     let text = std::fs::read_to_string(&path).expect("DB written");
-    assert!(text.starts_with("{\"schema\":\"dgemm-tune-v2\""), "{text}");
+    assert!(text.starts_with("{\"schema\":\"dgemm-tune-v3\""), "{text}");
     std::env::remove_var("DGEMM_TUNE_DB");
     std::env::remove_var("DGEMM_AUTOTUNE");
     let _ = std::fs::remove_file(&path);

@@ -319,31 +319,122 @@ fn k_zero_is_pure_beta_scale() {
 }
 
 /// β = 0 with k > 0: the product must fully overwrite a NaN/Inf-filled
-/// C on every runtime, cached or not.
+/// C on every runtime, cached or not. Nothing zeroes C first: the first
+/// `kk` panel's kernels store it, unread, straight on C or into a staging
+/// buffer that is sized but not cleared. So every case is held, bit for
+/// bit, to [`textbook_gemm`], which does zero C first: batches (staged on
+/// every runtime), a staging buffer left full by a β = 1 call on the same
+/// thread, `k` over three `kc` panels of which only the first may store,
+/// and rows of A that are zero under a negative α, whose exact −0.0
+/// product must store +0.0 as `+0.0 + (−0.0)` does.
 #[test]
 fn beta_zero_overwrites_poisoned_c() {
-    let (m, n, k) = (21, 18, 15);
-    let a = Matrix::random(m, k, 41);
+    let (m, n, k) = (21, 18, 19);
+    let blocks = (8, 16, 12);
+    let poisoned = || {
+        Matrix::from_fn(m, n, |i, j| {
+            if (i ^ j) & 1 == 0 {
+                f64::NAN
+            } else {
+                -f64::INFINITY
+            }
+        })
+    };
+    // every fifth row of A zero: C's row is then α·(+0.0) = −0.0 unstored
+    let a: Vec<Matrix> = (0..5u64)
+        .map(|e| Matrix::random(m, k, 41 + e))
+        .map(|a| Matrix::from_fn(m, k, |i, p| if i % 5 == 0 { 0.0 } else { a.get(i, p) }))
+        .collect();
     let b = Matrix::random(k, n, 42);
-    let c0 = Matrix::from_fn(m, n, |i, j| {
-        if (i ^ j) & 1 == 0 {
-            f64::NAN
-        } else {
-            -f64::INFINITY
-        }
-    });
+    let alpha = -1.25;
     check_all_runtimes(
         MicroKernelKind::Mk8x6,
         Transpose::No,
         Transpose::No,
-        1.25,
+        alpha,
         0.0,
-        &a,
+        &a[0],
         &b,
-        &c0,
-        Some((8, 16, 12)),
+        &poisoned(),
+        Some(blocks),
         k,
     );
+
+    let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let want: Vec<Vec<u64>> = a
+        .iter()
+        .map(|a| {
+            let mut c = poisoned();
+            let (av, bv) = (a.view(), b.view());
+            let (ta, tb) = (Transpose::No, Transpose::No);
+            textbook_gemm(
+                MicroKernelKind::Mk8x6,
+                ta,
+                tb,
+                alpha,
+                &av,
+                &bv,
+                0.0,
+                &mut c.view_mut(),
+                blocks,
+            );
+            bits(&c)
+        })
+        .collect();
+    for (e, want) in want.iter().enumerate() {
+        let zero_rows = (0..n).flat_map(|j| (0..m).step_by(5).map(move |i| i + j * m));
+        assert!(
+            zero_rows.clone().all(|x| want[x] == 0),
+            "entry {e}: not +0.0"
+        );
+    }
+    let cfg = |par: Parallelism, cached: bool| {
+        GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1)
+            .with_blocks(blocks.0, blocks.1, blocks.2)
+            .with_parallelism(par)
+            .with_pack_cache(cached)
+    };
+    let runtimes = [
+        Parallelism::Serial,
+        Parallelism::Pool(1),
+        Parallelism::Pool(2),
+        Parallelism::Pool(3),
+    ];
+    for (par, cached) in runtimes.iter().flat_map(|&par| [(par, false), (par, true)]) {
+        for entries in 1..=5 {
+            let case = format!("{par:?} cached={cached}: batch of {entries}");
+            // a β = 1 call first leaves this thread's staging buffer full
+            // of finite values the β = 0 call must not keep (on the pool;
+            // a serial batch reuses the previous batch's buffer)
+            let mut warm = Matrix::random(m, n, 43);
+            let (av, bv) = (a[0].view(), b.view());
+            let cfg = cfg(par, cached);
+            try_gemm(
+                Transpose::No,
+                Transpose::No,
+                3.0,
+                &av,
+                &bv,
+                1.0,
+                &mut warm.view_mut(),
+                &cfg,
+            )
+            .unwrap_or_else(|e| panic!("{case}, β = 1: {e}"));
+            let mut c: Vec<Matrix> = (0..entries).map(|_| poisoned()).collect();
+            let a_views: Vec<MatrixView<'_>> = a[..entries].iter().map(Matrix::view).collect();
+            let mut c_views: Vec<MatrixViewMut<'_>> = c.iter_mut().map(Matrix::view_mut).collect();
+            gemm_batch_shared_b(alpha, &a_views, Transpose::No, &bv, 0.0, &mut c_views, &cfg)
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            drop(c_views);
+            for (e, c) in c.iter().enumerate() {
+                assert!(
+                    bits(c) == want[e],
+                    "{case}: entry {e} is not the textbook nest's"
+                );
+            }
+        }
+    }
+    f64::pack_cache().invalidate(&b.view());
 }
 
 /// n = 1: GEMV-shaped problems exercise the narrowest possible B panel
@@ -369,7 +460,8 @@ fn single_column_conforms() {
 /// point, where layer 3 has exactly one block.
 #[test]
 fn blocking_larger_than_problem_conforms() {
-    // default blocks are kc=512, mc=56, nc=1920 — all exceed the shape
+    // default blocks: kc=512 and nc=1920 exceed the shape, and so does mc
+    // (56, or this host's: at least 64 on an L2 of 1 MiB or more)
     check_random(
         MicroKernelKind::Mk8x6,
         Transpose::No,

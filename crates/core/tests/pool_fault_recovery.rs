@@ -226,6 +226,54 @@ fn allocation_failure_degrades_gracefully() {
     }
 }
 
+/// β = 0 into a NaN-filled C under each allocation fault in turn: a
+/// failed staging buffer sends the cell straight onto C, and a failed
+/// pack halves its chunk — either way nothing zeroes C first, and the
+/// first `kk` panel's kernels must store every element of it, to the bit
+/// of the fault-free call. (Fault plans are process-wide, so this case
+/// lives here, under `LOCK`, and not in the concurrently run conformance
+/// suite.)
+#[test]
+fn allocation_failure_under_beta_zero_still_overwrites_poisoned_c() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    faults::clear();
+    let a = Matrix::random(M, K, 3);
+    let b = Matrix::random(K, N, 4);
+    let run = |par: Parallelism| {
+        let mut c = Matrix::from_fn(M, N, |i, j| if (i + j) % 2 == 0 { f64::NAN } else { -0.0 });
+        let cfg = cfg(par);
+        try_gemm(
+            Transpose::No,
+            Transpose::No,
+            1.0,
+            &a.view(),
+            &b.view(),
+            0.0,
+            &mut c.view_mut(),
+            &cfg,
+        )
+        .map(|()| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+    };
+    let want = run(Parallelism::Serial).expect("no plan is installed");
+    assert!(want.iter().all(|&x| f64::from_bits(x).is_finite()));
+    for par in [
+        Parallelism::Pool(4),
+        Parallelism::Pool(1),
+        Parallelism::Serial,
+    ] {
+        for nth in 0..8 {
+            faults::install(FaultPlan {
+                alloc_fail: Some(Trigger::once(nth)),
+                ..FaultPlan::default()
+            });
+            let got = run(par);
+            faults::clear();
+            let got = got.unwrap_or_else(|e| panic!("{par:?}: alloc fault #{nth}: {e}"));
+            assert!(got == want, "{par:?}: alloc fault #{nth} changed a bit");
+        }
+    }
+}
+
 /// `panic_in_job` is a pool-job site. A serial call runs the cell body
 /// with nothing around it to catch a panic, so an armed plan neither
 /// fires there nor counts its blocks: the next pooled call still meets

@@ -178,9 +178,9 @@ mod enabled {
     /// and the pool's two column cells doing the same on half the
     /// columns each (A packed by both), into the same bits of C. A serial
     /// batch runs the plan the dispatcher prices for it, too, on its rows
-    /// stacked: of one entry, this very call; of four, one 32-row GEBP
-    /// reading B in place; of eight, two blocks sharing one pack of the
-    /// one `(jj, kk)` panel.
+    /// stacked: of one entry, this very call; of as many as fit one `mc`
+    /// block, one GEBP reading B in place; of one more, two blocks
+    /// sharing one pack of the one `(jj, kk)` panel.
     #[test]
     fn the_default_skinny_call_reads_b_in_place_and_says_so() {
         let _g = lock_and_reset();
@@ -232,19 +232,26 @@ mod enabled {
         let (batch_of_one, counts) = run_batch(1);
         assert_eq!(counts, serial_counts);
         assert_eq!(batch_of_one[0].as_slice(), in_place.as_slice());
-        // stacked, four entries are 32 rows: one GEBP, B read in place
-        let (batch_of_four, counts) = run_batch(4);
-        assert_eq!(counts, [4 * 4_194_304, 4 * 32_768, 0, 512 * 512 * 8]);
-        assert!(batch_of_four
-            .iter()
-            .all(|c| c.as_slice() == in_place.as_slice()));
-        // eight are 64 rows: two blocks sharing one pack of the panel
-        let (batch_of_eight, counts) = run_batch(8);
+        // stacked, entries whose rows fit one mc block are one GEBP that
+        // reads B in place; one entry more is two blocks sharing one pack
+        // of the panel
+        let mc = GemmConfig::default().blocks.mc;
         let one_panel = (n.div_ceil(NR) * NR * k * 8) as u64;
-        assert_eq!(counts, [8 * 4_194_304, 8 * 32_768, one_panel, 0]);
-        assert!(batch_of_eight
-            .iter()
-            .all(|c| c.as_slice() == in_place.as_slice()));
+        for entries in [4, 8, mc / m, mc / m + 1] {
+            let (batch, counts) = run_batch(entries);
+            let e = entries as u64;
+            let (packed_b, b_in_place) = if entries * m <= mc {
+                (0, 512 * 512 * 8)
+            } else {
+                (one_panel, 0)
+            };
+            assert_eq!(
+                counts,
+                [e * 4_194_304, e * 32_768, packed_b, b_in_place],
+                "{entries} entries of {m} rows, mc {mc}"
+            );
+            assert!(batch.iter().all(|c| c.as_slice() == in_place.as_slice()));
+        }
     }
 
     #[test]

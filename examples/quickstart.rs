@@ -20,8 +20,8 @@ fn main() {
     let c0 = Matrix::random(m, n, 3);
     let (alpha, beta) = (1.25, -0.5);
 
-    // the paper's serial configuration: 8x6 kernel, kc x mc x nc =
-    // 512 x 56 x 1920 solved from the ARMv8 cache geometry
+    // the paper's 8x6 kernel with kc x nc = 512 x 1920 solved from the
+    // ARMv8 cache geometry, and mc from this host's L2
     let cfg = GemmConfig::default();
     println!(
         "kernel {}, blocking {}",
