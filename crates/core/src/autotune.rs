@@ -797,8 +797,17 @@ fn sweep<K: KernelFamily>(
     // one configuration; `None` if a call fails.
     let mut time = |(kernel, blocks): (K, BlockSizes), calls: usize| {
         let start = Instant::now();
+        let cfg = Config {
+            kernel,
+            blocks,
+            parallelism: runtime,
+            epoch_timeout: None,
+            pack_cache: false,
+            dispatch: DispatchMode::Fixed,
+            autotune: AutotuneMode::Off,
+        };
         for _ in 0..calls {
-            crate::gemm::gemm_with(
+            crate::gemm::try_gemm(
                 Transpose::No,
                 Transpose::No,
                 K::Elem::ONE,
@@ -806,12 +815,7 @@ fn sweep<K: KernelFamily>(
                 &b.view(),
                 K::Elem::ZERO,
                 &mut c.view_mut(),
-                kernel,
-                blocks,
-                runtime,
-                None,
-                false,
-                DispatchMode::Fixed,
+                &cfg,
             )
             .ok()?;
         }

@@ -97,12 +97,8 @@ pub(crate) fn gemm_batch_with_cache(
         b,
         beta,
         c_batch,
-        cfg.kernel,
-        cfg.blocks,
-        cfg.parallelism,
-        cfg.epoch_timeout,
+        cfg,
         cache,
-        cfg.dispatch,
     )
 }
 

@@ -1,60 +1,52 @@
-//! Shape-adaptive runtime dispatch (DESIGN.md §13).
+//! Shape-adaptive runtime dispatch (DESIGN.md §13): the pricing half of
+//! [`crate::gemm::Plan`].
 //!
 //! Whether layer 3 runs on the pool is a per-shape question: a
 //! skinny-m/fat-n GEMM against a cached B has microseconds of compute
-//! per panel, and a barrier costs more than the threads save. This
-//! module decides, per `gemm()` call:
+//! per panel, and a barrier costs more than the threads save. Under
+//! [`DispatchMode::Auto`] the call's plan asks this module for its
+//! runtime:
 //!
 //! 1. **runtime** — Serial or Pool, the same walk
 //!    (`pool::gemm_walk`) as one cell per panel on the calling
 //!    thread or as a grid on the pool — by comparing the analytic
 //!    prediction of `perfmodel::model` eq. (4) ([`time_bound`]) for the
-//!    one cell with the same bound for the plan the pool would run: the
-//!    grid of [`crate::pool::cell_grid`], every cell packing its own
-//!    operands and staging its own part of C, a thread's share of that
-//!    work plus one barrier per panel and one job per cell
-//!    ([`pooled_time_bound`]);
+//!    one cell with the same bound for the grid the plan cut for the
+//!    configured degree, every cell packing its own operands and staging
+//!    its own part of C, a thread's share of that work plus one barrier
+//!    per panel and one job per cell ([`pooled_time_bound`]);
 //! 2. **calibration** — the model is a bound, not a stopwatch, so each
 //!    runtime keeps an EWMA ratio of measured/predicted time from past
 //!    calls (live telemetry) and predictions are scaled by it before
-//!    the comparison.
+//!    the comparison (`record` closes the loop).
 //!
-//! Which loop is parallel — rows, columns or both — is not decided
-//! here: the grid is a pure function of the shape that the pool owns,
-//! and the decision only reports it.
+//! The B source and the grid are not decided here: the plan decides them
+//! before pricing, and the model only prices what the walk would run.
 //!
-//! The decision is overridable per call via
-//! [`crate::gemm::GemmConfig::with_dispatch`] and process-wide via
-//! `DGEMM_DISPATCH=serial|pool|auto` (read by
+//! The mode is set per call via [`crate::gemm::GemmConfig::with_dispatch`]
+//! and process-wide via `DGEMM_DISPATCH=fixed|auto` (read by
 //! [`crate::gemm::GemmConfig::auto`]); the default [`DispatchMode::Fixed`]
-//! keeps the configured [`Parallelism`] untouched, bit-for-bit and
-//! overhead-free. Every decision is auditable:
-//! [`crate::pool::status`] surfaces the most recent one as
-//! `last_dispatch`.
+//! runs the configured [`Parallelism`] untouched, bit-for-bit and
+//! overhead-free. Every priced plan is auditable: [`crate::pool::status`]
+//! surfaces the most recent one as `last_dispatch`.
 
 #![forbid(unsafe_code)]
 
+use crate::gemm::{BSource, Plan};
 use crate::pool::Parallelism;
 use crate::telemetry::RT;
-use crate::Transpose;
-use perfmodel::cacheblock::BlockSizes;
 use perfmodel::model::{pooled_time_bound, time_bound, MachineCosts, OverlapFactor, PoolOverheads};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-/// How the dispatcher treats one GEMM call.
+/// How the plan of one GEMM call picks its runtime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum DispatchMode {
     /// No dispatch: run exactly the configured [`Parallelism`]. The
-    /// default — no decision, no timing.
+    /// default — no pricing, no timing.
     #[default]
     Fixed,
-    /// Force the serial runtime regardless of the configured degree.
-    Serial,
-    /// Force the pool runtime, even where the model predicts serial
-    /// would win.
-    Pool,
     /// Pick the runtime per call from the cost model + calibration,
     /// with the serial fallback whenever the shape has fewer cells than
     /// the pool has threads.
@@ -63,17 +55,15 @@ pub enum DispatchMode {
 
 impl DispatchMode {
     /// Parse `DGEMM_DISPATCH`: absent/`fixed` keeps the configured
-    /// runtime, `serial`/`pool` force one, `auto` enables the cost
-    /// model; anything else is a typed error.
-    pub fn from_env() -> Result<Self, crate::GemmError> {
+    /// runtime, `auto` enables the cost model; anything else is a typed
+    /// error.
+    pub(crate) fn from_env() -> Result<Self, crate::GemmError> {
         match std::env::var("DGEMM_DISPATCH") {
             Ok(v) => match v.trim() {
-                "serial" => Ok(DispatchMode::Serial),
-                "pool" => Ok(DispatchMode::Pool),
                 "auto" => Ok(DispatchMode::Auto),
                 "" | "fixed" => Ok(DispatchMode::Fixed),
                 _ => Err(crate::GemmError::BadConfig(
-                    "DGEMM_DISPATCH must be serial|pool|auto|fixed",
+                    "DGEMM_DISPATCH must be auto|fixed",
                 )),
             },
             Err(std::env::VarError::NotUnicode(_)) => {
@@ -84,39 +74,14 @@ impl DispatchMode {
     }
 }
 
-/// One dispatch decision: the shape it was made for, the runtime and
-/// grid it chose, and the calibrated predictions behind the choice.
-/// `measured_ms` is filled in after the call completes, so operators
-/// can audit predicted-vs-measured through `pool::status()`.
+/// The model's calibrated predictions for one call ([`Plan::predicted`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DispatchDecision {
-    /// Rows of `op(A)` / C.
-    pub m: usize,
-    /// Columns of `op(B)` / C.
-    pub n: usize,
-    /// Inner dimension.
-    pub k: usize,
-    /// Batch entries sharing B (1 for a plain GEMM).
-    pub batch: usize,
-    /// The runtime chosen: [`Parallelism::Serial`] or
-    /// [`Parallelism::Pool`] with the dispatched degree.
-    pub runtime: Parallelism,
-    /// Row ranges of the grid the pool runs for this shape
-    /// ([`crate::pool::cell_grid`]): runs of `mc`-row tasks across the
-    /// batch.
-    pub m_tasks: usize,
-    /// Column chunks of that grid; the pool's cells per `jj` panel are
-    /// `m_tasks · n_split`.
-    pub n_split: usize,
-    /// Calibrated predicted serial time, milliseconds.
-    pub predicted_serial_ms: f64,
-    /// Calibrated predicted pooled time, milliseconds.
-    pub predicted_pool_ms: f64,
-    /// Wall-clock of the call that ran under this decision.
-    pub measured_ms: Option<f64>,
-    /// The runtime was forced ([`DispatchMode::Serial`] /
-    /// [`DispatchMode::Pool`]) rather than model-chosen.
-    pub forced: bool,
+pub struct Predicted {
+    /// On the calling thread, milliseconds.
+    pub serial_ms: f64,
+    /// On the pool, as the plan's grid for the configured degree,
+    /// milliseconds.
+    pub pool_ms: f64,
 }
 
 /// Nominal clock of the paper machine, used only to express the model's
@@ -140,7 +105,7 @@ const CAL_MAX: f64 = 20.0;
 /// running) and small shapes would flap between a 3.3 ms serial walk
 /// and a 4.5 ms pooled one. A genuine pool win (compute divided over
 /// p workers) clears 15% with room to spare. It is therefore also the
-/// most `auto` can lose to a forced runtime by design: a pool win
+/// most `auto` can lose to a fixed runtime by design: a pool win
 /// smaller than this is declined.
 const POOL_MARGIN: f64 = 1.15;
 
@@ -174,10 +139,8 @@ pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn last_cell() -> &'static Mutex<Option<DispatchDecision>> {
-    static LAST: OnceLock<Mutex<Option<DispatchDecision>>> = OnceLock::new();
-    LAST.get_or_init(|| Mutex::new(None))
-}
+/// The latest priced plan ([`last_decision`]).
+static LAST: Mutex<Option<Plan>> = Mutex::new(None);
 
 fn cycles_to_ms(cycles: f64) -> f64 {
     cycles / (NOMINAL_GHZ * 1e6)
@@ -187,193 +150,123 @@ fn calibration(pool: bool) -> f64 {
     f64::from_bits(CALIBRATION[usize::from(pool)].load(Ordering::Relaxed))
 }
 
-/// The current per-runtime EWMA calibration ratios `(serial, pool)` —
-/// measured/model time, 1.0 = the model is exact. Learned per process
-/// from the 1.0 prior; nothing persists them.
-fn calibration_ratios() -> (f64, f64) {
-    (calibration(false), calibration(true))
-}
-
-/// The most recent dispatch decision made in this process (`None` until
-/// a non-[`DispatchMode::Fixed`] GEMM runs). Surfaced by
-/// [`crate::pool::status`] as `last_dispatch`.
+/// The most recent priced plan in this process (`None` until a
+/// [`DispatchMode::Auto`] GEMM runs). Surfaced by [`crate::pool::status`]
+/// as `last_dispatch`.
 #[must_use]
-pub fn last_decision() -> Option<DispatchDecision> {
-    *last_cell().lock().unwrap_or_else(PoisonError::into_inner)
+pub(crate) fn last_decision() -> Option<Plan> {
+    *LAST.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Decide runtime and grid geometry for one call.
-///
-/// `flops_per_cycle` is the peak of the ISA level the register kernel
-/// actually runs at ([`crate::microkernel::KernelSet::flops_per_cycle`]);
-/// its reciprocal is the model's compute cost `μ`. The pack, barrier and
-/// task terms do not scale with the kernel, so a prior that prices compute
-/// for the wrong level mis-proportions them and no single EWMA scalar per
-/// runtime can repair that. `degree` is the configured parallel degree
-/// ([`Parallelism::degree`]), `cached` whether a
-/// [`crate::prepack::PrepackedB`] will serve B (its pack traffic then
-/// costs nothing per call); `transb` and `cached` also tell whether
-/// either walk packs B at all ([`crate::gemm::packs_b`]). Must not be
-/// called with [`DispatchMode::Fixed`] — Fixed means "no decision".
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn decide(
-    mode: DispatchMode,
-    m: usize,
-    n: usize,
-    k: usize,
-    batch: usize,
-    blocks: &BlockSizes,
-    nr: usize,
-    flops_per_cycle: f64,
-    degree: usize,
-    transb: Transpose,
-    cached: bool,
-) -> DispatchDecision {
-    decide_calibrated(
-        calibration_ratios(),
-        mode,
-        m,
-        n,
-        k,
-        batch,
-        blocks,
-        nr,
-        flops_per_cycle,
-        degree,
-        transb,
-        cached,
-    )
+/// What the dispatcher prices a call with: the peak of the ISA level the
+/// register kernel actually runs at
+/// ([`crate::microkernel::KernelSet::flops_per_cycle`]), whose reciprocal
+/// is the model's compute cost `μ`, and the `(serial, pool)` calibration
+/// ratios — measured/model time, 1.0 = the model is exact. The pack,
+/// barrier and task terms do not scale with the kernel, so a prior that
+/// prices compute for the wrong level mis-proportions them and no single
+/// EWMA scalar per runtime can repair that.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Model {
+    pub(crate) flops_per_cycle: f64,
+    pub(crate) calibration: (f64, f64),
 }
 
-/// [`decide`] with the `(serial, pool)` calibration ratios passed in, so
-/// the model's own choice can be tested apart from whatever the process
-/// has learned so far.
-#[allow(clippy::too_many_arguments)]
-fn decide_calibrated(
-    (cal_serial, cal_pool): (f64, f64),
-    mode: DispatchMode,
-    m: usize,
-    n: usize,
-    k: usize,
-    batch: usize,
-    blocks: &BlockSizes,
-    nr: usize,
-    flops_per_cycle: f64,
-    degree: usize,
-    transb: Transpose,
-    cached: bool,
-) -> DispatchDecision {
-    debug_assert!(mode != DispatchMode::Fixed, "Fixed means no dispatch");
-    let (mc, nc) = (blocks.mc.max(1), blocks.nc.max(1));
-    let degree = degree.max(1);
-    let batch = batch.max(1);
-
-    // The grid the pool would run ([`crate::pool::cell_grid`], for a
-    // full-width panel) and whether either runtime packs B at all: not when
-    // it is cached, and not when a single GEBP per panel leaves the pack
-    // nothing to be amortized over.
-    let pack_b = crate::gemm::packs_b(crate::pool::row_tasks(m, batch, mc), transb, cached);
-    let (row_ranges, col_chunks) =
-        crate::pool::cell_grid(m, batch, nc.min(n), mc, nr, degree, pack_b);
-    let cells = row_ranges * col_chunks;
-
-    // Model inputs, in the units of perfmodel::model (flops, words,
-    // cycles). A serial call packs A once per jj panel and B once. On
-    // the pool every cell packs its own operands — A once per column
-    // chunk, B once per row range — and stages its part of C in and out;
-    // all of it is divided work: a thread's share is the cells it runs
-    // (one, or as many rounds as the grid has cells per thread), with
-    // one barrier per panel and a job for every cell but the caller's.
-    let jj_panels = n.div_ceil(nc);
-    let f = 2.0 * (m * n * k * batch) as f64;
-    let w_a = (m * k * jj_panels * batch) as f64;
-    let w_b = if pack_b { (k * n) as f64 } else { 0.0 };
-    let costs = MachineCosts {
-        mu: 1.0 / flops_per_cycle,
-        ..MachineCosts::xgene_cycles()
-    };
-    let psi = OverlapFactor::Rational { c: 0.4 };
-    let overheads = PoolOverheads::xgene_cycles();
-    let serial_cycles = time_bound(f, w_a + w_b, &costs, &psi);
-    let w_pool = w_a * col_chunks as f64 + w_b * row_ranges as f64 + 2.0 * (m * n * batch) as f64;
-    let share = cells.div_ceil(degree) as f64 / cells as f64;
-    let pool_cycles = pooled_time_bound(
-        f * share,
-        w_pool * share,
-        1,
-        jj_panels as f64,
-        ((cells - 1) * jj_panels) as f64,
-        &costs,
-        &psi,
-        &overheads,
-    );
-    let predicted_serial_ms = cycles_to_ms(serial_cycles) * cal_serial;
-    let predicted_pool_ms = cycles_to_ms(pool_cycles) * cal_pool;
-
-    let (runtime, forced) = match mode {
-        DispatchMode::Serial => (Parallelism::Serial, true),
-        DispatchMode::Pool => (Parallelism::Pool(degree), true),
-        // Auto: serial when the pool cannot help (one participant), when
-        // the shape has fewer cells than threads, or unless the
-        // calibrated model predicts a pooled win clearing the hysteresis
-        // margin.
-        DispatchMode::Auto | DispatchMode::Fixed => {
-            if degree <= 1
-                || cells < degree
-                || predicted_serial_ms <= predicted_pool_ms * POOL_MARGIN
-            {
-                (Parallelism::Serial, false)
-            } else {
-                (Parallelism::Pool(degree), false)
-            }
+impl Model {
+    /// The model at `flops_per_cycle` and the ratios this process has
+    /// learned so far from the 1.0 prior (nothing persists them).
+    pub(crate) fn now(flops_per_cycle: f64) -> Self {
+        Model {
+            flops_per_cycle,
+            calibration: (calibration(false), calibration(true)),
         }
-    };
-    match runtime {
-        Parallelism::Serial => RT.dispatch_serial.fetch_add(1, Ordering::Relaxed),
-        _ => RT.dispatch_pool.fetch_add(1, Ordering::Relaxed),
-    };
+    }
 
-    DispatchDecision {
-        m,
-        n,
-        k,
-        batch,
-        runtime,
-        m_tasks: row_ranges,
-        n_split: col_chunks,
-        predicted_serial_ms,
-        predicted_pool_ms,
-        measured_ms: None,
-        forced,
+    /// Price `plan` — as cut for its configured runtime — on the calling
+    /// thread and on the pool, and choose the runtime: serial when the
+    /// pool cannot help (one participant), when the shape has fewer cells
+    /// than threads, or unless the calibrated model predicts a pooled win
+    /// clearing the hysteresis margin.
+    pub(crate) fn choose(&self, plan: &Plan) -> (Parallelism, Predicted) {
+        let Plan { m, n, k, batch, .. } = *plan;
+        let degree = plan.runtime.degree();
+        let (row_ranges, col_chunks) = plan.grid;
+        let cells = row_ranges * col_chunks;
+
+        // Model inputs, in the units of perfmodel::model (flops, words,
+        // cycles). A serial call packs A once per jj panel and B once,
+        // if it packs B at all. On the pool every cell packs its own
+        // operands — A once per column chunk, B once per row range — and
+        // stages its part of C in and out; all of it is divided work: a
+        // thread's share is the cells it runs (one, or as many rounds as
+        // the grid has cells per thread), with one barrier per panel and
+        // a job for every cell but the caller's.
+        let jj_panels = n.div_ceil(plan.blocks.nc);
+        let f = 2.0 * (m * n * k * batch) as f64;
+        let w_a = (m * k * jj_panels * batch) as f64;
+        let w_b = if plan.b_source == BSource::Packed {
+            (k * n) as f64
+        } else {
+            0.0
+        };
+        let costs = MachineCosts {
+            mu: 1.0 / self.flops_per_cycle,
+            ..MachineCosts::xgene_cycles()
+        };
+        let psi = OverlapFactor::Rational { c: 0.4 };
+        let overheads = PoolOverheads::xgene_cycles();
+        let serial_cycles = time_bound(f, w_a + w_b, &costs, &psi);
+        let w_pool =
+            w_a * col_chunks as f64 + w_b * row_ranges as f64 + 2.0 * (m * n * batch) as f64;
+        let share = cells.div_ceil(degree) as f64 / cells as f64;
+        let pool_cycles = pooled_time_bound(
+            f * share,
+            w_pool * share,
+            1,
+            jj_panels as f64,
+            ((cells - 1) * jj_panels) as f64,
+            &costs,
+            &psi,
+            &overheads,
+        );
+        let predicted = Predicted {
+            serial_ms: cycles_to_ms(serial_cycles) * self.calibration.0,
+            pool_ms: cycles_to_ms(pool_cycles) * self.calibration.1,
+        };
+        let runtime = if degree <= 1
+            || cells < degree
+            || predicted.serial_ms <= predicted.pool_ms * POOL_MARGIN
+        {
+            RT.dispatch_serial.fetch_add(1, Ordering::Relaxed);
+            Parallelism::Serial
+        } else {
+            RT.dispatch_pool.fetch_add(1, Ordering::Relaxed);
+            Parallelism::Pool(degree)
+        };
+        (runtime, predicted)
     }
 }
 
-/// Close the loop on a decision: record the measured wall-clock, update
-/// the chosen runtime's EWMA calibration ratio, and publish the
-/// decision for [`last_decision`] / `pool::status()`.
-pub(crate) fn record(mut decision: DispatchDecision, elapsed: Duration) {
+/// Close the loop on a priced plan: record the measured wall-clock,
+/// update the chosen runtime's EWMA calibration ratio, and publish the
+/// plan for [`last_decision`] / `pool::status()`. An unpriced plan has no
+/// loop to close.
+pub(crate) fn record(mut plan: Plan, elapsed: Duration) {
+    let Some(Predicted { serial_ms, pool_ms }) = plan.predicted else {
+        return;
+    };
     let measured = elapsed.as_secs_f64() * 1e3;
-    decision.measured_ms = Some(measured);
-    let pool = matches!(decision.runtime, Parallelism::Pool(_));
-    let predicted = if pool {
-        decision.predicted_pool_ms
+    plan.measured_ms = Some(measured);
+    let pool = matches!(plan.runtime, Parallelism::Pool(_));
+    let (predicted, alt_predicted) = if pool {
+        (pool_ms, serial_ms)
     } else {
-        decision.predicted_serial_ms
+        (serial_ms, pool_ms)
     };
     // Mispredict accounting: the model chose this runtime, yet the
     // measured time exceeded what it predicted for the *other* one —
-    // the choice was contradicted by the measurement. Forced decisions
-    // carry no prediction claim, so they are excluded.
-    let alt_predicted = if pool {
-        decision.predicted_serial_ms
-    } else {
-        decision.predicted_pool_ms
-    };
-    if !decision.forced
-        && measured.is_finite()
-        && alt_predicted.is_finite()
-        && measured > alt_predicted
-    {
+    // the choice was contradicted by the measurement.
+    if measured.is_finite() && alt_predicted.is_finite() && measured > alt_predicted {
         RT.dispatch_mispredicts.fetch_add(1, Ordering::Relaxed);
     }
     let prev = calibration(pool);
@@ -392,47 +285,51 @@ pub(crate) fn record(mut decision: DispatchDecision, elapsed: Duration) {
         let other_next = (other_prev + IDLE_DECAY * (1.0 - other_prev)).clamp(CAL_MIN, CAL_MAX);
         CALIBRATION[other].store(other_next.to_bits(), Ordering::Relaxed);
     }
-    *last_cell().lock().unwrap_or_else(PoisonError::into_inner) = Some(decision);
+    *LAST.lock().unwrap_or_else(PoisonError::into_inner) = Some(plan);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::{plan_under, GemmConfig};
+    use crate::microkernel::MicroKernelKind;
+    use crate::Transpose;
 
-    fn blocks(kc: usize, mc: usize, nc: usize) -> BlockSizes {
-        BlockSizes::custom(8, 6, kc, mc, nc)
+    /// The 8×6 kernel blocked `kc×mc×nc` at `degree` threads, dispatch
+    /// left at `Fixed`.
+    fn cfg(degree: usize, (kc, mc, nc): (usize, usize, usize)) -> GemmConfig {
+        GemmConfig::for_kernel(MicroKernelKind::Mk8x6, degree).with_blocks(kc, mc, nc)
     }
 
-    /// [`super::decide`] at the portable prior (`μ = 0.5`) and the neutral
+    /// The plan of `shape` over `batch` entries, priced at
+    /// `flops_per_cycle` (the portable prior is 2) and the neutral
     /// calibration the shape tests below were written against — not at
     /// whatever sibling tests' calls have taught the process.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        mode: DispatchMode,
-        m: usize,
-        n: usize,
-        k: usize,
+    fn priced(
+        flops_per_cycle: f64,
+        shape: (usize, usize, usize),
         batch: usize,
-        blocks: &BlockSizes,
-        nr: usize,
+        blocks: (usize, usize, usize),
         degree: usize,
+        transb: Transpose,
         cached: bool,
-    ) -> DispatchDecision {
-        let tb = Transpose::No;
-        decide_calibrated(
-            (1.0, 1.0),
-            mode,
-            m,
-            n,
-            k,
+    ) -> Plan {
+        let model = Model {
+            flops_per_cycle,
+            calibration: (1.0, 1.0),
+        };
+        plan_under(
+            Some(model),
+            shape,
             batch,
-            blocks,
-            nr,
-            2.0,
-            degree,
-            tb,
+            transb,
+            &cfg(degree, blocks),
             cached,
         )
+    }
+
+    fn predicted(plan: &Plan) -> Predicted {
+        plan.predicted.expect("an Auto plan is priced")
     }
 
     #[test]
@@ -442,19 +339,13 @@ mod tests {
         // stuck at the portable 0.5 the pack, barrier and task terms
         // vanish next to compute, so a 10x faster kernel kept sending
         // the skinny shape to the pool (auto_vs_best_ratio 1.5-2.7).
-        let b = blocks(512, 56, 1920);
         let at = |isa: crate::simd::Isa, m: usize| {
             let fpc = isa.flops_per_cycle();
-            decide_calibrated(
-                (1.0, 1.0),
-                DispatchMode::Auto,
-                m,
-                512,
-                512,
-                1,
-                &b,
-                6,
+            priced(
                 fpc,
+                (m, 512, 512),
+                1,
+                (512, 56, 1920),
                 2,
                 Transpose::No,
                 false,
@@ -464,8 +355,8 @@ mod tests {
         for isa in crate::simd::Isa::ALL {
             assert_eq!(at(isa, 512).runtime, Parallelism::Pool(2), "{isa:?}");
             // A faster kernel only ever moves a shape away from the pool.
-            let skinny = at(isa, 8);
-            let ratio = skinny.predicted_pool_ms / skinny.predicted_serial_ms;
+            let skinny = predicted(&at(isa, 8));
+            let ratio = skinny.pool_ms / skinny.serial_ms;
             assert!(ratio > last_ratio, "{isa:?}: {ratio} <= {last_ratio}");
             last_ratio = ratio;
         }
@@ -491,23 +382,16 @@ mod tests {
         // left is eq. (4) over the pack-A words alone, which is also what
         // a cached B is charged. A transposed B and a second mc block
         // keep the pack and its term, on the pool as on one thread.
-        let b = blocks(512, 56, 1920);
         let at = |m: usize, transb: Transpose, cached: bool| {
-            let mode = DispatchMode::Auto;
-            decide_calibrated(
-                (1.0, 1.0),
-                mode,
-                m,
-                512,
-                512,
-                1,
-                &b,
-                6,
+            predicted(&priced(
                 32.0,
+                (m, 512, 512),
+                1,
+                (512, 56, 1920),
                 2,
                 transb,
                 cached,
-            )
+            ))
         };
         let model_ms = |m: usize, words: usize| {
             let costs = MachineCosts {
@@ -520,53 +404,41 @@ mod tests {
         };
         let (w_a, w_b) = (8 * 512, 512 * 512);
         let skinny = at(8, Transpose::No, false);
-        assert_eq!(skinny.predicted_serial_ms, model_ms(8, w_a));
+        assert_eq!(skinny.serial_ms, model_ms(8, w_a));
         assert_eq!(
-            at(8, Transpose::Yes, false).predicted_serial_ms,
+            at(8, Transpose::Yes, false).serial_ms,
             model_ms(8, w_a + w_b)
         );
+        assert_eq!(skinny.serial_ms, at(8, Transpose::No, true).serial_ms);
+        assert!(skinny.pool_ms < at(8, Transpose::Yes, false).pool_ms);
+        assert_eq!(skinny.pool_ms, at(8, Transpose::No, true).pool_ms);
         assert_eq!(
-            skinny.predicted_serial_ms,
-            at(8, Transpose::No, true).predicted_serial_ms
-        );
-        assert!(skinny.predicted_pool_ms < at(8, Transpose::Yes, false).predicted_pool_ms);
-        assert_eq!(
-            skinny.predicted_pool_ms,
-            at(8, Transpose::No, true).predicted_pool_ms
-        );
-        assert_eq!(
-            at(56, Transpose::No, false).predicted_serial_ms,
+            at(56, Transpose::No, false).serial_ms,
             model_ms(56, 56 * 512)
         );
         // 512^3 has ten blocks per panel: unchanged, either transpose.
         for transb in [Transpose::No, Transpose::Yes] {
             let square = at(512, transb, false);
-            assert_eq!(square.predicted_serial_ms, model_ms(512, 512 * 512 + w_b));
-            assert!(square.predicted_serial_ms > at(512, transb, true).predicted_serial_ms);
+            assert_eq!(square.serial_ms, model_ms(512, 512 * 512 + w_b));
+            assert!(square.serial_ms > at(512, transb, true).serial_ms);
         }
         // A batch's rows stack: two 8-row entries are one block and read
         // B in place, as a cached B is charged; eight are two blocks,
         // which share the packed panel.
-        let (mode, tb) = (DispatchMode::Auto, Transpose::No);
         let batch = |entries: usize, cached: bool| {
-            decide_calibrated(
-                (1.0, 1.0),
-                mode,
-                8,
-                512,
-                512,
-                entries,
-                &b,
-                6,
+            let plan = priced(
                 32.0,
+                (8, 512, 512),
+                entries,
+                (512, 56, 1920),
                 2,
-                tb,
+                Transpose::No,
                 cached,
-            )
+            );
+            predicted(&plan).serial_ms
         };
-        let pair = batch(2, false).predicted_serial_ms;
-        assert_eq!(pair, batch(2, true).predicted_serial_ms);
-        assert!(batch(8, false).predicted_serial_ms > batch(8, true).predicted_serial_ms);
+        assert_eq!(batch(2, false), batch(2, true));
+        assert!(batch(8, false) > batch(8, true));
     }
 
     #[test]
@@ -574,11 +446,9 @@ mod tests {
         // The PR-4 weight-reuse shape: 8×256×256 with B cached, blocks
         // 64×24×48 — 24 epochs of ~8 µs compute each. The model must
         // see the barrier overhead and keep it serial.
-        let b = blocks(64, 24, 48);
-        let d = decide(DispatchMode::Auto, 8, 256, 256, 1, &b, 6, 4, true);
-        assert_eq!(d.runtime, Parallelism::Serial);
-        assert!(!d.forced);
-        assert!(d.predicted_pool_ms > d.predicted_serial_ms);
+        let plan = priced(2.0, (8, 256, 256), 1, (64, 24, 48), 4, Transpose::No, true);
+        assert_eq!(plan.runtime, Parallelism::Serial);
+        assert!(predicted(&plan).pool_ms > predicted(&plan).serial_ms);
     }
 
     #[test]
@@ -586,11 +456,11 @@ mod tests {
         // n too narrow to split (one sliver) and a single mc block: one
         // cell cannot occupy 8 threads, so auto must go serial without
         // consulting the model.
-        let b = blocks(256, 64, 1792);
-        let d = decide(DispatchMode::Auto, 48, 6, 4096, 1, &b, 6, 8, false);
-        assert_eq!(d.runtime, Parallelism::Serial);
-        assert_eq!(d.n_split, 1, "one sliver cannot split");
-        assert!(d.m_tasks * d.n_split < 8);
+        let (shape, blocks) = ((48, 6, 4096), (256, 64, 1792));
+        let unpriced = plan_under(None, shape, 1, Transpose::No, &cfg(8, blocks), false);
+        assert_eq!(unpriced.grid, (1, 1), "one sliver cannot split");
+        let plan = priced(2.0, shape, 1, blocks, 8, Transpose::No, false);
+        assert_eq!(plan.runtime, Parallelism::Serial);
     }
 
     #[test]
@@ -598,10 +468,17 @@ mod tests {
         // Two mc blocks but a wide N: the cells come from splitting
         // columns (48 rows of A per cell cost less to pack than 2048
         // columns of B), and big-k compute must make the pool worth it.
-        let b = blocks(512, 24, 1792);
-        let d = decide(DispatchMode::Auto, 48, 4096, 4096, 1, &b, 6, 8, false);
-        assert_eq!((d.m_tasks, d.n_split), (1, 8));
-        assert_eq!(d.runtime, Parallelism::Pool(8));
+        let plan = priced(
+            2.0,
+            (48, 4096, 4096),
+            1,
+            (512, 24, 1792),
+            8,
+            Transpose::No,
+            false,
+        );
+        assert_eq!(plan.grid, (1, 8));
+        assert_eq!(plan.runtime, Parallelism::Pool(8));
     }
 
     #[test]
@@ -609,80 +486,47 @@ mod tests {
         // 1024³ on 8 threads: a 4×2 grid packs the fewest words per cell
         // (264 rows of A and 516 columns of B, against all 1024 rows and
         // 132 columns for 1×8), and the pool wins in the model.
-        let b = blocks(512, 24, 1792);
-        let d = decide(DispatchMode::Auto, 1024, 1024, 1024, 1, &b, 6, 8, false);
-        assert_eq!((d.m_tasks, d.n_split), (4, 2));
-        assert_eq!(d.runtime, Parallelism::Pool(8));
-    }
-
-    #[test]
-    fn the_plan_priced_is_the_plan_the_pool_runs() {
-        // The shapes of the benchmark ladder under the default blocking
-        // at degree 2, priced at the AVX-512 μ and a neutral calibration.
-        let b = blocks(512, 56, 1920);
-        let at = |m: usize, batch: usize, cached: bool| {
-            let (mode, tb) = (DispatchMode::Auto, Transpose::No);
-            decide_calibrated(
-                (1.0, 1.0),
-                mode,
-                m,
-                512,
-                512,
-                batch,
-                &b,
-                6,
-                32.0,
-                2,
-                tb,
-                cached,
-            )
-        };
-        // 512³: two column cells, each packing all of A and its half of
-        // B. Nothing is left serial on the caller, so the prediction is
-        // half the serial one plus one barrier.
-        let square = at(512, 1, false);
-        assert_eq!((square.m_tasks, square.n_split), (1, 2));
-        assert_eq!(square.runtime, Parallelism::Pool(2));
-        assert!(square.predicted_pool_ms < 0.65 * square.predicted_serial_ms);
-        // A batch against a PrepackedB has no B pack to duplicate: split
-        // the entries, so each thread packs half of the A blocks.
-        let batch = at(16, 8, true);
-        assert_eq!((batch.m_tasks, batch.n_split), (2, 1));
-        // Without the cache the same batch packs B, and a row split
-        // would pack it twice: columns.
-        let fresh = at(16, 8, false);
-        assert_eq!((fresh.m_tasks, fresh.n_split), (1, 2));
-    }
-
-    #[test]
-    fn forced_modes_override_the_model() {
-        let b = blocks(64, 24, 48);
-        // Forced pool on a shape auto would run serially.
-        let d = decide(DispatchMode::Pool, 8, 256, 256, 1, &b, 6, 4, true);
-        assert_eq!(d.runtime, Parallelism::Pool(4));
-        assert!(d.forced);
-        assert!(d.n_split > 1, "forced pool still gets the 2-D grid");
-        // Forced serial on a shape auto would pool.
-        let b = blocks(512, 24, 1792);
-        let d = decide(DispatchMode::Serial, 1024, 1024, 1024, 1, &b, 6, 8, false);
-        assert_eq!(d.runtime, Parallelism::Serial);
-        assert!(d.forced);
+        let plan = priced(
+            2.0,
+            (1024, 1024, 1024),
+            1,
+            (512, 24, 1792),
+            8,
+            Transpose::No,
+            false,
+        );
+        assert_eq!(plan.grid, (4, 2));
+        assert_eq!(plan.runtime, Parallelism::Pool(8));
     }
 
     #[test]
     fn single_thread_never_pools() {
-        let b = blocks(512, 24, 1792);
-        let d = decide(DispatchMode::Auto, 1024, 1024, 1024, 1, &b, 6, 1, false);
-        assert_eq!(d.runtime, Parallelism::Serial);
+        let plan = priced(
+            2.0,
+            (1024, 1024, 1024),
+            1,
+            (512, 24, 1792),
+            1,
+            Transpose::No,
+            false,
+        );
+        assert_eq!(plan.runtime, Parallelism::Serial);
     }
 
     #[test]
     fn record_publishes_and_calibrates() {
-        let b = blocks(512, 24, 1792);
-        let d = decide(DispatchMode::Serial, 64, 64, 64, 1, &b, 6, 1, false);
+        let plan = priced(
+            2.0,
+            (64, 64, 64),
+            1,
+            (512, 24, 1792),
+            1,
+            Transpose::No,
+            false,
+        );
         let before = calibration(false);
-        record(d, Duration::from_micros(500));
-        let last = last_decision().expect("decision published");
+        record(plan, Duration::from_micros(500));
+        let last = last_decision().expect("plan published");
         assert_eq!((last.m, last.n, last.k), (64, 64, 64));
         let measured = last.measured_ms.expect("measurement recorded");
         assert!((measured - 0.5).abs() < 1e-9);
@@ -703,8 +547,6 @@ mod tests {
         std::env::remove_var("DGEMM_DISPATCH");
         assert_eq!(DispatchMode::from_env().unwrap(), DispatchMode::Fixed);
         for (v, want) in [
-            ("serial", DispatchMode::Serial),
-            ("pool", DispatchMode::Pool),
             ("auto", DispatchMode::Auto),
             ("fixed", DispatchMode::Fixed),
             ("", DispatchMode::Fixed),
@@ -713,7 +555,8 @@ mod tests {
             std::env::set_var("DGEMM_DISPATCH", v);
             assert_eq!(DispatchMode::from_env().unwrap(), want, "value {v:?}");
         }
-        for bad in ["parallel", "2", "on"] {
+        // the runtime itself is Parallelism's to say
+        for bad in ["serial", "pool", "parallel", "2", "on"] {
             std::env::set_var("DGEMM_DISPATCH", bad);
             assert!(DispatchMode::from_env().is_err(), "accepted {bad:?}");
         }

@@ -12,23 +12,29 @@
 //! The nest is written once, as `pool::gemm_walk`: layer 1
 //! there, layers 2 and 3 in the body of a cell of the panel — the whole
 //! panel under [`Parallelism::Serial`], one thread's share of it on the
-//! pool. This module holds the configuration, the entry points and the
-//! one sequence every call runs around the walk (`gemm_driver`).
+//! pool. This module holds the configuration, the entry points, the
+//! [`Plan`] of a call and the one sequence every call runs around the
+//! walk (`gemm_driver`).
 //!
+//! What a call does is decided once, before the walk, by `plan`: the
+//! blocking, where B comes from ([`BSource`]: a single GEBP per panel
+//! reads it in place, `packs_b`), the grid each panel is cut into and
+//! the runtime — under [`DispatchMode::Auto`] priced by the model
+//! ([`crate::dispatch`]). The walk runs the plan and decides nothing.
 //! β is applied to each element of C exactly once, by the cell that owns
 //! it, before its first rank-kc update; α is folded into the micro-kernel
-//! write-back. The B pack is there for layer 3 to amortize: a call whose
-//! layer 3 is a single GEBP reads B in place instead ([`packs_b`]).
+//! write-back.
 
 #![forbid(unsafe_code)]
 
 use crate::autotune::AutotuneMode;
-use crate::dispatch::DispatchMode;
+use crate::dispatch::{DispatchMode, Model, Predicted};
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
-use crate::pool::{gemm_walk, Parallelism, PoolScalar, WorkerPool};
+use crate::pool::{cell_grid, gemm_walk, row_tasks, Call, Parallelism, PoolScalar, WorkerPool};
 use crate::prepack::PackCache;
 use crate::probe::L2;
+use crate::scalar::Scalar;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::MachineDesc;
@@ -392,6 +398,11 @@ pub fn gemm(
 /// failures surface as `Err` instead of panics. Dimensions are still
 /// asserted (this is the unchecked core; [`crate::blas::checked_gemm`]
 /// validates shapes too).
+///
+/// `Ok(())` guarantees C holds the bit-exact serial result, even when
+/// the pool contained worker faults along the way;
+/// [`GemmError::EpochTimeout`] guarantees the same result but reports
+/// that the watchdog fired; other errors leave C unspecified.
 #[allow(clippy::too_many_arguments)] // canonical BLAS gemm signature
 pub fn try_gemm<K: KernelFamily>(
     transa: Transpose,
@@ -408,58 +419,15 @@ pub fn try_gemm<K: KernelFamily>(
     // tuning failure degrades silently to the analytic defaults. The
     // tuned config swaps kernel and blocking together, so a checked
     // caller's shape invariants keep holding for it.
-    let cfg = if cfg.autotune == AutotuneMode::Off {
-        *cfg
-    } else {
-        let (m, k) = transa.apply_dims(a.rows(), a.cols());
-        let (_, n) = transb.apply_dims(b.rows(), b.cols());
-        crate::autotune::tuned(cfg, m, n, k)
-    };
-    gemm_with(
-        transa,
-        transb,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        cfg.kernel,
-        cfg.blocks,
-        cfg.parallelism,
-        cfg.epoch_timeout,
-        cfg.pack_cache,
-        cfg.dispatch,
-    )
-}
-
-/// The generic blocked GEMM core (any [`PoolScalar`], any [`KernelSet`]):
-/// the same layered loops serve the paper's DGEMM and the derived
-/// SGEMM ([`crate::sgemm`]). A batch of one through `gemm_driver`.
-///
-/// `Ok(())` guarantees C holds the bit-exact serial result, even when
-/// the pool contained worker faults along the way;
-/// [`GemmError::EpochTimeout`] guarantees the same result but reports
-/// that the watchdog fired; other errors leave C unspecified.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a: &MatrixView<'_, T>,
-    b: &MatrixView<'_, T>,
-    beta: T,
-    c: &mut MatrixViewMut<'_, T>,
-    kernel: K,
-    blocks: BlockSizes,
-    parallelism: Parallelism,
-    epoch_timeout: Option<Duration>,
-    pack_cache: bool,
-    dispatch: DispatchMode,
-) -> Result<(), GemmError> {
     let (m, ka) = transa.apply_dims(a.rows(), a.cols());
     let (kb, n) = transb.apply_dims(b.rows(), b.cols());
     assert_eq!(ka, kb, "inner dimensions differ");
     assert_eq!((c.rows(), c.cols()), (m, n), "output shape differs");
+    let cfg = if cfg.autotune == AutotuneMode::Off {
+        *cfg
+    } else {
+        crate::autotune::tuned(cfg, m, n, ka)
+    };
     gemm_driver(
         transa,
         transb,
@@ -468,42 +436,32 @@ pub fn gemm_with<T: PoolScalar, K: KernelSet<T>>(
         b,
         beta,
         core::slice::from_mut(c),
-        kernel,
-        blocks,
-        parallelism,
-        epoch_timeout,
-        pack_cache.then(T::pack_cache),
-        dispatch,
+        &cfg,
+        cfg.pack_cache.then(K::Elem::pack_cache),
     )
 }
 
 /// What every call does around the walk, once: `C_i := α·op(A_i)·op(B) +
 /// β·C_i` over a batch that shares `op(B)` — a plain GEMM is a batch of
 /// one. A degenerate call is β·C and nothing else; otherwise look `b` up
-/// in `cache` (if any), let the dispatcher pick the runtime (unless
-/// `dispatch` is `Fixed`), run [`gemm_walk`], and tell the dispatcher how
-/// long its pick took. Shapes are the caller's to validate: every `A_i`
-/// alike and conforming with `b`, every `C_i` `m×n`.
+/// in `cache` (if any), [`plan`] the call, run the plan ([`gemm_walk`]),
+/// and, when the model priced it, tell the dispatcher how long it took.
+/// Shapes are the caller's to validate: every `A_i` alike and conforming
+/// with `b`, every `C_i` `m×n`.
 #[allow(clippy::too_many_arguments)] // the BLAS gemm signature plus the batch and the config
-pub(crate) fn gemm_driver<T: PoolScalar, K: KernelSet<T>>(
+pub(crate) fn gemm_driver<K: KernelFamily>(
     transa: Transpose,
     transb: Transpose,
-    alpha: T,
-    a_batch: &[MatrixView<'_, T>],
-    b: &MatrixView<'_, T>,
-    beta: T,
-    c_batch: &mut [MatrixViewMut<'_, T>],
-    kernel: K,
-    blocks: BlockSizes,
-    parallelism: Parallelism,
-    epoch_timeout: Option<Duration>,
-    cache: Option<&PackCache<T>>,
-    dispatch: DispatchMode,
+    alpha: K::Elem,
+    a_batch: &[MatrixView<'_, K::Elem>],
+    b: &MatrixView<'_, K::Elem>,
+    beta: K::Elem,
+    c_batch: &mut [MatrixViewMut<'_, K::Elem>],
+    cfg: &Config<K>,
+    cache: Option<&PackCache<K::Elem>>,
 ) -> Result<(), GemmError> {
-    assert!(
-        blocks.kc > 0 && blocks.mc > 0 && blocks.nc > 0,
-        "block sizes must be positive"
-    );
+    let BlockSizes { kc, mc, nc, .. } = cfg.blocks;
+    assert!(kc > 0 && mc > 0 && nc > 0, "block sizes must be positive");
     let Some(first_a) = a_batch.first() else {
         return Ok(());
     };
@@ -511,7 +469,7 @@ pub(crate) fn gemm_driver<T: PoolScalar, K: KernelSet<T>>(
     let (_, n) = transb.apply_dims(b.rows(), b.cols());
 
     // α = 0 or an empty product: the call is β·C and nothing else.
-    if alpha == T::ZERO || m == 0 || n == 0 || k == 0 {
+    if alpha == K::Elem::ZERO || m == 0 || n == 0 || k == 0 {
         for c in c_batch.iter_mut() {
             c.scale(beta);
         }
@@ -523,53 +481,28 @@ pub(crate) fn gemm_driver<T: PoolScalar, K: KernelSet<T>>(
     // panels alive for the whole call even if the entry is evicted or
     // invalidated concurrently. A failed pack (allocation) degrades to
     // the per-call packing of the walk, never to an error.
-    let prepacked =
-        cache.and_then(|cache| cache.get_or_pack(b, transb, kernel.nr(), blocks.kc, blocks.nc));
-    let prepacked = prepacked.as_deref();
-
-    // Fixed runs the configured runtime with no decision and no timing;
-    // any other mode asks the dispatcher (DESIGN.md §13). A batch shares
-    // one decision: its rows stacked are the row tasks of the one grid,
-    // which is the walk's own either way ([`crate::pool::cell_grid`]).
-    let plan = match dispatch {
-        DispatchMode::Fixed => None,
-        mode => Some(crate::dispatch::decide(
-            mode,
-            m,
-            n,
-            k,
-            a_batch.len(),
-            &blocks,
-            kernel.nr(),
-            kernel.flops_per_cycle(),
-            parallelism.degree(),
-            transb,
-            prepacked.is_some(),
-        )),
-    };
-    let timed = plan.map(|plan| (plan, Instant::now()));
-    let result = gemm_walk(
+    let prepacked = cache.and_then(|cache| cache.get_or_pack(b, transb, cfg.kernel.nr(), kc, nc));
+    let plan = plan((m, n, k), a_batch.len(), transb, cfg, prepacked.is_some());
+    let start = plan.predicted.is_some().then(Instant::now);
+    let call = Call {
         transa,
         transb,
         alpha,
+        beta,
+        kernel: cfg.kernel,
         a_batch,
         b,
-        beta,
-        c_batch,
-        kernel,
-        blocks,
-        plan.map_or(parallelism, |p| p.runtime),
-        epoch_timeout,
-        prepacked,
-    );
-    if let Some((plan, start)) = timed {
+        prepacked: prepacked.as_deref(),
+    };
+    let result = gemm_walk(&plan, call, c_batch);
+    if let Some(start) = start {
         crate::dispatch::record(plan, start.elapsed());
     }
     result
 }
 
 /// Whether the walk packs B — each cell its columns of each `kc×nc`
-/// panel — before layer 3 runs over it: the one place that decision lives
+/// panel — before layer 3 runs over it: the rule [`plan`] decides it by
 /// (DESIGN.md, "When B is packed"), for either runtime, a plain call or a
 /// batch. The pack's traffic is amortized over the `gebps` GEBP
 /// calls that share the panel (`⌈m·batch/mc⌉`: a batch's rows stacked,
@@ -583,6 +516,131 @@ pub(crate) fn gemm_driver<T: PoolScalar, K: KernelSet<T>>(
 #[must_use]
 pub(crate) fn packs_b(gebps: usize, transb: Transpose, prepacked: bool) -> bool {
     !prepacked && (gebps > 1 || transb == Transpose::Yes)
+}
+
+/// How one call runs, decided once, before the walk, by `plan` — the
+/// blocking, where B comes from, the grid each `jj` panel is cut into and
+/// the runtime — with the model's predictions when
+/// [`DispatchMode::Auto`] priced it. The walk runs it and decides
+/// nothing; [`crate::pool::status`] publishes the latest priced one as
+/// `last_dispatch`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Plan {
+    /// Rows of `op(A_i)` and of every `C_i`.
+    pub m: usize,
+    /// Columns of `op(B)` and C.
+    pub n: usize,
+    /// Inner dimension.
+    pub k: usize,
+    /// Batch entries sharing B (1 for a plain GEMM).
+    pub batch: usize,
+    /// The blocking, as the config carries it (after
+    /// [`crate::autotune::tuned`]).
+    pub blocks: BlockSizes,
+    /// Where the cells read B from.
+    pub b_source: BSource,
+    /// `(row ranges, column chunks)` of a full-width panel, at the
+    /// runtime's degree ([`cell_grid`]); `(1, 1)` under
+    /// [`Parallelism::Serial`].
+    pub grid: (usize, usize),
+    /// The same for the last panel when `n % nc` leaves it narrower;
+    /// `grid` otherwise.
+    pub tail_grid: (usize, usize),
+    /// The runtime the walk runs on.
+    pub runtime: Parallelism,
+    /// The pool's watchdog deadline per epoch ([`Config::epoch_timeout`]).
+    pub epoch_timeout: Option<Duration>,
+    /// The calibrated predictions; `None` unless [`DispatchMode::Auto`]
+    /// priced the call.
+    pub predicted: Option<Predicted>,
+    /// Wall-clock of the call that ran a priced plan, milliseconds,
+    /// filled in afterwards by the dispatcher.
+    pub measured_ms: Option<f64>,
+}
+
+/// Where the cells of a call read B from ([`Plan::b_source`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BSource {
+    /// Tiles of a [`crate::prepack::PrepackedB`], packed before the call.
+    Prepacked,
+    /// Each cell packs its columns of each `kc×nc` panel (`packs_b`).
+    Packed,
+    /// Where the caller stored it: one GEBP per panel would be all that
+    /// reused a pack.
+    InPlace,
+}
+
+/// The [`Plan`] of a call of `(m, n, k)` over `batch` entries sharing B,
+/// run with `cfg` — with a [`crate::prepack::PrepackedB`] serving B when
+/// `prepacked`. The only place the B source, the grid and the runtime are
+/// decided, and the only place the model prices a call: under
+/// [`DispatchMode::Fixed`] it runs the configured runtime unpriced, under
+/// [`DispatchMode::Auto`] the dispatcher's calibrated model chooses.
+pub(crate) fn plan<K: KernelFamily>(
+    shape: (usize, usize, usize),
+    batch: usize,
+    transb: Transpose,
+    cfg: &Config<K>,
+    prepacked: bool,
+) -> Plan {
+    let model =
+        (cfg.dispatch == DispatchMode::Auto).then(|| Model::now(cfg.kernel.flops_per_cycle()));
+    plan_under(model, shape, batch, transb, cfg, prepacked)
+}
+
+/// [`plan`] with the model passed in (`None`: unpriced), so tests can
+/// price at a kernel peak and a calibration of their choosing.
+pub(crate) fn plan_under<K: KernelFamily>(
+    model: Option<Model>,
+    (m, n, k): (usize, usize, usize),
+    batch: usize,
+    transb: Transpose,
+    cfg: &Config<K>,
+    prepacked: bool,
+) -> Plan {
+    let blocks = cfg.blocks;
+    let (mc, nc) = (blocks.mc, blocks.nc);
+    let tasks = row_tasks(m, batch, mc);
+    let b_source = match (prepacked, packs_b(tasks, transb, prepacked)) {
+        (true, _) => BSource::Prepacked,
+        (false, true) => BSource::Packed,
+        (false, false) => BSource::InPlace,
+    };
+    let tail = match n % nc {
+        0 => nc.min(n),
+        narrower => narrower,
+    };
+    // a full panel's grid and the last one's, at `degree` threads
+    let grids = |degree: usize| {
+        let pack_b = b_source == BSource::Packed;
+        let grid = |width| cell_grid(tasks, m * batch, width, mc, cfg.kernel.nr(), degree, pack_b);
+        (grid(nc.min(n)), grid(tail))
+    };
+    let (grid, tail_grid) = grids(cfg.parallelism.degree());
+    let mut plan = Plan {
+        m,
+        n,
+        k,
+        batch,
+        blocks,
+        b_source,
+        grid,
+        tail_grid,
+        runtime: cfg.parallelism,
+        epoch_timeout: cfg.epoch_timeout,
+        predicted: None,
+        measured_ms: None,
+    };
+    if let Some(model) = model {
+        // priced as the configured runtime would cut it
+        let (runtime, predicted) = model.choose(&plan);
+        plan.predicted = Some(predicted);
+        if runtime != plan.runtime {
+            (plan.grid, plan.tail_grid) = grids(runtime.degree());
+            plan.runtime = runtime;
+        }
+    }
+    plan
 }
 
 #[cfg(test)]
@@ -948,17 +1006,14 @@ mod tests {
         // each named mode parses, garbage -> error. The parser's full
         // contract lives in dispatch.rs; this checks auto() wires it.
         assert_eq!(GemmConfig::auto().unwrap().dispatch, DispatchMode::Fixed);
-        for (v, want) in [
-            ("serial", DispatchMode::Serial),
-            ("pool", DispatchMode::Pool),
-            ("auto", DispatchMode::Auto),
-            ("fixed", DispatchMode::Fixed),
-        ] {
+        for (v, want) in [("auto", DispatchMode::Auto), ("fixed", DispatchMode::Fixed)] {
             std::env::set_var("DGEMM_DISPATCH", v);
             assert_eq!(GemmConfig::auto().unwrap().dispatch, want, "value {v:?}");
         }
-        std::env::set_var("DGEMM_DISPATCH", "sometimes");
-        assert!(GemmConfig::auto().is_err());
+        for bad in ["sometimes", "serial", "pool"] {
+            std::env::set_var("DGEMM_DISPATCH", bad);
+            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
+        }
         std::env::remove_var("DGEMM_DISPATCH");
 
         // Telemetry: absent (checked above) and each named mode pass, a
@@ -1011,12 +1066,7 @@ mod tests {
                 base.with_parallelism(Parallelism::Pool(3)),
                 // ragged: blocks % workers != 0
                 base.with_parallelism(Parallelism::Pool(5)),
-                // the dispatcher (forced and model-driven, including the
-                // 2-D grid forced pool runs) must not change a bit either
-                base.with_parallelism(Parallelism::Pool(3))
-                    .with_dispatch(DispatchMode::Serial),
-                base.with_parallelism(Parallelism::Pool(3))
-                    .with_dispatch(DispatchMode::Pool),
+                // the model's pick must not change a bit either
                 base.with_parallelism(Parallelism::Pool(3))
                     .with_dispatch(DispatchMode::Auto),
             ] {
@@ -1057,6 +1107,84 @@ mod tests {
         for gebps in [1, 2, 10] {
             assert!(!packs_b(gebps, No, true) && !packs_b(gebps, Yes, true));
         }
+    }
+
+    /// Every decision a call's plan makes, by shape, at explicit blocking.
+    /// `Fixed` rows run the configured runtime unpriced — the grid the
+    /// pool would cut is the one `Auto` prices; `Auto` rows are priced at
+    /// a neutral calibration.
+    #[test]
+    fn one_plan_decides_b_source_grid_and_runtime() {
+        use BSource::{InPlace, Packed, Prepacked};
+        use Parallelism::{Pool, Serial};
+        use Transpose::{No, Yes};
+        const PAPER: (usize, usize, usize) = (512, 56, 1920);
+        let (portable, avx512) = (Some(2.0), Some(crate::simd::Isa::Avx512.flops_per_cycle()));
+        // `fpc` None is Fixed; Some is Auto, priced at that kernel peak
+        let plan = |fpc: Option<f64>,
+                    shape: (usize, usize, usize),
+                    batch: usize,
+                    transb: Transpose,
+                    (kc, mc, nc): (usize, usize, usize),
+                    runtime: Parallelism,
+                    prepacked: bool| {
+            let cfg = GemmConfig::default()
+                .with_blocks(kc, mc, nc)
+                .with_parallelism(runtime);
+            let model = fpc.map(|flops_per_cycle| Model {
+                flops_per_cycle,
+                calibration: (1.0, 1.0),
+            });
+            plan_under(model, shape, batch, transb, &cfg, prepacked)
+        };
+        let (square, skinny, deep) = ((512, 512, 512), (8, 512, 512), (8, 512, 1100));
+        let (batch, wide) = ((16, 512, 512), (512, 1920 + 100, 512));
+        let (ragged, b_ragged) = ((35, 37, 23), (16, 16, 24));
+        let (stream, b_stream) = ((8, 256, 256), (64, 24, 48));
+        let (coarse, b_coarse) = ((48, 6, 4096), (256, 64, 1792));
+        let (big, tall_k, b_big) = ((1024, 1024, 1024), (48, 4096, 4096), (512, 24, 1792));
+        // the row, its plan, and (B source, grid, tail grid, runtime, priced)
+        #[rustfmt::skip]
+        let rows = [
+            ("512³ serial",                 plan(None, square, 1, No, PAPER, Serial, false),  (Packed, (1, 1), (1, 1), Serial, false)),
+            ("512³ Pool(2)",                plan(None, square, 1, No, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("8x512x512, fresh B",          plan(None, skinny, 1, No, PAPER, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, false)),
+            ("the same on Pool(2)",         plan(None, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            ("transposed B keeps its pack", plan(None, skinny, 1, Yes, PAPER, Serial, false), (Packed, (1, 1), (1, 1), Serial, false)),
+            ("7 x 16 rows, PrepackedB",     plan(None, batch, 7, No, PAPER, Pool(2), true),   (Prepacked, (2, 1), (2, 1), Pool(2), false)),
+            ("7 x 16 rows, fresh B",        plan(None, batch, 7, No, PAPER, Pool(2), false),  (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("k > kc, one block",           plan(None, deep, 1, No, PAPER, Serial, false),    (InPlace, (1, 1), (1, 1), Serial, false)),
+            ("n % nc != 0",                 plan(None, wide, 1, No, PAPER, Pool(2), false),   (Packed, (1, 2), (2, 1), Pool(2), false)),
+            // 3 mc blocks cannot give 4 threads a cell each: columns
+            ("3 blocks on Pool(4)",         plan(None, ragged, 1, No, b_ragged, Pool(4), false), (Packed, (1, 4), (2, 2), Pool(4), false)),
+            // a fixed runtime overrides the model either way (rows below)
+            ("Fixed pool, Auto serial",     plan(None, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 4), (1, 3), Pool(4), false)),
+            ("Fixed serial, Auto pool",     plan(None, big, 1, No, b_big, Serial, false),     (Packed, (1, 1), (1, 1), Serial, false)),
+            ("Auto 512³",                   plan(avx512, square, 1, No, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), true)),
+            ("Auto 8x512x512, portable",    plan(portable, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), true)),
+            ("Auto 8x512x512, AVX-512",     plan(avx512, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 1), (1, 1), Serial, true)),
+            ("Auto cached stream",          plan(portable, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 1), (1, 1), Serial, true)),
+            ("Auto, one cell for 8",        plan(portable, coarse, 1, No, b_coarse, Pool(8), false), (InPlace, (1, 1), (1, 1), Serial, true)),
+            ("Auto skinny m: columns",      plan(portable, tall_k, 1, No, b_big, Pool(8), false), (Packed, (1, 8), (1, 8), Pool(8), true)),
+            ("Auto 1024³ on 8",             plan(portable, big, 1, No, b_big, Pool(8), false), (Packed, (4, 2), (4, 2), Pool(8), true)),
+            ("Auto on one thread",          plan(portable, big, 1, No, b_big, Serial, false),  (Packed, (1, 1), (1, 1), Serial, true)),
+        ];
+        for (row, plan, want) in rows {
+            let got = (
+                plan.b_source,
+                plan.grid,
+                plan.tail_grid,
+                plan.runtime,
+                plan.predicted.is_some(),
+            );
+            assert_eq!(got, want, "{row}");
+        }
+        // nothing is left serial on the caller: half the serial
+        // prediction plus one barrier
+        let priced = plan(avx512, square, 1, No, PAPER, Pool(2), false)
+            .predicted
+            .unwrap();
+        assert!(priced.pool_ms < 0.65 * priced.serial_ms);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!   words a cell packs. Which loop is parallel is that function's
 //!   answer for the shape: columns for a square call or a single block,
 //!   rows for a tall narrow one or a batch against cached panels; for one
-//!   thread, neither.
+//!   thread, neither. The call's [`Plan`] holds the answer, for a full
+//!   panel and the last; the walk only cuts it.
 //! - **[`GemmArena`]**: a thread-local free list of [`BlockSlot`]s
 //!   (packed-A buffer + C staging buffer) and packed-B panels. A cell
 //!   uses the arena of the thread that runs it, so packed operands are
@@ -39,7 +40,7 @@
 //! A cell's body (`run_cell`) is the nest on its own piece: apply β to
 //! its part of C, then for every `kk` take **its own B columns** —
 //! packed into its own panel, or read in place, or addressed inside a
-//! [`PrepackedB`] tile, by the one predicate (`gemm::packs_b`) — pack
+//! [`PrepackedB`] tile, as the plan's [`BSource`] says — pack
 //! **its own A blocks** and GEBP. On the pool it does so *staged*: on a
 //! private copy of its part of C, written back last. The serial call's
 //! one cell works straight on C. Every element of C sees the same kernel
@@ -105,6 +106,7 @@
 #![forbid(unsafe_code)]
 
 use crate::gebp::{gebp_slivers_with, BPanel, BWindow};
+use crate::gemm::{BSource, Plan};
 use crate::lease::{Gate, Lend};
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::KernelSet;
@@ -242,7 +244,7 @@ impl Drop for WorkerPool {
 /// Health snapshot of the pool runtime (see [`WorkerPool::status`]):
 /// the observability half of the fault-tolerance layer.
 ///
-/// Not `Eq`: [`PoolStatus::last_dispatch`] carries the dispatcher's
+/// Not `Eq`: [`PoolStatus::last_dispatch`] carries the model's
 /// predicted timings as `f64`s.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PoolStatus {
@@ -269,10 +271,10 @@ pub struct PoolStatus {
     /// deadline, or their call already returned — and so touched nothing
     /// (process-wide, like the epoch counters).
     pub late_jobs: u64,
-    /// The most recent shape-adaptive dispatch decision (shape, chosen
+    /// The most recent priced plan (shape, B source, grid, chosen
     /// runtime, predicted vs measured time) — `None` until a call runs
-    /// with a non-`Fixed` [`crate::dispatch::DispatchMode`].
-    pub last_dispatch: Option<crate::dispatch::DispatchDecision>,
+    /// with [`crate::dispatch::DispatchMode::Auto`].
+    pub last_dispatch: Option<Plan>,
 }
 
 /// Health snapshot of the global pool ([`WorkerPool::status`]).
@@ -670,18 +672,19 @@ impl_pool_scalar!(f32, ARENA_F32);
 
 /// The row tasks of a call: the `m` rows of each of `batch` entries
 /// stacked, row `r` being row `r % m` of entry `r / m`, in blocks of `mc`
-/// — so a block may straddle entries. The one place they are counted: the
-/// walk cuts them, the grid and the dispatcher price them, and
-/// `gemm::packs_b` counts the GEBPs that share a B pack by them.
+/// — so a block may straddle entries. The one place they are counted, by
+/// the call's plan: [`cell_grid`] deals them out, and `gemm::packs_b`
+/// counts the GEBPs that share a B pack by them.
 #[must_use]
 pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
     (m * batch).div_ceil(mc.max(1))
 }
 
 /// The grid one `jj` panel of a call is cut into, as `(row ranges,
-/// column chunks)`: the [`row_tasks`] of `batch` entries of `m` rows by
-/// `n` panel columns in `nr` slivers, for `degree` threads. The one place
-/// that decision lives — the walk runs it, the dispatcher prices it.
+/// column chunks)`: `tasks` row tasks ([`row_tasks`]) of `rows` stacked
+/// rows by `n` panel columns in `nr` slivers, for `degree` threads. The
+/// one place that decision lives; the call's [`Plan`] holds it, the walk
+/// cuts it and the dispatcher prices it.
 ///
 /// A cell packs its own operands: per unit of depth its rows of A and,
 /// when the call packs B at all (`pack_b`, from `gemm::packs_b`), its
@@ -695,21 +698,20 @@ pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
 /// [`PrepackedB`], which has no B pack to duplicate.
 #[must_use]
 pub fn cell_grid(
-    m: usize,
-    batch: usize,
+    tasks: usize,
+    rows: usize,
     n: usize,
     mc: usize,
     nr: usize,
     degree: usize,
     pack_b: bool,
 ) -> (usize, usize) {
-    let (mc, nr, degree) = (mc.max(1), nr.max(1), degree.max(1));
-    let tasks = row_tasks(m, batch, mc).max(1);
+    let (tasks, mc, nr, degree) = (tasks.max(1), mc.max(1), nr.max(1), degree.max(1));
     let slivers = n.div_ceil(nr).max(1);
     (1..=degree.min(tasks))
         .map(|r| {
             let c = degree.div_ceil(r).min(slivers);
-            let rows = (tasks.div_ceil(r) * mc).min(m * batch);
+            let rows = (tasks.div_ceil(r) * mc).min(rows);
             let cols = if pack_b {
                 (slivers.div_ceil(c) * nr).min(n)
             } else {
@@ -723,19 +725,16 @@ pub fn cell_grid(
 }
 
 /// The cells of one `jj` panel `n` columns wide, and its column chunks as
-/// `(col0, ncols)`: [`cell_grid`]'s row ranges, cut from the stacked rows
+/// `(col0, ncols)`: `grid`'s row ranges, cut from the `rows` stacked rows
 /// in whole `mc` blocks, by its column chunks, cut in whole slivers.
 fn panel_cells(
-    m: usize,
-    batch: usize,
+    rows: usize,
     n: usize,
     mc: usize,
     nr: usize,
-    degree: usize,
-    pack_b: bool,
+    (row_ranges, col_chunks): (usize, usize),
 ) -> (Vec<Cell>, Vec<(usize, usize)>) {
-    let (row_ranges, col_chunks) = cell_grid(m, batch, n, mc, nr, degree, pack_b);
-    let row_ranges = partition_rows(m * batch, mc, row_ranges);
+    let row_ranges = partition_rows(rows, mc, row_ranges);
     let col_chunks = partition_rows(n, nr, col_chunks);
     let cells = col_chunks
         .iter()
@@ -779,32 +778,34 @@ impl Cell {
     }
 }
 
-/// What the jobs of one `jj` panel borrow from the call, through the
-/// [`Gate`]: the operands as the caller passed them, the panel's grid,
-/// and C cut into the grid's column chunks.
-struct Operands<'a, T: Scalar, K> {
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
+/// One call's operands as the caller passed them — C aside — and the
+/// register kernel: what [`gemm_walk`] runs the call's [`Plan`] on.
+#[derive(Clone, Copy)]
+pub(crate) struct Call<'a, T: Scalar, K> {
+    pub(crate) transa: Transpose,
+    pub(crate) transb: Transpose,
+    pub(crate) alpha: T,
     /// Not yet applied to C: staging a cell in applies it, or for `β = 0`
     /// the first `kk` panel's kernels, which store and never read.
-    beta: T,
-    kernel: K,
-    kc: usize,
-    mc: usize,
-    /// Rows of `op(A_i)` and of every `C_i`.
-    m: usize,
-    k: usize,
+    pub(crate) beta: T,
+    pub(crate) kernel: K,
+    pub(crate) a_batch: &'a [MatrixView<'a, T>],
+    pub(crate) b: &'a MatrixView<'a, T>,
+    /// The cached panels when the plan's B source is
+    /// [`BSource::Prepacked`].
+    pub(crate) prepacked: Option<&'a PrepackedB<T>>,
+}
+
+/// What the jobs of one `jj` panel borrow from the call, through the
+/// [`Gate`]: the operands, the plan, the panel's cells, and C cut into
+/// the grid's column chunks.
+struct Operands<'a, T: Scalar, K> {
+    call: Call<'a, T, K>,
+    plan: &'a Plan,
     /// First column of the panel in `op(B)` and C.
     jj: usize,
     /// `(jj, kk)` iterations before this panel's, for span tags.
     gepp0: u64,
-    a_batch: &'a [MatrixView<'a, T>],
-    b: &'a MatrixView<'a, T>,
-    prepacked: Option<&'a PrepackedB<T>>,
-    /// Whether cells pack their B columns ([`crate::gemm::packs_b`]);
-    /// otherwise a [`PrepackedB`] tile or B in place serves them.
-    pack_b: bool,
     /// Whether a panic in a cell is caught and the cell replayed: on the
     /// pool, not on [`Parallelism::Serial`], whose one cell unwinds into
     /// the caller. `faults::panic_in_job` fires only where it is.
@@ -818,9 +819,9 @@ struct Operands<'a, T: Scalar, K> {
 }
 
 /// [`Operands`] without its lifetime, for the [`Gate`].
-struct Call<T, K>(PhantomData<(T, K)>);
+struct OperandsOf<T, K>(PhantomData<(T, K)>);
 
-impl<T: PoolScalar, K: KernelSet<T>> Lend for Call<T, K> {
+impl<T: PoolScalar, K: KernelSet<T>> Lend for OperandsOf<T, K> {
     type Lent<'a> = Operands<'a, T, K>;
 }
 
@@ -861,21 +862,21 @@ fn stage_in<T: Scalar, K>(
     if crate::faults::fail_alloc() || staging.try_reserve(grow).is_err() {
         return Err(GemmError::AllocFailure { what: "C staging" });
     }
-    if ops.beta == T::ZERO {
+    if ops.call.beta == T::ZERO {
         // (zero-fills only what the buffer grows by)
         staging.resize(len, T::ZERO);
         return Ok(());
     }
     staging.clear();
-    for (r0, mc_eff) in cell.blocks(ops.mc) {
+    for (r0, mc_eff) in cell.blocks(ops.plan.blocks.mc) {
         for j in 0..cell.ncols {
-            for (entry, row0, rows) in runs(ops.m, r0, mc_eff) {
+            for (entry, row0, rows) in runs(ops.plan.m, r0, mc_eff) {
                 let view = c[entry].as_view();
                 let col = &view.col(j)[row0..row0 + rows];
-                if ops.beta == T::ONE {
+                if ops.call.beta == T::ONE {
                     staging.extend_from_slice(col);
                 } else {
-                    staging.extend(col.iter().map(|&x| x * ops.beta));
+                    staging.extend(col.iter().map(|&x| x * ops.call.beta));
                 }
             }
         }
@@ -890,9 +891,9 @@ fn stage_out<T: Scalar, K>(
     c: &mut [MatrixViewMut<'_, T>],
 ) {
     let mut staged = staging;
-    for (r0, mc_eff) in cell.blocks(ops.mc) {
+    for (r0, mc_eff) in cell.blocks(ops.plan.blocks.mc) {
         for j in 0..cell.ncols {
-            for (entry, row0, rows) in runs(ops.m, r0, mc_eff) {
+            for (entry, row0, rows) in runs(ops.plan.m, r0, mc_eff) {
                 let (col, rest) = staged.split_at(rows);
                 c[entry].col_mut(j)[row0..row0 + rows].copy_from_slice(col);
                 staged = rest;
@@ -929,20 +930,26 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     cols: usize,
     tile: &mut TileMut<'_, T>,
 ) -> Result<(), GemmError> {
-    let mr = ops.kernel.mr().max(1);
-    let overwrite = kk == 0 && ops.beta == T::ZERO;
+    let Call {
+        transa,
+        alpha,
+        beta,
+        kernel,
+        a_batch,
+        ..
+    } = ops.call;
+    let mr = kernel.mr().max(1);
+    let overwrite = kk == 0 && beta == T::ZERO;
     let mut chunk = mc_eff;
     let mut r = 0usize;
     while r < mc_eff {
         let rows = chunk.min(mc_eff - r);
-        let runs = runs(ops.m, row0 + r, rows);
-        let runs = runs.map(|(entry, i0, n)| (&ops.a_batch[entry], i0, n));
-        match pa.try_pack_runs(runs, ops.transa, kk, kc_eff) {
+        let runs = runs(ops.plan.m, row0 + r, rows);
+        let runs = runs.map(|(entry, i0, n)| (&a_batch[entry], i0, n));
+        match pa.try_pack_runs(runs, transa, kk, kc_eff) {
             Ok(()) => {
                 let mut sub = tile.sub_tile(r, 0, rows, cols);
-                gebp_slivers_with(
-                    ops.kernel, ops.alpha, overwrite, pa, panel, s0, cols, &mut sub,
-                );
+                gebp_slivers_with(kernel, alpha, overwrite, pa, panel, s0, cols, &mut sub);
                 r += rows;
             }
             Err(e) => {
@@ -1008,7 +1015,7 @@ fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
     s0: usize,
     (c0, cols): (usize, usize),
 ) -> Result<(), GemmError> {
-    for (r0, mc_eff) in cell.blocks(ops.mc) {
+    for (r0, mc_eff) in cell.blocks(ops.plan.blocks.mc) {
         telemetry::set_cell(r0, cell.col0);
         if ops.contained {
             crate::faults::panic_in_job();
@@ -1023,12 +1030,12 @@ fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
             // the entries of C are separate matrices: the block is cut
             // where they meet, as the degraded pack cuts it into chunks
             Dest::Direct(c) => {
-                for (entry, row0, rows) in runs(ops.m, r0, mc_eff) {
+                for (entry, row0, rows) in runs(ops.plan.m, r0, mc_eff) {
                     let view = &mut c[entry];
                     let (all, ld) = (view.rows(), view.ld());
                     let mut whole = TileMut::from_slice(all, cell.ncols, ld, view.data_mut());
                     let mut tile = whole.sub_tile(row0, c0, rows, cols);
-                    let run = (entry * ops.m + row0, rows);
+                    let run = (entry * ops.plan.m + row0, rows);
                     gebp_block_resilient(ops, depth, run, pa, b, s0, cols, &mut tile)?;
                 }
             }
@@ -1053,24 +1060,24 @@ fn cell_product<T: Scalar, K: KernelSet<T>>(
     panel: &mut PackedB<T>,
     dest: &mut Dest<'_, '_, T>,
 ) -> Result<(), GemmError> {
-    let nr = ops.kernel.nr().max(1);
+    let nr = ops.call.kernel.nr().max(1);
     let j0 = ops.jj + cell.col0;
     let whole = (0, cell.ncols);
     let mut gepp = ops.gepp0;
     let mut kk = 0usize;
-    while kk < ops.k {
-        let kc_eff = ops.kc.min(ops.k - kk);
+    while kk < ops.plan.k {
+        let kc_eff = ops.plan.blocks.kc.min(ops.plan.k - kk);
         let depth = (kk, kc_eff);
         gepp += 1;
         telemetry::set_gepp(gepp);
-        if let Some(pp) = ops.prepacked {
+        if let Some(pp) = ops.call.prepacked {
             let tile = pp.tile_range(ops.jj, kk, &[(cell.col0, cell.ncols)]);
             gebp_tasks(ops, cell, depth, pa, dest, &**tile, cell.col0 / nr, whole)?;
-        } else if ops.pack_b {
+        } else if ops.plan.b_source == BSource::Packed {
             pack_panel_resilient(
                 panel,
-                ops.b,
-                ops.transb,
+                ops.call.b,
+                ops.call.transb,
                 kk,
                 j0,
                 kc_eff,
@@ -1079,7 +1086,7 @@ fn cell_product<T: Scalar, K: KernelSet<T>>(
                 |c0, packed| gebp_tasks(ops, cell, depth, pa, dest, packed, 0, (c0, packed.nc())),
             )?;
         } else {
-            let window = BWindow::new(ops.b, ops.transb, kk, j0, kc_eff, cell.ncols, nr);
+            let window = BWindow::new(ops.call.b, ops.call.transb, kk, j0, kc_eff, cell.ncols, nr);
             gebp_tasks(ops, cell, depth, pa, dest, &window, 0, whole)?;
         }
         kk += kc_eff;
@@ -1104,8 +1111,8 @@ fn run_cell<T: PoolScalar, K: KernelSet<T>>(
     staged: bool,
 ) -> Result<(), GemmError> {
     T::with_arena(|arena| {
-        let mut slot = arena.take_slot(ops.kernel.mr());
-        let mut panel = arena.take_panel(ops.kernel.nr());
+        let mut slot = arena.take_slot(ops.call.kernel.mr());
+        let mut panel = arena.take_panel(ops.call.kernel.nr());
         let BlockSlot { pa, staging } = &mut slot;
         let c = &ops.c_chunks[cell.chunk];
         let result = if staged {
@@ -1115,11 +1122,11 @@ fn run_cell<T: PoolScalar, K: KernelSet<T>>(
                 .and_then(|()| cell_product(ops, cell, pa, &mut panel, &mut Dest::Staging(staging)))
                 .map(|()| stage_out(ops, cell, staging, &mut write(c)))
         } else {
-            let mut c = write(c);
+            let (mut c, beta) = (write(c), ops.call.beta);
             // (β = 0 needs no pass: the first panel's kernels store C)
-            if ops.beta != T::ZERO {
-                for (entry, row0, rows) in runs(ops.m, cell.r0, cell.r1 - cell.r0) {
-                    c[entry].sub_mut(row0, 0, rows, cell.ncols).scale(ops.beta);
+            if beta != T::ZERO {
+                for (entry, row0, rows) in runs(ops.plan.m, cell.r0, cell.r1 - cell.r0) {
+                    c[entry].sub_mut(row0, 0, rows, cell.ncols).scale(beta);
                 }
             }
             cell_product(ops, cell, pa, &mut panel, &mut Dest::Direct(&mut c))
@@ -1205,7 +1212,7 @@ static LATE_JOBS: AtomicU64 = AtomicU64::new(0);
 /// nothing.
 fn submit_cell<T: PoolScalar, K: KernelSet<T>>(
     pool: &WorkerPool,
-    gate: &Gate<Call<T, K>>,
+    gate: &Gate<OperandsOf<T, K>>,
     states: &Arc<[AtomicU8]>,
     idx: usize,
     done: &Sender<Done>,
@@ -1320,7 +1327,7 @@ fn settle<T: PoolScalar, K: KernelSet<T>>(
             }
             Ok(Err(e)) => return Err(e),
             Err(_) => {
-                let (entry, row0) = (cell.r0 / ops.m, cell.r0 % ops.m);
+                let (entry, row0) = (cell.r0 / ops.plan.m, cell.r0 % ops.plan.m);
                 *worst = Some(GemmError::WorkerFault { entry, row0 });
             }
         }
@@ -1347,13 +1354,13 @@ struct CallState {
 }
 
 /// One epoch: every cell of `ops`' panel computed, by this thread and
-/// up to `degree − 1` others, and this thread back at the barrier with
-/// every fault settled.
+/// up to `degree − 1` others (the plan's runtime), and this thread back
+/// at the barrier with every fault settled.
 fn run_panel<T: PoolScalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
-    degree: usize,
     call: &mut CallState,
 ) -> Result<(), GemmError> {
+    let degree = ops.plan.runtime.degree();
     let pool = match call.shard.as_deref() {
         Some(shard) => shard,
         None => WorkerPool::global(),
@@ -1378,7 +1385,7 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
         }
     }
     let mut outcomes: Vec<Option<Outcome>> = vec![None; cells];
-    crate::lease::scope::<Call<T, K>, _>(ops, |gate| {
+    crate::lease::scope::<OperandsOf<T, K>, _>(ops, |gate| {
         let deadline = call.epoch_timeout.map(|t| Instant::now() + t);
         let states: Arc<[AtomicU8]> = (0..cells).map(|_| AtomicU8::new(UNCLAIMED)).collect();
         for idx in kept..cells {
@@ -1432,19 +1439,18 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
 
 /// Layers 1–3 of Figure 2, the one walk: single GEMMs (a batch of one)
 /// and shared-B batches, on the calling thread or dealt out over the
-/// pool.
+/// pool, as `plan` says.
 ///
 /// Shapes must already be validated (all `A_i` are `m×k` under
 /// `transa`, all `C_i` are `m×n`) and not degenerate: a call with
 /// `α = 0` or an empty dimension is `β·C`, which the caller
 /// ([`crate::gemm::gemm_driver`]) does itself. β is applied here, by each
 /// cell to its own part of C, so no pass over all of C comes first.
-/// With `prepacked`, cells address the cached panels instead of packing
-/// B — they must have been built for exactly this `(transb, nr, kc, nc)`
-/// geometry.
+/// A [`BSource::Prepacked`] plan's cells address `call.prepacked`, which
+/// must have been built for exactly this `(transb, nr, kc, nc)` geometry.
 ///
-/// Each `jj` panel is cut into the cells of [`cell_grid`], and a cell is
-/// loops 2 and 3 on its own piece ([`run_cell`]). Under
+/// Each `jj` panel is cut into the cells of the plan's grid, and a cell
+/// is loops 2 and 3 on its own piece ([`run_cell`]). Under
 /// [`Parallelism::Serial`] the grid is one cell, computed here — straight
 /// on C unless it is a batch, whose blocks span entries only staged: no
 /// pool, no barrier, and a panic unwinds into the caller. Under
@@ -1457,50 +1463,37 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
 /// On the pool faults are contained per cell (see the module docs):
 /// `Ok(())` means C holds the bit-exact serial result, possibly via
 /// recovery; [`GemmError::EpochTimeout`] means the same but cells not
-/// begun by `epoch_timeout` were taken back; any other error — on either
-/// runtime [`GemmError::AllocFailure`] when not even the smallest packing
-/// chunk can be had — means C is unspecified.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS gemm signature plus the batch
+/// begun by the plan's `epoch_timeout` were taken back; any other error —
+/// on either runtime [`GemmError::AllocFailure`] when not even the
+/// smallest packing chunk can be had — means C is unspecified.
 pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
-    transa: Transpose,
-    transb: Transpose,
-    alpha: T,
-    a_batch: &[MatrixView<'_, T>],
-    b: &MatrixView<'_, T>,
-    beta: T,
+    plan: &Plan,
+    call: Call<'_, T, K>,
     c_batch: &mut [MatrixViewMut<'_, T>],
-    kernel: K,
-    blocks: BlockSizes,
-    runtime: Parallelism,
-    epoch_timeout: Option<Duration>,
-    prepacked: Option<&PrepackedB<T>>,
 ) -> Result<(), GemmError> {
-    debug_assert_eq!(a_batch.len(), c_batch.len());
-    let Some(first_a) = a_batch.first() else {
-        return Ok(());
-    };
-    let (m, k) = transa.apply_dims(first_a.rows(), first_a.cols());
-    let n = c_batch[0].cols();
-    if m == 0 || n == 0 || k == 0 {
-        return Ok(());
-    }
-    let BlockSizes { kc, mc, nc, .. } = blocks;
-    let (degree, nr, batch) = (runtime.degree(), kernel.nr().max(1), a_batch.len());
-    let pack_b = crate::gemm::packs_b(row_tasks(m, batch, mc), transb, prepacked.is_some());
+    debug_assert_eq!(call.a_batch.len(), c_batch.len());
+    let Plan { m, n, k, batch, .. } = *plan;
+    let BlockSizes { kc, mc, nc, .. } = plan.blocks;
+    let nr = call.kernel.nr().max(1);
 
-    let mut pooled = match runtime {
+    let mut pooled = match plan.runtime {
         Parallelism::Serial => None,
         Parallelism::Pool(_) => Some(CallState {
             shard: current_pool_override(),
             dones: channel::unbounded(),
-            epoch_timeout,
+            epoch_timeout: plan.epoch_timeout,
             degraded: false,
             worst: None,
         }),
     };
     for (panel, jj) in (0..n).step_by(nc).enumerate() {
         let nc_eff = nc.min(n - jj);
-        let (cells, col_chunks) = panel_cells(m, batch, nc_eff, mc, nr, degree, pack_b);
+        let grid = if nc_eff == nc.min(n) {
+            plan.grid
+        } else {
+            plan.tail_grid
+        };
+        let (cells, col_chunks) = panel_cells(m * batch, nc_eff, mc, nr, grid);
         // every entry's window on the panel, dealt out chunk by chunk
         let mut c_chunks: Vec<Vec<MatrixViewMut<'_, T>>> = col_chunks
             .iter()
@@ -1515,21 +1508,10 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
             }
         }
         let ops = Operands {
-            transa,
-            transb,
-            alpha,
-            beta,
-            kernel,
-            kc,
-            mc,
-            m,
-            k,
+            call,
+            plan,
             jj,
             gepp0: (panel * k.div_ceil(kc)) as u64,
-            a_batch,
-            b,
-            prepacked,
-            pack_b,
             contained: pooled.is_some(),
             cells,
             c_chunks: c_chunks.into_iter().map(RwLock::new).collect(),
@@ -1545,10 +1527,10 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
                     run_cell(&ops, cell, false)?;
                 }
             }
-            Some(call) => run_panel(&ops, degree, call)?,
+            Some(state) => run_panel(&ops, state)?,
         }
     }
-    pooled.and_then(|call| call.worst).map_or(Ok(()), Err)
+    pooled.and_then(|state| state.worst).map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -1657,76 +1639,38 @@ mod tests {
     #[test]
     fn the_grid_packs_the_fewest_words_per_cell() {
         let (mc, nr) = (56, 6);
+        let grid = |m: usize, batch: usize, n: usize, mc: usize, degree: usize, pack_b: bool| {
+            let tasks = row_tasks(m, batch, mc);
+            cell_grid(tasks, m * batch, n, mc, nr, degree, pack_b)
+        };
         // 512³ on two threads: all of A and half of B per cell ties half
         // of A and all of B, and the tie goes to the columns
-        assert_eq!(cell_grid(512, 1, 512, mc, nr, 2, true), (1, 2));
-        assert_eq!(cell_grid(512, 1, 512, mc, nr, 3, true), (1, 3));
+        assert_eq!(grid(512, 1, 512, mc, 2, true), (1, 2));
+        assert_eq!(grid(512, 1, 512, mc, 3, true), (1, 3));
         // a single mc block has only columns to split, packing or not
         for p in [2, 3, 5] {
-            assert_eq!(cell_grid(8, 1, 512, mc, nr, p, false), (1, p));
-            assert_eq!(cell_grid(8, 1, 512, mc, nr, p, true), (1, p));
+            assert_eq!(grid(8, 1, 512, mc, p, false), (1, p));
+            assert_eq!(grid(8, 1, 512, mc, p, true), (1, p));
         }
         // m >> n with fewer slivers than threads (an LU trailing update):
         // rows, though every cell then packs all of B
-        assert_eq!(cell_grid(4096, 1, 12, mc, nr, 5, true), (5, 1));
+        assert_eq!(grid(4096, 1, 12, mc, 5, true), (5, 1));
         // a batch against a PrepackedB has no B pack to duplicate: entries
-        assert_eq!(cell_grid(16, 8, 512, mc, nr, 2, false), (2, 1));
-        assert_eq!(cell_grid(16, 8, 512, mc, nr, 2, true), (1, 2));
+        assert_eq!(grid(16, 8, 512, mc, 2, false), (2, 1));
+        assert_eq!(grid(16, 8, 512, mc, 2, true), (1, 2));
         // one cell per thread beats more, smaller cells run in two rounds
-        assert_eq!(cell_grid(1024, 1, 1024, 24, nr, 8, true), (4, 2));
+        assert_eq!(grid(1024, 1, 1024, 24, 8, true), (4, 2));
         // fewer cells than threads only when the shape has no more
-        assert_eq!(cell_grid(48, 1, 6, 64, nr, 8, true), (1, 1));
-        assert_eq!(cell_grid(100, 1, 12, 56, nr, 8, true), (2, 2));
+        assert_eq!(grid(48, 1, 6, 64, 8, true), (1, 1));
+        assert_eq!(grid(100, 1, 12, 56, 8, true), (2, 2));
         // one thread, one cell
-        assert_eq!(cell_grid(512, 4, 512, mc, nr, 1, true), (1, 1));
-        // a batch's rows stack: two 16-row entries are one block
+        assert_eq!(grid(512, 4, 512, mc, 1, true), (1, 1));
+        // a batch's rows stack: two 16-row entries are one block, and
+        // seven 20-row entries at mc = 8 are 140 rows in 18 tasks, not the
+        // 21 they would be per entry
         assert_eq!(row_tasks(16, 2, mc), 1);
-        assert_eq!(cell_grid(16, 2, 512, mc, nr, 2, false), (1, 2));
-    }
-
-    /// `dispatch::decide` prices the row split the walk cuts: for 7
-    /// entries of 20 rows at `mc` = 8 that is 140 stacked rows in 18 row
-    /// tasks (per entry it would be 21), cut in whole blocks that straddle
-    /// entries.
-    #[test]
-    fn the_dispatcher_prices_the_row_split_the_walk_cuts() {
-        use crate::dispatch::{decide, DispatchMode};
-        let (m, batch, n, mc, nr) = (20, 7, 60, 8, 6);
-        assert_eq!(row_tasks(m, batch, mc), 18);
-        let blocks = BlockSizes::custom(8, nr, 16, mc, n);
-        for degree in [2, 3, 4, 8] {
-            for cached in [false, true] {
-                let tb = Transpose::No;
-                let d = decide(
-                    DispatchMode::Pool,
-                    m,
-                    n,
-                    16,
-                    batch,
-                    &blocks,
-                    nr,
-                    32.0,
-                    degree,
-                    tb,
-                    cached,
-                );
-                let pack_b = crate::gemm::packs_b(row_tasks(m, batch, mc), tb, cached);
-                let (cells, chunks) = panel_cells(m, batch, n, mc, nr, degree, pack_b);
-                let mut ranges: Vec<_> = cells.iter().map(|c| (c.r0, c.r1)).collect();
-                ranges.sort_unstable();
-                ranges.dedup();
-                assert_eq!(
-                    (d.m_tasks, d.n_split),
-                    (ranges.len(), chunks.len()),
-                    "degree {degree} cached {cached}"
-                );
-                assert_eq!(ranges.first().map(|r| r.0), Some(0));
-                assert_eq!(ranges.last().map(|r| r.1), Some(m * batch));
-                assert!(ranges
-                    .windows(2)
-                    .all(|w| w[0].1 == w[1].0 && w[1].0 % mc == 0));
-            }
-        }
+        assert_eq!(grid(16, 2, 512, mc, 2, false), (1, 2));
+        assert_eq!(row_tasks(20, 7, 8), 18);
     }
 
     /// Five 13-row entries stacked, in 8-row blocks.
@@ -1749,31 +1693,36 @@ mod tests {
         assert_eq!(blocks, [(48, 8), (56, 8), (64, 1)]);
     }
 
+    /// The 8×6 kernel blocked `(kc, mc, nc)` on `Pool(degree)`.
+    fn on_pool((kc, mc, nc): (usize, usize, usize), degree: usize) -> crate::gemm::GemmConfig {
+        crate::gemm::GemmConfig::for_kernel(crate::microkernel::MicroKernelKind::Mk8x6, 1)
+            .with_blocks(kc, mc, nc)
+            .with_parallelism(Parallelism::Pool(degree))
+    }
+
     /// f64 pooled call on `a`, `b` into a copy of `c0`, bit pattern out.
     fn pooled(
         (transa, transb): (Transpose, Transpose),
         a: &[crate::matrix::Matrix],
         b: &crate::matrix::Matrix,
         c0: &crate::matrix::Matrix,
-        blocks: BlockSizes,
+        blocks: (usize, usize, usize),
         degree: usize,
     ) -> Vec<Vec<u64>> {
         let mut c: Vec<_> = a.iter().map(|_| c0.clone()).collect();
         let a_views: Vec<_> = a.iter().map(crate::matrix::Matrix::view).collect();
         let mut c_views: Vec<_> = c.iter_mut().map(crate::matrix::Matrix::view_mut).collect();
-        let kernel = crate::microkernel::MicroKernelKind::Mk8x6;
-        gemm_walk(
+        let cfg = on_pool(blocks, degree);
+        let b = b.view();
+        crate::gemm::gemm_driver(
             transa,
             transb,
             1.25,
             &a_views,
-            &b.view(),
+            &b,
             -0.5,
             &mut c_views,
-            kernel,
-            blocks,
-            Parallelism::Pool(degree),
-            None,
+            &cfg,
             None,
         )
         .expect("pooled gemm");
@@ -1792,7 +1741,7 @@ mod tests {
         // sliver boundary, overlapped a neighbour or missed a ragged
         // edge would show.
         use crate::matrix::Matrix;
-        let blocks = BlockSizes::custom(8, 6, 16, 24, 30);
+        let blocks = (16, 24, 30);
         for (m, n, k, batch) in [
             (70, 45, 33, 1),
             (8, 75, 40, 1),
@@ -1934,31 +1883,24 @@ mod tests {
     #[test]
     fn with_pool_routes_pooled_gemm_to_the_shard_bit_identically() {
         use crate::matrix::Matrix;
-        use crate::microkernel::MicroKernelKind;
 
         let (m, n, k) = (70, 45, 33);
         let a = Matrix::random(m, k, 301);
         let b = Matrix::random(k, n, 302);
-        let blocks = BlockSizes::custom(8, 6, 16, 24, 18);
-        let kernel = MicroKernelKind::Mk8x6;
+        let cfg = on_pool((16, 24, 18), 3);
         let run = |shard: Option<&Arc<WorkerPool>>| -> Matrix {
             let mut c = Matrix::zeros(m, n);
             let mut go = || {
-                let a_views = [a.view()];
-                let mut c_views = [c.view_mut()];
-                gemm_walk(
-                    Transpose::No,
-                    Transpose::No,
+                let no = Transpose::No;
+                crate::gemm::try_gemm(
+                    no,
+                    no,
                     1.0,
-                    &a_views,
+                    &a.view(),
                     &b.view(),
                     1.0,
-                    &mut c_views,
-                    kernel,
-                    blocks,
-                    Parallelism::Pool(3),
-                    None,
-                    None,
+                    &mut c.view_mut(),
+                    &cfg,
                 )
                 .expect("pooled gemm");
             };

@@ -719,10 +719,9 @@ fn b_source_axis_conforms() {
     }
 }
 
-/// Shape-adaptive dispatch must never change results. Every mode —
-/// `Fixed`, forced `Serial`, forced `Pool` (the pool cuts the same grid
-/// of cells under either), and the cost-model `Auto` pick — must be
-/// bit-identical to the serial uncached run, for
+/// Shape-adaptive dispatch must never change results. Every plan — a
+/// fixed `Serial` or `Pool(4)` runtime, and the cost-model `Auto` pick —
+/// must be bit-identical to the serial uncached run, for
 /// every kernel, cached and uncached, on shapes where `m % mc != 0`
 /// AND `n % nc != 0` AND `n % nr != 0`: ragged trailing M-band, ragged
 /// trailing `jj` panel, and a ragged trailing sliver *inside* the grid
@@ -754,15 +753,14 @@ fn dispatch_modes_conform_on_ragged_grid_cells() {
         .unwrap();
 
         for cached in [false, true] {
-            for mode in [
-                DispatchMode::Fixed,
-                DispatchMode::Serial,
-                DispatchMode::Pool,
-                DispatchMode::Auto,
+            for (mode, runtime) in [
+                (DispatchMode::Fixed, Parallelism::Pool(4)),
+                (DispatchMode::Fixed, Parallelism::Serial),
+                (DispatchMode::Auto, Parallelism::Pool(4)),
             ] {
                 let cfg = GemmConfig::for_kernel(kind, 1)
                     .with_blocks(kc, mc, nc)
-                    .with_parallelism(Parallelism::Pool(4))
+                    .with_parallelism(runtime)
                     .with_pack_cache(cached)
                     .with_dispatch(mode);
                 let mut c = c0.clone();
@@ -776,25 +774,13 @@ fn dispatch_modes_conform_on_ragged_grid_cells() {
                     &mut c.view_mut(),
                     &cfg,
                 )
-                .unwrap_or_else(|e| panic!("{kind:?} {mode:?} cached={cached}: {e}"));
+                .unwrap_or_else(|e| panic!("{kind:?} {mode:?} {runtime:?} cached={cached}: {e}"));
                 assert_eq!(
                     c.view().data(),
                     base.view().data(),
-                    "{kind:?} {mode:?} cached={cached} ({m}x{n}x{k}): \
+                    "{kind:?} {mode:?} {runtime:?} cached={cached} ({m}x{n}x{k}): \
                      dispatch diverges bitwise from serial uncached"
                 );
-
-                // forced pool on this shape must actually split columns
-                // (3 mc blocks cannot give 4 threads a cell each);
-                // tolerate a concurrent test overwriting last_dispatch.
-                if mode == DispatchMode::Pool {
-                    let status = dgemm_core::pool::status();
-                    let d = status.last_dispatch.expect("decision published");
-                    if (d.m, d.n, d.k) == (m, n, k) {
-                        assert!(d.forced);
-                        assert!(d.n_split >= 2, "forced pool skipped the grid: {d:?}");
-                    }
-                }
             }
         }
         f64::pack_cache().invalidate(&b.view());
@@ -1227,8 +1213,8 @@ fn the_serial_walk_is_the_textbook_nest_bit_for_bit() {
 
 /// Everything `GemmConfig::auto()` can return for the default kernel —
 /// thread count × dispatch mode × pack cache, the three things
-/// `DGEMM_NUM_THREADS`, `DGEMM_DISPATCH` and `DGEMM_PACK_CACHE` set —
-/// built explicitly, on a shape large enough to engage several layer-3
+/// `DGEMM_NUM_THREADS`, `DGEMM_DISPATCH` and `DGEMM_PACK_CACHE` set, plus
+/// either runtime fixed whatever the thread count — built explicitly, on a shape large enough to engage several layer-3
 /// blocks; then `auto()` itself once, so whatever `DGEMM_*` a developer
 /// has exported is honoured too. Parsing those variables is pinned where
 /// it happens (`gemm.rs` unit tests).
@@ -1280,15 +1266,17 @@ fn auto_config_conforms_in_this_environment() {
     };
 
     for threads in [1, 2, 8] {
-        for mode in [
-            DispatchMode::Fixed,
-            DispatchMode::Serial,
-            DispatchMode::Pool,
-            DispatchMode::Auto,
+        let auto = Parallelism::from_threads(threads);
+        for (mode, runtime) in [
+            (DispatchMode::Fixed, auto),
+            (DispatchMode::Fixed, Parallelism::Serial),
+            (DispatchMode::Fixed, Parallelism::Pool(threads)),
+            (DispatchMode::Auto, auto),
         ] {
             for cached in [false, true] {
                 conforms(
                     GemmConfig::for_kernel(MicroKernelKind::DEFAULT, threads)
+                        .with_parallelism(runtime)
                         .with_dispatch(mode)
                         .with_pack_cache(cached),
                 );

@@ -15,7 +15,6 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use dgemm_core::batch::gemm_batch_shared_b;
 use dgemm_core::gemm::{gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
@@ -79,7 +78,8 @@ fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2],
     let mut jj = 0;
     while jj < n {
         let nc_eff = NC.min(n - jj);
-        let (row_ranges, col_chunks) = cell_grid(m, 1, nc_eff, MC, NR, degree, !b_in_place);
+        let tasks = m.div_ceil(MC);
+        let (row_ranges, col_chunks) = cell_grid(tasks, m, nc_eff, MC, NR, degree, !b_in_place);
         let (row_ranges, col_chunks) = (row_ranges as u64, col_chunks as u64);
         let mut kk = 0;
         while kk < k {
@@ -109,6 +109,7 @@ fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2],
 #[cfg(feature = "telemetry")]
 mod enabled {
     use super::*;
+    use dgemm_core::batch::gemm_batch_shared_b;
     use dgemm_core::telemetry::{BlockSizes, GemmReport, TelemetryMode, TraceEvent, TraceKind};
 
     fn check(par: Parallelism, m: usize, n: usize, k: usize) {
@@ -268,8 +269,8 @@ mod enabled {
             let _g = lock_and_reset();
             check(par, m, n, k);
         }
-        assert_eq!(cell_grid(130, 1, NC, MC, NR, 3, true), (3, 1));
-        assert_eq!(cell_grid(25, 1, NC, MC, NR, 2, true), (1, 2));
+        assert_eq!(cell_grid(6, 130, NC, MC, NR, 3, true), (3, 1));
+        assert_eq!(cell_grid(2, 25, NC, MC, NR, 2, true), (1, 2));
     }
 
     /// Figure 9, observed: on the pool every thread that computes packs
