@@ -10,9 +10,11 @@
 //! re-read, stay inside the budget, serve bit-exact blockings — is held
 //! by `crates/core/tests/autotune_db.rs`, not by this driver.
 //!
-//! Options: `--quick` (small shapes, small budget); `DGEMM_NUM_THREADS`,
+//! Options: `--quick` (small shapes, small budget). `DGEMM_NUM_THREADS`,
 //! `DGEMM_TUNE_DB`, `DGEMM_AUTOTUNE_BUDGET` and `DGEMM_AUTOTUNE_REPS` are
-//! read by the library's parsers, and a malformed value exits 2.
+//! read through the library's environment table (`GemmConfig::auto`,
+//! `autotune::TuneOptions::from_env`, `autotune::db_path`; README,
+//! "Environment variables"), so a malformed or non-unicode value exits 2.
 
 use dgemm_core::autotune::{self, AutotuneMode, TuneOptions};
 use dgemm_core::gemm::{try_gemm, GemmConfig};

@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 use crate::dispatch::DispatchMode;
+use crate::env;
 use crate::gemm::{Config, KernelFamily};
 use crate::pool::{Parallelism, WorkerPool};
 use crate::scalar::Scalar;
@@ -102,26 +103,6 @@ pub enum AutotuneMode {
     Full,
 }
 
-impl AutotuneMode {
-    /// Parse `DGEMM_AUTOTUNE`: absent/`off` disables, `read` applies
-    /// stored winners, `full` also tunes on miss; anything else is a
-    /// typed error (the `DGEMM_DISPATCH` pattern).
-    pub fn from_env() -> Result<Self, GemmError> {
-        match std::env::var("DGEMM_AUTOTUNE") {
-            Ok(v) => match v.trim() {
-                "read" => Ok(AutotuneMode::Read),
-                "full" => Ok(AutotuneMode::Full),
-                "" | "off" => Ok(AutotuneMode::Off),
-                _ => Err(GemmError::BadConfig("DGEMM_AUTOTUNE must be off|read|full")),
-            },
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(GemmError::BadConfig("DGEMM_AUTOTUNE is not unicode"))
-            }
-            Err(std::env::VarError::NotPresent) => Ok(AutotuneMode::Off),
-        }
-    }
-}
-
 /// Sweep knobs, from `DGEMM_AUTOTUNE_BUDGET` (max configurations per
 /// sweep, clamped to `2..=32`, default 16) and `DGEMM_AUTOTUNE_REPS`
 /// (timed pairs per candidate, clamped to `1..=9`, default 9).
@@ -147,35 +128,15 @@ impl TuneOptions {
     /// Read the sweep knobs from the environment; malformed values are
     /// typed errors, absent ones take the defaults.
     pub fn from_env() -> Result<Self, GemmError> {
-        let budget = match std::env::var("DGEMM_AUTOTUNE_BUDGET") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n.clamp(2, MAX_CANDIDATES),
-                _ => {
-                    return Err(GemmError::BadConfig(
-                        "DGEMM_AUTOTUNE_BUDGET must be a positive integer",
-                    ))
-                }
-            },
-            Err(std::env::VarError::NotUnicode(_)) => {
-                return Err(GemmError::BadConfig("DGEMM_AUTOTUNE_BUDGET is not unicode"))
-            }
-            Err(std::env::VarError::NotPresent) => DEFAULT_BUDGET,
-        };
-        let reps = match std::env::var("DGEMM_AUTOTUNE_REPS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(n) if n > 0 => n.min(MAX_REPS),
-                _ => {
-                    return Err(GemmError::BadConfig(
-                        "DGEMM_AUTOTUNE_REPS must be a positive integer",
-                    ))
-                }
-            },
-            Err(std::env::VarError::NotUnicode(_)) => {
-                return Err(GemmError::BadConfig("DGEMM_AUTOTUNE_REPS is not unicode"))
-            }
-            Err(std::env::VarError::NotPresent) => DEFAULT_REPS,
-        };
-        Ok(TuneOptions { budget, reps })
+        let positive = |v: &str| v.parse::<usize>().ok().filter(|&n| n > 0);
+        Ok(TuneOptions {
+            budget: env::AUTOTUNE_BUDGET
+                .parse(positive)?
+                .map_or(DEFAULT_BUDGET, |n| n.clamp(2, MAX_CANDIDATES)),
+            reps: env::AUTOTUNE_REPS
+                .parse(positive)?
+                .map_or(DEFAULT_REPS, |n| n.min(MAX_REPS)),
+        })
     }
 }
 
@@ -184,45 +145,17 @@ impl TuneOptions {
 /// `$XDG_CACHE_HOME/dgemm/tune.json`, else `$HOME/.cache/dgemm/tune.json`,
 /// else `None` (no home: tuning is memory-only for the process).
 pub fn db_path() -> Result<Option<PathBuf>, GemmError> {
-    match std::env::var("DGEMM_TUNE_DB") {
-        Ok(v) => {
-            let t = v.trim();
-            if t.is_empty() {
-                Err(GemmError::BadConfig(
-                    "DGEMM_TUNE_DB must be a non-empty path",
-                ))
-            } else {
-                Ok(Some(PathBuf::from(t)))
-            }
-        }
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err(GemmError::BadConfig("DGEMM_TUNE_DB is not unicode"))
-        }
-        Err(std::env::VarError::NotPresent) => {
-            let base = std::env::var_os("XDG_CACHE_HOME")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from)
-                .or_else(|| {
-                    std::env::var_os("HOME")
-                        .filter(|v| !v.is_empty())
-                        .map(|h| PathBuf::from(h).join(".cache"))
-                });
-            Ok(base.map(|b| b.join("dgemm").join("tune.json")))
-        }
-    }
+    let db = env::TUNE_DB.parse(|v| (!v.is_empty()).then(|| PathBuf::from(v)))?;
+    Ok(db.or_else(|| env::cache_home().map(|b| b.join("dgemm").join("tune.json"))))
 }
 
 /// Age bound on tuned entries: `DGEMM_TUNE_MAX_AGE_DAYS` as a day
-/// count (`None` when unset — entries never expire by age, the
-/// pre-existing behavior). `0` expires every dated entry immediately;
-/// garbage is a typed error ([`crate::gemm::Config::auto`]
-/// validates this eagerly so a bad value fails config construction,
-/// not a later consultation).
-pub fn max_age_from_env() -> Result<Option<u64>, GemmError> {
-    crate::gemm::env_u64(
-        "DGEMM_TUNE_MAX_AGE_DAYS",
-        "DGEMM_TUNE_MAX_AGE_DAYS must be an integer day count",
-    )
+/// count (`None` when unset — entries never expire by age). `0` expires
+/// every dated entry immediately; garbage is a typed error
+/// ([`crate::gemm::Config::auto`] validates this eagerly so a bad value
+/// fails config construction, not a later consultation).
+pub(crate) fn max_age_from_env() -> Result<Option<u64>, GemmError> {
+    env::TUNE_MAX_AGE_DAYS.parse(|v| v.parse::<u64>().ok())
 }
 
 /// Whether `entry` is older than `max_age_days`. Entries with an
@@ -308,7 +241,7 @@ pub struct TuneEntry {
     /// Staleness is decided by `version` (mismatches are dropped at
     /// parse) *and*, when `DGEMM_TUNE_MAX_AGE_DAYS` is set, by age:
     /// under Full mode an over-age entry is treated as a miss and
-    /// re-tuned in the background ([`max_age_from_env`]).
+    /// re-tuned in the background.
     pub tuned_at: u64,
     /// [`LIB_VERSION`] of the build that produced the entry; a
     /// mismatch marks the entry stale and the parser drops it.
@@ -1209,84 +1142,21 @@ mod tests {
 
     #[test]
     fn mode_and_options_parse_from_env() {
-        let _env = crate::dispatch::env_lock();
-        std::env::remove_var("DGEMM_AUTOTUNE");
-        assert_eq!(AutotuneMode::from_env().unwrap(), AutotuneMode::Off);
-        for (v, want) in [
-            ("off", AutotuneMode::Off),
-            ("", AutotuneMode::Off),
-            ("read", AutotuneMode::Read),
-            ("full", AutotuneMode::Full),
-            (" full ", AutotuneMode::Full),
-        ] {
-            std::env::set_var("DGEMM_AUTOTUNE", v);
-            assert_eq!(AutotuneMode::from_env().unwrap(), want, "value {v:?}");
-        }
-        for bad in ["on", "1", "tune"] {
-            std::env::set_var("DGEMM_AUTOTUNE", bad);
-            assert!(AutotuneMode::from_env().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_AUTOTUNE");
-
-        std::env::remove_var("DGEMM_AUTOTUNE_BUDGET");
-        std::env::remove_var("DGEMM_AUTOTUNE_REPS");
-        assert_eq!(TuneOptions::from_env().unwrap(), TuneOptions::default());
-        std::env::set_var("DGEMM_AUTOTUNE_BUDGET", "100");
-        assert_eq!(TuneOptions::from_env().unwrap().budget, MAX_CANDIDATES);
-        std::env::set_var("DGEMM_AUTOTUNE_BUDGET", "1");
-        assert_eq!(TuneOptions::from_env().unwrap().budget, 2);
-        std::env::set_var("DGEMM_AUTOTUNE_REPS", "99");
-        assert_eq!(TuneOptions::from_env().unwrap().reps, MAX_REPS);
-        for bad in ["0", "-1", "many", ""] {
-            std::env::set_var("DGEMM_AUTOTUNE_BUDGET", bad);
-            assert!(TuneOptions::from_env().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_AUTOTUNE_BUDGET");
-        for bad in ["0", "x", ""] {
-            std::env::set_var("DGEMM_AUTOTUNE_REPS", bad);
-            assert!(TuneOptions::from_env().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_AUTOTUNE_REPS");
-
-        // DGEMM_TUNE_DB: explicit path, empty (error), absent (default)
-        std::env::set_var("DGEMM_TUNE_DB", "/tmp/somewhere/tune.json");
-        assert_eq!(
-            db_path().unwrap(),
-            Some(PathBuf::from("/tmp/somewhere/tune.json"))
-        );
-        std::env::set_var("DGEMM_TUNE_DB", "  ");
-        assert!(db_path().is_err());
-        std::env::remove_var("DGEMM_TUNE_DB");
-        let default = db_path().unwrap();
-        if let Some(p) = default {
-            assert!(p.ends_with("dgemm/tune.json"), "{}", p.display());
-        }
-
-        // DGEMM_TUNE_MAX_AGE_DAYS: a day count, or a typed error from
-        // `auto()` of either kernel family as soon as a mode consults the
-        // DB; with the tuner off it is never read.
-        let bad_age = GemmError::BadConfig("DGEMM_TUNE_MAX_AGE_DAYS must be an integer day count");
-        std::env::set_var("DGEMM_TUNE_MAX_AGE_DAYS", "30");
-        assert_eq!(max_age_from_env().unwrap(), Some(30));
-        std::env::set_var("DGEMM_TUNE_MAX_AGE_DAYS", "a fortnight");
+        crate::env::tests::check(crate::env::tests::AUTOTUNE_ROWS);
+        // A rejected age is the row's own error, for either family.
+        let _env = env::lock();
+        let bad_age = env::TUNE_MAX_AGE_DAYS.err();
+        std::env::set_var(env::TUNE_MAX_AGE_DAYS.name, "a fortnight");
         assert_eq!(max_age_from_env().unwrap_err(), bad_age);
-        assert!(crate::gemm::GemmConfig::auto().is_ok());
-        assert!(crate::sgemm::SgemmConfig::auto().is_ok());
         for mode in ["read", "full"] {
-            std::env::set_var("DGEMM_AUTOTUNE", mode);
-            assert_eq!(
-                crate::gemm::GemmConfig::auto().unwrap_err(),
-                bad_age,
-                "f64 {mode}"
-            );
-            assert_eq!(
-                crate::sgemm::SgemmConfig::auto().unwrap_err(),
-                bad_age,
-                "f32 {mode}"
-            );
+            std::env::set_var(env::AUTOTUNE.name, mode);
+            let f64_err = crate::gemm::GemmConfig::auto().unwrap_err();
+            let f32_err = crate::sgemm::SgemmConfig::auto().unwrap_err();
+            assert_eq!(f64_err, bad_age, "f64 {mode}");
+            assert_eq!(f32_err, bad_age, "f32 {mode}");
         }
-        std::env::remove_var("DGEMM_AUTOTUNE");
-        std::env::remove_var("DGEMM_TUNE_MAX_AGE_DAYS");
+        std::env::remove_var(env::AUTOTUNE.name);
+        std::env::remove_var(env::TUNE_MAX_AGE_DAYS.name);
     }
 
     /// A tiny but real closed loop: sweep a small class with a 4-config

@@ -53,27 +53,6 @@ pub enum DispatchMode {
     Auto,
 }
 
-impl DispatchMode {
-    /// Parse `DGEMM_DISPATCH`: absent/`fixed` keeps the configured
-    /// runtime, `auto` enables the cost model; anything else is a typed
-    /// error.
-    pub(crate) fn from_env() -> Result<Self, crate::GemmError> {
-        match std::env::var("DGEMM_DISPATCH") {
-            Ok(v) => match v.trim() {
-                "auto" => Ok(DispatchMode::Auto),
-                "" | "fixed" => Ok(DispatchMode::Fixed),
-                _ => Err(crate::GemmError::BadConfig(
-                    "DGEMM_DISPATCH must be auto|fixed",
-                )),
-            },
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(crate::GemmError::BadConfig("DGEMM_DISPATCH is not unicode"))
-            }
-            Err(std::env::VarError::NotPresent) => Ok(DispatchMode::Fixed),
-        }
-    }
-}
-
 /// The model's calibrated predictions for one call ([`Plan::predicted`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Predicted {
@@ -128,16 +107,6 @@ const F64_ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
 
 /// Per-runtime measured/predicted EWMA ratios (f64 bits): [serial, pool].
 static CALIBRATION: [AtomicU64; 2] = [AtomicU64::new(F64_ONE_BITS), AtomicU64::new(F64_ONE_BITS)];
-
-/// Serializes every test that reads or writes the `DGEMM_*` environment
-/// variables: `GemmConfig::auto()` now reads `DGEMM_DISPATCH`, so the
-/// parser test here and the `auto()` test in [`crate::gemm`] would race
-/// without a shared lock.
-#[cfg(test)]
-pub(crate) fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The latest priced plan ([`last_decision`]).
 static LAST: Mutex<Option<Plan>> = Mutex::new(None);
@@ -539,27 +508,6 @@ mod tests {
 
     #[test]
     fn env_parsing_matches_contract() {
-        // Uses the same single-body pattern as gemm.rs env tests: all
-        // DGEMM_DISPATCH cases in one test, since env reads race across
-        // parallel test threads. gemm.rs owns testing auto(); this
-        // covers only the parser.
-        let _env = env_lock();
-        std::env::remove_var("DGEMM_DISPATCH");
-        assert_eq!(DispatchMode::from_env().unwrap(), DispatchMode::Fixed);
-        for (v, want) in [
-            ("auto", DispatchMode::Auto),
-            ("fixed", DispatchMode::Fixed),
-            ("", DispatchMode::Fixed),
-            (" auto ", DispatchMode::Auto),
-        ] {
-            std::env::set_var("DGEMM_DISPATCH", v);
-            assert_eq!(DispatchMode::from_env().unwrap(), want, "value {v:?}");
-        }
-        // the runtime itself is Parallelism's to say
-        for bad in ["serial", "pool", "parallel", "2", "on"] {
-            std::env::set_var("DGEMM_DISPATCH", bad);
-            assert!(DispatchMode::from_env().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_DISPATCH");
+        crate::env::tests::check(crate::env::tests::DISPATCH_ROWS);
     }
 }

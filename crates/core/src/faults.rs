@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the pool runtime.
 //!
 //! Compiled under the `fault-injection` feature, this module lets tests
-//! install a [`FaultPlan`] describing *which* failure to provoke and
+//! install a `FaultPlan` describing *which* failure to provoke and
 //! *when* (the nth occurrence of the corresponding injection site).
 //! These sites exist, matching the failure model in DESIGN.md §10:
 //!
@@ -23,18 +23,19 @@
 //! layer (DESIGN.md §15): a stalled scheduler exercises queued-request
 //! deadlines firing while work is pending, and a service-level panic
 //! exercises the retry/degrade ladder above the pool's own
-//! containment. [`FaultPlan::from_seed`] keeps its historical 5-fault
+//! containment. `FaultPlan::from_seed` keeps its historical 5-fault
 //! pool mapping (the property suite's seeds stay meaningful);
-//! [`FaultPlan::from_seed_service`] adds the two service sites and is
+//! `FaultPlan::from_seed_service` adds the two service sites and is
 //! what the chaos-soak suite drives through `DGEMM_FAULT_SEED`. No seed
 //! draws `stall_in_cell`: a plan names it.
 //!
 //! Occurrence counters are global atomics, so plans are deterministic
 //! for a fixed interleaving of calls: "fail the 3rd allocation" always
 //! fails the 3rd allocation. Plans can also be derived from a seed
-//! ([`FaultPlan::from_seed`]) or from `DGEMM_FAULT_SEED` in the
-//! environment ([`install_from_env`]), which is how the property suite
-//! explores the fault space reproducibly.
+//! (`FaultPlan::from_seed`) or from `DGEMM_FAULT_SEED` in the
+//! environment (`install_from_env`; a malformed seed is an error),
+//! which is how the property suite explores the fault space
+//! reproducibly.
 //!
 //! With the feature disabled every hook is an inline no-op, so the
 //! production pool runtime carries zero overhead (the `pool_steady_state`
@@ -49,6 +50,7 @@ pub use enabled::*;
 mod enabled {
     use crate::trace::{self, HealthEventKind};
     use crate::util::SplitMix64;
+    use crate::GemmError;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Mutex, PoisonError};
     use std::time::Duration;
@@ -207,17 +209,15 @@ mod enabled {
         *guard = None;
     }
 
-    /// Install the plan seeded by `DGEMM_FAULT_SEED`, if set and valid.
-    ///
-    /// Returns the seed on success so harnesses can log it.
-    pub fn install_from_env() -> Option<u64> {
-        let seed: u64 = std::env::var("DGEMM_FAULT_SEED")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()?;
-        install(FaultPlan::from_seed(seed));
-        Some(seed)
+    /// Install the plan seeded by `DGEMM_FAULT_SEED`: `Ok(None)` when
+    /// unset, the seed when installed (so harnesses can log it), and a
+    /// [`GemmError::BadConfig`] when set but not a `u64`.
+    pub fn install_from_env() -> Result<Option<u64>, GemmError> {
+        let seed = crate::env::FAULT_SEED.parse(|v| v.parse::<u64>().ok())?;
+        if let Some(seed) = seed {
+            install(FaultPlan::from_seed(seed));
+        }
+        Ok(seed)
     }
 
     fn plan() -> Option<FaultPlan> {

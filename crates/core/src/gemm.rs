@@ -29,6 +29,7 @@
 
 use crate::autotune::AutotuneMode;
 use crate::dispatch::{DispatchMode, Model, Predicted};
+use crate::env;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
 use crate::pool::{cell_grid, gemm_walk, row_tasks, Call, Parallelism, PoolScalar, WorkerPool};
@@ -159,7 +160,7 @@ pub(crate) fn host_mc(
 impl<K: KernelFamily> Config<K> {
     /// Analytic configuration for a kernel and thread count: `kc` and `nc`
     /// solved for the family's machine (eqs. 15 and 18–20), `mc` from this
-    /// host's L2 ([`host_mc`]). `threads > 1` selects the persistent
+    /// host's L2 (`host_mc`). `threads > 1` selects the persistent
     /// worker pool ([`Parallelism::from_threads`]).
     #[must_use]
     pub fn for_kernel(kernel: K, threads: usize) -> Self {
@@ -196,23 +197,35 @@ impl<K: KernelFamily> Config<K> {
         }
     }
 
-    /// Configuration for the host at hand: the thread count comes from
-    /// the `DGEMM_NUM_THREADS` environment variable when set, otherwise
-    /// from [`std::thread::available_parallelism`]; the epoch watchdog
-    /// comes from `DGEMM_EPOCH_TIMEOUT_MS` when set. An unparsable or
-    /// zero `DGEMM_NUM_THREADS` is a [`GemmError::BadConfig`]; an
-    /// absurdly large one is clamped to [`WorkerPool::max_workers`].
-    /// `DGEMM_EPOCH_TIMEOUT_MS=0` disables the watchdog; an unparsable
-    /// value is a [`GemmError::BadConfig`]; a huge one is clamped to an
-    /// hour. `DGEMM_PACK_CACHE`, `DGEMM_DISPATCH` and `DGEMM_AUTOTUNE`
-    /// (with the tuning-DB variables it brings in) are read the same
-    /// way, for both families, and `DGEMM_TELEMETRY` and
-    /// `DGEMM_PEAK_GFLOPS` are checked ([`crate::telemetry::mode_from_env`]).
+    /// Configuration for the host at hand, from the environment (README,
+    /// "Environment variables"): the thread count from `DGEMM_NUM_THREADS`
+    /// (a positive integer, clamped to [`WorkerPool::max_workers`]), else
+    /// [`std::thread::available_parallelism`]; the epoch watchdog from
+    /// `DGEMM_EPOCH_TIMEOUT_MS` (`0` disables it, a huge value clamps to
+    /// an hour); `DGEMM_PACK_CACHE`, `DGEMM_DISPATCH` and
+    /// `DGEMM_AUTOTUNE`. `DGEMM_TELEMETRY`, `DGEMM_PEAK_GFLOPS` and, when
+    /// the tuner is on, the tuning-DB variables are checked here too. A
+    /// non-unicode or malformed value is that variable's
+    /// [`GemmError::BadConfig`], for either family.
     pub fn auto() -> Result<Self, GemmError> {
         crate::telemetry::mode_from_env()?;
         crate::telemetry::peak_gflops_from_env()?;
-        let threads = threads_from_env()?;
-        let autotune = AutotuneMode::from_env()?;
+        let threads = env::NUM_THREADS
+            .parse(|v| v.parse::<usize>().ok().filter(|&n| n > 0))?
+            // Over-subscribing beyond the pool's own cap only queues
+            // jobs behind fewer workers; clamp instead of erroring.
+            .map_or_else(
+                || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+                |n| n.min(WorkerPool::max_workers()),
+            );
+        let autotune = env::AUTOTUNE
+            .parse(|v| match v {
+                "read" => Some(AutotuneMode::Read),
+                "full" => Some(AutotuneMode::Full),
+                "" | "off" => Some(AutotuneMode::Off),
+                _ => None,
+            })?
+            .unwrap_or_default();
         if autotune != AutotuneMode::Off {
             // Validate the tuning-DB env vars eagerly: typed errors at
             // config time, not silent fallbacks mid-GEMM.
@@ -220,10 +233,28 @@ impl<K: KernelFamily> Config<K> {
             crate::autotune::TuneOptions::from_env()?;
             crate::autotune::max_age_from_env()?;
         }
+        let epoch_timeout = env::EPOCH_TIMEOUT_MS
+            .parse(|v| v.parse::<u64>().ok())?
+            .filter(|&ms| ms > 0)
+            .map(|ms| Duration::from_millis(ms.min(MAX_EPOCH_TIMEOUT_MS)));
+        let pack_cache = env::PACK_CACHE
+            .parse(|v| match v {
+                "1" | "true" => Some(true),
+                "0" | "false" | "" => Some(false),
+                _ => None,
+            })?
+            .unwrap_or(false);
+        let dispatch = env::DISPATCH
+            .parse(|v| match v {
+                "auto" => Some(DispatchMode::Auto),
+                "" | "fixed" => Some(DispatchMode::Fixed),
+                _ => None,
+            })?
+            .unwrap_or_default();
         Ok(Self::for_kernel(K::DEFAULT, threads)
-            .with_epoch_timeout(epoch_timeout_from_env()?)
-            .with_pack_cache(pack_cache_from_env()?)
-            .with_dispatch(DispatchMode::from_env()?)
+            .with_epoch_timeout(epoch_timeout)
+            .with_pack_cache(pack_cache)
+            .with_dispatch(dispatch)
             .with_autotune(autotune))
     }
 
@@ -288,81 +319,6 @@ impl<K: KernelFamily> Default for Config<K> {
     /// where the L2 cannot be read).
     fn default() -> Self {
         Self::for_kernel(K::DEFAULT, 1)
-    }
-}
-
-/// Parse `DGEMM_NUM_THREADS`: absent falls back to the host's available
-/// parallelism, zero/garbage is a typed error, a huge value clamps to
-/// [`WorkerPool::max_workers`].
-fn threads_from_env() -> Result<usize, GemmError> {
-    match std::env::var("DGEMM_NUM_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            // Over-subscribing beyond the pool's own cap only queues
-            // jobs behind fewer workers; clamp instead of erroring.
-            Ok(n) if n > 0 => Ok(n.min(WorkerPool::max_workers())),
-            _ => Err(GemmError::BadConfig(
-                "DGEMM_NUM_THREADS must be a positive integer",
-            )),
-        },
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err(GemmError::BadConfig("DGEMM_NUM_THREADS is not unicode"))
-        }
-        Err(std::env::VarError::NotPresent) => Ok(std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)),
-    }
-}
-
-/// Parse `DGEMM_EPOCH_TIMEOUT_MS`: absent or `0` disables the watchdog,
-/// a huge value clamps to one hour, garbage is a typed error.
-fn epoch_timeout_from_env() -> Result<Option<Duration>, GemmError> {
-    match std::env::var("DGEMM_EPOCH_TIMEOUT_MS") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(0) => Ok(None),
-            Ok(ms) => Ok(Some(Duration::from_millis(ms.min(MAX_EPOCH_TIMEOUT_MS)))),
-            Err(_) => Err(GemmError::BadConfig(
-                "DGEMM_EPOCH_TIMEOUT_MS must be a non-negative integer of milliseconds",
-            )),
-        },
-        Err(std::env::VarError::NotUnicode(_)) => Err(GemmError::BadConfig(
-            "DGEMM_EPOCH_TIMEOUT_MS is not unicode",
-        )),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-    }
-}
-
-/// Parse `DGEMM_PACK_CACHE`: absent/`0`/`false` disables the pack
-/// cache, `1`/`true` enables it, anything else is a typed error.
-fn pack_cache_from_env() -> Result<bool, GemmError> {
-    match std::env::var("DGEMM_PACK_CACHE") {
-        Ok(v) => match v.trim() {
-            "1" | "true" => Ok(true),
-            "0" | "false" | "" => Ok(false),
-            _ => Err(GemmError::BadConfig(
-                "DGEMM_PACK_CACHE must be 0/1/true/false",
-            )),
-        },
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err(GemmError::BadConfig("DGEMM_PACK_CACHE is not unicode"))
-        }
-        Err(std::env::VarError::NotPresent) => Ok(false),
-    }
-}
-
-/// Parse an optional non-negative integer environment knob: absent
-/// `None`, garbage or non-unicode is the typed error `err`. The shared
-/// primitive behind the `DGEMM_SERVICE_*` knobs
-/// ([`crate::service::ServiceConfig::from_env`]), matching the
-/// absent-is-default / garbage-is-typed-error contract of the parsers
-/// above.
-pub(crate) fn env_u64(name: &str, err: &'static str) -> Result<Option<u64>, GemmError> {
-    match std::env::var(name) {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(GemmError::BadConfig(err)),
-        },
-        Err(std::env::VarError::NotUnicode(_)) => Err(GemmError::BadConfig(err)),
-        Err(std::env::VarError::NotPresent) => Ok(None),
     }
 }
 
@@ -931,114 +887,9 @@ mod tests {
         );
     }
 
-    /// One test body for every `auto()` case: the env-var reads would
-    /// race if split across parallel test threads.
     #[test]
     fn auto_config_reads_environment() {
-        let _env = crate::dispatch::env_lock();
-        std::env::remove_var("DGEMM_NUM_THREADS");
-        std::env::remove_var("DGEMM_EPOCH_TIMEOUT_MS");
-        std::env::remove_var("DGEMM_DISPATCH");
-        let cfg = GemmConfig::auto().unwrap();
-        assert!(cfg.threads() >= 1);
-        assert!(cfg.parallelism.validate().is_ok());
-        assert_eq!(cfg.epoch_timeout, None);
-
-        std::env::set_var("DGEMM_NUM_THREADS", "3");
-        let cfg = GemmConfig::auto().unwrap();
-        assert_eq!(cfg.parallelism, Parallelism::Pool(3));
-
-        std::env::set_var("DGEMM_NUM_THREADS", "1");
-        let cfg = GemmConfig::auto().unwrap();
-        assert_eq!(cfg.parallelism, Parallelism::Serial);
-
-        for bad in ["0", "-2", "lots", ""] {
-            std::env::set_var("DGEMM_NUM_THREADS", bad);
-            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
-        }
-
-        // An absurd thread count is clamped to the pool cap, not taken
-        // literally (which would queue millions of zero-work jobs).
-        std::env::set_var("DGEMM_NUM_THREADS", "18446744073709551615");
-        let cfg = GemmConfig::auto().unwrap();
-        assert!(cfg.threads() <= WorkerPool::max_workers());
-        std::env::remove_var("DGEMM_NUM_THREADS");
-
-        // Watchdog: absent -> None (checked above), 0 -> disabled,
-        // a value -> that deadline, huge -> clamped, garbage -> error.
-        std::env::set_var("DGEMM_EPOCH_TIMEOUT_MS", "0");
-        assert_eq!(GemmConfig::auto().unwrap().epoch_timeout, None);
-        std::env::set_var("DGEMM_EPOCH_TIMEOUT_MS", "250");
-        assert_eq!(
-            GemmConfig::auto().unwrap().epoch_timeout,
-            Some(Duration::from_millis(250))
-        );
-        std::env::set_var("DGEMM_EPOCH_TIMEOUT_MS", "99999999999999");
-        assert_eq!(
-            GemmConfig::auto().unwrap().epoch_timeout,
-            Some(Duration::from_millis(MAX_EPOCH_TIMEOUT_MS))
-        );
-        for bad in ["-5", "soon", "", "1.5"] {
-            std::env::set_var("DGEMM_EPOCH_TIMEOUT_MS", bad);
-            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_EPOCH_TIMEOUT_MS");
-
-        // Pack cache: absent -> off, 1/true -> on, 0/false/"" -> off,
-        // garbage -> error.
-        std::env::remove_var("DGEMM_PACK_CACHE");
-        assert!(!GemmConfig::auto().unwrap().pack_cache);
-        for on in ["1", "true", " true "] {
-            std::env::set_var("DGEMM_PACK_CACHE", on);
-            assert!(GemmConfig::auto().unwrap().pack_cache, "rejected {on:?}");
-        }
-        for off in ["0", "false", ""] {
-            std::env::set_var("DGEMM_PACK_CACHE", off);
-            assert!(!GemmConfig::auto().unwrap().pack_cache, "accepted {off:?}");
-        }
-        for bad in ["yes", "2", "on"] {
-            std::env::set_var("DGEMM_PACK_CACHE", bad);
-            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_PACK_CACHE");
-
-        // Dispatch: absent -> Fixed (checked above via the default),
-        // each named mode parses, garbage -> error. The parser's full
-        // contract lives in dispatch.rs; this checks auto() wires it.
-        assert_eq!(GemmConfig::auto().unwrap().dispatch, DispatchMode::Fixed);
-        for (v, want) in [("auto", DispatchMode::Auto), ("fixed", DispatchMode::Fixed)] {
-            std::env::set_var("DGEMM_DISPATCH", v);
-            assert_eq!(GemmConfig::auto().unwrap().dispatch, want, "value {v:?}");
-        }
-        for bad in ["sometimes", "serial", "pool"] {
-            std::env::set_var("DGEMM_DISPATCH", bad);
-            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_DISPATCH");
-
-        // Telemetry: absent (checked above) and each named mode pass, a
-        // misspelling is an error rather than silence.
-        for v in ["off", "", "summary", "json", " JSON "] {
-            std::env::set_var("DGEMM_TELEMETRY", v);
-            assert!(GemmConfig::auto().is_ok(), "rejected {v:?}");
-        }
-        for bad in ["jsno", "on"] {
-            std::env::set_var("DGEMM_TELEMETRY", bad);
-            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_TELEMETRY");
-
-        // Peak: absent (checked above), empty or a positive number pass;
-        // garbage, a non-positive or a non-finite value is an error.
-        for v in ["90", " 75.5 ", ""] {
-            std::env::set_var("DGEMM_PEAK_GFLOPS", v);
-            assert!(GemmConfig::auto().is_ok(), "rejected {v:?}");
-        }
-        for bad in ["fast", "0", "-3", "inf", "NaN"] {
-            std::env::set_var("DGEMM_PEAK_GFLOPS", bad);
-            assert!(GemmConfig::auto().is_err(), "accepted {bad:?}");
-        }
-        std::env::remove_var("DGEMM_PEAK_GFLOPS");
+        crate::env::tests::check(crate::env::tests::GEMM_ROWS);
     }
 
     #[test]

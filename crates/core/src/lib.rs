@@ -75,6 +75,7 @@ pub mod batch;
 pub mod blas;
 pub mod cholesky;
 pub mod dispatch;
+mod env;
 pub mod faults;
 pub mod gebp;
 pub mod gemm;

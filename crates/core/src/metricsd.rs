@@ -167,18 +167,18 @@ fn serve_one(mut stream: TcpStream, source: &dyn MetricsSource) -> std::io::Resu
 }
 
 /// Resolve `DGEMM_METRICS_ADDR`: `Ok(None)` when unset or empty,
-/// `Err` when set but unresolvable (typed at startup, not at scrape
-/// time).
+/// `Err` when set but unresolvable or not unicode (`InvalidInput`):
+/// typed at startup, not at scrape time.
 pub(crate) fn addr_from_env() -> std::io::Result<Option<String>> {
-    match std::env::var("DGEMM_METRICS_ADDR") {
-        Ok(v) if !v.trim().is_empty() => {
-            let addr = v.trim().to_string();
-            // Fail fast on garbage; actual binding happens in spawn().
-            addr.to_socket_addrs()?;
-            Ok(Some(addr))
-        }
-        _ => Ok(None),
+    let addr = crate::env::METRICS_ADDR
+        .value()
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?
+        .filter(|v| !v.is_empty());
+    if let Some(addr) = &addr {
+        // Fail fast on garbage; actual binding happens in spawn().
+        addr.to_socket_addrs()?;
     }
+    Ok(addr)
 }
 
 #[cfg(test)]
@@ -234,15 +234,18 @@ mod tests {
 
     #[test]
     fn addr_env_parses_or_errors() {
-        // Uses the dispatch env lock to serialize env mutation with
-        // other tests in this binary.
-        let _guard = crate::dispatch::env_lock();
-        std::env::remove_var("DGEMM_METRICS_ADDR");
-        assert!(addr_from_env().unwrap().is_none());
-        std::env::set_var("DGEMM_METRICS_ADDR", "127.0.0.1:0");
-        assert_eq!(addr_from_env().unwrap().as_deref(), Some("127.0.0.1:0"));
-        std::env::set_var("DGEMM_METRICS_ADDR", "not an address");
-        assert!(addr_from_env().is_err());
-        std::env::remove_var("DGEMM_METRICS_ADDR");
+        crate::env::tests::check(crate::env::tests::METRICS_ROWS);
+        // The scrape endpoint reports a non-unicode address as invalid
+        // input.
+        #[cfg(unix)]
+        {
+            use std::os::unix::ffi::OsStrExt;
+            let _env = crate::env::lock();
+            let name = crate::env::METRICS_ADDR.name;
+            std::env::set_var(name, std::ffi::OsStr::from_bytes(b"\xff"));
+            let kind = addr_from_env().map_err(|e| e.kind());
+            std::env::remove_var(name);
+            assert_eq!(kind, Err(std::io::ErrorKind::InvalidInput));
+        }
     }
 }

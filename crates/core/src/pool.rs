@@ -681,7 +681,7 @@ pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
 }
 
 /// The grid one `jj` panel of a call is cut into, as `(row ranges,
-/// column chunks)`: `tasks` row tasks ([`row_tasks`]) of `rows` stacked
+/// column chunks)`: `tasks` row tasks (`row_tasks`) of `rows` stacked
 /// rows by `n` panel columns in `nr` slivers, for `degree` threads. The
 /// one place that decision lives; the call's [`Plan`] holds it, the walk
 /// cuts it and the dispatcher prices it.

@@ -35,8 +35,9 @@
 #![forbid(unsafe_code)]
 
 use crate::batch::gemm_batch_with_cache;
+use crate::env;
 use crate::faults;
-use crate::gemm::{env_u64, GemmConfig};
+use crate::gemm::GemmConfig;
 use crate::matrix::{Matrix, MatrixView, MatrixViewMut};
 use crate::metricsd::{self, MetricsServer, MetricsSource};
 use crate::pool::{self, Parallelism, WorkerPool};
@@ -170,82 +171,41 @@ impl ServiceConfig {
     /// [`GemmConfig::auto`] for the execution side). Unset variables
     /// keep defaults; unparsable ones are typed errors.
     pub fn from_env() -> Result<Self, GemmError> {
-        let mut cfg = ServiceConfig {
-            gemm: GemmConfig::auto()?,
-            ..ServiceConfig::default()
-        };
-        if let Some(q) = env_u64(
-            "DGEMM_SERVICE_QUEUE",
-            "DGEMM_SERVICE_QUEUE must be an integer ≥ 1",
-        )? {
-            if q == 0 {
-                return Err(GemmError::BadConfig(
-                    "DGEMM_SERVICE_QUEUE must be an integer ≥ 1",
-                ));
-            }
-            cfg.queue_limit = q as usize;
-            cfg.tenant_quota = cfg.tenant_quota.min(cfg.queue_limit);
-        }
-        if let Some(q) = env_u64(
-            "DGEMM_SERVICE_TENANT_QUOTA",
-            "DGEMM_SERVICE_TENANT_QUOTA must be an integer ≥ 1",
-        )? {
-            if q == 0 {
-                return Err(GemmError::BadConfig(
-                    "DGEMM_SERVICE_TENANT_QUOTA must be an integer ≥ 1",
-                ));
-            }
-            cfg.tenant_quota = q as usize;
-        } else {
-            cfg.tenant_quota = cfg.queue_limit;
-        }
-        if let Some(ms) = env_u64(
-            "DGEMM_SERVICE_DEADLINE_MS",
-            "DGEMM_SERVICE_DEADLINE_MS must be an integer (ms, 0 = none)",
-        )? {
-            cfg.deadline = (ms > 0).then(|| Duration::from_millis(ms));
-        }
-        if let Some(s) = env_u64(
-            "DGEMM_SERVICE_SHARDS",
-            "DGEMM_SERVICE_SHARDS must be an integer",
-        )? {
-            cfg.shards = s as usize;
-        }
-        if let Some(r) = env_u64(
-            "DGEMM_SERVICE_RETRIES",
-            "DGEMM_SERVICE_RETRIES must be an integer",
-        )? {
-            cfg.max_retries = r as u32;
-        }
-        if let Some(c) = env_u64(
-            "DGEMM_SERVICE_COALESCE",
-            "DGEMM_SERVICE_COALESCE must be an integer ≥ 1",
-        )? {
-            if c == 0 {
-                return Err(GemmError::BadConfig(
-                    "DGEMM_SERVICE_COALESCE must be an integer ≥ 1",
-                ));
-            }
-            cfg.coalesce = c as usize;
-        }
-        if let Some(e) = env_u64(
-            "DGEMM_SERVICE_CACHE_ENTRIES",
-            "DGEMM_SERVICE_CACHE_ENTRIES must be an integer",
-        )? {
-            cfg.cache_entries = e as usize;
-        }
-        match std::env::var("DGEMM_WEIGHT_STORE") {
-            Ok(dir) if !dir.is_empty() => {
-                cfg.weight_store = Some(std::path::PathBuf::from(dir));
-            }
-            Ok(_) | Err(std::env::VarError::NotPresent) => {}
-            Err(std::env::VarError::NotUnicode(_)) => {
-                return Err(GemmError::BadConfig(
-                    "DGEMM_WEIGHT_STORE must be a unicode path",
-                ));
-            }
-        }
-        Ok(cfg)
+        let count = |v: &str| v.parse::<u64>().ok();
+        let positive = |v: &str| count(v).filter(|&n| n > 0);
+        let gemm = GemmConfig::auto()?;
+        let d = ServiceConfig::default();
+        let queue_limit = env::SERVICE_QUEUE
+            .parse(positive)?
+            .map_or(d.queue_limit, |q| q as usize);
+        Ok(ServiceConfig {
+            queue_limit,
+            tenant_quota: env::SERVICE_TENANT_QUOTA
+                .parse(positive)?
+                .map_or(queue_limit, |q| q as usize),
+            deadline: env::SERVICE_DEADLINE_MS
+                .parse(count)?
+                .filter(|&ms| ms > 0)
+                .map(Duration::from_millis),
+            shards: env::SERVICE_SHARDS
+                .parse(count)?
+                .map_or(d.shards, |s| s as usize),
+            max_retries: env::SERVICE_RETRIES
+                .parse(count)?
+                .map_or(d.max_retries, |r| r as u32),
+            coalesce: env::SERVICE_COALESCE
+                .parse(positive)?
+                .map_or(d.coalesce, |c| c as usize),
+            cache_entries: env::SERVICE_CACHE_ENTRIES
+                .parse(count)?
+                .map_or(d.cache_entries, |e| e as usize),
+            weight_store: env::WEIGHT_STORE
+                .value()?
+                .filter(|dir| !dir.is_empty())
+                .map(std::path::PathBuf::from),
+            gemm,
+            ..d
+        })
     }
 }
 

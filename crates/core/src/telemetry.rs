@@ -1649,42 +1649,31 @@ pub enum TelemetryMode {
 }
 
 /// Parse `DGEMM_TELEMETRY`: unset or empty is [`TelemetryMode::Off`];
-/// `off`, `summary` and `json` select a mode; anything else is a
-/// [`GemmError::BadConfig`].
+/// `off`, `summary` and `json`, in any case, select a mode; anything
+/// else is a [`GemmError::BadConfig`].
 pub fn mode_from_env() -> Result<TelemetryMode, GemmError> {
-    match std::env::var("DGEMM_TELEMETRY") {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "" | "off" => Ok(TelemetryMode::Off),
-            "summary" => Ok(TelemetryMode::Summary),
-            "json" => Ok(TelemetryMode::Json),
-            _ => Err(GemmError::BadConfig(
-                "DGEMM_TELEMETRY must be off, summary or json",
-            )),
-        },
-        Err(std::env::VarError::NotPresent) => Ok(TelemetryMode::Off),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err(GemmError::BadConfig("DGEMM_TELEMETRY is not unicode"))
-        }
-    }
+    let mode = crate::env::TELEMETRY.parse(|v| match v.to_ascii_lowercase().as_str() {
+        "" | "off" => Some(TelemetryMode::Off),
+        "summary" => Some(TelemetryMode::Summary),
+        "json" => Some(TelemetryMode::Json),
+        _ => None,
+    })?;
+    Ok(mode.unwrap_or_default())
 }
 
 /// Parse `DGEMM_PEAK_GFLOPS`, the machine peak a report's
 /// `measured_efficiency` divides by: unset or empty is `None`, a positive
 /// finite number is that peak, anything else is a [`GemmError::BadConfig`].
 pub(crate) fn peak_gflops_from_env() -> Result<Option<f64>, GemmError> {
-    match std::env::var("DGEMM_PEAK_GFLOPS") {
-        Ok(v) if v.trim().is_empty() => Ok(None),
-        Ok(v) => match v.trim().parse::<f64>() {
-            Ok(p) if p > 0.0 && p.is_finite() => Ok(Some(p)),
-            _ => Err(GemmError::BadConfig(
-                "DGEMM_PEAK_GFLOPS must be a positive number",
-            )),
-        },
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err(GemmError::BadConfig("DGEMM_PEAK_GFLOPS is not unicode"))
-        }
-    }
+    let peak = crate::env::PEAK_GFLOPS.parse(|v| match v {
+        "" => Some(None),
+        v => v
+            .parse::<f64>()
+            .ok()
+            .filter(|p| *p > 0.0 && p.is_finite())
+            .map(Some),
+    })?;
+    Ok(peak.flatten())
 }
 
 /// Print `report` to stderr in the mode `DGEMM_TELEMETRY` selects

@@ -117,7 +117,7 @@ fn every_seeded_fault_is_contained_or_typed() {
 fn seeded_run_from_env() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     faults::clear();
-    let Some(seed) = faults::install_from_env() else {
+    let Some(seed) = faults::install_from_env().expect("a set DGEMM_FAULT_SEED is a u64") else {
         return; // DGEMM_FAULT_SEED not set: nothing to replay
     };
     faults::clear();

@@ -225,12 +225,8 @@ fn healthy_service_serves_the_full_load_without_shedding() {
 fn seeded_service_run_from_env() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     faults::clear();
-    let seed = match std::env::var("DGEMM_FAULT_SEED") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
-        Err(_) => return, // not set: nothing to replay
+    let Some(seed) = faults::install_from_env().expect("a set DGEMM_FAULT_SEED is a u64") else {
+        return; // not set: nothing to replay
     };
     faults::clear();
     let oracles = all_oracles();
