@@ -24,8 +24,8 @@
 //!   rows stacked, so a block may straddle entries) by an `nr`-aligned
 //!   run of the panel's columns —
 //!   about one per thread, by the one pure function that minimises the
-//!   words a cell packs. Which loop is parallel is that function's
-//!   answer for the shape: columns for a square call or a single block,
+//!   words a cell packs and stages. Which loop is parallel is that
+//!   function's answer for the shape: columns for a square call or a single block,
 //!   rows for a tall narrow one or a batch against cached panels; for one
 //!   thread, neither. The call's [`Plan`] holds the answer, for a full
 //!   panel and the last; the walk only cuts it.
@@ -41,9 +41,11 @@
 //! its part of C, then for every `kk` take **its own B columns** —
 //! packed into its own panel, or read in place, or addressed inside a
 //! [`PrepackedB`] tile, as the plan's [`BSource`] says — pack
-//! **its own A blocks** and GEBP. On the pool it does so *staged*: on a
-//! private copy of its part of C, written back last. The serial call's
-//! one cell works straight on C. Every element of C sees the same kernel
+//! **its own A blocks** and GEBP. On the pool it does so *staged* — on a
+//! private copy of its part of C, written back last — unless the plan
+//! has it write C in place: a cell alone in its column chunk, in a
+//! `β = 0` call of one entry, works straight on C, as the serial call's
+//! one cell does ([`Plan::in_place`]). Every element of C sees the same kernel
 //! calls in the same `kk` order, whatever the grid and wherever it
 //! accumulates, so every output bit is the one-cell result by
 //! construction.
@@ -67,7 +69,8 @@
 //! Cells of one column chunk cover interleaved rows of the same columns
 //! of C, which no `&mut` split can hand out; each chunk's windows on C
 //! sit behind a lock that cells share to stage in and hold exclusively
-//! for the copy back.
+//! for the copy back. A cell that writes in place is its chunk's only
+//! cell and holds the lock exclusively throughout, which nobody waits for.
 //!
 //! ## Fault tolerance (DESIGN.md §10)
 //!
@@ -77,11 +80,14 @@
 //! nothing — a panic unwinds into the caller; of the points below only
 //! the last is its own too, degrading inside its one cell.)
 //!
-//! - **Worker panics**: each cell runs under `catch_unwind`. C is
-//!   untouched until a cell's write-back, its last step, so the caller
-//!   recomputes a panicked cell from C — bit-identical, because the
-//!   replay makes the same kernel calls in the same order. Only a
-//!   panicking *replay* surfaces as [`GemmError::WorkerFault`].
+//! - **Worker panics**: each cell runs under `catch_unwind`. A staged
+//!   cell leaves C untouched until its write-back, its last step; a cell
+//!   that writes in place has damaged only its own columns, under
+//!   `β = 0`, whose first `kk` panel stores C without reading it. Either
+//!   way the caller recomputes a panicked cell straight on C —
+//!   bit-identical, because the replay makes the same kernel calls in
+//!   the same order. Only a panicking *replay* surfaces as
+//!   [`GemmError::WorkerFault`].
 //! - **Dead workers**: every worker holds a guard that records its death;
 //!   [`WorkerPool::ensure_workers`] (called at every epoch start)
 //!   respawns up to the wanted count. [`WorkerPool::status`] exposes the
@@ -98,8 +104,9 @@
 //! - **Allocation failures**: staging and packing buffers grow with
 //!   `try_reserve`; on failure a cell degrades to smaller packing chunks
 //!   (bit-identical: each (A-sliver, B-sliver) pair still gets exactly
-//!   one kernel call per `kk`), and a cell that cannot even stage is
-//!   recomputed by the caller straight on C. Only when the minimal chunk
+//!   one kernel call per `kk`), and a cell that cannot even stage, or
+//!   cannot pack its smallest chunk, is recomputed by the caller
+//!   straight on C. Only when the minimal chunk
 //!   cannot be allocated there either does the call report
 //!   [`GemmError::AllocFailure`].
 
@@ -682,46 +689,71 @@ pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
 
 /// The grid one `jj` panel of a call is cut into, as `(row ranges,
 /// column chunks)`: `tasks` row tasks (`row_tasks`) of `rows` stacked
-/// rows by `n` panel columns in `nr` slivers, for `degree` threads. The
-/// one place that decision lives; the call's [`Plan`] holds it, the walk
-/// cuts it and the dispatcher prices it.
+/// rows by `n` panel columns in `nr` slivers, `k` deep, for `degree`
+/// threads. The one place that decision lives; the call's [`Plan`] holds
+/// it, the walk cuts it and the dispatcher prices it.
 ///
-/// A cell packs its own operands: per unit of depth its rows of A and,
-/// when the call packs B at all (`pack_b`, from `gemm::packs_b`), its
-/// columns of B. The grid is the one whose largest cell packs the
-/// fewest words, times the rounds it takes `degree` threads to run the
-/// cells, among those with a cell for every thread (or as many as the
-/// shape has); ties go to the column split, whose cells share no packed
-/// B and own whole columns of C. A square call splits its columns, a
-/// single `mc` block can only do that, a tall one with fewer slivers
-/// than threads splits its rows, and so does a batch against a
-/// [`PrepackedB`], which has no B pack to duplicate.
+/// A cell packs its own operands and, unless it writes C in place, stages
+/// its own part of C. The objective is the words a cell moves over the
+/// whole call: `k · (its rows of A + its columns of B)` — B only when the
+/// call packs it at all (`pack_b`, from `gemm::packs_b`) — plus its
+/// `rows · cols` of C when it stages them, or nothing when it writes
+/// them in place: a cell alone in its column chunk does when
+/// `lone_in_place` says the call lets it (`writes_in_place`). The grid
+/// is the one whose largest cell moves the fewest words, times the rounds
+/// it takes `degree` threads to run the cells, among those with a cell
+/// for every thread (or as many as the shape has); ties go to the column
+/// split, whose cells share no packed B and own whole columns of C. A
+/// square call splits its columns — on two threads by the C it does not
+/// stage, when it may write in place — a single `mc` block can only do
+/// that, a tall one with fewer slivers than threads splits its rows, and
+/// so does a batch against a [`PrepackedB`], which has no B pack to
+/// duplicate.
 #[must_use]
+#[allow(clippy::too_many_arguments)] // the shape, the blocking, the runtime and two call facts
 pub fn cell_grid(
     tasks: usize,
     rows: usize,
     n: usize,
+    k: usize,
     mc: usize,
     nr: usize,
     degree: usize,
     pack_b: bool,
+    lone_in_place: bool,
 ) -> (usize, usize) {
     let (tasks, mc, nr, degree) = (tasks.max(1), mc.max(1), nr.max(1), degree.max(1));
     let slivers = n.div_ceil(nr).max(1);
     (1..=degree.min(tasks))
         .map(|r| {
-            let c = degree.div_ceil(r).min(slivers);
+            let chunks = degree.div_ceil(r).min(slivers);
             let rows = (tasks.div_ceil(r) * mc).min(rows);
-            let cols = if pack_b {
-                (slivers.div_ceil(c) * nr).min(n)
-            } else {
+            let cols = (slivers.div_ceil(chunks) * nr).min(n);
+            let packed = if pack_b { cols } else { 0 };
+            let staged = if writes_in_place(lone_in_place, (r, chunks)) {
                 0
+            } else {
+                rows * cols
             };
-            let words = (r * c).div_ceil(degree) * (rows + cols);
-            (((r * c).min(degree), core::cmp::Reverse(words), c), (r, c))
+            let words = (r * chunks).div_ceil(degree) * (k * (rows + packed) + staged);
+            (
+                ((r * chunks).min(degree), core::cmp::Reverse(words), chunks),
+                (r, chunks),
+            )
         })
         .max_by_key(|&(key, _)| key)
         .map_or((1, 1), |(_, grid)| grid)
+}
+
+/// Whether the cells of a panel cut into `grid` write C in place instead
+/// of staging it: when each is the only cell of its column chunk, and a
+/// cell alone in its chunk may (`lone_in_place`, which the call's plan
+/// decides: a call of one entry, serial or with `β = 0`). The one
+/// predicate behind [`Plan::in_place`], [`cell_grid`]'s objective and
+/// the dispatcher's price.
+#[must_use]
+pub(crate) fn writes_in_place(lone_in_place: bool, (row_ranges, _): (usize, usize)) -> bool {
+    lone_in_place && row_ranges == 1
 }
 
 /// The cells of one `jj` panel `n` columns wide, and its column chunks as
@@ -810,6 +842,9 @@ struct Operands<'a, T: Scalar, K> {
     /// pool, not on [`Parallelism::Serial`], whose one cell unwinds into
     /// the caller. `faults::panic_in_job` fires only where it is.
     contained: bool,
+    /// Whether the panel's cells write C in place instead of staging it
+    /// ([`Plan::in_place`]).
+    in_place: bool,
     cells: Vec<Cell>,
     /// Per column chunk, every entry's `m × ncols` window of C. Cells of
     /// one chunk cover interleaved rows of the same columns, which no
@@ -1098,13 +1133,15 @@ fn cell_product<T: Scalar, K: KernelSet<T>>(
 /// the one cell body: a serial call, workers, the helping caller, degree
 /// 1, degraded mode and recovery all run it.
 ///
-/// `staged` is the pool's normal way: copy the cell's part of C into a
-/// private buffer, accumulate there, write it back as the last step — so
-/// a cell that panics or fails has not touched C and can be replayed
-/// from it. Unstaged, the cell accumulates straight on C, holding its
-/// column chunk exclusively: the way of a serial call, whose one cell
-/// shares C with nobody and is never replayed, and of recovery, which
-/// needs no staging memory and after which there is no second replay.
+/// `staged`: copy the cell's part of C into a private buffer, accumulate
+/// there, write it back as the last step — so a cell that panics or fails
+/// has not touched C and can be replayed from it. Unstaged, the cell
+/// accumulates straight on C, holding its column chunk exclusively: the
+/// way of a serial call, whose one cell shares C with nobody and is never
+/// replayed; of a pooled cell alone in its chunk in a `β = 0` call, whose
+/// replay stores over whatever it wrote ([`Plan::in_place`]); and of
+/// recovery, which needs no staging memory and after which there is no
+/// second replay.
 fn run_cell<T: PoolScalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
     cell: &Cell,
@@ -1142,17 +1179,20 @@ fn run_cell<T: PoolScalar, K: KernelSet<T>>(
 enum Outcome {
     /// Computed and written back.
     Clean,
-    /// Its thread panicked; staged, so C has not seen the cell.
+    /// Its thread panicked: staged, C has not seen the cell; in place,
+    /// under `β = 0`, the replay stores over whatever it wrote.
     Panicked,
-    /// Out of memory even for the smallest chunk; C has not seen it.
+    /// Out of memory even for the smallest chunk; as for a panic.
     OutOfMemory,
     /// The watchdog took it back before any thread began it.
     Revoked,
 }
 
-/// [`run_cell`], staged, with a panic contained into its [`Outcome`].
+/// [`run_cell`], staged unless the plan writes the panel in place, with a
+/// panic contained into its [`Outcome`].
 fn run_contained<T: PoolScalar, K: KernelSet<T>>(ops: &Operands<'_, T, K>, idx: usize) -> Outcome {
-    match catch_unwind(AssertUnwindSafe(|| run_cell(ops, &ops.cells[idx], true))) {
+    let staged = !ops.in_place;
+    match catch_unwind(AssertUnwindSafe(|| run_cell(ops, &ops.cells[idx], staged))) {
         Ok(Ok(())) => Outcome::Clean,
         Ok(Err(_)) => Outcome::OutOfMemory,
         Err(_) => Outcome::Panicked,
@@ -1296,9 +1336,11 @@ fn drain_epoch(
 }
 
 /// Cold path: recompute on this thread, straight on C, every cell whose
-/// outcome so far is not clean — C has not seen such a cell, so the
-/// replay makes the cell's kernel calls in the cell's order and the
-/// result is bit-identical. A panic during the replay is
+/// outcome so far is not clean. A staged cell has not touched C, and a
+/// cell that wrote in place did so under `β = 0`, whose first `kk`
+/// panel the replay stores without reading; either way the replay makes
+/// the cell's kernel calls in the cell's order and the result is
+/// bit-identical. A panic during the replay is
 /// the double fault reported as [`GemmError::WorkerFault`] (C is then
 /// unspecified, but the call finishes so the pool stays consistent); an
 /// allocation failure even here ends the call.
@@ -1450,7 +1492,8 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
 /// must have been built for exactly this `(transb, nr, kc, nc)` geometry.
 ///
 /// Each `jj` panel is cut into the cells of the plan's grid, and a cell
-/// is loops 2 and 3 on its own piece ([`run_cell`]). Under
+/// is loops 2 and 3 on its own piece ([`run_cell`]), staged or straight
+/// on C as the plan says for the panel. Under
 /// [`Parallelism::Serial`] the grid is one cell, computed here — straight
 /// on C unless it is a batch, whose blocks span entries only staged: no
 /// pool, no barrier, and a panic unwinds into the caller. Under
@@ -1488,10 +1531,10 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
     };
     for (panel, jj) in (0..n).step_by(nc).enumerate() {
         let nc_eff = nc.min(n - jj);
-        let grid = if nc_eff == nc.min(n) {
-            plan.grid
+        let (grid, in_place) = if nc_eff == nc.min(n) {
+            (plan.grid, plan.in_place)
         } else {
-            plan.tail_grid
+            (plan.tail_grid, plan.tail_in_place)
         };
         let (cells, col_chunks) = panel_cells(m * batch, nc_eff, mc, nr, grid);
         // every entry's window on the panel, dealt out chunk by chunk
@@ -1513,6 +1556,7 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
             jj,
             gepp0: (panel * k.div_ceil(kc)) as u64,
             contained: pooled.is_some(),
+            in_place,
             cells,
             c_chunks: c_chunks.into_iter().map(RwLock::new).collect(),
         };
@@ -1523,7 +1567,7 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
             // recovery does.
             None => {
                 let cell = &ops.cells[0];
-                if batch == 1 || run_cell(&ops, cell, true).is_err() {
+                if ops.in_place || run_cell(&ops, cell, true).is_err() {
                     run_cell(&ops, cell, false)?;
                 }
             }
@@ -1636,40 +1680,70 @@ mod tests {
         assert_eq!(status.deaths, again.deaths);
     }
 
+    /// The grid by the words its largest cell moves over the call:
+    /// `k·(rows of A + packed columns of B)`, plus its `rows·cols` of C
+    /// unless it writes them in place (`lone`: a call of one entry with
+    /// β = 0 lets a cell alone in its column chunk).
     #[test]
     fn the_grid_packs_the_fewest_words_per_cell() {
-        let (mc, nr) = (56, 6);
-        let grid = |m: usize, batch: usize, n: usize, mc: usize, degree: usize, pack_b: bool| {
+        let mc = 56;
+        // the 8×6 kernel's slivers
+        #[allow(clippy::too_many_arguments)]
+        fn grid(
+            m: usize,
+            batch: usize,
+            n: usize,
+            k: usize,
+            mc: usize,
+            degree: usize,
+            pack_b: bool,
+            lone: bool,
+        ) -> (usize, usize) {
             let tasks = row_tasks(m, batch, mc);
-            cell_grid(tasks, m * batch, n, mc, nr, degree, pack_b)
-        };
-        // 512³ on two threads: all of A and half of B per cell ties half
-        // of A and all of B, and the tie goes to the columns
-        assert_eq!(grid(512, 1, 512, mc, 2, true), (1, 2));
-        assert_eq!(grid(512, 1, 512, mc, 3, true), (1, 3));
-        // a single mc block has only columns to split, packing or not
-        for p in [2, 3, 5] {
-            assert_eq!(grid(8, 1, 512, mc, p, false), (1, p));
-            assert_eq!(grid(8, 1, 512, mc, p, true), (1, p));
+            cell_grid(tasks, m * batch, n, k, mc, 6, degree, pack_b, lone)
         }
-        // m >> n with fewer slivers than threads (an LU trailing update):
-        // rows, though every cell then packs all of B
-        assert_eq!(grid(4096, 1, 12, mc, 5, true), (5, 1));
-        // a batch against a PrepackedB has no B pack to duplicate: entries
-        assert_eq!(grid(16, 8, 512, mc, 2, false), (2, 1));
-        assert_eq!(grid(16, 8, 512, mc, 2, true), (1, 2));
-        // one cell per thread beats more, smaller cells run in two rounds
-        assert_eq!(grid(1024, 1, 1024, 24, 8, true), (4, 2));
-        // fewer cells than threads only when the shape has no more
-        assert_eq!(grid(48, 1, 6, 64, 8, true), (1, 1));
-        assert_eq!(grid(100, 1, 12, 56, 8, true), (2, 2));
-        // one thread, one cell
-        assert_eq!(grid(512, 4, 512, mc, 1, true), (1, 1));
+        for lone in [true, false] {
+            // 512³ on two threads at mc = 56: all of A and half of B
+            // (394 240 words, + 132 096 of C staged) beats half of A and all
+            // of B (405 504, + 143 360 staged)
+            assert_eq!(grid(512, 1, 512, 512, mc, 2, true, lone), (1, 2));
+            assert_eq!(grid(512, 1, 512, 512, mc, 3, true, lone), (1, 3));
+            // a single mc block has only columns to split, packing or not
+            for p in [2, 3, 5] {
+                assert_eq!(grid(8, 1, 512, 512, mc, p, false, lone), (1, p));
+                assert_eq!(grid(8, 1, 512, 512, mc, p, true, lone), (1, p));
+            }
+            // m >> n with fewer slivers than threads (an LU trailing
+            // update): rows, though every cell then packs all of B
+            assert_eq!(grid(4096, 1, 12, 64, mc, 5, true, lone), (5, 1));
+            // one cell per thread beats more, smaller cells run in two rounds
+            assert_eq!(grid(1024, 1, 1024, 1024, 24, 8, true, lone), (4, 2));
+            // fewer cells than threads only when the shape has no more
+            assert_eq!(grid(48, 1, 6, 4096, 64, 8, true, lone), (1, 1));
+            assert_eq!(grid(100, 1, 12, 64, 56, 8, true, lone), (2, 2));
+            // one thread, one cell
+            assert_eq!(grid(512, 4, 512, 512, mc, 1, true, lone), (1, 1));
+        }
+        // at mc = 128 the 512³ row split stages 256·512 words of C a cell
+        // and packs 512·768, against 512·770 packed for the column split:
+        // staged, the rows win by 2 048 words; in place, the columns by
+        // 130 048
+        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, false), (2, 1));
+        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, true), (1, 2));
+        // a batch stages. Against a PrepackedB there is no B pack to
+        // duplicate: seven 16-row entries, two whole blocks, split by
+        // entries; eight are three blocks, and the range of two would
+        // stage 112 of 128 rows whole, which costs more than the 16 rows
+        // of A it saves, so they split their columns. A fresh B's columns
+        // are split either way.
+        assert_eq!(grid(16, 7, 512, 512, mc, 2, false, false), (2, 1));
+        assert_eq!(grid(16, 8, 512, 512, mc, 2, false, false), (1, 2));
+        assert_eq!(grid(16, 8, 512, 512, mc, 2, true, false), (1, 2));
         // a batch's rows stack: two 16-row entries are one block, and
         // seven 20-row entries at mc = 8 are 140 rows in 18 tasks, not the
         // 21 they would be per entry
         assert_eq!(row_tasks(16, 2, mc), 1);
-        assert_eq!(grid(16, 2, 512, mc, 2, false), (1, 2));
+        assert_eq!(grid(16, 2, 512, 512, mc, 2, false, false), (1, 2));
         assert_eq!(row_tasks(20, 7, 8), 18);
     }
 

@@ -40,7 +40,7 @@ use dgemm_core::gemm::{try_gemm, GemmConfig, KernelFamily};
 use dgemm_core::matrix::{Matrix, MatrixView, MatrixViewMut};
 use dgemm_core::microkernel::MicroKernelKind;
 use dgemm_core::pack::{PackedA, PackedB};
-use dgemm_core::pool::PoolScalar;
+use dgemm_core::pool::{cell_grid, PoolScalar};
 use dgemm_core::prepack::PrepackedB;
 use dgemm_core::reference::naive_gemm;
 use dgemm_core::sgemm::{sgemm, SgemmConfig};
@@ -435,6 +435,66 @@ fn beta_zero_overwrites_poisoned_c() {
         }
     }
     f64::pack_cache().invalidate(&b.view());
+}
+
+/// Pooled cells that write C in place: a `β = 0` call of one entry whose
+/// grid on `Pool(2)`, `Pool(3)` and `Pool(4)` splits only columns, so
+/// each cell is alone in its column chunk and stores straight into a C of
+/// NaN, −∞ and −0.0 without staging it — over three `jj` panels (the
+/// last ragged), two `kc` panels and three row blocks per cell, for every
+/// transpose. Each result is `Serial`'s, bit for bit, and finite.
+#[test]
+fn pooled_in_place_column_cells_overwrite_poisoned_c() {
+    let (m, n, k) = (40, 168, 45);
+    let (kc, mc, nc) = (24, 16, 64);
+    let poisoned = || {
+        Matrix::from_fn(m, n, |i, j| match (i + 2 * j) % 3 {
+            0 => f64::NAN,
+            1 => f64::NEG_INFINITY,
+            _ => -0.0,
+        })
+    };
+    let transposes = [Transpose::No, Transpose::Yes];
+    for (ta, tb) in transposes
+        .iter()
+        .flat_map(|&ta| transposes.map(|tb| (ta, tb)))
+    {
+        let (ar, ac) = stored_dims(ta, m, k);
+        let (br, bc) = stored_dims(tb, k, n);
+        let a = Matrix::random(ar, ac, 201);
+        let b = Matrix::random(br, bc, 202);
+        let run = |par: Parallelism| {
+            let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1)
+                .with_blocks(kc, mc, nc)
+                .with_parallelism(par);
+            let mut c = poisoned();
+            try_gemm(
+                ta,
+                tb,
+                -1.25,
+                &a.view(),
+                &b.view(),
+                0.0,
+                &mut c.view_mut(),
+                &cfg,
+            )
+            .unwrap_or_else(|e| panic!("{par:?} ta={ta:?} tb={tb:?}: {e}"));
+            c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let want = run(Parallelism::Serial);
+        assert!(want.iter().all(|&x| f64::from_bits(x).is_finite()));
+        for p in [2, 3, 4] {
+            // both panel widths split columns only: every cell writes C
+            for width in [nc, n % nc] {
+                let grid = cell_grid(m.div_ceil(mc), m, width, k, mc, 6, p, true, true);
+                assert_eq!(grid, (1, p), "Pool({p}), a panel {width} wide");
+            }
+            assert!(
+                run(Parallelism::Pool(p)) == want,
+                "Pool({p}) ta={ta:?} tb={tb:?}: not Serial's bits"
+            );
+        }
+    }
 }
 
 /// n = 1: GEMV-shaped problems exercise the narrowest possible B panel

@@ -2,7 +2,8 @@
 //! the `fault-injection` feature (`cargo test -p dgemm-core --features
 //! fault-injection`). Each scenario provokes one concrete failure —
 //! worker panic, worker death, spawn failure, allocation failure, a
-//! stall before or after a job claims its cell — and asserts the
+//! stall before or after a job claims its cell, and a panic and each
+//! allocation failure again in cells that write C in place — and asserts the
 //! contract from DESIGN.md §10: the result is bit-identical
 //! to the serial oracle (or a typed error), the fault is visible in
 //! [`dgemm_core::pool::status`], and the pool serves subsequent calls at
@@ -22,7 +23,7 @@ use dgemm_core::faults::{self, FaultPlan, Trigger};
 use dgemm_core::gemm::{try_gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
-use dgemm_core::pool::{status, Parallelism, PoolScalar};
+use dgemm_core::pool::{cell_grid, status, with_pool, Parallelism, PoolScalar, WorkerPool};
 use dgemm_core::Transpose;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -371,6 +372,148 @@ fn worker_panic_on_cached_panel_preserves_the_entry() {
     }
     assert!(cache.stats().hits >= s1.hits + 3);
     cache.invalidate(&b.view());
+}
+
+/// Cells that write C in place: a `β = 0` call of one entry whose grid on
+/// `Pool(2)` and `Pool(4)` splits only columns, so every cell is alone in
+/// its column chunk, stages nothing and stores straight into C. `k` spans
+/// two `kc` panels, and `mc` is the 8×6 kernel's `mr`: a cell is six
+/// one-sliver blocks per panel, and a block's A pack cannot be halved.
+const IN_PLACE: (usize, usize, usize) = (48, 144, 40);
+const IN_PLACE_BLOCKS: (usize, usize, usize) = (24, 8, 144);
+const IN_PLACE_TASKS: usize = IN_PLACE.0.div_ceil(IN_PLACE_BLOCKS.1);
+
+/// `C := A·B + β·C` at [`IN_PLACE`] on `par`, from `c0`, as bit patterns.
+fn in_place_call(
+    par: Parallelism,
+    beta: f64,
+    c0: &Matrix,
+) -> Result<Vec<u64>, dgemm_core::GemmError> {
+    let (m, n, k) = IN_PLACE;
+    let (kc, mc, nc) = IN_PLACE_BLOCKS;
+    let a = Matrix::random(m, k, 61);
+    let b = Matrix::random(k, n, 62);
+    let mut c = c0.clone();
+    let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1)
+        .with_blocks(kc, mc, nc)
+        .with_parallelism(par);
+    let (ta, tb) = (Transpose::No, Transpose::No);
+    try_gemm(
+        ta,
+        tb,
+        1.0,
+        &a.view(),
+        &b.view(),
+        beta,
+        &mut c.view_mut(),
+        &cfg,
+    )?;
+    Ok(c.as_slice().iter().map(|x| x.to_bits()).collect())
+}
+
+/// The C a `β = 0` call must not read: NaN and −0.0 alternating.
+fn poisoned() -> Matrix {
+    let (m, n, _) = IN_PLACE;
+    Matrix::from_fn(m, n, |i, j| if (i + j) % 2 == 0 { f64::NAN } else { -0.0 })
+}
+
+/// The grid [`IN_PLACE`] is cut into on `Pool(degree)`, for `β = 0`
+/// (whose lone cells write in place) or not.
+fn in_place_grid(degree: usize, beta_zero: bool) -> (usize, usize) {
+    let (m, n, k) = IN_PLACE;
+    let mc = IN_PLACE_BLOCKS.1;
+    cell_grid(IN_PLACE_TASKS, m, n, k, mc, 6, degree, true, beta_zero)
+}
+
+/// A cell that panics after it has stored part of C is replayed straight
+/// on C: under `β = 0` the replay's first `kk` panel stores every element
+/// of the cell without reading it, so what the failed run left is
+/// overwritten, to the bit of the serial call. The same panic in a
+/// `β ≠ 0` call on the same grid hits a staged cell, which C never saw.
+#[test]
+fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    faults::clear();
+    let want = in_place_call(Parallelism::Serial, 0.0, &poisoned()).expect("no plan is installed");
+    assert!(want.iter().all(|&x| f64::from_bits(x).is_finite()));
+    let c0 = Matrix::random(IN_PLACE.0, IN_PLACE.1, 63);
+    let want_beta = in_place_call(Parallelism::Serial, 0.5, &c0).expect("no plan is installed");
+    // a cell's blocks over the call: its row tasks in each of two panels
+    let blocks = 2 * IN_PLACE_TASKS as u64;
+    for p in [2, 4] {
+        assert_eq!(in_place_grid(p, true), (1, p), "β = 0 on Pool({p})");
+        assert_eq!(in_place_grid(p, false), (1, p), "β ≠ 0 on Pool({p})");
+        let pool = Parallelism::Pool(p);
+        assert!(in_place_call(pool, 0.0, &poisoned()).unwrap() == want);
+        // The other p − 1 cells account for at most (p − 1)·blocks of the
+        // panic site's occurrences, so the cell that reaches occurrence
+        // (p − 1)·blocks + 1 has finished at least one block before it:
+        // it has written C.
+        let panic_after_a_block = Trigger::once((p as u64 - 1) * blocks + 1);
+        for (beta, c0, want) in [(0.0, poisoned(), &want), (0.5, c0.clone(), &want_beta)] {
+            let contained0 = status().faults_contained;
+            faults::install(FaultPlan {
+                worker_panic: Some(panic_after_a_block),
+                ..FaultPlan::default()
+            });
+            let got = in_place_call(pool, beta, &c0);
+            faults::clear();
+            let got = got.unwrap_or_else(|e| panic!("Pool({p}), β = {beta}: {e}"));
+            assert!(
+                got == *want,
+                "Pool({p}), β = {beta}: the replay changed a bit"
+            );
+            assert!(
+                status().faults_contained > contained0,
+                "Pool({p}), β = {beta}: the panic was not contained"
+            );
+        }
+        assert!(in_place_call(pool, 0.0, &poisoned()).unwrap() == want);
+    }
+}
+
+/// Each allocation of the in-place call failed in turn. The cells run
+/// one after the other on the calling thread — a fresh shard that can
+/// spawn no worker — so the n-th allocation is known: per cell and `kk`
+/// panel, the pack of its B columns, then the A pack of each of its
+/// blocks. A failed B pack halves its chunk inside the cell; a failed A
+/// pack at `mc = mr` has no smaller chunk, so the cell — which may have
+/// stored C already — is replayed by the caller: one fault contained.
+/// Every result is the serial one, bit for bit.
+#[test]
+fn every_failed_allocation_of_an_in_place_cell_leaves_c_exact() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    faults::clear();
+    let want = in_place_call(Parallelism::Serial, 0.0, &poisoned()).expect("no plan is installed");
+    let per_panel = 1 + IN_PLACE_TASKS as u64;
+    for p in [2, 4] {
+        assert_eq!(in_place_grid(p, true), (1, p));
+        let shard = WorkerPool::new_shard("in-place-alloc");
+        for nth in 0..2 * per_panel * p as u64 {
+            let contained0 = status().faults_contained;
+            faults::install(FaultPlan {
+                spawn_fail: Some(Trigger {
+                    nth: 0,
+                    count: u64::MAX,
+                }),
+                alloc_fail: Some(Trigger::once(nth)),
+                ..FaultPlan::default()
+            });
+            let got = with_pool(&shard, || {
+                in_place_call(Parallelism::Pool(p), 0.0, &poisoned())
+            });
+            faults::clear();
+            let got = got.unwrap_or_else(|e| panic!("Pool({p}): alloc fault #{nth}: {e}"));
+            assert!(got == want, "Pool({p}): alloc fault #{nth} changed a bit");
+            let replayed = nth % per_panel != 0;
+            assert_eq!(
+                status().faults_contained - contained0,
+                u64::from(replayed),
+                "Pool({p}): alloc fault #{nth}"
+            );
+        }
+        assert_eq!(shard.workers(), 0, "the shard spawned a worker");
+    }
 }
 
 /// A batch whose `mc` blocks straddle entries: five 13-row entries

@@ -79,7 +79,9 @@ fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2],
     while jj < n {
         let nc_eff = NC.min(n - jj);
         let tasks = m.div_ceil(MC);
-        let (row_ranges, col_chunks) = cell_grid(tasks, m, nc_eff, MC, NR, degree, !b_in_place);
+        // a β = 0 call of one entry: a cell alone in its chunk writes C
+        let grid = cell_grid(tasks, m, nc_eff, k, MC, NR, degree, !b_in_place, true);
+        let (row_ranges, col_chunks) = grid;
         let (row_ranges, col_chunks) = (row_ranges as u64, col_chunks as u64);
         let mut kk = 0;
         while kk < k {
@@ -269,8 +271,8 @@ mod enabled {
             let _g = lock_and_reset();
             check(par, m, n, k);
         }
-        assert_eq!(cell_grid(6, 130, NC, MC, NR, 3, true), (3, 1));
-        assert_eq!(cell_grid(2, 25, NC, MC, NR, 2, true), (1, 2));
+        assert_eq!(cell_grid(6, 130, NC, 50, MC, NR, 3, true, true), (3, 1));
+        assert_eq!(cell_grid(2, 25, NC, 50, MC, NR, 2, true, true), (1, 2));
     }
 
     /// Figure 9, observed: on the pool every thread that computes packs
