@@ -12,10 +12,9 @@
 //!    thread or as a grid on the pool — by comparing the analytic
 //!    prediction of `perfmodel::model` eq. (4) ([`time_bound`]) for the
 //!    one cell with the same bound for the grid the plan cut for the
-//!    configured degree, every cell packing its own operands and staging
-//!    its own part of C (unless the plan has it write C in place, as
-//!    [`Plan::in_place`] says), a thread's share of that work plus one barrier
-//!    per panel and one job per cell ([`pooled_time_bound`]);
+//!    configured degree, every cell packing its own operands, a thread's
+//!    share of that work plus one barrier per panel and one job per cell
+//!    ([`pooled_time_bound`]);
 //! 2. **calibration** — the model is a bound, not a stopwatch, so each
 //!    runtime keeps an EWMA ratio of measured/predicted time from past
 //!    calls (live telemetry) and predictions are scaled by it before
@@ -152,8 +151,7 @@ impl Model {
         }
     }
 
-    /// Price `plan` — as cut for its configured runtime, with the cells
-    /// it has write C in place charged no staging — on the calling
+    /// Price `plan` — as cut for its configured runtime — on the calling
     /// thread and on the pool, and choose the runtime: serial when the
     /// pool cannot help (one participant), when the shape has fewer cells
     /// than threads, or unless the calibrated model predicts a pooled win
@@ -167,9 +165,8 @@ impl Model {
         // Model inputs, in the units of perfmodel::model (flops, words,
         // cycles). A serial call packs A once per jj panel and B once,
         // if it packs B at all. On the pool every cell packs its own
-        // operands — A once per column chunk, B once per row range — and
-        // stages its part of C in and out, unless the plan has it write C
-        // in place; all of it is divided work: a
+        // operands — A once per column chunk, B once per row range —
+        // and writes its own part of C; all of it is divided work: a
         // thread's share is the cells it runs (one, or as many rounds as
         // the grid has cells per thread), with one barrier per panel and
         // a job for every cell but the caller's.
@@ -188,14 +185,7 @@ impl Model {
         let psi = OverlapFactor::Rational { c: 0.4 };
         let overheads = PoolOverheads::xgene_cycles();
         let serial_cycles = time_bound(f, w_a + w_b, &costs, &psi);
-        // the columns of the panels whose cells stage C: the last panel
-        // is `tail` wide, and has the full panels' grid when n % nc = 0
-        let tail = n - (jj_panels - 1) * plan.blocks.nc;
-        let staged_cols =
-            usize::from(!plan.in_place) * (n - tail) + usize::from(!plan.tail_in_place) * tail;
-        let w_pool = w_a * col_chunks as f64
-            + w_b * row_ranges as f64
-            + 2.0 * (m * staged_cols * batch) as f64;
+        let w_pool = w_a * col_chunks as f64 + w_b * row_ranges as f64;
         let share = cells.div_ceil(degree) as f64 / cells as f64;
         let pool_cycles = pooled_time_bound(
             f * share,
@@ -269,7 +259,7 @@ pub(crate) fn record(mut plan: Plan, elapsed: Duration) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{plan_under, GemmConfig};
+    use crate::gemm::{plan, GemmConfig};
     use crate::microkernel::MicroKernelKind;
     use crate::Transpose;
 
@@ -279,11 +269,11 @@ mod tests {
         GemmConfig::for_kernel(MicroKernelKind::Mk8x6, degree).with_blocks(kc, mc, nc)
     }
 
-    /// The plan of `shape` over `batch` entries with `β ≠ 0`, so every
-    /// pooled cell stages, priced at `flops_per_cycle` (the portable prior
-    /// is 2) and the neutral calibration the shape tests below were
-    /// written against — not at whatever sibling tests' calls have taught
-    /// the process.
+    /// The plan of `shape` over `batch` entries, priced at
+    /// `flops_per_cycle` (the portable prior is 2) and the neutral
+    /// calibration the shape tests below were written against — not at
+    /// whatever sibling tests' calls have taught the process — with no L2
+    /// to weigh the grid by.
     fn priced(
         flops_per_cycle: f64,
         shape: (usize, usize, usize),
@@ -297,15 +287,8 @@ mod tests {
             flops_per_cycle,
             calibration: (1.0, 1.0),
         };
-        plan_under(
-            Some(model),
-            shape,
-            batch,
-            transb,
-            false,
-            &cfg(degree, blocks),
-            cached,
-        )
+        let cfg = cfg(degree, blocks);
+        plan(Some(model), None, shape, batch, transb, &cfg, cached)
     }
 
     fn predicted(plan: &Plan) -> Predicted {
@@ -421,38 +404,32 @@ mod tests {
         assert!(batch(8, false) > batch(8, true));
     }
 
-    /// A pooled plan whose cells write C in place is charged no staging:
-    /// 512³ on two threads at the paper's blocking is the same 1×2 grid
-    /// with `β = 0` and without, and only the pooled price moves, down.
-    /// A batch stages either way, and is priced the same.
+    /// Every cell writes its own tiles of C, so a pooled plan is charged
+    /// the packs its cells make and nothing for C: 512³ on two threads at
+    /// the paper's blocking, as one entry and as eight stacked 64-row
+    /// entries, is the 1×2 grid, each thread's share being half of A
+    /// packed once per column chunk and half of B packed once.
     #[test]
-    fn in_place_cells_are_charged_no_staging() {
-        let model = Model {
-            flops_per_cycle: 32.0,
-            calibration: (1.0, 1.0),
+    fn a_pooled_plan_is_charged_its_packs_and_nothing_for_c() {
+        let costs = MachineCosts {
+            mu: 1.0 / 32.0,
+            ..MachineCosts::xgene_cycles()
         };
-        let at = |batch: usize, beta_zero: bool| {
-            let cfg = cfg(2, (512, 56, 1920));
+        let psi = OverlapFactor::Rational { c: 0.4 };
+        let (f, w_a, w_b) = (2.0 * 512f64.powi(3), 512.0 * 512.0, 512.0 * 512.0);
+        let words = 2.0 * w_a + w_b;
+        let overheads = PoolOverheads::xgene_cycles();
+        let cycles = pooled_time_bound(f / 2.0, words / 2.0, 1, 1.0, 1.0, &costs, &psi, &overheads);
+        for batch in [1, 8] {
             let shape = (512 / batch, 512, 512);
-            plan_under(
-                Some(model),
-                shape,
-                batch,
-                Transpose::No,
-                beta_zero,
-                &cfg,
-                false,
-            )
-        };
-        let (zero, nonzero) = (at(1, true), at(1, false));
-        assert_eq!((zero.grid, zero.in_place), ((1, 2), true));
-        assert_eq!((nonzero.grid, nonzero.in_place), ((1, 2), false));
-        let (zero, nonzero) = (predicted(&zero), predicted(&nonzero));
-        assert_eq!(zero.serial_ms, nonzero.serial_ms);
-        assert!(zero.pool_ms < nonzero.pool_ms);
-        let batch = (at(8, true), at(8, false));
-        assert!(!batch.0.in_place && !batch.1.in_place);
-        assert_eq!(predicted(&batch.0), predicted(&batch.1));
+            let plan = priced(32.0, shape, batch, (512, 56, 1920), 2, Transpose::No, false);
+            assert_eq!(plan.grid, (1, 2), "{batch} entries");
+            assert_eq!(
+                predicted(&plan).pool_ms,
+                cycles_to_ms(cycles),
+                "{batch} entries"
+            );
+        }
     }
 
     #[test]
@@ -471,7 +448,7 @@ mod tests {
         // cell cannot occupy 8 threads, so auto must go serial without
         // consulting the model.
         let (shape, blocks) = ((48, 6, 4096), (256, 64, 1792));
-        let unpriced = plan_under(None, shape, 1, Transpose::No, false, &cfg(8, blocks), false);
+        let unpriced = plan(None, None, shape, 1, Transpose::No, &cfg(8, blocks), false);
         assert_eq!(unpriced.grid, (1, 1), "one sliver cannot split");
         let plan = priced(2.0, shape, 1, blocks, 8, Transpose::No, false);
         assert_eq!(plan.runtime, Parallelism::Serial);

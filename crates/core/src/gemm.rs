@@ -18,9 +18,8 @@
 //!
 //! What a call does is decided once, before the walk, by `plan`: the
 //! blocking, where B comes from ([`BSource`]: a single GEBP per panel
-//! reads it in place, `packs_b`), the grid each panel is cut into,
-//! whether its cells write C in place ([`Plan::in_place`]) and the
-//! runtime — under [`DispatchMode::Auto`] priced by the model
+//! reads it in place, `packs_b`), the grid each panel is cut into and
+//! the runtime — under [`DispatchMode::Auto`] priced by the model
 //! ([`crate::dispatch`]). The walk runs the plan and decides nothing.
 //! β is applied to each element of C exactly once, by the cell that owns
 //! it, before its first rank-kc update; α is folded into the micro-kernel
@@ -33,9 +32,7 @@ use crate::dispatch::{DispatchMode, Model, Predicted};
 use crate::env;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
-use crate::pool::{
-    cell_grid, gemm_walk, row_tasks, writes_in_place, Call, Parallelism, PoolScalar, WorkerPool,
-};
+use crate::pool::{cell_grid, gemm_walk, row_tasks, Call, Parallelism, PoolScalar, WorkerPool};
 use crate::prepack::PackCache;
 use crate::probe::L2;
 use crate::scalar::Scalar;
@@ -440,15 +437,10 @@ pub(crate) fn gemm_driver<K: KernelFamily>(
     // invalidated concurrently. A failed pack (allocation) degrades to
     // the per-call packing of the walk, never to an error.
     let prepacked = cache.and_then(|cache| cache.get_or_pack(b, transb, cfg.kernel.nr(), kc, nc));
-    let beta_zero = beta == K::Elem::ZERO;
-    let plan = plan(
-        (m, n, k),
-        a_batch.len(),
-        transb,
-        beta_zero,
-        cfg,
-        prepacked.is_some(),
-    );
+    let model =
+        (cfg.dispatch == DispatchMode::Auto).then(|| Model::now(cfg.kernel.flops_per_cycle()));
+    let (shape, batch, cached) = ((m, n, k), a_batch.len(), prepacked.is_some());
+    let plan = plan(model, crate::probe::l2(), shape, batch, transb, cfg, cached);
     let start = plan.predicted.is_some().then(Instant::now);
     let call = Call {
         transa,
@@ -485,9 +477,8 @@ pub(crate) fn packs_b(gebps: usize, transb: Transpose, prepacked: bool) -> bool 
 }
 
 /// How one call runs, decided once, before the walk, by `plan` — the
-/// blocking, where B comes from, the grid each `jj` panel is cut into,
-/// whether its cells write C in place and the runtime — with the model's
-/// predictions when
+/// blocking, where B comes from, the grid each `jj` panel is cut into
+/// and the runtime — with the model's predictions when
 /// [`DispatchMode::Auto`] priced it. The walk runs it and decides
 /// nothing; [`crate::pool::status`] publishes the latest priced one as
 /// `last_dispatch`.
@@ -513,14 +504,6 @@ pub struct Plan {
     /// The same for the last panel when `n % nc` leaves it narrower;
     /// `grid` otherwise.
     pub tail_grid: (usize, usize),
-    /// Whether the cells of a full-width panel write C in place rather
-    /// than stage it: each cell alone in its column chunk, in a call of
-    /// one entry that is serial or has `β = 0` (`pool::writes_in_place`).
-    /// A pooled cell that fails is then replayed straight on C, whose
-    /// first `kk` panel the replay stores without reading.
-    pub in_place: bool,
-    /// The same for the last panel ([`Plan::tail_grid`]).
-    pub tail_in_place: bool,
     /// The runtime the walk runs on.
     pub runtime: Parallelism,
     /// The pool's watchdog deadline per epoch ([`Config::epoch_timeout`]).
@@ -546,38 +529,24 @@ pub enum BSource {
 }
 
 /// The [`Plan`] of a call of `(m, n, k)` over `batch` entries sharing B,
-/// with `β = 0` when `beta_zero`, run with `cfg` — with a
-/// [`crate::prepack::PrepackedB`] serving B when `prepacked`. The only
-/// place the B source, the grid, where the cells write and the runtime
-/// are decided, and the only place the model prices a call: under
-/// [`DispatchMode::Fixed`] it runs the configured runtime unpriced, under
-/// [`DispatchMode::Auto`] the dispatcher's calibrated model chooses.
+/// run with `cfg` — with a [`crate::prepack::PrepackedB`] serving B when
+/// `prepacked` — on cores with the L2 `l2` (the call's: `probe::l2`; a
+/// test's: any, `None` for unknown). The only place the B source, the
+/// grid and the runtime are decided, and the only place the model prices
+/// a call: without a `model` (under [`DispatchMode::Fixed`]) it runs the
+/// configured runtime unpriced; with one (under [`DispatchMode::Auto`]:
+/// the dispatcher's calibrated model, or a test's) the model chooses.
 pub(crate) fn plan<K: KernelFamily>(
-    shape: (usize, usize, usize),
-    batch: usize,
-    transb: Transpose,
-    beta_zero: bool,
-    cfg: &Config<K>,
-    prepacked: bool,
-) -> Plan {
-    let model =
-        (cfg.dispatch == DispatchMode::Auto).then(|| Model::now(cfg.kernel.flops_per_cycle()));
-    plan_under(model, shape, batch, transb, beta_zero, cfg, prepacked)
-}
-
-/// [`plan`] with the model passed in (`None`: unpriced), so tests can
-/// price at a kernel peak and a calibration of their choosing.
-pub(crate) fn plan_under<K: KernelFamily>(
     model: Option<Model>,
+    l2: Option<L2>,
     (m, n, k): (usize, usize, usize),
     batch: usize,
     transb: Transpose,
-    beta_zero: bool,
     cfg: &Config<K>,
     prepacked: bool,
 ) -> Plan {
     let blocks = cfg.blocks;
-    let (mc, nc) = (blocks.mc, blocks.nc);
+    let (kc, mc, nc) = (blocks.kc, blocks.mc, blocks.nc);
     let tasks = row_tasks(m, batch, mc);
     let b_source = match (prepacked, packs_b(tasks, transb, prepacked)) {
         (true, _) => BSource::Prepacked,
@@ -588,24 +557,16 @@ pub(crate) fn plan_under<K: KernelFamily>(
         0 => nc.min(n),
         narrower => narrower,
     };
-    // a full panel's grid and the last one's, on `runtime`, each with
-    // whether its cells write C in place
+    // the elements one core's share of the L2 holds
+    let l2 = l2.map(|L2 { bytes, sharers }| bytes / sharers.max(1) / K::Elem::BYTES);
+    // a full panel's grid and the last one's, on `runtime`
     let grids = |runtime: Parallelism| {
         let pack_b = b_source == BSource::Packed;
-        // A cell alone in its column chunk writes C in place unless it is
-        // one of a batch, whose blocks straddle entries only staged, or a
-        // pooled cell of a β ≠ 0 call, whose replay after a fault would
-        // read the C the failed run had changed. (Under β = 0 the replay's
-        // first panel stores over all of it, unread.)
-        let lone = batch == 1 && (beta_zero || runtime == Parallelism::Serial);
         let (nr, degree) = (cfg.kernel.nr(), runtime.degree());
-        let grid = |width| {
-            let grid = cell_grid(tasks, m * batch, width, k, mc, nr, degree, pack_b, lone);
-            (grid, writes_in_place(lone, grid))
-        };
+        let grid = |width| cell_grid(m * batch, width, k, kc, mc, nr, degree, pack_b, l2);
         (grid(nc.min(n)), grid(tail))
     };
-    let ((grid, in_place), (tail_grid, tail_in_place)) = grids(cfg.parallelism);
+    let (grid, tail_grid) = grids(cfg.parallelism);
     let mut plan = Plan {
         m,
         n,
@@ -615,8 +576,6 @@ pub(crate) fn plan_under<K: KernelFamily>(
         b_source,
         grid,
         tail_grid,
-        in_place,
-        tail_in_place,
         runtime: cfg.parallelism,
         epoch_timeout: cfg.epoch_timeout,
         predicted: None,
@@ -627,10 +586,7 @@ pub(crate) fn plan_under<K: KernelFamily>(
         let (runtime, predicted) = model.choose(&plan);
         plan.predicted = Some(predicted);
         if runtime != plan.runtime {
-            (
-                (plan.grid, plan.in_place),
-                (plan.tail_grid, plan.tail_in_place),
-            ) = grids(runtime);
+            (plan.grid, plan.tail_grid) = grids(runtime);
             plan.runtime = runtime;
         }
     }
@@ -1001,8 +957,9 @@ mod tests {
     /// Every decision a call's plan makes, by shape, at explicit blocking.
     /// `Fixed` rows run the configured runtime unpriced — the grid the
     /// pool would cut is the one `Auto` prices; `Auto` rows are priced at
-    /// a neutral calibration. Every row is a `β = 0` call but the one that
-    /// says otherwise.
+    /// a neutral calibration. Every row plans on a 2 MiB per-core L2. A
+    /// plan has no β input: every cell writes its own tiles of C, whatever
+    /// β is.
     #[test]
     fn one_plan_decides_b_source_grid_and_runtime() {
         use BSource::{InPlace, Packed, Prepacked};
@@ -1011,13 +968,16 @@ mod tests {
         const PAPER: (usize, usize, usize) = (512, 56, 1920);
         // the blocking on a 2 MiB L2 (`host_mc`)
         const HOST: (usize, usize, usize) = (512, 128, 1920);
+        let l2 = Some(L2 {
+            bytes: 2 << 20,
+            sharers: 1,
+        });
         let (portable, avx512) = (Some(2.0), Some(crate::simd::Isa::Avx512.flops_per_cycle()));
         // `fpc` None is Fixed; Some is Auto, priced at that kernel peak
         let plan = |fpc: Option<f64>,
                     shape: (usize, usize, usize),
                     batch: usize,
                     transb: Transpose,
-                    beta: f64,
                     (kc, mc, nc): (usize, usize, usize),
                     runtime: Parallelism,
                     prepacked: bool| {
@@ -1028,7 +988,7 @@ mod tests {
                 flops_per_cycle,
                 calibration: (1.0, 1.0),
             });
-            plan_under(model, shape, batch, transb, beta == 0.0, &cfg, prepacked)
+            super::plan(model, l2, shape, batch, transb, &cfg, prepacked)
         };
         let (square, skinny, deep) = ((512, 512, 512), (8, 512, 512), (8, 512, 1100));
         let (batch, wide) = ((16, 512, 512), (512, 1920 + 100, 512));
@@ -1036,45 +996,52 @@ mod tests {
         let (stream, b_stream) = ((8, 256, 256), (64, 24, 48));
         let (coarse, b_coarse) = ((48, 6, 4096), (256, 64, 1792));
         let (big, tall_k, b_big) = ((1024, 1024, 1024), (48, 4096, 4096), (512, 24, 1792));
-        // the row, its plan, and (B source, grid, tail grid, whether the
-        // cells of a full and of the tail panel write C in place, runtime,
+        // the row, its plan, and (B source, grid, tail grid, runtime,
         // priced)
         #[rustfmt::skip]
         let rows = [
-            ("512³ serial",                 plan(None, square, 1, No, 0.0, PAPER, Serial, false),  (Packed, (1, 1), (1, 1), (true, true), Serial, false)),
-            ("512³ Pool(2)",                plan(None, square, 1, No, 0.0, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), (true, true), Pool(2), false)),
-            ("8x512x512, fresh B",          plan(None, skinny, 1, No, 0.0, PAPER, Serial, false),  (InPlace, (1, 1), (1, 1), (true, true), Serial, false)),
-            ("the same on Pool(2)",         plan(None, skinny, 1, No, 0.0, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), (true, true), Pool(2), false)),
-            ("transposed B keeps its pack", plan(None, skinny, 1, Yes, 0.0, PAPER, Serial, false), (Packed, (1, 1), (1, 1), (true, true), Serial, false)),
-            ("7 x 16 rows, PrepackedB",     plan(None, batch, 7, No, 0.0, PAPER, Pool(2), true),   (Prepacked, (2, 1), (2, 1), (false, false), Pool(2), false)),
-            ("7 x 16 rows, fresh B",        plan(None, batch, 7, No, 0.0, PAPER, Pool(2), false),  (Packed, (1, 2), (1, 2), (false, false), Pool(2), false)),
-            ("k > kc, one block",           plan(None, deep, 1, No, 0.0, PAPER, Serial, false),    (InPlace, (1, 1), (1, 1), (true, true), Serial, false)),
-            ("n % nc != 0",                 plan(None, wide, 1, No, 0.0, PAPER, Pool(2), false),   (Packed, (1, 2), (2, 1), (true, false), Pool(2), false)),
+            ("512³ serial",                 plan(None, square, 1, No, PAPER, Serial, false),  (Packed, (1, 1), (1, 1), Serial, false)),
+            ("512³ Pool(2)",                plan(None, square, 1, No, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("8x512x512, fresh B",          plan(None, skinny, 1, No, PAPER, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, false)),
+            ("the same on Pool(2)",         plan(None, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            ("transposed B keeps its pack", plan(None, skinny, 1, Yes, PAPER, Serial, false), (Packed, (1, 1), (1, 1), Serial, false)),
+            ("7 x 16 rows, PrepackedB",     plan(None, batch, 7, No, PAPER, Pool(2), true),   (Prepacked, (2, 1), (2, 1), Pool(2), false)),
+            ("7 x 16 rows, fresh B",        plan(None, batch, 7, No, PAPER, Pool(2), false),  (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("k > kc, one block",           plan(None, deep, 1, No, PAPER, Serial, false),    (InPlace, (1, 1), (1, 1), Serial, false)),
+            // a 1920-wide panel's B fits the L2 on neither grid, so each
+            // later row task reads it back: rows, 512·(280 + 1920 + 4·1920)
+            // = 5 058 560 words a cell, against 512·(512 + 960 + 9·960) =
+            // 5 177 344 for the columns
+            ("n % nc != 0",                 plan(None, wide, 1, No, PAPER, Pool(2), false),   (Packed, (2, 1), (2, 1), Pool(2), false)),
             // 3 mc blocks cannot give 4 threads a cell each: columns
-            ("3 blocks on Pool(4)",         plan(None, ragged, 1, No, 0.0, b_ragged, Pool(4), false), (Packed, (1, 4), (2, 2), (true, false), Pool(4), false)),
+            ("3 blocks on Pool(4)",         plan(None, ragged, 1, No, b_ragged, Pool(4), false), (Packed, (1, 4), (2, 2), Pool(4), false)),
             // a fixed runtime overrides the model either way (rows below)
-            ("Fixed pool, Auto serial",     plan(None, stream, 1, No, 0.0, b_stream, Pool(4), true), (Prepacked, (1, 4), (1, 3), (true, true), Pool(4), false)),
-            ("Fixed serial, Auto pool",     plan(None, big, 1, No, 0.0, b_big, Serial, false),     (Packed, (1, 1), (1, 1), (true, true), Serial, false)),
-            ("Auto 512³",                   plan(avx512, square, 1, No, 0.0, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), (true, true), Pool(2), true)),
-            ("Auto 8x512x512, portable",    plan(portable, skinny, 1, No, 0.0, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), (true, true), Pool(2), true)),
-            ("Auto 8x512x512, AVX-512",     plan(avx512, skinny, 1, No, 0.0, PAPER, Pool(2), false), (InPlace, (1, 1), (1, 1), (true, true), Serial, true)),
-            ("Auto cached stream",          plan(portable, stream, 1, No, 0.0, b_stream, Pool(4), true), (Prepacked, (1, 1), (1, 1), (true, true), Serial, true)),
-            ("Auto, one cell for 8",        plan(portable, coarse, 1, No, 0.0, b_coarse, Pool(8), false), (InPlace, (1, 1), (1, 1), (true, true), Serial, true)),
-            ("Auto skinny m: columns",      plan(portable, tall_k, 1, No, 0.0, b_big, Pool(8), false), (Packed, (1, 8), (1, 8), (true, true), Pool(8), true)),
-            ("Auto 1024³ on 8",             plan(portable, big, 1, No, 0.0, b_big, Pool(8), false), (Packed, (4, 2), (4, 2), (false, false), Pool(8), true)),
-            ("Auto on one thread",          plan(portable, big, 1, No, 0.0, b_big, Serial, false),  (Packed, (1, 1), (1, 1), (true, true), Serial, true)),
-            // at the host's mc a cell that stages its C moves fewer words
-            // as a row split; one that writes it in place, as columns
-            ("512³ Pool(2), host mc",       plan(None, square, 1, No, 0.0, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), (true, true), Pool(2), false)),
-            ("the same with β ≠ 0",         plan(None, square, 1, No, 0.5, HOST, Pool(2), false), (Packed, (2, 1), (2, 1), (false, false), Pool(2), false)),
-            ("7 x 16 rows, host mc",        plan(None, batch, 7, No, 0.0, HOST, Pool(2), false),  (InPlace, (1, 2), (1, 2), (false, false), Pool(2), false)),
+            ("Fixed pool, Auto serial",     plan(None, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 4), (1, 3), Pool(4), false)),
+            ("Fixed serial, Auto pool",     plan(None, big, 1, No, b_big, Serial, false),     (Packed, (1, 1), (1, 1), Serial, false)),
+            ("Auto 512³",                   plan(avx512, square, 1, No, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), true)),
+            ("Auto 8x512x512, portable",    plan(portable, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), true)),
+            ("Auto 8x512x512, AVX-512",     plan(avx512, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 1), (1, 1), Serial, true)),
+            ("Auto cached stream",          plan(portable, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 1), (1, 1), Serial, true)),
+            ("Auto, one cell for 8",        plan(portable, coarse, 1, No, b_coarse, Pool(8), false), (InPlace, (1, 1), (1, 1), Serial, true)),
+            ("Auto skinny m: columns",      plan(portable, tall_k, 1, No, b_big, Pool(8), false), (Packed, (1, 8), (1, 8), Pool(8), true)),
+            // a 4×2 cell's 516 B columns do not fit beside its A block:
+            // 1024·(264 + 516 + 10·516) = 6 082 560 words, against 2×4's
+            // 1024·(528 + 258) = 804 864
+            ("Auto 1024³ on 8",             plan(portable, big, 1, No, b_big, Pool(8), false), (Packed, (2, 4), (2, 4), Pool(8), true)),
+            ("Auto on one thread",          plan(portable, big, 1, No, b_big, Serial, false),  (Packed, (1, 1), (1, 1), Serial, true)),
+            // at the host's mc, for β = 0 and β = 0.5 alike: half of B
+            // fits beside the A block in the L2 (1.03 + 0.5 MiB) and all of
+            // it does not (2 + 0.5 MiB), so the row split's second row
+            // task would read its B panel back: 655 360 words a cell
+            // against the columns' 394 240
+            ("512³ Pool(2), host mc",       plan(None, square, 1, No, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("7 x 16 rows, host mc",        plan(None, batch, 7, No, HOST, Pool(2), false),  (InPlace, (1, 2), (1, 2), Pool(2), false)),
         ];
         for (row, plan, want) in rows {
             let got = (
                 plan.b_source,
                 plan.grid,
                 plan.tail_grid,
-                (plan.in_place, plan.tail_in_place),
                 plan.runtime,
                 plan.predicted.is_some(),
             );
@@ -1082,7 +1049,7 @@ mod tests {
         }
         // nothing is left serial on the caller: half the serial
         // prediction plus one barrier
-        let priced = plan(avx512, square, 1, No, 0.0, PAPER, Pool(2), false)
+        let priced = plan(avx512, square, 1, No, PAPER, Pool(2), false)
             .predicted
             .unwrap();
         assert!(priced.pool_ms < 0.65 * priced.serial_ms);

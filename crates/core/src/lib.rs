@@ -59,7 +59,8 @@
 #![warn(missing_docs)]
 // unsafe is confined to three modules: `tile` (the C-tile view whose
 // checked API hands out one column segment of a rectangle of C at a
-// time), `simd` (the `std::arch` register kernels: called only after
+// time, and splits a tile into two that share no element, each free to
+// go to its own thread), `simd` (the `std::arch` register kernels: called only after
 // feature detection, A/B read through chunked slices, C reached only
 // through `TileMut::col_seg_mut` with a masked store) and `lease` (the
 // one lifetime erasure: a call's operands lent to pool jobs behind a
@@ -171,10 +172,10 @@ pub enum GemmError {
         /// Live pool workers at the moment of expiry (diagnostic).
         workers_alive: usize,
     },
-    /// Memory for a packing buffer or staging area could not be
-    /// reserved, even after degrading to smaller chunks.
+    /// Memory for a packing buffer could not be reserved, even after
+    /// degrading to smaller chunks.
     AllocFailure {
-        /// Which buffer failed (e.g. `"packed A"`, `"C staging"`).
+        /// Which buffer failed (e.g. `"packed A"`, `"packed B"`).
         what: &'static str,
     },
     /// A serialized weight-store blob failed validation: truncated,

@@ -22,18 +22,18 @@
 //! - **The cell grid** ([`cell_grid`], DESIGN.md §9): each `jj` panel of
 //!   a call is cut into *cells* — a run of `mc` row blocks (of a batch's
 //!   rows stacked, so a block may straddle entries) by an `nr`-aligned
-//!   run of the panel's columns —
-//!   about one per thread, by the one pure function that minimises the
-//!   words a cell packs and stages. Which loop is parallel is that
-//!   function's answer for the shape: columns for a square call or a single block,
-//!   rows for a tall narrow one or a batch against cached panels; for one
-//!   thread, neither. The call's [`Plan`] holds the answer, for a full
-//!   panel and the last; the walk only cuts it.
+//!   run of the panel's columns — about one per thread, by the one pure
+//!   function that minimises the words a cell moves. Which loop is
+//!   parallel is that function's answer for the shape: columns for a
+//!   square call or a single block, rows for a tall narrow one or a batch
+//!   against cached panels; for one thread, neither. The call's [`Plan`]
+//!   holds the answer, for a full panel and the last; the walk cuts the
+//!   cells of each once per call.
 //! - **[`GemmArena`]**: a thread-local free list of [`BlockSlot`]s
-//!   (packed-A buffer + C staging buffer) and packed-B panels. A cell
-//!   uses the arena of the thread that runs it, so packed operands are
-//!   written by the core that reads them. Steady state performs **zero**
-//!   packing-buffer allocations on any thread.
+//!   (packed-A buffer, undo copy of C, scratch register tile) and
+//!   packed-B panels. A cell uses the arena of the thread that runs it,
+//!   so packed operands are written by the core that reads them. Steady
+//!   state performs **zero** packing-buffer allocations on any thread.
 //!
 //! ## Cells that borrow the operands
 //!
@@ -41,14 +41,15 @@
 //! its part of C, then for every `kk` take **its own B columns** —
 //! packed into its own panel, or read in place, or addressed inside a
 //! [`PrepackedB`] tile, as the plan's [`BSource`] says — pack
-//! **its own A blocks** and GEBP. On the pool it does so *staged* — on a
-//! private copy of its part of C, written back last — unless the plan
-//! has it write C in place: a cell alone in its column chunk, in a
-//! `β = 0` call of one entry, works straight on C, as the serial call's
-//! one cell does ([`Plan::in_place`]). Every element of C sees the same kernel
-//! calls in the same `kk` order, whatever the grid and wherever it
-//! accumulates, so every output bit is the one-cell result by
-//! construction.
+//! **its own A blocks** and GEBP, straight into **its own tiles of C**.
+//! Every panel, the walk cuts C into one set of tiles per cell with
+//! [`TileMut`]'s row and column splits: one tile per batch entry the
+//! cell's rows cover, sharing no element with any other cell's, so each
+//! set can go to whichever thread runs its cell. A register tile whose
+//! rows cross where two entries meet runs on the slot's scratch tile
+//! (`gebp::Stacked`). Every element of C sees the same kernel calls in
+//! the same `kk` order, whatever the grid and however its rows are
+//! stored, so every output bit is the one-cell result by construction.
 //!
 //! Persistent workers outlive any one call, and the operands are the
 //! caller's borrows. The `lease` module bridges the two: a panel's operands
@@ -57,20 +58,18 @@
 //! closure cannot be left while a job is in there. The pool itself stays
 //! `forbid(unsafe_code)`. An epoch is then:
 //!
-//! 1. the **caller** cuts the grid, submits one job per cell but the
-//!    first, and computes the first cell itself;
+//! 1. the **caller** cuts C, submits one job per cell but the first, and
+//!    computes the first cell itself;
 //! 2. a **job** claims its cell — one compare-and-swap on state the pool
 //!    owns — inside `with`, before it touches an operand, computes it
 //!    with its own thread's buffers, and posts one done message;
 //! 3. the caller *helps drain the queue* while waiting at the barrier,
-//!    and settles faults. In a healthy call it packs nothing and copies
+//!    and settles faults. In a healthy call it packs nothing and writes
 //!    nothing that is not its own cell's.
 //!
-//! Cells of one column chunk cover interleaved rows of the same columns
-//! of C, which no `&mut` split can hand out; each chunk's windows on C
-//! sit behind a lock that cells share to stage in and hold exclusively
-//! for the copy back. A cell that writes in place is its chunk's only
-//! cell and holds the lock exclusively throughout, which nobody waits for.
+//! A cell's tiles sit behind a mutex of their own, because the jobs share
+//! the lent operands by `&`: only the thread that runs the cell takes it,
+//! so nobody ever waits for one.
 //!
 //! ## Fault tolerance (DESIGN.md §10)
 //!
@@ -80,14 +79,14 @@
 //! nothing — a panic unwinds into the caller; of the points below only
 //! the last is its own too, degrading inside its one cell.)
 //!
-//! - **Worker panics**: each cell runs under `catch_unwind`. A staged
-//!   cell leaves C untouched until its write-back, its last step; a cell
-//!   that writes in place has damaged only its own columns, under
-//!   `β = 0`, whose first `kk` panel stores C without reading it. Either
-//!   way the caller recomputes a panicked cell straight on C —
-//!   bit-identical, because the replay makes the same kernel calls in
-//!   the same order. Only a panicking *replay* surfaces as
-//!   [`GemmError::WorkerFault`].
+//! - **Worker panics**: each cell runs under `catch_unwind`. A pooled
+//!   cell of a `β ≠ 0` call first copies its part of C into its slot's
+//!   undo buffer, and restores C from it when its run fails; under
+//!   `β = 0` there is nothing to restore, because the replay's first `kk`
+//!   panel stores C without reading it. Either way the caller recomputes
+//!   a panicked cell straight on C — bit-identical, because the replay
+//!   makes the same kernel calls in the same order. Only a panicking
+//!   *replay* surfaces as [`GemmError::WorkerFault`].
 //! - **Dead workers**: every worker holds a guard that records its death;
 //!   [`WorkerPool::ensure_workers`] (called at every epoch start)
 //!   respawns up to the wanted count. [`WorkerPool::status`] exposes the
@@ -101,18 +100,18 @@
 //!   ([`PoolStatus::late_jobs`]). A cell already claimed cannot be
 //!   abandoned — its thread holds live borrows — so the caller waits for
 //!   it: a thread descheduled *mid-cell* delays the call instead.
-//! - **Allocation failures**: staging and packing buffers grow with
-//!   `try_reserve`; on failure a cell degrades to smaller packing chunks
-//!   (bit-identical: each (A-sliver, B-sliver) pair still gets exactly
-//!   one kernel call per `kk`), and a cell that cannot even stage, or
-//!   cannot pack its smallest chunk, is recomputed by the caller
-//!   straight on C. Only when the minimal chunk
+//! - **Allocation failures**: the undo buffer and the packing buffers
+//!   grow with `try_reserve`; on failure a cell degrades to smaller
+//!   packing chunks (bit-identical: each (A-sliver, B-sliver) pair still
+//!   gets exactly one kernel call per `kk`), and a cell that cannot save
+//!   its undo copy, or cannot pack its smallest chunk, is restored and
+//!   recomputed by the caller straight on C. Only when the minimal chunk
 //!   cannot be allocated there either does the call report
 //!   [`GemmError::AllocFailure`].
 
 #![forbid(unsafe_code)]
 
-use crate::gebp::{gebp_slivers_with, BPanel, BWindow};
+use crate::gebp::{gebp_slivers_with, segments, BPanel, BWindow, Stacked};
 use crate::gemm::{BSource, Plan};
 use crate::lease::{Gate, Lend};
 use crate::matrix::{MatrixView, MatrixViewMut};
@@ -130,13 +129,13 @@ use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How a GEMM call executes layer 3.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum Parallelism {
-    /// Single-threaded on the calling thread, no staging copies.
+    /// Single-threaded on the calling thread: each panel is one cell.
     #[default]
     Serial,
     /// The persistent worker pool with `n`-way parallelism (the calling
@@ -213,11 +212,10 @@ impl PoolShared {
 ///
 /// Workers are detached threads parked on the job channel; they are
 /// spawned lazily by [`WorkerPool::ensure_workers`], which also
-/// respawns replacements for any that died. Jobs wait for nothing but
-/// the lock on their own columns of C and run under `catch_unwind`,
-/// which keeps the caller's help-while-waiting drain loop deadlock-free
-/// and a panicking job from taking a worker (or the process) down with
-/// it.
+/// respawns replacements for any that died. Jobs wait for nothing and
+/// run under `catch_unwind`, which keeps the caller's help-while-waiting
+/// drain loop deadlock-free and a panicking job from taking a worker (or
+/// the process) down with it.
 ///
 /// Pools are **multi-instance**: [`WorkerPool::global`] is the default
 /// process-wide pool every `gemm()` call uses, and
@@ -555,15 +553,18 @@ impl WorkerPool {
     }
 }
 
-/// One thread's working memory for one cell: the packed-A buffer and
-/// the cell's private copy of its part of C. Slots are recycled through
-/// the [`GemmArena`] of the thread that runs the cell and never leave it.
+/// One thread's working memory for one cell: the packed-A buffer, the
+/// undo copy of the cell's part of C — a pooled `β ≠ 0` cell's only copy
+/// of C — and one scratch register tile. Slots are recycled through the
+/// [`GemmArena`] of the thread that runs the cell and never leave it.
 #[derive(Debug)]
 pub struct BlockSlot<T: Scalar> {
     pa: PackedA<T>,
-    /// The staged cell: per row task an `mc_eff × ncols` block of stacked
-    /// rows, column-major with `ld = mc_eff`, one after the other.
-    staging: Vec<T>,
+    /// What the cell's tiles of C held before it began (`run_contained`).
+    undo: Vec<T>,
+    /// A register tile whose rows cross where two batch entries meet
+    /// (`gebp::Stacked`).
+    scratch: Vec<T>,
 }
 
 /// Thread-local free lists of packing buffers, so steady-state GEMM
@@ -606,7 +607,8 @@ impl<T: Scalar> GemmArena<T> {
                 telemetry::count_arena_fresh();
                 BlockSlot {
                     pa: PackedA::new(mr),
-                    staging: Vec::new(),
+                    undo: Vec::new(),
+                    scratch: Vec::new(),
                 }
             }
         }
@@ -688,54 +690,55 @@ pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
 }
 
 /// The grid one `jj` panel of a call is cut into, as `(row ranges,
-/// column chunks)`: `tasks` row tasks (`row_tasks`) of `rows` stacked
-/// rows by `n` panel columns in `nr` slivers, `k` deep, for `degree`
-/// threads. The one place that decision lives; the call's [`Plan`] holds
-/// it, the walk cuts it and the dispatcher prices it.
+/// column chunks)`: `rows` stacked rows in row tasks of `mc`
+/// (`row_tasks`) by `n` panel columns in `nr` slivers, `k` deep in
+/// panels of `kc`, for `degree` threads on cores whose L2 holds `l2`
+/// elements (`None`: unknown). The one place that decision lives; the
+/// call's [`Plan`] holds it, the walk cuts it and the dispatcher prices it.
 ///
-/// A cell packs its own operands and, unless it writes C in place, stages
-/// its own part of C. The objective is the words a cell moves over the
-/// whole call: `k · (its rows of A + its columns of B)` — B only when the
-/// call packs it at all (`pack_b`, from `gemm::packs_b`) — plus its
-/// `rows · cols` of C when it stages them, or nothing when it writes
-/// them in place: a cell alone in its column chunk does when
-/// `lone_in_place` says the call lets it (`writes_in_place`). The grid
-/// is the one whose largest cell moves the fewest words, times the rounds
-/// it takes `degree` threads to run the cells, among those with a cell
-/// for every thread (or as many as the shape has); ties go to the column
-/// split, whose cells share no packed B and own whole columns of C. A
-/// square call splits its columns — on two threads by the C it does not
-/// stage, when it may write in place — a single `mc` block can only do
-/// that, a tall one with fewer slivers than threads splits its rows, and
-/// so does a batch against a [`PrepackedB`], which has no B pack to
-/// duplicate.
+/// A cell packs its own operands and writes its own tiles of C. The
+/// objective is the words a cell moves over the whole call: `k · (its
+/// rows of A + its columns of B)` — B only when the call packs it at all
+/// (`pack_b`, from `gemm::packs_b`) — plus `k · cols` more for each of
+/// its row tasks after the first when its `kc × cols` B panel does not
+/// fit beside one `mc × kc` A block in the L2: each of those blocks then
+/// reads the panel back from farther out (eqs. 19–20, per cell). The
+/// grid is the one whose largest cell moves the fewest words, times the
+/// rounds it takes `degree` threads to run the cells, among those with a
+/// cell for every thread (or as many as the shape has); ties go to the
+/// column split, whose cells share no packed B. A square call splits its
+/// columns — on two threads at `mc` = 128 because half of B fits beside
+/// the A block in a 2 MiB L2 and all of it does not — a single `mc` block
+/// can only do that, a tall one with fewer slivers than threads splits its
+/// rows, and so does a batch against a [`PrepackedB`], which has no B pack
+/// to duplicate.
 #[must_use]
-#[allow(clippy::too_many_arguments)] // the shape, the blocking, the runtime and two call facts
+#[allow(clippy::too_many_arguments)] // the shape, the blocking, the runtime and two facts
 pub fn cell_grid(
-    tasks: usize,
     rows: usize,
     n: usize,
     k: usize,
+    kc: usize,
     mc: usize,
     nr: usize,
     degree: usize,
     pack_b: bool,
-    lone_in_place: bool,
+    l2: Option<usize>,
 ) -> (usize, usize) {
-    let (tasks, mc, nr, degree) = (tasks.max(1), mc.max(1), nr.max(1), degree.max(1));
+    let (mc, nr, degree) = (mc.max(1), nr.max(1), degree.max(1));
+    let tasks = row_tasks(rows, 1, mc).max(1);
     let slivers = n.div_ceil(nr).max(1);
+    let depth = kc.min(k).max(1);
     (1..=degree.min(tasks))
         .map(|r| {
             let chunks = degree.div_ceil(r).min(slivers);
-            let rows = (tasks.div_ceil(r) * mc).min(rows);
+            let cell_tasks = tasks.div_ceil(r);
+            let rows = (cell_tasks * mc).min(rows);
             let cols = (slivers.div_ceil(chunks) * nr).min(n);
             let packed = if pack_b { cols } else { 0 };
-            let staged = if writes_in_place(lone_in_place, (r, chunks)) {
-                0
-            } else {
-                rows * cols
-            };
-            let words = (r * chunks).div_ceil(degree) * (k * (rows + packed) + staged);
+            let spills = l2.is_some_and(|l2| depth * (cols + mc) > l2);
+            let reread = if spills { (cell_tasks - 1) * cols } else { 0 };
+            let words = (r * chunks).div_ceil(degree) * k * (rows + packed + reread);
             (
                 ((r * chunks).min(degree), core::cmp::Reverse(words), chunks),
                 (r, chunks),
@@ -745,69 +748,85 @@ pub fn cell_grid(
         .map_or((1, 1), |(_, grid)| grid)
 }
 
-/// Whether the cells of a panel cut into `grid` write C in place instead
-/// of staging it: when each is the only cell of its column chunk, and a
-/// cell alone in its chunk may (`lone_in_place`, which the call's plan
-/// decides: a call of one entry, serial or with `β = 0`). The one
-/// predicate behind [`Plan::in_place`], [`cell_grid`]'s objective and
-/// the dispatcher's price.
-#[must_use]
-pub(crate) fn writes_in_place(lone_in_place: bool, (row_ranges, _): (usize, usize)) -> bool {
-    lone_in_place && row_ranges == 1
-}
-
-/// The cells of one `jj` panel `n` columns wide, and its column chunks as
-/// `(col0, ncols)`: `grid`'s row ranges, cut from the `rows` stacked rows
-/// in whole `mc` blocks, by its column chunks, cut in whole slivers.
+/// The cells of one `jj` panel `n` columns wide, chunk by chunk:
+/// `grid`'s row ranges, cut from the `rows` stacked rows in whole `mc`
+/// blocks, by its column chunks, cut in whole slivers.
 fn panel_cells(
     rows: usize,
     n: usize,
     mc: usize,
     nr: usize,
     (row_ranges, col_chunks): (usize, usize),
-) -> (Vec<Cell>, Vec<(usize, usize)>) {
+) -> Vec<Cell> {
     let row_ranges = partition_rows(rows, mc, row_ranges);
-    let col_chunks = partition_rows(n, nr, col_chunks);
-    let cells = col_chunks
-        .iter()
-        .enumerate()
-        .flat_map(|(chunk, &(col0, ncols))| {
+    partition_rows(n, nr, col_chunks)
+        .into_iter()
+        .flat_map(|(col0, ncols)| {
             row_ranges.iter().map(move |&(r0, rows)| Cell {
                 r0,
                 r1: r0 + rows,
-                chunk,
                 col0,
                 ncols,
             })
         })
-        .collect();
-    (cells, col_chunks)
+        .collect()
 }
 
 /// One cell of a panel's grid: a run of row tasks by a run of slivers.
 #[derive(Clone, Copy, Debug)]
 struct Cell {
-    /// Stacked rows `r0..r1` ([`row_tasks`]): its row tasks are the `mc`
+    /// Stacked rows `r0..r1` (`row_tasks`): its row tasks are the `mc`
     /// blocks from `r0` on ([`Cell::blocks`]).
     r0: usize,
     r1: usize,
-    /// Which column chunk of the panel ([`Operands::c_chunks`]).
-    chunk: usize,
-    /// The chunk's first column within the panel, a multiple of `nr`.
+    /// The cell's first column within the panel, a multiple of `nr`.
     col0: usize,
     ncols: usize,
 }
 
 impl Cell {
+    /// Its `(rows, columns)`.
+    fn size(&self) -> (usize, usize) {
+        (self.r1 - self.r0, self.ncols)
+    }
+
     /// The cell's row tasks as `(r0, mc_eff)`: its stacked rows in `mc`
-    /// blocks. A block's place in the cell's staging buffer is
-    /// `(r0 - self.r0) · ncols`.
+    /// blocks.
     fn blocks(&self, mc: usize) -> impl Iterator<Item = (usize, usize)> {
         let end = self.r1;
         (self.r0..end)
             .step_by(mc)
             .map(move |r0| (r0, mc.min(end - r0)))
     }
+}
+
+/// Each cell's tiles of C on one panel: `entries` are every batch entry's
+/// `m`-row window on the panel, and a cell gets, entry by entry, the rows
+/// of its range that lie in that entry by its columns. The tiles share no
+/// element, so each set can go to the thread that runs its cell.
+fn cell_tiles<'a, T: Scalar>(
+    entries: impl Iterator<Item = TileMut<'a, T>>,
+    m: usize,
+    cells: &[Cell],
+) -> Vec<Mutex<Vec<TileMut<'a, T>>>> {
+    let mut tiles: Vec<Vec<TileMut<'a, T>>> = cells.iter().map(|_| Vec::new()).collect();
+    for (entry, mut right) in entries.enumerate() {
+        let (top, bottom) = (entry * m, entry * m + m);
+        let mut tiles = tiles.iter_mut();
+        for chunk in cells.chunk_by(|a, b| a.col0 == b.col0) {
+            let (mut below, rest) = right.split_cols(chunk[0].ncols);
+            right = rest;
+            for (cell, tiles) in chunk.iter().zip(&mut tiles) {
+                let (lo, hi) = (cell.r0.max(top), cell.r1.min(bottom));
+                if lo < hi {
+                    let (tile, rest) = below.split_rows(hi - lo);
+                    tiles.push(tile);
+                    below = rest;
+                }
+            }
+        }
+    }
+    tiles.into_iter().map(Mutex::new).collect()
 }
 
 /// One call's operands as the caller passed them — C aside — and the
@@ -817,8 +836,8 @@ pub(crate) struct Call<'a, T: Scalar, K> {
     pub(crate) transa: Transpose,
     pub(crate) transb: Transpose,
     pub(crate) alpha: T,
-    /// Not yet applied to C: staging a cell in applies it, or for `β = 0`
-    /// the first `kk` panel's kernels, which store and never read.
+    /// Not yet applied to C: each cell applies it to its own tiles first,
+    /// or for `β = 0` the first `kk` panel's kernels store and never read.
     pub(crate) beta: T,
     pub(crate) kernel: K,
     pub(crate) a_batch: &'a [MatrixView<'a, T>],
@@ -829,8 +848,8 @@ pub(crate) struct Call<'a, T: Scalar, K> {
 }
 
 /// What the jobs of one `jj` panel borrow from the call, through the
-/// [`Gate`]: the operands, the plan, the panel's cells, and C cut into
-/// the grid's column chunks.
+/// [`Gate`]: the operands, the plan, the panel's cells and their tiles of
+/// C.
 struct Operands<'a, T: Scalar, K> {
     call: Call<'a, T, K>,
     plan: &'a Plan,
@@ -842,15 +861,11 @@ struct Operands<'a, T: Scalar, K> {
     /// pool, not on [`Parallelism::Serial`], whose one cell unwinds into
     /// the caller. `faults::panic_in_job` fires only where it is.
     contained: bool,
-    /// Whether the panel's cells write C in place instead of staging it
-    /// ([`Plan::in_place`]).
-    in_place: bool,
-    cells: Vec<Cell>,
-    /// Per column chunk, every entry's `m × ncols` window of C. Cells of
-    /// one chunk cover interleaved rows of the same columns, which no
-    /// `&mut` split can express: they read their rows under the shared
-    /// lock and write them back, last thing, under the exclusive one.
-    c_chunks: Vec<RwLock<Vec<MatrixViewMut<'a, T>>>>,
+    cells: &'a [Cell],
+    /// Each cell's tiles of C ([`cell_tiles`]). Only the thread that runs
+    /// a cell takes its lock — the job that claimed it, or after that job
+    /// the caller replaying it — so nobody waits for one.
+    c: Vec<Mutex<Vec<TileMut<'a, T>>>>,
 }
 
 /// [`Operands`] without its lifetime, for the [`Gate`].
@@ -871,78 +886,10 @@ fn runs(m: usize, r0: usize, rows: usize) -> impl Iterator<Item = (usize, usize,
     })
 }
 
-/// The views are plain borrows, valid whatever a panicking holder was
-/// doing, so a poisoned lock is taken as it is.
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `staging = β ·` `cell`'s rows and columns of C. For `β = 0` C is not
-/// read and the buffer is only sized: the first `kk` panel's kernels
-/// store every element of it, so what a reused buffer held is
-/// overwritten, not zeroed first. Fallible: the buffer grows with
-/// `try_reserve`.
-fn stage_in<T: Scalar, K>(
-    ops: &Operands<'_, T, K>,
-    cell: &Cell,
-    staging: &mut Vec<T>,
-    c: &[MatrixViewMut<'_, T>],
-) -> Result<(), GemmError> {
-    let len = (cell.r1 - cell.r0) * cell.ncols;
-    let grow = len.saturating_sub(staging.len());
-    if crate::faults::fail_alloc() || staging.try_reserve(grow).is_err() {
-        return Err(GemmError::AllocFailure { what: "C staging" });
-    }
-    if ops.call.beta == T::ZERO {
-        // (zero-fills only what the buffer grows by)
-        staging.resize(len, T::ZERO);
-        return Ok(());
-    }
-    staging.clear();
-    for (r0, mc_eff) in cell.blocks(ops.plan.blocks.mc) {
-        for j in 0..cell.ncols {
-            for (entry, row0, rows) in runs(ops.plan.m, r0, mc_eff) {
-                let view = c[entry].as_view();
-                let col = &view.col(j)[row0..row0 + rows];
-                if ops.call.beta == T::ONE {
-                    staging.extend_from_slice(col);
-                } else {
-                    staging.extend(col.iter().map(|&x| x * ops.call.beta));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn stage_out<T: Scalar, K>(
-    ops: &Operands<'_, T, K>,
-    cell: &Cell,
-    staging: &[T],
-    c: &mut [MatrixViewMut<'_, T>],
-) {
-    let mut staged = staging;
-    for (r0, mc_eff) in cell.blocks(ops.plan.blocks.mc) {
-        for j in 0..cell.ncols {
-            for (entry, row0, rows) in runs(ops.plan.m, r0, mc_eff) {
-                let (col, rest) = staged.split_at(rows);
-                c[entry].col_mut(j)[row0..row0 + rows].copy_from_slice(col);
-                staged = rest;
-            }
-        }
-    }
-}
-
-/// Where a cell accumulates.
-enum Dest<'d, 'c, T: Scalar> {
-    /// Its private copy of its part of C ([`BlockSlot::staging`]).
-    Staging(&'d mut [T]),
-    /// C itself: each entry's window on the cell's column chunk.
-    Direct(&'d mut [MatrixViewMut<'c, T>]),
+/// A cell's tiles are plain borrows, valid whatever a panicking holder
+/// was doing, so a poisoned lock is taken as it is.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Pack stacked rows `row0..row0 + mc_eff` of `op(A)`, depth `kk..kk +
@@ -952,8 +899,8 @@ enum Dest<'d, 'c, T: Scalar> {
 /// to the one-shot pack: each row is its own lane of whatever sliver and
 /// row group it lands in, every (A-sliver, B-sliver) pair still gets
 /// exactly one kernel call, and each C element's k-accumulation order is
-/// unchanged. `tile` is the `mc_eff × cols` destination; on the first
-/// panel of a `β = 0` call the kernels store it without reading it.
+/// unchanged. `c` is the `mc_eff × cols` destination; on the first panel
+/// of a `β = 0` call the kernels store it without reading it.
 #[allow(clippy::too_many_arguments)]
 fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
@@ -963,7 +910,7 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     panel: &impl BPanel<T>,
     s0: usize,
     cols: usize,
-    tile: &mut TileMut<'_, T>,
+    c: &mut Stacked<'_, '_, T>,
 ) -> Result<(), GemmError> {
     let Call {
         transa,
@@ -983,7 +930,12 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
         let runs = runs.map(|(entry, i0, n)| (&a_batch[entry], i0, n));
         match pa.try_pack_runs(runs, transa, kk, kc_eff) {
             Ok(()) => {
-                let mut sub = tile.sub_tile(r, 0, rows, cols);
+                let mut sub = Stacked {
+                    tiles: &mut *c.tiles,
+                    row0: c.row0 + r,
+                    col0: c.col0,
+                    scratch: &mut *c.scratch,
+                };
                 gebp_slivers_with(kernel, alpha, overwrite, pa, panel, s0, cols, &mut sub);
                 r += rows;
             }
@@ -1036,16 +988,16 @@ fn pack_panel_resilient<T: Scalar>(
 }
 
 /// One `kk` step of a cell against one stretch of its B columns: every
-/// row task's block of A, packed into `pa` and multiplied into columns
-/// `c0..c0 + cols` of the task's part of `dest`. `b` holds those columns
-/// from its sliver `s0` on.
+/// row task's block of A, packed into the slot and multiplied into
+/// columns `c0..c0 + cols` of the task's rows of the cell's tiles `c`.
+/// `b` holds those columns from its sliver `s0` on.
 #[allow(clippy::too_many_arguments)]
 fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
     cell: &Cell,
     depth: (usize, usize),
-    pa: &mut PackedA<T>,
-    dest: &mut Dest<'_, '_, T>,
+    slot: &mut BlockSlot<T>,
+    c: &mut [TileMut<'_, T>],
     b: &impl BPanel<T>,
     s0: usize,
     (c0, cols): (usize, usize),
@@ -1055,46 +1007,43 @@ fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
         if ops.contained {
             crate::faults::panic_in_job();
         }
-        match dest {
-            Dest::Staging(staging) => {
-                let block = &mut staging[(r0 - cell.r0) * cell.ncols..][..mc_eff * cell.ncols];
-                let mut whole = TileMut::from_slice(mc_eff, cell.ncols, mc_eff.max(1), block);
-                let mut tile = whole.sub_tile(0, c0, mc_eff, cols);
-                gebp_block_resilient(ops, depth, (r0, mc_eff), pa, b, s0, cols, &mut tile)?;
-            }
-            // the entries of C are separate matrices: the block is cut
-            // where they meet, as the degraded pack cuts it into chunks
-            Dest::Direct(c) => {
-                for (entry, row0, rows) in runs(ops.plan.m, r0, mc_eff) {
-                    let view = &mut c[entry];
-                    let (all, ld) = (view.rows(), view.ld());
-                    let mut whole = TileMut::from_slice(all, cell.ncols, ld, view.data_mut());
-                    let mut tile = whole.sub_tile(row0, c0, rows, cols);
-                    let run = (entry * ops.plan.m + row0, rows);
-                    gebp_block_resilient(ops, depth, run, pa, b, s0, cols, &mut tile)?;
-                }
-            }
-        }
+        let mut block = Stacked {
+            tiles: &mut *c,
+            row0: r0 - cell.r0,
+            col0: c0,
+            scratch: &mut slot.scratch,
+        };
+        let pa = &mut slot.pa;
+        gebp_block_resilient(ops, depth, (r0, mc_eff), pa, b, s0, cols, &mut block)?;
     }
     Ok(())
 }
 
-/// Loops 2 and 3 of Figure 2 on one cell, the only place they are
-/// written: `dest += α · op(A)[cell rows] · op(B)[:, cell columns]`,
-/// depth block after depth block, so every element of C gets the same
-/// kernel calls in the same `kk` order whatever the grid. B comes
-/// from a [`PrepackedB`] tile when the call has one, from the cell's
-/// own pack of its own columns when the call packs, and otherwise from
-/// where the caller stored it; A is packed into `pa` block by block.
+/// Loops 2 and 3 of Figure 2 on one cell, the one cell body — a serial
+/// call, workers, the helping caller, degree 1, degraded mode and
+/// recovery all run it, on that thread's buffers: `c = β·c + α ·
+/// op(A)[cell rows] · op(B)[:, cell columns]` straight into the cell's
+/// tiles of C, depth block after depth block, so every element of C gets
+/// the same kernel calls in the same `kk` order whatever the grid. B
+/// comes from a [`PrepackedB`] tile when the call has one, from the
+/// cell's own pack of its own columns when the call packs, and otherwise
+/// from where the caller stored it; A is packed block by block.
 /// Allocation failures degrade to smaller packing chunks and surface
 /// only when even the smallest cannot be had.
-fn cell_product<T: Scalar, K: KernelSet<T>>(
+fn run_cell<T: Scalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
     cell: &Cell,
-    pa: &mut PackedA<T>,
+    c: &mut [TileMut<'_, T>],
+    slot: &mut BlockSlot<T>,
     panel: &mut PackedB<T>,
-    dest: &mut Dest<'_, '_, T>,
 ) -> Result<(), GemmError> {
+    // (β = 0 needs no pass: the first panel's kernels store C)
+    let beta = ops.call.beta;
+    if beta != T::ZERO && beta != T::ONE {
+        segments(c, (0, 0), cell.size(), |c, _| {
+            c.iter_mut().for_each(|x| *x *= beta)
+        });
+    }
     let nr = ops.call.kernel.nr().max(1);
     let j0 = ops.jj + cell.col0;
     let whole = (0, cell.ncols);
@@ -1107,7 +1056,7 @@ fn cell_product<T: Scalar, K: KernelSet<T>>(
         telemetry::set_gepp(gepp);
         if let Some(pp) = ops.call.prepacked {
             let tile = pp.tile_range(ops.jj, kk, &[(cell.col0, cell.ncols)]);
-            gebp_tasks(ops, cell, depth, pa, dest, &**tile, cell.col0 / nr, whole)?;
+            gebp_tasks(ops, cell, depth, slot, c, &**tile, cell.col0 / nr, whole)?;
         } else if ops.plan.b_source == BSource::Packed {
             pack_panel_resilient(
                 panel,
@@ -1118,56 +1067,27 @@ fn cell_product<T: Scalar, K: KernelSet<T>>(
                 kc_eff,
                 cell.ncols,
                 nr,
-                |c0, packed| gebp_tasks(ops, cell, depth, pa, dest, packed, 0, (c0, packed.nc())),
+                |c0, packed| gebp_tasks(ops, cell, depth, slot, c, packed, 0, (c0, packed.nc())),
             )?;
         } else {
             let window = BWindow::new(ops.call.b, ops.call.transb, kk, j0, kc_eff, cell.ncols, nr);
-            gebp_tasks(ops, cell, depth, pa, dest, &window, 0, whole)?;
+            gebp_tasks(ops, cell, depth, slot, c, &window, 0, whole)?;
         }
         kk += kc_eff;
     }
     Ok(())
 }
 
-/// Compute one cell on the calling thread, with that thread's buffers —
-/// the one cell body: a serial call, workers, the helping caller, degree
-/// 1, degraded mode and recovery all run it.
-///
-/// `staged`: copy the cell's part of C into a private buffer, accumulate
-/// there, write it back as the last step — so a cell that panics or fails
-/// has not touched C and can be replayed from it. Unstaged, the cell
-/// accumulates straight on C, holding its column chunk exclusively: the
-/// way of a serial call, whose one cell shares C with nobody and is never
-/// replayed; of a pooled cell alone in its chunk in a `β = 0` call, whose
-/// replay stores over whatever it wrote ([`Plan::in_place`]); and of
-/// recovery, which needs no staging memory and after which there is no
-/// second replay.
-fn run_cell<T: PoolScalar, K: KernelSet<T>>(
-    ops: &Operands<'_, T, K>,
-    cell: &Cell,
-    staged: bool,
-) -> Result<(), GemmError> {
+/// Run `f` on this thread's block slot and B panel for `kernel`, and
+/// give them back to its arena after.
+fn with_buffers<T: PoolScalar, K: KernelSet<T>, R>(
+    kernel: K,
+    f: impl FnOnce(&mut BlockSlot<T>, &mut PackedB<T>) -> R,
+) -> R {
     T::with_arena(|arena| {
-        let mut slot = arena.take_slot(ops.call.kernel.mr());
-        let mut panel = arena.take_panel(ops.call.kernel.nr());
-        let BlockSlot { pa, staging } = &mut slot;
-        let c = &ops.c_chunks[cell.chunk];
-        let result = if staged {
-            // (each guard is dropped with its statement)
-            let staged_in = stage_in(ops, cell, staging, &read(c));
-            staged_in
-                .and_then(|()| cell_product(ops, cell, pa, &mut panel, &mut Dest::Staging(staging)))
-                .map(|()| stage_out(ops, cell, staging, &mut write(c)))
-        } else {
-            let (mut c, beta) = (write(c), ops.call.beta);
-            // (β = 0 needs no pass: the first panel's kernels store C)
-            if beta != T::ZERO {
-                for (entry, row0, rows) in runs(ops.plan.m, cell.r0, cell.r1 - cell.r0) {
-                    c[entry].sub_mut(row0, 0, rows, cell.ncols).scale(beta);
-                }
-            }
-            cell_product(ops, cell, pa, &mut panel, &mut Dest::Direct(&mut c))
-        };
+        let mut slot = arena.take_slot(kernel.mr());
+        let mut panel = arena.take_panel(kernel.nr());
+        let result = f(&mut slot, &mut panel);
         arena.put_slot(slot);
         arena.put_panel(panel);
         result
@@ -1177,26 +1097,52 @@ fn run_cell<T: PoolScalar, K: KernelSet<T>>(
 /// How a cell's run ended, as the caller's barrier learns it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Outcome {
-    /// Computed and written back.
+    /// Computed into C.
     Clean,
-    /// Its thread panicked: staged, C has not seen the cell; in place,
-    /// under `β = 0`, the replay stores over whatever it wrote.
+    /// Its thread panicked. C holds what it held before the cell began:
+    /// restored from the undo copy under `β ≠ 0`, and under `β = 0`
+    /// whatever the run stored, which the replay stores over unread.
     Panicked,
-    /// Out of memory even for the smallest chunk; as for a panic.
+    /// Out of memory even for the smallest chunk, or for the undo copy;
+    /// as for a panic.
     OutOfMemory,
     /// The watchdog took it back before any thread began it.
     Revoked,
 }
 
-/// [`run_cell`], staged unless the plan writes the panel in place, with a
-/// panic contained into its [`Outcome`].
+/// [`run_cell`] on cell `idx` of a pooled panel, with a panic contained
+/// into its [`Outcome`]. Under `β ≠ 0` the cell first saves its part of C
+/// in its slot's undo buffer and, if the run fails, restores it from
+/// there, so the caller's replay starts from the C the call was given.
 fn run_contained<T: PoolScalar, K: KernelSet<T>>(ops: &Operands<'_, T, K>, idx: usize) -> Outcome {
-    let staged = !ops.in_place;
-    match catch_unwind(AssertUnwindSafe(|| run_cell(ops, &ops.cells[idx], staged))) {
-        Ok(Ok(())) => Outcome::Clean,
-        Ok(Err(_)) => Outcome::OutOfMemory,
-        Err(_) => Outcome::Panicked,
-    }
+    let (cell, mut c) = (&ops.cells[idx], lock(&ops.c[idx]));
+    let c = &mut c[..];
+    let undo = ops.call.beta != T::ZERO;
+    with_buffers(ops.call.kernel, |slot, panel| {
+        if undo {
+            // the cell's first allocation, before it touches C
+            let (rows, cols) = cell.size();
+            let grow = (rows * cols).saturating_sub(slot.undo.len());
+            if crate::faults::fail_alloc() || slot.undo.try_reserve(grow).is_err() {
+                return Outcome::OutOfMemory;
+            }
+            slot.undo.resize(rows * cols, T::ZERO);
+            segments(c, (0, 0), (rows, cols), |c, at| {
+                slot.undo[at..at + c.len()].copy_from_slice(c);
+            });
+        }
+        let outcome = match catch_unwind(AssertUnwindSafe(|| run_cell(ops, cell, c, slot, panel))) {
+            Ok(Ok(())) => return Outcome::Clean,
+            Ok(Err(_)) => Outcome::OutOfMemory,
+            Err(_) => Outcome::Panicked,
+        };
+        if undo {
+            segments(c, (0, 0), cell.size(), |c, at| {
+                c.copy_from_slice(&slot.undo[at..at + c.len()]);
+            });
+        }
+        outcome
+    })
 }
 
 /// Epoch-barrier message: cell `idx` of the panel ended with `outcome`.
@@ -1336,20 +1282,21 @@ fn drain_epoch(
 }
 
 /// Cold path: recompute on this thread, straight on C, every cell whose
-/// outcome so far is not clean. A staged cell has not touched C, and a
-/// cell that wrote in place did so under `β = 0`, whose first `kk`
-/// panel the replay stores without reading; either way the replay makes
-/// the cell's kernel calls in the cell's order and the result is
-/// bit-identical. A panic during the replay is
-/// the double fault reported as [`GemmError::WorkerFault`] (C is then
-/// unspecified, but the call finishes so the pool stays consistent); an
-/// allocation failure even here ends the call.
+/// outcome so far is not clean. A cell that failed left C as it found
+/// it under `β ≠ 0` (`run_contained` restores it) and under `β = 0` left
+/// what the replay's first `kk` panel stores over without reading; a
+/// revoked one never began. Either way the replay makes the cell's kernel
+/// calls in the cell's order and the result is bit-identical. A panic
+/// during the replay is the double fault reported as
+/// [`GemmError::WorkerFault`] (C is then unspecified, but the call
+/// finishes so the pool stays consistent); an allocation failure even
+/// here ends the call.
 fn settle<T: PoolScalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
     outcomes: &mut [Option<Outcome>],
     worst: &mut Option<GemmError>,
 ) -> Result<(), GemmError> {
-    for (cell, outcome) in ops.cells.iter().zip(outcomes) {
+    for ((cell, c), outcome) in ops.cells.iter().zip(&ops.c).zip(outcomes) {
         let note = match outcome {
             None | Some(Outcome::Clean) => continue,
             Some(Outcome::Revoked) => "lost block recomputed serially after watchdog expiry",
@@ -1357,7 +1304,12 @@ fn settle<T: PoolScalar, K: KernelSet<T>>(
             Some(Outcome::OutOfMemory) => "block out of memory; recomputed serially on C",
         };
         let _span = telemetry::span(TraceKind::Recovery);
-        match catch_unwind(AssertUnwindSafe(|| run_cell(ops, cell, false))) {
+        let replay = || {
+            with_buffers(ops.call.kernel, |slot, panel| {
+                run_cell(ops, cell, &mut lock(c), slot, panel)
+            })
+        };
+        match catch_unwind(AssertUnwindSafe(replay)) {
             Ok(Ok(())) => {
                 RT.faults_contained.fetch_add(1, Ordering::Relaxed);
                 crate::trace::health_event(
@@ -1422,7 +1374,7 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
             &RT.static_epochs
         };
         epochs.fetch_add(1, Ordering::Relaxed);
-        if ops.c_chunks.len() > 1 {
+        if ops.cells.iter().any(|cell| cell.col0 > 0) {
             RT.grid_epochs.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1491,17 +1443,15 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
 /// A [`BSource::Prepacked`] plan's cells address `call.prepacked`, which
 /// must have been built for exactly this `(transb, nr, kc, nc)` geometry.
 ///
-/// Each `jj` panel is cut into the cells of the plan's grid, and a cell
-/// is loops 2 and 3 on its own piece ([`run_cell`]), staged or straight
-/// on C as the plan says for the panel. Under
-/// [`Parallelism::Serial`] the grid is one cell, computed here — straight
-/// on C unless it is a batch, whose blocks span entries only staged: no
+/// The cells of a full panel and of the last are cut once per call, from
+/// the plan's two grids; each `jj` panel cuts only C, into each cell's own
+/// tiles, and a cell is loops 2 and 3 straight on them ([`run_cell`]).
+/// Under [`Parallelism::Serial`] the grid is one cell, computed here: no
 /// pool, no barrier, and a panic unwinds into the caller. Under
-/// [`Parallelism::Pool`] the panel is one *epoch*: this
-/// thread submits all cells but the first as jobs that borrow the
-/// operands through a [`Gate`], computes the first itself, helps drain
-/// the queue, and waits at the barrier. It does no packing and no staging
-/// that is not its own cell's.
+/// [`Parallelism::Pool`] the panel is one *epoch*: this thread submits
+/// all cells but the first as jobs that borrow the operands through a
+/// [`Gate`], computes the first itself, helps drain the queue, and waits
+/// at the barrier. It packs nothing that is not its own cell's.
 ///
 /// On the pool faults are contained per cell (see the module docs):
 /// `Ok(())` means C holds the bit-exact serial result, possibly via
@@ -1529,48 +1479,34 @@ pub(crate) fn gemm_walk<T: PoolScalar, K: KernelSet<T>>(
             worst: None,
         }),
     };
+    // the cells of a full panel and of the last one, which may be narrower
+    let full = nc.min(n);
+    let tail = n - (n - 1) / nc * nc;
+    let cells = [
+        panel_cells(m * batch, full, mc, nr, plan.grid),
+        panel_cells(m * batch, tail, mc, nr, plan.tail_grid),
+    ];
     for (panel, jj) in (0..n).step_by(nc).enumerate() {
-        let nc_eff = nc.min(n - jj);
-        let (grid, in_place) = if nc_eff == nc.min(n) {
-            (plan.grid, plan.in_place)
-        } else {
-            (plan.tail_grid, plan.tail_in_place)
-        };
-        let (cells, col_chunks) = panel_cells(m * batch, nc_eff, mc, nr, grid);
-        // every entry's window on the panel, dealt out chunk by chunk
-        let mut c_chunks: Vec<Vec<MatrixViewMut<'_, T>>> = col_chunks
-            .iter()
-            .map(|_| Vec::with_capacity(c_batch.len()))
-            .collect();
-        for c in c_batch.iter_mut() {
-            let mut rest = c.sub_mut(0, jj, m, nc_eff);
-            for (views, &(_, ncols)) in c_chunks.iter_mut().zip(&col_chunks) {
-                let (chunk, tail) = rest.split_cols(ncols);
-                views.push(chunk);
-                rest = tail;
-            }
-        }
+        let width = nc.min(n - jj);
+        let cells = &cells[usize::from(width != full)];
+        // every entry's window on the panel
+        let entries = c_batch.iter_mut().map(|c| {
+            let whole = TileMut::from_slice(m, n, c.ld(), c.data_mut());
+            whole.split_cols(jj).1.split_cols(width).0
+        });
         let ops = Operands {
             call,
             plan,
             jj,
             gepp0: (panel * k.div_ceil(kc)) as u64,
             contained: pooled.is_some(),
-            in_place,
             cells,
-            c_chunks: c_chunks.into_iter().map(RwLock::new).collect(),
+            c: cell_tiles(entries, m, cells),
         };
         match &mut pooled {
-            // degree 1 cuts one cell. Only staged do a batch's blocks span
-            // its entries, so a batch stages here too; if that fails, C is
-            // untouched and the cell is computed straight on it, as
-            // recovery does.
-            None => {
-                let cell = &ops.cells[0];
-                if ops.in_place || run_cell(&ops, cell, true).is_err() {
-                    run_cell(&ops, cell, false)?;
-                }
-            }
+            None => with_buffers(call.kernel, |slot, panel| {
+                run_cell(&ops, &cells[0], &mut lock(&ops.c[0]), slot, panel)
+            })?,
             Some(state) => run_panel(&ops, state)?,
         }
     }
@@ -1681,13 +1617,14 @@ mod tests {
     }
 
     /// The grid by the words its largest cell moves over the call:
-    /// `k·(rows of A + packed columns of B)`, plus its `rows·cols` of C
-    /// unless it writes them in place (`lone`: a call of one entry with
-    /// β = 0 lets a cell alone in its column chunk).
+    /// `k·(rows of A + packed columns of B)`, plus `k·cols` again for each
+    /// row task after its first when its `kc`-deep B panel does not fit
+    /// beside an A block in the L2 — here 2 MiB, or none known.
     #[test]
     fn the_grid_packs_the_fewest_words_per_cell() {
+        const L2: Option<usize> = Some((2 << 20) / 8);
         let mc = 56;
-        // the 8×6 kernel's slivers
+        // the 8×6 kernel's slivers, kc = 512
         #[allow(clippy::too_many_arguments)]
         fn grid(
             m: usize,
@@ -1697,53 +1634,60 @@ mod tests {
             mc: usize,
             degree: usize,
             pack_b: bool,
-            lone: bool,
+            l2: Option<usize>,
         ) -> (usize, usize) {
-            let tasks = row_tasks(m, batch, mc);
-            cell_grid(tasks, m * batch, n, k, mc, 6, degree, pack_b, lone)
+            cell_grid(m * batch, n, k, 512, mc, 6, degree, pack_b, l2)
         }
-        for lone in [true, false] {
+        for l2 in [L2, None] {
             // 512³ on two threads at mc = 56: all of A and half of B
-            // (394 240 words, + 132 096 of C staged) beats half of A and all
-            // of B (405 504, + 143 360 staged)
-            assert_eq!(grid(512, 1, 512, 512, mc, 2, true, lone), (1, 2));
-            assert_eq!(grid(512, 1, 512, 512, mc, 3, true, lone), (1, 3));
+            // (394 240 words) beats half of A and all of B (405 504)
+            assert_eq!(grid(512, 1, 512, 512, mc, 2, true, l2), (1, 2));
+            assert_eq!(grid(512, 1, 512, 512, mc, 3, true, l2), (1, 3));
             // a single mc block has only columns to split, packing or not
             for p in [2, 3, 5] {
-                assert_eq!(grid(8, 1, 512, 512, mc, p, false, lone), (1, p));
-                assert_eq!(grid(8, 1, 512, 512, mc, p, true, lone), (1, p));
+                assert_eq!(grid(8, 1, 512, 512, mc, p, false, l2), (1, p));
+                assert_eq!(grid(8, 1, 512, 512, mc, p, true, l2), (1, p));
             }
             // m >> n with fewer slivers than threads (an LU trailing
             // update): rows, though every cell then packs all of B
-            assert_eq!(grid(4096, 1, 12, 64, mc, 5, true, lone), (5, 1));
-            // one cell per thread beats more, smaller cells run in two rounds
-            assert_eq!(grid(1024, 1, 1024, 1024, 24, 8, true, lone), (4, 2));
+            assert_eq!(grid(4096, 1, 12, 64, mc, 5, true, l2), (5, 1));
             // fewer cells than threads only when the shape has no more
-            assert_eq!(grid(48, 1, 6, 4096, 64, 8, true, lone), (1, 1));
-            assert_eq!(grid(100, 1, 12, 64, 56, 8, true, lone), (2, 2));
+            assert_eq!(grid(48, 1, 6, 4096, 64, 8, true, l2), (1, 1));
+            assert_eq!(grid(100, 1, 12, 64, 56, 8, true, l2), (2, 2));
             // one thread, one cell
-            assert_eq!(grid(512, 4, 512, 512, mc, 1, true, lone), (1, 1));
+            assert_eq!(grid(512, 4, 512, 512, mc, 1, true, l2), (1, 1));
+            // Against a PrepackedB there is no B pack to duplicate: seven
+            // 16-row entries, two whole blocks, split by entries. A fresh
+            // B's columns are split.
+            assert_eq!(grid(16, 7, 512, 512, mc, 2, false, l2), (2, 1));
+            assert_eq!(grid(16, 8, 512, 512, mc, 2, true, l2), (1, 2));
+            // a batch's rows stack: two 16-row entries are one block
+            assert_eq!(grid(16, 2, 512, 512, mc, 2, false, l2), (1, 2));
         }
-        // at mc = 128 the 512³ row split stages 256·512 words of C a cell
-        // and packs 512·768, against 512·770 packed for the column split:
-        // staged, the rows win by 2 048 words; in place, the columns by
-        // 130 048
-        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, false), (2, 1));
-        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, true), (1, 2));
-        // a batch stages. Against a PrepackedB there is no B pack to
-        // duplicate: seven 16-row entries, two whole blocks, split by
-        // entries; eight are three blocks, and the range of two would
-        // stage 112 of 128 rows whole, which costs more than the 16 rows
-        // of A it saves, so they split their columns. A fresh B's columns
-        // are split either way.
-        assert_eq!(grid(16, 7, 512, 512, mc, 2, false, false), (2, 1));
-        assert_eq!(grid(16, 8, 512, 512, mc, 2, false, false), (1, 2));
-        assert_eq!(grid(16, 8, 512, 512, mc, 2, true, false), (1, 2));
-        // a batch's rows stack: two 16-row entries are one block, and
-        // seven 20-row entries at mc = 8 are 140 rows in 18 tasks, not the
-        // 21 they would be per entry
+        // one cell per thread beats more, smaller cells run in two rounds.
+        // With the L2, a 4×2 cell's 516 B columns (264 192 words) do not
+        // fit beside its A block, and its ten later row tasks read them
+        // back: 1024·(264 + 516 + 10·516) words against 2×4's
+        // 1024·(528 + 258), whose 258 columns fit.
+        assert_eq!(grid(1024, 1, 1024, 1024, 24, 8, true, None), (4, 2));
+        assert_eq!(grid(1024, 1, 1024, 1024, 24, 8, true, L2), (2, 4));
+        // 512³ on two threads at mc = 128, the host's: with no L2 known the
+        // row split moves 1 024 words fewer (512·768 = 393 216 against
+        // 512·770 = 394 240). In a 2 MiB L2 its 512 B columns (2 MiB) do
+        // not fit beside the 512 KiB A block and its second row task reads
+        // them back (655 360), while the columns' half (1.03 MiB) fits.
+        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, None), (2, 1));
+        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, L2), (1, 2));
+        // eight 16-row entries against a PrepackedB are three blocks. With
+        // no L2 known the range of two wins on the 16 rows of A it saves
+        // (512·112 against 512·128); in the L2 its 512 B columns do not fit
+        // beside the A block, and its second block reads them back
+        // (512·(112 + 512)).
+        assert_eq!(grid(16, 8, 512, 512, mc, 2, false, None), (2, 1));
+        assert_eq!(grid(16, 8, 512, 512, mc, 2, false, L2), (1, 2));
+        // seven 20-row entries at mc = 8 are 140 rows in 18 tasks, not
+        // the 21 they would be per entry
         assert_eq!(row_tasks(16, 2, mc), 1);
-        assert_eq!(grid(16, 2, 512, 512, mc, 2, false, false), (1, 2));
         assert_eq!(row_tasks(20, 7, 8), 18);
     }
 
@@ -1759,7 +1703,6 @@ mod tests {
         let cell = Cell {
             r0: 48,
             r1: 65,
-            chunk: 0,
             col0: 0,
             ncols: 1,
         };

@@ -10,11 +10,12 @@
 //! time as a safe `&mut [f64]`.
 //!
 //! Safety is established at construction: [`TileMut::from_slice`] is safe
-//! (unique borrow of the whole buffer) and [`TileMut::sub_tile`] reborrows
-//! its parent, so no two live tiles cover the same element — the unsafe
-//! code is confined to this module and checked by its invariants. A tile
-//! never crosses a thread (it is neither `Send` nor `Sync`): the pool's
-//! workers build theirs over staging buffers they own ([`crate::pool`]).
+//! (unique borrow of the whole buffer), [`TileMut::sub_tile`] reborrows
+//! its parent and `split_rows` / `split_cols` cut one tile into two, so no
+//! two live tiles cover the same element — the unsafe code is confined to
+//! this module and checked by its invariants. A tile is `Send`, like the
+//! `&mut [T]` it stands for: the pool cuts C into disjoint tiles, each set
+//! going to the thread that runs its cell ([`crate::pool`]).
 
 use crate::scalar::Scalar;
 use core::marker::PhantomData;
@@ -28,6 +29,12 @@ pub struct TileMut<'a, T: Scalar = f64> {
     ld: usize,
     _marker: PhantomData<&'a mut [T]>,
 }
+
+// SAFETY: a tile is the unique borrow of its elements (the constructor
+// takes a `&mut [T]`, and a split or sub-tile covers only elements of the
+// tile it came from), so sending it to another thread sends that borrow,
+// as sending a `&mut [T]` would.
+unsafe impl<T: Scalar> Send for TileMut<'_, T> {}
 
 impl<'a, T: Scalar> TileMut<'a, T> {
     /// Tile covering `rows × cols` of a column-major buffer with leading
@@ -102,6 +109,28 @@ impl<'a, T: Scalar> TileMut<'a, T> {
             _marker: PhantomData,
         }
     }
+
+    /// Rows `..i` and rows `i..`: two tiles that share no element, so each
+    /// can go to its own thread.
+    #[must_use]
+    pub(crate) fn split_rows(self, i: usize) -> (Self, Self) {
+        assert!(i <= self.rows, "split past the last row");
+        // (wrapping: a tile of no rows never dereferences its pointer)
+        let ptr = self.ptr.wrapping_add(i);
+        let rows = self.rows - i;
+        (TileMut { rows: i, ..self }, TileMut { ptr, rows, ..self })
+    }
+
+    /// Columns `..j` and columns `j..`: two tiles that share no element,
+    /// so each can go to its own thread.
+    #[must_use]
+    pub(crate) fn split_cols(self, j: usize) -> (Self, Self) {
+        assert!(j <= self.cols, "split past the last column");
+        // (wrapping: a tile of no columns may start past the buffer)
+        let ptr = self.ptr.wrapping_add(j.saturating_mul(self.ld));
+        let cols = self.cols - j;
+        (TileMut { cols: j, ..self }, TileMut { ptr, cols, ..self })
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +159,95 @@ mod tests {
         s.col_seg_mut(1, 0, 2)[0] = -1.0; // (1,3) of parent
         drop(s);
         assert_eq!(t.get(1, 3), -1.0);
+    }
+
+    /// Both splits of a 4×5 tile (ld 6): the halves have the sizes asked
+    /// for and, written all over, cover every element of the parent once.
+    #[test]
+    fn splits_are_disjoint_and_sized_right() {
+        for rows in [true, false] {
+            let mut buf = vec![0.0f64; 6 * 5];
+            let t = TileMut::from_slice(4, 5, 6, &mut buf);
+            let (mut a, mut b) = if rows {
+                t.split_rows(1)
+            } else {
+                t.split_cols(2)
+            };
+            let want = if rows {
+                ((1, 5), (3, 5))
+            } else {
+                ((4, 2), (4, 3))
+            };
+            assert_eq!(((a.rows(), a.cols()), (b.rows(), b.cols())), want);
+            for (tile, mark) in [(&mut a, 1.0), (&mut b, 2.0)] {
+                for j in 0..tile.cols() {
+                    for x in tile.col_seg_mut(j, 0, tile.rows()) {
+                        *x += mark;
+                    }
+                }
+            }
+            drop((a, b));
+            for j in 0..5 {
+                for i in 0..4 {
+                    let top = if rows { i < 1 } else { j < 2 };
+                    assert_eq!(buf[i + 6 * j], if top { 1.0 } else { 2.0 });
+                }
+                // the rows between columns are not the tile's
+                assert!(buf[6 * j + 4..6 * j + 6].iter().all(|&x| x == 0.0));
+            }
+        }
+        // a split at either end leaves one side empty
+        let mut buf = vec![0.0f64; 12];
+        let (none, all) = TileMut::from_slice(3, 4, 3, &mut buf).split_cols(0);
+        assert_eq!((none.cols(), all.cols()), (0, 4));
+        let (all, none) = all.split_rows(3);
+        assert_eq!((all.rows(), none.rows()), (3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "split past the last row")]
+    fn a_row_split_out_of_range_panics() {
+        let mut buf = vec![0.0f64; 8];
+        let _ = TileMut::from_slice(4, 2, 4, &mut buf).split_rows(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "split past the last column")]
+    fn a_column_split_out_of_range_panics() {
+        let mut buf = vec![0.0f64; 8];
+        let _ = TileMut::from_slice(4, 2, 4, &mut buf).split_cols(3);
+    }
+
+    /// The halves of one buffer, written by two threads at once.
+    #[test]
+    fn two_threads_write_the_halves_of_one_buffer() {
+        let (rows, cols) = (64, 48);
+        let mut buf = vec![0.0f64; rows * cols];
+        let (top, bottom) = TileMut::from_slice(rows, cols, rows, &mut buf).split_rows(24);
+        let (left, right) = bottom.split_cols(20);
+        let fill = |mut tile: TileMut<'_>, value: f64| {
+            for _ in 0..50 {
+                for j in 0..tile.cols() {
+                    let rows = tile.rows();
+                    tile.col_seg_mut(j, 0, rows).fill(value);
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            scope.spawn(move || fill(top, 1.0));
+            scope.spawn(move || fill(left, 2.0));
+            fill(right, 3.0);
+        });
+        for j in 0..cols {
+            for i in 0..rows {
+                let want = match (i < 24, j < 20) {
+                    (true, _) => 1.0,
+                    (false, true) => 2.0,
+                    (false, false) => 3.0,
+                };
+                assert_eq!(buf[i + rows * j], want, "({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -320,11 +320,13 @@ fn k_zero_is_pure_beta_scale() {
 
 /// β = 0 with k > 0: the product must fully overwrite a NaN/Inf-filled
 /// C on every runtime, cached or not. Nothing zeroes C first: the first
-/// `kk` panel's kernels store it, unread, straight on C or into a staging
-/// buffer that is sized but not cleared. So every case is held, bit for
-/// bit, to [`textbook_gemm`], which does zero C first: batches (staged on
-/// every runtime), a staging buffer left full by a β = 1 call on the same
-/// thread, `k` over three `kc` panels of which only the first may store,
+/// `kk` panel's kernels store it, unread, straight on C or — where a
+/// register tile's rows cross two batch entries — on a scratch tile that
+/// is sized but not cleared. So every case is held, bit for bit, to
+/// [`textbook_gemm`], which does zero C first: batches (whose blocks
+/// straddle entries on every runtime), a scratch tile left full by the
+/// batch before on the same thread and a β = 1 call just before each,
+/// `k` over three `kc` panels of which only the first may store,
 /// and rows of A that are zero under a negative α, whose exact −0.0
 /// product must store +0.0 as `+0.0 + (−0.0)` does.
 #[test]
@@ -403,9 +405,8 @@ fn beta_zero_overwrites_poisoned_c() {
     for (par, cached) in runtimes.iter().flat_map(|&par| [(par, false), (par, true)]) {
         for entries in 1..=5 {
             let case = format!("{par:?} cached={cached}: batch of {entries}");
-            // a β = 1 call first leaves this thread's staging buffer full
-            // of finite values the β = 0 call must not keep (on the pool;
-            // a serial batch reuses the previous batch's buffer)
+            // a β = 1 call first, on the same buffers: nothing it leaves
+            // there may reach the β = 0 batch
             let mut warm = Matrix::random(m, n, 43);
             let (av, bv) = (a[0].view(), b.view());
             let cfg = cfg(par, cached);
@@ -437,12 +438,12 @@ fn beta_zero_overwrites_poisoned_c() {
     f64::pack_cache().invalidate(&b.view());
 }
 
-/// Pooled cells that write C in place: a `β = 0` call of one entry whose
-/// grid on `Pool(2)`, `Pool(3)` and `Pool(4)` splits only columns, so
-/// each cell is alone in its column chunk and stores straight into a C of
-/// NaN, −∞ and −0.0 without staging it — over three `jj` panels (the
-/// last ragged), two `kc` panels and three row blocks per cell, for every
-/// transpose. Each result is `Serial`'s, bit for bit, and finite.
+/// Pooled cells under `β = 0`: a call of one entry whose grid on
+/// `Pool(2)`, `Pool(3)` and `Pool(4)` splits columns — but for the ragged
+/// last panel on `Pool(3)`, which splits rows — each cell storing
+/// straight into its own tiles of a C of NaN, −∞ and −0.0 — over three
+/// `jj` panels, two `kc` panels and up to three row blocks per cell, for
+/// every transpose. Each result is `Serial`'s, bit for bit, and finite.
 #[test]
 fn pooled_in_place_column_cells_overwrite_poisoned_c() {
     let (m, n, k) = (40, 168, 45);
@@ -484,10 +485,17 @@ fn pooled_in_place_column_cells_overwrite_poisoned_c() {
         let want = run(Parallelism::Serial);
         assert!(want.iter().all(|&x| f64::from_bits(x).is_finite()));
         for p in [2, 3, 4] {
-            // both panel widths split columns only: every cell writes C
+            // On three threads the 40-wide panel's three one-block row
+            // ranges move 45·(16 + 40) = 2 520 words a cell, against
+            // 45·(40 + 18) = 2 610 for three column chunks.
             for width in [nc, n % nc] {
-                let grid = cell_grid(m.div_ceil(mc), m, width, k, mc, 6, p, true, true);
-                assert_eq!(grid, (1, p), "Pool({p}), a panel {width} wide");
+                let want = if (p, width) == (3, n % nc) {
+                    (3, 1)
+                } else {
+                    (1, p)
+                };
+                let grid = cell_grid(m, width, k, kc, mc, 6, p, true, None);
+                assert_eq!(grid, want, "Pool({p}), a panel {width} wide");
             }
             assert!(
                 run(Parallelism::Pool(p)) == want,

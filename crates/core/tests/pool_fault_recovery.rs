@@ -3,8 +3,8 @@
 //! fault-injection`). Each scenario provokes one concrete failure —
 //! worker panic, worker death, spawn failure, allocation failure, a
 //! stall before or after a job claims its cell, and a panic and each
-//! allocation failure again in cells that write C in place — and asserts the
-//! contract from DESIGN.md §10: the result is bit-identical
+//! allocation failure again in cells that have written C, under `β = 0`
+//! and under `β ≠ 0` — and asserts the contract from DESIGN.md §10: the result is bit-identical
 //! to the serial oracle (or a typed error), the fault is visible in
 //! [`dgemm_core::pool::status`], and the pool serves subsequent calls at
 //! full capacity. `Parallelism::Serial` runs the same cell body with
@@ -186,11 +186,11 @@ fn allocation_failure_degrades_gracefully() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let want = oracle();
 
-    // Fail one allocation at each successive site: staging, packed-A,
-    // packed-B. Every call must still produce the exact result (smaller
-    // packing chunks inside the cell, or the cell recomputed straight on
-    // C without staging). A serial call is one cell with no staging: its
-    // packing degrades the same way.
+    // Fail one allocation at each successive site: the undo copy of C,
+    // packed-A, packed-B. Every call must still produce the exact result
+    // (smaller packing chunks inside the cell, or the cell restored from
+    // its undo copy and recomputed straight on C). A serial call is one
+    // cell with no undo copy: its packing degrades the same way.
     for par in [Parallelism::Pool(4), Parallelism::Serial] {
         for nth in 0..6 {
             faults::install(FaultPlan {
@@ -228,8 +228,8 @@ fn allocation_failure_degrades_gracefully() {
 }
 
 /// β = 0 into a NaN-filled C under each allocation fault in turn: a
-/// failed staging buffer sends the cell straight onto C, and a failed
-/// pack halves its chunk — either way nothing zeroes C first, and the
+/// failed pack halves its chunk, and one that cannot sends the cell to
+/// the caller, straight onto C — either way nothing zeroes C first, and the
 /// first `kk` panel's kernels must store every element of it, to the bit
 /// of the fault-free call. (Fault plans are process-wide, so this case
 /// lives here, under `LOCK`, and not in the concurrently run conformance
@@ -374,11 +374,11 @@ fn worker_panic_on_cached_panel_preserves_the_entry() {
     cache.invalidate(&b.view());
 }
 
-/// Cells that write C in place: a `β = 0` call of one entry whose grid on
-/// `Pool(2)` and `Pool(4)` splits only columns, so every cell is alone in
-/// its column chunk, stages nothing and stores straight into C. `k` spans
-/// two `kc` panels, and `mc` is the 8×6 kernel's `mr`: a cell is six
-/// one-sliver blocks per panel, and a block's A pack cannot be halved.
+/// Column cells: a call of one entry whose grid on `Pool(2)` and
+/// `Pool(4)` splits only columns, each cell writing straight into its own
+/// columns of C. `k` spans two `kc` panels, and `mc` is the 8×6 kernel's
+/// `mr`: a cell is six one-sliver blocks per panel, and a block's A pack
+/// cannot be halved.
 const IN_PLACE: (usize, usize, usize) = (48, 144, 40);
 const IN_PLACE_BLOCKS: (usize, usize, usize) = (24, 8, 144);
 const IN_PLACE_TASKS: usize = IN_PLACE.0.div_ceil(IN_PLACE_BLOCKS.1);
@@ -417,19 +417,20 @@ fn poisoned() -> Matrix {
     Matrix::from_fn(m, n, |i, j| if (i + j) % 2 == 0 { f64::NAN } else { -0.0 })
 }
 
-/// The grid [`IN_PLACE`] is cut into on `Pool(degree)`, for `β = 0`
-/// (whose lone cells write in place) or not.
-fn in_place_grid(degree: usize, beta_zero: bool) -> (usize, usize) {
+/// The grid [`IN_PLACE`] is cut into on `Pool(degree)`, whatever β is
+/// (its panels are too small for any L2 to matter).
+fn in_place_grid(degree: usize) -> (usize, usize) {
     let (m, n, k) = IN_PLACE;
-    let mc = IN_PLACE_BLOCKS.1;
-    cell_grid(IN_PLACE_TASKS, m, n, k, mc, 6, degree, true, beta_zero)
+    let (kc, mc, _) = IN_PLACE_BLOCKS;
+    cell_grid(m, n, k, kc, mc, 6, degree, true, None)
 }
 
 /// A cell that panics after it has stored part of C is replayed straight
 /// on C: under `β = 0` the replay's first `kk` panel stores every element
 /// of the cell without reading it, so what the failed run left is
 /// overwritten, to the bit of the serial call. The same panic in a
-/// `β ≠ 0` call on the same grid hits a staged cell, which C never saw.
+/// `β ≠ 0` call on the same grid hits a cell that has scaled and updated
+/// its part of C too: it restores C from its undo copy before the replay.
 #[test]
 fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -441,8 +442,7 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
     // a cell's blocks over the call: its row tasks in each of two panels
     let blocks = 2 * IN_PLACE_TASKS as u64;
     for p in [2, 4] {
-        assert_eq!(in_place_grid(p, true), (1, p), "β = 0 on Pool({p})");
-        assert_eq!(in_place_grid(p, false), (1, p), "β ≠ 0 on Pool({p})");
+        assert_eq!(in_place_grid(p), (1, p), "Pool({p})");
         let pool = Parallelism::Pool(p);
         assert!(in_place_call(pool, 0.0, &poisoned()).unwrap() == want);
         // The other p − 1 cells account for at most (p − 1)·blocks of the
@@ -472,47 +472,54 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
     }
 }
 
-/// Each allocation of the in-place call failed in turn. The cells run
-/// one after the other on the calling thread — a fresh shard that can
-/// spawn no worker — so the n-th allocation is known: per cell and `kk`
-/// panel, the pack of its B columns, then the A pack of each of its
-/// blocks. A failed B pack halves its chunk inside the cell; a failed A
-/// pack at `mc = mr` has no smaller chunk, so the cell — which may have
-/// stored C already — is replayed by the caller: one fault contained.
-/// Every result is the serial one, bit for bit.
+/// Each allocation of the column-split call failed in turn. The cells
+/// run one after the other on the calling thread — a fresh shard that can
+/// spawn no worker — so the n-th allocation is known: per cell, under
+/// `β ≠ 0` its undo copy of C first, then per `kk` panel the pack of its B
+/// columns and the A pack of each of its blocks. A failed undo copy sends
+/// the cell, which has not touched C, to the caller. A failed B pack
+/// halves its chunk inside the cell. A failed A pack at `mc = mr` has no
+/// smaller chunk, so the cell — which may have stored C already, and is
+/// restored from its undo copy under `β ≠ 0` — is replayed by the caller:
+/// one fault contained. Every result is the serial one, bit for bit.
 #[test]
 fn every_failed_allocation_of_an_in_place_cell_leaves_c_exact() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     faults::clear();
-    let want = in_place_call(Parallelism::Serial, 0.0, &poisoned()).expect("no plan is installed");
     let per_panel = 1 + IN_PLACE_TASKS as u64;
-    for p in [2, 4] {
-        assert_eq!(in_place_grid(p, true), (1, p));
-        let shard = WorkerPool::new_shard("in-place-alloc");
-        for nth in 0..2 * per_panel * p as u64 {
-            let contained0 = status().faults_contained;
-            faults::install(FaultPlan {
-                spawn_fail: Some(Trigger {
-                    nth: 0,
-                    count: u64::MAX,
-                }),
-                alloc_fail: Some(Trigger::once(nth)),
-                ..FaultPlan::default()
-            });
-            let got = with_pool(&shard, || {
-                in_place_call(Parallelism::Pool(p), 0.0, &poisoned())
-            });
-            faults::clear();
-            let got = got.unwrap_or_else(|e| panic!("Pool({p}): alloc fault #{nth}: {e}"));
-            assert!(got == want, "Pool({p}): alloc fault #{nth} changed a bit");
-            let replayed = nth % per_panel != 0;
-            assert_eq!(
-                status().faults_contained - contained0,
-                u64::from(replayed),
-                "Pool({p}): alloc fault #{nth}"
-            );
+    let c0 = Matrix::random(IN_PLACE.0, IN_PLACE.1, 63);
+    for (beta, c0) in [(0.0, poisoned()), (0.5, c0)] {
+        let want = in_place_call(Parallelism::Serial, beta, &c0).expect("no plan is installed");
+        let undo = u64::from(beta != 0.0);
+        let per_cell = undo + 2 * per_panel;
+        for p in [2, 4] {
+            assert_eq!(in_place_grid(p), (1, p));
+            let shard = WorkerPool::new_shard("in-place-alloc");
+            for nth in 0..per_cell * p as u64 {
+                let contained0 = status().faults_contained;
+                faults::install(FaultPlan {
+                    spawn_fail: Some(Trigger {
+                        nth: 0,
+                        count: u64::MAX,
+                    }),
+                    alloc_fail: Some(Trigger::once(nth)),
+                    ..FaultPlan::default()
+                });
+                let got = with_pool(&shard, || in_place_call(Parallelism::Pool(p), beta, &c0));
+                faults::clear();
+                let case = format!("Pool({p}), β = {beta}: alloc fault #{nth}");
+                let got = got.unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert!(got == want, "{case} changed a bit");
+                let site = nth % per_cell;
+                let replayed = site < undo || !(site - undo).is_multiple_of(per_panel);
+                assert_eq!(
+                    status().faults_contained - contained0,
+                    u64::from(replayed),
+                    "{case}"
+                );
+            }
+            assert_eq!(shard.workers(), 0, "the shard spawned a worker");
         }
-        assert_eq!(shard.workers(), 0, "the shard spawned a worker");
     }
 }
 
@@ -523,7 +530,7 @@ fn every_failed_allocation_of_an_in_place_cell_leaves_c_exact() {
 const ENTRIES: usize = 5;
 const ROWS: usize = 13;
 
-fn run_batch(par: Parallelism) -> Result<Vec<Matrix>, dgemm_core::GemmError> {
+fn run_batch(par: Parallelism, beta: f64) -> Result<Vec<Matrix>, dgemm_core::GemmError> {
     let a: Vec<Matrix> = (0..ENTRIES)
         .map(|i| Matrix::random(ROWS, K, 30 + i as u64))
         .collect();
@@ -541,7 +548,7 @@ fn run_batch(par: Parallelism) -> Result<Vec<Matrix>, dgemm_core::GemmError> {
         &a,
         Transpose::No,
         &b.view(),
-        0.5,
+        beta,
         &mut views,
         &cfg,
     )?;
@@ -551,7 +558,7 @@ fn run_batch(par: Parallelism) -> Result<Vec<Matrix>, dgemm_core::GemmError> {
 
 /// The batch as a loop of single calls, one entry each: blocks that
 /// never straddle anything.
-fn loop_oracle() -> Vec<Matrix> {
+fn loop_oracle(beta: f64) -> Vec<Matrix> {
     faults::clear();
     let b = Matrix::random(K, N, 4);
     let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk4x4, 1).with_blocks(24, 8, 18);
@@ -566,7 +573,7 @@ fn loop_oracle() -> Vec<Matrix> {
                 1.0,
                 &a.view(),
                 &b.view(),
-                0.5,
+                beta,
                 &mut c.view_mut(),
                 &cfg,
             )
@@ -576,26 +583,37 @@ fn loop_oracle() -> Vec<Matrix> {
         .collect()
 }
 
+/// The cells are the row ranges 0..40 and 40..65, five and four blocks
+/// deep, over three `kk` panels: in the first panel the one cell reaches
+/// the panic site 15 times and the other 12. So the 17th block to start,
+/// whichever cell runs it, belongs to a cell that has finished a block of
+/// C. Under `β ≠ 0` that cell restores C from its undo copy, under `β = 0`
+/// the replay stores over what it wrote; either way the replay, straight
+/// on C, makes the loop's kernel calls.
 #[test]
 fn a_panicked_straddling_cell_is_replayed_on_c_bit_identically() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let want = loop_oracle();
-    assert_eq!(run_batch(Parallelism::Pool(2)).unwrap(), want);
-    let contained0 = status().faults_contained;
-
-    // the replay runs straight on C, its blocks cut where entries meet
-    faults::install(FaultPlan {
-        worker_panic: Some(Trigger::once(1)),
-        ..FaultPlan::default()
-    });
-    let got = run_batch(Parallelism::Pool(2)).expect("single panic must be contained");
-    faults::clear();
-    assert_eq!(got, want, "the replay must make the loop's kernel calls");
-    assert!(status().faults_contained > contained0);
+    for beta in [0.5, 0.0] {
+        let want = loop_oracle(beta);
+        assert_eq!(run_batch(Parallelism::Pool(2), beta).unwrap(), want);
+        let contained0 = status().faults_contained;
+        faults::install(FaultPlan {
+            worker_panic: Some(Trigger::once(16)),
+            ..FaultPlan::default()
+        });
+        let got = run_batch(Parallelism::Pool(2), beta).expect("single panic must be contained");
+        faults::clear();
+        assert_eq!(
+            got, want,
+            "β = {beta}: the replay must make the loop's kernel calls"
+        );
+        assert!(status().faults_contained > contained0, "β = {beta}");
+    }
 
     // When every block panics, replays included, the call names the
     // first stacked row of the last cell that failed: row 40 of the
     // stack, row 1 of entry 3.
+    let want = loop_oracle(0.5);
     faults::install(FaultPlan {
         worker_panic: Some(Trigger {
             nth: 0,
@@ -603,7 +621,7 @@ fn a_panicked_straddling_cell_is_replayed_on_c_bit_identically() {
         }),
         ..FaultPlan::default()
     });
-    let double = run_batch(Parallelism::Pool(2));
+    let double = run_batch(Parallelism::Pool(2), 0.5);
     faults::clear();
     assert!(
         matches!(
@@ -612,13 +630,13 @@ fn a_panicked_straddling_cell_is_replayed_on_c_bit_identically() {
         ),
         "got {double:?}"
     );
-    assert_eq!(run_batch(Parallelism::Pool(2)).unwrap(), want);
+    assert_eq!(run_batch(Parallelism::Pool(2), 0.5).unwrap(), want);
 }
 
 #[test]
 fn a_failed_stacked_pack_degrades_to_halved_chunks_bit_identically() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let want = loop_oracle();
+    let want = loop_oracle(0.5);
     let pack_a_spans = || {
         let snap = dgemm_core::telemetry::snapshot();
         let at = dgemm_core::telemetry::TraceKind::ALL
@@ -628,7 +646,7 @@ fn a_failed_stacked_pack_degrades_to_halved_chunks_bit_identically() {
         snap.threads.iter().map(|t| t.phase_hits[at]).sum::<u64>()
     };
     dgemm_core::telemetry::reset();
-    assert_eq!(run_batch(Parallelism::Pool(2)).unwrap(), want);
+    assert_eq!(run_batch(Parallelism::Pool(2), 0.5).unwrap(), want);
     let clean = pack_a_spans();
 
     // Which allocation comes n-th depends on how the two threads
@@ -643,7 +661,7 @@ fn a_failed_stacked_pack_degrades_to_halved_chunks_bit_identically() {
         });
         dgemm_core::telemetry::reset();
         let contained0 = status().faults_contained;
-        let got = run_batch(Parallelism::Pool(2))
+        let got = run_batch(Parallelism::Pool(2), 0.5)
             .unwrap_or_else(|e| panic!("alloc fault #{nth} must degrade, got {e}"));
         faults::clear();
         assert_eq!(got, want, "alloc fault #{nth} must not change the result");

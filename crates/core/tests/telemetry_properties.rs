@@ -78,9 +78,8 @@ fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2],
     let mut jj = 0;
     while jj < n {
         let nc_eff = NC.min(n - jj);
-        let tasks = m.div_ceil(MC);
-        // a β = 0 call of one entry: a cell alone in its chunk writes C
-        let grid = cell_grid(tasks, m, nc_eff, k, MC, NR, degree, !b_in_place, true);
+        // (a 20-deep panel spills no L2, so none need be known)
+        let grid = cell_grid(m, nc_eff, k, KC, MC, NR, degree, !b_in_place, None);
         let (row_ranges, col_chunks) = grid;
         let (row_ranges, col_chunks) = (row_ranges as u64, col_chunks as u64);
         let mut kk = 0;
@@ -271,8 +270,8 @@ mod enabled {
             let _g = lock_and_reset();
             check(par, m, n, k);
         }
-        assert_eq!(cell_grid(6, 130, NC, 50, MC, NR, 3, true, true), (3, 1));
-        assert_eq!(cell_grid(2, 25, NC, 50, MC, NR, 2, true, true), (1, 2));
+        assert_eq!(cell_grid(130, NC, 50, KC, MC, NR, 3, true, None), (3, 1));
+        assert_eq!(cell_grid(25, NC, 50, KC, MC, NR, 2, true, None), (1, 2));
     }
 
     /// Figure 9, observed: on the pool every thread that computes packs
