@@ -36,9 +36,9 @@
 use crate::dispatch::DispatchMode;
 use crate::env;
 use crate::gemm::{Config, KernelFamily};
+use crate::json::{self, Value};
 use crate::pool::{Parallelism, WorkerPool};
 use crate::scalar::Scalar;
-use crate::util::json_escape;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::BlockSizes;
 use perfmodel::tuning::{self, ShapeClass};
@@ -295,35 +295,32 @@ impl TuneDb {
         }
     }
 
-    /// Serialize to the versioned JSON the parser round-trips.
+    /// Serialize to the versioned JSON [`TuneDb::from_json`] reads.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut entries = String::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                entries.push(',');
-            }
-            entries.push_str(&format!(
-                "{{\"cpu\":\"{}\",\"dtype\":\"{}\",\"class\":\"{}\",\
-                 \"mr\":{},\"nr\":{},\"kc\":{},\"mc\":{},\"nc\":{},\
-                 \"gflops\":{},\"untuned_gflops\":{},\
-                 \"candidates\":{},\"tuned_at\":{},\"version\":\"{}\"}}",
-                json_escape(&e.cpu),
-                json_escape(&e.dtype),
-                json_escape(&e.class),
-                e.mr,
-                e.nr,
-                e.kc,
-                e.mc,
-                e.nc,
-                json_num(e.gflops),
-                json_num(e.untuned_gflops),
-                e.candidates,
-                e.tuned_at,
-                json_escape(&e.version)
-            ));
-        }
-        format!("{{\"schema\":\"{SCHEMA}\",\"entries\":[{entries}]}}")
+        // A non-finite rate (never measured) is stored as 0, which
+        // still reads back.
+        let rate = |x: f64| if x.is_finite() { x } else { 0.0 };
+        let entries = self.entries.iter().map(|e| {
+            Value::obj()
+                .field("cpu", e.cpu.as_str())
+                .field("dtype", e.dtype.as_str())
+                .field("class", e.class.as_str())
+                .field("mr", e.mr)
+                .field("nr", e.nr)
+                .field("kc", e.kc)
+                .field("mc", e.mc)
+                .field("nc", e.nc)
+                .field("gflops", rate(e.gflops))
+                .field("untuned_gflops", rate(e.untuned_gflops))
+                .field("candidates", e.candidates)
+                .field("tuned_at", e.tuned_at)
+                .field("version", e.version.as_str())
+        });
+        Value::obj()
+            .field("schema", SCHEMA)
+            .field("entries", Value::Arr(entries.collect()))
+            .to_string()
     }
 
     /// Parse a DB file's contents. `None` on malformed JSON, a missing
@@ -332,7 +329,7 @@ impl TuneDb {
     /// stale-version fallback the tests pin).
     #[must_use]
     pub fn from_json(text: &str) -> Option<TuneDb> {
-        let v = Json::parse(text)?;
+        let v = json::parse(text)?;
         if v.get("schema")?.as_str()? != SCHEMA {
             return None;
         }
@@ -357,238 +354,25 @@ impl TuneDb {
 
 /// Type-check one `entries[]` element. `None` on any missing or
 /// mistyped field (the caller skips it).
-fn parse_entry(e: &Json) -> Option<TuneEntry> {
+fn parse_entry(e: &Value) -> Option<TuneEntry> {
+    let text = |key| e.get(key)?.as_str().map(str::to_owned);
+    let size = |key| usize::try_from(e.get(key)?.as_u64()?).ok();
+    let rate = |key| e.get(key)?.as_f64();
     Some(TuneEntry {
-        cpu: e.get("cpu")?.as_str()?.to_owned(),
-        dtype: e.get("dtype")?.as_str()?.to_owned(),
-        class: e.get("class")?.as_str()?.to_owned(),
-        mr: e.get("mr")?.as_usize()?,
-        nr: e.get("nr")?.as_usize()?,
-        kc: e.get("kc")?.as_usize()?,
-        mc: e.get("mc")?.as_usize()?,
-        nc: e.get("nc")?.as_usize()?,
-        gflops: e.get("gflops")?.as_f64()?,
-        untuned_gflops: e.get("untuned_gflops")?.as_f64()?,
-        candidates: e.get("candidates")?.as_usize()?,
-        tuned_at: e.get("tuned_at")?.as_usize()? as u64,
-        version: e.get("version")?.as_str()?.to_owned(),
+        cpu: text("cpu")?,
+        dtype: text("dtype")?,
+        class: text("class")?,
+        mr: size("mr")?,
+        nr: size("nr")?,
+        kc: size("kc")?,
+        mc: size("mc")?,
+        nc: size("nc")?,
+        gflops: rate("gflops")?,
+        untuned_gflops: rate("untuned_gflops")?,
+        candidates: size("candidates")?,
+        tuned_at: e.get("tuned_at")?.as_u64()?,
+        version: text("version")?,
     })
-}
-
-/// A finite f64 as a JSON number (Rust's shortest round-trip `Display`
-/// repr is valid JSON for finite values); non-finite degrades to 0.
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_owned()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader (the workspace has no serde; the DB grammar is
-// small and fully covered by objects/arrays/strings/numbers/atoms).
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn parse(text: &str) -> Option<Json> {
-        let mut p = JsonParser {
-            s: text.as_bytes(),
-            i: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        (p.i == p.s.len()).then_some(v)
-    }
-
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) if n.is_finite() => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_usize(&self) -> Option<usize> {
-        let n = self.as_f64()?;
-        (n >= 0.0 && n <= 2f64.powi(52) && n.fract() == 0.0).then_some(n as usize)
-    }
-
-    fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.s.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Option<()> {
-        (self.s.get(self.i) == Some(&b)).then(|| self.i += 1)
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Option<Json> {
-        let end = self.i.checked_add(word.len())?;
-        (self.s.get(self.i..end)? == word.as_bytes()).then(|| {
-            self.i = end;
-            v
-        })
-    }
-
-    fn value(&mut self) -> Option<Json> {
-        self.skip_ws();
-        match *self.s.get(self.i)? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => self.string().map(Json::Str),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn object(&mut self) -> Option<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}').is_some() {
-            return Some(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            if self.eat(b',').is_some() {
-                continue;
-            }
-            self.eat(b'}')?;
-            return Some(Json::Obj(fields));
-        }
-    }
-
-    fn array(&mut self) -> Option<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']').is_some() {
-            return Some(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            if self.eat(b',').is_some() {
-                continue;
-            }
-            self.eat(b']')?;
-            return Some(Json::Arr(items));
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match *self.s.get(self.i)? {
-                b'"' => {
-                    self.i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match *self.s.get(self.i)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let end = self.i.checked_add(5)?;
-                            let hex = std::str::from_utf8(self.s.get(self.i + 1..end)?).ok()?;
-                            let code = u32::from_str_radix(hex, 16).ok()?;
-                            // Surrogates are not worth supporting for
-                            // cpu-id slugs; reject rather than mangle.
-                            out.push(char::from_u32(code)?);
-                            self.i = end - 1;
-                        }
-                        _ => return None,
-                    }
-                    self.i += 1;
-                }
-                c if c < 0x20 => return None,
-                _ => {
-                    // Copy a full UTF-8 scalar (the input came from
-                    // &str, so boundaries are valid).
-                    let start = self.i;
-                    self.i += 1;
-                    while self.i < self.s.len() && (self.s[self.i] & 0xC0) == 0x80 {
-                        self.i += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.s[start..self.i]).ok()?);
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Option<Json> {
-        let start = self.i;
-        if self.s.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while matches!(
-            self.s.get(self.i),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()?
-            .parse::<f64>()
-            .ok()
-            .map(Json::Num)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1030,6 +814,9 @@ mod tests {
     fn db_json_round_trips() {
         let mut db = TuneDb::default();
         db.upsert(sample_entry());
+        let mut escaped = sample_entry();
+        escaped.cpu = "we\"ird\\cpu".to_owned();
+        db.upsert(escaped);
         let text = db.to_json();
         assert!(text.starts_with("{\"schema\":\"dgemm-tune-v3\""), "{text}");
         let back = TuneDb::from_json(&text).expect("round trip");
@@ -1104,27 +891,6 @@ mod tests {
         assert!(partial.entries.is_empty());
         // trailing garbage after the document
         assert!(TuneDb::from_json("{\"schema\":\"dgemm-tune-v3\",\"entries\":[]} x").is_none());
-        // negative / fractional counts don't type-check into usize
-        assert!(Json::parse("-3").unwrap().as_usize().is_none());
-        assert!(Json::parse("2.5").unwrap().as_usize().is_none());
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = Json::parse(r#"{"a":[1,2,{"b":"x\ny A"}],"c":true,"d":null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        let b = v.get("a").unwrap().as_arr().unwrap()[2].get("b").unwrap();
-        assert_eq!(b.as_str().unwrap(), "x\ny A");
-        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("d"), Some(&Json::Null));
-        // escape round trip through the serializer
-        let mut entry = sample_entry();
-        entry.cpu = "we\"ird\\cpu".to_owned();
-        let db = TuneDb {
-            entries: vec![entry],
-        };
-        let back = TuneDb::from_json(&db.to_json()).unwrap();
-        assert_eq!(back.entries[0].cpu, "we\"ird\\cpu");
     }
 
     #[test]

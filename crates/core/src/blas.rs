@@ -10,7 +10,7 @@
 #![forbid(unsafe_code)]
 
 use crate::gemm::{try_gemm, Config, GemmConfig, KernelFamily};
-use crate::matrix::{MatrixView, MatrixViewMut};
+use crate::matrix::{region_fits, MatrixView, MatrixViewMut};
 use crate::{GemmError, Transpose};
 
 /// `C := α·op(A)·op(B) + β·C` with full dimension checking, in the
@@ -54,7 +54,10 @@ pub fn checked_gemm<K: KernelFamily>(
 
 /// Raw-slice variant of [`checked_gemm`]: column-major `a`
 /// (`lda ≥ rows(A)`), `b`, `c` analogous; `m, n, k` are the dimensions of
-/// `op(A)·op(B)`.
+/// `op(A)·op(B)`. An operand whose leading dimension is below its rows,
+/// or whose slice ends before its last element (or whose extent
+/// `(cols − 1)·ld + rows` overflows), is a [`GemmError::BadConfig`]
+/// naming it.
 #[allow(clippy::too_many_arguments)]
 pub fn checked_gemm_slice<K: KernelFamily>(
     transa: Transpose,
@@ -80,6 +83,34 @@ pub fn checked_gemm_slice<K: KernelFamily>(
         Transpose::No => (k, n),
         Transpose::Yes => (n, k),
     };
+    let operands = [
+        (
+            ar,
+            ac,
+            lda,
+            a.len(),
+            "lda is below the rows of A, or a is too short",
+        ),
+        (
+            br,
+            bc,
+            ldb,
+            b.len(),
+            "ldb is below the rows of B, or b is too short",
+        ),
+        (
+            m,
+            n,
+            ldc,
+            c.len(),
+            "ldc is below the rows of C, or c is too short",
+        ),
+    ];
+    for (rows, cols, ld, len, misfit) in operands {
+        if !region_fits(rows, cols, ld, len) {
+            return Err(GemmError::BadConfig(misfit));
+        }
+    }
     let av = MatrixView::from_slice(ar, ac, lda, a);
     let bv = MatrixView::from_slice(br, bc, ldb, b);
     let mut cv = MatrixViewMut::from_slice(m, n, ldc, c);
@@ -241,6 +272,45 @@ mod tests {
             ]
         );
         assert!(double[1].to_string().contains("4x4"));
+    }
+
+    /// What the slice entry of `K`'s precision (`dgemm_slice`,
+    /// `sgemm_slice`) answers to a 3×2×2 call (A 3×2, B 2×2, C 3×2) when
+    /// one operand does not fit its slice: for A, B and C in turn, a
+    /// leading dimension below the rows, a slice one element short, and
+    /// an extent `(cols − 1)·ld + rows` past `usize::MAX`.
+    fn misfit_errors<K: KernelFamily>() -> Vec<GemmError> {
+        let rows = [3, 2, 3];
+        let mut errors = Vec::new();
+        for (operand, r) in rows.into_iter().enumerate() {
+            for (bad_ld, bad_len) in [(r - 1, 2 * r), (r, 2 * r - 1), (usize::MAX, 2 * r)] {
+                let (mut ld, mut len) = (rows, rows.map(|r| 2 * r));
+                (ld[operand], len[operand]) = (bad_ld, bad_len);
+                let zeros = |len| vec![K::Elem::ZERO; len];
+                let (a, b, mut c) = (zeros(len[0]), zeros(len[1]), zeros(len[2]));
+                let (no, one, zero) = (Transpose::No, K::Elem::ONE, K::Elem::ZERO);
+                let cfg = Config::<K>::default();
+                let result = checked_gemm_slice(
+                    no, no, 3, 2, 2, one, &a, ld[0], &b, ld[1], zero, &mut c, ld[2], &cfg,
+                );
+                errors.push(result.unwrap_err());
+            }
+        }
+        errors
+    }
+
+    #[test]
+    fn slice_entries_answer_an_operand_that_does_not_fit_with_an_error() {
+        use crate::microkernel::{MicroKernelKind, SgemmKernelKind};
+        let double = misfit_errors::<MicroKernelKind>();
+        assert_eq!(double, misfit_errors::<SgemmKernelKind>());
+        let named = [
+            "lda is below the rows of A, or a is too short",
+            "ldb is below the rows of B, or b is too short",
+            "ldc is below the rows of C, or c is too short",
+        ];
+        let expected = named.map(|msg| std::iter::repeat_n(GemmError::BadConfig(msg), 3));
+        assert_eq!(double, expected.into_iter().flatten().collect::<Vec<_>>());
     }
 
     #[test]

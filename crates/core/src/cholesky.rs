@@ -109,14 +109,14 @@ pub fn cholesky(a: &Matrix, cfg: &GemmConfig) -> Result<Matrix, CholeskyError> {
             // 2) panel below the diagonal: L21 = A21 * L11^{-T}
             //    i.e. solve X * L11^T = A21  <=>  L11 * X^T = A21^T.
             //    Using the left-solver: transpose in, transpose out.
-            let a21t = Matrix::from_fn(w, rest, |i, j| l.get(j0 + w + j, j0 + i));
-            let mut xt = a21t;
+            let mut xt = Matrix::from_fn(w, rest, |i, j| l.get(j0 + w + j, j0 + i));
+            let l11 = l.view().sub(j0, j0, w, w);
             dtrsm(
                 UpLo::Lower,
                 Transpose::No,
                 Diag::NonUnit,
                 1.0,
-                &Matrix::from_fn(w, w, |i, j| l.get(j0 + i, j0 + j)).view(),
+                &l11,
                 &mut xt.view_mut(),
                 cfg,
             )?;
@@ -126,23 +126,13 @@ pub fn cholesky(a: &Matrix, cfg: &GemmConfig) -> Result<Matrix, CholeskyError> {
                 }
             }
 
-            // 3) trailing update: A22 -= L21 * L21^T (lower triangle)
-            let l21 = Matrix::from_fn(rest, w, |i, j| l.get(j0 + w + i, j0 + j));
-            let mut a22 = Matrix::from_fn(rest, rest, |i, j| l.get(j0 + w + i, j0 + w + j));
-            dsyrk(
-                UpLo::Lower,
-                Transpose::No,
-                -1.0,
-                &l21.view(),
-                1.0,
-                &mut a22.view_mut(),
-                cfg,
-            )?;
-            for j in 0..rest {
-                for i in j..rest {
-                    l.set(j0 + w + i, j0 + w + j, a22.get(i, j));
-                }
-            }
+            // 3) trailing update: A22 -= L21 * L21^T (lower triangle),
+            //    in place: L21 is read from the factored columns, A22
+            //    written in the disjoint ones right of them.
+            let (left, mut right) = l.view_mut().split_cols(j0 + w);
+            let l21 = left.as_view().sub(j0 + w, j0, rest, w);
+            let mut a22 = right.sub_mut(j0 + w, 0, rest, rest);
+            dsyrk(UpLo::Lower, Transpose::No, -1.0, &l21, 1.0, &mut a22, cfg)?;
         }
         j0 += w;
     }

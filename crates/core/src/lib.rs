@@ -52,6 +52,7 @@
 //! | [`telemetry`] | — | the span stream: per-thread counters and rings of phase and request-lifecycle records, model-vs-measured attribution |
 //! | [`trace`] | — | trace IDs, the chrome-trace renderer, latency histograms, health-event journal |
 //! | [`metricsd`] | — | dependency-free `/metrics` + `/status` scrape endpoint |
+//! | [`json`] | — | the one JSON value type, compact renderer and parser behind every document the crate writes or reads |
 //! | [`autotune`] | — | closed-loop, model-seeded autotuner with a persistent per-host tuning DB |
 //! | [`store`] | — | versioned on-disk format for pre-packed weights (zero-pack warm start) |
 //! | [`mod@reference`] | — | naive triple-loop oracle for validation |
@@ -80,6 +81,7 @@ mod env;
 pub mod faults;
 pub mod gebp;
 pub mod gemm;
+pub mod json;
 mod lease;
 pub mod level3;
 pub mod lu;
@@ -142,7 +144,9 @@ pub enum GemmError {
         /// Actual shape of C.
         actual: (usize, usize),
     },
-    /// A blocking parameter is zero or otherwise unusable.
+    /// A configuration value or an argument is unusable: a zero block
+    /// size, a malformed `DGEMM_*` variable, or a slice entry's operand
+    /// whose leading dimension or slice does not fit its rows.
     BadConfig(&'static str),
     /// A pool worker panicked while computing an `mc`-block and the
     /// caller's serial re-execution of that block panicked too.
@@ -223,52 +227,95 @@ impl std::error::Error for GemmError {}
 
 #[cfg(test)]
 mod tests {
-    /// The attribute comment at the top of this file, held as a check:
-    /// `unsafe` blocks, functions and impls occur in exactly `lease.rs`,
-    /// `simd.rs` and `tile.rs`, and every other module carries
-    /// `#![forbid(unsafe_code)]`. This file cannot carry it — at the crate
-    /// root the attribute would cover the three — so it is only checked
-    /// to hold no unsafe code.
-    #[test]
-    fn unsafe_code_lives_in_three_modules_and_the_rest_forbid_it() {
+    /// Each source file's name and code lines: comments and the file's
+    /// `mod tests` left out.
+    fn sources() -> Vec<(String, Vec<String>)> {
         let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
-        let mut with_unsafe = Vec::new();
+        let mut files = Vec::new();
         for entry in std::fs::read_dir(&src).expect("the crate's sources are readable") {
             let path = entry.expect("directory entry").path();
             let name = path
                 .file_name()
                 .and_then(|n| n.to_str())
-                .expect("utf-8 file name")
-                .to_owned();
-            if !name.ends_with(".rs") {
+                .expect("utf-8 file name");
+            let Some(stem) = name.strip_suffix(".rs") else {
                 continue;
-            }
+            };
             let text = std::fs::read_to_string(&path).expect("source file is utf-8");
-            // The keyword as a word of its own, then `{`, `fn` or `impl`,
-            // outside comments.
-            let uses_the_keyword = text
-                .lines()
-                .map(str::trim_start)
-                .filter(|line| !line.starts_with("//"))
-                .any(|line| {
-                    let words: Vec<&str> = line
-                        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '{'))
-                        .filter(|w| !w.is_empty())
-                        .collect();
-                    words
-                        .windows(2)
-                        .any(|w| w[0] == "unsafe" && matches!(w[1], "{" | "fn" | "impl"))
-                });
-            if uses_the_keyword {
-                with_unsafe.push(name);
-            } else if name != "lib.rs" {
+            // While in a `mod tests`, the line that closes it.
+            let (mut lines, mut tests_end) = (Vec::new(), None);
+            for line in text.lines() {
+                let code = line.trim_start();
+                if tests_end.is_some() {
+                    tests_end = tests_end.filter(|end: &String| end != line);
+                } else if code.ends_with("mod tests {") {
+                    tests_end = Some(format!("{}}}", &line[..line.len() - code.len()]));
+                } else if !code.starts_with("//") {
+                    lines.push(code.to_owned());
+                }
+            }
+            files.push((format!("{stem}.rs"), lines));
+        }
+        files.sort();
+        files
+    }
+
+    /// The keyword `unsafe` as a word of its own, then `{`, `fn` or `impl`.
+    fn uses_unsafe(line: &str) -> bool {
+        let words: Vec<&str> = line
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == '{'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        words
+            .windows(2)
+            .any(|w| w[0] == "unsafe" && matches!(w[1], "{" | "fn" | "impl"))
+    }
+
+    /// One decision, one module: outside comments and test modules, each
+    /// row's pattern occurs only in the files the row allows.
+    /// - `unsafe` code lives in `lease.rs`, `simd.rs` and `tile.rs` (the
+    ///   attribute comment at the top of this file), and every other
+    ///   module carries `#![forbid(unsafe_code)]`. This file cannot carry
+    ///   it — at the crate root the attribute would cover the three — so
+    ///   it is only checked to hold no unsafe code.
+    /// - `env.rs` is the only reader of the environment.
+    /// - `json.rs` is the only JSON writer: no JSON object or key literal
+    ///   in a format string elsewhere.
+    #[test]
+    fn each_pattern_lives_only_in_the_modules_that_own_it() {
+        let env_read = |l: &str| l.contains("env::var");
+        let json_literal = |l: &str| l.contains("{{\\\"") || l.contains("\\\":");
+        type Row = (&'static str, fn(&str) -> bool, &'static [&'static str]);
+        let rows: [Row; 3] = [
+            (
+                "unsafe code",
+                uses_unsafe,
+                &["lease.rs", "simd.rs", "tile.rs"],
+            ),
+            ("an environment read", env_read, &["env.rs"]),
+            ("a JSON literal", json_literal, &["json.rs"]),
+        ];
+        let files = sources();
+        for (what, holds, allowed) in rows {
+            let outside: Vec<&str> = files
+                .iter()
+                .filter(|(name, lines)| {
+                    !allowed.contains(&name.as_str()) && lines.iter().any(|l| holds(l))
+                })
+                .map(|(name, _)| name.as_str())
+                .collect();
+            assert!(
+                outside.is_empty(),
+                "{what} outside {allowed:?}: {outside:?}"
+            );
+        }
+        for (name, lines) in files {
+            if name != "lib.rs" && !lines.iter().any(|l| uses_unsafe(l)) {
                 assert!(
-                    text.lines().any(|line| line == "#![forbid(unsafe_code)]"),
+                    lines.iter().any(|line| line == "#![forbid(unsafe_code)]"),
                     "{name} holds no unsafe code, so it must carry #![forbid(unsafe_code)]"
                 );
             }
         }
-        with_unsafe.sort();
-        assert_eq!(with_unsafe, ["lease.rs", "simd.rs", "tile.rs"]);
     }
 }

@@ -140,37 +140,38 @@ pub fn lu_factor(a: &Matrix, cfg: &GemmConfig) -> Result<LuFactors, LuError> {
         if rest > 0 {
             // 2) the panel's swaps were already applied to the whole row
             //    by swap_rows above.
+            // The factored columns are read, the ones right of the panel
+            // updated in place: two disjoint windows of the factor.
+            let (left, mut right) = lu.view_mut().split_cols(j0 + w);
+            let left = left.as_view();
             // 3) U12 = L11^{-1} A12 (unit lower triangular solve)
-            let l11 = lu_sub(&lu, j0, j0, w, w);
-            let mut a12 = lu_sub(&lu, j0, j0 + w, w, rest);
-            {
-                let mut view = a12.view_mut();
-                dtrsm(
-                    UpLo::Lower,
-                    Transpose::No,
-                    Diag::Unit,
-                    1.0,
-                    &l11.view(),
-                    &mut view,
-                    cfg,
-                )?;
-            }
-            copy_back(&mut lu, j0, j0 + w, &a12);
+            let mut a12 = right.sub_mut(j0, 0, w, rest);
+            let l11 = left.sub(j0, j0, w, w);
+            dtrsm(
+                UpLo::Lower,
+                Transpose::No,
+                Diag::Unit,
+                1.0,
+                &l11,
+                &mut a12,
+                cfg,
+            )?;
+            // U12 and A22 share their columns, so the GEMM reads a copy.
+            let u12 = Matrix::from_fn(w, rest, |i, j| a12.get(i, j));
 
             // 4) A22 -= L21 * U12 — the GEMM that dominates LINPACK
-            let l21 = lu_sub(&lu, j0 + w, j0, rest, w);
-            let mut a22 = lu_sub(&lu, j0 + w, j0 + w, rest, rest);
+            let l21 = left.sub(j0 + w, j0, rest, w);
+            let mut a22 = right.sub_mut(j0 + w, 0, rest, rest);
             try_gemm(
                 Transpose::No,
                 Transpose::No,
                 -1.0,
-                &l21.view(),
-                &a12.view(),
+                &l21,
+                &u12.view(),
                 1.0,
-                &mut a22.view_mut(),
+                &mut a22,
                 cfg,
             )?;
-            copy_back(&mut lu, j0 + w, j0 + w, &a22);
         }
         j0 += w;
     }
@@ -186,18 +187,6 @@ fn swap_rows(m: &mut Matrix, r1: usize, r2: usize) {
         let b = m.get(r2, c);
         m.set(r1, c, b);
         m.set(r2, c, a);
-    }
-}
-
-fn lu_sub(m: &Matrix, i0: usize, j0: usize, rows: usize, cols: usize) -> Matrix {
-    Matrix::from_fn(rows, cols, |i, j| m.get(i0 + i, j0 + j))
-}
-
-fn copy_back(m: &mut Matrix, i0: usize, j0: usize, src: &Matrix) {
-    for j in 0..src.cols() {
-        for i in 0..src.rows() {
-            m.set(i0 + i, j0 + j, src.get(i, j));
-        }
     }
 }
 
@@ -388,18 +377,28 @@ mod tests {
         assert!(hpl_residual(&a, &x, &b) < 10.0);
     }
 
+    /// LU's factors and solution, and the Cholesky factor of the
+    /// symmetric part, are bit-identical on every runtime: the pool
+    /// keeps each element's k-order.
     #[test]
     fn solve_with_threads_matches() {
-        let n = 100;
+        use crate::pool::Parallelism;
+        let n = 150; // three full panels and a tail
         let a = well_conditioned(n, 9);
+        let spd = Matrix::from_fn(n, n, |i, j| a.get(i, j) + a.get(j, i));
         let b = Matrix::random(n, 2, 10);
-        let serial = lu_factor(&a, &GemmConfig::default())
-            .unwrap()
-            .solve(&b, &GemmConfig::default())
-            .unwrap();
-        let cfg = GemmConfig::default().with_parallelism(crate::pool::Parallelism::from_threads(4));
-        let parallel = lu_factor(&a, &cfg).unwrap().solve(&b, &cfg).unwrap();
-        assert!(serial.max_abs_diff(&parallel) < 1e-10);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let run = |par| {
+            let cfg = GemmConfig::default().with_parallelism(par);
+            let f = lu_factor(&a, &cfg).unwrap();
+            let x = f.solve(&b, &cfg).unwrap();
+            let l = crate::cholesky::cholesky(&spd, &cfg).unwrap();
+            (bits(&f.lu), f.pivots, bits(&x), bits(&l))
+        };
+        let serial = run(Parallelism::Serial);
+        for par in [Parallelism::Pool(2), Parallelism::Pool(3)] {
+            assert!(run(par) == serial, "{par:?} differs from Serial");
+        }
     }
 
     #[test]

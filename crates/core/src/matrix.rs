@@ -144,24 +144,29 @@ impl<T: Scalar> Matrix<T> {
     }
 }
 
-/// Panics unless `ld ≥ rows` and a slice of `len` elements reaches the
-/// last element of a `rows×cols` column-major region with leading
-/// dimension `ld` — the invariant every view and tile constructor
-/// establishes, and the one the kernels' pointer reads rest on. The
-/// extent `(cols − 1)·ld + rows` is computed with checked arithmetic: in
-/// a release build the wrapping product of a hostile `ld` near
+/// Whether `ld ≥ rows` and a slice of `len` elements reaches the last
+/// element of a `rows×cols` column-major region with leading dimension
+/// `ld` — the invariant every view and tile constructor establishes, and
+/// the one the kernels' pointer reads rest on. The extent
+/// `(cols − 1)·ld + rows` is computed with checked arithmetic: in a
+/// release build the wrapping product of a hostile `ld` near
 /// `usize::MAX / cols` would pass any length test.
+pub(crate) fn region_fits(rows: usize, cols: usize, ld: usize, len: usize) -> bool {
+    ld >= rows.max(1)
+        && (rows == 0
+            || cols == 0
+            || (cols - 1)
+                .checked_mul(ld)
+                .and_then(|before_last| before_last.checked_add(rows))
+                .is_some_and(|extent| len >= extent))
+}
+
+/// Panics unless the region [fits](region_fits) a slice of `len`.
 pub(crate) fn assert_region_fits(rows: usize, cols: usize, ld: usize, len: usize) {
-    assert!(ld >= rows.max(1), "leading dimension below row count");
-    if rows > 0 && cols > 0 {
-        let extent = (cols - 1)
-            .checked_mul(ld)
-            .and_then(|before_last| before_last.checked_add(rows));
-        assert!(
-            extent.is_some_and(|extent| len >= extent),
-            "slice too short for {rows}x{cols} ld {ld}"
-        );
-    }
+    assert!(
+        region_fits(rows, cols, ld, len),
+        "slice too short for {rows}x{cols} ld {ld}, or leading dimension below the row count"
+    );
 }
 
 /// Immutable borrowed view of a column-major matrix region.

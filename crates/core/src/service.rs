@@ -38,6 +38,7 @@ use crate::batch::gemm_batch_with_cache;
 use crate::env;
 use crate::faults;
 use crate::gemm::GemmConfig;
+use crate::json::Value;
 use crate::matrix::{Matrix, MatrixView, MatrixViewMut};
 use crate::metricsd::{self, MetricsServer, MetricsSource};
 use crate::pool::{self, Parallelism, WorkerPool};
@@ -45,7 +46,6 @@ use crate::prepack::{PackCache, PrepackedB};
 use crate::store;
 use crate::telemetry::{self, ServiceCounters, TelemetryMode, TraceEvent, TraceKind, PHASES, SVC};
 use crate::trace::{self, HealthEventKind, LatencyHistogram};
-use crate::util::json_escape;
 use crate::{GemmError, Transpose};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use perfmodel::tuning::ShapeClass;
@@ -1215,150 +1215,122 @@ impl Inner {
         }
     }
 
-    fn status_json(&self) -> String {
-        let (depth, tenants_occ, shutdown) = {
-            let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let occ: Vec<(String, usize)> = st
-                .queues
-                .iter()
-                .map(|(t, q)| (t.clone(), q.len()))
-                .collect();
-            (st.depth, occ, st.shutdown)
+    /// The queue depth, each tenant's queued count and whether the
+    /// service is shutting down, read under one lock.
+    fn queues(&self) -> (usize, Vec<(String, usize)>, bool) {
+        let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let occ = st.queues.iter().map(|(t, q)| (t.clone(), q.len()));
+        (st.depth, occ.collect(), st.shutdown)
+    }
+
+    /// Every tenant with a queue or a cache, by name: its name, queued
+    /// requests, cache bytes and cache entries.
+    fn tenant_rows(&self, occupancy: &[(String, usize)]) -> Vec<(String, usize, usize, usize)> {
+        let caches = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut names: Vec<&String> = occupancy.iter().map(|(t, _)| t).collect();
+        names.extend(caches.keys());
+        names.sort();
+        names.dedup();
+        let row = |name: &String| {
+            let queued = occupancy.iter().find(|(t, _)| t == name);
+            let cache = caches.get(name);
+            let (bytes, entries) = cache.map_or((0, 0), |t| (t.cache.bytes(), t.pinned.len()));
+            (name.clone(), queued.map_or(0, |(_, q)| *q), bytes, entries)
         };
-        let c = &self.counters;
+        names.into_iter().map(row).collect()
+    }
+
+    /// Each shard's label, pool status and health.
+    fn shard_rows(&self) -> Vec<(String, pool::PoolStatus, bool)> {
+        let row = |(i, shard): (usize, &Shard)| match &shard.pool {
+            Some(p) => (format!("svc{i}"), p.status(), self.shard_unhealthy(i)),
+            None => ("global".to_owned(), pool::status(), self.shard_unhealthy(i)),
+        };
+        self.shards.iter().enumerate().map(row).collect()
+    }
+
+    fn status_json(&self) -> String {
+        let (depth, occupancy, shutdown) = self.queues();
         let ld = Ordering::Relaxed;
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\"schema\":\"dgemm-telem-v1\",\"kind\":\"service\"");
-        s.push_str(&format!(
-            ",\"queue_depth\":{depth},\"queue_limit\":{},\"effective_queue_limit\":{},\"shutdown\":{shutdown}",
-            self.cfg.queue_limit,
-            self.effective_queue_limit(),
-        ));
-        // Scraper ordering/staleness signals + the dispatch-model
-        // quality counter (additive dgemm-telem-v1 fields).
-        s.push_str(&format!(
-            ",\"snapshot_seq\":{},\"uptime_ms\":{},\"dispatch_mispredicts\":{}",
-            self.snapshot_seq.fetch_add(1, Ordering::Relaxed),
-            trace::uptime_ms(),
-            crate::telemetry::snapshot().runtime.dispatch_mispredicts,
-        ));
-        s.push_str(&format!(
-            ",\"counters\":{{\"admitted\":{},\"completed\":{},\"shed_overload\":{},\"shed_quota\":{},\"rejected\":{},\"deadline_misses\":{},\"retries\":{},\"degraded\":{},\"coalesced_batches\":{},\"coalesced_requests\":{},\"panics_contained\":{}}}",
-            c.admitted.load(ld),
-            c.completed.load(ld),
-            c.shed_overload.load(ld),
-            c.shed_quota.load(ld),
-            c.rejected.load(ld),
-            c.deadline_misses.load(ld),
-            c.retries.load(ld),
-            c.degraded.load(ld),
-            c.coalesced_batches.load(ld),
-            c.coalesced_requests.load(ld),
-            c.panics_contained.load(ld),
-        ));
         // Warm-start health (additive dgemm-telem-v1 fields): this
         // instance's shelf plus its load/attach outcomes; `verifies` /
         // `verify_failures` are process-wide (telemetry snapshot).
-        let store_snap = crate::telemetry::snapshot().store;
-        s.push_str(&format!(
-            ",\"store\":{{\"configured\":{},\"shelf\":{},\"loads\":{},\"load_failures\":{},\"attaches\":{},\"verifies\":{},\"verify_failures\":{}}}",
-            self.cfg.weight_store.is_some(),
-            self.shelf.len(),
-            self.store_counters.loads.load(ld),
-            self.store_counters.load_failures.load(ld),
-            self.store_counters.attaches.load(ld),
-            store_snap.verifies,
-            store_snap.verify_failures,
-        ));
-        s.push_str(",\"tenants\":[");
-        let caches = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut names: Vec<&String> = tenants_occ.iter().map(|(t, _)| t).collect();
-        names.extend(
-            caches
-                .keys()
-                .filter(|k| !tenants_occ.iter().any(|(t, _)| t == *k)),
-        );
-        names.sort();
-        names.dedup();
-        for (i, name) in names.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let queued = tenants_occ
-                .iter()
-                .find(|(t, _)| t == *name)
-                .map_or(0, |(_, q)| *q);
-            let (bytes, entries) = caches
-                .get(*name)
-                .map_or((0, 0), |t| (t.cache.bytes(), t.pinned.len()));
-            s.push_str(&format!(
-                "{{\"name\":\"{}\",\"queued\":{queued},\"cache_bytes\":{bytes},\"cache_entries\":{entries}}}",
-                json_escape(name),
-            ));
-        }
-        drop(caches);
-        s.push_str("],\"shards\":[");
-        for (i, shard) in self.shards.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let st = match &shard.pool {
-                Some(p) => p.status(),
-                None => pool::status(),
-            };
-            s.push_str(&format!(
-                "{{\"label\":\"{}\",\"workers_alive\":{},\"deaths\":{},\"respawns\":{},\"spawn_failures\":{},\"unhealthy\":{}}}",
-                if shard.pool.is_some() { format!("svc{i}") } else { "global".to_string() },
-                st.workers_alive,
-                st.deaths,
-                st.respawns,
-                st.spawn_failures,
-                self.shard_unhealthy(i),
-            ));
-        }
-        s.push_str("],\"histograms\":[");
-        let mut first = true;
+        let snap = crate::telemetry::snapshot();
+        let store = Value::obj()
+            .field("configured", self.cfg.weight_store.is_some())
+            .field("shelf", self.shelf.len())
+            .field("loads", self.store_counters.loads.load(ld))
+            .field("load_failures", self.store_counters.load_failures.load(ld))
+            .field("attaches", self.store_counters.attaches.load(ld))
+            .field("verifies", snap.store.verifies)
+            .field("verify_failures", snap.store.verify_failures);
+        let tenants =
+            self.tenant_rows(&occupancy)
+                .into_iter()
+                .map(|(name, queued, bytes, entries)| {
+                    Value::obj()
+                        .field("name", name)
+                        .field("queued", queued)
+                        .field("cache_bytes", bytes)
+                        .field("cache_entries", entries)
+                });
+        let shards = self.shard_rows().into_iter().map(|(label, st, unhealthy)| {
+            Value::obj()
+                .field("label", label)
+                .field("workers_alive", st.workers_alive)
+                .field("deaths", st.deaths)
+                .field("respawns", st.respawns)
+                .field("spawn_failures", st.spawn_failures)
+                .field("unhealthy", unhealthy)
+        });
+        let mut histograms = Vec::new();
         for ((tenant, shape), h) in self.sorted_hists() {
             for (metric, hist) in h.metrics() {
                 if hist.count() == 0 {
                     continue;
                 }
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str(&format!(
-                    "{{\"tenant\":\"{}\",\"shape\":\"{}\",\"metric\":\"{metric}\",\
-                     \"count\":{},\"sum_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{}}}",
-                    json_escape(&tenant),
-                    json_escape(&shape),
-                    hist.count(),
-                    hist.sum_us(),
-                    hist.quantile_us(0.50).unwrap_or(0),
-                    hist.quantile_us(0.90).unwrap_or(0),
-                    hist.quantile_us(0.99).unwrap_or(0),
-                ));
+                histograms.push(
+                    Value::obj()
+                        .field("tenant", tenant.as_str())
+                        .field("shape", shape.as_str())
+                        .field("metric", metric)
+                        .field("count", hist.count())
+                        .field("sum_us", hist.sum_us())
+                        .field("p50_us", hist.quantile_us(0.50).unwrap_or(0))
+                        .field("p90_us", hist.quantile_us(0.90).unwrap_or(0))
+                        .field("p99_us", hist.quantile_us(0.99).unwrap_or(0)),
+                );
             }
         }
-        s.push_str("],\"events\":[");
-        let events = trace::health_events();
-        let tail = &events[events.len().saturating_sub(64)..];
-        for (i, e) in tail.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"seq\":{},\"ts_ms\":{},\"kind\":\"{}\",\"trace\":{},\"detail\":{},\"cause\":\"{}\"}}",
-                e.seq,
-                e.ts_ns / 1_000_000,
-                e.kind.label(),
-                e.trace,
-                e.detail,
-                json_escape(e.cause),
-            ));
-        }
-        s.push_str("]}");
-        s
+        let journal = trace::health_events();
+        let events = journal[journal.len().saturating_sub(64)..].iter().map(|e| {
+            Value::obj()
+                .field("seq", e.seq)
+                .field("ts_ms", e.ts_ns / 1_000_000)
+                .field("kind", e.kind.label())
+                .field("trace", e.trace)
+                .field("detail", e.detail)
+                .field("cause", e.cause)
+        });
+        Value::obj()
+            .field("schema", "dgemm-telem-v1")
+            .field("kind", "service")
+            .field("queue_depth", depth)
+            .field("queue_limit", self.cfg.queue_limit)
+            .field("effective_queue_limit", self.effective_queue_limit())
+            .field("shutdown", shutdown)
+            // Scraper ordering/staleness signals + the dispatch-model
+            // quality counter (additive dgemm-telem-v1 fields).
+            .field("snapshot_seq", self.snapshot_seq.fetch_add(1, ld))
+            .field("uptime_ms", trace::uptime_ms())
+            .field("dispatch_mispredicts", snap.runtime.dispatch_mispredicts)
+            .field("counters", self.counters.snapshot().json())
+            .field("store", store)
+            .field("tenants", Value::Arr(tenants.collect()))
+            .field("shards", Value::Arr(shards.collect()))
+            .field("histograms", Value::Arr(histograms))
+            .field("events", Value::Arr(events.collect()))
+            .to_string()
     }
 
     /// The latency histograms in stable `(tenant, shape)` order.
@@ -1378,7 +1350,6 @@ impl Inner {
     /// histograms with cumulative log2 `le` buckets.
     fn prometheus_text(&self) -> String {
         use std::fmt::Write as _;
-        let ld = Ordering::Relaxed;
         let mut s = String::with_capacity(8192);
 
         let _ = writeln!(s, "# TYPE dgemm_uptime_ms gauge");
@@ -1390,15 +1361,7 @@ impl Inner {
             self.snapshot_seq.fetch_add(1, Ordering::Relaxed) + 1
         );
 
-        let (depth, tenants_occ) = {
-            let st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let occ: Vec<(String, usize)> = st
-                .queues
-                .iter()
-                .map(|(t, q)| (t.clone(), q.len()))
-                .collect();
-            (st.depth, occ)
-        };
+        let (depth, occupancy, _) = self.queues();
         let _ = writeln!(s, "# TYPE dgemm_service_queue_depth gauge");
         let _ = writeln!(s, "dgemm_service_queue_depth {depth}");
         let _ = writeln!(s, "# TYPE dgemm_service_queue_limit gauge");
@@ -1410,67 +1373,21 @@ impl Inner {
             self.effective_queue_limit()
         );
 
-        let c = &self.counters;
-        let service_counters: [(&str, u64); 11] = [
-            ("admitted", c.admitted.load(ld)),
-            ("completed", c.completed.load(ld)),
-            ("shed_overload", c.shed_overload.load(ld)),
-            ("shed_quota", c.shed_quota.load(ld)),
-            ("rejected", c.rejected.load(ld)),
-            ("deadline_misses", c.deadline_misses.load(ld)),
-            ("retries", c.retries.load(ld)),
-            ("degraded", c.degraded.load(ld)),
-            ("coalesced_batches", c.coalesced_batches.load(ld)),
-            ("coalesced_requests", c.coalesced_requests.load(ld)),
-            ("panics_contained", c.panics_contained.load(ld)),
-        ];
-        for (name, v) in service_counters {
-            let _ = writeln!(s, "# TYPE dgemm_service_{name}_total counter");
-            let _ = writeln!(s, "dgemm_service_{name}_total {v}");
-        }
-
         let snap = crate::telemetry::snapshot();
-        let rt = &snap.runtime;
-        let runtime_counters: [(&str, u64); 12] = [
-            ("tasks", rt.tasks),
-            ("dynamic_epochs", rt.dynamic_epochs),
-            ("static_epochs", rt.static_epochs),
-            ("grid_epochs", rt.grid_epochs),
-            ("deaths", rt.deaths),
-            ("respawns", rt.respawns),
-            ("spawn_failures", rt.spawn_failures),
-            ("faults_contained", rt.faults_contained),
-            ("timeouts", rt.timeouts),
-            ("dispatch_serial", rt.dispatch_serial),
-            ("dispatch_pool", rt.dispatch_pool),
-            ("dispatch_mispredicts", rt.dispatch_mispredicts),
+        let families = [
+            ("service", self.counters.snapshot().json()),
+            ("runtime", snap.runtime.json()),
+            ("pack_cache", snap.cache.json()),
+            ("store", snap.store.json()),
         ];
-        for (name, v) in runtime_counters {
-            let _ = writeln!(s, "# TYPE dgemm_runtime_{name}_total counter");
-            let _ = writeln!(s, "dgemm_runtime_{name}_total {v}");
-        }
-        let cache_counters: [(&str, u64); 5] = [
-            ("hits", snap.cache.hits),
-            ("misses", snap.cache.misses),
-            ("evictions", snap.cache.evictions),
-            ("invalidations", snap.cache.invalidations),
-            ("bytes_saved", snap.cache.bytes_saved),
-        ];
-        for (name, v) in cache_counters {
-            let _ = writeln!(s, "# TYPE dgemm_pack_cache_{name}_total counter");
-            let _ = writeln!(s, "dgemm_pack_cache_{name}_total {v}");
-        }
-        let store_counters: [(&str, u64); 6] = [
-            ("loads", snap.store.loads),
-            ("load_failures", snap.store.load_failures),
-            ("verifies", snap.store.verifies),
-            ("verify_failures", snap.store.verify_failures),
-            ("attaches", snap.store.attaches),
-            ("bytes_loaded", snap.store.bytes_loaded),
-        ];
-        for (name, v) in store_counters {
-            let _ = writeln!(s, "# TYPE dgemm_store_{name}_total counter");
-            let _ = writeln!(s, "dgemm_store_{name}_total {v}");
+        for (family, counters) in families {
+            let Value::Obj(counters) = counters else {
+                continue;
+            };
+            for (name, v) in counters {
+                let _ = writeln!(s, "# TYPE dgemm_{family}_{name}_total counter");
+                let _ = writeln!(s, "dgemm_{family}_{name}_total {v}");
+            }
         }
         let _ = writeln!(s, "# TYPE dgemm_store_shelf_entries gauge");
         let _ = writeln!(s, "dgemm_store_shelf_entries {}", self.shelf.len());
@@ -1486,35 +1403,15 @@ impl Inner {
 
         let _ = writeln!(s, "# TYPE dgemm_tenant_queued gauge");
         let _ = writeln!(s, "# TYPE dgemm_tenant_cache_bytes gauge");
-        let caches = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut names: Vec<String> = tenants_occ.iter().map(|(t, _)| t.clone()).collect();
-        names.extend(caches.keys().cloned());
-        names.sort();
-        names.dedup();
-        for name in &names {
-            let queued = tenants_occ
-                .iter()
-                .find(|(t, _)| t == name)
-                .map_or(0, |(_, q)| *q);
-            let bytes = caches.get(name).map_or(0, |t| t.cache.bytes());
-            let esc = prom_label_escape(name);
+        for (name, queued, bytes, _) in self.tenant_rows(&occupancy) {
+            let esc = prom_label_escape(&name);
             let _ = writeln!(s, "dgemm_tenant_queued{{tenant=\"{esc}\"}} {queued}");
             let _ = writeln!(s, "dgemm_tenant_cache_bytes{{tenant=\"{esc}\"}} {bytes}");
         }
-        drop(caches);
 
         let _ = writeln!(s, "# TYPE dgemm_shard_workers_alive gauge");
         let _ = writeln!(s, "# TYPE dgemm_shard_unhealthy gauge");
-        for (i, shard) in self.shards.iter().enumerate() {
-            let st = match &shard.pool {
-                Some(p) => p.status(),
-                None => pool::status(),
-            };
-            let label = if shard.pool.is_some() {
-                format!("svc{i}")
-            } else {
-                "global".to_string()
-            };
+        for (label, st, unhealthy) in self.shard_rows() {
             let _ = writeln!(
                 s,
                 "dgemm_shard_workers_alive{{shard=\"{label}\"}} {}",
@@ -1523,7 +1420,7 @@ impl Inner {
             let _ = writeln!(
                 s,
                 "dgemm_shard_unhealthy{{shard=\"{label}\"}} {}",
-                u8::from(self.shard_unhealthy(i))
+                u8::from(unhealthy)
             );
         }
 

@@ -68,6 +68,7 @@
 
 pub use perfmodel::cacheblock::BlockSizes;
 
+use crate::json::Value;
 use crate::GemmError;
 use perfmodel::model::{
     efficiency_lower_bound, perf_lower_bound, time_bound, MachineCosts, OverlapFactor,
@@ -198,6 +199,41 @@ pub(crate) fn now_ns() -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// Declares one set of always-on counters once: the public snapshot
+/// struct with its documented fields, the crate's atomic mirror of it
+/// (`new` is a `const` zero, `snapshot` reads it), and the snapshot's
+/// JSON object, fields in declaration order, which every document and
+/// scrape family renders it through.
+macro_rules! counters {
+    ($(#[$doc:meta])* $snapshot:ident / $atomics:ident { $($(#[$fdoc:meta])* $field:ident,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $snapshot {
+            $($(#[$fdoc])* pub $field: u64,)*
+        }
+
+        pub(crate) struct $atomics {
+            $(pub(crate) $field: AtomicU64,)*
+        }
+
+        impl $atomics {
+            pub(crate) const fn new() -> $atomics {
+                $atomics { $($field: AtomicU64::new(0),)* }
+            }
+
+            pub(crate) fn snapshot(&self) -> $snapshot {
+                $snapshot { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        impl $snapshot {
+            pub(crate) fn json(&self) -> Value {
+                Value::obj()$(.field(stringify!($field), self.$field))*
+            }
+        }
+    };
+}
+
 // ---------------------------------------------------------------------
 // Always-on pool lifecycle counters.
 //
@@ -207,48 +243,54 @@ pub(crate) fn now_ns() -> u64 {
 // must survive a no-default-features build.
 // ---------------------------------------------------------------------
 
-pub(crate) struct RuntimeCounters {
-    /// Jobs enqueued over the pool's lifetime.
-    pub(crate) tasks: AtomicU64,
-    /// Epochs with more cells than threads (threads race for cells).
-    pub(crate) dynamic_epochs: AtomicU64,
-    /// Epochs with at most one cell per thread.
-    pub(crate) static_epochs: AtomicU64,
-    /// Workers that exited their loop.
-    pub(crate) deaths: AtomicU64,
-    /// Replacement workers spawned for dead ones.
-    pub(crate) respawns: AtomicU64,
-    /// Worker spawn attempts that failed.
-    pub(crate) spawn_failures: AtomicU64,
-    /// Cells recomputed by the caller after a worker panic or loss.
-    pub(crate) faults_contained: AtomicU64,
-    /// Epochs in which the watchdog deadline took cells back.
-    pub(crate) timeouts: AtomicU64,
-    /// Dispatch decisions that chose the serial runtime.
-    pub(crate) dispatch_serial: AtomicU64,
-    /// Dispatch decisions that chose the pool runtime.
-    pub(crate) dispatch_pool: AtomicU64,
-    /// Dispatch decisions whose chosen runtime measured slower than
-    /// the alternative's calibrated prediction (model mispredicts).
-    pub(crate) dispatch_mispredicts: AtomicU64,
-    /// Epochs whose grid split the panel's columns.
-    pub(crate) grid_epochs: AtomicU64,
+counters! {
+    /// Pool-runtime lifecycle totals **since process start** ([`reset`]
+    /// does not touch them; `pool::status()` is defined in these terms).
+    RuntimeSnapshot / RuntimeCounters {
+        /// Jobs enqueued over the pool's lifetime: one per cell of an
+        /// epoch's grid, except the cell the caller keeps.
+        tasks,
+        /// Epochs (barriers: one per `jj` panel of a pooled call) whose grid
+        /// had more cells than threads, so threads raced for cells.
+        dynamic_epochs,
+        /// Epochs whose grid had at most one cell per thread.
+        static_epochs,
+        /// Workers that exited their loop.
+        deaths,
+        /// Replacement workers spawned for dead ones.
+        respawns,
+        /// Worker spawn attempts that failed.
+        spawn_failures,
+        /// Cells recomputed by the caller after a worker panic or loss.
+        faults_contained,
+        /// Epochs in which the watchdog deadline took cells back.
+        timeouts,
+        /// Dispatch decisions that chose the serial runtime
+        /// (see [`crate::dispatch`]).
+        dispatch_serial,
+        /// Dispatch decisions that chose the pool runtime.
+        dispatch_pool,
+        /// Dispatch decisions whose chosen runtime measured slower than
+        /// the alternative's calibrated prediction (model mispredicts).
+        dispatch_mispredicts,
+        /// Epochs whose grid split the panel's columns.
+        grid_epochs,
+    }
 }
 
-pub(crate) static RT: RuntimeCounters = RuntimeCounters {
-    tasks: AtomicU64::new(0),
-    dynamic_epochs: AtomicU64::new(0),
-    static_epochs: AtomicU64::new(0),
-    deaths: AtomicU64::new(0),
-    respawns: AtomicU64::new(0),
-    spawn_failures: AtomicU64::new(0),
-    faults_contained: AtomicU64::new(0),
-    timeouts: AtomicU64::new(0),
-    dispatch_serial: AtomicU64::new(0),
-    dispatch_pool: AtomicU64::new(0),
-    dispatch_mispredicts: AtomicU64::new(0),
-    grid_epochs: AtomicU64::new(0),
-};
+pub(crate) static RT: RuntimeCounters = RuntimeCounters::new();
+
+impl RuntimeSnapshot {
+    /// Layer-3 epochs served by the pool (dynamic + static).
+    #[must_use]
+    pub fn epochs_served(&self) -> u64 {
+        self.dynamic_epochs + self.static_epochs
+    }
+}
+
+pub(crate) fn runtime_snapshot() -> RuntimeSnapshot {
+    RT.snapshot()
+}
 
 // ---------------------------------------------------------------------
 // Always-on pack-cache counters.
@@ -260,21 +302,24 @@ pub(crate) static RT: RuntimeCounters = RuntimeCounters {
 // behavior reads out directly.
 // ---------------------------------------------------------------------
 
-pub(crate) struct CacheCounters {
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
-    pub(crate) evictions: AtomicU64,
-    pub(crate) invalidations: AtomicU64,
-    pub(crate) bytes_saved: AtomicU64,
+counters! {
+    /// Pack-cache activity since the last [`reset`] (process start if
+    /// never reset), across every per-type [`crate::prepack::PackCache`].
+    CacheSnapshot / CacheCounters {
+        /// Lookups served from a cached pre-pack.
+        hits,
+        /// Lookups that packed fresh panels (or failed to allocate them).
+        misses,
+        /// Entries evicted to respect a capacity bound.
+        evictions,
+        /// Entries dropped by `invalidate` / `bump_generation`.
+        invalidations,
+        /// Packed-B bytes whose re-packing the cache avoided.
+        bytes_saved,
+    }
 }
 
-pub(crate) static PACK_CACHE: CacheCounters = CacheCounters {
-    hits: AtomicU64::new(0),
-    misses: AtomicU64::new(0),
-    evictions: AtomicU64::new(0),
-    invalidations: AtomicU64::new(0),
-    bytes_saved: AtomicU64::new(0),
-};
+pub(crate) static PACK_CACHE: CacheCounters = CacheCounters::new();
 
 pub(crate) fn cache_hit(bytes_saved: u64) {
     PACK_CACHE.hits.fetch_add(1, Ordering::Relaxed);
@@ -295,6 +340,14 @@ pub(crate) fn cache_invalidate(n: u64) {
     PACK_CACHE.invalidations.fetch_add(n, Ordering::Relaxed);
 }
 
+fn cache_reset() {
+    PACK_CACHE.hits.store(0, Ordering::Relaxed);
+    PACK_CACHE.misses.store(0, Ordering::Relaxed);
+    PACK_CACHE.evictions.store(0, Ordering::Relaxed);
+    PACK_CACHE.invalidations.store(0, Ordering::Relaxed);
+    PACK_CACHE.bytes_saved.store(0, Ordering::Relaxed);
+}
+
 // ---------------------------------------------------------------------
 // Always-on service-layer counters.
 //
@@ -306,37 +359,35 @@ pub(crate) fn cache_invalidate(n: u64) {
 // against these.
 // ---------------------------------------------------------------------
 
-pub(crate) struct ServiceCounters {
-    pub(crate) admitted: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) shed_overload: AtomicU64,
-    pub(crate) shed_quota: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) deadline_misses: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) degraded: AtomicU64,
-    pub(crate) coalesced_batches: AtomicU64,
-    pub(crate) coalesced_requests: AtomicU64,
-    pub(crate) panics_contained: AtomicU64,
-}
-
-impl ServiceCounters {
-    /// A zeroed counter block (`const` so it also backs the `SVC`
-    /// static and per-service-instance mirrors).
-    pub(crate) const fn new() -> ServiceCounters {
-        ServiceCounters {
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            shed_quota: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            coalesced_batches: AtomicU64::new(0),
-            coalesced_requests: AtomicU64::new(0),
-            panics_contained: AtomicU64::new(0),
-        }
+counters! {
+    /// Service-layer activity since process start, across every
+    /// [`crate::service::GemmService`] instance (see DESIGN.md §15).
+    ServiceSnapshot / ServiceCounters {
+        /// Requests accepted past admission control.
+        admitted,
+        /// Admitted requests resolved with a successful result.
+        completed,
+        /// Requests shed at admission because the queue was full (or
+        /// health-shrunk).
+        shed_overload,
+        /// Requests shed at admission by a tenant's queue quota.
+        shed_quota,
+        /// Requests resolved with [`crate::service::ServiceError::Rejected`]
+        /// (shutdown, cancellation, invalid shapes, exhausted retries).
+        rejected,
+        /// Requests resolved with `DeadlineExceeded`.
+        deadline_misses,
+        /// Execution retries after a recoverable pool fault.
+        retries,
+        /// Request groups executed serially because a shard was unhealthy
+        /// (graceful degradation), plus watchdog-recovered epochs served.
+        degraded,
+        /// Coalesced `batch` executions (group size ≥ 2).
+        coalesced_batches,
+        /// Requests served through a coalesced batch.
+        coalesced_requests,
+        /// Service-layer panics contained by the scheduler's catch_unwind.
+        panics_contained,
     }
 }
 
@@ -353,23 +404,25 @@ pub(crate) static SVC: ServiceCounters = ServiceCounters::new();
 // process-lifetime totals.
 // ---------------------------------------------------------------------
 
-pub(crate) struct StoreCounters {
-    pub(crate) loads: AtomicU64,
-    pub(crate) load_failures: AtomicU64,
-    pub(crate) verifies: AtomicU64,
-    pub(crate) verify_failures: AtomicU64,
-    pub(crate) attaches: AtomicU64,
-    pub(crate) bytes_loaded: AtomicU64,
+counters! {
+    /// Weight-store activity since process start (see [`crate::store`]).
+    StoreSnapshot / StoreCounters {
+        /// Blobs decoded successfully (header + checksum validated).
+        loads,
+        /// Blob decodes rejected with [`crate::GemmError::BadStore`].
+        load_failures,
+        /// Source-digest verifications performed at attach time.
+        verifies,
+        /// Verifications whose digest did not match the live operand.
+        verify_failures,
+        /// Loaded blobs seeded into a [`crate::prepack::PackCache`].
+        attaches,
+        /// Total payload bytes of successfully decoded blobs.
+        bytes_loaded,
+    }
 }
 
-pub(crate) static STORE: StoreCounters = StoreCounters {
-    loads: AtomicU64::new(0),
-    load_failures: AtomicU64::new(0),
-    verifies: AtomicU64::new(0),
-    verify_failures: AtomicU64::new(0),
-    attaches: AtomicU64::new(0),
-    bytes_loaded: AtomicU64::new(0),
-};
+pub(crate) static STORE: StoreCounters = StoreCounters::new();
 
 pub(crate) fn store_load(bytes: u64) {
     STORE.loads.fetch_add(1, Ordering::Relaxed);
@@ -389,174 +442,6 @@ pub(crate) fn store_verify(ok: bool) {
 
 pub(crate) fn store_attach() {
     STORE.attaches.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Weight-store activity since process start (see [`crate::store`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreSnapshot {
-    /// Blobs decoded successfully (header + checksum validated).
-    pub loads: u64,
-    /// Blob decodes rejected with [`crate::GemmError::BadStore`].
-    pub load_failures: u64,
-    /// Source-digest verifications performed at attach time.
-    pub verifies: u64,
-    /// Verifications whose digest did not match the live operand.
-    pub verify_failures: u64,
-    /// Loaded blobs seeded into a [`crate::prepack::PackCache`].
-    pub attaches: u64,
-    /// Total payload bytes of successfully decoded blobs.
-    pub bytes_loaded: u64,
-}
-
-fn store_snapshot() -> StoreSnapshot {
-    StoreSnapshot {
-        loads: STORE.loads.load(Ordering::Relaxed),
-        load_failures: STORE.load_failures.load(Ordering::Relaxed),
-        verifies: STORE.verifies.load(Ordering::Relaxed),
-        verify_failures: STORE.verify_failures.load(Ordering::Relaxed),
-        attaches: STORE.attaches.load(Ordering::Relaxed),
-        bytes_loaded: STORE.bytes_loaded.load(Ordering::Relaxed),
-    }
-}
-
-/// Service-layer activity since process start, across every
-/// [`crate::service::GemmService`] instance (see DESIGN.md §15).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceSnapshot {
-    /// Requests accepted past admission control.
-    pub admitted: u64,
-    /// Admitted requests resolved with a successful result.
-    pub completed: u64,
-    /// Requests shed at admission because the queue was full (or
-    /// health-shrunk).
-    pub shed_overload: u64,
-    /// Requests shed at admission by a tenant's queue quota.
-    pub shed_quota: u64,
-    /// Requests resolved with [`crate::service::ServiceError::Rejected`]
-    /// (shutdown, cancellation, invalid shapes, exhausted retries).
-    pub rejected: u64,
-    /// Requests resolved with `DeadlineExceeded`.
-    pub deadline_misses: u64,
-    /// Execution retries after a recoverable pool fault.
-    pub retries: u64,
-    /// Request groups executed serially because a shard was unhealthy
-    /// (graceful degradation), plus watchdog-recovered epochs served.
-    pub degraded: u64,
-    /// Coalesced `batch` executions (group size ≥ 2).
-    pub coalesced_batches: u64,
-    /// Requests served through a coalesced batch.
-    pub coalesced_requests: u64,
-    /// Service-layer panics contained by the scheduler's catch_unwind.
-    pub panics_contained: u64,
-}
-
-fn service_snapshot() -> ServiceSnapshot {
-    ServiceSnapshot {
-        admitted: SVC.admitted.load(Ordering::Relaxed),
-        completed: SVC.completed.load(Ordering::Relaxed),
-        shed_overload: SVC.shed_overload.load(Ordering::Relaxed),
-        shed_quota: SVC.shed_quota.load(Ordering::Relaxed),
-        rejected: SVC.rejected.load(Ordering::Relaxed),
-        deadline_misses: SVC.deadline_misses.load(Ordering::Relaxed),
-        retries: SVC.retries.load(Ordering::Relaxed),
-        degraded: SVC.degraded.load(Ordering::Relaxed),
-        coalesced_batches: SVC.coalesced_batches.load(Ordering::Relaxed),
-        coalesced_requests: SVC.coalesced_requests.load(Ordering::Relaxed),
-        panics_contained: SVC.panics_contained.load(Ordering::Relaxed),
-    }
-}
-
-/// Pack-cache activity since the last [`reset`] (process start if
-/// never reset), across every per-type [`crate::prepack::PackCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Lookups served from a cached pre-pack.
-    pub hits: u64,
-    /// Lookups that packed fresh panels (or failed to allocate them).
-    pub misses: u64,
-    /// Entries evicted to respect a capacity bound.
-    pub evictions: u64,
-    /// Entries dropped by `invalidate` / `bump_generation`.
-    pub invalidations: u64,
-    /// Packed-B bytes whose re-packing the cache avoided.
-    pub bytes_saved: u64,
-}
-
-fn cache_snapshot() -> CacheSnapshot {
-    CacheSnapshot {
-        hits: PACK_CACHE.hits.load(Ordering::Relaxed),
-        misses: PACK_CACHE.misses.load(Ordering::Relaxed),
-        evictions: PACK_CACHE.evictions.load(Ordering::Relaxed),
-        invalidations: PACK_CACHE.invalidations.load(Ordering::Relaxed),
-        bytes_saved: PACK_CACHE.bytes_saved.load(Ordering::Relaxed),
-    }
-}
-
-fn cache_reset() {
-    PACK_CACHE.hits.store(0, Ordering::Relaxed);
-    PACK_CACHE.misses.store(0, Ordering::Relaxed);
-    PACK_CACHE.evictions.store(0, Ordering::Relaxed);
-    PACK_CACHE.invalidations.store(0, Ordering::Relaxed);
-    PACK_CACHE.bytes_saved.store(0, Ordering::Relaxed);
-}
-
-/// Pool-runtime lifecycle totals **since process start** ([`reset`]
-/// does not touch them; `pool::status()` is defined in these terms).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RuntimeSnapshot {
-    /// Jobs enqueued over the pool's lifetime: one per cell of an
-    /// epoch's grid, except the cell the caller keeps.
-    pub tasks: u64,
-    /// Epochs (barriers: one per `jj` panel of a pooled call) whose grid
-    /// had more cells than threads, so threads raced for cells.
-    pub dynamic_epochs: u64,
-    /// Epochs whose grid had at most one cell per thread.
-    pub static_epochs: u64,
-    /// Workers that exited their loop.
-    pub deaths: u64,
-    /// Replacement workers spawned for dead ones.
-    pub respawns: u64,
-    /// Worker spawn attempts that failed.
-    pub spawn_failures: u64,
-    /// Cells recomputed by the caller after a worker panic or loss.
-    pub faults_contained: u64,
-    /// Epochs in which the watchdog deadline took cells back.
-    pub timeouts: u64,
-    /// Dispatch decisions that chose the serial runtime
-    /// (see [`crate::dispatch`]).
-    pub dispatch_serial: u64,
-    /// Dispatch decisions that chose the pool runtime.
-    pub dispatch_pool: u64,
-    /// Dispatch decisions whose chosen runtime measured slower than
-    /// the alternative's calibrated prediction (model mispredicts).
-    pub dispatch_mispredicts: u64,
-    /// Epochs whose grid split the panel's columns.
-    pub grid_epochs: u64,
-}
-
-impl RuntimeSnapshot {
-    /// Layer-3 epochs served by the pool (dynamic + static).
-    #[must_use]
-    pub fn epochs_served(&self) -> u64 {
-        self.dynamic_epochs + self.static_epochs
-    }
-}
-
-pub(crate) fn runtime_snapshot() -> RuntimeSnapshot {
-    RuntimeSnapshot {
-        tasks: RT.tasks.load(Ordering::Relaxed),
-        dynamic_epochs: RT.dynamic_epochs.load(Ordering::Relaxed),
-        static_epochs: RT.static_epochs.load(Ordering::Relaxed),
-        deaths: RT.deaths.load(Ordering::Relaxed),
-        respawns: RT.respawns.load(Ordering::Relaxed),
-        spawn_failures: RT.spawn_failures.load(Ordering::Relaxed),
-        faults_contained: RT.faults_contained.load(Ordering::Relaxed),
-        timeouts: RT.timeouts.load(Ordering::Relaxed),
-        dispatch_serial: RT.dispatch_serial.load(Ordering::Relaxed),
-        dispatch_pool: RT.dispatch_pool.load(Ordering::Relaxed),
-        dispatch_mispredicts: RT.dispatch_mispredicts.load(Ordering::Relaxed),
-        grid_epochs: RT.grid_epochs.load(Ordering::Relaxed),
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -739,10 +624,10 @@ pub fn enabled() -> bool {
 pub fn snapshot() -> Snapshot {
     Snapshot {
         threads: record::thread_snapshots(),
-        runtime: runtime_snapshot(),
-        cache: cache_snapshot(),
-        service: service_snapshot(),
-        store: store_snapshot(),
+        runtime: RT.snapshot(),
+        cache: PACK_CACHE.snapshot(),
+        service: SVC.snapshot(),
+        store: STORE.snapshot(),
     }
 }
 
@@ -1521,116 +1406,56 @@ impl GemmReport {
     /// Schema-stable JSON (`"schema": "dgemm-telem-v1"`), one object.
     ///
     /// Keys are emitted in a fixed order; absent measurements are
-    /// `null`. `crates/bench` writes one of these per bench group into
-    /// `results/TELEM_*.json`.
+    /// `null`. Its one caller is [`emit`], which prints it to stderr
+    /// under `DGEMM_TELEMETRY=json`; the `quickstart` and
+    /// `parallel_scaling` examples emit one per run.
     #[must_use]
     pub fn to_json(&self, snap: &Snapshot) -> String {
-        fn opt(v: Option<f64>) -> String {
-            v.map_or_else(|| "null".to_owned(), |x| format!("{x:.6}"))
-        }
-        fn opt_bool(v: Option<bool>) -> String {
-            v.map_or_else(|| "null".to_owned(), |b| b.to_string())
-        }
-        let mut threads_json = String::new();
-        for (i, t) in snap.threads.iter().enumerate() {
-            if i > 0 {
-                threads_json.push(',');
-            }
-            threads_json.push_str(&format!(
-                "{{\"name\":\"{}\",\"flops\":{},\"packed_a_bytes\":{},\"packed_b_bytes\":{},\
-                 \"b_in_place_bytes\":{},\
-                 \"blocks\":{},\"steals\":{},\"arena_hits\":{},\"arena_fresh\":{},{}}}",
-                crate::util::json_escape(&t.name),
-                t.flops,
-                t.packed_a_bytes,
-                t.packed_b_bytes,
-                t.b_in_place_bytes,
-                t.blocks,
-                t.steals,
-                t.arena_hits,
-                t.arena_fresh,
-                TraceKind::ALL[..PHASES]
-                    .iter()
-                    .map(|p| format!("\"{}_ns\":{}", p.label(), t.phase_time(*p)))
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ));
-        }
-        let rt = &snap.runtime;
-        let cc = &snap.cache;
-        let sv = &snap.service;
-        format!(
-            "{{\"schema\":\"dgemm-telem-v1\",\"m\":{},\"n\":{},\"k\":{},\"calls\":{},\
-             \"threads\":{},\"elapsed_s\":{:.6},\"flops\":{},\"flops_counted\":{},\
-             \"gflops\":{:.6},\"packed_a_bytes\":{},\"packed_b_bytes\":{},\
-             \"b_in_place_bytes\":{},\"pack_b_bytes_saved\":{},\
-             \"gamma_measured\":{},\"gamma_model\":{:.6},\"pack_frac\":{:.6},\
-             \"compute_frac\":{:.6},\"wait_frac\":{:.6},\"model_time_cycles\":{:.3},\
-             \"model_flops_per_cycle\":{:.6},\"model_efficiency_bound\":{:.6},\
-             \"measured_efficiency\":{},\"below_model_bound\":{},\
-             \"pack_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"invalidations\":{},\"bytes_saved\":{}}},\
-             \"runtime\":{{\"tasks\":{},\"dynamic_epochs\":{},\"static_epochs\":{},\
-             \"deaths\":{},\"respawns\":{},\"spawn_failures\":{},\"faults_contained\":{},\
-             \"timeouts\":{},\"dispatch_serial\":{},\"dispatch_pool\":{},\
-             \"dispatch_mispredicts\":{},\"grid_epochs\":{}}},\
-             \"service\":{{\"admitted\":{},\"completed\":{},\"shed_overload\":{},\
-             \"shed_quota\":{},\"rejected\":{},\"deadline_misses\":{},\"retries\":{},\
-             \"degraded\":{},\"coalesced_batches\":{},\"coalesced_requests\":{},\
-             \"panics_contained\":{}}},\"threads_detail\":[{}]}}",
-            self.m,
-            self.n,
-            self.k,
-            self.calls,
-            self.threads,
-            self.elapsed_s,
-            self.flops,
-            self.flops_counted,
-            self.gflops,
-            self.packed_a_bytes,
-            self.packed_b_bytes,
-            self.b_in_place_bytes,
-            self.pack_b_bytes_saved,
-            opt(self.gamma_measured),
-            self.gamma_model,
-            self.pack_frac,
-            self.compute_frac,
-            self.wait_frac,
-            self.model_time_cycles,
-            self.model_flops_per_cycle,
-            self.model_efficiency_bound,
-            opt(self.measured_efficiency),
-            opt_bool(self.below_model_bound),
-            cc.hits,
-            cc.misses,
-            cc.evictions,
-            cc.invalidations,
-            cc.bytes_saved,
-            rt.tasks,
-            rt.dynamic_epochs,
-            rt.static_epochs,
-            rt.deaths,
-            rt.respawns,
-            rt.spawn_failures,
-            rt.faults_contained,
-            rt.timeouts,
-            rt.dispatch_serial,
-            rt.dispatch_pool,
-            rt.dispatch_mispredicts,
-            rt.grid_epochs,
-            sv.admitted,
-            sv.completed,
-            sv.shed_overload,
-            sv.shed_quota,
-            sv.rejected,
-            sv.deadline_misses,
-            sv.retries,
-            sv.degraded,
-            sv.coalesced_batches,
-            sv.coalesced_requests,
-            sv.panics_contained,
-            threads_json,
-        )
+        let threads = snap.threads.iter().map(|t| {
+            let detail = Value::obj()
+                .field("name", t.name.as_str())
+                .field("flops", t.flops)
+                .field("packed_a_bytes", t.packed_a_bytes)
+                .field("packed_b_bytes", t.packed_b_bytes)
+                .field("b_in_place_bytes", t.b_in_place_bytes)
+                .field("blocks", t.blocks)
+                .field("steals", t.steals)
+                .field("arena_hits", t.arena_hits)
+                .field("arena_fresh", t.arena_fresh);
+            TraceKind::ALL[..PHASES].iter().fold(detail, |o, p| {
+                o.field(format!("{}_ns", p.label()), t.phase_time(*p))
+            })
+        });
+        Value::obj()
+            .field("schema", "dgemm-telem-v1")
+            .field("m", self.m)
+            .field("n", self.n)
+            .field("k", self.k)
+            .field("calls", self.calls)
+            .field("threads", self.threads)
+            .field("elapsed_s", self.elapsed_s)
+            .field("flops", self.flops)
+            .field("flops_counted", self.flops_counted)
+            .field("gflops", self.gflops)
+            .field("packed_a_bytes", self.packed_a_bytes)
+            .field("packed_b_bytes", self.packed_b_bytes)
+            .field("b_in_place_bytes", self.b_in_place_bytes)
+            .field("pack_b_bytes_saved", self.pack_b_bytes_saved)
+            .field("gamma_measured", self.gamma_measured)
+            .field("gamma_model", self.gamma_model)
+            .field("pack_frac", self.pack_frac)
+            .field("compute_frac", self.compute_frac)
+            .field("wait_frac", self.wait_frac)
+            .field("model_time_cycles", self.model_time_cycles)
+            .field("model_flops_per_cycle", self.model_flops_per_cycle)
+            .field("model_efficiency_bound", self.model_efficiency_bound)
+            .field("measured_efficiency", self.measured_efficiency)
+            .field("below_model_bound", self.below_model_bound)
+            .field("pack_cache", snap.cache.json())
+            .field("runtime", snap.runtime.json())
+            .field("service", snap.service.json())
+            .field("threads_detail", Value::Arr(threads.collect()))
+            .to_string()
     }
 }
 

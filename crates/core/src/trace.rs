@@ -24,8 +24,8 @@
 
 #![forbid(unsafe_code)]
 
+use crate::json::Value;
 use crate::telemetry::{now_ns, TraceEvent};
-use crate::util::json_escape;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -60,30 +60,27 @@ pub fn enabled() -> bool {
 /// process whose rows are the threads that worked on it.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut s = String::with_capacity(64 + events.len() * 96);
-    s.push_str("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let shape = if e.dur_ns > 0 {
-            format!("\"ph\":\"X\",\"dur\":{:.3}", e.dur_ns as f64 / 1e3)
+    let events = events.iter().map(|e| {
+        let event = Value::obj()
+            .field("name", e.kind.label())
+            .field("cat", "dgemm");
+        let event = if e.dur_ns > 0 {
+            event.field("ph", "X").field("dur", e.dur_ns as f64 / 1e3)
         } else {
-            "\"ph\":\"i\",\"s\":\"t\"".to_owned()
+            event.field("ph", "i").field("s", "t")
         };
-        s.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"dgemm\",{shape},\"ts\":{:.3},\
-             \"pid\":{},\"tid\":{},\"args\":{{\"arg0\":{},\"arg1\":{}}}}}",
-            json_escape(e.kind.label()),
-            e.start_ns as f64 / 1e3,
-            e.trace,
-            e.lane,
-            e.arg0,
-            e.arg1,
-        ));
-    }
-    s.push_str("]}");
-    s
+        event
+            .field("ts", e.start_ns as f64 / 1e3)
+            .field("pid", e.trace)
+            .field("tid", e.lane)
+            .field(
+                "args",
+                Value::obj().field("arg0", e.arg0).field("arg1", e.arg1),
+            )
+    });
+    Value::obj()
+        .field("traceEvents", Value::Arr(events.collect()))
+        .to_string()
 }
 
 // ---------------------------------------------------------------------

@@ -58,22 +58,6 @@ pub fn gemm_tolerance(k: usize, scale: f64) -> f64 {
     32.0 * k * f64::EPSILON * scale.max(1.0)
 }
 
-/// The body of a JSON string holding `s`: quotes, backslashes and
-/// control characters escaped. Every hand-written JSON renderer in the
-/// crate escapes its strings here.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,10 +99,5 @@ mod tests {
     fn tolerance_scales_with_k() {
         assert!(gemm_tolerance(1000, 1.0) > gemm_tolerance(10, 1.0));
         assert!(gemm_tolerance(10, 100.0) > gemm_tolerance(10, 1.0));
-    }
-
-    #[test]
-    fn json_escape_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
     }
 }

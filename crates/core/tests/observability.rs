@@ -1,8 +1,8 @@
 //! Golden-schema contract of the observability surface (DESIGN.md §11):
 //! the `/metrics` body passes a Prometheus text-exposition grammar
 //! check (typed families, monotone cumulative buckets, `_sum`/`_count`
-//! consistency), the `/status` body is syntactically valid
-//! `dgemm-telem-v1` JSON with every schema field present, the log2
+//! consistency), the `/status` body parses through `dgemm_core::json`
+//! as one `dgemm-telem-v1` document with every schema field present, the log2
 //! latency histograms are bucket-exact against a recomputation, and a
 //! served request's trace chain covers its lifecycle.
 //!
@@ -15,6 +15,7 @@
 //! journal under the trace ID of the request it hit.
 
 use dgemm_core::gemm::GemmConfig;
+use dgemm_core::json::{self, Value};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
 use dgemm_core::service::{GemmService, ServiceConfig, ServiceError};
@@ -265,111 +266,24 @@ fn metrics_text_passes_exposition_grammar() {
 // /status JSON schema.
 // ---------------------------------------------------------------------
 
-/// Minimal recursive-descent JSON syntax checker: consumes one value,
-/// returns the rest. Panics (with offset context) on invalid JSON.
-fn skip_json(s: &str) -> &str {
-    let s = s.trim_start();
-    let mut chars = s.char_indices();
-    match chars.next().map(|(_, c)| c) {
-        Some('{') => {
-            let mut rest = s[1..].trim_start();
-            if let Some(r) = rest.strip_prefix('}') {
-                return r;
-            }
-            loop {
-                rest = rest.trim_start();
-                assert!(
-                    rest.starts_with('"'),
-                    "object key must be a string: {rest:.40?}"
-                );
-                rest = skip_json(rest).trim_start();
-                rest = rest
-                    .strip_prefix(':')
-                    .unwrap_or_else(|| panic!("missing ':' in object: {rest:.40?}"));
-                rest = skip_json(rest).trim_start();
-                if let Some(r) = rest.strip_prefix(',') {
-                    rest = r;
-                } else {
-                    return rest
-                        .strip_prefix('}')
-                        .unwrap_or_else(|| panic!("unterminated object: {rest:.40?}"));
-                }
-            }
-        }
-        Some('[') => {
-            let mut rest = s[1..].trim_start();
-            if let Some(r) = rest.strip_prefix(']') {
-                return r;
-            }
-            loop {
-                rest = skip_json(rest).trim_start();
-                if let Some(r) = rest.strip_prefix(',') {
-                    rest = r;
-                } else {
-                    return rest
-                        .strip_prefix(']')
-                        .unwrap_or_else(|| panic!("unterminated array: {rest:.40?}"));
-                }
-            }
-        }
-        Some('"') => {
-            let mut escaped = false;
-            for (i, c) in chars {
-                match c {
-                    _ if escaped => escaped = false,
-                    '\\' => escaped = true,
-                    '"' => return &s[i + 1..],
-                    _ => {}
-                }
-            }
-            panic!("unterminated string: {s:.40?}");
-        }
-        Some(c) if c == '-' || c.is_ascii_digit() => {
-            let end = s
-                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                .unwrap_or(s.len());
-            s[..end]
-                .parse::<f64>()
-                .unwrap_or_else(|_| panic!("bad number: {s:.40?}"));
-            &s[end..]
-        }
-        _ => {
-            for lit in ["true", "false", "null"] {
-                if let Some(rest) = s.strip_prefix(lit) {
-                    return rest;
-                }
-            }
-            panic!("unexpected JSON token: {s:.40?}");
-        }
-    }
+/// `doc` parsed by the library's one JSON parser; panics if it is not
+/// one well-formed document.
+fn parse_json(doc: &str) -> Value {
+    json::parse(doc).unwrap_or_else(|| panic!("not one JSON document: {doc}"))
 }
 
-fn assert_valid_json(doc: &str) {
-    let rest = skip_json(doc);
-    assert!(
-        rest.trim().is_empty(),
-        "trailing garbage after JSON: {rest:.40?}"
-    );
-}
-
-/// Extract the integer following `"field":` (first occurrence).
-fn json_u64_field(doc: &str, field: &str) -> u64 {
-    let pat = format!("\"{field}\":");
-    let at = doc
-        .find(&pat)
-        .unwrap_or_else(|| panic!("status_json missing {field}: {doc}"));
-    doc[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap_or_else(|_| panic!("{field} is not an integer"))
+/// The unsigned integer at `key` of a parsed document.
+fn u64_at(doc: &Value, key: &str) -> u64 {
+    doc.get(key)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("no unsigned integer at {key}: {doc}"))
 }
 
 /// A `/status` body after a served workload: valid JSON, the
-/// `dgemm-telem-v1` service schema with every field present.
-fn check_status(doc: &str) {
-    assert_valid_json(doc);
+/// `dgemm-telem-v1` service schema with every field present. Returns the
+/// parsed document.
+fn check_status(doc: &str) -> Value {
+    let status = parse_json(doc);
     assert!(doc.starts_with("{\"schema\":\"dgemm-telem-v1\",\"kind\":\"service\""));
     for field in [
         "\"queue_depth\":",
@@ -395,6 +309,9 @@ fn check_status(doc: &str) {
         doc.contains("\"metric\":\"total\""),
         "served workload produced no total-latency histogram row: {doc}"
     );
+    let counters = status.get("counters").expect("counters object");
+    assert!(u64_at(counters, "completed") <= u64_at(counters, "admitted"));
+    status
 }
 
 #[test]
@@ -402,21 +319,13 @@ fn status_json_is_valid_and_carries_the_schema() {
     let _shared = no_fault_plan();
     let svc = GemmService::new(service_cfg());
     run_workload(&svc);
-    let doc = svc.status_json();
-    check_status(&doc);
+    let doc = check_status(&svc.status_json());
 
     // Staleness signals: seq strictly monotone per snapshot, uptime
     // monotone.
-    let (seq0, up0) = (
-        json_u64_field(&doc, "snapshot_seq"),
-        json_u64_field(&doc, "uptime_ms"),
-    );
-    let doc2 = svc.status_json();
-    assert_valid_json(&doc2);
-    let (seq1, up1) = (
-        json_u64_field(&doc2, "snapshot_seq"),
-        json_u64_field(&doc2, "uptime_ms"),
-    );
+    let (seq0, up0) = (u64_at(&doc, "snapshot_seq"), u64_at(&doc, "uptime_ms"));
+    let doc2 = parse_json(&svc.status_json());
+    let (seq1, up1) = (u64_at(&doc2, "snapshot_seq"), u64_at(&doc2, "uptime_ms"));
     assert!(
         seq1 > seq0,
         "snapshot_seq must be monotone: {seq0} -> {seq1}"
@@ -537,7 +446,7 @@ fn trace_chain_covers_the_ticket_lifecycle() {
 
     // The chrome-trace export renders the chain with its labels.
     let json = trace::chrome_trace_json(&chain);
-    assert_valid_json(&json);
+    parse_json(&json);
     assert!(json.contains("\"name\":\"queued\""), "{json}");
     assert!(json.contains("\"ph\":\"X\""), "{json}");
     svc.shutdown();

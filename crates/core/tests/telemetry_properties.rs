@@ -111,6 +111,7 @@ fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2],
 mod enabled {
     use super::*;
     use dgemm_core::batch::gemm_batch_shared_b;
+    use dgemm_core::json;
     use dgemm_core::telemetry::{BlockSizes, GemmReport, TelemetryMode, TraceEvent, TraceKind};
 
     fn check(par: Parallelism, m: usize, n: usize, k: usize) {
@@ -406,7 +407,9 @@ mod enabled {
         let json = report.to_json(&snap);
         assert!(json.starts_with("{\"schema\":\"dgemm-telem-v1\""), "{json}");
         assert!(json.contains("\"runtime\":{") && json.contains("\"threads_detail\":["));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let doc = json::parse(&json).expect("the report is one JSON document");
+        let calls = doc.get("calls").and_then(json::Value::as_u64);
+        assert_eq!(calls, Some(report.calls), "{json}");
 
         // And the env faucet selects them (emit itself prints to stderr).
         std::env::set_var("DGEMM_TELEMETRY", "summary");
