@@ -10,13 +10,16 @@
 //! stacks the entries' rows and cuts them into full `mc` blocks, which
 //! may straddle entries: sixteen-row requests fill the kernel's row
 //! groups and share one pass over each B sliver per block, not one per
-//! entry.
+//! entry. A caller that multiplies against the same weight call after
+//! call holds its panels instead ([`gemm_batch_prepacked`]): then no
+//! call packs B at all.
 
 #![forbid(unsafe_code)]
 
 use crate::gemm::GemmConfig;
 use crate::matrix::{MatrixView, MatrixViewMut};
-use crate::pool::PoolScalar;
+use crate::pool::BOperand;
+use crate::prepack::PrepackedB;
 use crate::{GemmError, Transpose};
 
 /// `C_i := α·A_i·op(B) + β·C_i` for every `(A_i, C_i)` pair, with the
@@ -39,24 +42,45 @@ pub fn gemm_batch_shared_b(
     c_batch: &mut [MatrixViewMut<'_>],
     cfg: &GemmConfig,
 ) -> Result<(), GemmError> {
-    let cache = cfg.pack_cache.then(f64::pack_cache);
-    gemm_batch_with_cache(alpha, a_batch, transb, b, beta, c_batch, cfg, cache)
+    check(a_batch, transb.apply_dims(b.rows(), b.cols()), c_batch, cfg)?;
+    crate::gemm::gemm_stored_b(Transpose::No, transb, alpha, a_batch, b, beta, c_batch, cfg)
 }
 
-/// [`gemm_batch_shared_b`] against an explicit [`PackCache`] instead of
-/// the process-wide one — the service layer points this at a tenant's
-/// quota-bounded cache so one tenant's weights cannot evict another's
-/// (DESIGN.md §15). `None` packs fresh panels per macro-iteration.
-#[allow(clippy::too_many_arguments)] // internal driver mirroring the entry point
-pub(crate) fn gemm_batch_with_cache(
+/// [`gemm_batch_shared_b`] against `op(B)` packed before the call — `k`,
+/// `n` and the selector are the panels' — so no call packs B: the
+/// entry for a caller that holds its weights' panels, built once
+/// ([`PrepackedB::from_matrix_op`]) or loaded from the weight store
+/// ([`crate::store::load`]). Each `C_i` is bit-identical to its own
+/// `gemm` call on the B the panels were packed from. Panels packed with
+/// another sliver width, `kc` or `nc` than `cfg`'s are a
+/// [`GemmError::BadConfig`]; panels for another `k` or `n` are the shape
+/// errors a stored B of that shape would give.
+pub fn gemm_batch_prepacked(
     alpha: f64,
     a_batch: &[MatrixView<'_>],
-    transb: Transpose,
-    b: &MatrixView<'_>,
+    b: &PrepackedB,
     beta: f64,
     c_batch: &mut [MatrixViewMut<'_>],
     cfg: &GemmConfig,
-    cache: Option<&crate::prepack::PackCache>,
+) -> Result<(), GemmError> {
+    check(a_batch, (b.k(), b.n()), c_batch, cfg)?;
+    if (b.nr(), b.kc(), b.nc()) != (cfg.kernel.nr(), cfg.blocks.kc, cfg.blocks.nc) {
+        return Err(GemmError::BadConfig(
+            "prepacked panels' blocking is not the config's",
+        ));
+    }
+    let b = BOperand::Prepacked(b);
+    crate::gemm::gemm_driver(Transpose::No, alpha, a_batch, b, beta, c_batch, cfg)
+}
+
+/// The shapes both entries require, against `op(B)`'s `(k, n)`: as many
+/// C as A, every `A_i` alike and `k` deep, every `C_i` `m×n`, and a
+/// blocking whose register shape is the kernel's.
+fn check(
+    a_batch: &[MatrixView<'_>],
+    (kb, n): (usize, usize),
+    c_batch: &[MatrixViewMut<'_>],
+    cfg: &GemmConfig,
 ) -> Result<(), GemmError> {
     if a_batch.len() != c_batch.len() {
         return Err(GemmError::BadConfig("batch lengths differ"));
@@ -65,7 +89,6 @@ pub(crate) fn gemm_batch_with_cache(
         return Ok(());
     };
     let (m, k) = (first_a.rows(), first_a.cols());
-    let (kb, n) = transb.apply_dims(b.rows(), b.cols());
     if k != kb {
         return Err(GemmError::InnerDimMismatch {
             a_cols: k,
@@ -88,18 +111,7 @@ pub(crate) fn gemm_batch_with_cache(
             "blocking register shape != kernel shape",
         ));
     }
-
-    crate::gemm::gemm_driver(
-        Transpose::No,
-        transb,
-        alpha,
-        a_batch,
-        b,
-        beta,
-        c_batch,
-        cfg,
-        cache,
-    )
+    Ok(())
 }
 
 #[cfg(test)]

@@ -32,8 +32,9 @@ use crate::dispatch::{DispatchMode, Model, Predicted};
 use crate::env;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
-use crate::pool::{cell_grid, gemm_walk, row_tasks, Call, Parallelism, PoolScalar, WorkerPool};
-use crate::prepack::PackCache;
+use crate::pool::{
+    cell_grid, gemm_walk, row_tasks, BOperand, Call, Parallelism, PoolScalar, WorkerPool,
+};
 use crate::probe::L2;
 use crate::scalar::Scalar;
 use crate::{GemmError, Transpose};
@@ -383,7 +384,7 @@ pub fn try_gemm<K: KernelFamily>(
     } else {
         crate::autotune::tuned(cfg, m, n, ka)
     };
-    gemm_driver(
+    gemm_stored_b(
         transa,
         transb,
         alpha,
@@ -392,19 +393,18 @@ pub fn try_gemm<K: KernelFamily>(
         beta,
         core::slice::from_mut(c),
         &cfg,
-        cfg.pack_cache.then(K::Elem::pack_cache),
     )
 }
 
-/// What every call does around the walk, once: `C_i := α·op(A_i)·op(B) +
-/// β·C_i` over a batch that shares `op(B)` — a plain GEMM is a batch of
-/// one. A degenerate call is β·C and nothing else; otherwise look `b` up
-/// in `cache` (if any), [`plan`] the call, run the plan ([`gemm_walk`]),
-/// and, when the model priced it, tell the dispatcher how long it took.
-/// Shapes are the caller's to validate: every `A_i` alike and conforming
-/// with `b`, every `C_i` `m×n`.
+/// [`gemm_driver`] on a B the caller stored, the one place the
+/// transparent [`Config::pack_cache`] lookup happens: with it on, a call
+/// that computes anything takes `op(B)`'s panels from the element type's
+/// process-wide [`crate::prepack::PackCache`], packing them there on a
+/// miss. The `Arc` keeps them alive for the whole call even if the entry
+/// is evicted or invalidated meanwhile; a failed pack (allocation) reads
+/// B as stored, packing per call, never an error.
 #[allow(clippy::too_many_arguments)] // the BLAS gemm signature plus the batch and the config
-pub(crate) fn gemm_driver<K: KernelFamily>(
+pub(crate) fn gemm_stored_b<K: KernelFamily>(
     transa: Transpose,
     transb: Transpose,
     alpha: K::Elem,
@@ -413,44 +413,80 @@ pub(crate) fn gemm_driver<K: KernelFamily>(
     beta: K::Elem,
     c_batch: &mut [MatrixViewMut<'_, K::Elem>],
     cfg: &Config<K>,
-    cache: Option<&PackCache<K::Elem>>,
+) -> Result<(), GemmError> {
+    let stored = BOperand::Stored(b, transb);
+    let looks_up = cfg.pack_cache && !is_scale_only(transa, alpha, a_batch, stored);
+    let BlockSizes { kc, nc, .. } = cfg.blocks;
+    let cached = looks_up
+        .then(|| K::Elem::pack_cache().get_or_pack(b, transb, cfg.kernel.nr(), kc, nc))
+        .flatten();
+    let b = cached.as_deref().map_or(stored, BOperand::Prepacked);
+    gemm_driver(transa, alpha, a_batch, b, beta, c_batch, cfg)
+}
+
+/// Whether the call is `C_i := β·C_i` and nothing else: α = 0 or an
+/// empty product.
+fn is_scale_only<T: Scalar>(
+    transa: Transpose,
+    alpha: T,
+    a_batch: &[MatrixView<'_, T>],
+    b: BOperand<'_, T>,
+) -> bool {
+    let (_, n) = b.dims();
+    let computes = |(m, k): (usize, usize)| m > 0 && n > 0 && k > 0;
+    alpha == T::ZERO
+        || !a_batch
+            .first()
+            .is_some_and(|a| computes(transa.apply_dims(a.rows(), a.cols())))
+}
+
+/// What every call does around the walk, once: `C_i := α·op(A_i)·op(B) +
+/// β·C_i` over a batch that shares `op(B)` — a plain GEMM is a batch of
+/// one. A degenerate call is β·C and nothing else; otherwise [`plan`] the
+/// call, run the plan ([`gemm_walk`]), and, when the model priced it,
+/// tell the dispatcher how long it took. Shapes are the caller's to
+/// validate: every `A_i` alike and conforming with `b`, every `C_i`
+/// `m×n`; panels in `b` packed for the config's `(nr, kc, nc)`.
+pub(crate) fn gemm_driver<K: KernelFamily>(
+    transa: Transpose,
+    alpha: K::Elem,
+    a_batch: &[MatrixView<'_, K::Elem>],
+    b: BOperand<'_, K::Elem>,
+    beta: K::Elem,
+    c_batch: &mut [MatrixViewMut<'_, K::Elem>],
+    cfg: &Config<K>,
 ) -> Result<(), GemmError> {
     let BlockSizes { kc, mc, nc, .. } = cfg.blocks;
     assert!(kc > 0 && mc > 0 && nc > 0, "block sizes must be positive");
-    let Some(first_a) = a_batch.first() else {
-        return Ok(());
-    };
-    let (m, k) = transa.apply_dims(first_a.rows(), first_a.cols());
-    let (_, n) = transb.apply_dims(b.rows(), b.cols());
-
-    // α = 0 or an empty product: the call is β·C and nothing else.
-    if alpha == K::Elem::ZERO || m == 0 || n == 0 || k == 0 {
+    if is_scale_only(transa, alpha, a_batch, b) {
         for c in c_batch.iter_mut() {
             c.scale(beta);
         }
         return Ok(());
     }
-
-    // The cache path: the shared operand is packed once per cache
-    // lifetime instead of once per call. Cloning the Arc here keeps the
-    // panels alive for the whole call even if the entry is evicted or
-    // invalidated concurrently. A failed pack (allocation) degrades to
-    // the per-call packing of the walk, never to an error.
-    let prepacked = cache.and_then(|cache| cache.get_or_pack(b, transb, cfg.kernel.nr(), kc, nc));
+    let (m, k) = transa.apply_dims(a_batch[0].rows(), a_batch[0].cols());
+    let (_, n) = b.dims();
+    let prepacked = matches!(b, BOperand::Prepacked(_));
     let model =
         (cfg.dispatch == DispatchMode::Auto).then(|| Model::now(cfg.kernel.flops_per_cycle()));
-    let (shape, batch, cached) = ((m, n, k), a_batch.len(), prepacked.is_some());
-    let plan = plan(model, crate::probe::l2(), shape, batch, transb, cfg, cached);
+    let (shape, batch) = ((m, n, k), a_batch.len());
+    let plan = plan(
+        model,
+        crate::probe::l2(),
+        shape,
+        batch,
+        b.trans(),
+        cfg,
+        prepacked,
+    );
     let start = plan.predicted.is_some().then(Instant::now);
     let call = Call {
         transa,
-        transb,
         alpha,
         beta,
         kernel: cfg.kernel,
         a_batch,
         b,
-        prepacked: prepacked.as_deref(),
     };
     let result = gemm_walk(&plan, call, c_batch);
     if let Some(start) = start {

@@ -281,12 +281,17 @@ mod tests {
     /// - `env.rs` is the only reader of the environment.
     /// - `json.rs` is the only JSON writer: no JSON object or key literal
     ///   in a format string elsewhere.
+    /// - The process-wide pack cache is `prepack.rs`'s, held per element
+    ///   type in `pool.rs` and looked up only on the GEMM entries' path
+    ///   (`gemm.rs`, `batch.rs`); every other caller holds its weights'
+    ///   panels.
     #[test]
     fn each_pattern_lives_only_in_the_modules_that_own_it() {
         let env_read = |l: &str| l.contains("env::var");
         let json_literal = |l: &str| l.contains("{{\\\"") || l.contains("\\\":");
+        let pack_cache = |l: &str| l.contains("PackCache");
         type Row = (&'static str, fn(&str) -> bool, &'static [&'static str]);
-        let rows: [Row; 3] = [
+        let rows: [Row; 4] = [
             (
                 "unsafe code",
                 uses_unsafe,
@@ -294,6 +299,11 @@ mod tests {
             ),
             ("an environment read", env_read, &["env.rs"]),
             ("a JSON literal", json_literal, &["json.rs"]),
+            (
+                "PackCache",
+                pack_cache,
+                &["prepack.rs", "gemm.rs", "batch.rs", "pool.rs"],
+            ),
         ];
         let files = sources();
         for (what, holds, allowed) in rows {

@@ -829,22 +829,47 @@ fn cell_tiles<'a, T: Scalar>(
     tiles.into_iter().map(Mutex::new).collect()
 }
 
+/// Where a call's `op(B)` is: where the caller stored it, or in panels
+/// packed before the call.
+#[derive(Clone, Copy)]
+pub(crate) enum BOperand<'a, T: Scalar> {
+    /// `op(B)` is this matrix under this selector.
+    Stored(&'a MatrixView<'a, T>, Transpose),
+    /// `op(B)` as these tiles hold it; the plan's B source is
+    /// [`BSource::Prepacked`].
+    Prepacked(&'a PrepackedB<T>),
+}
+
+impl<T: Scalar> BOperand<'_, T> {
+    /// The `op(B)` selector.
+    pub(crate) fn trans(&self) -> Transpose {
+        match self {
+            BOperand::Stored(_, trans) => *trans,
+            BOperand::Prepacked(pp) => pp.trans(),
+        }
+    }
+
+    /// `(k, n)`: the rows and columns of `op(B)`.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        match self {
+            BOperand::Stored(b, trans) => trans.apply_dims(b.rows(), b.cols()),
+            BOperand::Prepacked(pp) => (pp.k(), pp.n()),
+        }
+    }
+}
+
 /// One call's operands as the caller passed them — C aside — and the
 /// register kernel: what [`gemm_walk`] runs the call's [`Plan`] on.
 #[derive(Clone, Copy)]
 pub(crate) struct Call<'a, T: Scalar, K> {
     pub(crate) transa: Transpose,
-    pub(crate) transb: Transpose,
     pub(crate) alpha: T,
     /// Not yet applied to C: each cell applies it to its own tiles first,
     /// or for `β = 0` the first `kk` panel's kernels store and never read.
     pub(crate) beta: T,
     pub(crate) kernel: K,
     pub(crate) a_batch: &'a [MatrixView<'a, T>],
-    pub(crate) b: &'a MatrixView<'a, T>,
-    /// The cached panels when the plan's B source is
-    /// [`BSource::Prepacked`].
-    pub(crate) prepacked: Option<&'a PrepackedB<T>>,
+    pub(crate) b: BOperand<'a, T>,
 }
 
 /// What the jobs of one `jj` panel borrow from the call, through the
@@ -1054,24 +1079,30 @@ fn run_cell<T: Scalar, K: KernelSet<T>>(
         let depth = (kk, kc_eff);
         gepp += 1;
         telemetry::set_gepp(gepp);
-        if let Some(pp) = ops.call.prepacked {
-            let tile = pp.tile_range(ops.jj, kk, &[(cell.col0, cell.ncols)]);
-            gebp_tasks(ops, cell, depth, slot, c, &**tile, cell.col0 / nr, whole)?;
-        } else if ops.plan.b_source == BSource::Packed {
-            pack_panel_resilient(
-                panel,
-                ops.call.b,
-                ops.call.transb,
-                kk,
-                j0,
-                kc_eff,
-                cell.ncols,
-                nr,
-                |c0, packed| gebp_tasks(ops, cell, depth, slot, c, packed, 0, (c0, packed.nc())),
-            )?;
-        } else {
-            let window = BWindow::new(ops.call.b, ops.call.transb, kk, j0, kc_eff, cell.ncols, nr);
-            gebp_tasks(ops, cell, depth, slot, c, &window, 0, whole)?;
+        match ops.call.b {
+            BOperand::Prepacked(pp) => {
+                let tile = pp.tile_range(ops.jj, kk, &[(cell.col0, cell.ncols)]);
+                gebp_tasks(ops, cell, depth, slot, c, &**tile, cell.col0 / nr, whole)?;
+            }
+            BOperand::Stored(b, transb) if ops.plan.b_source == BSource::Packed => {
+                pack_panel_resilient(
+                    panel,
+                    b,
+                    transb,
+                    kk,
+                    j0,
+                    kc_eff,
+                    cell.ncols,
+                    nr,
+                    |c0, packed| {
+                        gebp_tasks(ops, cell, depth, slot, c, packed, 0, (c0, packed.nc()))
+                    },
+                )?;
+            }
+            BOperand::Stored(b, transb) => {
+                let window = BWindow::new(b, transb, kk, j0, kc_eff, cell.ncols, nr);
+                gebp_tasks(ops, cell, depth, slot, c, &window, 0, whole)?;
+            }
         }
         kk += kc_eff;
     }
@@ -1440,8 +1471,9 @@ fn run_panel<T: PoolScalar, K: KernelSet<T>>(
 /// `α = 0` or an empty dimension is `β·C`, which the caller
 /// ([`crate::gemm::gemm_driver`]) does itself. β is applied here, by each
 /// cell to its own part of C, so no pass over all of C comes first.
-/// A [`BSource::Prepacked`] plan's cells address `call.prepacked`, which
-/// must have been built for exactly this `(transb, nr, kc, nc)` geometry.
+/// A [`BSource::Prepacked`] plan's cells address the call's
+/// [`BOperand::Prepacked`] tiles, which must have been built for exactly
+/// this `(nr, kc, nc)` geometry.
 ///
 /// The cells of a full panel and of the last are cut once per call, from
 /// the plan's two grids; each `jj` panel cuts only C, into each cell's own
@@ -1731,18 +1763,9 @@ mod tests {
         let mut c_views: Vec<_> = c.iter_mut().map(crate::matrix::Matrix::view_mut).collect();
         let cfg = on_pool(blocks, degree);
         let b = b.view();
-        crate::gemm::gemm_driver(
-            transa,
-            transb,
-            1.25,
-            &a_views,
-            &b,
-            -0.5,
-            &mut c_views,
-            &cfg,
-            None,
-        )
-        .expect("pooled gemm");
+        let b = BOperand::Stored(&b, transb);
+        crate::gemm::gemm_driver(transa, 1.25, &a_views, b, -0.5, &mut c_views, &cfg)
+            .expect("pooled gemm");
         drop(c_views);
         c.iter()
             .map(|c| c.as_slice().iter().map(|x| x.to_bits()).collect())

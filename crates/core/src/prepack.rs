@@ -16,6 +16,11 @@
 //!   [`crate::batch::gemm_batch_shared_b`] consult it transparently
 //!   when [`crate::gemm::GemmConfig::with_pack_cache`] is enabled.
 //!
+//! A caller that knows which weight it reuses holds the [`PrepackedB`]
+//! itself and passes it to [`crate::batch::gemm_batch_prepacked`]; the
+//! serving layer keeps one per tenant weight that way
+//! ([`crate::service`]), and needs neither cache nor coherence contract.
+//!
 //! ## Coherence contract
 //!
 //! The cache keys on the operand's *identity*, not its contents — a
@@ -23,8 +28,8 @@
 //! cache exists to save). Two rules follow:
 //!
 //! 1. After mutating a cached B in place, call [`PackCache::invalidate`]
-//!    (or [`PackCache::bump_generation`]) before the next cached GEMM,
-//!    or it will be served stale panels by design.
+//!    before the next cached GEMM, or it will be served stale panels by
+//!    design.
 //! 2. Invalidate before freeing a cached B. The allocator may hand the
 //!    same address to a new matrix of the same shape, which would then
 //!    falsely hit the dead entry.
@@ -42,7 +47,7 @@ use crate::{GemmError, Transpose};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default [`PackCache`] capacity: 256 MiB of packed panels per element
-/// type. Tune per cache with [`PackCache::set_capacity`].
+/// type. Bound a cache of your own with [`PackCache::with_capacity`].
 pub const DEFAULT_CACHE_CAPACITY: usize = 256 * 1024 * 1024;
 
 /// The *layout* half of a pre-packed operand, split from panel
@@ -383,7 +388,7 @@ impl<T: Scalar> PanelSource<T> for PrepackedB<T> {
 }
 
 /// Identity of a cached pre-pack: operand identity plus packing
-/// geometry plus the cache generation at insertion.
+/// geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CacheKey {
     ptr: usize,
@@ -394,7 +399,6 @@ struct CacheKey {
     nr: usize,
     kc: usize,
     nc: usize,
-    generation: u64,
 }
 
 /// Monotone per-cache counters, mirrored into the process-wide
@@ -407,8 +411,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Entries removed by [`PackCache::invalidate`] /
-    /// [`PackCache::bump_generation`].
+    /// Entries removed by [`PackCache::invalidate`].
     pub invalidations: u64,
     /// Packed-B bytes *not* re-packed thanks to hits (the amortized W).
     pub bytes_saved: u64,
@@ -424,7 +427,6 @@ struct CacheState<T: Scalar> {
     entries: Vec<CacheEntry<T>>,
     capacity: usize,
     tick: u64,
-    generation: u64,
     stats: CacheStats,
 }
 
@@ -433,13 +435,13 @@ impl<T: Scalar> CacheState<T> {
         self.entries.iter().map(|e| e.panels.bytes()).sum()
     }
 
-    fn evict_over_capacity(&mut self, keep: Option<CacheKey>) {
+    fn evict_over_capacity(&mut self, keep: CacheKey) {
         while self.bytes() > self.capacity {
             let victim = self
                 .entries
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| keep != Some(e.key))
+                .filter(|(_, e)| keep != e.key)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i);
             let Some(victim) = victim else { break };
@@ -475,7 +477,6 @@ impl<T: Scalar> PackCache<T> {
                 entries: Vec::new(),
                 capacity,
                 tick: 0,
-                generation: 0,
                 stats: CacheStats {
                     hits: 0,
                     misses: 0,
@@ -514,7 +515,6 @@ impl<T: Scalar> PackCache<T> {
             nr,
             kc,
             nc,
-            generation: st.generation,
         };
         st.tick += 1;
         let tick = st.tick;
@@ -538,90 +538,9 @@ impl<T: Scalar> PackCache<T> {
                 panels: Arc::clone(&panels),
                 last_used: tick,
             });
-            st.evict_over_capacity(Some(key));
+            st.evict_over_capacity(key);
         }
         Some(panels)
-    }
-
-    /// Seed the cache with externally built panels (typically a blob
-    /// loaded from [`crate::store`]) so the next `get_or_pack` for this
-    /// operand hits without ever packing. The entry is keyed on the
-    /// *current* generation — after a [`PackCache::bump_generation`]
-    /// the blob must be re-attached, which is the coherence story for
-    /// warm-started weights too. Neither the hit/miss counters nor
-    /// `bytes_saved` move here: seeding is not a lookup.
-    ///
-    /// Fails with [`GemmError::BadStore`] if `panels` was not built for
-    /// exactly `op(b)`'s dimensions; an entry larger than the whole
-    /// capacity is rejected the same way `get_or_pack` would not retain
-    /// it (silently, `Ok`), so callers can always attach-then-serve.
-    pub fn insert_prepacked(
-        &self,
-        b: &MatrixView<'_, T>,
-        trans: Transpose,
-        panels: Arc<PrepackedB<T>>,
-    ) -> Result<(), GemmError> {
-        let (k, n) = trans.apply_dims(b.rows(), b.cols());
-        if !panels.matches(k, n, trans, panels.nr(), panels.kc(), panels.nc()) {
-            return Err(GemmError::BadStore("panels do not cover op(B)"));
-        }
-        let mut st = self.lock();
-        let key = CacheKey {
-            ptr: b.data().as_ptr() as usize,
-            rows: b.rows(),
-            cols: b.cols(),
-            ld: b.ld(),
-            trans,
-            nr: panels.nr(),
-            kc: panels.kc(),
-            nc: panels.nc(),
-            generation: st.generation,
-        };
-        st.tick += 1;
-        let tick = st.tick;
-        if panels.bytes() > st.capacity {
-            return Ok(());
-        }
-        if let Some(i) = st.entries.iter().position(|e| e.key == key) {
-            st.entries[i].panels = panels;
-            st.entries[i].last_used = tick;
-            return Ok(());
-        }
-        st.entries.push(CacheEntry {
-            key,
-            panels,
-            last_used: tick,
-        });
-        st.evict_over_capacity(Some(key));
-        Ok(())
-    }
-
-    /// Whether a lookup for `(b, trans, nr, kc, nc)` would hit right
-    /// now (current generation). A pure probe: no stats move, no LRU
-    /// touch, no packing — the service's attach path uses this to
-    /// decide when a warm-start blob needs (re-)seeding.
-    #[must_use]
-    pub fn contains(
-        &self,
-        b: &MatrixView<'_, T>,
-        trans: Transpose,
-        nr: usize,
-        kc: usize,
-        nc: usize,
-    ) -> bool {
-        let st = self.lock();
-        let key = CacheKey {
-            ptr: b.data().as_ptr() as usize,
-            rows: b.rows(),
-            cols: b.cols(),
-            ld: b.ld(),
-            trans,
-            nr,
-            kc,
-            nc,
-            generation: st.generation,
-        };
-        st.entries.iter().any(|e| e.key == key)
     }
 
     /// Drop every entry whose packed source overlaps `b`'s storage —
@@ -653,27 +572,6 @@ impl<T: Scalar> PackCache<T> {
         removed
     }
 
-    /// Advance the cache generation: every current entry is dropped and
-    /// can never be matched again (new inserts carry the new
-    /// generation). The coarse hammer when *any* weight may have
-    /// changed.
-    pub fn bump_generation(&self) {
-        let mut st = self.lock();
-        st.generation += 1;
-        let removed = st.entries.len() as u64;
-        st.entries.clear();
-        if removed > 0 {
-            st.stats.invalidations += removed;
-            crate::telemetry::cache_invalidate(removed);
-        }
-    }
-
-    /// The current generation (starts at 0).
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.lock().generation
-    }
-
     /// Number of cached entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -698,17 +596,8 @@ impl<T: Scalar> PackCache<T> {
         self.lock().capacity
     }
 
-    /// Re-bound the cache, evicting LRU entries down to the new
-    /// capacity immediately.
-    pub fn set_capacity(&self, capacity: usize) {
-        let mut st = self.lock();
-        st.capacity = capacity;
-        st.evict_over_capacity(None);
-    }
-
-    /// Drop every entry without touching the stats or generation (test
-    /// scaffolding and bulk memory release; invalidations are *not*
-    /// counted).
+    /// Drop every entry without touching the stats (test scaffolding and
+    /// bulk memory release; invalidations are *not* counted).
     pub fn clear(&self) {
         self.lock().entries.clear();
     }
@@ -784,6 +673,7 @@ mod tests {
         let cache: PackCache = PackCache::with_capacity(usize::MAX);
         let b1: Matrix = Matrix::random(24, 24, 1);
         let b2: Matrix = Matrix::random(24, 24, 2);
+        let b3: Matrix = Matrix::random(24, 24, 3);
         let first = cache
             .get_or_pack(&b1.view(), Transpose::No, 6, 8, 8)
             .unwrap();
@@ -803,18 +693,20 @@ mod tests {
         assert_eq!(s.bytes_saved as usize, first.bytes());
         assert_eq!(cache.len(), 3);
 
-        // shrink: LRU order evicts the b1 entries (b2 used last), then
-        // capacity 0 empties it
-        let keep = cache.bytes() - first.bytes();
-        cache.set_capacity(keep);
-        assert!(cache.bytes() <= keep);
-        cache.set_capacity(0);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().evictions, 3);
+        // room for two: the third insert evicts the least recently used
+        // (b2: b1 was touched after it), so b1 still hits
+        let small: PackCache = PackCache::with_capacity(2 * first.bytes());
+        for b in [&b1, &b2, &b1, &b3, &b1] {
+            small
+                .get_or_pack(&b.view(), Transpose::No, 6, 8, 8)
+                .unwrap();
+        }
+        let s = small.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (2, 3, 1));
     }
 
     #[test]
-    fn invalidate_and_generation_drop_entries() {
+    fn invalidate_drops_overlapping_entries() {
         let cache: PackCache = PackCache::new();
         let b1: Matrix = Matrix::random(16, 16, 4);
         let b2: Matrix = Matrix::random(16, 16, 5);
@@ -827,16 +719,12 @@ mod tests {
         assert_eq!(cache.invalidate(&b1.view()), 1);
         assert_eq!(cache.invalidate(&b1.view()), 0);
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.generation(), 0);
-        cache.bump_generation();
-        assert_eq!(cache.generation(), 1);
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().invalidations, 2);
-        // the cache still serves fresh packs after the bump
+        assert_eq!(cache.stats().invalidations, 1);
+        // the next lookup of b1 packs afresh
         cache
-            .get_or_pack(&b2.view(), Transpose::No, 6, 8, 8)
+            .get_or_pack(&b1.view(), Transpose::No, 6, 8, 8)
             .unwrap();
-        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.len(), cache.stats().misses), (2, 3));
     }
 
     #[test]

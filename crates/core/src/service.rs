@@ -15,10 +15,10 @@
 //!   optional deadline and a cooperative cancel flag; both resolve the
 //!   request with a typed error instead of silently dropping it.
 //! * **Coalescing** — same-tenant requests against the *same* weight
-//!   matrix are folded into one [`crate::batch::gemm_batch_shared_b`]
-//!   execution sharing one packed `op(B)` image from a per-tenant,
-//!   quota-bounded [`PackCache`] (one tenant's weights cannot evict
-//!   another's).
+//!   matrix are folded into one [`crate::batch::gemm_batch_prepacked`]
+//!   execution on that weight's packed `op(B)`, which the tenant holds
+//!   among its `cache_entries` most recently used weights (one tenant's
+//!   weights cannot evict another's).
 //! * **Graceful degradation** — recoverable pool faults are retried
 //!   with backoff; an unhealthy shard degrades to the bit-identical
 //!   serial path rather than failing the caller. Watchdog-expired
@@ -34,7 +34,7 @@
 
 #![forbid(unsafe_code)]
 
-use crate::batch::gemm_batch_with_cache;
+use crate::batch::{gemm_batch_prepacked, gemm_batch_shared_b};
 use crate::env;
 use crate::faults;
 use crate::gemm::GemmConfig;
@@ -42,7 +42,7 @@ use crate::json::Value;
 use crate::matrix::{Matrix, MatrixView, MatrixViewMut};
 use crate::metricsd::{self, MetricsServer, MetricsSource};
 use crate::pool::{self, Parallelism, WorkerPool};
-use crate::prepack::{PackCache, PrepackedB};
+use crate::prepack::PrepackedB;
 use crate::store;
 use crate::telemetry::{self, ServiceCounters, TelemetryMode, TraceEvent, TraceKind, PHASES, SVC};
 use crate::trace::{self, HealthEventKind, LatencyHistogram};
@@ -126,9 +126,9 @@ pub struct ServiceConfig {
     /// Maximum requests folded into one coalesced batch
     /// (`DGEMM_SERVICE_COALESCE`, default 8; 1 disables coalescing).
     pub coalesce: usize,
-    /// Per-tenant [`PackCache`] capacity in packed weight images
-    /// (`DGEMM_SERVICE_CACHE_ENTRIES`, default 8; 0 disables the
-    /// per-tenant caches entirely).
+    /// How many weights each tenant holds packed panels for, the least
+    /// recently used dropped first (`DGEMM_SERVICE_CACHE_ENTRIES`,
+    /// default 8; 0 holds none, and every group packs per call).
     pub cache_entries: usize,
     /// How long a shard stays quarantined (serial execution) after a
     /// watchdog timeout or contained fault before it is retried.
@@ -136,11 +136,10 @@ pub struct ServiceConfig {
     /// Directory of pre-packed weight blobs (`DGEMM_WEIGHT_STORE`,
     /// absent = no warm start). Every readable blob whose geometry
     /// matches this service's GEMM config is loaded at boot onto the
-    /// *shelf*; the first request against a weight whose source digest
-    /// matches a shelved blob attaches the blob to the tenant's cache
-    /// instead of packing — zero `packed_b_bytes` on the warm path,
-    /// and automatic re-attach after a cache generation bump (the
-    /// worker-pool-restart failover story).
+    /// *shelf*; a request against a weight its tenant holds no panels
+    /// for attaches a shelved blob whose source digest matches the
+    /// weight instead of packing — zero `packed_b_bytes` on the warm
+    /// path, and again after the tenant dropped the weight.
     pub weight_store: Option<std::path::PathBuf>,
     /// The GEMM configuration executions run under. Dedicated shards
     /// are honoured by routing [`Parallelism::Pool`] epochs to the
@@ -287,16 +286,12 @@ impl Ticket {
     }
 }
 
-/// Per-tenant packed-weight state: a quota-bounded cache plus the
-/// pinned `Arc`s of the weights it has packed. Pinning makes the
-/// pointer-identity cache key sound — a weight's allocation cannot be
-/// recycled (and aliased by a new matrix) while its packed image is
-/// live; eviction invalidates the cache entry *before* dropping the
-/// pin.
-struct TenantCache {
-    cache: Arc<PackCache>,
-    pinned: VecDeque<Arc<Matrix>>,
-}
+/// One weight a tenant holds panels for: the weight's `Arc`, the
+/// `op(B)` selector and the panels, packed under the service's config or
+/// attached from the shelf. The entry is found by the `Arc`'s identity,
+/// which holding it keeps sound: the allocation cannot be freed and
+/// handed to another matrix while the entry lives.
+type TenantWeight = (Arc<Matrix>, Transpose, Arc<PrepackedB>);
 
 /// One execution shard: a dedicated pool (or `None` for the global
 /// pool) plus its quarantine clock.
@@ -362,7 +357,9 @@ struct Inner {
     work: Condvar,
     shards: Vec<Shard>,
     rr_shard: AtomicUsize,
-    tenants: Mutex<HashMap<String, TenantCache>>,
+    /// Each tenant's weights, least recently used first, at most
+    /// `cfg.cache_entries` of them.
+    tenants: Mutex<HashMap<String, VecDeque<TenantWeight>>>,
     /// Warm-start blobs loaded from `cfg.weight_store` at boot.
     shelf: Vec<ShelfEntry>,
     store_counters: StoreCounters,
@@ -874,107 +871,86 @@ impl Inner {
         group
     }
 
-    /// Fetch (or create) `tenant`'s pack cache, pin `b` in it, and — on
-    /// the first sight of a weight under the current cache generation —
-    /// try to attach a shelved warm-start blob so the upcoming
-    /// `get_or_pack` hits without packing. Returns `None` when
-    /// per-tenant caching is disabled.
-    fn tenant_cache(
+    /// `b`'s panels as `op(B) = transb` for `tenant`, under the service's
+    /// packing geometry: the tenant's own, else a shelved blob whose
+    /// source digest matches `b` (an attach; the shelf's `Arc` is shared),
+    /// else a fresh pack. A weight new to the tenant drops its least
+    /// recently used one when it holds `cache_entries` already. `None`
+    /// when tenants hold no panels or the pack failed to allocate: the
+    /// group then packs per call.
+    ///
+    /// The process-wide pack-cache counters move as for one cache per
+    /// tenant: panels the tenant holds or attaches are a hit that saved
+    /// their bytes, a pack is a miss, a dropped weight an invalidation.
+    fn tenant_panels(
         &self,
         tenant: &str,
         b: &Arc<Matrix>,
         transb: Transpose,
-    ) -> Option<Arc<PackCache>> {
+    ) -> Option<Arc<PrepackedB>> {
         if self.cfg.cache_entries == 0 {
             return None;
         }
+        let held = |w: &TenantWeight| Arc::ptr_eq(&w.0, b) && w.1 == transb;
         let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantCache {
-                cache: Arc::new(PackCache::with_capacity(0)),
-                pinned: VecDeque::new(),
-            });
-        if let Some(pos) = entry.pinned.iter().position(|w| Arc::ptr_eq(w, b)) {
-            // LRU touch.
-            if let Some(w) = entry.pinned.remove(pos) {
-                entry.pinned.push_back(w);
-            }
-        } else {
-            if entry.pinned.len() >= self.cfg.cache_entries {
-                if let Some(old) = entry.pinned.pop_front() {
-                    entry.cache.invalidate(&old.view());
-                }
-            }
-            entry.pinned.push_back(Arc::clone(b));
+        let weights = tenants.entry(tenant.to_owned()).or_default();
+        if let Some(entry) = weights
+            .iter()
+            .position(held)
+            .and_then(|i| weights.remove(i))
+        {
+            let panels = Arc::clone(&entry.2);
+            weights.push_back(entry);
+            telemetry::cache_hit(panels.bytes() as u64);
+            return Some(panels);
         }
-        // The pinned LRU is the quota unit (weights per tenant); the
-        // cache's byte bound follows it so every pinned weight's packed
-        // image fits. `nr` padding in the packed n dimension is the
-        // only growth over the raw weight, so entries × padded size is
-        // exact. Monotonic max: a small weight pinned after a large one
-        // must not shrink the bound below live entries.
-        let nr = self.cfg.gemm.kernel.nr();
-        let padded_bytes = b.rows() * b.cols().div_ceil(nr) * nr * std::mem::size_of::<f64>();
-        let quota = self.cfg.cache_entries * padded_bytes;
-        if quota > entry.cache.capacity() {
-            entry.cache.set_capacity(quota);
-        }
-        let cache = Arc::clone(&entry.cache);
+        // Verifying a blob reads `b` and packing writes its panels: the
+        // status readers do not wait for either.
         drop(tenants);
-        self.attach_from_shelf(&cache, b, transb);
-        Some(cache)
+        let panels = if let Some(panels) = self.attach_from_shelf(b, transb) {
+            telemetry::cache_hit(panels.bytes() as u64);
+            panels
+        } else {
+            telemetry::cache_miss();
+            let built = PrepackedB::from_matrix_op(&self.cfg.gemm, transb, &b.view());
+            Arc::new(built.ok()?)
+        };
+        let mut tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        let weights = tenants.entry(tenant.to_owned()).or_default();
+        if weights.len() >= self.cfg.cache_entries {
+            weights.pop_front();
+            telemetry::cache_invalidate(1);
+        }
+        weights.push_back((Arc::clone(b), transb, Arc::clone(&panels)));
+        Some(panels)
     }
 
-    /// If the cache would miss on `(b, transb)` under this service's
-    /// packing geometry and a shelved blob covers it, verify the blob's
-    /// source digest against the live weight (a read-only stream — no
-    /// pack telemetry) and seed the cache with its panels. Runs on
-    /// every group, so a generation bump or a fresh cache after a
-    /// worker-pool restart re-attaches automatically: that is the
-    /// instant-failover path.
-    fn attach_from_shelf(&self, cache: &PackCache, b: &Arc<Matrix>, transb: Transpose) {
-        if self.shelf.is_empty() {
-            return;
-        }
+    /// The shelved blob that covers `op(b) = transb` under the service's
+    /// packing geometry and whose source digest is `b`'s, counted as an
+    /// attach. `b` is digested once, read-only (no pack telemetry),
+    /// however many blobs cover it; `verify_failures` counts a `b` that
+    /// some blob covered but none matched, not the scan past other
+    /// tenants' weights.
+    fn attach_from_shelf(&self, b: &Matrix, transb: Transpose) -> Option<Arc<PrepackedB>> {
         let nr = self.cfg.gemm.kernel.nr();
         let (kc, nc) = (self.cfg.gemm.blocks.kc, self.cfg.gemm.blocks.nc);
-        let view = b.view();
-        if cache.contains(&view, transb, nr, kc, nc) {
-            return;
-        }
         let (k, n) = transb.apply_dims(b.rows(), b.cols());
-        // One digest stream per operand, compared against every
-        // geometry-compatible shelf entry: a multi-weight shelf costs
-        // one read-only pass, and `verify_failures` means "a covering
-        // blob existed but none matched the live bits" — not the
-        // ordinary scan past other tenants' weights.
-        let mut covered = false;
-        let mut digest = 0u64;
-        for entry in &self.shelf {
-            if !entry.panels.matches(k, n, transb, nr, kc, nc) {
-                continue;
-            }
-            if !covered {
-                covered = true;
-                digest = store::matrix_digest(&view, transb, kc, nc);
-            }
-            if entry.digest != digest {
-                continue;
-            }
-            crate::telemetry::store_verify(true);
-            if cache
-                .insert_prepacked(&view, transb, Arc::clone(&entry.panels))
-                .is_ok()
-            {
+        let covers = |e: &&ShelfEntry| e.panels.matches(k, n, transb, nr, kc, nc);
+        let mut digest = None;
+        for entry in self.shelf.iter().filter(covers) {
+            let digest =
+                *digest.get_or_insert_with(|| store::matrix_digest(&b.view(), transb, kc, nc));
+            if entry.digest == digest {
+                crate::telemetry::store_verify(true);
                 self.store_counters.attaches.fetch_add(1, Ordering::Relaxed);
                 crate::telemetry::store_attach();
+                return Some(Arc::clone(&entry.panels));
             }
-            return;
         }
-        if covered {
+        if digest.is_some() {
             crate::telemetry::store_verify(false);
         }
+        None
     }
 
     /// Run one coalesced group end to end: deadline/cancel triage, the
@@ -1077,7 +1053,13 @@ impl Inner {
         // Injection site: a panic in the middle of a coalesced batch.
         faults::panic_in_service();
         let shard_idx = self.rr_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let cache = self.tenant_cache(&live[0].tenant, &live[0].b, live[0].transb);
+        let Request {
+            ref tenant,
+            alpha,
+            transb,
+            ref b,
+            ..
+        } = live[0];
         let mut attempt: u32 = 0;
         loop {
             let degrade = self.shard_unhealthy(shard_idx);
@@ -1099,26 +1081,27 @@ impl Inner {
                     telemetry::event(req.trace, TraceKind::Dispatched, shard_idx as u64, pooled);
                 }
             }
+            // B is the tenant's panels or packed per call, never looked
+            // up in the process-wide cache. An α = 0 group reads no B.
             let cfg = if degrade {
                 self.cfg.gemm.with_parallelism(Parallelism::Serial)
             } else {
                 self.cfg.gemm
-            };
+            }
+            .with_pack_cache(false);
+            let panels = (alpha != 0.0)
+                .then(|| self.tenant_panels(tenant, b, transb))
+                .flatten();
             let a_views: Vec<MatrixView<'_>> = live.iter().map(|r| r.a.view()).collect();
             let mut c_views: Vec<MatrixViewMut<'_>> =
                 outs.iter_mut().map(Matrix::view_mut).collect();
-            let b_view = live[0].b.view();
-            let mut run = || {
-                gemm_batch_with_cache(
-                    live[0].alpha,
-                    &a_views,
-                    live[0].transb,
-                    &b_view,
-                    0.0,
-                    &mut c_views,
-                    &cfg,
-                    cache.as_deref(),
-                )
+            let mut run = || match &panels {
+                Some(panels) => {
+                    gemm_batch_prepacked(alpha, &a_views, panels, 0.0, &mut c_views, &cfg)
+                }
+                None => {
+                    gemm_batch_shared_b(alpha, &a_views, transb, &b.view(), 0.0, &mut c_views, &cfg)
+                }
             };
             let result = match (&self.shards[shard_idx].pool, degrade) {
                 (Some(p), false) => pool::with_pool(p, run),
@@ -1183,14 +1166,18 @@ impl Inner {
     fn recover_serially(&self, req: Request) {
         let (_, n) = req.transb.apply_dims(req.b.rows(), req.b.cols());
         let mut c = Matrix::zeros(req.a.rows(), n);
-        let cfg = self.cfg.gemm.with_parallelism(Parallelism::Serial);
+        let cfg = self
+            .cfg
+            .gemm
+            .with_parallelism(Parallelism::Serial)
+            .with_pack_cache(false);
         // Recovery computes one request at a time, so its spans land on
         // the member's own trace, not the failed batch leader's.
         let result = telemetry::with_trace(req.trace, || {
             catch_unwind(AssertUnwindSafe(|| {
                 let a_views = [req.a.view()];
                 let mut c_views = [c.view_mut()];
-                gemm_batch_with_cache(
+                gemm_batch_shared_b(
                     req.alpha,
                     &a_views,
                     req.transb,
@@ -1198,7 +1185,6 @@ impl Inner {
                     0.0,
                     &mut c_views,
                     &cfg,
-                    None,
                 )
             }))
         });
@@ -1223,18 +1209,18 @@ impl Inner {
         (st.depth, occ.collect(), st.shutdown)
     }
 
-    /// Every tenant with a queue or a cache, by name: its name, queued
-    /// requests, cache bytes and cache entries.
+    /// Every tenant with a queue or held weights, by name: its name,
+    /// queued requests, and the bytes and count of its held panels.
     fn tenant_rows(&self, occupancy: &[(String, usize)]) -> Vec<(String, usize, usize, usize)> {
-        let caches = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
+        let tenants = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         let mut names: Vec<&String> = occupancy.iter().map(|(t, _)| t).collect();
-        names.extend(caches.keys());
+        names.extend(tenants.keys());
         names.sort();
         names.dedup();
         let row = |name: &String| {
             let queued = occupancy.iter().find(|(t, _)| t == name);
-            let cache = caches.get(name);
-            let (bytes, entries) = cache.map_or((0, 0), |t| (t.cache.bytes(), t.pinned.len()));
+            let held = |w: &VecDeque<TenantWeight>| (w.iter().map(|e| e.2.bytes()).sum(), w.len());
+            let (bytes, entries) = tenants.get(name).map_or((0, 0), held);
             (name.clone(), queued.map_or(0, |(_, q)| *q), bytes, entries)
         };
         names.into_iter().map(row).collect()

@@ -304,7 +304,8 @@ pub(crate) fn runtime_snapshot() -> RuntimeSnapshot {
 
 counters! {
     /// Pack-cache activity since the last [`reset`] (process start if
-    /// never reset), across every per-type [`crate::prepack::PackCache`].
+    /// never reset), across every per-type [`crate::prepack::PackCache`]
+    /// and the service's per-tenant weights.
     CacheSnapshot / CacheCounters {
         /// Lookups served from a cached pre-pack.
         hits,
@@ -312,7 +313,8 @@ counters! {
         misses,
         /// Entries evicted to respect a capacity bound.
         evictions,
-        /// Entries dropped by `invalidate` / `bump_generation`.
+        /// Entries dropped by `invalidate`, and weights a service tenant
+        /// dropped to hold a new one.
         invalidations,
         /// Packed-B bytes whose re-packing the cache avoided.
         bytes_saved,
@@ -415,7 +417,7 @@ counters! {
         verifies,
         /// Verifications whose digest did not match the live operand.
         verify_failures,
-        /// Loaded blobs seeded into a [`crate::prepack::PackCache`].
+        /// Loaded blobs a service tenant took as a weight's panels.
         attaches,
         /// Total payload bytes of successfully decoded blobs.
         bytes_loaded,
@@ -1563,13 +1565,6 @@ mod tests {
         let r = GemmReport::from_run((8, 8, 8), 1, 1, Duration::from_millis(1), &blocks, &snap);
         let json = r.to_json(&snap);
         assert!(json.contains("we\\\"ird\\\\name"), "{json}");
-    }
-
-    #[test]
-    fn mode_parsing() {
-        // Exercise the match arms directly (env mutation races with
-        // other tests; auto_config_reads_environment owns that risk).
-        assert_eq!(TelemetryMode::default(), TelemetryMode::Off);
     }
 
     #[cfg(feature = "telemetry")]

@@ -204,40 +204,6 @@ fn mutated_b_is_stale_until_invalidated() {
     cache.invalidate(&b.view());
 }
 
-/// `bump_generation` is the coarse hammer: every entry (any operand)
-/// drops at once, and old entries can never match again.
-#[test]
-fn generation_bump_forces_repack_of_everything() {
-    let _g = lock();
-    let cache = f64::pack_cache();
-    let a = Matrix::random(18, 14, 30);
-    let b1 = Matrix::random(14, 15, 31);
-    let b2 = Matrix::random(14, 15, 32);
-    let c0 = Matrix::random(18, 15, 33);
-
-    let cfg = cached_cfg();
-    run_gemm(&a, &b1, &c0, &cfg);
-    run_gemm(&a, &b2, &c0, &cfg);
-
-    let gen0 = cache.generation();
-    let s0 = cache.stats();
-    cache.bump_generation();
-    assert_eq!(cache.generation(), gen0 + 1);
-    assert!(cache.is_empty(), "generation bump must drop every entry");
-    assert_eq!(
-        cache.stats().invalidations - s0.invalidations,
-        2,
-        "both entries count as invalidated"
-    );
-
-    // next use is a miss (re-pack), not a resurrected stale hit
-    let m0 = cache.stats().misses;
-    run_gemm(&a, &b1, &c0, &cfg);
-    assert_eq!(cache.stats().misses - m0, 1);
-    cache.invalidate(&b1.view());
-    cache.invalidate(&b2.view());
-}
-
 /// N concurrent GEMMs against one weight matrix: the first lookup
 /// packs (under the cache lock), the other N−1 hit and share the same
 /// panels — and every result is bit-identical to the uncached serial

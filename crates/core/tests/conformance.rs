@@ -33,7 +33,7 @@
 //! [`auto_config_conforms_in_this_environment`], which also takes one
 //! pass through `auto()` itself.
 
-use dgemm_core::batch::gemm_batch_shared_b;
+use dgemm_core::batch::{gemm_batch_prepacked, gemm_batch_shared_b};
 use dgemm_core::dispatch::DispatchMode;
 use dgemm_core::gebp::gebp;
 use dgemm_core::gemm::{try_gemm, GemmConfig, KernelFamily};
@@ -614,12 +614,12 @@ fn alpha_zero_never_reads_operands() {
 }
 
 /// Store-loaded panels vs live packing, through the full oracle: for
-/// every kernel, a B pre-packed → serialized → decoded → seeded into
-/// the global pack cache must leave every `runtime × caching` run
-/// accurate against the naive oracle and bit-identical to the serial
-/// uncached (live-packing) baseline — a blob from disk is
-/// indistinguishable from panels packed this instant. Ragged edges
-/// included: `n % nc != 0`, `n % nr != 0`, `k % kc != 0`.
+/// every kernel, a B pre-packed → serialized → decoded and handed to
+/// `gemm_batch_prepacked` must leave every runtime bit-identical to the
+/// serial uncached (live-packing) run, which `check_all_runtimes` holds
+/// to the naive oracle — a blob from disk is indistinguishable from
+/// panels packed this instant. Ragged edges included: `n % nc != 0`,
+/// `n % nr != 0`, `k % kc != 0`.
 #[test]
 fn store_loaded_panels_conform() {
     for (kind, tb) in [
@@ -635,17 +635,7 @@ fn store_loaded_panels_conform() {
         let a = Matrix::random(m, k, 141);
         let b = Matrix::random(br, bc, 142);
         let c0 = Matrix::random(m, n, 143);
-
-        // Live pack → blob → decode → seed the cache the cached runs use.
-        let live = PrepackedB::try_build(&b.view(), tb, nr, kc, nc).expect("live pack");
-        let loaded = store::decode::<f64>(&store::encode(&live)).expect("roundtrip");
-        f64::pack_cache()
-            .insert_prepacked(&b.view(), tb, loaded.panels)
-            .expect("attach");
-
-        // check_all_runtimes' cached legs now consume the loaded blob;
-        // its uncached legs pack live — one oracle over both, plus the
-        // trailing invalidate cleanup.
+        let blocks = (kc, 2 * mr, nc);
         check_all_runtimes(
             kind,
             Transpose::No,
@@ -655,9 +645,37 @@ fn store_loaded_panels_conform() {
             &a,
             &b,
             &c0,
-            Some((kc, 2 * mr, nc)),
+            Some(blocks),
             k,
         );
+
+        let live = PrepackedB::try_build(&b.view(), tb, nr, kc, nc).expect("live pack");
+        let loaded = store::decode::<f64>(&store::encode(&live)).expect("roundtrip");
+        let cfg = GemmConfig::for_kernel(kind, 1).with_blocks(kc, 2 * mr, nc);
+        let mut base = c0.clone();
+        let (a, b) = (a.view(), b.view());
+        try_gemm(
+            Transpose::No,
+            tb,
+            1.25,
+            &a,
+            &b,
+            -0.5,
+            &mut base.view_mut(),
+            &cfg,
+        )
+        .unwrap();
+        for par in RUNTIMES {
+            let mut c = c0.clone();
+            let cfg = cfg.with_parallelism(par);
+            gemm_batch_prepacked(1.25, &[a], &loaded.panels, -0.5, &mut [c.view_mut()], &cfg)
+                .unwrap_or_else(|e| panic!("{kind:?} {par:?}: {e}"));
+            assert_eq!(
+                c.view().data(),
+                base.view().data(),
+                "{kind:?} {par:?}: loaded panels diverge from live-packed serial"
+            );
+        }
     }
 }
 

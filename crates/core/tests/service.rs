@@ -11,10 +11,12 @@
 //! deterministic to observe.
 
 use dgemm_core::gemm::{gemm, GemmConfig};
+use dgemm_core::json::{self, Value};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
 use dgemm_core::service::{GemmService, ServiceConfig, ServiceError};
-use dgemm_core::Transpose;
+use dgemm_core::telemetry::TraceKind;
+use dgemm_core::{trace, Transpose};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
@@ -405,4 +407,57 @@ fn dedicated_shards_serve_bit_identically_to_the_global_pool() {
             .expect("served");
         assert_eq!(got.as_slice(), want.as_slice());
     }
+}
+
+/// A tenant holds panels for its `cache_entries` most recently used
+/// weights. Three weights through two slots: a held weight is served on
+/// its panels and packs nothing, the least recently used one is dropped
+/// for a new one and packs again when it returns, and `/status` never
+/// shows the tenant holding more than two.
+#[test]
+fn tenant_drops_its_least_recently_used_weight() {
+    let svc = GemmService::new(ServiceConfig {
+        cache_entries: 2,
+        ..service_cfg()
+    });
+    let a = Arc::new(Matrix::random(24, 32, 60));
+    let weights: Vec<Arc<Matrix>> = (0..3)
+        .map(|i| Arc::new(Matrix::random(32, 30, 61 + i)))
+        .collect();
+    // Serve `a · weights[w]`; whether that packed B (a PackB span on the
+    // request's chain, when recording is compiled in) and the tenant's
+    // held count after.
+    let serve = |w: usize| {
+        let b = &weights[w];
+        let ticket = svc
+            .submit("lru", 1.0, Arc::clone(&a), Transpose::No, Arc::clone(b))
+            .expect("admitted");
+        let id = ticket.id();
+        let got = ticket.wait().expect("served");
+        let want = reference(1.0, &a, Transpose::No, b);
+        assert_eq!(got.as_slice(), want.as_slice(), "weight {w}");
+        let packed = svc.trace_of(id).iter().any(|e| e.kind == TraceKind::PackB);
+        let status = json::parse(&svc.status_json()).expect("status parses");
+        let tenants = status
+            .get("tenants")
+            .and_then(Value::as_arr)
+            .expect("tenants");
+        let lru = tenants
+            .iter()
+            .find(|t| t.get("name").and_then(Value::as_str) == Some("lru"))
+            .expect("tenant row");
+        let held = lru.get("cache_entries").and_then(Value::as_u64);
+        (packed, held.expect("cache_entries"))
+    };
+    // w0 and w1 fill the slots, w0 is touched, w2 drops w1, w1 drops w0,
+    // w2 is held, w0 returns
+    let stream = [0, 1, 0, 2, 1, 2, 0];
+    let served: Vec<(bool, u64)> = stream.iter().map(|&w| serve(w)).collect();
+    let held: Vec<u64> = served.iter().map(|s| s.1).collect();
+    assert_eq!(held, [1, 2, 2, 2, 2, 2, 2]);
+    if trace::enabled() {
+        let packed: Vec<bool> = served.iter().map(|s| s.0).collect();
+        assert_eq!(packed, [true, true, false, true, true, false, true]);
+    }
+    svc.shutdown();
 }

@@ -11,23 +11,23 @@
 //!    the source digest agrees between packed slivers and a streaming
 //!    read of the live matrix, and re-encoding the loaded panels
 //!    reproduces the original blob byte for byte.
-//! 2. **GEMM transparency** — a decoded blob seeded into the pack
-//!    cache serves Serial/Pool runs bit-identical to the serial
-//!    uncached baseline (the conformance contract extends to loaded
-//!    panels).
+//! 2. **GEMM transparency** — a decoded blob handed to
+//!    `gemm_batch_prepacked` serves Serial/Pool runs bit-identical to
+//!    the serial uncached baseline (the conformance contract extends to
+//!    loaded panels), and panels that do not fit the call are a typed
+//!    error.
 //! 3. **Corruption battery** — a seeded fuzzer over byte flips,
 //!    truncations and extensions: ≥ 64 mutations, all rejected with
 //!    `BadStore`.
-//! 4. **Warm start** — with a populated store the first call packs
-//!    zero B bytes (telemetry lane proof), the service attaches blobs
-//!    at boot + first request, and a generation bump forces a
-//!    re-attach (the failover story).
+//! 4. **Warm start** — on loaded panels a call packs zero B bytes
+//!    (telemetry lane proof), and the service loads blobs at boot and
+//!    attaches one at the first request against its weight.
 
+use dgemm_core::batch::gemm_batch_prepacked;
 use dgemm_core::gemm::{gemm, try_gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::MicroKernelKind;
-use dgemm_core::pool::PoolScalar;
-use dgemm_core::prepack::{PackCache, PrepackedB};
+use dgemm_core::prepack::PrepackedB;
 use dgemm_core::service::{GemmService, ServiceConfig};
 use dgemm_core::store;
 use dgemm_core::{GemmError, Parallelism, Transpose};
@@ -150,7 +150,7 @@ proptest! {
         prop_assert!(matches!(skew, GemmError::BadStore(_)));
     }
 
-    /// A decoded blob seeded into the global pack cache serves every
+    /// A decoded blob handed to `gemm_batch_prepacked` serves every
     /// runtime bit-identical to the serial *uncached* (live-packed)
     /// baseline, across arbitrary shapes, transposes and alpha.
     #[test]
@@ -187,22 +187,13 @@ proptest! {
 
         let live = PrepackedB::try_build(&b.view(), tb, nr, kc, nc).unwrap();
         let loaded = store::decode::<f64>(&store::encode(&live)).unwrap();
-        f64::pack_cache()
-            .insert_prepacked(&b.view(), tb, loaded.panels)
-            .unwrap();
 
-        let mut runs = Vec::new();
         for par in RUNTIMES {
-            let cfg = cfg0.with_parallelism(par).with_pack_cache(true);
             let mut c = c0.clone();
-            try_gemm(
-                Transpose::No, tb, alpha, &a.view(), &b.view(), -0.5,
-                &mut c.view_mut(), &cfg,
+            gemm_batch_prepacked(
+                alpha, &[a.view()], &loaded.panels, -0.5,
+                &mut [c.view_mut()], &cfg0.with_parallelism(par),
             ).unwrap();
-            runs.push((par, c));
-        }
-        f64::pack_cache().invalidate(&b.view());
-        for (par, c) in runs {
             prop_assert_eq!(
                 c.view().data(), base.view().data(),
                 "{:?} on loaded panels diverges from live-packed serial", par
@@ -290,9 +281,9 @@ fn header_skews_are_diagnosed_specifically() {
     assert!(msg(bad).contains("header"), "{}", msg(bad));
 }
 
-/// With the cache pre-seeded from a blob, a serial GEMM packs **zero**
-/// B bytes — proven on a dedicated telemetry lane (this thread's
-/// name), then cross-checked by an uncached run that does pack.
+/// On panels loaded from a blob, a serial GEMM packs **zero** B bytes —
+/// proven on a dedicated telemetry lane (this thread's name), then
+/// cross-checked by a run on the stored B that does pack.
 #[test]
 fn warm_start_packs_zero_b_bytes() {
     std::thread::Builder::new()
@@ -306,9 +297,6 @@ fn warm_start_packs_zero_b_bytes() {
             let live = PrepackedB::try_build(&b.view(), Transpose::No, kind.nr(), kc, nc)
                 .expect("live pack");
             let loaded = store::decode::<f64>(&store::encode(&live)).expect("decode");
-            f64::pack_cache()
-                .insert_prepacked(&b.view(), Transpose::No, loaded.panels)
-                .expect("attach");
 
             // This lane's packed-B total (None with telemetry off).
             let lane_bytes = || -> Option<u64> {
@@ -327,18 +315,15 @@ fn warm_start_packs_zero_b_bytes() {
 
             let cfg = GemmConfig::for_kernel(kind, 1)
                 .with_blocks(kc, 2 * kind.mr(), nc)
-                .with_parallelism(Parallelism::Serial)
-                .with_pack_cache(true);
+                .with_parallelism(Parallelism::Serial);
             let before = lane_bytes();
             let mut c = Matrix::zeros(m, n);
-            try_gemm(
-                Transpose::No,
-                Transpose::No,
+            gemm_batch_prepacked(
                 1.0,
-                &a.view(),
-                &b.view(),
+                &[a.view()],
+                &loaded.panels,
                 0.0,
-                &mut c.view_mut(),
+                &mut [c.view_mut()],
                 &cfg,
             )
             .expect("warm gemm");
@@ -347,8 +332,9 @@ fn warm_start_packs_zero_b_bytes() {
                 assert_eq!(b1, b0, "warm start must pack zero B bytes");
             }
 
-            // Sanity: the same problem uncached *does* pack on this lane
-            // (the instrumentation is live, the zero above is real).
+            // Sanity: the same problem on the stored B *does* pack on
+            // this lane (the instrumentation is live, the zero above is
+            // real).
             let mut c2 = Matrix::zeros(m, n);
             try_gemm(
                 Transpose::No,
@@ -358,7 +344,7 @@ fn warm_start_packs_zero_b_bytes() {
                 &b.view(),
                 0.0,
                 &mut c2.view_mut(),
-                &cfg.with_pack_cache(false),
+                &cfg,
             )
             .expect("cold gemm");
             let cold = lane_bytes();
@@ -370,65 +356,46 @@ fn warm_start_packs_zero_b_bytes() {
                 c2.view().data(),
                 "warm and cold bits agree"
             );
-            f64::pack_cache().invalidate(&b.view());
         })
         .expect("spawn lane thread")
         .join()
         .expect("lane thread");
 }
 
-/// A generation bump (pool restart / explicit invalidation) orphans
-/// the attached blob; re-attaching the same panels restores the warm
-/// path — the service's failover sequence, driven here through the
-/// public cache API.
-#[test]
-fn generation_bump_forces_reattach_like_failover() {
-    let cache = PackCache::<f64>::new();
-    let b = Matrix::random(20, 15, 7);
-    let live = PrepackedB::try_build(&b.view(), Transpose::No, 6, 8, 12).unwrap();
-    let loaded = store::decode::<f64>(&store::encode(&live)).unwrap();
-
-    cache
-        .insert_prepacked(&b.view(), Transpose::No, Arc::clone(&loaded.panels))
-        .unwrap();
-    assert!(cache.contains(&b.view(), Transpose::No, 6, 8, 12));
-    let got = cache
-        .get_or_pack(&b.view(), Transpose::No, 6, 8, 12)
-        .expect("hit");
-    assert!(
-        Arc::ptr_eq(&got, &loaded.panels),
-        "lookup must return the attached blob, not a fresh pack"
-    );
-
-    cache.bump_generation();
-    assert!(
-        !cache.contains(&b.view(), Transpose::No, 6, 8, 12),
-        "a generation bump must orphan the attached blob"
-    );
-    cache
-        .insert_prepacked(&b.view(), Transpose::No, Arc::clone(&loaded.panels))
-        .unwrap();
-    assert!(cache.contains(&b.view(), Transpose::No, 6, 8, 12));
-}
-
-/// Attaching panels that don't cover `op(B)` is a typed error, and a
+/// Panels that do not fit the call are a typed error from the
+/// prepacked entry, never a computation: packed with another sliver
+/// width, `kc` or `nc` than the config's, or for another `k×n`. A
 /// blob's source verification detects a mutated weight matrix.
 #[test]
 fn mismatched_attach_and_source_skew_are_typed() {
-    let cache = PackCache::<f64>::new();
-    let b = Matrix::random(20, 15, 8);
-    let other = Matrix::random(21, 15, 9);
-    let live = PrepackedB::try_build(&other.view(), Transpose::No, 6, 8, 12).unwrap();
-    let loaded = store::decode::<f64>(&store::encode(&live)).unwrap();
-    let err = cache
-        .insert_prepacked(&b.view(), Transpose::No, Arc::clone(&loaded.panels))
-        .expect_err("wrong-shape attach must fail");
-    assert!(matches!(err, GemmError::BadStore(_)));
+    let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1).with_blocks(8, 16, 12);
+    let (m, k, n) = (10, 20, 15);
+    let b = Matrix::random(k, n, 8);
+    let a = Matrix::random(m, k, 10);
+    let mut c = Matrix::zeros(m, n);
+    let mut run = |panels: &PrepackedB| {
+        gemm_batch_prepacked(1.0, &[a.view()], panels, 0.0, &mut [c.view_mut()], &cfg)
+    };
+    for (nr, kc, nc) in [(4, 8, 12), (6, 9, 12), (6, 8, 18)] {
+        let panels = PrepackedB::try_build(&b.view(), Transpose::No, nr, kc, nc).unwrap();
+        let err = run(&panels).expect_err("blocking skew must fail");
+        assert!(matches!(err, GemmError::BadConfig(_)), "{err}");
+    }
+    let deeper = Matrix::random(k + 1, n, 9);
+    let panels = PrepackedB::from_matrix(&cfg, &deeper.view()).unwrap();
+    let err = run(&panels).expect_err("k skew must fail");
+    assert!(matches!(err, GemmError::InnerDimMismatch { .. }), "{err}");
+    let wider = Matrix::random(k, n + 1, 9);
+    let panels = PrepackedB::from_matrix(&cfg, &wider.view()).unwrap();
+    let err = run(&panels).expect_err("n skew must fail");
+    assert!(matches!(err, GemmError::OutputDimMismatch { .. }), "{err}");
+    assert!(run(&PrepackedB::from_matrix(&cfg, &b.view()).unwrap()).is_ok());
 
-    let mut mutated = other.clone();
+    let loaded = store::decode::<f64>(&store::encode(&panels)).unwrap();
+    let mut mutated = wider.clone();
     mutated.set(3, 4, -123.0);
     assert!(!loaded.verify_source(&mutated.view(), Transpose::No));
-    assert!(loaded.verify_source(&other.view(), Transpose::No));
+    assert!(loaded.verify_source(&wider.view(), Transpose::No));
 }
 
 /// End-to-end service warm start: blobs load onto the shelf at boot
