@@ -168,16 +168,16 @@ pub fn gebp_slivers<T: Scalar, K: KernelSet<T>>(
         col0: 0,
         scratch: &mut Vec::new(),
     };
-    gebp_slivers_with(kind, alpha, false, packed_a, b, s0, cols, &mut c);
+    gebp_slivers_with(kind, alpha, T::ONE, packed_a, b, s0, cols, &mut c);
 }
 
 /// The C one block of stacked rows updates: a cell's tiles of C, one per
 /// batch entry its rows cover, stacked in row order and equally wide, from
 /// row `row0` and column `col0` of the stack on. A register tile whose
 /// rows lie in one of them runs on it. One whose rows cross where two
-/// meet runs on `scratch`, filled from C unless the kernel overwrites and
-/// copied back after, so a block makes the same kernel calls however
-/// its rows are stored.
+/// meet runs on `scratch`, filled from C unless β = 0 (the kernel then
+/// does not read it) and copied back after, so a block makes the same
+/// kernel calls however its rows are stored.
 pub(crate) struct Stacked<'s, 'a, T: Scalar> {
     pub(crate) tiles: &'s mut [TileMut<'a, T>],
     pub(crate) row0: usize,
@@ -186,13 +186,13 @@ pub(crate) struct Stacked<'s, 'a, T: Scalar> {
 }
 
 impl<T: Scalar> Stacked<'_, '_, T> {
-    /// Run `kernel` on the `m × n` register tile at `(i, j)`, which stores
-    /// without reading C when `overwrite`.
+    /// Run `kernel` on the `m × n` register tile at `(i, j)`, whose store
+    /// scales C's old value by `beta` (and does not read it when 0).
     fn run(
         &mut self,
         (i, j): (usize, usize),
         (m, n): (usize, usize),
-        overwrite: bool,
+        beta: T,
         kernel: impl FnOnce(&mut TileMut<'_, T>),
     ) {
         let (i, j) = (self.row0 + i, self.col0 + j);
@@ -208,7 +208,7 @@ impl<T: Scalar> Stacked<'_, '_, T> {
         }
         self.scratch.resize(self.scratch.len().max(m * n), T::ZERO);
         let scratch = &mut self.scratch[..m * n];
-        if !overwrite {
+        if beta != T::ZERO {
             segments(self.tiles, (i, j), (m, n), |c, at| {
                 scratch[at..at + c.len()].copy_from_slice(c);
             });
@@ -240,16 +240,17 @@ pub(crate) fn segments<T: Scalar>(
     }
 }
 
-/// [`gebp_slivers`], or with `overwrite` its store: `c = α · packed_a ·
-/// b[…]`, C never read — the first `kk` panel of a `β = 0` call. Each
-/// element gets the bits `gebp_slivers` leaves on a C of `+0.0`
-/// ([`KernelSet::run_group_with`]). `c` is `packed_a.mc() × cols`, and
-/// may be stored as several tiles ([`Stacked`]).
+/// [`gebp_slivers`] with C's old value scaled by `beta` in the kernels'
+/// store: `c = β·c + α · packed_a · b[…]`, each element the bits
+/// `gebp_slivers` leaves on a C scaled first (`c·β`), and C never read
+/// at β = 0 ([`KernelSet::run_group_with`]). The walk passes the call's
+/// β on the first `kk` panel and 1 after it. `c` is `packed_a.mc() ×
+/// cols`, and may be stored as several tiles ([`Stacked`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gebp_slivers_with<T: Scalar, K: KernelSet<T>>(
     kind: K,
     alpha: T,
-    overwrite: bool,
+    beta: T,
     packed_a: &PackedA<T>,
     b: &impl BPanel<T>,
     s0: usize,
@@ -300,13 +301,13 @@ pub(crate) fn gebp_slivers_with<T: Scalar, K: KernelSet<T>>(
             if let [tile] = c.tiles {
                 let mut tile = tile.sub_tile(c.row0 + i0, c.col0 + j0, m_eff, n_eff);
                 kind.run_group_with(
-                    kc, a_group, b_sliver, layout, alpha, overwrite, &mut tile, m_eff, n_eff,
+                    kc, a_group, b_sliver, layout, alpha, beta, &mut tile, m_eff, n_eff,
                 );
                 continue;
             }
-            c.run((i0, j0), (m_eff, n_eff), overwrite, |tile| {
+            c.run((i0, j0), (m_eff, n_eff), beta, |tile| {
                 kind.run_group_with(
-                    kc, a_group, b_sliver, layout, alpha, overwrite, tile, m_eff, n_eff,
+                    kc, a_group, b_sliver, layout, alpha, beta, tile, m_eff, n_eff,
                 );
             });
         }

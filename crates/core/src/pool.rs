@@ -37,11 +37,12 @@
 //!
 //! ## Cells that borrow the operands
 //!
-//! A cell's body (`run_cell`) is the nest on its own piece: apply β to
-//! its part of C, then for every `kk` take **its own B columns** —
-//! packed into its own panel, or read in place, or addressed inside a
-//! [`PrepackedB`] tile, as the plan's [`BSource`] says — pack
-//! **its own A blocks** and GEBP, straight into **its own tiles of C**.
+//! A cell's body (`run_cell`) is the nest on its own piece: for every
+//! `kk` take **its own B columns** — packed into its own panel, or read
+//! in place, or addressed inside a [`PrepackedB`] tile, as the plan's
+//! [`BSource`] says — pack **its own A blocks** and GEBP, straight into
+//! **its own tiles of C**; the first `kk` panel's kernels scale C's old
+//! value by β in their store.
 //! Every panel, the walk cuts C into one set of tiles per cell with
 //! [`TileMut`]'s row and column splits: one tile per batch entry the
 //! cell's rows cover, sharing no element with any other cell's, so each
@@ -924,8 +925,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// to the one-shot pack: each row is its own lane of whatever sliver and
 /// row group it lands in, every (A-sliver, B-sliver) pair still gets
 /// exactly one kernel call, and each C element's k-accumulation order is
-/// unchanged. `c` is the `mc_eff × cols` destination; on the first panel
-/// of a `β = 0` call the kernels store it without reading it.
+/// unchanged. `c` is the `mc_eff × cols` destination, whose old value
+/// the kernels' store scales by the call's β on the first panel (β = 0:
+/// unread) and by 1 on every later one.
 #[allow(clippy::too_many_arguments)]
 fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
@@ -946,7 +948,7 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
         ..
     } = ops.call;
     let mr = kernel.mr().max(1);
-    let overwrite = kk == 0 && beta == T::ZERO;
+    let beta = if kk == 0 { beta } else { T::ONE };
     let mut chunk = mc_eff;
     let mut r = 0usize;
     while r < mc_eff {
@@ -961,7 +963,7 @@ fn gebp_block_resilient<T: Scalar, K: KernelSet<T>>(
                     col0: c.col0,
                     scratch: &mut *c.scratch,
                 };
-                gebp_slivers_with(kernel, alpha, overwrite, pa, panel, s0, cols, &mut sub);
+                gebp_slivers_with(kernel, alpha, beta, pa, panel, s0, cols, &mut sub);
                 r += rows;
             }
             Err(e) => {
@@ -1052,9 +1054,13 @@ fn gebp_tasks<T: Scalar, K: KernelSet<T>>(
 /// the same kernel calls in the same `kk` order whatever the grid. B
 /// comes from a [`PrepackedB`] tile when the call has one, from the
 /// cell's own pack of its own columns when the call packs, and otherwise
-/// from where the caller stored it; A is packed block by block.
-/// Allocation failures degrade to smaller packing chunks and surface
-/// only when even the smallest cannot be had.
+/// from where the caller stored it; A is packed block by block. Two
+/// mechanisms see C's old value, and this body makes no pass over it:
+/// the kernels' store, which scales it by β on the first `kk` panel
+/// (β = 0: unread) and by 1 after, and, on the pool under β ≠ 0, the
+/// undo copy [`run_contained`] keeps for a replay. Allocation failures
+/// degrade to smaller packing chunks and surface only when even the
+/// smallest cannot be had.
 fn run_cell<T: Scalar, K: KernelSet<T>>(
     ops: &Operands<'_, T, K>,
     cell: &Cell,
@@ -1062,13 +1068,6 @@ fn run_cell<T: Scalar, K: KernelSet<T>>(
     slot: &mut BlockSlot<T>,
     panel: &mut PackedB<T>,
 ) -> Result<(), GemmError> {
-    // (β = 0 needs no pass: the first panel's kernels store C)
-    let beta = ops.call.beta;
-    if beta != T::ZERO && beta != T::ONE {
-        segments(c, (0, 0), cell.size(), |c, _| {
-            c.iter_mut().for_each(|x| *x *= beta)
-        });
-    }
     let nr = ops.call.kernel.nr().max(1);
     let j0 = ops.jj + cell.col0;
     let whole = (0, cell.ncols);

@@ -34,7 +34,7 @@
 //! [`crate::tile`] and the pool's borrow gate (`lease.rs`). The argument
 //! is three lines:
 //!
-//! 1. a `#[target_feature]` kernel is only ever called from [`run_at`],
+//! 1. a `#[target_feature]` kernel is only ever called from [`run_at_with`],
 //!    after `is_x86_feature_detected!` confirmed the feature on this host;
 //! 2. B is read by pointer at `k·ks + j·cs` for `k < kc` and `j` below the
 //!    number of columns the sliver stores (`nr` packed, `n_eff` in place;
@@ -56,9 +56,9 @@
 //! every group size and wherever B is read from ([`BLayout`]: each body
 //! is compiled once with the packed strides as constants and once with
 //! them as arguments): one FMA chain over ascending `k`, then one fused
-//! `c + α·acc` — `c` a `+0.0` register, C unread, where the first panel
-//! of a `β = 0` call stores. Results are therefore bit-identical per
-//! kernel across every runtime, and differ from the portable kernel
+//! `c·β + α·acc`, `c·β` rounded first — `c` itself at β = 1, a `+0.0`
+//! register with C unread at β = 0. Results are therefore bit-identical
+//! per kernel across every runtime, and differ from the portable kernel
 //! (separate multiply and add) only by rounding.
 
 use crate::tile::TileMut;
@@ -204,64 +204,19 @@ pub fn row_group(isa: Isa, mr: usize, nr: usize) -> usize {
     }
 }
 
-/// Run the `f64` `mr×nr` register kernel at the host's widest level.
-/// Returns `false` — having touched nothing — when no ISA path applies,
-/// so the caller falls through to the portable kernel. Argument contract
-/// as [`crate::microkernel::run_microkernel`], except that `m_eff` may
-/// span a row group: `a` then holds `⌈m_eff/mr⌉ ≤ row_group` adjacent
-/// slivers and the tile up to `row_group·mr` rows.
-#[allow(clippy::too_many_arguments)]
-pub fn run(
-    mr: usize,
-    nr: usize,
-    kc: usize,
-    a: &[f64],
-    b: &[f64],
-    alpha: f64,
-    c: &mut TileMut<'_>,
-    m_eff: usize,
-    n_eff: usize,
-) -> bool {
-    run_at(Isa::detect(), mr, nr, kc, a, b, alpha, c, m_eff, n_eff)
-}
-
-/// [`run`] at a chosen level (the AVX2 kernels are directly callable on
-/// an AVX-512 host, which is how the conformance tests reach them).
-/// A level above what the host supports is treated as having no path.
-#[allow(clippy::too_many_arguments)]
-pub fn run_at(
-    isa: Isa,
-    mr: usize,
-    nr: usize,
-    kc: usize,
-    a: &[f64],
-    b: &[f64],
-    alpha: f64,
-    c: &mut TileMut<'_>,
-    m_eff: usize,
-    n_eff: usize,
-) -> bool {
-    run_at_with(
-        isa,
-        mr,
-        nr,
-        kc,
-        a,
-        b,
-        BLayout::Packed,
-        alpha,
-        false,
-        c,
-        m_eff,
-        n_eff,
-    )
-}
-
-/// [`run_at`] with the B sliver laid out as `layout` says: `b` starts at
-/// the sliver's element `(0, 0)` and must reach the last one the layout
-/// stores ([`BLayout::last_offset`]). The kernel asserts it. With
-/// `overwrite` the tile is stored, not updated: `c = α·acc + 0`, C never
-/// read — what `c + α·acc` gives on a C of `+0.0`, bit for bit.
+/// Run the `f64` `mr×nr` register kernel at level `isa`, with the B
+/// sliver laid out as `layout` says, and store `c = α·acc + c·β` (β = 1:
+/// `c` as it is; β = 0: `+0.0`, C never read). Returns `false` — having
+/// touched nothing — when no ISA path applies: a level above what the
+/// host supports or a shape without a kernel, so the caller falls
+/// through to the portable kernel. Argument contract as
+/// [`crate::microkernel::KernelSet::run_group_with`]: `m_eff` may span a
+/// row group, `a` then holding `⌈m_eff/mr⌉ ≤ row_group` adjacent slivers
+/// and the tile up to `row_group·mr` rows; `b` starts at the sliver's
+/// element `(0, 0)` and must reach the last one the layout stores
+/// ([`BLayout::last_offset`]), which the kernel asserts. The AVX2
+/// kernels are directly callable on an AVX-512 host, which is how the
+/// conformance tests reach them.
 #[allow(clippy::too_many_arguments)]
 pub fn run_at_with(
     isa: Isa,
@@ -272,7 +227,7 @@ pub fn run_at_with(
     b: &[f64],
     layout: BLayout,
     alpha: f64,
-    overwrite: bool,
+    beta: f64,
     c: &mut TileMut<'_>,
     m_eff: usize,
     n_eff: usize,
@@ -302,13 +257,13 @@ pub fn run_at_with(
                 if packed {
                     unsafe {
                         x86::$kernel::<$v, $nr, true>(
-                            kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff,
+                            kc, a, b, layout, alpha, beta, c, m_eff, n_eff,
                         )
                     }
                 } else {
                     unsafe {
                         x86::$kernel::<$v, $nr, false>(
-                            kc, a, b, layout, alpha, overwrite, c, m_eff, n_eff,
+                            kc, a, b, layout, alpha, beta, c, m_eff, n_eff,
                         )
                     }
                 }
@@ -346,7 +301,7 @@ pub fn run_at_with(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (b, packed, alpha, overwrite, c);
+        let _ = (b, packed, alpha, beta, c);
         false
     }
 }
@@ -378,7 +333,7 @@ mod x86 {
         b: &[f64],
         layout: BLayout,
         alpha: f64,
-        overwrite: bool,
+        beta: f64,
         c: &mut TileMut<'_>,
         m_eff: usize,
         n_eff: usize,
@@ -411,6 +366,9 @@ mod x86 {
             }
         }
         let alpha = _mm512_set1_pd(alpha);
+        // c·β: nothing loaded at β = 0, nothing multiplied at β = 1 (every
+        // panel after the first), so those stores are the plain ones
+        let beta_v = _mm512_set1_pd(beta);
         for j in 0..NR {
             if j >= n_eff {
                 break;
@@ -428,10 +386,12 @@ mod x86 {
                 // masked-off lanes are neither read nor written.
                 unsafe {
                     let p = col.as_mut_ptr().add(g * LANES);
-                    let cv = if overwrite {
+                    let cv = if beta == 0.0 {
                         _mm512_setzero_pd()
-                    } else {
+                    } else if beta == 1.0 {
                         _mm512_maskz_loadu_pd(mask, p)
+                    } else {
+                        _mm512_mul_pd(_mm512_maskz_loadu_pd(mask, p), beta_v)
                     };
                     _mm512_mask_storeu_pd(p, mask, _mm512_fmadd_pd(alpha, acc[j][g], cv));
                 }
@@ -448,7 +408,7 @@ mod x86 {
         b: &[f64],
         layout: BLayout,
         alpha: f64,
-        overwrite: bool,
+        beta: f64,
         c: &mut TileMut<'_>,
         m_eff: usize,
         n_eff: usize,
@@ -478,6 +438,7 @@ mod x86 {
             }
         }
         let alpha = _mm256_set1_pd(alpha);
+        let beta_v = _mm256_set1_pd(beta);
         let lane_ids = _mm256_setr_epi64x(0, 1, 2, 3);
         for j in 0..NR {
             if j >= n_eff {
@@ -497,10 +458,12 @@ mod x86 {
                 // masked-off lanes.
                 unsafe {
                     let p = col.as_mut_ptr().add(v * LANES);
-                    let cv = if overwrite {
+                    let cv = if beta == 0.0 {
                         _mm256_setzero_pd()
-                    } else {
+                    } else if beta == 1.0 {
                         _mm256_maskload_pd(p, mask)
+                    } else {
+                        _mm256_mul_pd(_mm256_maskload_pd(p, mask), beta_v)
                     };
                     _mm256_maskstore_pd(p, mask, _mm256_fmadd_pd(alpha, acc[j][v], cv));
                 }
@@ -644,7 +607,7 @@ mod tests {
     /// of a poisoned buffer with `ld > rows`, assert that nothing outside
     /// the tile changed by a single bit, and return the `g*mr x nr` result
     /// (column-major, `ld = g*mr`, poison outside `m_eff x n_eff`). The
-    /// kernel stores the tile instead of updating it under `overwrite`.
+    /// kernel's store scales C's old value by `beta`.
     #[allow(clippy::too_many_arguments)]
     fn run_embedded(
         via: Via,
@@ -655,7 +618,7 @@ mod tests {
         b: &[f64],
         at: BAt,
         alpha: f64,
-        overwrite: bool,
+        beta: f64,
         c0: &[f64],
         m_eff: usize,
         n_eff: usize,
@@ -675,10 +638,11 @@ mod tests {
         {
             let mut tile = TileMut::from_slice(m_eff, n_eff, ld, &mut buf[1 + ld..]);
             let what = kind.label();
-            let w = overwrite;
             if let Via::Group(isa) = via {
                 assert!(
-                    run_at_with(isa, mr, nr, kc, a, b, layout, alpha, w, &mut tile, m_eff, n_eff),
+                    run_at_with(
+                        isa, mr, nr, kc, a, b, layout, alpha, beta, &mut tile, m_eff, n_eff
+                    ),
                     "{what} has no {isa:?} path"
                 );
             } else {
@@ -690,11 +654,11 @@ mod tests {
                     match via {
                         Via::Slivers(isa) => assert!(
                             run_at_with(
-                                isa, mr, nr, kc, sliver, b, layout, alpha, w, sub, m, n_eff
+                                isa, mr, nr, kc, sliver, b, layout, alpha, beta, sub, m, n_eff
                             ),
                             "{what} has no {isa:?} path"
                         ),
-                        _ => run_portable(kind, kc, sliver, b, layout, alpha, w, sub, m, n_eff),
+                        _ => run_portable(kind, kc, sliver, b, layout, alpha, beta, sub, m, n_eff),
                     }
                 }
             }
@@ -761,7 +725,7 @@ mod tests {
         let a = random_vec(rows * kc, 1 + kc as u64);
         let b = random_vec(nr * kc, 2 + kc as u64);
         let c0 = random_vec(rows * nr, 3);
-        let got = run_embedded(via, kind, g, kc, &a, &b, at, alpha, false, &c0, rows, nr);
+        let got = run_embedded(via, kind, g, kc, &a, &b, at, alpha, 1.0, &c0, rows, nr);
         for j in 0..nr {
             for i in 0..rows {
                 let terms = || (0..kc).map(|k| (a_at(&a, mr, kc, i, k), b[k * nr + j]));
@@ -823,14 +787,13 @@ mod tests {
                 let b = random_vec(nr * kc, 13 + kc as u64);
                 for alpha in ALPHAS {
                     let packed = BAt::Packed;
-                    let full = run_embedded(
-                        via, kind, g, kc, &a, &b, packed, alpha, false, &c0, rows, nr,
-                    );
+                    let full =
+                        run_embedded(via, kind, g, kc, &a, &b, packed, alpha, 1.0, &c0, rows, nr);
                     for at in BAt::ALL {
                         for m_eff in rows - mr + 1..=rows {
                             for n_eff in 1..=nr {
                                 let edge = run_embedded(
-                                    via, kind, g, kc, &a, &b, at, alpha, false, &c0, m_eff, n_eff,
+                                    via, kind, g, kc, &a, &b, at, alpha, 1.0, &c0, m_eff, n_eff,
                                 );
                                 for j in 0..n_eff {
                                     for i in 0..m_eff {
@@ -867,7 +830,7 @@ mod tests {
                         let run = |via| {
                             let at = BAt::Packed;
                             run_embedded(
-                                via, kind, g, kc, &a, &b, at, alpha, false, &c0, m_eff, n_eff,
+                                via, kind, g, kc, &a, &b, at, alpha, 1.0, &c0, m_eff, n_eff,
                             )
                         };
                         let (group, single) = (run(Via::Group(isa)), run(Via::Slivers(isa)));
@@ -888,10 +851,27 @@ mod tests {
 
     #[test]
     fn an_overwriting_store_is_the_update_of_a_zeroed_tile_bit_for_bit() {
-        // The first panel of a β = 0 call: the kernel never reads C, so
-        // the NaN there cannot reach the result, and each element carries
-        // the bits the update leaves on a C of +0.0 — also where α·acc is
-        // an exact −0.0 (kc = 0 with α < 0), which must store +0.0.
+        // The store takes C's old value as c·β: every element carries the
+        // bits of `c ← c·β` followed by the β = 1 store, on a C of ±0,
+        // ±Inf, NaN, subnormals and values whose product with β rounds.
+        // β = 0 is the first panel of a β = 0 call: the kernel never
+        // reads C, so the NaN there cannot reach the result, and each
+        // element carries the bits the update leaves on a C of +0.0 —
+        // also where α·acc is an exact −0.0 (kc = 0 with α < 0), which
+        // must store +0.0. (A NaN β against a NaN C is not pinned: which
+        // payload c·β keeps is the multiply's operand order, LLVM's to
+        // commute.)
+        const BETAS: [f64; 5] = [0.0, 1.0, -1.0, 0.5, 3.0];
+        let specials = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE / 7.0,
+            0.1,
+        ];
         let simd = grouped_paths()
             .into_iter()
             .map(|(kind, isa, g)| (kind, Via::Group(isa), g));
@@ -900,25 +880,36 @@ mod tests {
             let (mr, nr) = (kind.mr(), kind.nr());
             let rows = g * mr;
             let (zeros, nans) = (vec![0.0; rows * nr], vec![f64::NAN; rows * nr]);
+            // every other element special, the rest in [-1, 1)
+            let mut c0 = random_vec(rows * nr, 47);
+            for (e, x) in c0.iter_mut().enumerate().step_by(2) {
+                *x = specials[(e / 2) % specials.len()];
+            }
             for kc in KCS {
                 let a = random_vec(rows * kc, 41 + kc as u64);
                 let b = random_vec(nr * kc, 43 + kc as u64);
                 for (alpha, at) in ALPHAS.into_iter().flat_map(|x| BAt::ALL.map(|at| (x, at))) {
-                    for (m_eff, n_eff) in [(rows, nr), (rows - mr + 1, nr - 1)] {
-                        let run = |overwrite, c0: &[f64]| {
+                    for (m_eff, n_eff, beta) in [(rows, nr), (rows - mr + 1, nr - 1)]
+                        .into_iter()
+                        .flat_map(|(m, n)| BETAS.map(|beta| (m, n, beta)))
+                    {
+                        let run = |beta, c0: &[f64]| {
                             let (a, b) = (&a, &b);
-                            run_embedded(
-                                via, kind, g, kc, a, b, at, alpha, overwrite, c0, m_eff, n_eff,
-                            )
+                            run_embedded(via, kind, g, kc, a, b, at, alpha, beta, c0, m_eff, n_eff)
                         };
-                        let (stored, updated) = (run(true, &nans), run(false, &zeros));
+                        let (stored, updated) = if beta == 0.0 {
+                            (run(beta, &nans), run(1.0, &zeros))
+                        } else {
+                            let scaled: Vec<f64> = c0.iter().map(|&x| x * beta).collect();
+                            (run(beta, &c0), run(1.0, &scaled))
+                        };
                         let what = format!(
-                            "{} {via:?} g={g} kc={kc} {at:?} alpha={alpha} {m_eff}x{n_eff}",
+                            "{} {via:?} g={g} kc={kc} {at:?} alpha={alpha} beta={beta} {m_eff}x{n_eff}",
                             kind.label()
                         );
                         let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(&stored), bits(&updated), "{what}");
-                        if kc == 0 {
+                        if kc == 0 && beta == 0.0 {
                             let tile =
                                 (0..n_eff).flat_map(|j| (0..m_eff).map(move |i| i + j * rows));
                             assert!(tile.clone().all(|e| stored[e].to_bits() == 0), "{what}");
@@ -956,9 +947,12 @@ mod tests {
             let (a, b) = (vec![0.5; (group + 1) * mr], vec![0.5; nr]);
             for g in 1..=group + 1 {
                 let ran = std::panic::catch_unwind(|| {
-                    let mut c = vec![1.0f64; g * mr * nr];
-                    let mut tile = TileMut::from_slice(g * mr, nr, g * mr, &mut c);
-                    assert!(run_at(isa, mr, nr, 1, &a, &b, 1.0, &mut tile, g * mr, nr));
+                    let (m, packed) = (g * mr, BLayout::Packed);
+                    let mut c = vec![1.0f64; m * nr];
+                    let mut tile = TileMut::from_slice(m, nr, m, &mut c);
+                    assert!(run_at_with(
+                        isa, mr, nr, 1, &a, &b, packed, 1.0, 1.0, &mut tile, m, nr
+                    ));
                     c
                 });
                 match ran {
@@ -1014,7 +1008,7 @@ mod tests {
                             let run = |via| {
                                 let at = BAt::Packed;
                                 run_embedded(
-                                    via, kind, 1, kc, &a, &b, at, alpha, false, &c0, m_eff, n_eff,
+                                    via, kind, 1, kc, &a, &b, at, alpha, 1.0, &c0, m_eff, n_eff,
                                 )
                             };
                             let (got, want) = (run(Via::Group(isa)), run(Via::Portable));
@@ -1043,9 +1037,10 @@ mod tests {
     fn levels_above_the_host_and_shapes_without_a_kernel_have_no_path() {
         let mut c = [1.0f64; 25];
         let mut tile = TileMut::from_slice(5, 5, 5, &mut c);
-        let (a, b) = ([0.5f64; 5], [0.5f64; 5]);
+        let (a, b, packed) = ([0.5f64; 5], [0.5f64; 5], BLayout::Packed);
         for isa in Isa::ALL {
-            assert!(!run_at(isa, 5, 5, 1, &a, &b, 1.0, &mut tile, 5, 5));
+            let ran = run_at_with(isa, 5, 5, 1, &a, &b, packed, 1.0, 1.0, &mut tile, 5, 5);
+            assert!(!ran);
             assert_eq!(isa_for(isa, 5, 5), Isa::Portable);
             assert_eq!(isa_for(isa, 12, 8), Isa::Portable);
         }
@@ -1054,7 +1049,7 @@ mod tests {
         let mut c = [1.0f64; 48];
         let mut tile = TileMut::from_slice(8, 6, 8, &mut c);
         for isa in Isa::ALL {
-            let ran = run_at(isa, 8, 6, 1, &a, &b, 1.0, &mut tile, 8, 6);
+            let ran = run_at_with(isa, 8, 6, 1, &a, &b, packed, 1.0, 1.0, &mut tile, 8, 6);
             assert_eq!(ran, isa != Isa::Portable && isa <= Isa::detect());
         }
         assert_eq!(isa_for(Isa::Avx512, 4, 4), Isa::Avx2);
@@ -1066,20 +1061,12 @@ mod tests {
             return; // no ISA path on this host to reject them
         }
         for (a_len, b_len) in [(31, 24), (32, 23)] {
+            let (a, b) = (vec![0.0; a_len], vec![0.0; b_len]);
             let refused = std::panic::catch_unwind(|| {
                 let mut c = [0.0f64; 48];
                 let mut tile = TileMut::from_slice(8, 6, 8, &mut c);
-                run(
-                    8,
-                    6,
-                    4,
-                    &vec![0.0; a_len],
-                    &vec![0.0; b_len],
-                    1.0,
-                    &mut tile,
-                    8,
-                    6,
-                )
+                let (isa, packed) = (Isa::detect(), BLayout::Packed);
+                run_at_with(isa, 8, 6, 4, &a, &b, packed, 1.0, 1.0, &mut tile, 8, 6)
             });
             assert!(
                 refused.is_err(),
@@ -1107,7 +1094,7 @@ mod tests {
                         let mut c = vec![0.0f64; mr * nr];
                         let mut tile = TileMut::from_slice(mr, nr, mr, &mut c);
                         run_at_with(
-                            isa, mr, nr, kc, &a, &b, layout, 1.0, false, &mut tile, mr, n_eff,
+                            isa, mr, nr, kc, &a, &b, layout, 1.0, 1.0, &mut tile, mr, n_eff,
                         )
                     });
                     assert_eq!(
@@ -1127,7 +1114,7 @@ mod tests {
                 let mut c = vec![0.0f64; mr * nr];
                 let mut tile = TileMut::from_slice(mr, nr, mr, &mut c);
                 run_at_with(
-                    isa, mr, nr, kc, &a, &[0.5; 64], huge, 1.0, false, &mut tile, mr, nr,
+                    isa, mr, nr, kc, &a, &[0.5; 64], huge, 1.0, 1.0, &mut tile, mr, nr,
                 )
             });
             assert!(
@@ -1153,7 +1140,7 @@ mod tests {
             &b,
             layout,
             1.0,
-            false,
+            1.0,
             &mut tile,
             5,
             5,

@@ -1247,7 +1247,7 @@ fn textbook_gemm(
 /// the remainder shapes, one ragged and one full `mc` block (B read in
 /// place when it is not transposed, over two panels), a single row, and
 /// the skinny call under each kernel's analytic blocking; every transpose
-/// pair, β = 0 and not.
+/// pair, β = 0, 1 and two others.
 #[test]
 fn the_serial_walk_is_the_textbook_nest_bit_for_bit() {
     let transposes = [Transpose::No, Transpose::Yes];
@@ -1277,7 +1277,7 @@ fn the_serial_walk_is_the_textbook_nest_bit_for_bit() {
                 let a = Matrix::random(ar, ac, 201);
                 let b = Matrix::random(br, bc, 202);
                 let c0 = Matrix::random(m, n, 203);
-                for (alpha, beta) in [(1.0, 0.0), (1.25, -0.5)] {
+                for (alpha, beta) in [(1.0, 0.0), (1.25, -0.5), (1.0, 1.0), (-0.75, 3.0)] {
                     let mut want = c0.clone();
                     let (av, bv) = (a.view(), b.view());
                     let c = &mut want.view_mut();
