@@ -22,14 +22,15 @@ use crate::pool::BOperand;
 use crate::prepack::PrepackedB;
 use crate::{GemmError, Transpose};
 
-/// `C_i := α·A_i·op(B) + β·C_i` for every `(A_i, C_i)` pair, with the
-/// shared `op(B)` packed once per `(jj, kk)` macro-iteration — by each
-/// cell of the grid for its own columns — and reused across the batch.
-/// The entries' rows are stacked into `mc` blocks, so the pack is reused
-/// by `⌈m·batch/mc⌉` GEBPs; a batch whose rows fit one block (two 16-row
-/// entries, say) has nothing to reuse a pack and reads B in place, as a
-/// single-block call through `gemm` does. Each `C_i` is bit-identical to
-/// its own `gemm` call.
+/// `C_i := α·A_i·op(B) + β·C_i` for every `(A_i, C_i)` pair, against
+/// one shared `op(B)`. The entries' rows are stacked into `mc` blocks,
+/// so B is read by `⌈m·batch/mc⌉` GEBPs per `(jj, kk)` macro-iteration,
+/// and where it comes from is the rule a plain `gemm` call of that many
+/// rows follows (DESIGN.md, "When B is packed"): read in place by a SIMD
+/// kernel, or by any kernel while the rows fit one block (two 16-row
+/// entries, say), and otherwise packed once per macro-iteration — by
+/// each cell of the grid for its own columns — and reused across the
+/// batch. Each `C_i` is bit-identical to its own `gemm` call.
 ///
 /// All `A_i` must share dimensions `m×k` (stored, non-transposed), all
 /// `C_i` must be `m×n`.

@@ -4,10 +4,10 @@
 //!
 //! One GEBP call multiplies an `mc×kc` packed block of A with a `kc×nc`
 //! panel of B and accumulates `α·A·B` into an `mc×nc` tile of C. The
-//! panel is a [`BPanel`]: a [`PackedB`], or — when no second GEBP would
-//! reuse the packed copy (DESIGN.md, "When B is packed") — a [`BWindow`]
-//! on the caller's own matrix, which the same register kernels read
-//! through its strides.
+//! panel is a [`BPanel`]: a [`PackedB`], or — where the call's plan
+//! finds no copy worth paying for (DESIGN.md, "When B is packed") — a
+//! [`BWindow`] on the caller's own matrix, which the same register
+//! kernels read through its strides.
 
 #![forbid(unsafe_code)]
 

@@ -17,10 +17,11 @@
 //! walk (`gemm_driver`).
 //!
 //! What a call does is decided once, before the walk, by `plan`: the
-//! blocking, where B comes from ([`BSource`]: a single GEBP per panel
-//! reads it in place, `packs_b`), the grid each panel is cut into and
-//! the runtime — under [`DispatchMode::Auto`] priced by the model
-//! ([`crate::dispatch`]). The walk runs the plan and decides nothing.
+//! blocking, where B comes from ([`BSource`]: packed only where the copy
+//! is re-read and the kernel's strided read is slower, `b_source`), the
+//! grid each panel is cut into and the runtime — under
+//! [`DispatchMode::Auto`] priced by the model ([`crate::dispatch`]). The
+//! walk runs the plan and decides nothing.
 //! β is applied to each element of C exactly once, by the cell that owns
 //! it, before its first rank-kc update; α is folded into the micro-kernel
 //! write-back.
@@ -32,11 +33,10 @@ use crate::dispatch::{DispatchMode, Model, Predicted};
 use crate::env;
 use crate::matrix::{MatrixView, MatrixViewMut};
 use crate::microkernel::{KernelSet, MicroKernelKind};
-use crate::pool::{
-    cell_grid, gemm_walk, row_tasks, BOperand, Call, Parallelism, PoolScalar, WorkerPool,
-};
+use crate::pool::{cell_grid, gemm_walk, BOperand, Call, Parallelism, PoolScalar, WorkerPool};
 use crate::probe::L2;
 use crate::scalar::Scalar;
+use crate::simd::Isa;
 use crate::{GemmError, Transpose};
 use perfmodel::cacheblock::{solve_blocking, BlockSizes};
 use perfmodel::MachineDesc;
@@ -473,6 +473,7 @@ pub(crate) fn gemm_driver<K: KernelFamily>(
     let plan = plan(
         model,
         crate::probe::l2(),
+        cfg.kernel.isa(),
         shape,
         batch,
         b.trans(),
@@ -495,21 +496,46 @@ pub(crate) fn gemm_driver<K: KernelFamily>(
     result
 }
 
-/// Whether the walk packs B — each cell its columns of each `kc×nc`
-/// panel — before layer 3 runs over it: the rule [`plan`] decides it by
-/// (DESIGN.md, "When B is packed"), for either runtime, a plain call or a
-/// batch. The pack's traffic is amortized over the `gebps` GEBP
-/// calls that share the panel (`⌈m·batch/mc⌉`: a batch's rows stacked,
-/// [`crate::pool::row_tasks`]); with one there is nothing to amortize it
-/// over and the kernels read B
-/// where the caller stored it. A transposed B keeps its pack: read in
-/// place its `nr` elements of one `k` are adjacent but consecutive `k`
-/// are `ldb` apart, which measured slower than pack-then-compute on a
-/// full `mc` block (EXPERIMENTS.md, "In-place B for single-block calls").
-/// A [`crate::prepack::PrepackedB`] serving the call is packed already.
+/// Where the cells of a call read B from: the rule [`plan`] decides it
+/// by (DESIGN.md, "When B is packed"), for either runtime, a plain call
+/// or a batch whose `rows` stacked rows ([`crate::pool::row_tasks`]) run
+/// in blocks of `mc`, on a kernel at `isa` whose one call covers `group`
+/// rows (`mr·row_group`). A pack is traffic; it pays only when its copy
+/// is read again from nearer than where the caller keeps B. So, in order:
+///
+/// 1. a [`crate::prepack::PrepackedB`] serving the call is packed already;
+/// 2. when the rows fit one row group of one `mc` block, each sliver of
+///    B is read by exactly one kernel call and no copy could be re-read:
+///    in place, whatever the transpose;
+/// 3. an untransposed B is read in place at any block count by a SIMD
+///    body ([`Isa::Avx2`] and up), which streams a sliver's columns from
+///    the caller's matrix as fast as from a packed copy; a packed panel
+///    too large to stay beside the A block in the L2 is re-read from L3
+///    by every block anyway;
+/// 4. everything else packs: a transposed B read by more than one row
+///    group (consecutive `k` of a sliver lie `ldb` apart), and the
+///    portable loop past one `mc` block, whose strided read is slower
+///    than its packed one. Within one block the portable loop reads an
+///    untransposed B in place, as every kernel always has.
 #[must_use]
-pub(crate) fn packs_b(gebps: usize, transb: Transpose, prepacked: bool) -> bool {
-    !prepacked && (gebps > 1 || transb == Transpose::Yes)
+pub(crate) fn b_source(
+    rows: usize,
+    mc: usize,
+    group: usize,
+    transb: Transpose,
+    isa: Isa,
+    prepacked: bool,
+) -> BSource {
+    let one_block = rows <= mc;
+    let read_once = one_block && rows <= group;
+    let streamed = transb == Transpose::No && (one_block || isa > Isa::Portable);
+    if prepacked {
+        BSource::Prepacked
+    } else if read_once || streamed {
+        BSource::InPlace
+    } else {
+        BSource::Packed
+    }
 }
 
 /// How one call runs, decided once, before the walk, by `plan` — the
@@ -557,24 +583,31 @@ pub struct Plan {
 pub enum BSource {
     /// Tiles of a [`crate::prepack::PrepackedB`], packed before the call.
     Prepacked,
-    /// Each cell packs its columns of each `kc×nc` panel (`packs_b`).
+    /// Each cell packs its columns of each `kc×nc` panel: a transposed B
+    /// read by more than one row group, or the portable kernel past one
+    /// `mc` block (`b_source`).
     Packed,
-    /// Where the caller stored it: one GEBP per panel would be all that
-    /// reused a pack.
+    /// Where the caller stored it: each sliver is read by one kernel call,
+    /// or a SIMD kernel streams an untransposed B as fast as a packed
+    /// copy (`b_source`).
     InPlace,
 }
 
 /// The [`Plan`] of a call of `(m, n, k)` over `batch` entries sharing B,
 /// run with `cfg` — with a [`crate::prepack::PrepackedB`] serving B when
-/// `prepacked` — on cores with the L2 `l2` (the call's: `probe::l2`; a
-/// test's: any, `None` for unknown). The only place the B source, the
-/// grid and the runtime are decided, and the only place the model prices
-/// a call: without a `model` (under [`DispatchMode::Fixed`]) it runs the
-/// configured runtime unpriced; with one (under [`DispatchMode::Auto`]:
-/// the dispatcher's calibrated model, or a test's) the model chooses.
+/// `prepacked` — on cores with the L2 `l2` whose register kernel runs at
+/// `isa` (the call's: `probe::l2` and [`KernelSet::isa`]; a test's: any,
+/// `None` for an unknown L2). The only place the B source
+/// (`b_source`), the grid and the runtime are decided, and the only place
+/// the model prices a call: without a `model` (under
+/// [`DispatchMode::Fixed`]) it runs the configured runtime unpriced; with
+/// one (under [`DispatchMode::Auto`]: the dispatcher's calibrated model,
+/// or a test's) the model chooses.
+#[allow(clippy::too_many_arguments)] // the shape, the B operand, the config and two host facts
 pub(crate) fn plan<K: KernelFamily>(
     model: Option<Model>,
     l2: Option<L2>,
+    isa: Isa,
     (m, n, k): (usize, usize, usize),
     batch: usize,
     transb: Transpose,
@@ -583,12 +616,9 @@ pub(crate) fn plan<K: KernelFamily>(
 ) -> Plan {
     let blocks = cfg.blocks;
     let (kc, mc, nc) = (blocks.kc, blocks.mc, blocks.nc);
-    let tasks = row_tasks(m, batch, mc);
-    let b_source = match (prepacked, packs_b(tasks, transb, prepacked)) {
-        (true, _) => BSource::Prepacked,
-        (false, true) => BSource::Packed,
-        (false, false) => BSource::InPlace,
-    };
+    let (mr, nr) = (cfg.kernel.mr(), cfg.kernel.nr());
+    let group = mr * crate::simd::row_group(isa, mr, nr);
+    let b_source = b_source(m * batch, mc, group, transb, isa, prepacked);
     let tail = match n % nc {
         0 => nc.min(n),
         narrower => narrower,
@@ -597,9 +627,9 @@ pub(crate) fn plan<K: KernelFamily>(
     let l2 = l2.map(|L2 { bytes, sharers }| bytes / sharers.max(1) / K::Elem::BYTES);
     // a full panel's grid and the last one's, on `runtime`
     let grids = |runtime: Parallelism| {
-        let pack_b = b_source == BSource::Packed;
-        let (nr, degree) = (cfg.kernel.nr(), runtime.degree());
-        let grid = |width| cell_grid(m * batch, width, k, kc, mc, nr, degree, pack_b, l2);
+        let stored_b = b_source != BSource::Prepacked;
+        let degree = runtime.degree();
+        let grid = |width| cell_grid(m * batch, width, k, kc, mc, nr, degree, stored_b, l2);
         (grid(nc.min(n)), grid(tail))
     };
     let (grid, tail_grid) = grids(cfg.parallelism);
@@ -974,28 +1004,56 @@ mod tests {
         }
     }
 
+    /// The B-source rule by its inputs: the stacked rows, `mc`, the rows
+    /// one kernel call covers, the transpose, the kernel's level and
+    /// whether a `PrepackedB` serves the call.
     #[test]
-    fn the_pack_b_rule_is_one_block_and_no_transpose() {
+    fn the_b_source_rule_packs_only_where_the_copy_pays() {
+        use BSource::{InPlace, Packed, Prepacked};
+        use Isa::{Avx2, Avx512, Portable};
         use Transpose::{No, Yes};
-        // one GEBP per panel and B as stored: nothing would reuse a pack
-        assert!(!packs_b(1, No, false));
-        // layer 3 amortizes it over the blocks (or batch entries)
-        assert!(packs_b(2, No, false));
-        assert!(packs_b(10, No, false));
-        // read in place a transposed B measured slower on a full block
-        assert!(packs_b(1, Yes, false));
-        // a cached panel is packed already, whatever the shape
-        for gebps in [1, 2, 10] {
-            assert!(!packs_b(gebps, No, true) && !packs_b(gebps, Yes, true));
+        #[rustfmt::skip]
+        let rows = [
+            // a cached panel is packed already, whatever the shape
+            (512, 128, 32, No, Avx512, true, Prepacked),
+            (8, 128, 8, Yes, Portable, true, Prepacked),
+            // one row group of one block reads each sliver once: in
+            // place, either transpose, at every level
+            (32, 128, 32, Yes, Avx512, false, InPlace),
+            (8, 128, 8, Yes, Avx2, false, InPlace),
+            (8, 128, 8, Yes, Portable, false, InPlace),
+            (5, 128, 5, Yes, Portable, false, InPlace),
+            // ... where the block, not the group, can be the bound
+            (16, 16, 32, Yes, Avx512, false, InPlace),
+            // a second row group re-reads a transposed B's slivers: packed
+            (33, 128, 32, Yes, Avx512, false, Packed),
+            (17, 16, 32, Yes, Avx512, false, Packed),
+            (9, 128, 8, Yes, Avx2, false, Packed),
+            (512, 128, 32, Yes, Avx512, false, Packed),
+            // a SIMD body streams an untransposed B at any block count
+            (512, 128, 32, No, Avx512, false, InPlace),
+            (4096, 56, 8, No, Avx2, false, InPlace),
+            // the portable loop reads it in place within one block only
+            (128, 128, 5, No, Portable, false, InPlace),
+            (129, 128, 5, No, Portable, false, Packed),
+            (512, 128, 8, No, Portable, false, Packed),
+        ];
+        for (n, mc, group, transb, isa, prepacked, want) in rows {
+            assert_eq!(
+                b_source(n, mc, group, transb, isa, prepacked),
+                want,
+                "{n} rows, mc {mc}, group {group}, {transb:?}, {isa:?}, prepacked {prepacked}"
+            );
         }
     }
 
     /// Every decision a call's plan makes, by shape, at explicit blocking.
     /// `Fixed` rows run the configured runtime unpriced — the grid the
     /// pool would cut is the one `Auto` prices; `Auto` rows are priced at
-    /// a neutral calibration. Every row plans on a 2 MiB per-core L2. A
-    /// plan has no β input: every cell writes its own tiles of C, whatever
-    /// β is.
+    /// a neutral calibration. Every row plans on a 2 MiB per-core L2, and
+    /// for a kernel at a SIMD level (AVX-512, the 8×6 kernel's row group
+    /// of 32 rows) unless it says portable (a row group of 8). A plan has
+    /// no β input: every cell writes its own tiles of C, whatever β is.
     #[test]
     fn one_plan_decides_b_source_grid_and_runtime() {
         use BSource::{InPlace, Packed, Prepacked};
@@ -1008,15 +1066,16 @@ mod tests {
             bytes: 2 << 20,
             sharers: 1,
         });
-        let (portable, avx512) = (Some(2.0), Some(crate::simd::Isa::Avx512.flops_per_cycle()));
+        let (portable, avx512) = (Some(2.0), Some(Isa::Avx512.flops_per_cycle()));
         // `fpc` None is Fixed; Some is Auto, priced at that kernel peak
-        let plan = |fpc: Option<f64>,
-                    shape: (usize, usize, usize),
-                    batch: usize,
-                    transb: Transpose,
-                    (kc, mc, nc): (usize, usize, usize),
-                    runtime: Parallelism,
-                    prepacked: bool| {
+        let plan_at = |isa: Isa,
+                       fpc: Option<f64>,
+                       shape: (usize, usize, usize),
+                       batch: usize,
+                       transb: Transpose,
+                       (kc, mc, nc): (usize, usize, usize),
+                       runtime: Parallelism,
+                       prepacked: bool| {
             let cfg = GemmConfig::default()
                 .with_blocks(kc, mc, nc)
                 .with_parallelism(runtime);
@@ -1024,7 +1083,31 @@ mod tests {
                 flops_per_cycle,
                 calibration: (1.0, 1.0),
             });
-            super::plan(model, l2, shape, batch, transb, &cfg, prepacked)
+            super::plan(model, l2, isa, shape, batch, transb, &cfg, prepacked)
+        };
+        let plan = |fpc, shape, batch, transb, blocks, runtime, prepacked| {
+            plan_at(
+                Isa::Avx512,
+                fpc,
+                shape,
+                batch,
+                transb,
+                blocks,
+                runtime,
+                prepacked,
+            )
+        };
+        let portable_plan = |shape, batch, transb, blocks, runtime| {
+            plan_at(
+                Isa::Portable,
+                None,
+                shape,
+                batch,
+                transb,
+                blocks,
+                runtime,
+                false,
+            )
         };
         let (square, skinny, deep) = ((512, 512, 512), (8, 512, 512), (8, 512, 1100));
         let (batch, wide) = ((16, 512, 512), (512, 1920 + 100, 512));
@@ -1032,46 +1115,65 @@ mod tests {
         let (stream, b_stream) = ((8, 256, 256), (64, 24, 48));
         let (coarse, b_coarse) = ((48, 6, 4096), (256, 64, 1792));
         let (big, tall_k, b_big) = ((1024, 1024, 1024), (48, 4096, 4096), (512, 24, 1792));
+        let (group, past_group) = ((32, 512, 512), (40, 512, 512));
         // the row, its plan, and (B source, grid, tail grid, runtime,
         // priced)
         #[rustfmt::skip]
         let rows = [
-            ("512³ serial",                 plan(None, square, 1, No, PAPER, Serial, false),  (Packed, (1, 1), (1, 1), Serial, false)),
-            ("512³ Pool(2)",                plan(None, square, 1, No, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            // a SIMD kernel reads an untransposed B in place at any block
+            // count, on the grids and runtimes a packed B had
+            ("512³ serial",                 plan(None, square, 1, No, PAPER, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, false)),
+            ("512³ Pool(2)",                plan(None, square, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
             ("8x512x512, fresh B",          plan(None, skinny, 1, No, PAPER, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, false)),
             ("the same on Pool(2)",         plan(None, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
-            ("transposed B keeps its pack", plan(None, skinny, 1, Yes, PAPER, Serial, false), (Packed, (1, 1), (1, 1), Serial, false)),
+            // a transposed B keeps its pack past one row group
+            ("Bᵀ, 8 rows: one row group",   plan(None, skinny, 1, Yes, PAPER, Serial, false), (InPlace, (1, 1), (1, 1), Serial, false)),
+            ("Bᵀ, 32 rows: one row group",  plan(None, group, 1, Yes, HOST, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            ("Bᵀ, 40 rows: two groups",     plan(None, past_group, 1, Yes, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("Bᵀ, 512³",                    plan(None, square, 1, Yes, PAPER, Serial, false), (Packed, (1, 1), (1, 1), Serial, false)),
+            ("Bᵀ, 512³ Pool(2)",            plan(None, square, 1, Yes, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            // mc = 16 cuts the 32-row group: a 35-row Bᵀ is three blocks
+            ("Bᵀ, 3 blocks of 16",          plan(None, ragged, 1, Yes, b_ragged, Pool(4), false), (Packed, (1, 4), (2, 2), Pool(4), false)),
             ("7 x 16 rows, PrepackedB",     plan(None, batch, 7, No, PAPER, Pool(2), true),   (Prepacked, (2, 1), (2, 1), Pool(2), false)),
-            ("7 x 16 rows, fresh B",        plan(None, batch, 7, No, PAPER, Pool(2), false),  (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("7 x 16 rows, fresh B",        plan(None, batch, 7, No, PAPER, Pool(2), false),  (InPlace, (1, 2), (1, 2), Pool(2), false)),
             ("k > kc, one block",           plan(None, deep, 1, No, PAPER, Serial, false),    (InPlace, (1, 1), (1, 1), Serial, false)),
             // a 1920-wide panel's B fits the L2 on neither grid, so each
             // later row task reads it back: rows, 512·(280 + 1920 + 4·1920)
             // = 5 058 560 words a cell, against 512·(512 + 960 + 9·960) =
             // 5 177 344 for the columns
-            ("n % nc != 0",                 plan(None, wide, 1, No, PAPER, Pool(2), false),   (Packed, (2, 1), (2, 1), Pool(2), false)),
+            ("n % nc != 0",                 plan(None, wide, 1, No, PAPER, Pool(2), false),   (InPlace, (2, 1), (2, 1), Pool(2), false)),
             // 3 mc blocks cannot give 4 threads a cell each: columns
-            ("3 blocks on Pool(4)",         plan(None, ragged, 1, No, b_ragged, Pool(4), false), (Packed, (1, 4), (2, 2), Pool(4), false)),
+            ("3 blocks on Pool(4)",         plan(None, ragged, 1, No, b_ragged, Pool(4), false), (InPlace, (1, 4), (2, 2), Pool(4), false)),
             // a fixed runtime overrides the model either way (rows below)
             ("Fixed pool, Auto serial",     plan(None, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 4), (1, 3), Pool(4), false)),
-            ("Fixed serial, Auto pool",     plan(None, big, 1, No, b_big, Serial, false),     (Packed, (1, 1), (1, 1), Serial, false)),
-            ("Auto 512³",                   plan(avx512, square, 1, No, PAPER, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), true)),
+            ("Fixed serial, Auto pool",     plan(None, big, 1, No, b_big, Serial, false),     (InPlace, (1, 1), (1, 1), Serial, false)),
+            ("Auto 512³",                   plan(avx512, square, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), true)),
             ("Auto 8x512x512, portable",    plan(portable, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), true)),
             ("Auto 8x512x512, AVX-512",     plan(avx512, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 1), (1, 1), Serial, true)),
             ("Auto cached stream",          plan(portable, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 1), (1, 1), Serial, true)),
             ("Auto, one cell for 8",        plan(portable, coarse, 1, No, b_coarse, Pool(8), false), (InPlace, (1, 1), (1, 1), Serial, true)),
-            ("Auto skinny m: columns",      plan(portable, tall_k, 1, No, b_big, Pool(8), false), (Packed, (1, 8), (1, 8), Pool(8), true)),
+            ("Auto skinny m: columns",      plan(portable, tall_k, 1, No, b_big, Pool(8), false), (InPlace, (1, 8), (1, 8), Pool(8), true)),
             // a 4×2 cell's 516 B columns do not fit beside its A block:
             // 1024·(264 + 516 + 10·516) = 6 082 560 words, against 2×4's
             // 1024·(528 + 258) = 804 864
-            ("Auto 1024³ on 8",             plan(portable, big, 1, No, b_big, Pool(8), false), (Packed, (2, 4), (2, 4), Pool(8), true)),
-            ("Auto on one thread",          plan(portable, big, 1, No, b_big, Serial, false),  (Packed, (1, 1), (1, 1), Serial, true)),
+            ("Auto 1024³ on 8",             plan(portable, big, 1, No, b_big, Pool(8), false), (InPlace, (2, 4), (2, 4), Pool(8), true)),
+            ("Auto on one thread",          plan(portable, big, 1, No, b_big, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, true)),
             // at the host's mc, for β = 0 and β = 0.5 alike: half of B
             // fits beside the A block in the L2 (1.03 + 0.5 MiB) and all of
             // it does not (2 + 0.5 MiB), so the row split's second row
-            // task would read its B panel back: 655 360 words a cell
+            // task would read its B columns back: 655 360 words a cell
             // against the columns' 394 240
-            ("512³ Pool(2), host mc",       plan(None, square, 1, No, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("512³ Pool(2), host mc",       plan(None, square, 1, No, HOST, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
             ("7 x 16 rows, host mc",        plan(None, batch, 7, No, HOST, Pool(2), false),  (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            // the portable kernel keeps the pack past one mc block, and
+            // past one 8-row group of a transposed B
+            ("portable 512³",               portable_plan(square, 1, No, PAPER, Serial),      (Packed, (1, 1), (1, 1), Serial, false)),
+            ("portable 512³ Pool(2)",       portable_plan(square, 1, No, HOST, Pool(2)),      (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("portable 7 x 16 rows",        portable_plan(batch, 7, No, PAPER, Pool(2)),      (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("portable 7 x 16, host mc",    portable_plan(batch, 7, No, HOST, Pool(2)),       (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            ("portable 8x512x512",          portable_plan(skinny, 1, No, PAPER, Serial),      (InPlace, (1, 1), (1, 1), Serial, false)),
+            ("portable Bᵀ, 8 rows",         portable_plan(skinny, 1, Yes, PAPER, Pool(2)),    (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            ("portable Bᵀ, 16 rows",        portable_plan(batch, 1, Yes, PAPER, Serial),      (Packed, (1, 1), (1, 1), Serial, false)),
         ];
         for (row, plan, want) in rows {
             let got = (

@@ -682,9 +682,8 @@ impl_pool_scalar!(f32, ARENA_F32);
 
 /// The row tasks of a call: the `m` rows of each of `batch` entries
 /// stacked, row `r` being row `r % m` of entry `r / m`, in blocks of `mc`
-/// — so a block may straddle entries. The one place they are counted, by
-/// the call's plan: [`cell_grid`] deals them out, and `gemm::packs_b`
-/// counts the GEBPs that share a B pack by them.
+/// — so a block may straddle entries. The one place they are counted:
+/// [`cell_grid`] deals them out.
 #[must_use]
 pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
     (m * batch).div_ceil(mc.max(1))
@@ -699,11 +698,13 @@ pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
 ///
 /// A cell packs its own operands and writes its own tiles of C. The
 /// objective is the words a cell moves over the whole call: `k · (its
-/// rows of A + its columns of B)` — B only when the call packs it at all
-/// (`pack_b`, from `gemm::packs_b`) — plus `k · cols` more for each of
-/// its row tasks after the first when its `kc × cols` B panel does not
-/// fit beside one `mc × kc` A block in the L2: each of those blocks then
-/// reads the panel back from farther out (eqs. 19–20, per cell). The
+/// rows of A + its columns of B)` — B whenever the call reads a B the
+/// caller stored (`stored_b`), which reaches the cell from outside its
+/// L2 whether the cell packs it or reads it in place, and not for a
+/// [`PrepackedB`] — plus `k · cols` more for each of its row tasks after
+/// the first when its `kc × cols` B columns do not fit beside one
+/// `mc × kc` A block in the L2: each of those blocks then reads them back
+/// from farther out (eqs. 19–20, per cell). The
 /// grid is the one whose largest cell moves the fewest words, times the
 /// rounds it takes `degree` threads to run the cells, among those with a
 /// cell for every thread (or as many as the shape has); ties go to the
@@ -723,7 +724,7 @@ pub fn cell_grid(
     mc: usize,
     nr: usize,
     degree: usize,
-    pack_b: bool,
+    stored_b: bool,
     l2: Option<usize>,
 ) -> (usize, usize) {
     let (mc, nr, degree) = (mc.max(1), nr.max(1), degree.max(1));
@@ -736,7 +737,7 @@ pub fn cell_grid(
             let cell_tasks = tasks.div_ceil(r);
             let rows = (cell_tasks * mc).min(rows);
             let cols = (slivers.div_ceil(chunks) * nr).min(n);
-            let packed = if pack_b { cols } else { 0 };
+            let packed = if stored_b { cols } else { 0 };
             let spills = l2.is_some_and(|l2| depth * (cols + mc) > l2);
             let reread = if spills { (cell_tasks - 1) * cols } else { 0 };
             let words = (r * chunks).div_ceil(degree) * k * (rows + packed + reread);
@@ -1648,7 +1649,7 @@ mod tests {
     }
 
     /// The grid by the words its largest cell moves over the call:
-    /// `k·(rows of A + packed columns of B)`, plus `k·cols` again for each
+    /// `k·(rows of A + columns of a stored B)`, plus `k·cols` again for each
     /// row task after its first when its `kc`-deep B panel does not fit
     /// beside an A block in the L2 — here 2 MiB, or none known.
     #[test]
@@ -1664,17 +1665,17 @@ mod tests {
             k: usize,
             mc: usize,
             degree: usize,
-            pack_b: bool,
+            stored_b: bool,
             l2: Option<usize>,
         ) -> (usize, usize) {
-            cell_grid(m * batch, n, k, 512, mc, 6, degree, pack_b, l2)
+            cell_grid(m * batch, n, k, 512, mc, 6, degree, stored_b, l2)
         }
         for l2 in [L2, None] {
             // 512³ on two threads at mc = 56: all of A and half of B
             // (394 240 words) beats half of A and all of B (405 504)
             assert_eq!(grid(512, 1, 512, 512, mc, 2, true, l2), (1, 2));
             assert_eq!(grid(512, 1, 512, 512, mc, 3, true, l2), (1, 3));
-            // a single mc block has only columns to split, packing or not
+            // a single mc block has only columns to split, whatever B is
             for p in [2, 3, 5] {
                 assert_eq!(grid(8, 1, 512, 512, mc, p, false, l2), (1, p));
                 assert_eq!(grid(8, 1, 512, 512, mc, p, true, l2), (1, p));

@@ -38,7 +38,7 @@ use dgemm_core::dispatch::DispatchMode;
 use dgemm_core::gebp::gebp;
 use dgemm_core::gemm::{try_gemm, GemmConfig, KernelFamily};
 use dgemm_core::matrix::{Matrix, MatrixView, MatrixViewMut};
-use dgemm_core::microkernel::MicroKernelKind;
+use dgemm_core::microkernel::{KernelSet, MicroKernelKind};
 use dgemm_core::pack::{PackedA, PackedB};
 use dgemm_core::pool::{cell_grid, PoolScalar};
 use dgemm_core::prepack::PrepackedB;
@@ -679,12 +679,87 @@ fn store_loaded_panels_conform() {
     }
 }
 
+/// NaN where `i ^ j` is even and +Inf where it is odd: what lies around
+/// every window the B-source cases hand the library.
+fn junk(i: usize, j: usize) -> f64 {
+    if (i ^ j) & 1 == 0 {
+        f64::NAN
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// `inner` as the window at `(2, 1)` of a parent that is `outside`
+/// elsewhere and shares the window's last element: the window's last
+/// column ends the allocation.
+fn windowed(inner: &Matrix, outside: &dyn Fn(usize, usize) -> f64) -> Matrix {
+    let (rows, cols) = (inner.rows(), inner.cols());
+    Matrix::from_fn(rows + 2, cols + 1, |i, j| {
+        if i >= 2 && j >= 1 {
+            inner.get(i - 2, j - 1)
+        } else {
+            outside(i, j)
+        }
+    })
+}
+
+/// The sources of B the B-source cases run every call through, as
+/// `(runtime, prepacked)`: B as the caller stored it — read in place or
+/// packed per call, as the plan's rule says — and the same B as a
+/// `PrepackedB` handed to `gemm_batch_prepacked`, each serially and on
+/// two and four threads. The first is the baseline every other is held
+/// to bit for bit.
+const B_SOURCES: [(Parallelism, bool); 6] = [
+    (Parallelism::Serial, false),
+    (Parallelism::Pool(2), false),
+    (Parallelism::Pool(4), false),
+    (Parallelism::Serial, true),
+    (Parallelism::Pool(2), true),
+    (Parallelism::Pool(4), true),
+];
+
+/// `C := α·op(A)·op(B) + β·C` on the window `(2, 1)` of `c_parent`,
+/// from `b` as stored or — `prepacked` — from a `PrepackedB` of it,
+/// which `gemm_batch_prepacked` takes with `op(A)` stored as is.
+#[allow(clippy::too_many_arguments)]
+fn run_b_source(
+    (ta, tb): (Transpose, Transpose),
+    alpha: f64,
+    a: &Matrix,
+    b: &MatrixView<'_>,
+    beta: f64,
+    c_parent: &mut Matrix,
+    cfg: &GemmConfig,
+    prepacked: bool,
+) -> Result<(), dgemm_core::GemmError> {
+    let (m, k) = match ta {
+        Transpose::No => (a.rows(), a.cols()),
+        Transpose::Yes => (a.cols(), a.rows()),
+    };
+    let n = c_parent.cols() - 1;
+    let mut parent = c_parent.view_mut();
+    let mut c = parent.sub_mut(2, 1, m, n);
+    if !prepacked {
+        return try_gemm(ta, tb, alpha, &a.view(), b, beta, &mut c, cfg);
+    }
+    let op_a = Matrix::from_fn(m, k, |i, p| match ta {
+        Transpose::No => a.get(i, p),
+        Transpose::Yes => a.get(p, i),
+    });
+    let (nr, kc, nc) = (cfg.kernel.nr(), cfg.blocks.kc, cfg.blocks.nc);
+    let panels = PrepackedB::try_build(b, tb, nr, kc, nc)?;
+    gemm_batch_prepacked(alpha, &[op_a.view()], &panels, beta, &mut [c], cfg)
+}
+
 /// The "B source" axis: where the register kernels read B from must not
-/// change a bit. A serial, uncached call whose layer 3 is one `mc` block
-/// reads a non-transposed B in place, through strides; the same call
-/// with the pack cache on or on the pool — and any call with a second
-/// block or a transposed B — reads a packed panel. All of them must
-/// agree bitwise and with the oracle.
+/// change a bit. For every kernel family and either transpose, three
+/// row counts at an `mc` of two row groups (`mr·row_group` rows, the
+/// rows one kernel call covers on this host): one row group, where each
+/// sliver of B is read by one kernel call and even a transposed B is
+/// read in place; two row groups of one block; and two blocks. Each runs
+/// on a stored B — read in place or packed, as the plan's rule has it —
+/// and on the same B as a `PrepackedB`, serially and on the pool, and
+/// all of them must agree bitwise and with the oracle.
 ///
 /// B and C are windows of larger parents (`ld > rows`) whose last
 /// column ends the allocation. Everything of B's parent outside the
@@ -696,33 +771,11 @@ fn store_loaded_panels_conform() {
 #[test]
 fn b_source_axis_conforms() {
     const POISON: u64 = 0x8000_0000_0000_0000;
-    let junk = |i: usize, j: usize| {
-        if (i ^ j) & 1 == 0 {
-            f64::NAN
-        } else {
-            f64::INFINITY
-        }
-    };
-    // a window at (2, 1) of a parent it shares its last element with
-    let windowed = |inner: &Matrix, outside: &dyn Fn(usize, usize) -> f64| {
-        let (rows, cols) = (inner.rows(), inner.cols());
-        Matrix::from_fn(rows + 2, cols + 1, |i, j| {
-            if i >= 2 && j >= 1 {
-                inner.get(i - 2, j - 1)
-            } else {
-                outside(i, j)
-            }
-        })
-    };
-    let sources = [
-        (Parallelism::Serial, false),
-        (Parallelism::Serial, true),
-        (Parallelism::Pool(4), false),
-    ];
     let transposes = [Transpose::No, Transpose::Yes];
     for kind in MicroKernelKind::ALL {
         let (mr, nr) = (kind.mr(), kind.nr());
-        let (kc, mc, nc) = (16, 2 * mr, 2 * nr);
+        let group = mr * KernelSet::row_group(&kind);
+        let (kc, mc, nc) = (16, 2 * group, 2 * nr);
         let n = nc + nr + 1; // two panels, the second with a ragged sliver
         for (ta, tb) in transposes
             .iter()
@@ -730,8 +783,9 @@ fn b_source_axis_conforms() {
         {
             for (alpha, beta) in [(1.0, 0.0), (-1.5, 0.5), (0.0, 2.0)] {
                 for k in [1, kc, kc + 7] {
-                    // one ragged block, one full block, two blocks
-                    for m in [mr + 3, mc, mc + 3] {
+                    // one ragged row group, two groups of one block, two
+                    // blocks
+                    for m in [group.saturating_sub(3).max(1), mc, mc + 3] {
                         let what = format!(
                             "{kind:?} ta={ta:?} tb={tb:?} alpha={alpha} beta={beta} {m}x{n}x{k}"
                         );
@@ -757,23 +811,21 @@ fn b_source_axis_conforms() {
                         let tol = gemm_tolerance(k, 4.0);
 
                         let mut baseline: Option<Vec<u64>> = None;
-                        for (par, cached) in sources {
+                        for (par, prepacked) in B_SOURCES {
+                            let source = format!("{what} {par:?} prepacked={prepacked}");
                             let cfg = GemmConfig::for_kernel(kind, 1)
                                 .with_blocks(kc, mc, nc)
-                                .with_parallelism(par)
-                                .with_pack_cache(cached);
+                                .with_parallelism(par);
                             let mut parent = c_parent.clone();
-                            let mut c = parent.view_mut();
-                            let mut c = c.sub_mut(2, 1, m, n);
-                            try_gemm(ta, tb, alpha, &a.view(), &b, beta, &mut c, &cfg)
-                                .unwrap_or_else(|e| panic!("{what} {par:?} cached={cached}: {e}"));
+                            let ops = (ta, tb);
+                            run_b_source(ops, alpha, &a, &b, beta, &mut parent, &cfg, prepacked)
+                                .unwrap_or_else(|e| panic!("{source}: {e}"));
                             for j in 0..n {
                                 for i in 0..m {
-                                    let (got, oracle) = (c.get(i, j), want.get(i, j));
+                                    let (got, oracle) = (parent.get(i + 2, j + 1), want.get(i, j));
                                     assert!(
                                         (got - oracle).abs() <= tol,
-                                        "{what} {par:?} cached={cached}: C[{i},{j}] = {got} \
-                                         vs oracle {oracle}"
+                                        "{source}: C[{i},{j}] = {got} vs oracle {oracle}"
                                     );
                                 }
                             }
@@ -783,8 +835,7 @@ fn b_source_axis_conforms() {
                                 for i in 0..m + 2 {
                                     assert!(
                                         (i >= 2 && j >= 1) || bits[i + j * (m + 2)] == POISON,
-                                        "{what} {par:?} cached={cached}: C's border written \
-                                         at ({i},{j})"
+                                        "{source}: C's border written at ({i},{j})"
                                     );
                                 }
                             }
@@ -792,13 +843,107 @@ fn b_source_axis_conforms() {
                                 None => baseline = Some(bits),
                                 Some(base) => assert_eq!(
                                     &bits, base,
-                                    "{what} {par:?} cached={cached}: not bit-identical to \
-                                     serial uncached"
+                                    "{source}: not bit-identical to serial on the stored B"
                                 ),
                             }
                         }
-                        f64::pack_cache().invalidate(&b);
                     }
+                }
+            }
+        }
+    }
+}
+
+/// IEEE specials *inside* B: NaN, ±Inf, −0.0 and a subnormal planted in
+/// the window itself, in different panels, slivers and depth blocks, on
+/// three calls of the default kernel — a multi-block call on a stored B
+/// (read in place by a SIMD kernel), a one-row-group call on a stored Bᵀ
+/// (read in place by every kernel), and each of them on the same B as a
+/// `PrepackedB` — on `Serial`, `Pool(2)` and `Pool(4)`, at β = 0 over a
+/// poisoned C and at β = 0.5. Every source gives the same bits, NaN and
+/// ±Inf land exactly where the naive oracle puts them, and every finite
+/// element is within its tolerance.
+#[test]
+fn ieee_specials_inside_b_conform() {
+    let kind = GemmConfig::default().kernel;
+    let (mr, nr) = (kind.mr(), kind.nr());
+    let group = mr * KernelSet::row_group(&kind);
+    let (kc, mc, nc) = (16, 2 * group, 2 * nr);
+    let (n, k) = (nc + nr + 1, kc + 7);
+    // (row p, column j) of op(B), and what goes there
+    let specials = [
+        (1, 2, f64::NAN),
+        (kc + 2, n - 1, f64::INFINITY),
+        (kc - 1, nr, f64::NEG_INFINITY),
+        (0, nc, -0.0),
+        (kc + 5, 1, f64::MIN_POSITIVE / 8.0),
+    ];
+    let op_b = {
+        let mut op_b = Matrix::random(k, n, 161);
+        for (p, j, x) in specials {
+            op_b.set(p, j, x);
+        }
+        op_b
+    };
+    assert!((f64::MIN_POSITIVE / 8.0).is_subnormal());
+    for (m, tb) in [
+        (2 * mc + 3, Transpose::No),
+        (group.min(mr + 1), Transpose::Yes),
+    ] {
+        let (br, bc) = stored_dims(tb, k, n);
+        let stored = Matrix::from_fn(br, bc, |i, j| match tb {
+            Transpose::No => op_b.get(i, j),
+            Transpose::Yes => op_b.get(j, i),
+        });
+        let b_parent = windowed(&stored, &junk);
+        let b = b_parent.view().sub(2, 1, br, bc);
+        let a = Matrix::random(m, k, 162);
+        for beta in [0.0, 0.5] {
+            let what = format!("{m}x{n}x{k} tb={tb:?} beta={beta}");
+            let c0 = if beta == 0.0 {
+                Matrix::from_fn(m, n, junk)
+            } else {
+                Matrix::random(m, n, 163)
+            };
+            let mut want = if beta == 0.0 {
+                Matrix::zeros(m, n)
+            } else {
+                c0.clone()
+            };
+            let ops = (Transpose::No, tb);
+            naive_gemm(ops.0, tb, 1.5, &a.view(), &b, beta, &mut want.view_mut());
+            assert!(
+                want.as_slice().iter().any(|x| x.is_nan())
+                    && want.as_slice().iter().any(|x| x.is_infinite()),
+                "{what}: the oracle sees the specials"
+            );
+            let tol = gemm_tolerance(k, 4.0);
+            let mut baseline: Option<Vec<u64>> = None;
+            for (par, prepacked) in B_SOURCES {
+                let source = format!("{what} {par:?} prepacked={prepacked}");
+                let cfg = GemmConfig::default()
+                    .with_blocks(kc, mc, nc)
+                    .with_parallelism(par);
+                let mut parent = windowed(&c0, &|_, _| 0.0);
+                run_b_source(ops, 1.5, &a, &b, beta, &mut parent, &cfg, prepacked)
+                    .unwrap_or_else(|e| panic!("{source}: {e}"));
+                for j in 0..n {
+                    for i in 0..m {
+                        let (got, oracle) = (parent.get(i + 2, j + 1), want.get(i, j));
+                        let lands = if oracle.is_nan() {
+                            got.is_nan()
+                        } else if oracle.is_infinite() {
+                            got == oracle
+                        } else {
+                            (got - oracle).abs() <= tol
+                        };
+                        assert!(lands, "{source}: C[{i},{j}] = {got} vs oracle {oracle}");
+                    }
+                }
+                let bits: Vec<u64> = parent.as_slice().iter().map(|x| x.to_bits()).collect();
+                match &baseline {
+                    None => baseline = Some(bits),
+                    Some(base) => assert_eq!(&bits, base, "{source}: not the serial stored bits"),
                 }
             }
         }
@@ -1207,7 +1352,7 @@ fn every_batch_entry_is_its_own_call_bit_for_bit() {
 /// `(jj, kk)` — always, also where the library reads it in place — and A
 /// once per block, one full-width GEBP each. It shares the packing
 /// routines and the register kernels with the library and nothing above
-/// them: no cell, no grid, no `packs_b`, no fallible packing.
+/// them: no cell, no grid, no B-source rule, no fallible packing.
 #[allow(clippy::too_many_arguments)]
 fn textbook_gemm(
     kind: MicroKernelKind,

@@ -22,8 +22,9 @@ use std::time::{Duration, Instant};
 use dgemm_core::faults::{self, FaultPlan, Trigger};
 use dgemm_core::gemm::{try_gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
-use dgemm_core::microkernel::MicroKernelKind;
+use dgemm_core::microkernel::{KernelSet, MicroKernelKind};
 use dgemm_core::pool::{cell_grid, status, with_pool, Parallelism, PoolScalar, WorkerPool};
+use dgemm_core::simd::Isa;
 use dgemm_core::Transpose;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -383,23 +384,27 @@ const IN_PLACE: (usize, usize, usize) = (48, 144, 40);
 const IN_PLACE_BLOCKS: (usize, usize, usize) = (24, 8, 144);
 const IN_PLACE_TASKS: usize = IN_PLACE.0.div_ceil(IN_PLACE_BLOCKS.1);
 
-/// `C := A·B + β·C` at [`IN_PLACE`] on `par`, from `c0`, as bit patterns.
+/// `C := A·op(B) + β·C` at [`IN_PLACE`] on `par`, from `c0`, as bit
+/// patterns, with B stored as `tb` says.
 fn in_place_call(
     par: Parallelism,
+    tb: Transpose,
     beta: f64,
     c0: &Matrix,
 ) -> Result<Vec<u64>, dgemm_core::GemmError> {
     let (m, n, k) = IN_PLACE;
     let (kc, mc, nc) = IN_PLACE_BLOCKS;
     let a = Matrix::random(m, k, 61);
-    let b = Matrix::random(k, n, 62);
+    let b = match tb {
+        Transpose::No => Matrix::random(k, n, 62),
+        Transpose::Yes => Matrix::random(n, k, 62),
+    };
     let mut c = c0.clone();
     let cfg = GemmConfig::for_kernel(MicroKernelKind::Mk8x6, 1)
         .with_blocks(kc, mc, nc)
         .with_parallelism(par);
-    let (ta, tb) = (Transpose::No, Transpose::No);
     try_gemm(
-        ta,
+        Transpose::No,
         tb,
         1.0,
         &a.view(),
@@ -435,16 +440,18 @@ fn in_place_grid(degree: usize) -> (usize, usize) {
 fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     faults::clear();
-    let want = in_place_call(Parallelism::Serial, 0.0, &poisoned()).expect("no plan is installed");
+    let want = in_place_call(Parallelism::Serial, Transpose::No, 0.0, &poisoned())
+        .expect("no plan is installed");
     assert!(want.iter().all(|&x| f64::from_bits(x).is_finite()));
     let c0 = Matrix::random(IN_PLACE.0, IN_PLACE.1, 63);
-    let want_beta = in_place_call(Parallelism::Serial, 0.5, &c0).expect("no plan is installed");
+    let want_beta =
+        in_place_call(Parallelism::Serial, Transpose::No, 0.5, &c0).expect("no plan is installed");
     // a cell's blocks over the call: its row tasks in each of two panels
     let blocks = 2 * IN_PLACE_TASKS as u64;
     for p in [2, 4] {
         assert_eq!(in_place_grid(p), (1, p), "Pool({p})");
         let pool = Parallelism::Pool(p);
-        assert!(in_place_call(pool, 0.0, &poisoned()).unwrap() == want);
+        assert!(in_place_call(pool, Transpose::No, 0.0, &poisoned()).unwrap() == want);
         // The other p − 1 cells account for at most (p − 1)·blocks of the
         // panic site's occurrences, so the cell that reaches occurrence
         // (p − 1)·blocks + 1 has finished at least one block before it:
@@ -456,7 +463,7 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
                 worker_panic: Some(panic_after_a_block),
                 ..FaultPlan::default()
             });
-            let got = in_place_call(pool, beta, &c0);
+            let got = in_place_call(pool, Transpose::No, beta, &c0);
             faults::clear();
             let got = got.unwrap_or_else(|e| panic!("Pool({p}), β = {beta}: {e}"));
             assert!(
@@ -468,7 +475,7 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
                 "Pool({p}), β = {beta}: the panic was not contained"
             );
         }
-        assert!(in_place_call(pool, 0.0, &poisoned()).unwrap() == want);
+        assert!(in_place_call(pool, Transpose::No, 0.0, &poisoned()).unwrap() == want);
     }
 }
 
@@ -476,7 +483,10 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
 /// run one after the other on the calling thread — a fresh shard that can
 /// spawn no worker — so the n-th allocation is known: per cell, under
 /// `β ≠ 0` its undo copy of C first, then per `kk` panel the pack of its B
-/// columns and the A pack of each of its blocks. A failed undo copy sends
+/// columns, where the call packs B, and the A pack of each of its blocks.
+/// A transposed B read by six row groups is packed on every host; B as
+/// stored only by the portable kernel, a SIMD one reading it in place
+/// (DESIGN.md §19). A failed undo copy sends
 /// the cell, which has not touched C, to the caller. A failed B pack
 /// halves its chunk inside the cell. A failed A pack at `mc = mr` has no
 /// smaller chunk, so the cell — which may have stored C already, and is
@@ -486,10 +496,17 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
 fn every_failed_allocation_of_an_in_place_cell_leaves_c_exact() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     faults::clear();
-    let per_panel = 1 + IN_PLACE_TASKS as u64;
+    let portable = KernelSet::isa(&MicroKernelKind::Mk8x6) == Isa::Portable;
+    for (tb, packs_b) in [(Transpose::Yes, true), (Transpose::No, portable)] {
+        every_failed_allocation_leaves_c_exact(tb, packs_b);
+    }
+}
+
+fn every_failed_allocation_leaves_c_exact(tb: Transpose, packs_b: bool) {
+    let per_panel = u64::from(packs_b) + IN_PLACE_TASKS as u64;
     let c0 = Matrix::random(IN_PLACE.0, IN_PLACE.1, 63);
     for (beta, c0) in [(0.0, poisoned()), (0.5, c0)] {
-        let want = in_place_call(Parallelism::Serial, beta, &c0).expect("no plan is installed");
+        let want = in_place_call(Parallelism::Serial, tb, beta, &c0).expect("no plan is installed");
         let undo = u64::from(beta != 0.0);
         let per_cell = undo + 2 * per_panel;
         for p in [2, 4] {
@@ -505,13 +522,16 @@ fn every_failed_allocation_of_an_in_place_cell_leaves_c_exact() {
                     alloc_fail: Some(Trigger::once(nth)),
                     ..FaultPlan::default()
                 });
-                let got = with_pool(&shard, || in_place_call(Parallelism::Pool(p), beta, &c0));
+                let call = || in_place_call(Parallelism::Pool(p), tb, beta, &c0);
+                let got = with_pool(&shard, call);
                 faults::clear();
-                let case = format!("Pool({p}), β = {beta}: alloc fault #{nth}");
+                let case = format!("Pool({p}), {tb:?}, β = {beta}: alloc fault #{nth}");
                 let got = got.unwrap_or_else(|e| panic!("{case}: {e}"));
                 assert!(got == want, "{case} changed a bit");
                 let site = nth % per_cell;
-                let replayed = site < undo || !(site - undo).is_multiple_of(per_panel);
+                // a failed B pack halves its chunk; every other fault replays
+                let b_pack = |s: u64| packs_b && s.is_multiple_of(per_panel);
+                let replayed = site < undo || !b_pack(site - undo);
                 assert_eq!(
                     status().faults_contained - contained0,
                     u64::from(replayed),

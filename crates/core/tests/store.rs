@@ -26,9 +26,10 @@
 use dgemm_core::batch::gemm_batch_prepacked;
 use dgemm_core::gemm::{gemm, try_gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
-use dgemm_core::microkernel::MicroKernelKind;
+use dgemm_core::microkernel::{KernelSet, MicroKernelKind};
 use dgemm_core::prepack::PrepackedB;
 use dgemm_core::service::{GemmService, ServiceConfig};
+use dgemm_core::simd::Isa;
 use dgemm_core::store;
 use dgemm_core::{GemmError, Parallelism, Transpose};
 use proptest::prelude::*;
@@ -283,7 +284,9 @@ fn header_skews_are_diagnosed_specifically() {
 
 /// On panels loaded from a blob, a serial GEMM packs **zero** B bytes —
 /// proven on a dedicated telemetry lane (this thread's name), then
-/// cross-checked by a run on the stored B that does pack.
+/// cross-checked by a run on the B they were packed from stored
+/// transposed, which packs, and one on it stored as is, which packs only
+/// where the kernel cannot read it in place.
 #[test]
 fn warm_start_packs_zero_b_bytes() {
     std::thread::Builder::new()
@@ -332,30 +335,39 @@ fn warm_start_packs_zero_b_bytes() {
                 assert_eq!(b1, b0, "warm start must pack zero B bytes");
             }
 
-            // Sanity: the same problem on the stored B *does* pack on
-            // this lane (the instrumentation is live, the zero above is
-            // real).
-            let mut c2 = Matrix::zeros(m, n);
-            try_gemm(
-                Transpose::No,
-                Transpose::No,
-                1.0,
-                &a.view(),
-                &b.view(),
-                0.0,
-                &mut c2.view_mut(),
-                &cfg,
-            )
-            .expect("cold gemm");
-            let cold = lane_bytes();
-            if let (Some(b1), Some(b2)) = (warm, cold) {
-                assert!(b2 > b1, "uncached run must record packed B bytes");
+            // Sanity: the same problem on B stored transposed *does* pack
+            // on this lane — its 48 rows are three blocks, more than one
+            // row group reads each sliver — so the instrumentation is
+            // live and the zero above is real. On B as stored a SIMD
+            // kernel reads it in place at any block count; the portable
+            // one packs it past one block.
+            let bt = Matrix::from_fn(n, k, |j, p| b.get(p, j));
+            let portable = kind.isa() == Isa::Portable;
+            for (stored, transb, packs) in
+                [(&bt, Transpose::Yes, true), (&b, Transpose::No, portable)]
+            {
+                let before = lane_bytes();
+                let mut c2 = Matrix::zeros(m, n);
+                try_gemm(
+                    Transpose::No,
+                    transb,
+                    1.0,
+                    &a.view(),
+                    &stored.view(),
+                    0.0,
+                    &mut c2.view_mut(),
+                    &cfg,
+                )
+                .expect("cold gemm");
+                if let (Some(b1), Some(b2)) = (before, lane_bytes()) {
+                    assert_eq!(b2 > b1, packs, "{transb:?}: packed B bytes recorded");
+                }
+                assert_eq!(
+                    c.view().data(),
+                    c2.view().data(),
+                    "warm and cold ({transb:?}) bits agree"
+                );
             }
-            assert_eq!(
-                c.view().data(),
-                c2.view().data(),
-                "warm and cold bits agree"
-            );
         })
         .expect("spawn lane thread")
         .join()

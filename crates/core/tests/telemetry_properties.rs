@@ -6,9 +6,12 @@
 //! decomposition each runtime performs: the serial walk packs every
 //! block of A and every panel of B once; on the pool every cell of the
 //! grid packs its own, so A is packed once per column chunk and B once
-//! per row range. B bytes are *packed* bytes only where a pack ran: a
-//! call with a single `mc` block reads B in place on either runtime, and
-//! the same elements show up, unpadded, as in-place bytes.
+//! per row range. B bytes are *packed* bytes only where a pack ran —
+//! gemm's B-source rule (DESIGN.md, "When B is packed"): a SIMD kernel
+//! reads an untransposed B in place at any block count, any kernel does
+//! within one row group of one block, and the portable kernel within one
+//! block — and otherwise the same elements show up, unpadded, as in-place
+//! bytes, once per GEBP that reads them.
 //!
 //! Telemetry counters are process-global, so every test serializes on
 //! one lock and starts from `telemetry::reset()`.
@@ -17,8 +20,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dgemm_core::gemm::{gemm, GemmConfig};
 use dgemm_core::matrix::Matrix;
-use dgemm_core::microkernel::MicroKernelKind;
+use dgemm_core::microkernel::{KernelSet, MicroKernelKind};
 use dgemm_core::pool::{cell_grid, Parallelism};
+use dgemm_core::simd::Isa;
 use dgemm_core::telemetry;
 use dgemm_core::Transpose;
 
@@ -33,33 +37,57 @@ fn lock_and_reset() -> MutexGuard<'static, ()> {
     guard
 }
 
-const KIND: MicroKernelKind = MicroKernelKind::Mk8x6;
 const MR: usize = 8;
 const NR: usize = 6;
 const KC: usize = 20;
 const MC: usize = 24;
 const NC: usize = 16;
 
-fn cfg(par: Parallelism) -> GemmConfig {
-    GemmConfig::for_kernel(KIND, 1)
+/// The register kernel of a counted call and its `op(B)` selector.
+type Kernel = (MicroKernelKind, Transpose);
+/// The 8×6 kernel on a stored B: read in place at any block count where
+/// the host runs it as SIMD code, packed past one block where it does not.
+const STREAMED: Kernel = (MicroKernelKind::Mk8x6, Transpose::No);
+
+fn cfg(kind: MicroKernelKind, par: Parallelism) -> GemmConfig {
+    GemmConfig::for_kernel(kind, 1)
         .with_blocks(KC, MC, NC)
         .with_parallelism(par)
 }
 
-fn run(par: Parallelism, m: usize, n: usize, k: usize) {
+/// `op(B)` of a `k×n` product stored as `transb` says.
+fn stored_b(transb: Transpose, k: usize, n: usize, seed: u64) -> Matrix {
+    match transb {
+        Transpose::No => Matrix::random(k, n, seed),
+        Transpose::Yes => Matrix::random(n, k, seed),
+    }
+}
+
+fn run((kind, transb): Kernel, par: Parallelism, m: usize, n: usize, k: usize) {
     let a = Matrix::random(m, k, 11);
-    let b = Matrix::random(k, n, 12);
+    let b = stored_b(transb, k, n, 12);
     let mut c = Matrix::zeros(m, n);
     gemm(
         Transpose::No,
-        Transpose::No,
+        transb,
         1.0,
         &a.view(),
         &b.view(),
         0.0,
         &mut c.view_mut(),
-        &cfg(par),
+        &cfg(kind, par),
     );
+}
+
+/// Whether a call of `rows` stacked rows in blocks of `mc` reads B where
+/// it is stored, by gemm's B-source rule on the kernel as this host runs
+/// it: each sliver is read by one kernel call (the rows fit one row group
+/// of one block), or B is untransposed and the kernel is a SIMD body or
+/// the rows fit one block.
+fn reads_b_in_place((kind, transb): Kernel, rows: usize, mc: usize) -> bool {
+    let one_block = rows <= mc;
+    let read_once = one_block && rows <= kind.mr() * kind.row_group();
+    read_once || transb == Transpose::No && (one_block || kind.isa() > Isa::Portable)
 }
 
 /// Expected exact counters for one GEMM, replicating the macro loops:
@@ -67,19 +95,26 @@ fn run(par: Parallelism, m: usize, n: usize, k: usize) {
 /// over the `m` rows — once for the serial walk, and on the pool once
 /// per cell of the panel's grid ([`cell_grid`]; one cell at degree 1):
 /// every column chunk packs the blocks of A, every row range the panel of
-/// B, and a GEBP runs per block and chunk. A call with a single `mc`
-/// block reads B where the caller stored it: its bytes are then the
-/// `kc·nc` elements the GEBPs consumed, not a padded panel.
+/// B, and a GEBP runs per block and chunk. A call that reads B where the
+/// caller stored it counts, per GEBP, the `kc·cols` elements it consumed,
+/// not a padded panel.
 /// Returns `(flops, a_bytes, [packed_b_bytes, b_in_place_bytes], blocks)`.
-fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2], u64) {
+fn expected(
+    kernel: Kernel,
+    m: usize,
+    n: usize,
+    k: usize,
+    degree: usize,
+) -> (u64, u64, [u64; 2], u64) {
     let w = core::mem::size_of::<f64>() as u64;
-    let b_in_place = m <= MC;
+    let (mr, nr) = (kernel.0.mr(), kernel.0.nr());
+    let b_in_place = reads_b_in_place(kernel, m, MC);
     let (mut flops, mut a_bytes, mut b_bytes, mut blocks) = (0u64, 0u64, [0u64; 2], 0u64);
     let mut jj = 0;
     while jj < n {
         let nc_eff = NC.min(n - jj);
         // (a 20-deep panel spills no L2, so none need be known)
-        let grid = cell_grid(m, nc_eff, k, KC, MC, NR, degree, !b_in_place, None);
+        let grid = cell_grid(m, nc_eff, k, KC, MC, nr, degree, true, None);
         let (row_ranges, col_chunks) = grid;
         let (row_ranges, col_chunks) = (row_ranges as u64, col_chunks as u64);
         let mut kk = 0;
@@ -87,12 +122,12 @@ fn expected(m: usize, n: usize, k: usize, degree: usize) -> (u64, u64, [u64; 2],
             let kc_eff = KC.min(k - kk);
             if !b_in_place {
                 // chunks are whole slivers, so they pad as the panel does
-                b_bytes[0] += row_ranges * (nc_eff.div_ceil(NR) * NR * kc_eff) as u64 * w;
+                b_bytes[0] += row_ranges * (nc_eff.div_ceil(nr) * nr * kc_eff) as u64 * w;
             }
             let mut ii = 0;
             while ii < m {
                 let mc_eff = MC.min(m - ii);
-                a_bytes += col_chunks * (mc_eff.div_ceil(MR) * MR * kc_eff) as u64 * w;
+                a_bytes += col_chunks * (mc_eff.div_ceil(mr) * mr * kc_eff) as u64 * w;
                 flops += 2 * (mc_eff * nc_eff * kc_eff) as u64;
                 if b_in_place {
                     b_bytes[1] += (nc_eff * kc_eff) as u64 * w;
@@ -114,23 +149,29 @@ mod enabled {
     use dgemm_core::json;
     use dgemm_core::telemetry::{BlockSizes, GemmReport, TelemetryMode, TraceEvent, TraceKind};
 
-    fn check(par: Parallelism, m: usize, n: usize, k: usize) {
-        run(par, m, n, k);
+    /// The 8×6 kernel on a transposed B: packed past one row group of one
+    /// block on every host.
+    const TRANSPOSED: Kernel = (MicroKernelKind::Mk8x6, Transpose::Yes);
+    /// The portable 5×5 kernel on a stored B: packed past one block.
+    const PORTABLE: Kernel = (MicroKernelKind::Mk5x5, Transpose::No);
+
+    fn check(kernel: Kernel, par: Parallelism, m: usize, n: usize, k: usize) {
+        run(kernel, par, m, n, k);
         let snap = telemetry::snapshot();
-        // the one shape class that skips the B pack
-        let b_in_place = m <= MC;
-        let (flops, a_bytes, b_bytes, blocks) = expected(m, n, k, par.degree());
+        let b_in_place = reads_b_in_place(kernel, m, MC);
+        let (flops, a_bytes, b_bytes, blocks) = expected(kernel, m, n, k, par.degree());
+        let par = format!("{kernel:?} {par:?}");
         assert_eq!(flops, 2 * (m * n * k) as u64, "blocks must cover mnk");
-        assert_eq!(snap.total_flops(), flops, "{par:?} {m}x{n}x{k}: flops");
+        assert_eq!(snap.total_flops(), flops, "{par} {m}x{n}x{k}: flops");
         assert_eq!(
             snap.total_packed_a_bytes(),
             a_bytes,
-            "{par:?} {m}x{n}x{k}: packed-A bytes"
+            "{par} {m}x{n}x{k}: packed-A bytes"
         );
         assert_eq!(
             [snap.total_packed_b_bytes(), snap.total_b_in_place_bytes()],
             b_bytes,
-            "{par:?} {m}x{n}x{k}: [packed, in-place] B bytes"
+            "{par} {m}x{n}x{k}: [packed, in-place] B bytes"
         );
         let pack_b = TraceKind::ALL
             .iter()
@@ -140,29 +181,34 @@ mod enabled {
         assert_eq!(
             pack_b_spans == 0,
             b_in_place,
-            "{par:?} {m}x{n}x{k}: a PackB span iff a pack"
+            "{par} {m}x{n}x{k}: a PackB span iff a pack"
         );
         assert_eq!(
             snap.total_blocks(),
             blocks,
-            "{par:?} {m}x{n}x{k}: gebp blocks"
+            "{par} {m}x{n}x{k}: gebp blocks"
         );
     }
 
     #[test]
     fn serial_counters_are_exact() {
-        // 13, 24 (= mc) and 1 row are single-block shapes: B in place
-        for (m, n, k) in [
-            (64, 48, 40),
-            (130, 70, 50),
-            (13, 7, 9),
-            (24, 16, 20),
-            (24, 70, 50),
-            (25, 16, 20),
-            (1, 1, 1),
-        ] {
-            let _g = lock_and_reset();
-            check(Parallelism::Serial, m, n, k);
+        // 13, 24 (= mc) and 1 row are single-block shapes: B in place for
+        // every kernel on a stored B, and for the transposed one wherever
+        // they fit a row group; past them the transposed and the portable
+        // kernel pack, the streamed one reads in place on a SIMD host
+        for kernel in [STREAMED, TRANSPOSED, PORTABLE] {
+            for (m, n, k) in [
+                (64, 48, 40),
+                (130, 70, 50),
+                (13, 7, 9),
+                (24, 16, 20),
+                (24, 70, 50),
+                (25, 16, 20),
+                (1, 1, 1),
+            ] {
+                let _g = lock_and_reset();
+                check(kernel, Parallelism::Serial, m, n, k);
+            }
         }
     }
 
@@ -172,18 +218,21 @@ mod enabled {
         // of its columns either: same predicate, same counters, A packed
         // once per column chunk.
         let _g = lock_and_reset();
-        check(Parallelism::Pool(3), 13, 33, 41);
+        check(STREAMED, Parallelism::Pool(3), 13, 33, 41);
     }
 
     /// The call the benchmark's `skinny_fresh` makes, under the default
     /// blocking, by its exact counters: nothing written into a packed
     /// panel, every B element read once in place, A packed as before —
     /// and the pool's two column cells doing the same on half the
-    /// columns each (A packed by both), into the same bits of C. A serial
-    /// batch runs the plan the dispatcher prices for it, too, on its rows
-    /// stacked: of one entry, this very call; of as many as fit one `mc`
-    /// block, one GEBP reading B in place; of one more, two blocks
-    /// sharing one pack of the one `(jj, kk)` panel.
+    /// columns each (A packed by both), into the same bits of C. Its
+    /// eight rows are one row group, so a transposed B is read in place
+    /// too, into the same bits. A serial batch runs the plan the
+    /// dispatcher prices for it, too, on its rows stacked: of one entry,
+    /// this very call; of as many as fit one `mc` block, one GEBP reading
+    /// B in place; of one more, two blocks, which a SIMD kernel reads B in
+    /// place for too and the portable kernel shares one pack of the one
+    /// `(jj, kk)` panel for.
     #[test]
     fn the_default_skinny_call_reads_b_in_place_and_says_so() {
         let _g = lock_and_reset();
@@ -199,13 +248,14 @@ mod enabled {
                 snap.total_b_in_place_bytes(),
             ]
         };
-        let run = |par: Parallelism| {
+        let bt = Matrix::from_fn(n, k, |j, p| b.get(p, j));
+        let run_op = |par: Parallelism, tb: Transpose| {
             let mut c = Matrix::zeros(m, n);
             telemetry::reset();
-            let (ta, tb) = (Transpose::No, Transpose::No);
+            let b = if tb == Transpose::No { &b } else { &bt };
             let cfg = GemmConfig::default().with_parallelism(par);
             gemm(
-                ta,
+                Transpose::No,
                 tb,
                 1.0,
                 &a.view(),
@@ -216,6 +266,7 @@ mod enabled {
             );
             (c, counts())
         };
+        let run = |par: Parallelism| run_op(par, Transpose::No);
         let run_batch = |entries: usize| {
             let mut c = vec![Matrix::zeros(m, n); entries];
             let a_views = vec![a.view(); entries];
@@ -231,20 +282,29 @@ mod enabled {
         let (pooled, counts) = run(Parallelism::Pool(2));
         assert_eq!(counts, [4_194_304, 2 * 32_768, 0, 512 * 512 * 8]);
         assert_eq!(in_place.as_slice(), pooled.as_slice());
+        for par in [Parallelism::Serial, Parallelism::Pool(2)] {
+            let (transposed, counts) = run_op(par, Transpose::Yes);
+            let a_bytes = 32_768 * par.degree() as u64;
+            assert_eq!(counts, [4_194_304, a_bytes, 0, 512 * 512 * 8], "Bᵀ {par:?}");
+            assert_eq!(transposed.as_slice(), in_place.as_slice(), "Bᵀ {par:?}");
+        }
 
         let (batch_of_one, counts) = run_batch(1);
         assert_eq!(counts, serial_counts);
         assert_eq!(batch_of_one[0].as_slice(), in_place.as_slice());
         // stacked, entries whose rows fit one mc block are one GEBP that
-        // reads B in place; one entry more is two blocks sharing one pack
-        // of the panel
-        let mc = GemmConfig::default().blocks.mc;
+        // reads B in place; one entry more is two blocks, reading B in
+        // place each on a SIMD kernel, sharing one pack of the panel on
+        // the portable one
+        let default = GemmConfig::default();
+        let (mc, kernel) = (default.blocks.mc, (default.kernel, Transpose::No));
         let one_panel = (n.div_ceil(NR) * NR * k * 8) as u64;
         for entries in [4, 8, mc / m, mc / m + 1] {
             let (batch, counts) = run_batch(entries);
             let e = entries as u64;
-            let (packed_b, b_in_place) = if entries * m <= mc {
-                (0, 512 * 512 * 8)
+            let gebps = (entries * m).div_ceil(mc) as u64;
+            let (packed_b, b_in_place) = if reads_b_in_place(kernel, entries * m, mc) {
+                (0, gebps * 512 * 512 * 8)
             } else {
                 (one_panel, 0)
             };
@@ -262,21 +322,26 @@ mod enabled {
         // Row-split grids (the narrow test panels have three slivers),
         // a column-split one (two blocks, degree 2) and the one-cell grid
         // of degree 1, which must count what the serial walk counts.
-        for (par, m, n, k) in [
-            (Parallelism::Pool(3), 130, 70, 50),
-            (Parallelism::Pool(3), 96, 33, 41),
-            (Parallelism::Pool(2), 25, 70, 50),
-            (Parallelism::Pool(1), 130, 70, 50),
-        ] {
-            let _g = lock_and_reset();
-            check(par, m, n, k);
+        for kernel in [STREAMED, TRANSPOSED, PORTABLE] {
+            for (par, m, n, k) in [
+                (Parallelism::Pool(3), 130, 70, 50),
+                (Parallelism::Pool(3), 96, 33, 41),
+                (Parallelism::Pool(2), 25, 70, 50),
+                (Parallelism::Pool(1), 130, 70, 50),
+            ] {
+                let _g = lock_and_reset();
+                check(kernel, par, m, n, k);
+            }
         }
         assert_eq!(cell_grid(130, NC, 50, KC, MC, NR, 3, true, None), (3, 1));
         assert_eq!(cell_grid(25, NC, 50, KC, MC, NR, 2, true, None), (1, 2));
     }
 
     /// Figure 9, observed: on the pool every thread that computes packs
-    /// for itself. And on either runtime the calling thread's stream
+    /// for itself — its blocks of A, and its columns of a transposed B,
+    /// which 512 rows read more than once; its columns of B as stored
+    /// only where the kernel does not read them in place (the portable
+    /// one). And on either runtime the calling thread's stream
     /// attributes the call exclusively: in the fastest of ten calls its
     /// pack, compute and barrier spans never overlap (watchdog and
     /// recovery would nest them) and sum to at least 90 % of the wall
@@ -286,7 +351,15 @@ mod enabled {
         let _g = lock_and_reset();
         let n = 512;
         let a = Matrix::random(n, n, 71);
-        let b = Matrix::random(n, n, 72);
+        for transb in [Transpose::Yes, Transpose::No] {
+            let default = GemmConfig::default();
+            let packs_b = !reads_b_in_place((default.kernel, transb), n, default.blocks.mc);
+            lanes_pack_their_own_operands(&a, &stored_b(transb, n, n, 72), transb, packs_b);
+        }
+    }
+
+    fn lanes_pack_their_own_operands(a: &Matrix, b: &Matrix, transb: Transpose, packs_b: bool) {
+        let n = a.rows();
         let mut c = Matrix::zeros(n, n);
         let me = std::thread::current();
         let exclusive = [
@@ -305,7 +378,7 @@ mod enabled {
                 let t0 = std::time::Instant::now();
                 gemm(
                     Transpose::No,
-                    Transpose::No,
+                    transb,
                     1.0,
                     &a.view(),
                     &b.view(),
@@ -320,11 +393,17 @@ mod enabled {
                         computed += 1;
                         assert!(
                             t.phase_time(TraceKind::PackA) > 0
-                                && t.phase_time(TraceKind::PackB) > 0,
-                            "{par:?}: lane {} computed a cell it did not pack for",
+                                && (t.phase_time(TraceKind::PackB) > 0) == packs_b,
+                            "{par:?} {transb:?}: lane {} computed a cell it did not pack \
+                             for, or packed a B it reads in place",
                             t.name
                         );
-                        packed += u64::from(t.packed_a_bytes > 0 && t.packed_b_bytes > 0);
+                        let b_bytes = if packs_b {
+                            t.packed_b_bytes
+                        } else {
+                            t.b_in_place_bytes
+                        };
+                        packed += u64::from(t.packed_a_bytes > 0 && b_bytes > 0);
                     }
                 }
                 let caller = snap
@@ -366,7 +445,7 @@ mod enabled {
         let _g = lock_and_reset();
         let (m, n, k) = (512, 512, 512);
         let t0 = std::time::Instant::now();
-        run(Parallelism::Pool(4), m, n, k);
+        run(STREAMED, Parallelism::Pool(4), m, n, k);
         let elapsed = t0.elapsed();
 
         let snap = telemetry::snapshot();
@@ -425,7 +504,7 @@ mod enabled {
     #[test]
     fn reset_zeroes_lanes_but_not_runtime_counters() {
         let _g = lock_and_reset();
-        run(Parallelism::Pool(3), 96, 48, 40);
+        run(STREAMED, Parallelism::Pool(3), 96, 48, 40);
         let before = telemetry::snapshot();
         assert!(before.total_flops() > 0);
         assert!(before.runtime.tasks > 0, "pooled run must enqueue tasks");
@@ -456,7 +535,7 @@ mod disabled {
     fn recording_is_compiled_out_but_runtime_counters_remain() {
         let _g = lock_and_reset();
         assert!(!telemetry::enabled());
-        run(Parallelism::Pool(3), 96, 48, 40);
+        run(STREAMED, Parallelism::Pool(3), 96, 48, 40);
         let snap = telemetry::snapshot();
         // No lanes, no counts: every recording site is a no-op.
         assert!(snap.threads.is_empty());
@@ -476,7 +555,7 @@ mod disabled {
         assert_eq!(report.flops, 2 * 96 * 48 * 40);
         // The expected-counter arithmetic stays callable (and nonzero)
         // so enabling the feature changes measurements, not the suite.
-        let (flops, ..) = expected(96, 48, 40, 3);
+        let (flops, ..) = expected(STREAMED, 96, 48, 40, 3);
         assert_eq!(flops, 2 * 96 * 48 * 40);
     }
 }

@@ -4,8 +4,10 @@
 //! states fall on both sides alike.
 //!
 //! Before anything is timed, every case's result on each side must equal
-//! that side's own `Serial` result bit for bit; a mismatch panics and the
-//! run fails. The ratios are printed, never judged.
+//! that side's own `Serial` result bit for bit (a `Serial` case's: the
+//! same call into a fresh C, where it ran into one full of NaN or into
+//! the C the previous call left); a mismatch panics and the run fails.
+//! The ratios are printed, never judged.
 //!
 //! ```text
 //! dgemm-ab --rev LABEL [--rounds N]
@@ -18,9 +20,12 @@ use std::time::{Duration, Instant};
 enum Case {
     /// 512³ `dgemm`, `Serial` or `Pool(2)`, at this β.
     Square { pool: bool, beta: f64 },
-    /// 8×512×512 `dgemm`, `Serial`, β = 0, B taken from a ring of
-    /// [`RING`] matrices in turn, so it is not in cache.
-    Ring,
+    /// 8×512×512 `dgemm`, `Serial`, β = 0, B (or, `trans`, Bᵀ) taken
+    /// from a ring of [`RING`] matrices in turn, so it is not in cache.
+    Ring { trans: bool },
+    /// `m`×512×512 `dgemm`, `Serial`, β = 0, against one B (or, `trans`,
+    /// Bᵀ): `m` is one of [`ROWS`].
+    Rows { m: usize, trans: bool },
     /// Eight 16×512 entries against one `PrepackedB` of a 512×512 B,
     /// `Serial`, β = 0.
     Batch,
@@ -32,16 +37,36 @@ const fn square(pool: bool, beta: f64) -> Case {
 
 /// The cases in table order, with the calls one sample takes the
 /// median of.
-const CASES: [(&str, Case, usize); 8] = [
+const CASES: [(&str, Case, usize); 11] = [
     ("512³ Serial β=0", square(false, 0.0), 7),
     ("512³ Serial β=0.5", square(false, 0.5), 7),
     ("512³ Serial β=1", square(false, 1.0), 7),
     ("512³ Pool(2) β=0", square(true, 0.0), 9),
     ("512³ Pool(2) β=0.5", square(true, 0.5), 9),
     ("512³ Pool(2) β=1", square(true, 1.0), 9),
-    ("8×512×512 ring of B", Case::Ring, 2 * RING),
+    ("8×512×512 ring of B", Case::Ring { trans: false }, 2 * RING),
+    ("8×512×512 ring of Bᵀ", Case::Ring { trans: true }, 2 * RING),
+    (
+        "128×512×512 Bᵀ Serial",
+        Case::Rows {
+            m: ROWS[0],
+            trans: true,
+        },
+        9,
+    ),
+    (
+        "2048×512×512 Serial",
+        Case::Rows {
+            m: ROWS[1],
+            trans: false,
+        },
+        5,
+    ),
     ("8 × 16-row batch, PrepackedB", Case::Batch, 9),
 ];
+
+/// The rows of A the [`Case::Rows`] cases multiply.
+const ROWS: [usize; 2] = [128, 2048];
 
 /// B matrices in the ring: 24 MiB a side, past the last-level cache.
 const RING: usize = 12;
@@ -61,14 +86,14 @@ trait Side {
 macro_rules! side {
     ($module:ident, $lib:ident) => {
         mod $module {
-            use super::{Case, BATCH, BATCH_ROWS, N, RING};
+            use super::{Case, BATCH, BATCH_ROWS, N, RING, ROWS};
             use $lib::batch::gemm_batch_prepacked;
             use $lib::blas::dgemm;
             use $lib::gemm::GemmConfig;
             use $lib::matrix::{Matrix, MatrixView};
             use $lib::pool::Parallelism;
             use $lib::prepack::PrepackedB;
-            use $lib::Transpose::No;
+            use $lib::Transpose::{self, No, Yes};
 
             /// The timed calls' outputs, apart from the inputs they read.
             pub struct Side {
@@ -76,6 +101,7 @@ macro_rules! side {
                 c: Matrix,
                 ring_c: Matrix,
                 next: usize,
+                rows_c: Vec<Matrix>,
                 batch_c: Vec<Matrix>,
             }
 
@@ -87,6 +113,7 @@ macro_rules! side {
                 c0: Matrix,
                 ring_a: Matrix,
                 ring_b: Vec<Matrix>,
+                rows_a: Vec<Matrix>,
                 batch_a: Vec<Matrix>,
                 batch_b: Matrix,
                 prepacked: PrepackedB,
@@ -107,6 +134,10 @@ macro_rules! side {
                         ring_b: (0..RING)
                             .map(|i| Matrix::random(N, N, 100 + i as u64))
                             .collect(),
+                        rows_a: ROWS
+                            .iter()
+                            .map(|&m| Matrix::random(m, N, 300 + m as u64))
+                            .collect(),
                         batch_a: (0..BATCH)
                             .map(|i| Matrix::random(BATCH_ROWS, N, 200 + i as u64))
                             .collect(),
@@ -119,6 +150,7 @@ macro_rules! side {
                         c: inputs.c0.clone(),
                         ring_c: Matrix::zeros(8, N),
                         next: 0,
+                        rows_c: ROWS.iter().map(|&m| Matrix::zeros(m, N)).collect(),
                         batch_c: (0..BATCH).map(|_| Matrix::zeros(BATCH_ROWS, N)).collect(),
                         inputs,
                     }
@@ -132,10 +164,25 @@ macro_rules! side {
                     dgemm(No, No, 1.0, &a, &b, beta, &mut c.view_mut(), cfg).expect("dgemm");
                 }
 
-                fn ring(&self, i: usize, c: &mut Matrix) {
+                fn ring(&self, i: usize, trans: bool, c: &mut Matrix) {
                     let (a, b) = (self.ring_a.view(), self.ring_b[i].view());
-                    dgemm(No, No, 1.0, &a, &b, 0.0, &mut c.view_mut(), &self.serial)
-                        .expect("dgemm");
+                    dgemm(
+                        No,
+                        op(trans),
+                        1.0,
+                        &a,
+                        &b,
+                        0.0,
+                        &mut c.view_mut(),
+                        &self.serial,
+                    )
+                    .expect("dgemm");
+                }
+
+                fn rows(&self, m: usize, trans: bool, c: &mut Matrix) {
+                    let a = self.rows_a[row_case(m)].view();
+                    let (b, c) = (self.b.view(), &mut c.view_mut());
+                    dgemm(No, op(trans), 1.0, &a, &b, 0.0, c, &self.serial).expect("dgemm");
                 }
 
                 fn batch(&self, c: &mut [Matrix]) {
@@ -144,6 +191,21 @@ macro_rules! side {
                     gemm_batch_prepacked(1.0, &a, &self.prepacked, 0.0, &mut c, &self.serial)
                         .expect("batch");
                 }
+            }
+
+            fn op(trans: bool) -> Transpose {
+                if trans {
+                    Yes
+                } else {
+                    No
+                }
+            }
+
+            /// Which of [`ROWS`] a [`Case::Rows`] multiplies.
+            fn row_case(m: usize) -> usize {
+                ROWS.iter()
+                    .position(|&r| r == m)
+                    .expect("a row count of ROWS")
             }
 
             fn same(got: &[f64], want: &[f64], what: &str) {
@@ -161,9 +223,12 @@ macro_rules! side {
                         Case::Square { pool, beta } => {
                             self.inputs.square(pool, beta, &mut self.c);
                         }
-                        Case::Ring => {
-                            self.inputs.ring(self.next % RING, &mut self.ring_c);
+                        Case::Ring { trans } => {
+                            self.inputs.ring(self.next % RING, trans, &mut self.ring_c);
                             self.next += 1;
+                        }
+                        Case::Rows { m, trans } => {
+                            self.inputs.rows(m, trans, &mut self.rows_c[row_case(m)]);
                         }
                         Case::Batch => self.inputs.batch(&mut self.batch_c),
                     }
@@ -181,19 +246,28 @@ macro_rules! side {
                                 same(got.as_slice(), want.as_slice(), what);
                                 got.as_slice().to_vec()
                             }
-                            Case::Ring => {
+                            Case::Ring { trans } => {
                                 // each call into the C the previous one left,
                                 // against a call into a fresh one
                                 let mut got = Matrix::from_fn(8, N, |_, _| f64::NAN);
                                 let mut all = Vec::new();
                                 for i in 0..RING {
                                     let mut want = Matrix::zeros(8, N);
-                                    inputs.ring(i, &mut got);
-                                    inputs.ring(i, &mut want);
+                                    inputs.ring(i, trans, &mut got);
+                                    inputs.ring(i, trans, &mut want);
                                     same(got.as_slice(), want.as_slice(), what);
                                     all.extend_from_slice(got.as_slice());
                                 }
                                 all
+                            }
+                            Case::Rows { m, trans } => {
+                                // into a NaN C, against a call into a fresh one
+                                let mut got = Matrix::from_fn(m, N, |_, _| f64::NAN);
+                                let mut want = Matrix::zeros(m, N);
+                                inputs.rows(m, trans, &mut got);
+                                inputs.rows(m, trans, &mut want);
+                                same(got.as_slice(), want.as_slice(), what);
+                                got.as_slice().to_vec()
                             }
                             Case::Batch => {
                                 let nan = || Matrix::from_fn(BATCH_ROWS, N, |_, _| f64::NAN);
