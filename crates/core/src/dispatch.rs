@@ -165,14 +165,14 @@ impl Model {
         // Model inputs, in the units of perfmodel::model (flops, words,
         // cycles). A serial call packs A once per jj panel and reads a
         // stored B once, from wherever the caller keeps it, whether it
-        // packs it or not (`pool::cell_grid` counts the same words); a
-        // PrepackedB's panels are not charged. On the pool every cell
-        // packs its own A — once per column chunk — and reads its own
-        // B columns, once per row range, and writes its own part of C;
-        // all of it is divided work: a thread's share is the cells it
-        // runs (one, or as many rounds as the grid has cells per
-        // thread), with one barrier per panel and a job for every cell
-        // but the caller's.
+        // packs it or not; a PrepackedB's panels are not charged (the grid,
+        // comparing cells that stream B alike, charges only copies). On
+        // the pool every cell packs its own A — once per column chunk —
+        // and reads its own B columns, once per row range, and writes its
+        // own part of C; all of it is divided work: a thread's share is
+        // the cells it runs (one, or as many rounds as the grid has cells
+        // per thread), with one barrier per panel and a job for every
+        // cell but the caller's.
         let jj_panels = n.div_ceil(plan.blocks.nc);
         let f = 2.0 * (m * n * k * batch) as f64;
         let w_a = (m * k * jj_panels * batch) as f64;
@@ -181,10 +181,7 @@ impl Model {
         } else {
             (k * n) as f64
         };
-        let costs = MachineCosts {
-            mu: 1.0 / self.flops_per_cycle,
-            ..MachineCosts::xgene_cycles()
-        };
+        let costs = machine_costs(self.flops_per_cycle);
         let psi = OverlapFactor::Rational { c: 0.4 };
         let overheads = PoolOverheads::xgene_cycles();
         let serial_cycles = time_bound(f, w_a + w_b, &costs, &psi);
@@ -215,6 +212,17 @@ impl Model {
             Parallelism::Pool(degree)
         };
         (runtime, predicted)
+    }
+}
+
+/// The model's costs for a register kernel at `flops_per_cycle`: `μ` is
+/// its reciprocal, `π` and `κ` are X-Gene's until the probe measures this
+/// machine's (ROADMAP 1A-i). The dispatcher prices runtimes with them and
+/// [`crate::pool::cell_grid`] prices grids, so one change moves both.
+pub(crate) fn machine_costs(flops_per_cycle: f64) -> MachineCosts {
+    MachineCosts {
+        mu: 1.0 / flops_per_cycle,
+        ..MachineCosts::xgene_cycles()
     }
 }
 
@@ -353,21 +361,17 @@ mod tests {
 
     /// A stored B reaches the cells from wherever the caller keeps it,
     /// whether they pack it or read it in place, so its `k·n` words are
-    /// charged whatever the plan's B source (`pool::cell_grid` counts the
-    /// same words); a `PrepackedB`'s are not. Serially that is eq. (4)
-    /// over the pack-A words plus B's, or the pack-A words alone when B
-    /// is cached — for one row group, one block and ten, either
-    /// transpose, on the pool as on one thread.
+    /// charged whatever the plan's B source; a `PrepackedB`'s are not.
+    /// Serially that is eq. (4) over the pack-A words plus B's, or the
+    /// pack-A words alone when B is cached — for one row group, one block
+    /// and ten, either transpose, on the pool as on one thread.
     #[test]
     fn a_stored_b_is_charged_its_words_and_a_prepacked_one_is_not() {
         let at = |m: usize, transb: Transpose, cached: bool| {
             priced(32.0, (m, 512, 512), 1, (512, 56, 1920), 2, transb, cached)
         };
         let model_ms = |m: usize, words: usize| {
-            let costs = MachineCosts {
-                mu: 1.0 / 32.0,
-                ..MachineCosts::xgene_cycles()
-            };
+            let costs = machine_costs(32.0);
             let f = 2.0 * (m * 512 * 512) as f64;
             let psi = OverlapFactor::Rational { c: 0.4 };
             cycles_to_ms(time_bound(f, words as f64, &costs, &psi))
@@ -425,10 +429,7 @@ mod tests {
     /// packed once per column chunk and half of B packed once.
     #[test]
     fn a_pooled_plan_is_charged_its_packs_and_nothing_for_c() {
-        let costs = MachineCosts {
-            mu: 1.0 / 32.0,
-            ..MachineCosts::xgene_cycles()
-        };
+        let costs = machine_costs(32.0);
         let psi = OverlapFactor::Rational { c: 0.4 };
         let (f, w_a, w_b) = (2.0 * 512f64.powi(3), 512.0 * 512.0, 512.0 * 512.0);
         let words = 2.0 * w_a + w_b;
@@ -480,16 +481,17 @@ mod tests {
 
     #[test]
     fn skinny_m_gets_a_column_grid() {
-        // Two mc blocks but a wide N: the cells come from splitting
-        // columns (48 rows of A per cell cost less to pack than 2048
-        // columns of B), and big-k compute must make the pool worth it.
+        // Two mc blocks but a wide N, B packed (transposed, past one row
+        // group): the cells come from splitting columns (48 rows of A per
+        // cell cost less to pack than 1792 columns of B), and big-k
+        // compute must make the pool worth it.
         let plan = priced(
             2.0,
             (48, 4096, 4096),
             1,
             (512, 24, 1792),
             8,
-            Transpose::No,
+            Transpose::Yes,
             false,
         );
         assert_eq!(plan.grid, (1, 8));
@@ -498,9 +500,9 @@ mod tests {
 
     #[test]
     fn square_pooled_shape_gets_one_cell_per_thread() {
-        // 1024³ on 8 threads: a 4×2 grid packs the fewest words per cell
-        // (264 rows of A and 516 columns of B, against all 1024 rows and
-        // 132 columns for 1×8), and the pool wins in the model.
+        // 1024³ on 8 threads, B in place: a 4×2 cell copies the fewest
+        // words (264 rows of A, against 528 for 2×4's cell of as many
+        // flops and all 1024 for 1×8's), and the pool wins in the model.
         let plan = priced(
             2.0,
             (1024, 1024, 1024),

@@ -627,9 +627,8 @@ pub(crate) fn plan<K: KernelFamily>(
     let l2 = l2.map(|L2 { bytes, sharers }| bytes / sharers.max(1) / K::Elem::BYTES);
     // a full panel's grid and the last one's, on `runtime`
     let grids = |runtime: Parallelism| {
-        let stored_b = b_source != BSource::Prepacked;
         let degree = runtime.degree();
-        let grid = |width| cell_grid(m * batch, width, k, kc, mc, nr, degree, stored_b, l2);
+        let grid = |width| cell_grid(m * batch, width, k, kc, mc, nr, degree, b_source, isa, l2);
         (grid(nc.min(n)), grid(tail))
     };
     let (grid, tail_grid) = grids(cfg.parallelism);
@@ -1121,7 +1120,7 @@ mod tests {
         #[rustfmt::skip]
         let rows = [
             // a SIMD kernel reads an untransposed B in place at any block
-            // count, on the grids and runtimes a packed B had
+            // count; at mc = 56 a row range would get 280 of 512 rows
             ("512³ serial",                 plan(None, square, 1, No, PAPER, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, false)),
             ("512³ Pool(2)",                plan(None, square, 1, No, PAPER, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
             ("8x512x512, fresh B",          plan(None, skinny, 1, No, PAPER, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, false)),
@@ -1131,19 +1130,21 @@ mod tests {
             ("Bᵀ, 32 rows: one row group",  plan(None, group, 1, Yes, HOST, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
             ("Bᵀ, 40 rows: two groups",     plan(None, past_group, 1, Yes, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
             ("Bᵀ, 512³",                    plan(None, square, 1, Yes, PAPER, Serial, false), (Packed, (1, 1), (1, 1), Serial, false)),
+            // a packed Bᵀ keeps its columns at the host's mc: a row cell
+            // would pack all of B, too much to stay beside its A block
             ("Bᵀ, 512³ Pool(2)",            plan(None, square, 1, Yes, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
-            // mc = 16 cuts the 32-row group: a 35-row Bᵀ is three blocks
-            ("Bᵀ, 3 blocks of 16",          plan(None, ragged, 1, Yes, b_ragged, Pool(4), false), (Packed, (1, 4), (2, 2), Pool(4), false)),
+            ("Bᵀ, 512x510x512 Pool(2)",     plan(None, (512, 510, 512), 1, Yes, HOST, Pool(2), false), (Packed, (1, 2), (1, 2), Pool(2), false)),
+            // mc = 16 cuts the 32-row group: a 35-row Bᵀ is three blocks;
+            // three 35×6 tail cells finish before four of 32×12
+            ("Bᵀ, 3 blocks of 16",          plan(None, ragged, 1, Yes, b_ragged, Pool(4), false), (Packed, (1, 4), (1, 3), Pool(4), false)),
             ("7 x 16 rows, PrepackedB",     plan(None, batch, 7, No, PAPER, Pool(2), true),   (Prepacked, (2, 1), (2, 1), Pool(2), false)),
-            ("7 x 16 rows, fresh B",        plan(None, batch, 7, No, PAPER, Pool(2), false),  (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            ("7 x 16 rows, fresh B",        plan(None, batch, 7, No, PAPER, Pool(2), false),  (InPlace, (2, 1), (2, 1), Pool(2), false)),
             ("k > kc, one block",           plan(None, deep, 1, No, PAPER, Serial, false),    (InPlace, (1, 1), (1, 1), Serial, false)),
-            // a 1920-wide panel's B fits the L2 on neither grid, so each
-            // later row task reads it back: rows, 512·(280 + 1920 + 4·1920)
-            // = 5 058 560 words a cell, against 512·(512 + 960 + 9·960) =
-            // 5 177 344 for the columns
-            ("n % nc != 0",                 plan(None, wide, 1, No, PAPER, Pool(2), false),   (InPlace, (2, 1), (2, 1), Pool(2), false)),
+            // the 1920-wide panel splits as 512³ at mc = 56 does; a 280×100
+            // tail cell computes about what a 512×54 one does
+            ("n % nc != 0",                 plan(None, wide, 1, No, PAPER, Pool(2), false),   (InPlace, (1, 2), (2, 1), Pool(2), false)),
             // 3 mc blocks cannot give 4 threads a cell each: columns
-            ("3 blocks on Pool(4)",         plan(None, ragged, 1, No, b_ragged, Pool(4), false), (InPlace, (1, 4), (2, 2), Pool(4), false)),
+            ("3 blocks on Pool(4)",         plan(None, ragged, 1, No, b_ragged, Pool(4), false), (InPlace, (1, 4), (1, 3), Pool(4), false)),
             // a fixed runtime overrides the model either way (rows below)
             ("Fixed pool, Auto serial",     plan(None, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 4), (1, 3), Pool(4), false)),
             ("Fixed serial, Auto pool",     plan(None, big, 1, No, b_big, Serial, false),     (InPlace, (1, 1), (1, 1), Serial, false)),
@@ -1152,24 +1153,28 @@ mod tests {
             ("Auto 8x512x512, AVX-512",     plan(avx512, skinny, 1, No, PAPER, Pool(2), false), (InPlace, (1, 1), (1, 1), Serial, true)),
             ("Auto cached stream",          plan(portable, stream, 1, No, b_stream, Pool(4), true), (Prepacked, (1, 1), (1, 1), Serial, true)),
             ("Auto, one cell for 8",        plan(portable, coarse, 1, No, b_coarse, Pool(8), false), (InPlace, (1, 1), (1, 1), Serial, true)),
-            ("Auto skinny m: columns",      plan(portable, tall_k, 1, No, b_big, Pool(8), false), (InPlace, (1, 8), (1, 8), Pool(8), true)),
-            // a 4×2 cell's 516 B columns do not fit beside its A block:
-            // 1024·(264 + 516 + 10·516) = 6 082 560 words, against 2×4's
-            // 1024·(528 + 258) = 804 864
-            ("Auto 1024³ on 8",             plan(portable, big, 1, No, b_big, Pool(8), false), (InPlace, (2, 4), (2, 4), Pool(8), true)),
+            // two mc blocks of 24 rows: in place a row range copies half
+            // of A; packed, each would copy all of B's 1792 columns
+            ("Auto skinny m, in place",     plan(portable, tall_k, 1, No, b_big, Pool(8), false), (InPlace, (2, 4), (2, 4), Pool(8), true)),
+            ("Auto skinny m, Bᵀ: columns",  plan(portable, tall_k, 1, Yes, b_big, Pool(8), false), (Packed, (1, 8), (1, 8), Pool(8), true)),
+            // in place a 4×2 cell copies 264 rows of A, a 2×4 one 528
+            ("Auto 1024³ on 8",             plan(portable, big, 1, No, b_big, Pool(8), false), (InPlace, (4, 2), (4, 2), Pool(8), true)),
             ("Auto on one thread",          plan(portable, big, 1, No, b_big, Serial, false),  (InPlace, (1, 1), (1, 1), Serial, true)),
-            // at the host's mc, for β = 0 and β = 0.5 alike: half of B
-            // fits beside the A block in the L2 (1.03 + 0.5 MiB) and all of
-            // it does not (2 + 0.5 MiB), so the row split's second row
-            // task would read its B columns back: 655 360 words a cell
-            // against the columns' 394 240
-            ("512³ Pool(2), host mc",       plan(None, square, 1, No, HOST, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
+            // At the host's mc, for any β, B in place splits the rows where
+            // the row tasks divide: each thread packs its half of A and no
+            // B (the paper's layer-3 schedule). 500 rows are four tasks.
+            ("512³ Pool(2), host mc",       plan(None, square, 1, No, HOST, Pool(2), false), (InPlace, (2, 1), (2, 1), Pool(2), false)),
+            ("2048x512x512 Pool(2)",        plan(None, (2048, 512, 512), 1, No, HOST, Pool(2), false), (InPlace, (2, 1), (2, 1), Pool(2), false)),
+            ("500x512x512 Pool(2)",         plan(None, (500, 512, 512), 1, No, HOST, Pool(2), false), (InPlace, (2, 1), (2, 1), Pool(2), false)),
+            // three tasks split 2:1: a 256×512 cell, more than 384×258
+            ("384x512x512 Pool(2)",         plan(None, (384, 512, 512), 1, No, HOST, Pool(2), false), (InPlace, (1, 2), (1, 2), Pool(2), false)),
             ("7 x 16 rows, host mc",        plan(None, batch, 7, No, HOST, Pool(2), false),  (InPlace, (1, 2), (1, 2), Pool(2), false)),
             // the portable kernel keeps the pack past one mc block, and
-            // past one 8-row group of a transposed B
+            // past one 8-row group of a transposed B. At its μ a copied
+            // word costs 2.25 flops, not 36: the flops pick the grid
             ("portable 512³",               portable_plan(square, 1, No, PAPER, Serial),      (Packed, (1, 1), (1, 1), Serial, false)),
-            ("portable 512³ Pool(2)",       portable_plan(square, 1, No, HOST, Pool(2)),      (Packed, (1, 2), (1, 2), Pool(2), false)),
-            ("portable 7 x 16 rows",        portable_plan(batch, 7, No, PAPER, Pool(2)),      (Packed, (1, 2), (1, 2), Pool(2), false)),
+            ("portable 512³ Pool(2)",       portable_plan(square, 1, No, HOST, Pool(2)),      (Packed, (2, 1), (2, 1), Pool(2), false)),
+            ("portable 7 x 16 rows",        portable_plan(batch, 7, No, PAPER, Pool(2)),      (Packed, (2, 1), (2, 1), Pool(2), false)),
             ("portable 7 x 16, host mc",    portable_plan(batch, 7, No, HOST, Pool(2)),       (InPlace, (1, 2), (1, 2), Pool(2), false)),
             ("portable 8x512x512",          portable_plan(skinny, 1, No, PAPER, Serial),      (InPlace, (1, 1), (1, 1), Serial, false)),
             ("portable Bᵀ, 8 rows",         portable_plan(skinny, 1, Yes, PAPER, Pool(2)),    (InPlace, (1, 2), (1, 2), Pool(2), false)),

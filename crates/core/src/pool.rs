@@ -23,12 +23,12 @@
 //!   a call is cut into *cells* — a run of `mc` row blocks (of a batch's
 //!   rows stacked, so a block may straddle entries) by an `nr`-aligned
 //!   run of the panel's columns — about one per thread, by the one pure
-//!   function that minimises the words a cell moves. Which loop is
-//!   parallel is that function's answer for the shape: columns for a
-//!   square call or a single block, rows for a tall narrow one or a batch
-//!   against cached panels; for one thread, neither. The call's [`Plan`]
-//!   holds the answer, for a full panel and the last; the walk cuts the
-//!   cells of each once per call.
+//!   function that minimises the busiest thread's time in model units.
+//!   Which loop is parallel is that function's answer for the shape: rows
+//!   for a call that reads B in place or a batch against cached panels,
+//!   columns for a single block or a call that packs B; for one thread,
+//!   neither. The call's [`Plan`] holds the answer, for a full panel and
+//!   the last; the walk cuts the cells of each once per call.
 //! - **[`GemmArena`]**: a thread-local free list of [`BlockSlot`]s
 //!   (packed-A buffer, undo copy of C, scratch register tile) and
 //!   packed-B panels. A cell uses the arena of the thread that runs it,
@@ -121,11 +121,13 @@ use crate::pack::{PackedA, PackedB};
 use crate::parallel::partition_rows;
 use crate::prepack::{PackCache, PrepackedB};
 use crate::scalar::Scalar;
+use crate::simd::Isa;
 use crate::telemetry::{self, TraceKind, RT};
 use crate::tile::TileMut;
 use crate::{GemmError, Transpose};
 use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 use perfmodel::cacheblock::BlockSizes;
+use perfmodel::model::time_bound_no_overlap;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -692,30 +694,26 @@ pub(crate) fn row_tasks(m: usize, batch: usize, mc: usize) -> usize {
 /// The grid one `jj` panel of a call is cut into, as `(row ranges,
 /// column chunks)`: `rows` stacked rows in row tasks of `mc`
 /// (`row_tasks`) by `n` panel columns in `nr` slivers, `k` deep in
-/// panels of `kc`, for `degree` threads on cores whose L2 holds `l2`
-/// elements (`None`: unknown). The one place that decision lives; the
-/// call's [`Plan`] holds it, the walk cuts it and the dispatcher prices it.
+/// panels of `kc`, for `degree` threads, with B read from `b_source`, by
+/// a register kernel at `isa`, on cores whose L2 holds `l2` elements
+/// (`None`: unknown). The one place that decision lives; the call's
+/// [`Plan`] holds it, the walk cuts it and the dispatcher prices it.
 ///
-/// A cell packs its own operands and writes its own tiles of C. The
-/// objective is the words a cell moves over the whole call: `k · (its
-/// rows of A + its columns of B)` — B whenever the call reads a B the
-/// caller stored (`stored_b`), which reaches the cell from outside its
-/// L2 whether the cell packs it or reads it in place, and not for a
-/// [`PrepackedB`] — plus `k · cols` more for each of its row tasks after
-/// the first when its `kc × cols` B columns do not fit beside one
-/// `mc × kc` A block in the L2: each of those blocks then reads them back
-/// from farther out (eqs. 19–20, per cell). The
-/// grid is the one whose largest cell moves the fewest words, times the
-/// rounds it takes `degree` threads to run the cells, among those with a
-/// cell for every thread (or as many as the shape has); ties go to the
-/// column split, whose cells share no packed B. A square call splits its
-/// columns — on two threads at `mc` = 128 because half of B fits beside
-/// the A block in a 2 MiB L2 and all of it does not — a single `mc` block
-/// can only do that, a tall one with fewer slivers than threads splits its
-/// rows, and so does a batch against a [`PrepackedB`], which has no B pack
-/// to duplicate.
+/// A cell packs its own operands and writes its own tiles of C. The grid
+/// is the one whose busiest thread the model predicts to finish first:
+/// the rounds `degree` threads take to run the cells, times one cell's
+/// `2·rows·cols·k` flops at `μ` plus the words it copies at `(1+κ)·π`
+/// (eq. (4) with no overlap, at `dispatch::machine_costs` for `isa`). A
+/// cell copies its rows of A, `k · rows`, once per column chunk; its
+/// columns of B, `k · cols`, only when it packs them ([`BSource::Packed`]:
+/// a B read in place streams alike on every grid and costs no copy); and,
+/// for a panel, packed or a [`PrepackedB`]'s, whose `kc × cols` do not fit
+/// beside one `mc × kc` A block in the L2, `k · cols` more for each row
+/// task after its first, read back from farther out (eqs. 19–20, per
+/// cell). No rule asks for a cell per thread, and exact ties go to the
+/// fewest row ranges. DESIGN.md §9 has the grids it picks.
 #[must_use]
-#[allow(clippy::too_many_arguments)] // the shape, the blocking, the runtime and two facts
+#[allow(clippy::too_many_arguments)] // the shape, the blocking, the runtime and three facts
 pub fn cell_grid(
     rows: usize,
     n: usize,
@@ -724,30 +722,32 @@ pub fn cell_grid(
     mc: usize,
     nr: usize,
     degree: usize,
-    stored_b: bool,
+    b_source: BSource,
+    isa: Isa,
     l2: Option<usize>,
 ) -> (usize, usize) {
     let (mc, nr, degree) = (mc.max(1), nr.max(1), degree.max(1));
     let tasks = row_tasks(rows, 1, mc).max(1);
     let slivers = n.div_ceil(nr).max(1);
     let depth = kc.min(k).max(1);
+    let costs = crate::dispatch::machine_costs(isa.flops_per_cycle());
+    let busiest = |(r, chunks): (usize, usize)| {
+        let cell_tasks = tasks.div_ceil(r);
+        let rows = (cell_tasks * mc).min(rows);
+        let cols = (slivers.div_ceil(chunks) * nr).min(n);
+        let packed = if b_source == BSource::Packed { cols } else { 0 };
+        let panel = b_source != BSource::InPlace;
+        let spills = panel && l2.is_some_and(|l2| depth * (cols + mc) > l2);
+        let reread = if spills { (cell_tasks - 1) * cols } else { 0 };
+        let flops = 2 * rows * cols * k;
+        let words = k * (rows + packed + reread);
+        let rounds = (r * chunks).div_ceil(degree);
+        rounds as f64 * time_bound_no_overlap(flops as f64, words as f64, &costs)
+    };
     (1..=degree.min(tasks))
-        .map(|r| {
-            let chunks = degree.div_ceil(r).min(slivers);
-            let cell_tasks = tasks.div_ceil(r);
-            let rows = (cell_tasks * mc).min(rows);
-            let cols = (slivers.div_ceil(chunks) * nr).min(n);
-            let packed = if stored_b { cols } else { 0 };
-            let spills = l2.is_some_and(|l2| depth * (cols + mc) > l2);
-            let reread = if spills { (cell_tasks - 1) * cols } else { 0 };
-            let words = (r * chunks).div_ceil(degree) * k * (rows + packed + reread);
-            (
-                ((r * chunks).min(degree), core::cmp::Reverse(words), chunks),
-                (r, chunks),
-            )
-        })
-        .max_by_key(|&(key, _)| key)
-        .map_or((1, 1), |(_, grid)| grid)
+        .map(|r| (r, degree.div_ceil(r).min(slivers)))
+        .min_by(|&a, &b| busiest(a).total_cmp(&busiest(b)))
+        .unwrap_or((1, 1))
 }
 
 /// The cells of one `jj` panel `n` columns wide, chunk by chunk:
@@ -1648,78 +1648,71 @@ mod tests {
         assert_eq!(status.deaths, again.deaths);
     }
 
-    /// The grid by the words its largest cell moves over the call:
-    /// `k·(rows of A + columns of a stored B)`, plus `k·cols` again for each
-    /// row task after its first when its `kc`-deep B panel does not fit
-    /// beside an A block in the L2 — here 2 MiB, or none known.
+    /// The grid by the predicted time of its busiest thread: rounds ×
+    /// (a cell's flops at `μ` + its copied words at `(1+κ)·π`), the words
+    /// being `k·rows` of A, `k·cols` of a packed B, and `k·cols` again for
+    /// each row task after the first when a panel's `kc`-deep columns do
+    /// not fit beside an A block in the L2 — here 2 MiB, or none known.
     #[test]
-    fn the_grid_packs_the_fewest_words_per_cell() {
+    fn the_grid_minimises_the_busiest_threads_priced_time() {
+        use BSource::{InPlace, Packed, Prepacked};
         const L2: Option<usize> = Some((2 << 20) / 8);
-        let mc = 56;
-        // the 8×6 kernel's slivers, kc = 512
-        #[allow(clippy::too_many_arguments)]
-        fn grid(
-            m: usize,
-            batch: usize,
-            n: usize,
-            k: usize,
-            mc: usize,
-            degree: usize,
-            stored_b: bool,
-            l2: Option<usize>,
-        ) -> (usize, usize) {
-            cell_grid(m * batch, n, k, 512, mc, 6, degree, stored_b, l2)
+        // the 8×6 kernel's slivers at AVX-512, kc = 512
+        let grid = |rows, n, k, mc, degree, b, l2| {
+            cell_grid(rows, n, k, 512, mc, 6, degree, b, Isa::Avx512, l2)
+        };
+        for (l2, b) in [L2, None]
+            .into_iter()
+            .flat_map(|l2| [InPlace, Packed, Prepacked].map(|b| (l2, b)))
+        {
+            // at mc = 56 a row range of 512³ gets 280 rows: columns win
+            assert_eq!(grid(512, 512, 512, 56, 2, b, l2), (1, 2));
+            assert_eq!(grid(512, 512, 512, 56, 3, b, l2), (1, 3));
+            // a single mc block has only columns to split
+            for p in [2, 3, 5] {
+                assert_eq!(grid(8, 512, 512, 56, p, b, l2), (1, p));
+            }
+            // m >> n, fewer slivers than threads (an LU trailing update)
+            assert_eq!(grid(4096, 12, 64, 56, 5, b, l2), (5, 1));
+            // fewer cells than threads only when the shape has no more
+            assert_eq!(grid(48, 6, 4096, 64, 8, b, l2), (1, 1));
+            assert_eq!(grid(100, 12, 64, 56, 8, b, l2), (2, 2));
+            assert_eq!(grid(2048, 512, 512, 56, 1, b, l2), (1, 1));
+            // three row tasks split 2:1: a 256×512 cell, more than 384×258
+            assert_eq!(grid(384, 512, 512, 128, 2, b, l2), (1, 2));
+            // a batch's rows stack: two 16-row entries are one block
+            assert_eq!(grid(32, 512, 512, 56, 2, b, l2), (1, 2));
+            // a copied word costs 2.25 portable flops, 36 AVX-512 ones:
+            // the portable 1024³ on 8 takes the fewest flops, 1024×132
+            let portable = cell_grid(1024, 1024, 1024, 512, 24, 6, 8, b, Isa::Portable, l2);
+            assert_eq!(portable, (1, 8));
         }
         for l2 in [L2, None] {
-            // 512³ on two threads at mc = 56: all of A and half of B
-            // (394 240 words) beats half of A and all of B (405 504)
-            assert_eq!(grid(512, 1, 512, 512, mc, 2, true, l2), (1, 2));
-            assert_eq!(grid(512, 1, 512, 512, mc, 3, true, l2), (1, 3));
-            // a single mc block has only columns to split, whatever B is
-            for p in [2, 3, 5] {
-                assert_eq!(grid(8, 1, 512, 512, mc, p, false, l2), (1, p));
-                assert_eq!(grid(8, 1, 512, 512, mc, p, true, l2), (1, p));
-            }
-            // m >> n with fewer slivers than threads (an LU trailing
-            // update): rows, though every cell then packs all of B
-            assert_eq!(grid(4096, 1, 12, 64, mc, 5, true, l2), (5, 1));
-            // fewer cells than threads only when the shape has no more
-            assert_eq!(grid(48, 1, 6, 4096, 64, 8, true, l2), (1, 1));
-            assert_eq!(grid(100, 1, 12, 64, 56, 8, true, l2), (2, 2));
-            // one thread, one cell
-            assert_eq!(grid(512, 4, 512, 512, mc, 1, true, l2), (1, 1));
-            // Against a PrepackedB there is no B pack to duplicate: seven
-            // 16-row entries, two whole blocks, split by entries. A fresh
-            // B's columns are split.
-            assert_eq!(grid(16, 7, 512, 512, mc, 2, false, l2), (2, 1));
-            assert_eq!(grid(16, 8, 512, 512, mc, 2, true, l2), (1, 2));
-            // a batch's rows stack: two 16-row entries are one block
-            assert_eq!(grid(16, 2, 512, 512, mc, 2, false, l2), (1, 2));
+            // 512³ at the host's mc = 128, in place: a row cell computes
+            // 256×512 and copies 512·256 words, a column cell 512×258, 512²
+            assert_eq!(grid(512, 512, 512, 128, 2, InPlace, l2), (2, 1));
+            // Seven 16-row entries are two blocks: split by entries when
+            // no cell packs B, by columns when each would pack all of it.
+            assert_eq!(grid(112, 512, 512, 56, 2, InPlace, l2), (2, 1));
+            assert_eq!(grid(112, 512, 512, 56, 2, Prepacked, l2), (2, 1));
+            assert_eq!(grid(112, 512, 512, 56, 2, Packed, l2), (1, 2));
+            // 1024³ on 8 at mc = 24, in place: a 4×2 cell copies 264 rows
+            assert_eq!(grid(1024, 1024, 1024, 24, 8, InPlace, l2), (4, 2));
         }
-        // one cell per thread beats more, smaller cells run in two rounds.
-        // With the L2, a 4×2 cell's 516 B columns (264 192 words) do not
-        // fit beside its A block, and its ten later row tasks read them
-        // back: 1024·(264 + 516 + 10·516) words against 2×4's
-        // 1024·(528 + 258), whose 258 columns fit.
-        assert_eq!(grid(1024, 1, 1024, 1024, 24, 8, true, None), (4, 2));
-        assert_eq!(grid(1024, 1, 1024, 1024, 24, 8, true, L2), (2, 4));
-        // 512³ on two threads at mc = 128, the host's: with no L2 known the
-        // row split moves 1 024 words fewer (512·768 = 393 216 against
-        // 512·770 = 394 240). In a 2 MiB L2 its 512 B columns (2 MiB) do
-        // not fit beside the 512 KiB A block and its second row task reads
-        // them back (655 360), while the columns' half (1.03 MiB) fits.
-        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, None), (2, 1));
-        assert_eq!(grid(512, 1, 512, 512, 128, 2, true, L2), (1, 2));
-        // eight 16-row entries against a PrepackedB are three blocks. With
-        // no L2 known the range of two wins on the 16 rows of A it saves
-        // (512·112 against 512·128); in the L2 its 512 B columns do not fit
-        // beside the A block, and its second block reads them back
-        // (512·(112 + 512)).
-        assert_eq!(grid(16, 8, 512, 512, mc, 2, false, None), (2, 1));
-        assert_eq!(grid(16, 8, 512, 512, mc, 2, false, L2), (1, 2));
+        for b in [Packed, Prepacked] {
+            // A B panel: with no L2 known the 512³ row split copies 1 024
+            // words fewer. In a 2 MiB L2 its 2 MiB of B do not fit beside
+            // the A block and its second row task reads them back.
+            assert_eq!(grid(512, 512, 512, 128, 2, b, None), (2, 1));
+            assert_eq!(grid(512, 512, 512, 128, 2, b, L2), (1, 2));
+            // a 4×2 cell's 516 B columns do not fit beside its A block,
+            // and its ten later row tasks read them back; 2×4's 258 fit
+            assert_eq!(grid(1024, 1024, 1024, 24, 8, b, None), (4, 2));
+            assert_eq!(grid(1024, 1024, 1024, 24, 8, b, L2), (2, 4));
+        }
         // seven 20-row entries at mc = 8 are 140 rows in 18 tasks, not
         // the 21 they would be per entry
-        assert_eq!(row_tasks(16, 2, mc), 1);
+        assert_eq!(row_tasks(16, 2, 56), 1);
         assert_eq!(row_tasks(20, 7, 8), 18);
     }
 

@@ -36,7 +36,7 @@
 use dgemm_core::batch::{gemm_batch_prepacked, gemm_batch_shared_b};
 use dgemm_core::dispatch::DispatchMode;
 use dgemm_core::gebp::gebp;
-use dgemm_core::gemm::{try_gemm, GemmConfig, KernelFamily};
+use dgemm_core::gemm::{try_gemm, BSource, GemmConfig, KernelFamily};
 use dgemm_core::matrix::{Matrix, MatrixView, MatrixViewMut};
 use dgemm_core::microkernel::{KernelSet, MicroKernelKind};
 use dgemm_core::pack::{PackedA, PackedB};
@@ -44,6 +44,7 @@ use dgemm_core::pool::{cell_grid, PoolScalar};
 use dgemm_core::prepack::PrepackedB;
 use dgemm_core::reference::naive_gemm;
 use dgemm_core::sgemm::{sgemm, SgemmConfig};
+use dgemm_core::simd::Isa;
 use dgemm_core::store;
 use dgemm_core::tile::TileMut;
 use dgemm_core::util::gemm_tolerance;
@@ -439,8 +440,9 @@ fn beta_zero_overwrites_poisoned_c() {
 }
 
 /// Pooled cells under `β = 0`: a call of one entry whose grid on
-/// `Pool(2)`, `Pool(3)` and `Pool(4)` splits columns — but for the ragged
-/// last panel on `Pool(3)`, which splits rows — each cell storing
+/// `Pool(2)`, `Pool(3)` and `Pool(4)` splits columns where B is packed
+/// — but for the ragged last panel on `Pool(3)`, which splits rows; a B
+/// read in place splits both panels' rows there — each cell storing
 /// straight into its own tiles of a C of NaN, −∞ and −0.0 — over three
 /// `jj` panels, two `kc` panels and up to three row blocks per cell, for
 /// every transpose. Each result is `Serial`'s, bit for bit, and finite.
@@ -485,16 +487,18 @@ fn pooled_in_place_column_cells_overwrite_poisoned_c() {
         let want = run(Parallelism::Serial);
         assert!(want.iter().all(|&x| f64::from_bits(x).is_finite()));
         for p in [2, 3, 4] {
-            // On three threads the 40-wide panel's three one-block row
-            // ranges move 45·(16 + 40) = 2 520 words a cell, against
-            // 45·(40 + 18) = 2 610 for three column chunks.
+            // A packed B (a transposed one, 40 rows being more than a
+            // row group): on three threads the 40-wide panel's three
+            // one-block row ranges copy 45·(16 + 40) = 2 520 words a
+            // cell, against 45·(40 + 18) = 2 610 for three column chunks.
+            let isa = KernelSet::isa(&MicroKernelKind::Mk8x6);
             for width in [nc, n % nc] {
                 let want = if (p, width) == (3, n % nc) {
                     (3, 1)
                 } else {
                     (1, p)
                 };
-                let grid = cell_grid(m, width, k, kc, mc, 6, p, true, None);
+                let grid = cell_grid(m, width, k, kc, mc, 6, p, BSource::Packed, isa, None);
                 assert_eq!(grid, want, "Pool({p}), a panel {width} wide");
             }
             assert!(
@@ -944,6 +948,122 @@ fn ieee_specials_inside_b_conform() {
                 match &baseline {
                     None => baseline = Some(bits),
                     Some(base) => assert_eq!(&bits, base, "{source}: not the serial stored bits"),
+                }
+            }
+        }
+    }
+}
+
+/// IEEE specials *inside* A: NaN, ±Inf, −0.0 and a subnormal planted in
+/// the window of A itself — a window of a NaN/Inf parent — in different
+/// rows, row blocks and depth panels, for either transpose of A, on the
+/// default kernel and a B as stored. Each runs under a row split (four
+/// `mc` blocks, so every pooled cell packs a range of A's rows) and a
+/// column split (one block, so every cell packs all of them), on
+/// `Serial`, `Pool(2)` and `Pool(4)`, at β = 0 over a poisoned C and at
+/// β = 0.5. Every runtime gives the serial bits, NaN and ±Inf land
+/// exactly where the naive oracle puts them, and every finite element is
+/// within its tolerance.
+#[test]
+fn ieee_specials_inside_a_conform() {
+    let kind = GemmConfig::default().kernel;
+    let (mr, nr) = (kind.mr(), kind.nr());
+    let isa = KernelSet::isa(&kind);
+    let (kc, mc, nc) = (16, mr * KernelSet::row_group(&kind), 4 * nr);
+    let (n, k) = (nc + nr + 1, kc + 7);
+    // B as stored is read in place by a SIMD kernel and packed past one
+    // block by the portable one
+    let b_source = if isa > Isa::Portable {
+        BSource::InPlace
+    } else {
+        BSource::Packed
+    };
+    let b = Matrix::random(k, n, 171);
+    for (m, rows_split) in [(4 * mc, true), (mc - 3, false)] {
+        for p in [2, 4] {
+            for width in [nc, n % nc] {
+                let (row_ranges, col_chunks) =
+                    cell_grid(m, width, k, kc, mc, nr, p, b_source, isa, None);
+                let split = if rows_split { row_ranges } else { col_chunks };
+                assert!(
+                    split > 1 && (row_ranges == 1) != rows_split,
+                    "{m} rows on Pool({p})"
+                );
+            }
+        }
+        // (row i, depth p) of op(A), and what goes there
+        let specials = [
+            (1, 2, f64::NAN),
+            (m - 1, kc + 2, f64::INFINITY),
+            (m / 2, kc - 1, f64::NEG_INFINITY),
+            (0, kc, -0.0),
+            (m / 2 + 1, 5, f64::MIN_POSITIVE / 8.0),
+        ];
+        let mut op_a = Matrix::random(m, k, 172);
+        for (i, p, x) in specials {
+            op_a.set(i, p, x);
+        }
+        for ta in [Transpose::No, Transpose::Yes] {
+            let (ar, ac) = stored_dims(ta, m, k);
+            let stored = Matrix::from_fn(ar, ac, |i, j| match ta {
+                Transpose::No => op_a.get(i, j),
+                Transpose::Yes => op_a.get(j, i),
+            });
+            let a_parent = windowed(&stored, &junk);
+            let a = a_parent.view().sub(2, 1, ar, ac);
+            for beta in [0.0, 0.5] {
+                let what = format!("{m}x{n}x{k} ta={ta:?} beta={beta}");
+                let c0 = if beta == 0.0 {
+                    Matrix::from_fn(m, n, junk)
+                } else {
+                    Matrix::random(m, n, 173)
+                };
+                let mut want = if beta == 0.0 {
+                    Matrix::zeros(m, n)
+                } else {
+                    c0.clone()
+                };
+                let b = b.view();
+                naive_gemm(ta, Transpose::No, 1.5, &a, &b, beta, &mut want.view_mut());
+                assert!(
+                    want.as_slice().iter().any(|x| x.is_nan())
+                        && want.as_slice().iter().any(|x| x.is_infinite()),
+                    "{what}: the oracle sees the specials"
+                );
+                let tol = gemm_tolerance(k, 4.0);
+                let mut baseline: Option<Vec<u64>> = None;
+                for par in [
+                    Parallelism::Serial,
+                    Parallelism::Pool(2),
+                    Parallelism::Pool(4),
+                ] {
+                    let source = format!("{what} {par:?}");
+                    let cfg = GemmConfig::default()
+                        .with_blocks(kc, mc, nc)
+                        .with_parallelism(par);
+                    let mut parent = windowed(&c0, &|_, _| 0.0);
+                    let mut c = parent.view_mut();
+                    let mut c = c.sub_mut(2, 1, m, n);
+                    try_gemm(ta, Transpose::No, 1.5, &a, &b, beta, &mut c, &cfg)
+                        .unwrap_or_else(|e| panic!("{source}: {e}"));
+                    for j in 0..n {
+                        for i in 0..m {
+                            let (got, oracle) = (parent.get(i + 2, j + 1), want.get(i, j));
+                            let lands = if oracle.is_nan() {
+                                got.is_nan()
+                            } else if oracle.is_infinite() {
+                                got == oracle
+                            } else {
+                                (got - oracle).abs() <= tol
+                            };
+                            assert!(lands, "{source}: C[{i},{j}] = {got} vs oracle {oracle}");
+                        }
+                    }
+                    let bits: Vec<u64> = parent.as_slice().iter().map(|x| x.to_bits()).collect();
+                    match &baseline {
+                        None => baseline = Some(bits),
+                        Some(base) => assert_eq!(&bits, base, "{source}: not the serial bits"),
+                    }
                 }
             }
         }

@@ -20,7 +20,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dgemm_core::faults::{self, FaultPlan, Trigger};
-use dgemm_core::gemm::{try_gemm, GemmConfig};
+use dgemm_core::gemm::{try_gemm, BSource, GemmConfig};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::{KernelSet, MicroKernelKind};
 use dgemm_core::pool::{cell_grid, status, with_pool, Parallelism, PoolScalar, WorkerPool};
@@ -375,11 +375,12 @@ fn worker_panic_on_cached_panel_preserves_the_entry() {
     cache.invalidate(&b.view());
 }
 
-/// Column cells: a call of one entry whose grid on `Pool(2)` and
-/// `Pool(4)` splits only columns, each cell writing straight into its own
-/// columns of C. `k` spans two `kc` panels, and `mc` is the 8×6 kernel's
-/// `mr`: a cell is six one-sliver blocks per panel, and a block's A pack
-/// cannot be halved.
+/// In-place cells: a call of one entry cut into one cell per thread on
+/// `Pool(2)` and `Pool(4)`, each cell writing straight into its own tiles
+/// of C ([`in_place_grid`]). `k` spans two `kc` panels, and `mc` is the
+/// 8×6 kernel's `mr`: a cell is one-sliver blocks, six per panel in a
+/// column cell and three in a row cell, and a block's A pack cannot be
+/// halved.
 const IN_PLACE: (usize, usize, usize) = (48, 144, 40);
 const IN_PLACE_BLOCKS: (usize, usize, usize) = (24, 8, 144);
 const IN_PLACE_TASKS: usize = IN_PLACE.0.div_ceil(IN_PLACE_BLOCKS.1);
@@ -422,12 +423,28 @@ fn poisoned() -> Matrix {
     Matrix::from_fn(m, n, |i, j| if (i + j) % 2 == 0 { f64::NAN } else { -0.0 })
 }
 
-/// The grid [`IN_PLACE`] is cut into on `Pool(degree)`, whatever β is
-/// (its panels are too small for any L2 to matter).
-fn in_place_grid(degree: usize) -> (usize, usize) {
+/// The grid [`IN_PLACE`] is cut into on `Pool(degree)` with B stored as
+/// `tb` says, whatever β is (its panels are too small for any L2 to
+/// matter), and each cell's row tasks per panel. A packed B — transposed,
+/// or on the portable kernel — splits the columns, each cell packing its
+/// own; B read in place by a SIMD kernel splits the rows (and, on four
+/// threads, the columns too), each cell packing half of A and no B.
+fn in_place_grid(degree: usize, tb: Transpose) -> ((usize, usize), usize) {
     let (m, n, k) = IN_PLACE;
     let (kc, mc, _) = IN_PLACE_BLOCKS;
-    cell_grid(m, n, k, kc, mc, 6, degree, true, None)
+    let isa = KernelSet::isa(&MicroKernelKind::Mk8x6);
+    let b = if tb == Transpose::No && isa > Isa::Portable {
+        BSource::InPlace
+    } else {
+        BSource::Packed
+    };
+    let grid = cell_grid(m, n, k, kc, mc, 6, degree, b, isa, None);
+    let want = match b {
+        BSource::InPlace => (2, degree / 2),
+        _ => (1, degree),
+    };
+    assert_eq!(grid, want, "Pool({degree}), {tb:?}");
+    (grid, IN_PLACE_TASKS / grid.0)
 }
 
 /// A cell that panics after it has stored part of C is replayed straight
@@ -446,10 +463,9 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
     let c0 = Matrix::random(IN_PLACE.0, IN_PLACE.1, 63);
     let want_beta =
         in_place_call(Parallelism::Serial, Transpose::No, 0.5, &c0).expect("no plan is installed");
-    // a cell's blocks over the call: its row tasks in each of two panels
-    let blocks = 2 * IN_PLACE_TASKS as u64;
     for p in [2, 4] {
-        assert_eq!(in_place_grid(p), (1, p), "Pool({p})");
+        // a cell's blocks over the call: its row tasks in each of two panels
+        let blocks = 2 * in_place_grid(p, Transpose::No).1 as u64;
         let pool = Parallelism::Pool(p);
         assert!(in_place_call(pool, Transpose::No, 0.0, &poisoned()).unwrap() == want);
         // The other p − 1 cells account for at most (p − 1)·blocks of the
@@ -479,7 +495,7 @@ fn a_panicked_in_place_cell_is_overwritten_by_its_replay() {
     }
 }
 
-/// Each allocation of the column-split call failed in turn. The cells
+/// Each allocation of the in-place cells' call failed in turn. The cells
 /// run one after the other on the calling thread — a fresh shard that can
 /// spawn no worker — so the n-th allocation is known: per cell, under
 /// `β ≠ 0` its undo copy of C first, then per `kk` panel the pack of its B
@@ -503,14 +519,13 @@ fn every_failed_allocation_of_an_in_place_cell_leaves_c_exact() {
 }
 
 fn every_failed_allocation_leaves_c_exact(tb: Transpose, packs_b: bool) {
-    let per_panel = u64::from(packs_b) + IN_PLACE_TASKS as u64;
     let c0 = Matrix::random(IN_PLACE.0, IN_PLACE.1, 63);
     for (beta, c0) in [(0.0, poisoned()), (0.5, c0)] {
         let want = in_place_call(Parallelism::Serial, tb, beta, &c0).expect("no plan is installed");
         let undo = u64::from(beta != 0.0);
-        let per_cell = undo + 2 * per_panel;
         for p in [2, 4] {
-            assert_eq!(in_place_grid(p), (1, p));
+            let per_panel = u64::from(packs_b) + in_place_grid(p, tb).1 as u64;
+            let per_cell = undo + 2 * per_panel;
             let shard = WorkerPool::new_shard("in-place-alloc");
             for nth in 0..per_cell * p as u64 {
                 let contained0 = status().faults_contained;

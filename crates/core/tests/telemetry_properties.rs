@@ -18,7 +18,7 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-use dgemm_core::gemm::{gemm, GemmConfig};
+use dgemm_core::gemm::{gemm, BSource, GemmConfig};
 use dgemm_core::matrix::Matrix;
 use dgemm_core::microkernel::{KernelSet, MicroKernelKind};
 use dgemm_core::pool::{cell_grid, Parallelism};
@@ -114,7 +114,13 @@ fn expected(
     while jj < n {
         let nc_eff = NC.min(n - jj);
         // (a 20-deep panel spills no L2, so none need be known)
-        let grid = cell_grid(m, nc_eff, k, KC, MC, nr, degree, true, None);
+        let source = if b_in_place {
+            BSource::InPlace
+        } else {
+            BSource::Packed
+        };
+        let isa = kernel.0.isa();
+        let grid = cell_grid(m, nc_eff, k, KC, MC, nr, degree, source, isa, None);
         let (row_ranges, col_chunks) = grid;
         let (row_ranges, col_chunks) = (row_ranges as u64, col_chunks as u64);
         let mut kk = 0;
@@ -333,8 +339,58 @@ mod enabled {
                 check(kernel, par, m, n, k);
             }
         }
-        assert_eq!(cell_grid(130, NC, 50, KC, MC, NR, 3, true, None), (3, 1));
-        assert_eq!(cell_grid(25, NC, 50, KC, MC, NR, 2, true, None), (1, 2));
+        for b in [BSource::InPlace, BSource::Packed] {
+            let grid = |m, degree| cell_grid(m, NC, 50, KC, MC, NR, degree, b, Isa::Avx512, None);
+            assert_eq!(grid(130, 3), (3, 1));
+            assert_eq!(grid(25, 2), (1, 2));
+        }
+    }
+
+    /// The pooled layer-3 schedule, counted: 512³ on `Pool(2)` at
+    /// `mc` = 128 splits its four row tasks two a thread, so each row of A
+    /// is packed once per call, `m·k·8` bytes in all, whether the kernel
+    /// reads B in place (a SIMD host: no B packed) or packs it (the
+    /// portable one: each row range packs all of B). A Bᵀ past one row
+    /// group is packed, and 384 rows are three tasks: its (1, 2) grid
+    /// packs A once per column chunk and B once, in whole slivers.
+    #[test]
+    fn a_pooled_row_split_packs_each_row_of_a_once() {
+        let kernel = MicroKernelKind::Mk8x6;
+        let k = 512;
+        // B's 512 columns in 86 slivers of 6, 512 deep
+        let b_panel = 86 * 6 * k as u64 * 8;
+        for (m, transb) in [(512, Transpose::No), (384, Transpose::Yes)] {
+            let _g = lock_and_reset();
+            let a = Matrix::random(m, k, 81);
+            let b = stored_b(transb, k, 512, 82);
+            let mut c = Matrix::zeros(m, 512);
+            let cfg = GemmConfig::for_kernel(kernel, 1)
+                .with_blocks(k, 128, 1920)
+                .with_parallelism(Parallelism::Pool(2));
+            let (a_view, b_view) = (a.view(), b.view());
+            gemm(
+                Transpose::No,
+                transb,
+                1.0,
+                &a_view,
+                &b_view,
+                0.0,
+                &mut c.view_mut(),
+                &cfg,
+            );
+            let snap = telemetry::snapshot();
+            let a_once = (m * k * 8) as u64;
+            let want = match transb {
+                Transpose::No if reads_b_in_place((kernel, transb), m, 128) => [a_once, 0],
+                Transpose::No => [a_once, 2 * b_panel],
+                Transpose::Yes => [2 * a_once, b_panel],
+            };
+            let got = [snap.total_packed_a_bytes(), snap.total_packed_b_bytes()];
+            assert_eq!(
+                got, want,
+                "{m}x512x{k}, {transb:?}: [packed A, packed B] bytes"
+            );
+        }
     }
 
     /// Figure 9, observed: on the pool every thread that computes packs

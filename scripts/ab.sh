@@ -22,7 +22,10 @@ work="$root/target/ab"
 
 rm -rf "$work/parent"
 mkdir -p "$work/parent"
-git -C "$root" archive "$rev" | tar -x -C "$work/parent"
+# -m stamps the files with the time of extraction, not of REV's commit:
+# cargo judges a build fresh by mtime, and an older REV's files would
+# otherwise look older than the build of whichever REV ran last.
+git -C "$root" archive "$rev" | tar -x -m -C "$work/parent"
 manifest="$work/parent/crates/core/Cargo.toml"
 sed -i -e 's/^name = "dgemm-core"$/name = "dgemm-core-parent"/' \
     -e 's/^name = "dgemm_core"$/name = "dgemm_core_parent"/' "$manifest"

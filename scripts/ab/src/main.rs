@@ -23,9 +23,9 @@ enum Case {
     /// 8×512×512 `dgemm`, `Serial`, β = 0, B (or, `trans`, Bᵀ) taken
     /// from a ring of [`RING`] matrices in turn, so it is not in cache.
     Ring { trans: bool },
-    /// `m`×512×512 `dgemm`, `Serial`, β = 0, against one B (or, `trans`,
-    /// Bᵀ): `m` is one of [`ROWS`].
-    Rows { m: usize, trans: bool },
+    /// `m`×512×512 `dgemm`, `Serial` or `Pool(2)`, β = 0, against one B
+    /// (or, `trans`, Bᵀ): `m` is one of [`ROWS`].
+    Rows { m: usize, trans: bool, pool: bool },
     /// Eight 16×512 entries against one `PrepackedB` of a 512×512 B,
     /// `Serial`, β = 0.
     Batch,
@@ -35,9 +35,13 @@ const fn square(pool: bool, beta: f64) -> Case {
     Case::Square { pool, beta }
 }
 
+const fn rows(m: usize, trans: bool, pool: bool) -> Case {
+    Case::Rows { m, trans, pool }
+}
+
 /// The cases in table order, with the calls one sample takes the
 /// median of.
-const CASES: [(&str, Case, usize); 11] = [
+const CASES: [(&str, Case, usize); 15] = [
     ("512³ Serial β=0", square(false, 0.0), 7),
     ("512³ Serial β=0.5", square(false, 0.5), 7),
     ("512³ Serial β=1", square(false, 1.0), 7),
@@ -46,27 +50,17 @@ const CASES: [(&str, Case, usize); 11] = [
     ("512³ Pool(2) β=1", square(true, 1.0), 9),
     ("8×512×512 ring of B", Case::Ring { trans: false }, 2 * RING),
     ("8×512×512 ring of Bᵀ", Case::Ring { trans: true }, 2 * RING),
-    (
-        "128×512×512 Bᵀ Serial",
-        Case::Rows {
-            m: ROWS[0],
-            trans: true,
-        },
-        9,
-    ),
-    (
-        "2048×512×512 Serial",
-        Case::Rows {
-            m: ROWS[1],
-            trans: false,
-        },
-        5,
-    ),
+    ("128×512×512 Bᵀ Serial", rows(ROWS[0], true, false), 9),
+    ("2048×512×512 Serial", rows(ROWS[1], false, false), 5),
+    ("2048×512×512 Pool(2)", rows(ROWS[1], false, true), 9),
+    ("500×512×512 Pool(2)", rows(ROWS[2], false, true), 9),
+    ("384×512×512 Pool(2)", rows(ROWS[3], false, true), 9),
+    ("512³ Bᵀ Pool(2)", rows(ROWS[4], true, true), 9),
     ("8 × 16-row batch, PrepackedB", Case::Batch, 9),
 ];
 
 /// The rows of A the [`Case::Rows`] cases multiply.
-const ROWS: [usize; 2] = [128, 2048];
+const ROWS: [usize; 5] = [128, 2048, 500, 384, 512];
 
 /// B matrices in the ring: 24 MiB a side, past the last-level cache.
 const RING: usize = 12;
@@ -179,10 +173,11 @@ macro_rules! side {
                     .expect("dgemm");
                 }
 
-                fn rows(&self, m: usize, trans: bool, c: &mut Matrix) {
+                fn rows(&self, m: usize, trans: bool, pool: bool, c: &mut Matrix) {
+                    let cfg = if pool { &self.pool } else { &self.serial };
                     let a = self.rows_a[row_case(m)].view();
                     let (b, c) = (self.b.view(), &mut c.view_mut());
-                    dgemm(No, op(trans), 1.0, &a, &b, 0.0, c, &self.serial).expect("dgemm");
+                    dgemm(No, op(trans), 1.0, &a, &b, 0.0, c, cfg).expect("dgemm");
                 }
 
                 fn batch(&self, c: &mut [Matrix]) {
@@ -227,8 +222,9 @@ macro_rules! side {
                             self.inputs.ring(self.next % RING, trans, &mut self.ring_c);
                             self.next += 1;
                         }
-                        Case::Rows { m, trans } => {
-                            self.inputs.rows(m, trans, &mut self.rows_c[row_case(m)]);
+                        Case::Rows { m, trans, pool } => {
+                            self.inputs
+                                .rows(m, trans, pool, &mut self.rows_c[row_case(m)]);
                         }
                         Case::Batch => self.inputs.batch(&mut self.batch_c),
                     }
@@ -260,12 +256,13 @@ macro_rules! side {
                                 }
                                 all
                             }
-                            Case::Rows { m, trans } => {
-                                // into a NaN C, against a call into a fresh one
+                            Case::Rows { m, trans, pool } => {
+                                // into a NaN C, against a Serial call into a
+                                // fresh one
                                 let mut got = Matrix::from_fn(m, N, |_, _| f64::NAN);
                                 let mut want = Matrix::zeros(m, N);
-                                inputs.rows(m, trans, &mut got);
-                                inputs.rows(m, trans, &mut want);
+                                inputs.rows(m, trans, pool, &mut got);
+                                inputs.rows(m, trans, false, &mut want);
                                 same(got.as_slice(), want.as_slice(), what);
                                 got.as_slice().to_vec()
                             }
